@@ -17,6 +17,14 @@ import (
 // at most 30. Non-positive rates panic: they indicate a caller bug (a
 // deterministic-zero branch must be filtered out first, see MulticastWait).
 func MaxExpRecursive(rates []float64) float64 {
+	var memo []float64
+	return maxExp(rates, &memo)
+}
+
+// maxExp is MaxExpRecursive over the caller's scratch: it evaluates Eq. 12
+// for every subset of the rates, bottom-up over bitmasks (a subset's
+// proper subsets are numerically smaller), in *memo, grown as needed.
+func maxExp(rates []float64, memo *[]float64) float64 {
 	m := len(rates)
 	if m == 0 {
 		return 0
@@ -29,34 +37,27 @@ func MaxExpRecursive(rates []float64) float64 {
 			panic(fmt.Sprintf("core: non-positive exponential rate %v", r))
 		}
 	}
-	memo := make([]float64, 1<<uint(m))
-	for i := range memo {
-		memo[i] = -1
+	if len(*memo) < 1<<uint(m) {
+		*memo = make([]float64, 1<<uint(m))
 	}
-	var rec func(mask int) float64
-	rec = func(mask int) float64 {
-		if mask == 0 {
-			return 0
-		}
-		if memo[mask] >= 0 {
-			return memo[mask]
-		}
+	e := *memo
+	e[0] = 0
+	for mask := 1; mask < 1<<uint(m); mask++ {
 		var sum float64
 		for i := 0; i < m; i++ {
 			if mask&(1<<uint(i)) != 0 {
 				sum += rates[i]
 			}
 		}
-		e := 1 / sum
+		x := 1 / sum
 		for i := 0; i < m; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				e += rates[i] / sum * rec(mask&^(1<<uint(i)))
+				x += rates[i] / sum * e[mask&^(1<<uint(i))]
 			}
 		}
-		memo[mask] = e
-		return e
+		e[mask] = x
 	}
-	return rec((1 << uint(m)) - 1)
+	return e[1<<uint(m)-1]
 }
 
 // MaxExpClosedForm computes the same expectation with the
@@ -105,8 +106,15 @@ func MaxExpClosedForm(rates []float64) float64 {
 // expected wait are deterministic at 0 and cannot be the last event unless
 // all are zero, so they are filtered before the combination.
 func MulticastWait(waits []float64) float64 {
+	var memo []float64
+	return multicastWait(waits, make([]float64, 0, len(waits)), &memo)
+}
+
+// multicastWait is MulticastWait over the caller's scratch: rates needs
+// capacity len(waits); memo is maxExp's.
+func multicastWait(waits, rates []float64, memo *[]float64) float64 {
 	const eps = 1e-12
-	rates := make([]float64, 0, len(waits))
+	rates = rates[:0]
 	for _, w := range waits {
 		if math.IsInf(w, 1) {
 			return math.Inf(1)
@@ -118,8 +126,5 @@ func MulticastWait(waits []float64) float64 {
 			rates = append(rates, 1/w)
 		}
 	}
-	if len(rates) == 0 {
-		return 0
-	}
-	return MaxExpRecursive(rates)
+	return maxExp(rates, memo)
 }

@@ -95,35 +95,73 @@ type Prediction struct {
 	Converged bool
 }
 
-// channelState carries the per-channel quantities of the model.
+// channelState carries the per-channel quantities of the model at the
+// latest solve.
 type channelState struct {
 	lambda  float64 // total arrival rate (messages/cycle)
 	service float64 // mean holding time x̄
 	wait    float64 // M/G/1 mean wait W
 	eject   bool
-	// outgoing transitions: next channel index and the flow rate i->j.
-	next []transition
+	// trans[trLo:trHi] are the channel's outgoing transitions.
+	trLo, trHi int32
 }
 
+// transition is the flow from one channel into the next one, `to`. The
+// rate and the two quotients Eq. 6 takes of it are reloaded per solve.
 type transition struct {
-	to   int
-	rate float64
+	to   topology.ChannelID
+	rate float64 // flow rate from->to
+	p    float64 // rate / λ(from): the share of from's traffic turning here
+	// scale is 1 - rate/λ(to) clamped at 0: the share of to's wait the
+	// flow does not inflict on itself (the "exclude own contribution"
+	// factor of Eq. 6 and of the path waits).
+	scale float64
 }
 
-// Model is the assembled analytical model for one Input. Build with
-// NewModel, evaluate with Solve; the per-path helpers are exposed so the
-// multicast combination and experiments can inspect intermediate values.
+// hop is one channel of a stored route and the transition that entered
+// it: -1 at the injection channel, and on turns no flow takes (unicast
+// routes at α = 1 carry no traffic; they are kept for Eq. 7 only).
+type hop struct {
+	ch topology.ChannelID
+	tr int32
+}
+
+// flow is one stored route, hops[lo:hi], and for unicast pairs the
+// probability p that a unicast of its source takes it.
+type flow struct {
+	lo, hi int32
+	p      float64
+}
+
+// Model is the assembled analytical model of one configuration: every
+// route the workload uses, enumerated once, so that each generation rate
+// is only a reload of the flow rates and a fixed-point solve. Build with
+// NewModel, evaluate with Solve or SolveAt; the per-channel and per-path
+// accessors report the latest solve. A Model is not safe for concurrent
+// use.
 type Model struct {
 	in       Input
 	g        *topology.Graph
 	channels []channelState
-	// pairRate maps (from<<32 | to) to the flow rate from->to, used for
-	// the "exclude own contribution" scaling of path waits.
-	pairRate map[uint64]float64
-	// multicast branches per source node (nil when α = 0).
-	branches [][]routing.Branch
-	solved   bool
-	pred     Prediction
+	// trans is sorted by (from, to): the fixed point sums a channel's
+	// transitions in list order and float addition is not associative, so
+	// the order is fixed rather than inherited from map iteration.
+	trans []transition
+	hops  []hop
+	// unicast holds every source/destination pair with p > 0, in
+	// (src, dst) order; mcast the multicast branches, source by source,
+	// with mcastOf[src]..mcastOf[src+1] delimiting a source's (nil when
+	// α = 0). Replaying them in this order reproduces every += of a
+	// from-scratch enumeration.
+	unicast []flow
+	mcast   []flow
+	mcastOf []int32
+	// active counts the sources that generate traffic: all of them, unless
+	// a permutation self-map silences some. Latency averages divide by it,
+	// matching the simulator's per-message means.
+	active int
+	// Scratch of the multicast combination (Eq. 13).
+	waits, rates, memo []float64
 }
 
 const (
@@ -133,7 +171,8 @@ const (
 )
 
 // NewModel enumerates the workload's flows over the router and assembles
-// the per-channel arrival rates and transition structure.
+// the rate-independent structure: routes, transitions and their order.
+// in.Spec.Rate is only the rate Solve evaluates at.
 func NewModel(in Input) (*Model, error) {
 	if in.Router == nil {
 		return nil, fmt.Errorf("core: nil router")
@@ -163,47 +202,55 @@ func NewModel(in Input) (*Model, error) {
 		in.Tol = defaultTol
 	}
 	g := in.Router.Graph()
-	m := &Model{
-		in:       in,
-		g:        g,
-		channels: make([]channelState, g.NumChannels()),
-		pairRate: make(map[uint64]float64),
-	}
+	n := g.Nodes()
+	m := &Model{in: in, g: g, channels: make([]channelState, g.NumChannels()), active: n}
 	for i := range m.channels {
 		m.channels[i].eject = g.Channel(topology.ChannelID(i)).Kind == topology.Ejection
 	}
-
-	n := g.Nodes()
-	lam := in.Spec.Rate
-	alpha := in.Spec.MulticastFrac
-
-	// Unicast flows: per-pair probabilities from the spec (uniform in the
-	// paper's setup; skewed under hotspot, permutation or weight-matrix
-	// traffic), one O(n) row per source.
-	if lam > 0 && alpha < 1 {
-		probs := make([]float64, n)
+	if in.Spec.Perm != nil {
+		m.active = 0
 		for src := 0; src < n; src++ {
-			in.Spec.UnicastProbRow(n, topology.NodeID(src), probs)
-			for dst := 0; dst < n; dst++ {
-				p := probs[dst]
-				if p == 0 {
-					continue
-				}
-				path, err := in.Router.UnicastPath(topology.NodeID(src), topology.NodeID(dst))
-				if err != nil {
-					return nil, fmt.Errorf("core: unicast path %d->%d: %w", src, dst, err)
-				}
-				m.addFlow(path, lam*(1-alpha)*p)
+			if !in.Spec.Silent(topology.NodeID(src)) {
+				m.active++
 			}
 		}
 	}
+	alpha := in.Spec.MulticastFrac
 
-	// Multicast flows: one flow per branch per source at rate λα. Silent
-	// sources (permutation self-maps) generate nothing, multicast
-	// included, matching the simulator's workload.
-	if lam > 0 && alpha > 0 {
-		m.branches = make([][]routing.Branch, n)
+	// Transitions are numbered as first met and renumbered in key order
+	// below. Routes that carry no traffic only look their turns up.
+	index := map[uint64]int32{}
+	var keys []uint64
+	store := func(path routing.Path, carries bool) flow {
+		f := flow{lo: int32(len(m.hops))}
+		for i, id := range path {
+			tr := int32(-1)
+			if i > 0 {
+				key := uint64(path[i-1])<<32 | uint64(id)
+				t, ok := index[key]
+				switch {
+				case ok:
+					tr = t
+				case carries:
+					tr = int32(len(keys))
+					index[key] = tr
+					keys = append(keys, key)
+				}
+			}
+			m.hops = append(m.hops, hop{ch: id, tr: tr})
+		}
+		f.hi = int32(len(m.hops))
+		return f
+	}
+
+	// Multicast flows: one per branch per source. Silent sources
+	// (permutation self-maps) generate nothing, multicast included,
+	// matching the simulator's workload.
+	if alpha > 0 {
+		m.mcastOf = make([]int32, n+1)
+		maxBranches := 0
 		for src := 0; src < n; src++ {
+			m.mcastOf[src+1] = m.mcastOf[src]
 			if in.Spec.Silent(topology.NodeID(src)) {
 				continue
 			}
@@ -211,60 +258,143 @@ func NewModel(in Input) (*Model, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: multicast branches at %d: %w", src, err)
 			}
-			m.branches[src] = branches
 			for _, b := range branches {
-				m.addFlow(b.Path, lam*alpha)
+				m.mcast = append(m.mcast, store(b.Path, true))
 			}
+			m.mcastOf[src+1] = int32(len(m.mcast))
+			maxBranches = max(maxBranches, len(branches))
+		}
+		m.waits = make([]float64, maxBranches)
+		m.rates = make([]float64, 0, maxBranches)
+	}
+
+	// Unicast flows: per-pair probabilities from the spec (uniform in the
+	// paper's setup; skewed under hotspot, permutation or weight-matrix
+	// traffic), one O(n) row per source. At α = 1 they carry nothing, but
+	// Eq. 7 still averages over their routes.
+	probs := make([]float64, n)
+	mcastHops := len(m.hops)
+	for src := 0; src < n; src++ {
+		in.Spec.UnicastProbRow(n, topology.NodeID(src), probs)
+		for dst := 0; dst < n; dst++ {
+			p := probs[dst]
+			if p == 0 {
+				continue
+			}
+			path, err := in.Router.UnicastPath(topology.NodeID(src), topology.NodeID(dst))
+			if err != nil {
+				return nil, fmt.Errorf("core: unicast path %d->%d: %w", src, dst, err)
+			}
+			f := store(path, alpha < 1)
+			f.p = p
+			m.unicast = append(m.unicast, f)
+		}
+		if src == 0 {
+			// Sources route much alike: reserve the first one's share for each.
+			m.hops = slices.Grow(m.hops, (n-1)*(len(m.hops)-mcastHops))
+			m.unicast = slices.Grow(m.unicast, (n-1)*len(m.unicast))
 		}
 	}
 
-	// Materialize the transition lists in sorted key order: ranging the
-	// map directly would order each channel's transitions by map hash,
-	// and the fixed point sums transition rates in list order — float
-	// addition is not associative, so the solution would differ in the
-	// low bits from process to process.
-	keys := make([]uint64, 0, len(m.pairRate))
-	for key := range m.pairRate {
-		keys = append(keys, key)
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	renumber := make([]int32, len(keys))
+	m.trans = make([]transition, len(sorted))
+	for t, key := range sorted {
+		renumber[index[key]] = int32(t)
+		m.trans[t].to = topology.ChannelID(key & 0xffffffff)
+		c := &m.channels[key>>32]
+		if c.trHi == 0 {
+			c.trLo = int32(t)
+		}
+		c.trHi = int32(t + 1)
 	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		from := int(key >> 32)
-		to := int(key & 0xffffffff)
-		m.channels[from].next = append(m.channels[from].next, transition{to: to, rate: m.pairRate[key]})
+	for i := range m.hops {
+		if h := &m.hops[i]; h.tr >= 0 {
+			h.tr = renumber[h.tr]
+		}
 	}
+	m.load(in.Spec.Rate)
 	return m, nil
 }
 
-func (m *Model) addFlow(path routing.Path, rate float64) {
-	for i, id := range path {
-		m.channels[id].lambda += rate
-		if i > 0 {
-			key := uint64(path[i-1])<<32 | uint64(id)
-			m.pairRate[key] += rate
+// Input returns the model's input with the defaults filled in.
+func (m *Model) Input() Input { return m.in }
+
+// Lambda returns the modeled arrival rate at a channel: at the input's
+// rate once built, then at the latest solve's.
+func (m *Model) Lambda(id topology.ChannelID) float64 { return m.channels[id].lambda }
+
+// Service returns the fixed-point mean holding time of a channel.
+func (m *Model) Service(id topology.ChannelID) float64 { return m.channels[id].service }
+
+// Wait returns the fixed-point M/G/1 mean waiting time of a channel.
+func (m *Model) Wait(id topology.ChannelID) float64 { return m.channels[id].wait }
+
+// Solve evaluates the model at the input's generation rate.
+func (m *Model) Solve() (Prediction, error) { return m.SolveAt(m.in.Spec.Rate) }
+
+// load resets the arrival and transition rates to generation rate lam by
+// replaying the flows in enumeration order.
+func (m *Model) load(lam float64) {
+	for i := range m.channels {
+		m.channels[i].lambda = 0
+	}
+	for i := range m.trans {
+		m.trans[i].rate = 0
+	}
+	alpha := m.in.Spec.MulticastFrac
+	if lam > 0 && alpha < 1 {
+		for _, f := range m.unicast {
+			m.addFlow(f, lam*(1-alpha)*f.p)
+		}
+	}
+	if lam > 0 && alpha > 0 {
+		for _, f := range m.mcast {
+			m.addFlow(f, lam*alpha)
+		}
+	}
+	// The quotients of Eq. 6 do not change over the fixed point. A loaded
+	// transition has a positive rate, so both ends have a positive λ.
+	for i := range m.channels {
+		c := &m.channels[i]
+		if c.lambda == 0 {
+			continue
+		}
+		for t := c.trLo; t < c.trHi; t++ {
+			tr := &m.trans[t]
+			tr.p = tr.rate / c.lambda
+			tr.scale = 1 - tr.rate/m.channels[tr.to].lambda
+			if tr.scale < 0 {
+				tr.scale = 0
+			}
 		}
 	}
 }
 
-// Lambda returns the modeled arrival rate at a channel.
-func (m *Model) Lambda(id topology.ChannelID) float64 { return m.channels[id].lambda }
-
-// Service returns the fixed-point mean holding time of a channel (valid
-// after Solve).
-func (m *Model) Service(id topology.ChannelID) float64 { return m.channels[id].service }
-
-// Wait returns the fixed-point M/G/1 mean waiting time of a channel (valid
-// after Solve).
-func (m *Model) Wait(id topology.ChannelID) float64 { return m.channels[id].wait }
-
-// Solve runs the service-time fixed point (Eq. 6 with the P-K wait of
-// Eq. 3) and computes the unicast (Eq. 7) and multicast (Eqs. 13-16)
-// latencies.
-func (m *Model) Solve() (Prediction, error) {
-	if m.solved {
-		return m.pred, nil
+func (m *Model) addFlow(f flow, rate float64) {
+	for _, h := range m.hops[f.lo:f.hi] {
+		m.channels[h.ch].lambda += rate
+		if h.tr >= 0 {
+			m.trans[h.tr].rate += rate
+		}
 	}
+}
+
+// SolveAt runs the service-time fixed point (Eq. 6 with the P-K wait of
+// Eq. 3) at the given per-node generation rate, from the same cold start
+// every time, and computes the unicast (Eq. 7) and multicast (Eqs. 13-16)
+// latencies: the result is bit-for-bit that of a model built at the rate.
+func (m *Model) SolveAt(rate float64) (Prediction, error) {
+	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return Prediction{}, fmt.Errorf("core: invalid rate %v", rate)
+	}
+	m.load(rate)
 	msg := float64(m.in.MsgLen)
+	hop := 1.0
+	if m.in.ServiceFormula == TailRelease {
+		hop = 0
+	}
 
 	// Initialize every channel's holding time to the bare drain time.
 	for i := range m.channels {
@@ -279,12 +409,10 @@ func (m *Model) Solve() (Prediction, error) {
 		unstable := false
 		for i := range m.channels {
 			c := &m.channels[i]
-			w := m.channelWait(c.lambda, c.service, msg)
-			if math.IsInf(w, 1) {
+			c.wait = m.channelWait(c.lambda, c.service, msg)
+			if math.IsInf(c.wait, 1) {
 				unstable = true
-				w = math.Inf(1)
 			}
-			c.wait = w
 		}
 		if unstable {
 			saturated = true
@@ -297,19 +425,10 @@ func (m *Model) Solve() (Prediction, error) {
 			if c.eject || c.lambda == 0 {
 				continue
 			}
-			hop := 1.0
-			if m.in.ServiceFormula == TailRelease {
-				hop = 0
-			}
 			var x float64
-			for _, tr := range c.next {
+			for _, tr := range m.trans[c.trLo:c.trHi] {
 				b := &m.channels[tr.to]
-				p := tr.rate / c.lambda
-				scale := 1 - tr.rate/b.lambda
-				if scale < 0 {
-					scale = 0
-				}
-				x += p * (scale*b.wait + b.service + hop)
+				x += tr.p * (tr.scale*b.wait + b.service + hop)
 			}
 			nx := c.service + m.in.Damping*(x-c.service)
 			if d := math.Abs(nx-c.service) / math.Max(1, c.service); d > maxDelta {
@@ -339,7 +458,6 @@ func (m *Model) Solve() (Prediction, error) {
 	if saturated {
 		pred.UnicastLatency = math.Inf(1)
 		pred.MulticastLatency = math.Inf(1)
-		m.pred, m.solved = pred, true
 		return pred, nil
 	}
 
@@ -349,17 +467,13 @@ func (m *Model) Solve() (Prediction, error) {
 		c.wait = m.channelWait(c.lambda, c.service, msg)
 	}
 
+	if m.active == 0 {
+		return pred, fmt.Errorf("core: the permutation silences every node")
+	}
+	pred.UnicastLatency = m.unicastLatency()
 	var err error
-	pred.UnicastLatency, err = m.unicastLatency()
-	if err != nil {
-		return pred, err
-	}
-	pred.MulticastLatency, err = m.multicastLatency()
-	if err != nil {
-		return pred, err
-	}
-	m.pred, m.solved = pred, true
-	return pred, nil
+	pred.MulticastLatency, err = m.multicastLatency(rate)
+	return pred, err
 }
 
 // channelWait applies the configured waiting-time formula to a channel.
@@ -371,103 +485,72 @@ func (m *Model) channelWait(lambda, service, msg float64) float64 {
 	return MG1Wait(lambda, service, sigma)
 }
 
-// PathWait returns the expected total waiting time of a header along a
-// path: the full M/G/1 wait at the injection channel (external Poisson
-// arrivals) plus, at each subsequent channel, the wait scaled by one minus
-// the share of that channel's traffic contributed by the path itself
-// (the factor in Eq. 6).
-func (m *Model) PathWait(path routing.Path) float64 {
+// hopWait is one channel's share of a path's header wait: its M/G/1 wait,
+// scaled — when entered over transition tr — by one minus the share of the
+// channel's traffic the path itself contributes (the factor in Eq. 6).
+// The injection channel (external Poisson arrivals) and turns no flow
+// takes have tr < 0 and count in full.
+func (m *Model) hopWait(ch topology.ChannelID, tr int32) float64 {
+	c := &m.channels[ch]
+	if c.lambda == 0 {
+		return 0
+	}
+	if tr < 0 {
+		return c.wait
+	}
+	return c.wait * m.trans[tr].scale
+}
+
+func (m *Model) hopsWait(hops []hop) float64 {
 	var total float64
-	for i, id := range path {
-		c := &m.channels[id]
-		if c.lambda == 0 {
-			continue
-		}
-		w := c.wait
-		if i > 0 {
-			rate := m.pairRate[uint64(path[i-1])<<32|uint64(id)]
-			scale := 1 - rate/c.lambda
-			if scale < 0 {
-				scale = 0
-			}
-			w *= scale
-		}
-		total += w
+	for _, h := range hops {
+		total += m.hopWait(h.ch, h.tr)
 	}
 	return total
 }
 
-// PathLatency returns the model's expected end-to-end latency of one path:
-// ΣW + msg + D, where D = len(path)-1 is the header pipeline depth (the
-// simulator's zero-load latency is exactly D + msg).
-func (m *Model) PathLatency(path routing.Path) float64 {
-	return m.PathWait(path) + float64(m.in.MsgLen) + float64(len(path)-1)
-}
-
-// activeSources counts the sources that generate traffic: all of them,
-// unless a permutation self-map silences some. Latency averages divide by
-// this count, matching the simulator's per-message means (the classic
-// no-permutation path keeps the exact n divisor, bitwise).
-func (m *Model) activeSources() (int, error) {
-	n := m.g.Nodes()
-	if m.in.Spec.Perm == nil {
-		return n, nil
-	}
-	active := 0
-	for src := 0; src < n; src++ {
-		if !m.in.Spec.Silent(topology.NodeID(src)) {
-			active++
+// PathWait returns the expected total waiting time of a header along a
+// path: the sum of its channels' hopWaits.
+func (m *Model) PathWait(path routing.Path) float64 {
+	var total float64
+	for i, id := range path {
+		tr := int32(-1)
+		if i > 0 {
+			c := &m.channels[path[i-1]]
+			for t := c.trLo; t < c.trHi; t++ {
+				if m.trans[t].to == id {
+					tr = t
+				}
+			}
 		}
+		total += m.hopWait(id, tr)
 	}
-	if active == 0 {
-		return 0, fmt.Errorf("core: the permutation silences every node")
-	}
-	return active, nil
+	return total
 }
 
-func (m *Model) unicastLatency() (float64, error) {
-	n := m.g.Nodes()
-	active, err := m.activeSources()
-	if err != nil {
-		return 0, err
-	}
+func (m *Model) unicastLatency() float64 {
 	var sum float64
-	probs := make([]float64, n)
-	for src := 0; src < n; src++ {
-		// Weight each pair by the probability a message takes it, so
-		// the average is over messages, as the simulator measures it.
-		m.in.Spec.UnicastProbRow(n, topology.NodeID(src), probs)
-		for dst := 0; dst < n; dst++ {
-			p := probs[dst]
-			if p == 0 {
-				continue
-			}
-			path, err := m.in.Router.UnicastPath(topology.NodeID(src), topology.NodeID(dst))
-			if err != nil {
-				return 0, err
-			}
-			sum += p * m.PathLatency(path)
-		}
+	for _, f := range m.unicast {
+		// A route's latency is ΣW + msg + D, with D = hops-1 the header
+		// pipeline depth (the simulator's zero-load latency is exactly
+		// D + msg). Weight each pair by the probability a message takes it,
+		// so the average is over messages, as the simulator measures it.
+		sum += f.p * (m.hopsWait(m.hops[f.lo:f.hi]) + float64(m.in.MsgLen) + float64(f.hi-f.lo-1))
 	}
-	return sum / float64(active), nil
+	return sum / float64(m.active)
 }
 
-func (m *Model) multicastLatency() (float64, error) {
-	if m.branches == nil {
-		return math.NaN(), nil
+func (m *Model) multicastLatency(rate float64) (float64, error) {
+	if m.mcastOf == nil || rate == 0 {
+		return math.NaN(), nil // no multicast traffic
 	}
 	serialized := m.g.Ports() == 1
-	n := m.g.Nodes()
-	active, err := m.activeSources()
-	if err != nil {
-		return 0, err
-	}
 	var sum float64
-	for src := 0; src < n; src++ {
+	for src := 0; src < m.g.Nodes(); src++ {
 		if m.in.Spec.Silent(topology.NodeID(src)) {
 			continue
 		}
-		branches := m.branches[src]
+		branches := m.mcast[m.mcastOf[src]:m.mcastOf[src+1]]
 		if len(branches) == 0 {
 			return 0, fmt.Errorf("core: node %d has no multicast branches", src)
 		}
@@ -475,18 +558,16 @@ func (m *Model) multicastLatency() (float64, error) {
 			sum += m.serializedMulticastNode(branches)
 			continue
 		}
-		waits := make([]float64, len(branches))
-		maxD := 0
+		waits := m.waits[:len(branches)]
+		maxD := int32(0)
 		for i, b := range branches {
-			waits[i] = m.PathWait(b.Path)
-			if d := len(b.Path) - 1; d > maxD {
-				maxD = d
-			}
+			waits[i] = m.hopsWait(m.hops[b.lo:b.hi])
+			maxD = max(maxD, b.hi-b.lo-1)
 		}
 		// Eqs. 13-14: last-of-m exponential wait + msg + max hops.
-		sum += MulticastWait(waits) + float64(m.in.MsgLen) + float64(maxD)
+		sum += multicastWait(waits, m.rates, &m.memo) + float64(m.in.MsgLen) + float64(maxD)
 	}
-	return sum / float64(active), nil
+	return sum / float64(m.active), nil
 }
 
 // serializedMulticastNode models multicast on a one-port router, which is
@@ -499,33 +580,41 @@ func (m *Model) multicastLatency() (float64, error) {
 // traversal, and the multicast completes with the slowest branch. At zero
 // load this reduces to (k-1)·msg + msg + D exactly, matching the
 // simulator. This extension is what the one-port ablation exercises.
-func (m *Model) serializedMulticastNode(branches []routing.Branch) float64 {
-	inj := branches[0].Path[0]
-	injWait := m.channels[inj].wait
-	injHold := m.channels[inj].service
+func (m *Model) serializedMulticastNode(branches []flow) float64 {
+	inj := &m.channels[m.hops[branches[0].lo].ch]
 	msg := float64(m.in.MsgLen)
 	worst := 0.0
 	for k, b := range branches {
-		tail := 0.0
-		for i, id := range b.Path[1:] {
-			c := &m.channels[id]
-			if c.lambda == 0 {
-				continue
-			}
-			prev := b.Path[i] // b.Path[1:][i-1+1] == b.Path[i]
-			rate := m.pairRate[uint64(prev)<<32|uint64(id)]
-			scale := 1 - rate/c.lambda
-			if scale < 0 {
-				scale = 0
-			}
-			tail += scale * c.wait
-		}
-		lat := injWait + float64(k)*injHold + tail + msg + float64(len(b.Path)-1)
+		tail := m.hopsWait(m.hops[b.lo+1 : b.hi])
+		lat := inj.wait + float64(k)*inj.service + tail + msg + float64(b.hi-b.lo-1)
 		if lat > worst {
 			worst = lat
 		}
 	}
 	return worst
+}
+
+// SaturationRate bisects for the highest generation rate at which the model
+// is stable, within relative tolerance tol.
+func (m *Model) SaturationRate(tol float64) (float64, error) {
+	lo := 0.0
+	hi := 1.0 / float64(m.in.MsgLen) // one message per drain time is far beyond capacity
+	for hi-lo > tol*hi {
+		mid := (lo + hi) / 2
+		pred, err := m.SolveAt(mid)
+		if err != nil {
+			return 0, err
+		}
+		if pred.Saturated {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if lo == 0 {
+		return 0, fmt.Errorf("core: no stable rate found below %v", hi)
+	}
+	return lo, nil
 }
 
 // Predict is the one-shot convenience: build the model and solve it.

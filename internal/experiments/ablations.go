@@ -22,8 +22,12 @@ type Series struct {
 // rate.
 func RunSeries(label string, rt routing.Router, set routing.MulticastSet, msgLen int, alpha float64, rates []float64, sim SimConfig) (Series, error) {
 	s := Series{Label: label}
+	m, err := newModel(rt, set, msgLen, alpha)
+	if err != nil {
+		return Series{}, err
+	}
 	for _, rate := range rates {
-		pt, err := RunPoint(rt, set, msgLen, alpha, rate, sim)
+		pt, err := runPoint(m, rate, sim)
 		if err != nil {
 			return Series{}, err
 		}
@@ -139,15 +143,22 @@ func ServiceFormulaAblation(n, msgLen int, rates []float64, sim SimConfig) ([]Se
 		return nil, err
 	}
 	rt := routing.NewQuarcRouter(q)
+	eq6Model, err := core.NewModel(core.Input{Router: rt, MsgLen: msgLen})
+	if err != nil {
+		return nil, err
+	}
+	tailModel, err := core.NewModel(core.Input{Router: rt, MsgLen: msgLen, ServiceFormula: core.TailRelease})
+	if err != nil {
+		return nil, err
+	}
 	var out []ServicePoint
 	for _, rate := range rates {
 		spec := traffic.Spec{Rate: rate}
-		eq6, err := core.Predict(core.Input{Router: rt, Spec: spec, MsgLen: msgLen})
+		eq6, err := eq6Model.SolveAt(rate)
 		if err != nil {
 			return nil, err
 		}
-		tail, err := core.Predict(core.Input{Router: rt, Spec: spec, MsgLen: msgLen,
-			ServiceFormula: core.TailRelease})
+		tail, err := tailModel.SolveAt(rate)
 		if err != nil {
 			return nil, err
 		}

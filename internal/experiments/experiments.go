@@ -108,40 +108,27 @@ func (p Panel) DestinationSet(rt *routing.QuarcRouter) (routing.MulticastSet, er
 	return rt.LocalizedSet(p.LocalPort, p.SetSize)
 }
 
+// newModel builds the analytical model of a paper-style configuration
+// (poisson arrivals, uniform unicast destinations, default formulas). One
+// model serves every rate of the configuration.
+func newModel(rt routing.Router, set routing.MulticastSet, msgLen int, alpha float64) (*core.Model, error) {
+	return core.NewModel(core.Input{
+		Router: rt,
+		Spec:   traffic.Spec{MulticastFrac: alpha, Set: set},
+		MsgLen: msgLen,
+	})
+}
+
 // FindSaturationRate bisects for the highest generation rate at which the
 // analytical model is stable, within relative tolerance tol. The sweep
 // grids of all panels are scaled to this rate so every figure covers its
 // configuration's interesting region without hand tuning.
 func FindSaturationRate(rt routing.Router, msgLen int, alpha float64, set routing.MulticastSet, tol float64) (float64, error) {
-	stable := func(rate float64) (bool, error) {
-		pred, err := core.Predict(core.Input{
-			Router: rt,
-			Spec:   traffic.Spec{Rate: rate, MulticastFrac: alpha, Set: set},
-			MsgLen: msgLen,
-		})
-		if err != nil {
-			return false, err
-		}
-		return !pred.Saturated, nil
+	m, err := newModel(rt, set, msgLen, alpha)
+	if err != nil {
+		return 0, err
 	}
-	lo := 0.0
-	hi := 1.0 / float64(msgLen) // one message per drain time is far beyond capacity
-	for hi-lo > tol*hi {
-		mid := (lo + hi) / 2
-		ok, err := stable(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0, fmt.Errorf("experiments: no stable rate found below %v", hi)
-	}
-	return lo, nil
+	return m.SaturationRate(tol)
 }
 
 // RunPanel evaluates the analytical model and runs the simulator for each
@@ -155,7 +142,11 @@ func RunPanel(p Panel, sim SimConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sat, err := FindSaturationRate(rt, p.MsgLen, p.Alpha, set, 1e-3)
+	m, err := newModel(rt, set, p.MsgLen, p.Alpha)
+	if err != nil {
+		return Result{}, err
+	}
+	sat, err := m.SaturationRate(1e-3)
 	if err != nil {
 		return Result{}, err
 	}
@@ -165,10 +156,13 @@ func RunPanel(p Panel, sim SimConfig) (Result, error) {
 	}
 	res := Result{Panel: p, Set: set, SatRate: sat}
 	for i := 1; i <= points; i++ {
-		// Sample 10%..95% of the model's stable region.
-		frac := 0.10 + (0.95-0.10)*float64(i-1)/float64(points-1)
-		rate := sat * frac
-		pt, err := RunPoint(rt, set, p.MsgLen, p.Alpha, rate, sim)
+		// Sample 10%..95% of the model's stable region; a single point
+		// lands mid-region.
+		frac := 0.50
+		if points > 1 {
+			frac = 0.10 + (0.95-0.10)*float64(i-1)/float64(points-1)
+		}
+		pt, err := runPoint(m, sat*frac, sim)
 		if err != nil {
 			return Result{}, err
 		}
@@ -179,17 +173,29 @@ func RunPanel(p Panel, sim SimConfig) (Result, error) {
 
 // RunPoint evaluates model and simulation at a single generation rate.
 func RunPoint(rt routing.Router, set routing.MulticastSet, msgLen int, alpha, rate float64, sim SimConfig) (Point, error) {
-	spec := traffic.Spec{Rate: rate, MulticastFrac: alpha, Set: set}
-	pred, err := core.Predict(core.Input{Router: rt, Spec: spec, MsgLen: msgLen})
+	m, err := newModel(rt, set, msgLen, alpha)
 	if err != nil {
 		return Point{}, err
 	}
-	w, err := traffic.NewWorkload(rt, spec, sim.Seed)
+	return runPoint(m, rate, sim)
+}
+
+// runPoint solves the model at the rate and simulates the model's own
+// configuration there.
+func runPoint(m *core.Model, rate float64, sim SimConfig) (Point, error) {
+	pred, err := m.SolveAt(rate)
 	if err != nil {
 		return Point{}, err
 	}
-	nw, err := wormhole.New(rt.Graph(), w, wormhole.Config{
-		MsgLen:  msgLen,
+	in := m.Input()
+	spec := in.Spec
+	spec.Rate = rate
+	w, err := traffic.NewWorkload(in.Router, spec, sim.Seed)
+	if err != nil {
+		return Point{}, err
+	}
+	nw, err := wormhole.New(in.Router.Graph(), w, wormhole.Config{
+		MsgLen:  in.MsgLen,
 		Warmup:  sim.Warmup,
 		Measure: sim.Measure,
 	})

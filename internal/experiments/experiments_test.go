@@ -171,6 +171,31 @@ func TestRunPanelOutputsWellFormed(t *testing.T) {
 	}
 }
 
+// A one-point panel used to divide 0 by 0 placing its rate; it lands
+// mid-region, and two points sit at the ends of the sampled range.
+func TestRunPanelFewPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep in -short mode")
+	}
+	p, _ := PanelByID("fig7-a")
+	for points, fracs := range map[int][]float64{1: {0.50}, 2: {0.10, 0.95}} {
+		p.Points = points
+		res, err := RunPanel(p, tinySim())
+		if err != nil {
+			t.Fatalf("Points=%d: %v", points, err)
+		}
+		if len(res.Points) != points {
+			t.Fatalf("Points=%d: got %d points", points, len(res.Points))
+		}
+		for i, pt := range res.Points {
+			if pt.Rate != res.SatRate*fracs[i] || pt.ModelSaturated || !(pt.ModelUnicast > 0) {
+				t.Errorf("Points=%d: point %d at rate %v (want %v of %v): %+v",
+					points, i, pt.Rate, fracs[i], res.SatRate, pt)
+			}
+		}
+	}
+}
+
 func TestAsciiPlotHandlesNoData(t *testing.T) {
 	res := Result{Panel: Panel{ID: "x"}, Points: []Point{{
 		Rate: 1, ModelUnicast: math.Inf(1), ModelMulticast: math.Inf(1),

@@ -3,9 +3,6 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"quarc/internal/routing"
-	"quarc/internal/topology"
 )
 
 func TestRunPanelsMatchesSequential(t *testing.T) {
@@ -59,36 +56,6 @@ func TestRunPanelsPropagatesErrors(t *testing.T) {
 	bad := Panel{ID: "bad", N: 7, MsgLen: 16, Alpha: 0, Points: 2} // invalid N
 	if _, err := RunPanels([]Panel{bad}, tinySim(), 2); err == nil {
 		t.Fatal("invalid panel did not error")
-	}
-}
-
-func TestRunPointsParallelDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps in -short mode")
-	}
-	q, err := topology.NewQuarc(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := routing.NewQuarcRouter(q)
-	set, err := rt.LocalizedSet(topology.PortL, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := []float64{0.001, 0.002, 0.003, 0.004}
-	cfg := tinySim()
-	par, err := RunPointsParallel(rt, set, 32, 0.05, rates, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rate := range rates {
-		seq, err := RunPoint(rt, set, 32, 0.05, rate, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par[i].SimUnicast != seq.SimUnicast || par[i].SimMulticast != seq.SimMulticast {
-			t.Fatalf("rate %v: parallel %+v != sequential %+v", rate, par[i], seq)
-		}
 	}
 }
 

@@ -179,21 +179,29 @@ func ServiceFormulaAblation(n, msgLen int, rates []float64, opts ...Option) ([]S
 	if err != nil {
 		return nil, err
 	}
+	tailBase, err := base.With(ModelService(TailRelease))
+	if err != nil {
+		return nil, err
+	}
+	eq6Model, err := buildModel(base)
+	if err != nil {
+		return nil, err
+	}
+	tailModel, err := buildModel(tailBase)
+	if err != nil {
+		return nil, err
+	}
 	var out []ServicePoint
 	for _, rate := range rates {
 		s, err := base.With(Rate(rate))
 		if err != nil {
 			return nil, err
 		}
-		eq6, err := Model{}.Evaluate(s)
+		eq6, err := eq6Model.SolveAt(rate)
 		if err != nil {
 			return nil, err
 		}
-		sTail, err := s.With(ModelService(TailRelease))
-		if err != nil {
-			return nil, err
-		}
-		tail, err := Model{}.Evaluate(sTail)
+		tail, err := tailModel.SolveAt(rate)
 		if err != nil {
 			return nil, err
 		}
@@ -203,8 +211,8 @@ func ServiceFormulaAblation(n, msgLen int, rates []float64, opts ...Option) ([]S
 		}
 		out = append(out, ServicePoint{
 			Rate:         rate,
-			Eq6Unicast:   eq6.Unicast,
-			TailUnicast:  tail.Unicast,
+			Eq6Unicast:   eq6.UnicastLatency,
+			TailUnicast:  tail.UnicastLatency,
 			SimUnicast:   sim.Unicast,
 			Eq6Saturated: eq6.Saturated,
 		})

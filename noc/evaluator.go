@@ -41,27 +41,8 @@ func (Model) Name() string { return "model" }
 
 // Evaluate implements Evaluator.
 func (Model) Evaluate(s *Scenario) (Result, error) {
-	// A Record option is simulator-only but harmless here (the model
-	// generates no messages to capture); only a trace-driven workload has
-	// no analytical description.
-	if s.cfg.replay != nil {
-		return Result{}, fmt.Errorf("noc: %w: trace-driven workloads have no analytical description (use the simulator)", ErrModelInapplicable)
-	}
-	in := core.Input{
-		Router:         s.router,
-		Spec:           s.trafficSpec(),
-		MsgLen:         s.cfg.msgLen,
-		Damping:        s.cfg.damping,
-		MaxIter:        s.cfg.maxIter,
-		Tol:            s.cfg.tol,
-		WaitFormula:    core.WaitFormula(s.cfg.wait),
-		ServiceFormula: core.ServiceFormula(s.cfg.service),
-	}
-	m, err := core.NewModel(in)
+	m, err := buildModel(s)
 	if err != nil {
-		if errors.Is(err, core.ErrNonPoisson) {
-			err = fmt.Errorf("noc: %w: %w", ErrModelInapplicable, err)
-		}
 		return Result{}, err
 	}
 	pred, err := m.Solve()
@@ -88,6 +69,38 @@ func (Model) Evaluate(s *Scenario) (Result, error) {
 		res.Branches = branches
 	}
 	return res, nil
+}
+
+// modelInput assembles the analytical model's input from the scenario:
+// its workload and the model options.
+func modelInput(s *Scenario) core.Input {
+	return core.Input{
+		Router:         s.router,
+		Spec:           s.trafficSpec(),
+		MsgLen:         s.cfg.msgLen,
+		Damping:        s.cfg.damping,
+		MaxIter:        s.cfg.maxIter,
+		Tol:            s.cfg.tol,
+		WaitFormula:    core.WaitFormula(s.cfg.wait),
+		ServiceFormula: core.ServiceFormula(s.cfg.service),
+	}
+}
+
+// buildModel assembles the scenario's analytical model, which then
+// solves at any rate; workloads the model declines by design come back as
+// ErrModelInapplicable.
+func buildModel(s *Scenario) (*core.Model, error) {
+	// A Record option is simulator-only but harmless here (the model
+	// generates no messages to capture); only a trace-driven workload has
+	// no analytical description.
+	if s.cfg.replay != nil {
+		return nil, fmt.Errorf("noc: %w: trace-driven workloads have no analytical description (use the simulator)", ErrModelInapplicable)
+	}
+	m, err := core.NewModel(modelInput(s))
+	if errors.Is(err, core.ErrNonPoisson) {
+		err = fmt.Errorf("noc: %w: %w", ErrModelInapplicable, err)
+	}
+	return m, err
 }
 
 // Simulator evaluates the discrete-event wormhole simulator on the same

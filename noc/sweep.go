@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"quarc/internal/experiments"
+	"quarc/internal/core"
 )
 
 // SweepOptions controls a Sweep run.
@@ -63,10 +63,19 @@ type SweepResult struct {
 }
 
 // SaturationRate bisects for the highest generation rate at which the
-// analytical model is stable for the scenario, within relative tolerance
-// 1e-3. The paper's figures scale their rate grids to this boundary.
+// analytical model is stable for the scenario — its spatial pattern and
+// model options included — within relative tolerance 1e-3. The paper's
+// figures scale their rate grids to this boundary. The arrival process is
+// left out, so scenarios the model itself declines (onoff, bernoulli, ...)
+// still get a grid for simulator-only sweeps.
 func SaturationRate(s *Scenario) (float64, error) {
-	return experiments.FindSaturationRate(s.router, s.cfg.msgLen, s.cfg.alpha, s.set, 1e-3)
+	in := modelInput(s)
+	in.Spec.Arrival = ""
+	m, err := core.NewModel(in)
+	if err != nil {
+		return 0, err
+	}
+	return m.SaturationRate(1e-3)
 }
 
 // Sweep evaluates the scenario across a rate (and optionally message-size)

@@ -276,6 +276,54 @@ func TestSaturationRate(t *testing.T) {
 	}
 }
 
+// The bisection sees the scenario's spatial pattern and model options, so
+// an auto grid never runs past the scenario's own stability boundary — it
+// used to be scaled to the uniform workload's, leaving half of a hotspot
+// sweep at +Inf.
+func TestSaturationRateFollowsScenario(t *testing.T) {
+	uniform, err := NewScenario(Quarc(16), MsgLen(32), Alpha(0.05), LocalizedDests(PortL, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := uniform.With(Hotspot(0.5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := Sweep(hot, SweepOptions{Points: 6, Evaluators: []Evaluator{Model{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range sw.Points {
+		if r := p.Results[0]; r.Saturated || math.IsInf(r.Unicast, 0) {
+			t.Errorf("auto-grid rate %v (sat %v) saturates the hotspot model", p.Rate, sw.SatRate)
+		}
+	}
+	uniSat, err := SaturationRate(uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(sw.SatRate < uniSat) {
+		t.Errorf("hotspot saturation rate %v not below the uniform one %v", sw.SatRate, uniSat)
+	}
+	// A model option moves the boundary too: tail release saturates later.
+	tail, err := uniform.With(ModelService(TailRelease))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tailSat, err := SaturationRate(tail); err != nil || !(tailSat > uniSat) {
+		t.Errorf("tail-release saturation rate %v (%v) not above Eq. 6's %v", tailSat, err, uniSat)
+	}
+	// The arrival process stays out of it: the model declines onoff
+	// scenarios, yet their simulator-only sweeps need a grid.
+	bursty, err := uniform.With(OnOff(8, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if burstySat, err := SaturationRate(bursty); err != nil || burstySat != uniSat {
+		t.Errorf("onoff saturation rate %v (%v), want the poisson one %v", burstySat, err, uniSat)
+	}
+}
+
 func TestRunSeriesTable(t *testing.T) {
 	s, err := NewScenario(Quarc(16), MsgLen(16), Alpha(0.05), Broadcast(),
 		Warmup(500), Measure(5000))

@@ -21,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
+	"strings"
 
 	"quarc/noc"
 )
@@ -29,12 +31,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ablations: ")
 
-	which := flag.String("which", "all", "study to run: oneport, spidergon, service, mesh, workload, all")
+	studies := []string{"oneport", "spidergon", "service", "mesh", "workload", "all"}
+	which := flag.String("which", "all", "study to run: "+strings.Join(studies, ", "))
 	n := flag.Int("n", 16, "Quarc network size")
 	msg := flag.Int("msg", 32, "message length in flits")
 	alpha := flag.Float64("alpha", 0.05, "multicast fraction")
 	quick := flag.Bool("quick", false, "shorter simulations")
 	flag.Parse()
+	if !slices.Contains(studies, *which) {
+		log.Fatalf("unknown study %q (valid: %s)", *which, strings.Join(studies, ", "))
+	}
 
 	effort := noc.DefaultEffort()
 	if *quick {

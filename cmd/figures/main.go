@@ -32,7 +32,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shorter simulations (coarser confidence intervals)")
 	panel := flag.String("panel", "", "run a single panel by ID (e.g. fig6-a)")
 	points := flag.Int("points", 0, "rate samples per panel (default 8)")
-	parallel := flag.Int("parallel", 1, "panels to run concurrently (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 1, "rate points of a panel to evaluate concurrently (0 = GOMAXPROCS)")
 	ascii := flag.Bool("ascii", false, "print the structural figures (Fig. 2 topology, Fig. 3 broadcast) and exit")
 	sat := flag.Bool("sat", false, "print the saturation-rate study and exit")
 	flag.Parse()

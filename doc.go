@@ -24,12 +24,14 @@
 //   - internal/wormhole — the worm-level wormhole network simulator that
 //     stands in for the paper's OMNET++ model
 //   - internal/traffic, internal/stats — Poisson workloads and estimators
-//   - internal/experiments — regeneration of the paper's Figures 6 and 7
-//     plus the ablation studies
+//   - internal/experiments — hand-wired model-vs-simulator cross-checks
+//     (tests below the public API)
 //
+// The paper's evaluation — the panels of Figures 6 and 7 and the ablation
+// studies — is part of noc: a panel is a Scenario and its graph a Sweep.
 // Command-line entry points are cmd/quarcmodel, cmd/quarcsim, cmd/figures
 // and cmd/ablations; runnable walk-throughs live in examples/. All of them
-// consume only the noc package. The benchmarks in noc regenerate one
-// figure panel or ablation each; see EXPERIMENTS.md for recorded
-// paper-vs-measured results and DESIGN.md for the formula notes.
+// consume only the noc package. See EXPERIMENTS.md for recorded
+// paper-vs-measured results, DESIGN.md for the formula notes and
+// benchmark/ for the repository's benchmark.
 package quarc

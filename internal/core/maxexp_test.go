@@ -235,3 +235,27 @@ func TestUtilization(t *testing.T) {
 		t.Errorf("ρ = %v, want 0.2", got)
 	}
 }
+
+var maxExpSink float64
+
+// BenchmarkMaxExp compares the paper's Eq. 12 recursion against the
+// closed-form inclusion-exclusion identity (abl-maxexp in DESIGN.md).
+func BenchmarkMaxExp(b *testing.B) {
+	rates := []float64{0.3, 1.1, 2.7, 0.9, 1.4, 3.2, 0.5, 2.1}
+	for _, c := range []struct {
+		name string
+		fn   func([]float64) float64
+		m    int
+	}{
+		{"recursive-m4", MaxExpRecursive, 4},
+		{"closedform-m4", MaxExpClosedForm, 4},
+		{"recursive-m8", MaxExpRecursive, 8},
+		{"closedform-m8", MaxExpClosedForm, 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				maxExpSink = c.fn(rates[:c.m])
+			}
+		})
+	}
+}

@@ -321,6 +321,19 @@ func NewModel(in Input) (*Model, error) {
 // Input returns the model's input with the defaults filled in.
 func (m *Model) Input() Input { return m.in }
 
+// Clone returns a copy that solves independently of m, for use on another
+// goroutine: the per-solve state is copied, the route structure (read-only
+// once built) is shared.
+func (m *Model) Clone() *Model {
+	c := *m
+	c.channels = slices.Clone(m.channels)
+	c.trans = slices.Clone(m.trans)
+	c.waits = make([]float64, len(m.waits))
+	c.rates = make([]float64, 0, cap(m.rates))
+	c.memo = nil
+	return &c
+}
+
 // Lambda returns the modeled arrival rate at a channel: at the input's
 // rate once built, then at the latest solve's.
 func (m *Model) Lambda(id topology.ChannelID) float64 { return m.channels[id].lambda }

@@ -149,6 +149,25 @@ func simMidModel(tb testing.TB) *Model {
 	return must(NewModel(Input{Router: rt, Spec: traffic.Spec{MulticastFrac: 0.05, Set: set}, MsgLen: 32}))
 }
 
+// A clone solves bit-for-bit like its original and shares no solve state
+// with it: solving one leaves the other's accessors alone.
+func TestCloneSolvesIndependently(t *testing.T) {
+	m := simMidModel(t)
+	sat := must(m.SaturationRate(1e-3))
+	c := m.Clone()
+	want := must(m.SolveAt(0.4 * sat))
+	lambda := m.Lambda(0)
+	if got := must(c.SolveAt(0.8 * sat)); got == want {
+		t.Fatal("solves at two rates agree; the test cannot tell the models apart")
+	}
+	if m.Lambda(0) != lambda {
+		t.Errorf("solving the clone moved the original's λ from %v to %v", lambda, m.Lambda(0))
+	}
+	if got := must(c.SolveAt(0.4 * sat)); got != want {
+		t.Errorf("clone solves to %+v, original to %+v", got, want)
+	}
+}
+
 func TestResolveDoesNotAllocate(t *testing.T) {
 	m := simMidModel(t)
 	rate := 0.5 * must(m.SaturationRate(1e-3))

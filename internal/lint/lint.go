@@ -98,8 +98,8 @@ type Config struct {
 
 // DefaultConfig returns the repository's enforced invariant surface: the
 // determinism closure named in ISSUE 6 and the hot-path list pinned by
-// TestSteadyStateEventLoopAllocFree, TestArrivalAndDestAllocFree and the
-// noc/bench 0-allocs/op gates.
+// TestSteadyStateEventLoopAllocFree, TestArrivalAndDestAllocFree and
+// TestNoopHookSteadyStateAllocFree.
 func DefaultConfig() Config {
 	det := []string{
 		"quarc/internal/routing",

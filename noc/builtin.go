@@ -77,7 +77,7 @@ func init() {
 		return routing.NewMulticastSet(rt.Graph().Ports()), nil
 	})
 	RegisterPattern("random", func(router any, c PatternConfig) (any, error) {
-		rng := rand.New(rand.NewPCG(c.Seed, 0))
+		rng := rand.New(rand.NewPCG(c.Seed, c.stream))
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
 			return rt.RandomSet(rng, c.K)

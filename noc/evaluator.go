@@ -45,7 +45,13 @@ func (Model) Evaluate(s *Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pred, err := m.Solve()
+	return solveModel(s, m)
+}
+
+// solveModel solves m — the scenario's model, built at any rate — at the
+// scenario's rate.
+func solveModel(s *Scenario, m *core.Model) (Result, error) {
+	pred, err := m.SolveAt(s.cfg.rate)
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,12 +3,13 @@ package noc
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
 
 // TestPanelCatalog pins the figure-panel plumbing: the catalog is
-// non-empty, IDs resolve, and the internal conversion round-trips.
+// non-empty and IDs resolve.
 func TestPanelCatalog(t *testing.T) {
 	all := FigurePanels()
 	if len(all) == 0 {
@@ -25,9 +26,6 @@ func TestPanelCatalog(t *testing.T) {
 	}
 	if got != first {
 		t.Errorf("PanelByID(%q) = %+v, want %+v", first.ID, got, first)
-	}
-	if back := fromInternalPanel(first.toInternal()); back != first {
-		t.Errorf("panel round-trip changed: %+v -> %+v", first, back)
 	}
 	if _, err := PanelByID("fig99-z"); err == nil {
 		t.Error("unknown panel ID resolved")
@@ -96,5 +94,81 @@ func TestSaturationStudyQuick(t *testing.T) {
 	table := SatTable(rows)
 	if !strings.Contains(table, "8") {
 		t.Errorf("saturation table empty:\n%s", table)
+	}
+}
+
+// TestPanelsTrackSimulator is the paper's claim as a gate: on every panel
+// of Figs. 6 and 7 the analytical model tracks the simulator over the core
+// region (rates up to 70% of saturation). The ceilings are the mean
+// relative errors this grid records (quick effort, 4 points, default
+// seed) plus two percentage points.
+func TestPanelsTrackSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweeps in -short mode")
+	}
+	ceilings := map[string][2]float64{ // unicast, multicast
+		"fig6-a": {0.046, 0.045}, "fig6-b": {0.060, 0.113},
+		"fig6-c": {0.062, 0.085}, "fig6-d": {0.078, 0.132},
+		"fig7-a": {0.046, 0.072}, "fig7-b": {0.033, 0.071},
+		"fig7-c": {0.102, 0.100}, "fig7-d": {0.110, 0.115},
+	}
+	panels := FigurePanels()
+	if len(panels) != len(ceilings) {
+		t.Fatalf("%d panels, %d ceilings", len(panels), len(ceilings))
+	}
+	for _, p := range panels {
+		p.Points = 4
+		t.Run(p.ID, func(t *testing.T) {
+			res, err := RunFigurePanels([]Panel{p}, QuickEffort(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := res[0].agreementCore()
+			if a.Compared < 3 {
+				t.Fatalf("only %d comparable points", a.Compared)
+			}
+			if c := ceilings[p.ID]; a.MeanUnicastErr > c[0] || a.MeanMulticastErr > c[1] {
+				t.Errorf("core error unicast %.4f, multicast %.4f exceeds the ceilings %v", a.MeanUnicastErr, a.MeanMulticastErr, c)
+			}
+		})
+	}
+}
+
+// nonFinitePanel is a one-point result with nothing finite to draw: a
+// saturated model and a simulator with no samples.
+func nonFinitePanel() PanelResult {
+	nan := math.NaN()
+	return PanelResult{
+		panel: Panel{ID: "x", Figure: "6", N: 16, MsgLen: 16, Random: true},
+		sweep: SweepResult{Points: []SweepPoint{{Rate: 0.5, Results: []Result{
+			{Evaluator: "model", Unicast: math.Inf(1), Multicast: math.Inf(1), Saturated: true},
+			{Evaluator: "simulator", Unicast: nan, Multicast: nan, UnicastCI: nan, MulticastCI: nan, Saturated: true},
+		}}}},
+	}
+}
+
+func TestAsciiPlotHandlesNoData(t *testing.T) {
+	if out := nonFinitePanel().AsciiPlot(40, 10); !strings.Contains(out, "no finite data") {
+		t.Errorf("degenerate plot output: %q", out)
+	}
+}
+
+func TestWriteFiguresJSONEncodesNonFiniteAsNull(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFiguresJSON(&buf, []PanelResult{nonFinitePanel()}); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []struct {
+		Points []struct {
+			ModelUnicast *float64 `json:"model_unicast"`
+			SimUnicast   *float64 `json:"sim_unicast"`
+			SimUnicastCI *float64 `json:"sim_unicast_ci95"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if pt := decoded[0].Points[0]; pt.ModelUnicast != nil || pt.SimUnicast != nil || pt.SimUnicastCI != nil {
+		t.Errorf("non-finite values not encoded as null: %s", buf.String())
 	}
 }

@@ -25,6 +25,9 @@ type PatternConfig struct {
 	Port      int    // rim/port for localized sets
 	Seed      uint64 // RNG seed for random sets
 	High, Low []int  // Hamilton-path offsets for mesh/torus multicast
+	// stream selects the PCG stream "random" draws from; zero outside
+	// the figure panels.
+	stream uint64
 }
 
 // TopologyBuilder constructs a topology value from its configuration. The

@@ -576,21 +576,8 @@ func equalSpatialConfig(a, b SpatialConfig) bool {
 }
 
 func equalPatternConfig(a, b PatternConfig) bool {
-	if a.K != b.K || a.Port != b.Port || a.Seed != b.Seed ||
-		len(a.High) != len(b.High) || len(a.Low) != len(b.Low) {
-		return false
-	}
-	for i := range a.High {
-		if a.High[i] != b.High[i] {
-			return false
-		}
-	}
-	for i := range a.Low {
-		if a.Low[i] != b.Low[i] {
-			return false
-		}
-	}
-	return true
+	return a.K == b.K && a.Port == b.Port && a.Seed == b.Seed && a.stream == b.stream &&
+		slices.Equal(a.High, b.High) && slices.Equal(a.Low, b.Low)
 }
 
 func resolve(cfg config) (*Scenario, error) {

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,20 +119,23 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 
 	// Build the point grid. With explicit rates the grid is the plain
 	// cross product; otherwise each message length gets its own grid
-	// scaled to its saturation rate.
+	// scaled to its saturation rate. A length's analytical model is
+	// built once, here, and serves the bisection and every point.
+	useModel := slices.ContainsFunc(evals, func(ev Evaluator) bool { _, ok := ev.(Model); return ok })
+	models := sweepModels{}
 	type pointSpec struct {
 		msgLen int
 		rate   float64
 	}
 	var specs []pointSpec
 	for _, msgLen := range msgLens {
+		sm, err := s.With(MsgLen(msgLen))
 		rates := o.Rates
 		if len(rates) == 0 {
-			sm, err := s.With(MsgLen(msgLen))
 			if err != nil {
 				return SweepResult{}, err
 			}
-			sat, err := SaturationRate(sm)
+			sat, err := models.saturationRate(sm)
 			if err != nil {
 				return SweepResult{}, err
 			}
@@ -156,6 +160,9 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 				}
 				rates[i] = sat * frac
 			}
+		} else if err == nil && useModel {
+			// A length that does not resolve is reported by its points.
+			models.of(sm)
 		}
 		for _, rate := range rates {
 			specs = append(specs, pointSpec{msgLen: msgLen, rate: rate})
@@ -205,12 +212,13 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		// Each worker gets its own evaluator instances so stateful
+		// evaluators (Simulator's reusable network, Model's solve state)
+		// never race.
+		evs := workerEvaluators(evals, models)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker gets its own evaluator instances so stateful
-			// evaluators (Simulator's reusable network) never race.
-			evs := workerEvaluators(evals)
 			for i := range ch {
 				if failed.Load() {
 					continue
@@ -291,15 +299,80 @@ type workerForker interface {
 }
 
 // workerEvaluators returns the evaluator list for one worker goroutine,
-// forking the evaluators that carry per-worker state.
-func workerEvaluators(evals []Evaluator) []Evaluator {
+// forking the evaluators that carry per-worker state; Model becomes a
+// sweepModel over the worker's own copies of the sweep's models.
+func workerEvaluators(evals []Evaluator, models sweepModels) []Evaluator {
 	out := make([]Evaluator, len(evals))
 	for i, ev := range evals {
-		if f, ok := ev.(workerForker); ok {
-			out[i] = f.forkWorker()
-		} else {
+		switch ev := ev.(type) {
+		case Model:
+			out[i] = sweepModel{models: models.clone()}
+		case workerForker:
+			out[i] = ev.forkWorker()
+		default:
 			out[i] = ev
 		}
 	}
 	return out
+}
+
+// sweepModels holds the analytical model of each message length of one
+// Sweep call, or the error that building it returned. The points of a
+// length differ in rate alone, which a built model re-solves.
+type sweepModels map[int]builtModel
+
+type builtModel struct {
+	m   *core.Model
+	err error
+}
+
+// of returns the model of the scenario's message length, building it on
+// first use.
+func (ms sweepModels) of(s *Scenario) builtModel {
+	bm, ok := ms[s.cfg.msgLen]
+	if !ok {
+		bm.m, bm.err = buildModel(s)
+		ms[s.cfg.msgLen] = bm
+	}
+	return bm
+}
+
+// saturationRate is SaturationRate on the scenario's model in ms. A
+// scenario the model declines still gets a grid, from a model of its own.
+func (ms sweepModels) saturationRate(s *Scenario) (float64, error) {
+	bm := ms.of(s)
+	if bm.err != nil {
+		return SaturationRate(s)
+	}
+	return bm.m.SaturationRate(1e-3)
+}
+
+// clone copies the models for another goroutine: a solve mutates its
+// model.
+func (ms sweepModels) clone() sweepModels {
+	out := make(sweepModels, len(ms))
+	for msgLen, bm := range ms {
+		if bm.m != nil {
+			bm.m = bm.m.Clone()
+		}
+		out[msgLen] = bm
+	}
+	return out
+}
+
+// sweepModel is Model as one Sweep worker runs it: it solves the sweep's
+// model of the point's message length at the point's rate, bit for bit
+// what Model{}.Evaluate computes on a model built for the point.
+type sweepModel struct {
+	Model
+	models sweepModels
+}
+
+// Evaluate implements Evaluator.
+func (w sweepModel) Evaluate(s *Scenario) (Result, error) {
+	bm := w.models.of(s)
+	if bm.err != nil {
+		return Result{}, bm.err
+	}
+	return solveModel(s, bm.m)
 }

@@ -86,25 +86,33 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepAutoGrid pins the one auto-grid formula: the fractions of the
+// model's saturation rate a grid of each size samples, bit for bit.
 func TestSweepAutoGrid(t *testing.T) {
 	s, err := NewScenario(Quarc(16), MsgLen(16), Warmup(500), Measure(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(s, SweepOptions{Points: 4, Evaluators: []Evaluator{Model{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SatRate <= 0 {
-		t.Fatalf("auto grid did not record a saturation rate: %v", res.SatRate)
-	}
-	if len(res.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(res.Points))
-	}
-	lo, hi := 0.10*res.SatRate, 0.95*res.SatRate
-	for _, pt := range res.Points {
-		if pt.Rate < lo-1e-12 || pt.Rate > hi+1e-12 {
-			t.Errorf("auto rate %v outside [%v, %v]", pt.Rate, lo, hi)
+	for points, fracs := range map[int][]float64{
+		1: {0.5},
+		4: {0.1, 0.3833333333333333, 0.6666666666666666, 0.95},
+		8: {0.1, 0.22142857142857142, 0.34285714285714286, 0.4642857142857143,
+			0.5857142857142857, 0.7071428571428571, 0.8285714285714285, 0.95},
+	} {
+		res, err := Sweep(s, SweepOptions{Points: points, Evaluators: []Evaluator{Model{}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SatRate <= 0 {
+			t.Fatalf("auto grid did not record a saturation rate: %v", res.SatRate)
+		}
+		if len(res.Points) != points {
+			t.Fatalf("got %d points, want %d", len(res.Points), points)
+		}
+		for i, pt := range res.Points {
+			if pt.Rate != res.SatRate*fracs[i] {
+				t.Errorf("%d points: rate %d = %v, want %v of %v", points, i, pt.Rate, fracs[i], res.SatRate)
+			}
 		}
 	}
 }
@@ -337,5 +345,30 @@ func TestRunSeriesTable(t *testing.T) {
 	out := SeriesTable([]Series{series})
 	if out == "" || len(series.Points) != 1 {
 		t.Fatalf("series table empty or wrong points: %q", out)
+	}
+}
+
+// TestSweepBuildsModelOnce pins the build-once property: one model per
+// (sweep, message length) serves the saturation bisection and every
+// point, so a Model-only auto-grid sweep costs less than two model
+// builds however many points it has. A build per point costs nine.
+func TestSweepBuildsModelOnce(t *testing.T) {
+	s, err := NewScenario(Quarc(64), Alpha(0.05), LocalizedDests(PortL, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := testing.AllocsPerRun(3, func() {
+		if _, err := buildModel(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sweep := testing.AllocsPerRun(3, func() {
+		res, err := Sweep(s, SweepOptions{Points: 8, Workers: 1, Evaluators: []Evaluator{Model{}}})
+		if err != nil || len(res.Points) != 8 {
+			t.Fatalf("sweep: %d points, err %v", len(res.Points), err)
+		}
+	})
+	if sweep >= 2*build {
+		t.Errorf("an 8-point model sweep allocates %v times, a model build %v: the sweep builds more than once", sweep, build)
 	}
 }

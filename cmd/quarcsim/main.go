@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"quarc/noc"
@@ -56,6 +57,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the simulator Result as JSON instead of the human-readable report")
 	metrics := flag.Int("metrics", 0, "record a time series with this many buckets (Result JSON gains \"series\"; 0 disables)")
 	obsPath := flag.String("obs", "", "append the raw observability record stream to this file (CRC-framed log; implies -metrics)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file (read it with go tool pprof)")
 	flag.Parse()
 
 	var (
@@ -73,9 +75,10 @@ func main() {
 		// The spec document is the single source of truth; a scenario
 		// flag alongside it would silently lose to one of the two, so
 		// refuse the combination outright.
-		// -obs stays legal alongside -spec: the sink is process-local
-		// (a file on this machine), so it has no spec representation.
-		allowed := map[string]bool{"spec": true, "compare": true, "json": true, "obs": true}
+		// -obs and -cpuprofile stay legal alongside -spec: both are
+		// process-local (a file on this machine), so they have no spec
+		// representation.
+		allowed := map[string]bool{"spec": true, "compare": true, "json": true, "obs": true, "cpuprofile": true}
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			if !allowed[f.Name] {
@@ -193,7 +196,24 @@ func main() {
 		}
 	}
 
+	stopProfile := func() {}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
 	res, err := noc.Simulator{}.Evaluate(s)
+	stopProfile()
 	if err != nil {
 		log.Fatal(err)
 	}

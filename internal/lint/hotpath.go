@@ -23,6 +23,7 @@ func defaultHotpaths() map[string][]string {
 			"Engine.push",
 			"Engine.run",
 			"calQueue.dayOf",
+			"calQueue.head",
 			"calQueue.insert",
 			"calQueue.migrate",
 			"calQueue.pop",

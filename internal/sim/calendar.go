@@ -7,9 +7,9 @@ import "math"
 // event at time t lives in slot floor(t/width) mod nbuckets. Events up to
 // horizonYears ring laps ahead share the ring; only true far-future
 // outliers go to an overflow binary heap and migrate in as the clock
-// approaches them. Bucket geometry adapts to the observed event-time
-// distribution, giving O(1) amortized schedule and pop where the binary
-// heap pays O(log n) sifts.
+// approaches them. Bucket geometry adapts to the population and to the
+// rate it is dequeued at, giving O(1) amortized schedule and pop where the
+// binary heap pays O(log n) sifts.
 //
 // Deviations from the textbook structure, chosen for exact determinism
 // and for the wormhole simulator's workload shape:
@@ -22,10 +22,12 @@ import "math"
 //     arrive in increasing seq and therefore insert in O(1); a degenerate
 //     distribution (everything at one instant) turns the structure into a
 //     plain FIFO instead of an O(n) scan per pop.
-//   - Resizing samples the stored event times and keys the bucket width
-//     off the median inter-event gap, which is robust against far-future
-//     outliers; the outliers themselves sit in the overflow heap, which
-//     is the binary-heap fallback path (see DESIGN.md §9).
+//   - The bucket count follows the stored population; the day width
+//     follows what the queue serves: ~3x the mean dequeue gap over a
+//     window of pops (Brown's rule, measured at the head of the queue
+//     instead of sampled from the stored times). Parked far-future timers
+//     therefore never widen the days — they wait in later ring laps or in
+//     the overflow heap, the binary-heap fallback path (see DESIGN.md §9).
 type calQueue struct {
 	buckets  []bucket
 	width    float64 // time span of one bucket (one "day")
@@ -40,19 +42,19 @@ type calQueue struct {
 	horizonDays int64
 	overflow    eventHeap
 
-	// growAt/shrinkAt are the hysteresis thresholds of the resize policy,
-	// derived from the bucket count at the last rebuild. churn counts
-	// overflow insertions since the last rebuild: a geometry whose
-	// horizon misses the workload's scheduling lookahead (e.g. learned
-	// during a startup transient) churns events through the overflow
-	// heap, and crossing churnAt forces a rebuild whose width sample then
-	// sees those far times.
+	// growAt/shrinkAt are the population thresholds of the bucket count,
+	// derived from it at the last rebuild.
 	growAt   int
 	shrinkAt int
-	churn    int
-	churnAt  int
 
-	// resizes counts geometry rebuilds (exposed for tests/instrumentation).
+	// pops counts the events dequeued since the clock read popT: the
+	// window the day width is measured over (see retune). Peeks and
+	// put-backs are not dequeues and never move either.
+	pops int
+	popT float64
+
+	// resizes counts geometry rebuilds since the last reset (see
+	// Engine.Geometry).
 	resizes uint64
 
 	scratch []item // reused during rebuilds
@@ -80,6 +82,11 @@ const (
 	// cannot overflow int64 arithmetic; times beyond it use the overflow
 	// heap.
 	calMaxDay = int64(1) << 59
+	// calWindow is how many dequeues one measurement of the mean dequeue
+	// gap spans: long enough to average over the workload's bursts, short
+	// enough that a run re-learns a changed rate within a few thousand
+	// events.
+	calWindow = 4096
 )
 
 func (q *calQueue) len() int { return q.count + len(q.overflow) }
@@ -97,52 +104,53 @@ func (q *calQueue) dayOf(t float64) int64 {
 	return int64(d)
 }
 
-// setWidth installs a bucket width and its cached reciprocal.
-func (q *calQueue) setWidth(w float64) {
-	q.width = w
-	q.invWidth = 1 / w
-}
-
-// init sets the initial geometry. now lower-bounds every future push.
-func (q *calQueue) init(now float64) {
-	q.makeBuckets(calMinBuckets)
-	q.setWidth(1)
-	q.day = q.dayOf(now)
-	q.growAt = 2 * calMinBuckets
-	q.shrinkAt = 0 // never shrink below the minimum geometry
-	q.churnAt = 2 * calMinBuckets
-}
-
-// hint installs a caller-provided initial geometry (see
-// Engine.HintSchedule). Only an empty queue accepts it: a live one
-// already has a learned geometry worth more than the guess.
-func (q *calQueue) hint(span float64, pending int, now float64) {
-	if q.len() > 0 {
-		return
-	}
-	nb := calMinBuckets
-	for nb < pending && nb < calMaxBuckets {
-		nb <<= 1
-	}
+// setGeometry installs nb buckets of the given width, with the day
+// numbering anchored at now (a lower bound on every stored and future
+// time) and the population thresholds that go with nb.
+func (q *calQueue) setGeometry(nb int, width, now float64) {
 	q.makeBuckets(nb)
-	q.setWidth(span / float64(nb))
+	q.width = width
+	q.invWidth = 1 / width
 	q.day = q.dayOf(now)
 	q.growAt = 2 * nb
 	q.shrinkAt = nb / 4
 	if nb == calMinBuckets {
-		q.shrinkAt = 0
+		q.shrinkAt = 0 // never shrink below the minimum geometry
 	}
-	q.churn = 0
-	q.churnAt = 4 * nb
+}
+
+// bucketsFor returns the bucket count for a population of n: the next
+// power of two, ~1 event per bucket (drifting toward ~2 before growAt
+// re-triggers).
+func bucketsFor(n int) int {
+	nb := calMinBuckets
+	for nb < n && nb < calMaxBuckets {
+		nb <<= 1
+	}
+	return nb
+}
+
+// hint installs a caller-provided initial geometry (see
+// Engine.HintSchedule). Only an empty queue accepts it: a live one is
+// already measuring its own.
+func (q *calQueue) hint(span float64, pending int, now float64) {
+	if q.len() > 0 {
+		return
+	}
+	nb := bucketsFor(pending)
+	q.setGeometry(nb, span/float64(nb), now)
 }
 
 // makeBuckets builds a bucket array over one flat item arena: two
 // allocations per geometry rebuild instead of one per bucket, so a fresh
 // network's first run doesn't pay hundreds of slice-growth allocations.
 // Buckets that outgrow their arena segment reallocate individually (the
-// three-index slice caps them against overlap).
+// three-index slice caps them against overlap). A day holds ~3 events by
+// design; the segment leaves a burst five times that in place, or a
+// pooled engine's narrow days outgrow it one bucket at a time, run after
+// run.
 func (q *calQueue) makeBuckets(nb int) {
-	const seg = 8
+	const seg = 16
 	if cap(q.bucketStore) >= nb {
 		q.buckets = q.bucketStore[:nb]
 	} else {
@@ -163,10 +171,10 @@ func (q *calQueue) makeBuckets(nb int) {
 //quarc:hotpath
 func (q *calQueue) push(it item, now float64) {
 	if q.buckets == nil {
-		q.init(now)
+		q.setGeometry(calMinBuckets, 1, now)
 	}
-	if q.len() >= q.growAt || q.churn >= q.churnAt {
-		q.resize()
+	if q.len() >= q.growAt {
+		q.resize(q.width)
 	}
 	q.insert(it)
 }
@@ -178,15 +186,14 @@ func (q *calQueue) insert(it item) {
 	d := q.dayOf(it.t)
 	if d >= q.day+q.horizonDays {
 		q.overflow.push(it)
-		q.churn++
 		return
 	}
 	if d < q.day {
-		// The walk advanced to a popped event's day, but the engine
-		// deferred that event at a Run horizon and the clock stayed
-		// behind; a later push may land on an earlier day. Rewind: pop
-		// compares real (t, seq) keys, so this costs a re-walk of empty
-		// days, never a reorder.
+		// The walk advanced to the head event's day, but the engine only
+		// peeked at it or deferred it at a Run horizon, and the clock
+		// stayed behind; a later push may land on an earlier day. Rewind:
+		// pop compares real (t, seq) keys, so this costs a re-walk of
+		// empty days, never a reorder.
 		q.day = d
 	}
 	b := &q.buckets[d&q.mask]
@@ -203,13 +210,15 @@ func (q *calQueue) insert(it item) {
 		b.head = 0
 	}
 	b.items = append(b.items, it)
-	// Bubble toward the head to keep the bucket sorted. Same-time events
+	// Shift later items up to keep the bucket sorted. Same-time events
 	// arrive in increasing seq, so the common case is zero moves.
-	for i := len(b.items) - 1; i > b.head; i-- {
-		if !lessItem(b.items[i], b.items[i-1]) {
-			break
-		}
-		b.items[i], b.items[i-1] = b.items[i-1], b.items[i]
+	items, n := b.items, len(b.items)-1
+	i := n
+	for ; i > b.head && lessItem(it, items[i-1]); i-- {
+		items[i] = items[i-1]
+	}
+	if i < n {
+		items[i] = it
 	}
 	q.count++
 }
@@ -232,18 +241,52 @@ func (q *calQueue) migrate() {
 	}
 }
 
-// pop removes and returns the earliest (t, seq) event.
+// pop removes and returns the earliest (t, seq) event; now is the engine
+// clock, the time the dequeues counted so far have served up to.
 //
 //quarc:hotpath
-func (q *calQueue) pop() (item, bool) {
+func (q *calQueue) pop(now float64) (item, bool) {
 	if q.len() == 0 {
 		return item{}, false
 	}
-	if q.shrinkAt > 0 && q.len() < q.shrinkAt {
-		// The population collapsed well below the geometry; rebuild
-		// smaller.
-		q.resize()
+	if q.pops >= calWindow || q.len() < q.shrinkAt {
+		q.retune(now)
 	}
+	b := q.head()
+	it := b.items[b.head]
+	b.items[b.head] = item{} // drop payload references
+	b.head++
+	if b.head == len(b.items) {
+		b.items = b.items[:0]
+		b.head = 0
+	}
+	q.count--
+	q.pops++
+	return it, true
+}
+
+// unpop re-files the item pop just returned and takes it back out of the
+// dequeue count: the engine's put-back of the first event beyond a Run
+// horizon, which was never served.
+func (q *calQueue) unpop(it item) {
+	q.insert(it)
+	q.pops--
+}
+
+// peek returns the time of the earliest event without dequeuing it.
+func (q *calQueue) peek() (float64, bool) {
+	if q.len() == 0 {
+		return 0, false
+	}
+	b := q.head()
+	return b.items[b.head].t, true
+}
+
+// head advances the current day to the earliest stored event's and
+// returns that event's bucket; the caller guarantees len() > 0.
+//
+//quarc:hotpath
+func (q *calQueue) head() *bucket {
 	if len(q.overflow) > 0 {
 		if q.count == 0 {
 			// Everything lies beyond the ring horizon: jump to it.
@@ -254,20 +297,11 @@ func (q *calQueue) pop() (item, bool) {
 	steps := 0
 	for {
 		b := &q.buckets[q.day&q.mask]
-		if b.head < len(b.items) {
-			// The head is the bucket minimum; if it is due today it is
-			// the global minimum (earlier days are exhausted, later days
-			// cannot precede it).
-			if it := b.items[b.head]; q.dayOf(it.t) == q.day {
-				b.items[b.head] = item{} // drop payload references
-				b.head++
-				if b.head == len(b.items) {
-					b.items = b.items[:0]
-					b.head = 0
-				}
-				q.count--
-				return it, true
-			}
+		// The bucket head is the bucket minimum; if it is due today it is
+		// the global minimum (earlier days are exhausted, later days
+		// cannot precede it).
+		if b.head < len(b.items) && q.dayOf(b.items[b.head].t) == q.day {
+			return b
 		}
 		q.day++
 		steps++
@@ -299,26 +333,51 @@ func (q *calQueue) minBucketDay() int64 {
 	return min
 }
 
-// resize rebuilds the geometry around the current population: the bucket
-// count follows the population, and the width follows the median gap of a
-// sample of stored event times (robust to far-future outliers, which stay
-// in the overflow heap).
-func (q *calQueue) resize() {
-	n := q.len()
-	// Target ~1 event per bucket at rebuild time (drifting toward ~2
-	// before growAt re-triggers): dense buckets stay cache-resident and
-	// the sorted-insert bubble is still a compare or two.
-	nb := calMinBuckets
-	for nb < n && nb < calMaxBuckets {
-		nb <<= 1
+// retune is the geometry policy, run from pop. A day is sized by what the
+// queue serves, not by what it stores: ~3x the mean gap between dequeues
+// over the last calWindow of them (Brown's rule, with the separation
+// measured at the head of the queue). A population of parked timers far
+// ahead of a dense near-term stream — the wormhole simulator's shape —
+// would stretch any width sampled from the stored times until every
+// insert bubbles through a multi-item bucket; here the parked events sit
+// in later ring laps or the overflow heap and the days stay as narrow as
+// the stream. The width moves only on a 2x disagreement, so a steady
+// workload rebuilds once; the bucket count follows the population (see
+// resize). A window whose dequeues all fell on one instant measures no
+// gap and keeps the width: same-instant bursts share a bucket regardless,
+// where the sorted-bucket representation makes them O(1) anyway.
+func (q *calQueue) retune(now float64) {
+	width := q.width
+	if q.pops >= calWindow {
+		w := 3 * (now - q.popT) / float64(q.pops)
+		q.pops, q.popT = 0, now
+		if w > 0 && !math.IsInf(w, 1) {
+			// The floor keeps day indices far from int64 overflow even
+			// for tiny gaps over large time scales.
+			w = math.Max(w, now/1e15)
+			if w > 2*width || 2*w < width {
+				width = w
+			}
+		}
 	}
+	if width != q.width || q.len() < q.shrinkAt {
+		q.resize(width)
+	}
+}
 
+// resize re-files every stored event under a geometry of the given day
+// width and a bucket count that follows the current population. It
+// allocates nothing once the retained storage covers the population.
+func (q *calQueue) resize(width float64) {
 	// The rebuilt day numbering must lower-bound every stored and future
 	// time; the start of the current day does both (now lies within it).
 	anchor := float64(q.day) * q.width
 
 	// Collect every stored item.
 	all := q.scratch[:0]
+	if cap(all) < q.len() {
+		all = make([]item, 0, q.len())
+	}
 	for i := range q.buckets {
 		b := &q.buckets[i]
 		all = append(all, b.items[b.head:]...)
@@ -329,21 +388,8 @@ func (q *calQueue) resize() {
 	q.overflow = q.overflow[:0]
 	q.count = 0
 
-	width := q.sampleWidth(all, nb)
-	if nb != len(q.buckets) {
-		q.makeBuckets(nb)
-	}
-	q.setWidth(width)
-	q.day = q.dayOf(anchor)
-	q.growAt = 2 * nb
-	q.shrinkAt = nb / 4
-	if nb == calMinBuckets {
-		q.shrinkAt = 0
-	}
-	q.churn = 0
-	q.churnAt = 4 * nb
+	q.setGeometry(bucketsFor(len(all)), width, anchor)
 	q.resizes++
-
 	for _, it := range all {
 		q.insert(it)
 	}
@@ -359,96 +405,23 @@ func (q *calQueue) resize() {
 	}
 }
 
-// sampleWidth estimates a bucket width from up to 64 sampled times: the
-// median inter-event gap, floored so the ring span covers ~4x the
-// 75th-percentile spread of the sample. The gap term adapts to dense
-// schedules; the span floor keeps a bimodal distribution (a dense
-// near-term cluster plus mid-range lookahead, the wormhole simulator's
-// shape) from shrinking the ring until everything churns through the
-// overflow heap. A degenerate sample (all events at one instant) keeps
-// the current width: same-instant bursts share a bucket regardless,
-// where the sorted-bucket representation makes them O(1) anyway.
-func (q *calQueue) sampleWidth(all []item, nb int) float64 {
-	const maxSample = 64
-	n := len(all)
-	if n < 2 {
-		return q.width
-	}
-	// Ceiling stride: the sample must span the whole gather (near bucket
-	// items first, overflow tail last), or the learned width never sees
-	// the far cluster it is supposed to cover.
-	stride := (n + maxSample - 1) / maxSample
-	var sample [maxSample]float64
-	k := 0
-	hi := 0.0
-	for i := 0; i < n && k < maxSample; i += stride {
-		sample[k] = all[i].t
-		if all[i].t > hi {
-			hi = all[i].t
-		}
-		k++
-	}
-	s := sample[:k]
-	// Insertion sort: k <= 64.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	gaps := make([]float64, 0, maxSample)
-	for i := 1; i < len(s); i++ {
-		if g := s[i] - s[i-1]; g > 0 && !math.IsInf(g, 1) {
-			gaps = append(gaps, g)
-		}
-	}
-	if len(gaps) == 0 {
-		return q.width
-	}
-	// Median positive gap; gaps is small, sort in place.
-	for i := 1; i < len(gaps); i++ {
-		for j := i; j > 0 && gaps[j] < gaps[j-1]; j-- {
-			gaps[j], gaps[j-1] = gaps[j-1], gaps[j]
-		}
-	}
-	w := 2 * gaps[len(gaps)/2]
-	if span := (s[(len(s)-1)*3/4] - s[0]) * 4 / float64(nb); span > w {
-		w = span
-	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 1) {
-		return q.width
-	}
-	// Keep day indices far from int64 overflow even for tiny widths over
-	// large time scales.
-	if lo := hi / 1e15; w < lo {
-		w = lo
-	}
-	return w
-}
-
-// reset empties the queue, dropping payload references while keeping the
-// learned geometry (geometry affects only speed, never order). Storage
-// grossly over-grown by a past run is released: buckets and the overflow
-// heap above maxRetain items are freed so a single huge run does not pin
-// memory for the rest of a sweep.
+// reset empties the queue, dropping payload references, and forgets
+// everything the last run learned: the geometry returns to the default
+// (the owner re-issues its hint) and the dequeue window restarts, so a
+// reused queue's speed is a function of the run it serves and never of
+// the runs before it. Only storage survives — unless grossly over-grown
+// by a past run: buckets and the overflow heap above maxRetain items are
+// freed so a single huge run does not pin memory for the rest of a sweep.
 func (q *calQueue) reset(maxRetain int) {
-	if q.buckets == nil {
-		return
-	}
 	total := 0
-	for i := range q.buckets {
-		b := &q.buckets[i]
+	for i := range q.bucketStore {
+		b := &q.bucketStore[i]
 		for j := b.head; j < len(b.items); j++ {
 			b.items[j] = item{}
 		}
 		total += cap(b.items)
 		b.items = b.items[:0]
 		b.head = 0
-	}
-	if total > maxRetain || cap(q.bucketStore) > calMaxRetainedBuckets {
-		// Re-initialized lazily with the default geometry.
-		q.buckets = nil
-		q.bucketStore = nil
-		q.setWidth(1)
 	}
 	for i := range q.overflow {
 		q.overflow[i] = item{}
@@ -461,9 +434,15 @@ func (q *calQueue) reset(maxRetain int) {
 	if cap(q.scratch) > maxRetain {
 		q.scratch = nil
 	}
-	q.day = 0
 	q.count = 0
-	q.churn = 0
+	q.pops, q.popT = 0, 0
+	q.resizes = 0
+	if total > maxRetain || len(q.bucketStore) > calMaxRetainedBuckets {
+		// Re-made lazily, by the next hint or push.
+		q.buckets, q.bucketStore = nil, nil
+	} else if q.buckets != nil {
+		q.setGeometry(calMinBuckets, 1, 0)
+	}
 }
 
 // calMaxRetainedBuckets bounds the bucket-array size kept across Reset.

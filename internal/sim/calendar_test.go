@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -59,18 +61,30 @@ func drive(e *Engine, seed uint64) *sink {
 // TestCalendarMatchesHeapOracle is the differential property test of the
 // tentpole: the calendar queue must pop in exactly the binary heap's
 // (time, seq) order on random schedules, including same-time bursts and
-// far-future horizons.
+// far-future horizons, and on the simulator-shaped schedules (steady
+// bimodal, light -> heavy -> light) whose dequeue rate makes the calendar
+// rebuild from inside pop, mid-burst and at Run horizons.
 func TestCalendarMatchesHeapOracle(t *testing.T) {
-	for seed := uint64(1); seed <= 50; seed++ {
-		cal := drive(New(), seed)
-		heap := drive(NewWithHeap(), seed)
-		if len(cal.times) != len(heap.times) {
-			t.Fatalf("seed %d: calendar fired %d events, heap %d", seed, len(cal.times), len(heap.times))
-		}
-		for i := range cal.times {
-			if cal.times[i] != heap.times[i] || cal.args[i] != heap.args[i] {
-				t.Fatalf("seed %d: dispatch %d diverged: calendar (t=%v, arg=%d) vs heap (t=%v, arg=%d)",
-					seed, i, cal.times[i], cal.args[i], heap.times[i], heap.args[i])
+	for _, sched := range []struct {
+		name  string
+		seeds uint64
+		drive func(e *Engine, seed uint64) *sink
+	}{{"random", 50, drive}, {"bimodal", 10, driveBimodal}, {"rate-step", 10, driveRateStep}} {
+		for seed := uint64(1); seed <= sched.seeds; seed++ {
+			e := New()
+			cal := sched.drive(e, seed)
+			heap := sched.drive(NewWithHeap(), seed)
+			if _, _, rebuilds, _ := e.Geometry(); rebuilds == 0 {
+				t.Fatalf("%s seed %d: the calendar never rebuilt", sched.name, seed)
+			}
+			if len(cal.times) != len(heap.times) {
+				t.Fatalf("%s seed %d: calendar fired %d events, heap %d", sched.name, seed, len(cal.times), len(heap.times))
+			}
+			for i := range cal.times {
+				if cal.times[i] != heap.times[i] || cal.args[i] != heap.args[i] {
+					t.Fatalf("%s seed %d: dispatch %d diverged: calendar (t=%v, arg=%d) vs heap (t=%v, arg=%d)",
+						sched.name, seed, i, cal.times[i], cal.args[i], heap.times[i], heap.args[i])
+				}
 			}
 		}
 	}
@@ -183,6 +197,13 @@ func FuzzCalendarVsHeap(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 3, 200, 3, 3, 200})                             // boundary-jitter times
 	f.Add([]byte{1, 200, 1, 200, 1, 200})                                 // burst/drain ping-pong
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 250, 2}) // grow, full drain, refill far
+	// Dequeue-rate rebuilds: a window of 4096 pops has to pass before the
+	// width is re-measured, so these repeat a pattern. Bimodal: a parked
+	// far timer and a 40-event burst per 64-cycle step, the rebuild firing
+	// mid-burst. Rate step: 40, then 160, then 40 events per step — the
+	// dequeue gap moves 4x each way, across Run horizons.
+	f.Add(bytes.Repeat([]byte{2, 1, 200}, 120))
+	f.Add(slices.Concat(bytes.Repeat([]byte{1, 200}, 110), bytes.Repeat([]byte{1, 1, 1, 1, 200}, 30), bytes.Repeat([]byte{1, 200}, 110)))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

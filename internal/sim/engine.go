@@ -151,10 +151,12 @@ func New() *Engine { return &Engine{} }
 func NewWithHeap() *Engine { return &Engine{useHeap: true} }
 
 // Reset returns the engine to its zero state — time zero, no pending
-// events, counters cleared — while keeping the allocated event storage and
-// the handler, so one engine can be reused across the points of a sweep
-// without reallocating. Storage grossly over-grown by a past run (beyond
-// maxRetainedEvents) is released instead of retained.
+// events, counters cleared, the calendar back at its default geometry
+// (re-issue HintSchedule after it) — while keeping the allocated event
+// storage and the handler, so one engine can be reused across the points
+// of a sweep without reallocating, at a speed that depends on the run and
+// never on the runs before it. Storage grossly over-grown by a past run
+// (beyond maxRetainedEvents) is released instead of retained.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -191,12 +193,10 @@ func (e *Engine) Pending() int {
 }
 
 // NextTime returns the time of the earliest pending event without firing
-// it, and false when no events are pending. The heap scheduler reads its
-// root; the calendar queue has no cheap peek, so the engine pops the head
-// and re-files it under its original sequence number — the (time, seq)
-// order is exactly restored, because event order never depends on bucket
-// geometry. The conservative parallel coordinator (internal/sim/par) uses
-// this to compute the global synchronization horizon each round.
+// it, and false when no events are pending. A peek is not a dequeue: it
+// leaves the calendar's geometry and its dequeue-rate window alone. The
+// conservative parallel coordinator (internal/sim/par) uses this to
+// compute the global synchronization horizon each round.
 func (e *Engine) NextTime() (float64, bool) {
 	if e.useHeap {
 		if len(e.heap) == 0 {
@@ -204,12 +204,20 @@ func (e *Engine) NextTime() (float64, bool) {
 		}
 		return e.heap[0].t, true
 	}
-	it, ok := e.cal.pop()
-	if !ok {
-		return 0, false
+	return e.cal.peek()
+}
+
+// Geometry reports the calendar scheduler's current shape — bucket count,
+// day width, geometry rebuilds since the last Reset, and the share of
+// pending events parked in the overflow heap — for tests and out-of-band
+// reporting. Geometry only ever affects speed; the heap scheduler reports
+// zeros.
+func (e *Engine) Geometry() (buckets int, width float64, rebuilds uint64, overflow float64) {
+	q := &e.cal
+	if n := q.len(); n > 0 {
+		overflow = float64(len(q.overflow)) / float64(n)
 	}
-	e.cal.push(it, e.now)
-	return it.t, true
+	return len(q.buckets), q.width, q.resizes, overflow
 }
 
 // SchedulerName identifies the active pending-event structure ("calendar"
@@ -320,13 +328,17 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 			it = e.heap.pop()
 		} else {
 			var ok bool
-			if it, ok = e.cal.pop(); !ok {
+			if it, ok = e.cal.pop(e.now); !ok {
 				break
 			}
 		}
 		if it.t > horizon || (!inclusive && it.t == horizon) {
 			// Beyond this run's window: put it back for a later Run.
-			e.push(it)
+			if e.useHeap {
+				e.heap.push(it)
+			} else {
+				e.cal.unpop(it)
+			}
 			break
 		}
 		e.now = it.t

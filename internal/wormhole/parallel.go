@@ -198,7 +198,7 @@ func (nw *Network) RunParallel(p int) (Result, bool) {
 	shards := make([]par.Shard, p)
 	for i, sh := range run.shards {
 		sh.windowEnd = horizon
-		sh.eng.HintSchedule(float64(nw.cfg.MsgLen)*8, len(sh.nodes)*4)
+		hintSchedule(sh.eng, nw.cfg.MsgLen, len(sh.nodes))
 		for _, node := range sh.nodes {
 			sh.scheduleGeneration(node, 0)
 		}

@@ -396,3 +396,72 @@ func TestPooledReuseAllocBound(t *testing.T) {
 		t.Fatal("nothing completed — the alloc measurement was vacuous")
 	}
 }
+
+// TestPooledGeometryForgetsPriming pins ROADMAP 3(a) at the network: the
+// benchmark's sim-mid scenario (quarc-64, 40 % of saturation) run through
+// Reset on networks primed four different ways — another seed, a light
+// load, the knee, a saturated run with another message length — ends on
+// the scheduler geometry a fresh network ends on, so a pooled simulator's
+// speed is a function of the scenario it runs and not of its history.
+func TestPooledGeometryForgetsPriming(t *testing.T) {
+	rt := quarcRouter(t, 64)
+	set, err := rt.LocalizedSet(topology.PortL, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := traffic.Spec{Rate: 0.00068, MulticastFrac: 0.05, Set: set}
+	cfg := Config{MsgLen: 32, Warmup: 2000, Measure: 60000}
+	type geometry struct {
+		buckets  int
+		width    float64
+		rebuilds uint64
+	}
+	read := func(nw *Network) geometry {
+		b, w, r, _ := nw.eng.Geometry()
+		return geometry{b, w, r}
+	}
+	w, err := traffic.NewWorkload(rt, mid, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(rt.Graph(), w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := read(fresh) // the hinted geometry: a function of (nodes, message length)
+	fresh.Run()
+	want := read(fresh)
+	if want.rebuilds == 0 {
+		t.Fatal("the reference run never rebuilt its calendar: the comparison is vacuous")
+	}
+
+	for i, prime := range []struct {
+		rate   float64
+		msgLen int
+	}{{0.00068, 32}, {0.0001, 32}, {0.00145, 32}, {0.02, 16}} {
+		pw, err := traffic.NewWorkload(rt, traffic.Spec{Rate: prime.rate, MulticastFrac: 0.05, Set: set}, uint64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := New(rt.Graph(), pw, Config{MsgLen: prime.msgLen, Warmup: 2000, Measure: 60000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Run()
+		primed := read(nw)
+		if err := w.Reset(mid, 9); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Reset(w, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := read(nw); got != start {
+			t.Errorf("priming %d: Reset leaves geometry %+v, a fresh network starts at %+v (the hint was not re-issued)", i, got, start)
+		}
+		nw.Run()
+		if got := read(nw); got != want {
+			t.Errorf("priming %d (rate %v, %d flits, left at %+v): geometry %+v after Reset and the sim-mid run, a fresh network ends at %+v",
+				i, prime.rate, prime.msgLen, primed, got, want)
+		}
+	}
+}

@@ -422,12 +422,19 @@ func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 		channels: make([]channel, g.NumChannels()),
 	}
 	nw.eng.SetHandler(nw)
-	// Seed the scheduler geometry with the workload's shape — a few
-	// events in flight per node, scheduled up to a few message-drain
-	// times ahead — instead of paying the learning transient every
-	// construction. The adaptive resize corrects any mismatch.
-	nw.eng.HintSchedule(float64(cfg.MsgLen)*8, g.Nodes()*4)
+	hintSchedule(nw.eng, nw.cfg.MsgLen, nw.g.Nodes())
 	return nw, nil
+}
+
+// hintSchedule seeds an engine's scheduler geometry with the workload's
+// shape — about two events in flight per node (its parked generation
+// timer and a worm's next step), scheduled up to a few message-drain
+// times ahead — instead of paying the learning transient every run. New,
+// Reset and the parallel shards all issue it, so a run's starting
+// geometry is a function of (nodes, message length) alone; the engine's
+// own policy then follows the run's dequeue rate.
+func hintSchedule(eng *sim.Engine, msgLen, nodes int) {
+	eng.HintSchedule(float64(msgLen)*8, nodes*2)
 }
 
 // Reset rebinds the network to a new traffic source and configuration and
@@ -446,6 +453,7 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.detachHooks()
 	nw.cfg = cfg
 	nw.eng.Reset()
+	hintSchedule(nw.eng, nw.cfg.MsgLen, nw.g.Nodes())
 	for i := range nw.channels {
 		c := &nw.channels[i]
 		c.holder = nil

@@ -65,6 +65,9 @@ type Observer interface {
 	Injected(node topology.NodeID, t float64, multicast bool)
 }
 
+// DefaultTraceLimit is the event cap of a trace that names none.
+const DefaultTraceLimit = 10000
+
 // Config controls a simulation run.
 type Config struct {
 	// MsgLen is the message length in flits (at least 2). The paper
@@ -92,7 +95,8 @@ type Config struct {
 	TraceNode topology.NodeID
 	// TraceEnabled turns on per-event tracing of TraceNode's messages.
 	TraceEnabled bool
-	// TraceLimit caps the number of recorded events (default 10000).
+	// TraceLimit caps the number of recorded events (zero selects
+	// DefaultTraceLimit).
 	TraceLimit int
 	// MulticastPriority changes channel arbitration from pure FIFO to
 	// multicast-first: when a channel is released, waiting multicast
@@ -385,7 +389,7 @@ func (nw *Network) trace(msg *message, branch int, kind TraceKind, ch topology.C
 	}
 	limit := nw.cfg.TraceLimit
 	if limit <= 0 {
-		limit = 10000
+		limit = DefaultTraceLimit
 	}
 	if len(nw.res.Trace) >= limit {
 		return

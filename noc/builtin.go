@@ -237,11 +237,11 @@ func hotspotDest(n int, c SpatialConfig) (traffic.Dest, error) {
 	if len(c.Nodes) == 0 {
 		return traffic.Dest{}, fmt.Errorf("noc: hotspot pattern needs at least one node")
 	}
-	if c.Weights != nil && len(c.Weights) != len(c.Nodes) {
+	if len(c.Weights) != 0 && len(c.Weights) != len(c.Nodes) {
 		return traffic.Dest{}, fmt.Errorf("noc: %d hotspot weights for %d nodes", len(c.Weights), len(c.Nodes))
 	}
 	weight := func(i int) float64 {
-		if c.Weights == nil {
+		if len(c.Weights) == 0 { // absent on the wire decodes as nil or empty
 			return 1
 		}
 		return c.Weights[i]

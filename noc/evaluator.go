@@ -3,6 +3,7 @@ package noc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"quarc/internal/core"
 	"quarc/internal/obs"
@@ -51,7 +52,7 @@ func (Model) Evaluate(s *Scenario) (Result, error) {
 // solveModel solves m — the scenario's model, built at any rate — at the
 // scenario's rate.
 func solveModel(s *Scenario, m *core.Model) (Result, error) {
-	pred, err := m.SolveAt(s.cfg.rate)
+	pred, err := m.SolveAt(s.cfg.Rate)
 	if err != nil {
 		return Result{}, err
 	}
@@ -64,7 +65,7 @@ func solveModel(s *Scenario, m *core.Model) (Result, error) {
 		Iterations: pred.Iterations,
 		Converged:  pred.Converged,
 	}
-	if s.cfg.detail && s.cfg.alpha > 0 && !pred.Saturated {
+	if s.cfg.Detail && s.cfg.Alpha > 0 && !pred.Saturated {
 		branches, raw, err := s.branches(0)
 		if err != nil {
 			return Result{}, err
@@ -83,12 +84,12 @@ func modelInput(s *Scenario) core.Input {
 	return core.Input{
 		Router:         s.router,
 		Spec:           s.trafficSpec(),
-		MsgLen:         s.cfg.msgLen,
-		Damping:        s.cfg.damping,
-		MaxIter:        s.cfg.maxIter,
-		Tol:            s.cfg.tol,
-		WaitFormula:    core.WaitFormula(s.cfg.wait),
-		ServiceFormula: core.ServiceFormula(s.cfg.service),
+		MsgLen:         s.cfg.MsgLen,
+		Damping:        s.cfg.Damping,
+		MaxIter:        s.cfg.MaxIter,
+		Tol:            s.cfg.Tol,
+		WaitFormula:    core.WaitFormula(slices.Index(waitNames[:], s.cfg.Wait)),
+		ServiceFormula: core.ServiceFormula(slices.Index(serviceNames[:], s.cfg.Service)),
 	}
 }
 
@@ -123,7 +124,7 @@ func (Simulator) Evaluate(s *Scenario) (Result, error) { return simulateReplicat
 
 // evaluateRep implements replicator: one seeded replication.
 func (Simulator) evaluateRep(s *Scenario, rep int) (Result, error) {
-	return simulate(s, nil, repSeed(s.cfg.seed, rep))
+	return simulate(s, nil, repSeed(s.cfg.Seed, rep))
 }
 
 // forkWorker implements workerForker: each Sweep worker gets its own
@@ -155,7 +156,7 @@ func (p *pooledSimulator) Evaluate(s *Scenario) (Result, error) {
 
 // evaluateRep implements replicator over the worker's pooled network.
 func (p *pooledSimulator) evaluateRep(s *Scenario, rep int) (Result, error) {
-	return simulate(s, &p.pool, repSeed(s.cfg.seed, rep))
+	return simulate(s, &p.pool, repSeed(s.cfg.Seed, rep))
 }
 
 // networkPool caches one network plus one workload and the router they
@@ -173,7 +174,7 @@ type networkPool struct {
 // engine's bitwise-equality argument (two message lineages never tie).
 func parallelArrival(name string) bool {
 	switch name {
-	case "", "poisson", "onoff":
+	case "poisson", "onoff":
 		return true
 	}
 	return false
@@ -187,16 +188,16 @@ func parallelArrival(name string) bool {
 // otherwise.
 func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 	cfg := wormhole.Config{
-		MsgLen:            s.cfg.msgLen,
-		Warmup:            s.cfg.warmup,
-		Measure:           s.cfg.measure,
-		SatQueue:          s.cfg.satQueue,
-		Detail:            s.cfg.detail,
-		Drain:             s.cfg.drain,
-		TraceEnabled:      s.cfg.traceEnabled,
-		TraceNode:         topology.NodeID(s.cfg.traceNode),
-		TraceLimit:        s.cfg.traceLimit,
-		MulticastPriority: s.cfg.mcPriority,
+		MsgLen:            s.cfg.MsgLen,
+		Warmup:            s.cfg.Warmup,
+		Measure:           s.cfg.Measure,
+		SatQueue:          s.cfg.SatQueue,
+		Detail:            s.cfg.Detail,
+		Drain:             s.cfg.Drain,
+		TraceEnabled:      s.cfg.TraceLimit > 0,
+		TraceNode:         topology.NodeID(s.cfg.TraceNode),
+		TraceLimit:        s.cfg.TraceLimit,
+		MulticastPriority: s.cfg.MulticastPriority,
 	}
 	// Trace capture and replay bypass the pool: both need their own
 	// traffic source for exactly one run.
@@ -257,7 +258,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 	// reuse stays clean.
 	var metricsSink *obs.MemorySink
 	var metricsColl *obs.Collector
-	if s.cfg.metricsBuckets > 0 {
+	if s.cfg.MetricsBuckets > 0 {
 		metricsSink = obs.NewMemorySink()
 		sink := obs.Sink(metricsSink)
 		if s.cfg.metricsSink != nil {
@@ -267,7 +268,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		nw.Attach(metricsColl)
 	}
 	var r wormhole.Result
-	if p := s.cfg.intraParallelism; p > 1 && wl != nil && parallelArrival(s.cfg.arrival) {
+	if p := s.cfg.IntraParallelism; p > 1 && wl != nil && parallelArrival(s.cfg.Arrival) {
 		// The conservative parallel engine; bitwise-identical to Run for
 		// every configuration it accepts and a silent serial fallback for
 		// the rest (metrics hooks included — see parEligible). The
@@ -298,7 +299,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		// The workload does not know the message length (it is a
 		// simulator knob), so stamp it here: only the recorded length
 		// reproduces the recorded results.
-		tr.MsgLen = s.cfg.msgLen
+		tr.MsgLen = s.cfg.MsgLen
 		s.cfg.record.tr = tr
 	}
 	res := Result{
@@ -327,7 +328,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 			return Result{}, fmt.Errorf("noc: metrics sink: %w", err)
 		}
 		res.Series = obs.Aggregate(metricsSink.Records(),
-			s.router.Graph().NumChannels(), s.cfg.metricsBuckets, r.Time)
+			s.router.Graph().NumChannels(), s.cfg.MetricsBuckets, r.Time)
 	}
 	return res, nil
 }

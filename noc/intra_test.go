@@ -111,8 +111,8 @@ func TestIntraParallelismSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.intraParallelism != 4 {
-		t.Errorf("compiled scenario has intraParallelism %d, want 4", s.cfg.intraParallelism)
+	if s.cfg.IntraParallelism != 4 {
+		t.Errorf("compiled scenario has intraParallelism %d, want 4", s.cfg.IntraParallelism)
 	}
 	// The inverse direction canonicalizes it away, like Parallelism.
 	if got := s.Spec(); got.IntraParallelism != 0 {

@@ -53,7 +53,7 @@ type SpatialConfig struct {
 	Frac float64
 	// Nodes lists the hotspot nodes.
 	Nodes []int
-	// Weights gives the hotspots' relative weights (nil means equal);
+	// Weights gives the hotspots' relative weights (none means equal);
 	// must be index-aligned with Nodes when set.
 	Weights []float64
 }

@@ -40,11 +40,11 @@ func repSeed(base uint64, rep int) uint64 {
 // same Reset path a sweep worker uses); results are aggregated in
 // replication order, so the outcome is bitwise-identical for every k.
 func simulateReplicated(s *Scenario, pool *networkPool) (Result, error) {
-	n := s.cfg.replications
+	n := s.cfg.Replications
 	if n <= 1 {
-		return simulate(s, pool, s.cfg.seed)
+		return simulate(s, pool, s.cfg.Seed)
 	}
-	k := s.cfg.parallelism
+	k := s.cfg.Parallelism
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
 	}
@@ -60,7 +60,7 @@ func simulateReplicated(s *Scenario, pool *networkPool) (Result, error) {
 			pool = &networkPool{}
 		}
 		for rep := 0; rep < n; rep++ {
-			results[rep], errs[rep] = simulate(s, pool, repSeed(s.cfg.seed, rep))
+			results[rep], errs[rep] = simulate(s, pool, repSeed(s.cfg.Seed, rep))
 		}
 	} else {
 		ch := make(chan int, n)
@@ -75,7 +75,7 @@ func simulateReplicated(s *Scenario, pool *networkPool) (Result, error) {
 				defer wg.Done()
 				var p networkPool // per-worker: reused across its replications
 				for rep := range ch {
-					results[rep], errs[rep] = simulate(s, &p, repSeed(s.cfg.seed, rep))
+					results[rep], errs[rep] = simulate(s, &p, repSeed(s.cfg.Seed, rep))
 				}
 			}()
 		}

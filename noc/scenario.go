@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"quarc/internal/obs"
 	"quarc/internal/routing"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
+	"quarc/internal/wormhole"
 )
 
 // Sentinel errors for scenario construction. Build-time validation wraps
@@ -52,58 +52,27 @@ const (
 	TailRelease
 )
 
-// config is the declarative description a Scenario is resolved from.
+// config is what a Scenario is resolved from: a materialized Spec — every
+// default filled in, so a zero field means zero and not, as on the wire,
+// "use the default" — plus the process-local attachments that have no
+// wire form. Options write it; Spec.Scenario canonicalizes into it.
 type config struct {
-	topoName   string
-	topoCfg    TopologyConfig
-	routerName string // empty selects the topology's default router
-	patName    string
-	patCfg     PatternConfig
+	Spec
+	record, replay *TraceWorkload // Record / Replay option values
+	metricsSink    obs.Sink       // MetricsSink tee for the raw record stream
+	stream         uint64         // PatternConfig.stream (figure panels)
+}
 
-	msgLen      int
-	rate        float64
-	alpha       float64
-	hotspotFrac float64
-	hotspotNode int
-
-	// workload-diversity knobs: the arrival process pacing injection and
-	// the spatial pattern choosing unicast destinations (both default to
-	// the paper's poisson + uniform), plus trace capture/replay.
-	arrival     string // empty selects "poisson"
-	burstLen    float64
-	dutyCycle   float64
-	spatialName string // empty selects "uniform"
-	spatialCfg  SpatialConfig
-	record      *TraceWorkload
-	replay      *TraceWorkload
-
-	// analytical-model knobs (zero selects the core defaults)
-	damping float64
-	maxIter int
-	tol     float64
-	wait    WaitFormula
-	service ServiceFormula
-
-	// simulator knobs
-	seed             uint64
-	warmup           float64
-	measure          float64
-	satQueue         int
-	drain            bool
-	detail           bool
-	mcPriority       bool
-	traceEnabled     bool
-	traceNode        int
-	traceLimit       int
-	replications     int
-	parallelism      int
-	intraParallelism int
-
-	// observability knobs: metricsBuckets > 0 turns the hook recorder on
-	// and sizes Result.Series; metricsSink optionally tees the raw record
-	// stream into a caller-supplied sink (e.g. an obs.FileSink).
-	metricsBuckets int
-	metricsSink    obs.Sink
+// apply runs the options in order, then fills the registry names an
+// option left empty, so the stored form is materialized again.
+func (c *config) apply(opts []Option) error {
+	for _, opt := range opts {
+		if err := opt(c); err != nil {
+			return err
+		}
+	}
+	c.fillNames()
+	return nil
 }
 
 // Option mutates a scenario configuration. Options are applied in order;
@@ -146,11 +115,14 @@ func Torus(w, h int) Option { return Topology("torus", TopologyConfig{W: w, H: h
 func Hypercube(dims int) Option { return Topology("hypercube", TopologyConfig{Dims: dims}) }
 
 // Topology selects a registered topology by name — the declarative form
-// the named options above reduce to.
+// the named options above reduce to. A router that is the current
+// topology's default follows the new topology; one set with Router stays.
 func Topology(name string, c TopologyConfig) Option {
 	return func(cfg *config) error {
-		cfg.topoName = name
-		cfg.topoCfg = c
+		if cfg.Router == defaultRouterFor(cfg.Topology) {
+			cfg.Router = ""
+		}
+		cfg.Topology, cfg.N, cfg.W, cfg.H, cfg.Dims = name, c.N, c.W, c.H, c.Dims
 		return nil
 	}
 }
@@ -158,7 +130,7 @@ func Topology(name string, c TopologyConfig) Option {
 // Router overrides the topology's default router with a registered one.
 func Router(name string) Option {
 	return func(cfg *config) error {
-		cfg.routerName = name
+		cfg.Router = name
 		return nil
 	}
 }
@@ -168,7 +140,7 @@ func Router(name string) Option {
 // MsgLen sets the message length in flits (at least 2; default 32).
 func MsgLen(flits int) Option {
 	return func(cfg *config) error {
-		cfg.msgLen = flits
+		cfg.MsgLen = flits
 		return nil
 	}
 }
@@ -176,7 +148,7 @@ func MsgLen(flits int) Option {
 // Rate sets the per-node Poisson message generation rate (messages/cycle).
 func Rate(rate float64) Option {
 	return func(cfg *config) error {
-		cfg.rate = rate
+		cfg.Rate = rate
 		return nil
 	}
 }
@@ -184,7 +156,7 @@ func Rate(rate float64) Option {
 // Alpha sets the multicast fraction of generated messages.
 func Alpha(alpha float64) Option {
 	return func(cfg *config) error {
-		cfg.alpha = alpha
+		cfg.Alpha = alpha
 		return nil
 	}
 }
@@ -194,8 +166,8 @@ func Alpha(alpha float64) Option {
 // individual weights use HotspotDests.
 func Hotspot(frac float64, node int) Option {
 	return func(cfg *config) error {
-		cfg.hotspotFrac = frac
-		cfg.hotspotNode = node
+		cfg.HotspotFrac = frac
+		cfg.HotspotNode = node
 		return nil
 	}
 }
@@ -209,7 +181,7 @@ func Hotspot(frac float64, node int) Option {
 // offer the same long-run Rate; they differ in how the load clumps.
 func Arrival(name string) Option {
 	return func(cfg *config) error {
-		cfg.arrival = name
+		cfg.Arrival = name
 		return nil
 	}
 }
@@ -221,9 +193,9 @@ func Arrival(name string) Option {
 // into sharper bursts.
 func OnOff(burstLen, duty float64) Option {
 	return func(cfg *config) error {
-		cfg.arrival = "onoff"
-		cfg.burstLen = burstLen
-		cfg.dutyCycle = duty
+		cfg.Arrival = "onoff"
+		cfg.BurstLen = burstLen
+		cfg.DutyCycle = duty
 		return nil
 	}
 }
@@ -250,8 +222,8 @@ func HotspotDests(frac float64, nodes []int, weights []float64) Option {
 // name — the declarative form Permutation and HotspotDests reduce to.
 func Spatial(name string, c SpatialConfig) Option {
 	return func(cfg *config) error {
-		cfg.spatialName = name
-		cfg.spatialCfg = c
+		cfg.Spatial, cfg.SpatialFrac = name, c.Frac
+		cfg.SpatialNodes, cfg.SpatialWeights = c.Nodes, c.Weights
 		return nil
 	}
 }
@@ -283,8 +255,8 @@ func HighLowDests(high, low []int) Option {
 // form the named options above reduce to.
 func Pattern(name string, c PatternConfig) Option {
 	return func(cfg *config) error {
-		cfg.patName = name
-		cfg.patCfg = c
+		cfg.Pattern, cfg.Dests, cfg.Port, cfg.SetSeed = name, c.K, c.Port, c.Seed
+		cfg.High, cfg.Low, cfg.stream = c.High, c.Low, c.stream
 		return nil
 	}
 }
@@ -294,7 +266,7 @@ func Pattern(name string, c PatternConfig) Option {
 // ModelDamping sets the fixed-point damping factor in (0,1].
 func ModelDamping(d float64) Option {
 	return func(cfg *config) error {
-		cfg.damping = d
+		cfg.Damping = d
 		return nil
 	}
 }
@@ -302,7 +274,7 @@ func ModelDamping(d float64) Option {
 // ModelMaxIter bounds the fixed-point iterations.
 func ModelMaxIter(n int) Option {
 	return func(cfg *config) error {
-		cfg.maxIter = n
+		cfg.MaxIter = n
 		return nil
 	}
 }
@@ -310,7 +282,7 @@ func ModelMaxIter(n int) Option {
 // ModelTol sets the fixed-point convergence tolerance.
 func ModelTol(tol float64) Option {
 	return func(cfg *config) error {
-		cfg.tol = tol
+		cfg.Tol = tol
 		return nil
 	}
 }
@@ -318,7 +290,10 @@ func ModelTol(tol float64) Option {
 // ModelWait selects the M/G/1 waiting-time formula.
 func ModelWait(f WaitFormula) Option {
 	return func(cfg *config) error {
-		cfg.wait = f
+		if f < 0 || int(f) >= len(waitNames) {
+			return fmt.Errorf("%w: unknown wait formula %d", ErrInvalidOption, f)
+		}
+		cfg.Wait = waitNames[f]
 		return nil
 	}
 }
@@ -326,7 +301,10 @@ func ModelWait(f WaitFormula) Option {
 // ModelService selects the service-time recurrence.
 func ModelService(f ServiceFormula) Option {
 	return func(cfg *config) error {
-		cfg.service = f
+		if f < 0 || int(f) >= len(serviceNames) {
+			return fmt.Errorf("%w: unknown service formula %d", ErrInvalidOption, f)
+		}
+		cfg.Service = serviceNames[f]
 		return nil
 	}
 }
@@ -336,7 +314,7 @@ func ModelService(f ServiceFormula) Option {
 // Seed sets the simulation seed (default 1).
 func Seed(seed uint64) Option {
 	return func(cfg *config) error {
-		cfg.seed = seed
+		cfg.Seed = seed
 		return nil
 	}
 }
@@ -345,7 +323,7 @@ func Seed(seed uint64) Option {
 // collected (default 10000).
 func Warmup(cycles float64) Option {
 	return func(cfg *config) error {
-		cfg.warmup = cycles
+		cfg.Warmup = cycles
 		return nil
 	}
 }
@@ -353,7 +331,7 @@ func Warmup(cycles float64) Option {
 // Measure sets the measurement window in cycles (default 100000).
 func Measure(cycles float64) Option {
 	return func(cfg *config) error {
-		cfg.measure = cycles
+		cfg.Measure = cycles
 		return nil
 	}
 }
@@ -362,7 +340,7 @@ func Measure(cycles float64) Option {
 // saturated.
 func SatQueue(n int) Option {
 	return func(cfg *config) error {
-		cfg.satQueue = n
+		cfg.SatQueue = n
 		return nil
 	}
 }
@@ -371,7 +349,7 @@ func SatQueue(n int) Option {
 // it closes, removing the censoring bias against long-latency messages.
 func Drain(on bool) Option {
 	return func(cfg *config) error {
-		cfg.drain = on
+		cfg.Drain = on
 		return nil
 	}
 }
@@ -380,7 +358,7 @@ func Drain(on bool) Option {
 // per-distance breakdowns, and the model's per-branch waits.
 func Detail(on bool) Option {
 	return func(cfg *config) error {
-		cfg.detail = on
+		cfg.Detail = on
 		return nil
 	}
 }
@@ -389,18 +367,19 @@ func Detail(on bool) Option {
 // multicast-first.
 func MulticastPriority(on bool) Option {
 	return func(cfg *config) error {
-		cfg.mcPriority = on
+		cfg.MulticastPriority = on
 		return nil
 	}
 }
 
 // Trace records the simulator events of messages generated at node,
-// capped at limit events.
+// capped at limit events (0 selects the simulator's default cap).
 func Trace(node, limit int) Option {
 	return func(cfg *config) error {
-		cfg.traceEnabled = true
-		cfg.traceNode = node
-		cfg.traceLimit = limit
+		if limit == 0 {
+			limit = wormhole.DefaultTraceLimit
+		}
+		cfg.TraceNode, cfg.TraceLimit = node, limit
 		return nil
 	}
 }
@@ -426,7 +405,7 @@ func Metrics(buckets int) Option {
 		if buckets < 1 || buckets > MaxMetricsBuckets {
 			return fmt.Errorf("%w: metrics buckets %d outside [1, %d]", ErrInvalidOption, buckets, MaxMetricsBuckets)
 		}
-		cfg.metricsBuckets = buckets
+		cfg.Metrics, cfg.MetricsBuckets = true, buckets
 		return nil
 	}
 }
@@ -457,7 +436,7 @@ func Replications(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("%w: replications %d < 1", ErrInvalidOption, n)
 		}
-		cfg.replications = n
+		cfg.Replications = n
 		return nil
 	}
 }
@@ -470,7 +449,7 @@ func Replications(n int) Option {
 // (point, replication) pair on its own shared worker pool.
 func Parallelism(k int) Option {
 	return func(cfg *config) error {
-		cfg.parallelism = k
+		cfg.Parallelism = k
 		return nil
 	}
 }
@@ -494,7 +473,7 @@ func Parallelism(k int) Option {
 // every such case the option costs nothing and changes nothing.
 func IntraParallelism(p int) Option {
 	return func(cfg *config) error {
-		cfg.intraParallelism = p
+		cfg.IntraParallelism = p
 		return nil
 	}
 }
@@ -517,30 +496,21 @@ func QuickEffort() Effort { return Effort{Warmup: 5000, Measure: 40000, Seed: 0x
 // SimEffort applies an effort preset as an option.
 func SimEffort(e Effort) Option {
 	return func(cfg *config) error {
-		cfg.warmup = e.Warmup
-		cfg.measure = e.Measure
-		cfg.seed = e.Seed
+		cfg.Warmup = e.Warmup
+		cfg.Measure = e.Measure
+		cfg.Seed = e.Seed
 		return nil
 	}
 }
 
 // NewScenario resolves a declarative configuration into a runnable
-// scenario: it applies the options, builds the topology and router through
-// the registries and materializes the multicast destination set.
+// scenario: it applies the options to the default Spec, builds the
+// topology and router through the registries and materializes the
+// multicast destination set.
 func NewScenario(opts ...Option) (*Scenario, error) {
-	cfg := config{
-		topoName: "quarc",
-		topoCfg:  TopologyConfig{N: 16},
-		patName:  "none",
-		msgLen:   32,
-		seed:     1,
-		warmup:   10000,
-		measure:  100000,
-	}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg := config{Spec: Spec{}.Canonical()}
+	if err := cfg.apply(opts); err != nil {
+		return nil, err
 	}
 	return resolve(cfg)
 }
@@ -549,56 +519,34 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 // applied — the cheap way to fork a base configuration across rates,
 // message lengths or model variants.
 func (s *Scenario) With(opts ...Option) (*Scenario, error) {
-	cfg := s.cfg
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	// The copy shares the routed topology, destination set and spatial
+	// pattern (all read-only after construction); it stands as long as
+	// the options leave the structure alone.
+	fork := *s
+	if err := fork.cfg.apply(opts); err != nil {
+		return nil, err
 	}
-	if cfg.topoName == s.cfg.topoName && cfg.topoCfg == s.cfg.topoCfg &&
-		cfg.routerName == s.cfg.routerName && cfg.patName == s.cfg.patName &&
-		equalPatternConfig(cfg.patCfg, s.cfg.patCfg) &&
-		cfg.spatialName == s.cfg.spatialName &&
-		equalSpatialConfig(cfg.spatialCfg, s.cfg.spatialCfg) {
-		// The routed topology, destination set and spatial pattern are
-		// unchanged; share them (all read-only after construction).
-		fork := &Scenario{cfg: cfg, router: s.router, set: s.set, dest: s.dest}
-		if err := fork.validate(); err != nil {
-			return nil, err
-		}
-		return fork, nil
+	if !sameStructure(&fork.cfg, &s.cfg) {
+		return resolve(fork.cfg)
 	}
-	return resolve(cfg)
-}
-
-func equalSpatialConfig(a, b SpatialConfig) bool {
-	return a.Frac == b.Frac && slices.Equal(a.Nodes, b.Nodes) && slices.Equal(a.Weights, b.Weights)
-}
-
-func equalPatternConfig(a, b PatternConfig) bool {
-	return a.K == b.K && a.Port == b.Port && a.Seed == b.Seed && a.stream == b.stream &&
-		slices.Equal(a.High, b.High) && slices.Equal(a.Low, b.Low)
+	return fork.checked()
 }
 
 func resolve(cfg config) (*Scenario, error) {
-	buildTopo, err := topologyReg.lookup(cfg.topoName)
+	buildTopo, err := topologyReg.lookup(cfg.Topology)
 	if err != nil {
 		return nil, err
 	}
-	routerName := cfg.routerName
-	if routerName == "" {
-		routerName = defaultRouterFor(cfg.topoName)
-	}
-	buildRouter, err := routerReg.lookup(routerName)
+	buildRouter, err := routerReg.lookup(cfg.Router)
 	if err != nil {
 		return nil, err
 	}
-	buildPattern, err := patternReg.lookup(cfg.patName)
+	buildPattern, err := patternReg.lookup(cfg.Pattern)
 	if err != nil {
 		return nil, err
 	}
 
-	topo, err := buildTopo(cfg.topoCfg)
+	topo, err := buildTopo(TopologyConfig{N: cfg.N, W: cfg.W, H: cfg.H, Dims: cfg.Dims})
 	if err != nil {
 		// Builder rejections (bad sizes, mismatched families) are
 		// configuration mistakes like any other option error; wrap them
@@ -614,74 +562,75 @@ func resolve(cfg config) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
-	setVal, err := buildPattern(router, cfg.patCfg)
+	setVal, err := buildPattern(router, PatternConfig{
+		K: cfg.Dests, Port: cfg.Port, Seed: cfg.SetSeed, High: cfg.High, Low: cfg.Low, stream: cfg.stream})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 	set, ok := setVal.(routing.MulticastSet)
 	if !ok {
-		return nil, fmt.Errorf("noc: pattern %q returned %T, not a multicast set", cfg.patName, setVal)
+		return nil, fmt.Errorf("noc: pattern %q returned %T, not a multicast set", cfg.Pattern, setVal)
 	}
 
-	spatialName := cfg.spatialName
-	if spatialName == "" {
-		spatialName = "uniform"
-	}
-	buildSpatial, err := spatialReg.lookup(spatialName)
+	buildSpatial, err := spatialReg.lookup(cfg.Spatial)
 	if err != nil {
 		return nil, err
 	}
-	destVal, err := buildSpatial(routerVal, cfg.spatialCfg)
+	destVal, err := buildSpatial(routerVal, SpatialConfig{Frac: cfg.SpatialFrac, Nodes: cfg.SpatialNodes, Weights: cfg.SpatialWeights})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 	dest, ok := destVal.(traffic.Dest)
 	if !ok {
-		return nil, fmt.Errorf("noc: spatial pattern %q returned %T, not a traffic.Dest", spatialName, destVal)
+		return nil, fmt.Errorf("noc: spatial pattern %q returned %T, not a traffic.Dest", cfg.Spatial, destVal)
 	}
 
-	s := &Scenario{cfg: cfg, router: router, set: set, dest: dest}
+	return (&Scenario{cfg: cfg, router: router, set: set, dest: dest}).checked()
+}
+
+// checked returns s once validate accepts it; every path that makes a
+// Scenario ends here, so a *Scenario is always well-formed.
+func (s *Scenario) checked() (*Scenario, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// validate checks the resolved configuration; both NewScenario and the
-// fast path of With run it, so a *Scenario is always well-formed. Every
-// rejection wraps ErrInvalidOption or ErrOptionConflict.
+// validate checks the resolved configuration. Every rejection wraps
+// ErrInvalidOption or ErrOptionConflict.
 func (s *Scenario) validate() error {
 	if err := s.trafficSpec().ValidateFor(s.router.Graph().Nodes()); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
-	if s.cfg.msgLen < 2 {
-		return fmt.Errorf("%w: message length %d too short (need >= 2 flits)", ErrInvalidOption, s.cfg.msgLen)
+	if s.cfg.MsgLen < 2 {
+		return fmt.Errorf("%w: message length %d too short (need >= 2 flits)", ErrInvalidOption, s.cfg.MsgLen)
 	}
-	if s.cfg.measure <= 0 || math.IsNaN(s.cfg.measure) || math.IsInf(s.cfg.measure, 0) {
-		return fmt.Errorf("%w: measurement window %v must be a positive number of cycles", ErrInvalidOption, s.cfg.measure)
+	if s.cfg.Measure <= 0 || math.IsNaN(s.cfg.Measure) || math.IsInf(s.cfg.Measure, 0) {
+		return fmt.Errorf("%w: measurement window %v must be a positive number of cycles", ErrInvalidOption, s.cfg.Measure)
 	}
-	if s.cfg.warmup < 0 || math.IsNaN(s.cfg.warmup) || math.IsInf(s.cfg.warmup, 0) {
-		return fmt.Errorf("%w: warmup %v must be a non-negative number of cycles", ErrInvalidOption, s.cfg.warmup)
+	if s.cfg.Warmup < 0 || math.IsNaN(s.cfg.Warmup) || math.IsInf(s.cfg.Warmup, 0) {
+		return fmt.Errorf("%w: warmup %v must be a non-negative number of cycles", ErrInvalidOption, s.cfg.Warmup)
 	}
-	if s.cfg.satQueue < 0 {
-		return fmt.Errorf("%w: saturation queue threshold %d < 0", ErrInvalidOption, s.cfg.satQueue)
+	if s.cfg.SatQueue < 0 {
+		return fmt.Errorf("%w: saturation queue threshold %d < 0", ErrInvalidOption, s.cfg.SatQueue)
 	}
-	if s.cfg.traceEnabled {
-		if n := s.router.Graph().Nodes(); s.cfg.traceNode < 0 || s.cfg.traceNode >= n {
-			return fmt.Errorf("%w: trace node %d outside the %d-node network", ErrInvalidOption, s.cfg.traceNode, n)
+	if s.cfg.TraceLimit != 0 {
+		if n := s.router.Graph().Nodes(); s.cfg.TraceNode < 0 || s.cfg.TraceNode >= n {
+			return fmt.Errorf("%w: trace node %d outside the %d-node network", ErrInvalidOption, s.cfg.TraceNode, n)
 		}
-		if s.cfg.traceLimit < 0 {
-			return fmt.Errorf("%w: trace limit %d < 0", ErrInvalidOption, s.cfg.traceLimit)
+		if s.cfg.TraceLimit < 0 {
+			return fmt.Errorf("%w: trace limit %d < 0", ErrInvalidOption, s.cfg.TraceLimit)
 		}
 	}
-	if s.cfg.metricsSink != nil && s.cfg.metricsBuckets == 0 {
+	if s.cfg.metricsSink != nil && !s.cfg.Metrics {
 		return fmt.Errorf("%w: MetricsSink without Metrics(buckets) would record nothing", ErrOptionConflict)
 	}
 	if s.cfg.record != nil && s.cfg.replay != nil {
 		return fmt.Errorf("%w: a scenario cannot both record and replay a trace", ErrOptionConflict)
 	}
-	if (s.cfg.record != nil || s.cfg.replay != nil) && s.cfg.replications > 1 {
-		return fmt.Errorf("%w: trace record/replay requires Replications(1), got %d", ErrOptionConflict, s.cfg.replications)
+	if (s.cfg.record != nil || s.cfg.replay != nil) && s.cfg.Replications > 1 {
+		return fmt.Errorf("%w: trace record/replay requires Replications(1), got %d", ErrOptionConflict, s.cfg.Replications)
 	}
 	if s.cfg.replay != nil {
 		if s.cfg.replay.Empty() {
@@ -693,53 +642,43 @@ func (s *Scenario) validate() error {
 		if got, want := s.cfg.replay.tr.Topo, traffic.TopologyFingerprint(s.router.Graph()); got != 0 && got != want {
 			return fmt.Errorf("%w: the trace was captured on a different topology than the scenario's", ErrOptionConflict)
 		}
-		if got := s.cfg.replay.tr.MsgLen; got != 0 && got != s.cfg.msgLen {
-			return fmt.Errorf("%w: the trace was recorded with %d-flit messages, the scenario uses %d (set MsgLen(%d) to reproduce the recording)", ErrOptionConflict, got, s.cfg.msgLen, got)
+		if got := s.cfg.replay.tr.MsgLen; got != 0 && got != s.cfg.MsgLen {
+			return fmt.Errorf("%w: the trace was recorded with %d-flit messages, the scenario uses %d (set MsgLen(%d) to reproduce the recording)", ErrOptionConflict, got, s.cfg.MsgLen, got)
 		}
 	}
 	return nil
 }
 
 // trafficSpec assembles the traffic specification both evaluators
-// consume (distinct from the public declarative Spec in spec.go).
+// consume.
 func (s *Scenario) trafficSpec() traffic.Spec {
 	return traffic.Spec{
-		Rate:          s.cfg.rate,
-		MulticastFrac: s.cfg.alpha,
+		Rate:          s.cfg.Rate,
+		MulticastFrac: s.cfg.Alpha,
 		Set:           s.set,
-		HotspotFrac:   s.cfg.hotspotFrac,
-		HotspotNode:   topology.NodeID(s.cfg.hotspotNode),
-		Arrival:       s.cfg.arrival,
-		BurstLen:      s.cfg.burstLen,
-		DutyCycle:     s.cfg.dutyCycle,
+		HotspotFrac:   s.cfg.HotspotFrac,
+		HotspotNode:   topology.NodeID(s.cfg.HotspotNode),
+		Arrival:       s.cfg.Arrival,
+		BurstLen:      s.cfg.BurstLen,
+		DutyCycle:     s.cfg.DutyCycle,
 		Perm:          s.dest.Perm,
 		Weights:       s.dest.Weights,
 	}
 }
 
 // TopologyName returns the scenario's topology registry name.
-func (s *Scenario) TopologyName() string { return s.cfg.topoName }
+func (s *Scenario) TopologyName() string { return s.cfg.Topology }
 
 // PatternName returns the scenario's traffic-pattern registry name.
-func (s *Scenario) PatternName() string { return s.cfg.patName }
+func (s *Scenario) PatternName() string { return s.cfg.Pattern }
 
 // ArrivalName returns the scenario's arrival-process registry name
 // ("poisson" when defaulted).
-func (s *Scenario) ArrivalName() string {
-	if s.cfg.arrival == "" {
-		return "poisson"
-	}
-	return s.cfg.arrival
-}
+func (s *Scenario) ArrivalName() string { return s.cfg.Arrival }
 
 // SpatialName returns the scenario's spatial-pattern registry name
 // ("uniform" when defaulted).
-func (s *Scenario) SpatialName() string {
-	if s.cfg.spatialName == "" {
-		return "uniform"
-	}
-	return s.cfg.spatialName
-}
+func (s *Scenario) SpatialName() string { return s.cfg.Spatial }
 
 // Nodes returns the network size.
 func (s *Scenario) Nodes() int { return s.router.Graph().Nodes() }
@@ -748,13 +687,13 @@ func (s *Scenario) Nodes() int { return s.router.Graph().Nodes() }
 func (s *Scenario) Channels() int { return s.router.Graph().NumChannels() }
 
 // MsgLen returns the message length in flits.
-func (s *Scenario) MsgLen() int { return s.cfg.msgLen }
+func (s *Scenario) MsgLen() int { return s.cfg.MsgLen }
 
 // Rate returns the per-node message generation rate.
-func (s *Scenario) Rate() float64 { return s.cfg.rate }
+func (s *Scenario) Rate() float64 { return s.cfg.Rate }
 
 // Alpha returns the multicast fraction.
-func (s *Scenario) Alpha() float64 { return s.cfg.alpha }
+func (s *Scenario) Alpha() float64 { return s.cfg.Alpha }
 
 // SetString renders the multicast destination set in the paper's per-port
 // bitstring notation.
@@ -763,7 +702,7 @@ func (s *Scenario) SetString() string { return s.set.String() }
 // PortName returns a human-readable label for an injection port: the
 // paper's L/LO/RO/R labels on a Quarc, generic "P<i>" labels elsewhere.
 func (s *Scenario) PortName(port int) string {
-	if strings.HasPrefix(s.cfg.topoName, "quarc") && s.router.Graph().Ports() == topology.QuarcPorts {
+	if strings.HasPrefix(s.cfg.Topology, "quarc") && s.router.Graph().Ports() == topology.QuarcPorts {
 		return topology.QuarcPortName(port)
 	}
 	return fmt.Sprintf("P%d", port)

@@ -27,6 +27,8 @@ func TestScenarioValidationSentinels(t *testing.T) {
 		{"negative trace node", []Option{Quarc(16), Trace(-1, 10)}, ErrInvalidOption},
 		{"negative trace limit", []Option{Quarc(16), Trace(0, -1)}, ErrInvalidOption},
 		{"negative rate", []Option{Quarc(16), Rate(-0.1)}, ErrInvalidOption},
+		{"wait formula out of range", []Option{Quarc(16), ModelWait(WaitFormula(2))}, ErrInvalidOption},
+		{"service formula out of range", []Option{Quarc(16), ModelService(ServiceFormula(-1))}, ErrInvalidOption},
 		{"unknown topology", []Option{Topology("ring", TopologyConfig{N: 16})}, ErrInvalidOption},
 		{"unknown router", []Option{Quarc(16), Router("xy")}, ErrInvalidOption},
 		{"mesh without size", []Option{Topology("mesh", TopologyConfig{})}, ErrInvalidOption},

@@ -25,6 +25,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -164,8 +165,9 @@ type flight struct {
 	err  error
 }
 
-// job is one queued evaluation. persist marks results the durable
-// store has not seen yet (computed, as opposed to read back from it).
+// job is one queued evaluation of a canonical spec. persist marks
+// results the durable store has not seen yet (computed, as opposed to
+// read back from it).
 type job struct {
 	key     string
 	sp      noc.Spec
@@ -287,7 +289,10 @@ func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Sour
 	if sp.Record != "" || sp.Replay != "" {
 		return noc.Result{}, "", ErrTraceSpec
 	}
-	cjson, err := sp.CanonicalJSON()
+	// Canonicalize once: the encoding is the cache key, and the canonical
+	// spec itself is what a worker compiles.
+	canon := sp.Canonical()
+	cjson, err := json.Marshal(canon)
 	if err != nil {
 		return noc.Result{}, "", fmt.Errorf("service: encoding spec: %w", err)
 	}
@@ -330,8 +335,13 @@ func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Sour
 	}
 	e.misses.Add(1)
 
+	// Execution advice is not content — Canonical dropped it from the key
+	// — but it does reach the engine: the caller's intra-run sharding, and
+	// serial replications, so that Workers is the only concurrency bound
+	// (the aggregate is bitwise-independent of that choice).
+	canon.Parallelism, canon.IntraParallelism = 1, sp.IntraParallelism
 	select {
-	case e.jobs <- job{key: key, sp: sp, f: f, persist: true}:
+	case e.jobs <- job{key: key, sp: canon, f: f, persist: true}:
 	case <-ctx.Done():
 		err := ctx.Err()
 		if cap(e.jobs) > 0 && len(e.jobs) >= cap(e.jobs) {
@@ -520,14 +530,12 @@ func (e *Evaluator) worker() {
 	}
 }
 
-// evaluateSpec compiles and runs one spec on this worker. Compilation
-// goes through the shared base-scenario cache: the spec's structural
-// sub-spec (topology, pattern, spatial) resolves to one base Scenario
-// reused by every structurally identical request, and the tuning options
-// are layered on top with Scenario.With — bitwise-identical to a cold
-// Spec.Scenario build. Replications run serially inside the worker
-// (Parallelism(1)), so the pool's Workers bound is the only concurrency;
-// the aggregate is bitwise-independent of that choice.
+// evaluateSpec compiles and runs one canonical spec on this worker.
+// Compilation goes through the shared base-scenario cache: the spec's
+// structural sub-spec (topology, pattern, spatial) resolves to one base
+// Scenario reused by every structurally identical request, and
+// ScenarioWith stores the spec on top of it — bitwise-identical to a cold
+// Spec.Scenario build.
 func (e *Evaluator) evaluateSpec(sp noc.Spec, sim noc.Evaluator) (noc.Result, error) {
 	base, err := e.baseFor(sp)
 	if err != nil {
@@ -537,10 +545,7 @@ func (e *Evaluator) evaluateSpec(sp noc.Spec, sim noc.Evaluator) (noc.Result, er
 	if err != nil {
 		return noc.Result{}, err
 	}
-	if s, err = s.With(noc.Parallelism(1)); err != nil {
-		return noc.Result{}, err
-	}
-	if sp.Canonical().Evaluator == "model" {
+	if sp.Evaluator == "model" {
 		return noc.Model{}.Evaluate(s)
 	}
 	return sim.Evaluate(s)
@@ -552,7 +557,7 @@ func (e *Evaluator) evaluateSpec(sp noc.Spec, sim noc.Evaluator) (noc.Result, er
 // equivalent, so this is a benign inefficiency, not a correctness issue.
 func (e *Evaluator) baseFor(sp noc.Spec) (*noc.Scenario, error) {
 	st := sp.Structural()
-	cjson, err := st.CanonicalJSON()
+	cjson, err := json.Marshal(st)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding structural spec: %w", err)
 	}

@@ -11,19 +11,20 @@ import (
 	"slices"
 )
 
-// Spec is the declarative, JSON-able description of a scenario: every
-// builtin Option has a Spec field, so a scenario can be built either
-// programmatically (functional options) or from data (a JSON document on
-// the quarcsim command line or the quarcd wire). The two construction
-// paths are pinned bitwise-equivalent by TestSpecMatchesOptions.
+// Spec is the declarative, JSON-able description of a scenario, and the
+// one representation a Scenario is resolved from: every builtin Option
+// assigns Spec fields (TestEveryOptionHasASpecField), and a JSON document
+// on the quarcsim command line or the quarcd wire decodes into the same
+// struct. The two spellings are pinned bitwise-equivalent by
+// TestSpecMatchesOptions.
 //
-// Zero fields select the same defaults NewScenario uses (quarc-16,
-// msglen 32, poisson arrivals, uniform unicasts, seed 1, warmup 10000,
-// measure 100000). Canonical materializes those defaults and clears
-// fields the chosen registries do not read, so specs that describe the
-// same scenario share one canonical encoding — and therefore one
-// Fingerprint, the content address under which noc/service caches
-// Results.
+// On the wire a zero field selects the default (quarc-16, msglen 32,
+// poisson arrivals, uniform unicasts, seed 1, warmup 10000, measure
+// 100000). Canonical materializes those defaults and clears fields the
+// chosen registries do not read, so specs that describe the same
+// scenario share one canonical encoding — and therefore one Fingerprint,
+// the content address under which noc/service caches Results. Inside a
+// Scenario the spec is stored materialized, where zero means zero.
 type Spec struct {
 	// Topology and router (Topology, Router options). N sizes quarc and
 	// spidergon rings, W/H size meshes and tori, Dims sizes hypercubes.
@@ -213,14 +214,10 @@ func (sp Spec) Validate() error {
 	if !finite(sp.Tol) || sp.Tol < 0 || sp.Tol > 1 {
 		return fail("tol %v outside [0, 1]", sp.Tol)
 	}
-	switch sp.Wait {
-	case "", "pk", "eq3":
-	default:
+	if sp.Wait != "" && !slices.Contains(waitNames[:], sp.Wait) {
 		return fail("wait %q is not \"pk\" or \"eq3\"", sp.Wait)
 	}
-	switch sp.Service {
-	case "", "eq6", "tail":
-	default:
+	if sp.Service != "" && !slices.Contains(serviceNames[:], sp.Service) {
 		return fail("service %q is not \"eq6\" or \"tail\"", sp.Service)
 	}
 	if !finite(sp.Warmup) || sp.Warmup < 0 || sp.Warmup > maxSpecWindow {
@@ -295,9 +292,7 @@ func (sp Spec) Canonical() Spec {
 	c.Low = slices.Clone(c.Low)
 	c.SpatialNodes = slices.Clone(c.SpatialNodes)
 	c.SpatialWeights = slices.Clone(c.SpatialWeights)
-	if c.Topology == "" {
-		c.Topology = "quarc"
-	}
+	c.fillNames()
 	// Each topology family reads exactly one size field; clear the
 	// others so equivalent specs share a content address, and fill the
 	// ring default (quarc-16, the NewScenario default) when no size was
@@ -313,12 +308,6 @@ func (sp Spec) Canonical() Spec {
 		c.N, c.Dims = 0, 0
 	case "hypercube":
 		c.N, c.W, c.H = 0, 0, 0
-	}
-	if c.Router == "" {
-		c.Router = defaultRouterFor(c.Topology)
-	}
-	if c.Pattern == "" {
-		c.Pattern = "none"
 	}
 	switch c.Pattern {
 	case "none", "broadcast":
@@ -336,23 +325,11 @@ func (sp Spec) Canonical() Spec {
 	if c.HotspotFrac == 0 {
 		c.HotspotNode = 0
 	}
-	if c.Arrival == "" {
-		c.Arrival = "poisson"
-	}
 	if c.Arrival != "onoff" {
 		c.BurstLen, c.DutyCycle = 0, 0
 	}
-	if c.Spatial == "" {
-		c.Spatial = "uniform"
-	}
 	if c.Spatial != "hotspot" {
 		c.SpatialFrac, c.SpatialNodes, c.SpatialWeights = 0, nil, nil
-	}
-	if c.Wait == "" {
-		c.Wait = "pk"
-	}
-	if c.Service == "" {
-		c.Service = "eq6"
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -380,10 +357,30 @@ func (sp Spec) Canonical() Spec {
 	}
 	c.Parallelism = 0
 	c.IntraParallelism = 0
-	if c.Evaluator == "" {
-		c.Evaluator = "simulator"
-	}
 	return c
+}
+
+// fillNames materializes the default of every name left empty: the one
+// rule both the wire form (through Canonical) and the options (through
+// config.apply) follow, so an explicit default and an omitted one are the
+// same value everywhere downstream.
+func (sp *Spec) fillNames() {
+	orDefault(&sp.Topology, "quarc")
+	if sp.Router == "" {
+		sp.Router = defaultRouterFor(sp.Topology)
+	}
+	orDefault(&sp.Pattern, "none")
+	orDefault(&sp.Arrival, "poisson")
+	orDefault(&sp.Spatial, "uniform")
+	orDefault(&sp.Wait, waitNames[PKStandard])
+	orDefault(&sp.Service, serviceNames[PaperEq6])
+	orDefault(&sp.Evaluator, "simulator")
+}
+
+func orDefault(name *string, def string) {
+	if *name == "" {
+		*name = def
+	}
 }
 
 // CanonicalJSON is the canonical encoding: the JSON document of the
@@ -429,8 +426,9 @@ func (sp Spec) Fingerprint() uint64 {
 // ScenarioWith); noc/service exploits this so a sweep's points, and
 // repeated requests against one configuration, reuse routing tables and
 // pooled networks instead of rebuilding them.
-func (sp Spec) Structural() Spec {
-	c := sp.Canonical()
+func (sp Spec) Structural() Spec { return pickStructural(sp.Canonical()) }
+
+func pickStructural(c Spec) Spec {
 	return Spec{
 		Topology: c.Topology, N: c.N, W: c.W, H: c.H, Dims: c.Dims,
 		Router:  c.Router,
@@ -441,128 +439,46 @@ func (sp Spec) Structural() Spec {
 	}
 }
 
-func waitFromName(name string) WaitFormula {
-	if name == "eq3" {
-		return PaperEq3Literal
-	}
-	return PKStandard
+// sameStructure is Structural equality over two materialized
+// configurations, field by field (plus the pattern stream, which has no
+// wire form): the one predicate that lets With and ScenarioWith share a
+// base's routed topology. TestStructuralPredicateMatchesStructural keeps
+// its field list in step with Structural's.
+func sameStructure(a, b *config) bool {
+	return a.Topology == b.Topology && a.N == b.N && a.W == b.W && a.H == b.H && a.Dims == b.Dims &&
+		a.Router == b.Router &&
+		a.Pattern == b.Pattern && a.Dests == b.Dests && a.Port == b.Port && a.SetSeed == b.SetSeed &&
+		slices.Equal(a.High, b.High) && slices.Equal(a.Low, b.Low) && a.stream == b.stream &&
+		a.Spatial == b.Spatial && a.SpatialFrac == b.SpatialFrac &&
+		slices.Equal(a.SpatialNodes, b.SpatialNodes) && slices.Equal(a.SpatialWeights, b.SpatialWeights)
 }
 
-func serviceFromName(name string) ServiceFormula {
-	if name == "tail" {
-		return TailRelease
-	}
-	return PaperEq6
-}
+// The wire names of the model formulas, indexed by the option enums.
+var (
+	waitNames    = [...]string{PKStandard: "pk", PaperEq3Literal: "eq3"}
+	serviceNames = [...]string{PaperEq6: "eq6", TailRelease: "tail"}
+)
 
-func waitName(f WaitFormula) string {
-	if f == PaperEq3Literal {
-		return "eq3"
-	}
-	return "pk"
-}
-
-func serviceName(f ServiceFormula) string {
-	if f == TailRelease {
-		return "tail"
-	}
-	return "eq6"
-}
-
-// structuralOptions are the options the Structural sub-spec reduces to.
-func (sp Spec) structuralOptions() []Option {
+// materialized is the form a Scenario stores: Canonical, with the
+// execution advice Canonical drops from the content address put back and
+// the trace paths (Scenario resolves them into attachments) removed.
+func (sp Spec) materialized() Spec {
 	c := sp.Canonical()
-	opts := []Option{
-		Topology(c.Topology, TopologyConfig{N: c.N, W: c.W, H: c.H, Dims: c.Dims}),
-		Pattern(c.Pattern, PatternConfig{K: c.Dests, Port: c.Port, Seed: c.SetSeed, High: c.High, Low: c.Low}),
-		Spatial(c.Spatial, SpatialConfig{Frac: c.SpatialFrac, Nodes: c.SpatialNodes, Weights: weightList(c.SpatialWeights)}),
-	}
-	if c.Router != "" {
-		opts = append(opts, Router(c.Router))
-	}
-	return opts
+	c.Parallelism, c.IntraParallelism = sp.Parallelism, sp.IntraParallelism
+	c.Record, c.Replay = "", ""
+	return c
 }
 
-// weightList maps an absent weight list to nil (equal weights) without
-// aliasing the spec's slice.
-func weightList(w []float64) []float64 {
-	if len(w) == 0 {
-		return nil
-	}
-	return w
-}
-
-// tuningOptions are the rate/engine options layered on top of a
-// structural base. They set every non-structural knob explicitly, so
-// applying them to any structurally identical scenario reproduces the
-// spec exactly.
-func (sp Spec) tuningOptions() []Option {
-	c := sp.Canonical()
-	opts := []Option{
-		MsgLen(c.MsgLen), Rate(c.Rate), Alpha(c.Alpha),
-		Seed(c.Seed), Warmup(c.Warmup), Measure(c.Measure),
-		SatQueue(c.SatQueue), Drain(c.Drain), Detail(c.Detail),
-		MulticastPriority(c.MulticastPriority),
-		ModelWait(waitFromName(c.Wait)), ModelService(serviceFromName(c.Service)),
-	}
-	if c.HotspotFrac != 0 {
-		opts = append(opts, Hotspot(c.HotspotFrac, c.HotspotNode))
-	}
-	if c.Arrival == "onoff" {
-		opts = append(opts, OnOff(c.BurstLen, c.DutyCycle))
-	} else {
-		opts = append(opts, Arrival(c.Arrival))
-	}
-	if c.Damping != 0 {
-		opts = append(opts, ModelDamping(c.Damping))
-	}
-	if c.MaxIter != 0 {
-		opts = append(opts, ModelMaxIter(c.MaxIter))
-	}
-	if c.Tol != 0 {
-		opts = append(opts, ModelTol(c.Tol))
-	}
-	if c.TraceLimit > 0 {
-		opts = append(opts, Trace(c.TraceNode, c.TraceLimit))
-	}
-	if c.Replications > 1 {
-		opts = append(opts, Replications(c.Replications))
-	}
-	if c.Metrics {
-		opts = append(opts, Metrics(c.MetricsBuckets))
-	}
-	if sp.Parallelism != 0 {
-		// Execution advice survives compilation even though it is not
-		// part of the canonical content.
-		opts = append(opts, Parallelism(sp.Parallelism))
-	}
-	if sp.IntraParallelism != 0 {
-		opts = append(opts, IntraParallelism(sp.IntraParallelism))
-	}
-	return opts
-}
-
-// Options reduces the spec to the functional-options form — the exact
-// option list a hand-written NewScenario call would pass. Record and
-// Replay are not included (they need filesystem access; Scenario wires
-// them).
-func (sp Spec) Options() ([]Option, error) {
+// Scenario compiles the spec into a runnable Scenario — NewScenario for a
+// document instead of an option list. A Replay path is read from the
+// local filesystem; a Record path attaches a capture buffer retrievable
+// with Scenario.Recording after the evaluation (the caller persists it,
+// as quarcsim -spec does).
+func (sp Spec) Scenario() (*Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	return append(sp.structuralOptions(), sp.tuningOptions()...), nil
-}
-
-// Scenario compiles the spec into a runnable Scenario — the declarative
-// twin of NewScenario. A Replay path is read from the local filesystem; a
-// Record path attaches a capture buffer retrievable with
-// Scenario.Recording after the evaluation (the caller persists it, as
-// quarcsim -spec does).
-func (sp Spec) Scenario() (*Scenario, error) {
-	opts, err := sp.Options()
-	if err != nil {
-		return nil, err
-	}
+	cfg := config{Spec: sp.materialized()}
 	if sp.Replay != "" {
 		f, err := os.Open(sp.Replay)
 		if err != nil {
@@ -575,12 +491,12 @@ func (sp Spec) Scenario() (*Scenario, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		opts = append(opts, Replay(tw))
+		cfg.replay = tw
 	}
 	if sp.Record != "" {
-		opts = append(opts, Record(&TraceWorkload{}))
+		cfg.record = &TraceWorkload{}
 	}
-	return NewScenario(opts...)
+	return resolve(cfg)
 }
 
 // ScenarioWith compiles the spec against a pre-built base scenario that
@@ -597,50 +513,23 @@ func (sp Spec) ScenarioWith(base *Scenario) (*Scenario, error) {
 	if sp.Record != "" || sp.Replay != "" {
 		return nil, fmt.Errorf("%w: trace record/replay cannot reuse a base scenario", ErrOptionConflict)
 	}
-	if got, want := base.Spec().Structural(), sp.Structural(); got.Fingerprint() != want.Fingerprint() {
-		return nil, fmt.Errorf("noc: base scenario is structurally different from the spec (base %016x, spec %016x)",
-			got.Fingerprint(), want.Fingerprint())
+	fork := *base
+	fork.cfg.Spec = sp.materialized()
+	if !sameStructure(&fork.cfg, &base.cfg) {
+		return nil, fmt.Errorf("noc: base scenario (%s, pattern %s, spatial %s) is structurally different from the spec (%s, pattern %s, spatial %s)",
+			base.cfg.Topology, base.cfg.Pattern, base.cfg.Spatial, fork.cfg.Topology, fork.cfg.Pattern, fork.cfg.Spatial)
 	}
-	return base.With(sp.tuningOptions()...)
+	return fork.checked()
 }
 
 // Spec returns the scenario's configuration in declarative, canonical
 // form — the inverse of Spec.Scenario up to canonicalization. Runtime
-// trace attachments (Record/Replay option values) have no file-path
-// representation and are omitted. Two legal-but-extreme option values
-// lie outside the codec's image, because the wire format reads their
-// zero values as "use the default": a scenario built with Warmup(0) or
-// Seed(0) reports the defaults (10000, 1) here and cannot be expressed
-// as a Spec.
-func (s *Scenario) Spec() Spec {
-	c := s.cfg
-	sp := Spec{
-		Topology: c.topoName, N: c.topoCfg.N, W: c.topoCfg.W, H: c.topoCfg.H, Dims: c.topoCfg.Dims,
-		Router:  c.routerName,
-		Pattern: c.patName, Dests: c.patCfg.K, Port: c.patCfg.Port, SetSeed: c.patCfg.Seed,
-		High: slices.Clone(c.patCfg.High), Low: slices.Clone(c.patCfg.Low),
-		MsgLen: c.msgLen, Rate: c.rate, Alpha: c.alpha,
-		HotspotFrac: c.hotspotFrac, HotspotNode: c.hotspotNode,
-		Arrival: c.arrival, BurstLen: c.burstLen, DutyCycle: c.dutyCycle,
-		Spatial: c.spatialName, SpatialFrac: c.spatialCfg.Frac,
-		SpatialNodes:   slices.Clone(c.spatialCfg.Nodes),
-		SpatialWeights: slices.Clone(c.spatialCfg.Weights),
-		Damping:        c.damping, MaxIter: c.maxIter, Tol: c.tol,
-		Wait: waitName(c.wait), Service: serviceName(c.service),
-		Seed: c.seed, Warmup: c.warmup, Measure: c.measure,
-		SatQueue: c.satQueue, Drain: c.drain, Detail: c.detail,
-		MulticastPriority: c.mcPriority,
-		Replications:      c.replications, Parallelism: c.parallelism,
-		IntraParallelism: c.intraParallelism,
-	}
-	if c.traceEnabled {
-		sp.TraceNode, sp.TraceLimit = c.traceNode, c.traceLimit
-	}
-	if c.metricsBuckets > 0 {
-		sp.Metrics, sp.MetricsBuckets = true, c.metricsBuckets
-	}
-	return sp.Canonical()
-}
+// trace attachments (Record/Replay) have no file-path representation and
+// are omitted. Two legal-but-extreme option values lie outside the
+// codec's image, because the wire format reads their zero values as "use
+// the default": a scenario built with Warmup(0) or Seed(0) reports the
+// defaults (10000, 1) here and cannot be expressed as a Spec.
+func (s *Scenario) Spec() Spec { return s.cfg.Spec.Canonical() }
 
 // Recording returns the trace capture buffer a Record option (or a
 // spec's Record path) attached to the scenario, nil otherwise. After a

@@ -161,6 +161,33 @@ func TestSpecRoundTrip(t *testing.T) {
 			t.Errorf("spec %d: canonical encoding is not a fixed point:\n %s\n %s", i, cj, cj2)
 		}
 	}
+
+	// Scenario -> Spec -> Scenario: Trace(node, 0) means the simulator's
+	// default cap, and the spec must say so — a trace_limit of 0 on the
+	// wire means "no tracing".
+	traced, err := NewScenario(Quarc(16), Rate(0.003), Warmup(500), Measure(5000), Trace(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := traced.Spec()
+	if sp.TraceNode != 2 || sp.TraceLimit != 10000 {
+		t.Errorf("Trace(2, 0) reports trace_node %d, trace_limit %d; want 2, 10000", sp.TraceNode, sp.TraceLimit)
+	}
+	back, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulator{}.Evaluate(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulator{}.Evaluate(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TraceText == "" || resultJSON(t, got) != resultJSON(t, want) {
+		t.Errorf("Trace(2, 0) does not survive Spec(): %d trace bytes before, %d after", len(want.TraceText), len(got.TraceText))
+	}
 }
 
 // TestSpecCanonicalization pins the content-addressing rules: spellings
@@ -241,6 +268,175 @@ func TestScenarioWithSharesStructure(t *testing.T) {
 	}
 	if _, err := sp.ScenarioWith(other); err == nil {
 		t.Error("ScenarioWith accepted a structurally different base")
+	}
+
+	// With shares on the same predicate: naming a default explicitly is
+	// not a structural change.
+	plain, err := NewScenario(Quarc(16), LocalizedDests(PortL, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Option{
+		"Router(quarc)":    Router("quarc"),
+		"Arrival(poisson)": Arrival("poisson"),
+		"Spatial(uniform)": Spatial("uniform", SpatialConfig{}),
+		"Quarc(16)":        Quarc(16),
+	} {
+		fork, err := plain.With(opt, Rate(0.002))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fork.router != plain.router {
+			t.Errorf("With(%s) rebuilt the routed topology", name)
+		}
+	}
+	if fork, err := plain.With(Spidergon(16)); err != nil {
+		t.Fatal(err)
+	} else if fork.router == plain.router || fork.Spec().Router != "spidergon" {
+		t.Errorf("With(Spidergon(16)) kept the quarc router (%s)", fork.Spec().Router)
+	}
+}
+
+// TestScenarioWithAllocBound pins the per-request compile cost of the
+// serving path and the per-operation fork of the sim workloads: neither
+// re-encodes or re-canonicalizes anything through the heap.
+func TestScenarioWithAllocBound(t *testing.T) {
+	sp := Spec{Topology: "quarc", N: 64, Pattern: "localized", Dests: 8,
+		Rate: 0.0005, Alpha: 0.05, Seed: 7, Warmup: 1000, Measure: 8000}
+	base, err := sp.Structural().Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := sp.ScenarioWith(base); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 4 {
+		t.Errorf("Spec.ScenarioWith: %v allocs, want <= 4", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := base.With(Rate(0.0004)); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("Scenario.With(Rate): %v allocs, want <= 2", got)
+	}
+}
+
+// TestStructuralPredicateMatchesStructural keeps the two definitions of
+// "structural" in step: perturbing a Spec field flips sameStructure
+// exactly when it changes Structural().
+func TestStructuralPredicateMatchesStructural(t *testing.T) {
+	base := config{Spec: Spec{}.Canonical()}
+	rt := reflect.TypeOf(base.Spec)
+	for i := 0; i < rt.NumField(); i++ {
+		mod := base
+		switch f := reflect.ValueOf(&mod.Spec).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Uint64:
+			f.Set(reflect.ValueOf(7).Convert(f.Type()))
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("field %s: unhandled kind %s", rt.Field(i).Name, f.Kind())
+		}
+		// Compare the sub-specs as picked, without Structural's
+		// re-canonicalization clearing the perturbed field again.
+		structural := !reflect.DeepEqual(pickStructural(mod.Spec), pickStructural(base.Spec))
+		if got := !sameStructure(&mod, &base); got != structural {
+			t.Errorf("field %s: sameStructure sees a change = %v, Structural = %v", rt.Field(i).Name, got, structural)
+		}
+	}
+}
+
+// TestEveryOptionHasASpecField walks Spec's JSON keys and requires, for
+// each, an option that writes it — so a field added to Spec without an
+// option (or an option that stores its value anywhere else) fails here.
+// Evaluator and the trace paths are wire-only: no option produces them.
+func TestEveryOptionHasASpecField(t *testing.T) {
+	table := map[string]struct {
+		opts []Option
+		want any
+	}{
+		"topology":          {[]Option{Spidergon(16)}, "spidergon"},
+		"n":                 {[]Option{Quarc(32)}, 32},
+		"w":                 {[]Option{Mesh(4, 2)}, 4},
+		"h":                 {[]Option{Mesh(4, 2)}, 2},
+		"dims":              {[]Option{Hypercube(3)}, 3},
+		"router":            {[]Option{Torus(4, 4), Router("mesh")}, "mesh"},
+		"pattern":           {[]Option{Broadcast()}, "broadcast"},
+		"dests":             {[]Option{LocalizedDests(PortR, 3)}, 3},
+		"port":              {[]Option{LocalizedDests(PortR, 3)}, PortR},
+		"set_seed":          {[]Option{RandomDests(3, 7)}, uint64(7)},
+		"high":              {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{1, 3}},
+		"low":               {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{2}},
+		"msglen":            {[]Option{MsgLen(8)}, 8},
+		"rate":              {[]Option{Rate(0.002)}, 0.002},
+		"alpha":             {[]Option{Broadcast(), Alpha(0.1)}, 0.1},
+		"hotspot_frac":      {[]Option{Hotspot(0.2, 3)}, 0.2},
+		"hotspot_node":      {[]Option{Hotspot(0.2, 3)}, 3},
+		"arrival":           {[]Option{Arrival("periodic")}, "periodic"},
+		"burst_len":         {[]Option{OnOff(4, 0.5)}, 4.0},
+		"duty_cycle":        {[]Option{OnOff(4, 0.5)}, 0.5},
+		"spatial":           {[]Option{Permutation("tornado")}, "tornado"},
+		"spatial_frac":      {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, 0.3},
+		"spatial_nodes":     {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []int{0, 5}},
+		"spatial_weights":   {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []float64{1, 2}},
+		"damping":           {[]Option{ModelDamping(0.5)}, 0.5},
+		"max_iter":          {[]Option{ModelMaxIter(50)}, 50},
+		"tol":               {[]Option{ModelTol(1e-6)}, 1e-6},
+		"wait":              {[]Option{ModelWait(PaperEq3Literal)}, "eq3"},
+		"service":           {[]Option{ModelService(TailRelease)}, "tail"},
+		"seed":              {[]Option{Seed(9)}, uint64(9)},
+		"warmup":            {[]Option{Warmup(500)}, 500.0},
+		"measure":           {[]Option{Measure(5000)}, 5000.0},
+		"sat_queue":         {[]Option{SatQueue(64)}, 64},
+		"drain":             {[]Option{Drain(true)}, true},
+		"detail":            {[]Option{Detail(true)}, true},
+		"mc_priority":       {[]Option{MulticastPriority(true)}, true},
+		"trace_node":        {[]Option{Trace(2, 8)}, 2},
+		"trace_limit":       {[]Option{Trace(2, 8)}, 8},
+		"replications":      {[]Option{Replications(3)}, 3},
+		"parallelism":       {[]Option{Parallelism(2)}, 2},
+		"intra_parallelism": {[]Option{IntraParallelism(4)}, 4},
+		"metrics":           {[]Option{Metrics(16)}, true},
+		"metrics_buckets":   {[]Option{Metrics(16)}, 16},
+	}
+	wireOnly := map[string]bool{"evaluator": true, "record": true, "replay": true}
+	rt := reflect.TypeOf(Spec{})
+	for i := 0; i < rt.NumField(); i++ {
+		key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		tc, ok := table[key]
+		if !ok {
+			if !wireOnly[key] {
+				t.Errorf("Spec.%s (%q) has no option in the table", rt.Field(i).Name, key)
+			}
+			continue
+		}
+		s, err := NewScenario(tc.opts...)
+		if err != nil {
+			t.Errorf("%s: %v", key, err)
+			continue
+		}
+		// Execution advice is stored but canonicalized out of Spec().
+		got, advice := s.Spec(), key == "parallelism" || key == "intra_parallelism"
+		if advice {
+			if v := reflect.ValueOf(got).Field(i); !v.IsZero() {
+				t.Errorf("%s: Spec() reports %v, want it canonicalized away", key, v)
+			}
+			got = s.cfg.Spec
+		}
+		if v := reflect.ValueOf(got).Field(i).Interface(); !reflect.DeepEqual(v, tc.want) {
+			t.Errorf("%s: option stored %#v, want %#v", key, v, tc.want)
+		}
+	}
+	if len(table)+len(wireOnly) != rt.NumField() {
+		t.Errorf("table has %d entries + %d wire-only keys for %d Spec fields", len(table), len(wireOnly), rt.NumField())
 	}
 }
 

@@ -108,14 +108,14 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	}
 	msgLens := o.MsgLens
 	if len(msgLens) == 0 {
-		msgLens = []int{s.cfg.msgLen}
+		msgLens = []int{s.cfg.MsgLen}
 	}
-	reps := s.cfg.replications
+	reps := s.cfg.Replications
 	if reps < 1 {
 		reps = 1
 	}
 
-	out := SweepResult{Topology: s.cfg.topoName, Set: s.SetString()}
+	out := SweepResult{Topology: s.cfg.Topology, Set: s.SetString()}
 
 	// Build the point grid. With explicit rates the grid is the plain
 	// cross product; otherwise each message length gets its own grid
@@ -139,7 +139,7 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 			if err != nil {
 				return SweepResult{}, err
 			}
-			if msgLen == s.cfg.msgLen || out.SatRate == 0 {
+			if msgLen == s.cfg.MsgLen || out.SatRate == 0 {
 				out.SatRate = sat
 			}
 			points := o.Points
@@ -329,10 +329,10 @@ type builtModel struct {
 // of returns the model of the scenario's message length, building it on
 // first use.
 func (ms sweepModels) of(s *Scenario) builtModel {
-	bm, ok := ms[s.cfg.msgLen]
+	bm, ok := ms[s.cfg.MsgLen]
 	if !ok {
 		bm.m, bm.err = buildModel(s)
-		ms[s.cfg.msgLen] = bm
+		ms[s.cfg.MsgLen] = bm
 	}
 	return bm
 }

@@ -21,10 +21,26 @@ func newLRU[V any](max int) *lruCache[V] {
 	return &lruCache[V]{max: max, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-func (c *lruCache[V]) get(key string) (V, bool) {
-	if el, ok := c.m[key]; ok {
+// get looks key up by its bytes: the map index converts without
+// copying, so a hit allocates nothing and only the caller that goes on
+// to add pays for a string key.
+func (c *lruCache[V]) get(key []byte) (V, bool) {
+	if el, ok := c.m[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*lruEntry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// find returns (and refreshes) the most recently used value match
+// accepts, walking the list in place.
+func (c *lruCache[V]) find(match func(V) bool) (V, bool) {
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if val := el.Value.(*lruEntry[V]).val; match(val) {
+			c.ll.MoveToFront(el)
+			return val, true
+		}
 	}
 	var zero V
 	return zero, false
@@ -50,13 +66,3 @@ func (c *lruCache[V]) add(key string, val V) int {
 }
 
 func (c *lruCache[V]) len() int { return c.ll.Len() }
-
-// keys lists the cached keys, most recently used first. The caller
-// holds the Evaluator's mutex.
-func (c *lruCache[V]) keys() []string {
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruEntry[V]).key)
-	}
-	return out
-}

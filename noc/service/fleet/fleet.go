@@ -173,25 +173,31 @@ func New(cfg Config) (*Dispatcher, error) {
 	return d, nil
 }
 
-// Evaluate serves one spec: dispatched to a peer when one is
-// admissible, degraded to the local evaluator otherwise. Peer-served
-// results carry service.SourceFleet.
-func (d *Dispatcher) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, service.Source, error) {
+// Serve answers one spec: dispatched to a peer when one is admissible,
+// degraded to the local evaluator otherwise. Peer-served responses
+// carry service.SourceFleet.
+func (d *Dispatcher) Serve(ctx context.Context, sp noc.Spec) (service.Response, error) {
 	if len(d.peers) > 0 {
-		res, err := d.dispatch(ctx, sp)
+		resp, err := d.dispatch(ctx, sp)
 		if err == nil {
 			d.dispatched.Add(1)
-			return res, service.SourceFleet, nil
+			return resp, nil
 		}
 		if ctx.Err() != nil {
-			return noc.Result{}, "", fmt.Errorf("fleet: %w", ctx.Err())
+			return service.Response{}, fmt.Errorf("fleet: %w", ctx.Err())
 		}
 		// Every dispatch failure — peers down, retries exhausted, or a
 		// peer-side 4xx — degrades to local evaluation, which either
 		// serves the job or produces the authoritative typed error.
 		d.fallbacks.Add(1)
 	}
-	return d.local.Evaluate(ctx, sp)
+	return d.local.Serve(ctx, sp)
+}
+
+// Evaluate is Serve for callers that want the Result alone.
+func (d *Dispatcher) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, service.Source, error) {
+	resp, err := d.Serve(ctx, sp)
+	return resp.Result, resp.Source, err
 }
 
 // Sweep evaluates the spec across the rate grid, fanning the points out
@@ -238,15 +244,15 @@ func (d *Dispatcher) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([
 // peer is admissible, answered from the local evaluator's caches
 // otherwise — including when the peer has since forgotten or lost the
 // entry.
-func (d *Dispatcher) Trace(ctx context.Context, fp uint64) (noc.Result, service.Source, error) {
+func (d *Dispatcher) Trace(ctx context.Context, fp uint64) (service.Response, error) {
 	if p := d.tracePeer(fp); p != nil && d.admissible(p) {
 		res, err := d.getTrace(ctx, p, fp)
 		if err == nil {
 			d.recordSuccess(p)
-			return res, service.SourceFleet, nil
+			return service.NewResponse(res, fp, service.SourceFleet)
 		}
 		if ctx.Err() != nil {
-			return noc.Result{}, "", fmt.Errorf("fleet: %w", ctx.Err())
+			return service.Response{}, fmt.Errorf("fleet: %w", ctx.Err())
 		}
 		var se *statusError
 		if !errors.As(err, &se) {
@@ -352,41 +358,47 @@ func (d *Dispatcher) PeerHealth() []service.PeerHealth {
 // hedging), back off and repeat on retryable failure. A peer-side 4xx
 // is non-retryable — the spec itself is wrong and every peer will say
 // the same.
-func (d *Dispatcher) dispatch(ctx context.Context, sp noc.Spec) (noc.Result, error) {
+//
+// The job's content address is hashed once, here, from the canonical
+// body every attempt posts; the peer's answer is decoded in full (post)
+// and re-encoded through the serving stack's one encoder, so a fleet
+// response is the document a local evaluation would have served.
+func (d *Dispatcher) dispatch(ctx context.Context, sp noc.Spec) (service.Response, error) {
 	body, err := sp.CanonicalJSON()
 	if err != nil {
-		return noc.Result{}, fmt.Errorf("fleet: encoding spec: %w", err)
+		return service.Response{}, fmt.Errorf("fleet: encoding spec: %w", err)
 	}
+	fp := service.FingerprintOf(body)
 	var lastErr error
 	for attempt := 1; attempt <= d.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return noc.Result{}, err
+			return service.Response{}, err
 		}
 		p := d.pickPeer(nil)
 		if p == nil {
 			if lastErr != nil {
-				return noc.Result{}, fmt.Errorf("%w after %d attempts: %w", errNoPeers, attempt-1, lastErr)
+				return service.Response{}, fmt.Errorf("%w after %d attempts: %w", errNoPeers, attempt-1, lastErr)
 			}
-			return noc.Result{}, errNoPeers
+			return service.Response{}, errNoPeers
 		}
 		if attempt > 1 {
 			d.retries.Add(1)
 		}
-		res, err := d.callHedged(ctx, p, sp, body)
+		res, err := d.callHedged(ctx, p, body, fp)
 		if err == nil {
-			return res, nil
+			return service.NewResponse(res, fp, service.SourceFleet)
 		}
 		if isNonRetryable(err) {
-			return noc.Result{}, err
+			return service.Response{}, err
 		}
 		lastErr = err
 		if attempt < d.cfg.MaxAttempts {
 			if err := sleepCtx(ctx, d.backoff(attempt)); err != nil {
-				return noc.Result{}, err
+				return service.Response{}, err
 			}
 		}
 	}
-	return noc.Result{}, fmt.Errorf("fleet: %d attempts exhausted: %w", d.cfg.MaxAttempts, lastErr)
+	return service.Response{}, fmt.Errorf("fleet: %d attempts exhausted: %w", d.cfg.MaxAttempts, lastErr)
 }
 
 // callHedged performs one dispatch attempt against primary, launching a
@@ -394,7 +406,7 @@ func (d *Dispatcher) dispatch(ctx context.Context, sp noc.Spec) (noc.Result, err
 // after HedgeAfter. First success wins; the loser is canceled. The
 // outcome channel is buffered to the launch count so abandoned calls
 // never leak a goroutine.
-func (d *Dispatcher) callHedged(ctx context.Context, primary *peer, sp noc.Spec, body []byte) (noc.Result, error) {
+func (d *Dispatcher) callHedged(ctx context.Context, primary *peer, body []byte, fp uint64) (noc.Result, error) {
 	cctx, cancel := context.WithTimeout(ctx, d.cfg.RequestTimeout)
 	defer cancel()
 
@@ -407,7 +419,7 @@ func (d *Dispatcher) callHedged(ctx context.Context, primary *peer, sp noc.Spec,
 	ch := make(chan outcome, 2)
 	launch := func(p *peer, hedged bool) {
 		go func() {
-			res, err := d.post(cctx, p, sp, body)
+			res, err := d.post(cctx, p, body, fp)
 			ch <- outcome{res: res, err: err, peer: p, hedged: hedged}
 		}()
 	}
@@ -428,7 +440,7 @@ func (d *Dispatcher) callHedged(ctx context.Context, primary *peer, sp noc.Spec,
 			outstanding--
 			if o.err == nil {
 				d.recordSuccess(o.peer)
-				d.rememberTrace(sp.Fingerprint(), o.peer)
+				d.rememberTrace(fp, o.peer)
 				if o.hedged {
 					d.hedgeWins.Add(1)
 				}
@@ -460,7 +472,7 @@ func (d *Dispatcher) callHedged(ctx context.Context, primary *peer, sp noc.Spec,
 // echoed fingerprint, and a full JSON decode. Anything short of a
 // complete, correctly-addressed result is an error — a truncated or
 // corrupted response can never be mistaken for data.
-func (d *Dispatcher) post(ctx context.Context, p *peer, sp noc.Spec, body []byte) (noc.Result, error) {
+func (d *Dispatcher) post(ctx context.Context, p *peer, body []byte, fp uint64) (noc.Result, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/v1/evaluate", bytes.NewReader(body))
 	if err != nil {
 		return noc.Result{}, fmt.Errorf("fleet: peer %s: %w", p.url, err)
@@ -479,7 +491,7 @@ func (d *Dispatcher) post(ctx context.Context, p *peer, sp noc.Spec, body []byte
 		msg, ec := compactError(data)
 		return noc.Result{}, &statusError{url: p.url, code: resp.StatusCode, errCode: ec, body: msg}
 	}
-	want := fmt.Sprintf("%016x", sp.Fingerprint())
+	want := fmt.Sprintf("%016x", fp)
 	if got := resp.Header.Get(service.HeaderFingerprint); got != "" && got != want {
 		return noc.Result{}, fmt.Errorf("fleet: peer %s answered fingerprint %s for job %s", p.url, got, want)
 	}

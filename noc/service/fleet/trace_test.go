@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -40,10 +41,11 @@ func TestTraceForwarding(t *testing.T) {
 		t.Fatal("fleet-served result has no series")
 	}
 
-	got, src, err := d.Trace(context.Background(), sp.Fingerprint())
+	traced, err := d.Trace(context.Background(), sp.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, src := traced.Result, traced.Source
 	if src != service.SourceFleet {
 		t.Errorf("trace source %q, want fleet (routed to the computing peer)", src)
 	}
@@ -74,7 +76,7 @@ func TestTraceFallsBackToLocal(t *testing.T) {
 
 	// No route recorded: the local evaluator is the only place to look,
 	// and it answers not_found.
-	if _, _, err := d.Trace(context.Background(), 0xdeadbeef); !errors.Is(err, service.ErrNotFound) {
+	if _, err := d.Trace(context.Background(), 0xdeadbeef); !errors.Is(err, service.ErrNotFound) {
 		t.Fatalf("unrouted trace = %v, want ErrNotFound", err)
 	}
 
@@ -87,10 +89,11 @@ func TestTraceFallsBackToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.rememberTrace(sp.Fingerprint(), d.peers[0])
-	got, src, err := d.Trace(context.Background(), sp.Fingerprint())
+	traced, err := d.Trace(context.Background(), sp.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, src := traced.Result, traced.Source
 	if src != service.SourceCache {
 		t.Errorf("fallback trace source %q, want cache (local)", src)
 	}
@@ -119,10 +122,10 @@ func TestTraceDeadPeerFallsBack(t *testing.T) {
 	d.rememberTrace(sp.Fingerprint(), d.peers[0])
 	p1.Close() // the routed peer is gone
 
-	if _, src, err := d.Trace(context.Background(), sp.Fingerprint()); err != nil {
+	if traced, err := d.Trace(context.Background(), sp.Fingerprint()); err != nil {
 		t.Fatalf("trace with a dead routed peer: %v", err)
-	} else if src != service.SourceCache {
-		t.Errorf("source %q, want cache (local fallback)", src)
+	} else if traced.Source != service.SourceCache {
+		t.Errorf("source %q, want cache (local fallback)", traced.Source)
 	}
 	if ph := d.PeerHealth()[0]; ph.Failures == 0 {
 		t.Errorf("dead peer's transport failure not recorded: %+v", ph)
@@ -195,5 +198,41 @@ func TestDispatchReadsEnvelopeCode(t *testing.T) {
 	}
 	if c := d.Counters(); c.Retries == 0 && c.Fallbacks > 0 {
 		t.Errorf("refusals were not retried: %+v", c)
+	}
+}
+
+// TestServeMatchesLocal pins the fleet's side of "one document": a
+// peer-served Response carries the body and content address the local
+// evaluator serves for the same spec, on the evaluate and the trace
+// path alike.
+func TestServeMatchesLocal(t *testing.T) {
+	p1, _ := newPeer(t)
+	d, err := New(Config{Peers: []string{p1.URL}, Local: newLocal(t), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := metricsSpec()
+	want, err := newLocal(t).Serve(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Serve(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := d.Trace(context.Background(), sp.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, resp := range map[string]service.Response{"evaluate": got, "trace": traced} {
+		if resp.Source != service.SourceFleet {
+			t.Errorf("%s: source %q, want fleet", name, resp.Source)
+		}
+		if resp.Fingerprint != sp.Fingerprint() {
+			t.Errorf("%s: fingerprint %016x, want %016x", name, resp.Fingerprint, sp.Fingerprint())
+		}
+		if !bytes.Equal(resp.Body, want.Body) {
+			t.Errorf("%s: body differs from the local evaluator's:\n %s\n %s", name, resp.Body, want.Body)
+		}
 	}
 }

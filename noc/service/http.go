@@ -41,15 +41,16 @@ const (
 // fleet.Dispatcher fanning jobs out to peer daemons. Implementations
 // must be safe for concurrent use.
 type Backend interface {
-	// Evaluate serves one spec; see Evaluator.Evaluate.
-	Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error)
+	// Serve answers one spec; see Evaluator.Serve. The handler writes
+	// Response.Body as is and never modifies it.
+	Serve(ctx context.Context, sp noc.Spec) (Response, error)
 	// Sweep evaluates the spec across a rate grid; see Evaluator.Sweep.
 	Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error)
-	// Trace serves the Result (with its recorded time series) of a
+	// Trace serves the response (with its recorded time series) of a
 	// previous evaluation by content address; see Evaluator.Trace. A
 	// fleet dispatcher forwards the query to the peer that computed the
 	// point before falling back to its local evaluator.
-	Trace(ctx context.Context, fp uint64) (noc.Result, Source, error)
+	Trace(ctx context.Context, fp uint64) (Response, error)
 	// Stats snapshots the serving counters.
 	Stats() Stats
 	// Healthz reports current serviceability.
@@ -202,19 +203,17 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 		}
 		ctx, cancel := hc.requestCtx(r)
 		defer cancel()
-		res, src, err := b.Evaluate(ctx, sp)
+		resp, err := b.Serve(ctx, sp)
 		if err != nil {
 			writeRequestError(w, r, ctx, err)
 			return
 		}
-		w.Header().Set(HeaderFingerprint, fmt.Sprintf("%016x", sp.Fingerprint()))
-		w.Header().Set(HeaderSource, string(src))
-		writeJSON(w, http.StatusOK, res)
+		writeResponse(w, resp)
 	})
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+		body, err := readBody(w, r)
 		if err != nil {
-			writeError(w, fmt.Errorf("%w: reading request: %w", noc.ErrInvalidSpec, err))
+			writeError(w, err)
 			return
 		}
 		// The embedded spec goes through the same strict ParseSpec as
@@ -264,17 +263,15 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 		}
 		ctx, cancel := hc.requestCtx(r)
 		defer cancel()
-		res, src, err := b.Trace(ctx, fp)
+		resp, err := b.Trace(ctx, fp)
 		if err != nil {
 			writeRequestError(w, r, ctx, err)
 			return
 		}
-		w.Header().Set(HeaderFingerprint, fmt.Sprintf("%016x", fp))
-		w.Header().Set(HeaderSource, string(src))
-		// The body is the full Result — the same document /v1/evaluate
+		// The body is the full Result — the very bytes /v1/evaluate
 		// served for this spec, series included — so offline recorder
 		// output diffs against it bitwise.
-		writeJSON(w, http.StatusOK, res)
+		writeResponse(w, resp)
 	})
 	mux.HandleFunc("GET /dashboard", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -323,9 +320,9 @@ func (hc HandlerConfig) requestCtx(r *http.Request) (context.Context, context.Ca
 // decodeSpec reads and strictly parses the request body as a Spec,
 // writing the error response itself on failure.
 func decodeSpec(w http.ResponseWriter, r *http.Request) (noc.Spec, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading request: %w", noc.ErrInvalidSpec, err))
+		writeError(w, err)
 		return noc.Spec{}, false
 	}
 	sp, err := noc.ParseSpec(body)
@@ -334,6 +331,32 @@ func decodeSpec(w http.ResponseWriter, r *http.Request) (noc.Spec, bool) {
 		return noc.Spec{}, false
 	}
 	return sp, true
+}
+
+// readBody reads one request document, bounded by maxRequestBody, into
+// a buffer sized from the declared Content-Length (one spare byte lets
+// the final Read report EOF without growing it); an undeclared length
+// starts at io.ReadAll's 512 bytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := r.ContentLength
+	if size < 0 {
+		size = 511
+	}
+	buf := make([]byte, 0, min(size, maxRequestBody)+1)
+	rd := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	for {
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: reading request: %w", noc.ErrInvalidSpec, err)
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // writeRequestError distinguishes the server-imposed evaluation
@@ -368,6 +391,32 @@ func writeError(w http.ResponseWriter, err error) {
 		status = 499 // client closed request (nginx convention)
 	}
 	writeJSON(w, status, errorBody{Error: err.Error(), Code: code})
+}
+
+// writeResponse serves an evaluate or trace Response: the three headers
+// and the body the Response already carries. The header values share one
+// backing array, each capped to its own element so a later Add cannot
+// reach its neighbour, and are assigned under their canonical keys.
+func writeResponse(w http.ResponseWriter, resp Response) {
+	vals := []string{"application/json", hex16(resp.Fingerprint), string(resp.Source)}
+	h := w.Header()
+	h["Content-Type"] = vals[0:1:1]
+	h[HeaderFingerprint] = vals[1:2:2]
+	h[HeaderSource] = vals[2:3:3]
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(resp.Body) // a failed write is a gone client; there is nobody left to tell
+}
+
+// hex16 formats a content address the way the wire carries it: sixteen
+// lower-case hexadecimal digits.
+func hex16(fp uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[fp&0xf]
+		fp >>= 4
+	}
+	return string(b[:])
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -16,13 +16,17 @@ import (
 // specific health states).
 type fakeBackend struct {
 	eval   func(ctx context.Context, sp noc.Spec) (noc.Result, Source, error)
-	trace  func(ctx context.Context, fp uint64) (noc.Result, Source, error)
+	trace  func(ctx context.Context, fp uint64) (Response, error)
 	health HealthState
 	peers  []PeerHealth
 }
 
-func (f *fakeBackend) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
-	return f.eval(ctx, sp)
+func (f *fakeBackend) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
+	res, src, err := f.eval(ctx, sp)
+	if err != nil {
+		return Response{}, err
+	}
+	return NewResponse(res, sp.Fingerprint(), src)
 }
 
 func (f *fakeBackend) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error) {
@@ -37,11 +41,11 @@ func (f *fakeBackend) Sweep(ctx context.Context, sp noc.Spec, rates []float64) (
 	return out, nil
 }
 
-func (f *fakeBackend) Trace(ctx context.Context, fp uint64) (noc.Result, Source, error) {
+func (f *fakeBackend) Trace(ctx context.Context, fp uint64) (Response, error) {
 	if f.trace != nil {
 		return f.trace(ctx, fp)
 	}
-	return noc.Result{}, "", ErrNotFound
+	return Response{}, ErrNotFound
 }
 
 func (f *fakeBackend) Stats() Stats             { return Stats{} }

@@ -24,6 +24,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +54,10 @@ var (
 	// ErrNotFound reports a Trace query for a fingerprint no cached,
 	// in-flight or stored evaluation answers to.
 	ErrNotFound = errors.New("service: no result for that fingerprint")
+	// ErrUnencodable reports a Result the response encoder refused (a
+	// non-finite number outside the latency fields). It fails the
+	// evaluation before anything is cached, persisted or written.
+	ErrUnencodable = errors.New("service: result is not encodable")
 )
 
 // MaxSweepPoints bounds one sweep request's rate grid, here and in the
@@ -158,10 +163,69 @@ type HealthState struct {
 	Reason string `json:"reason,omitempty"`
 }
 
+// Response is one served evaluation: the Result, the response document
+// it encodes to, the content address of the spec that produced it and
+// how this request obtained it. Body is the exact byte string every
+// request for the same spec is answered with — computed, cached,
+// coalesced, read back from the store or traced — and is shared between
+// them: callers must treat it as read-only.
+type Response struct {
+	Result      noc.Result
+	Body        []byte
+	Fingerprint uint64
+	Source      Source
+}
+
+// NewResponse encodes res into the Response served under content
+// address fp. It is how a backend that obtains Results elsewhere (the
+// fleet dispatcher) produces the same document an Evaluator serves.
+func NewResponse(res noc.Result, fp uint64, src Source) (Response, error) {
+	ent, err := newEntry(fp, res)
+	if err != nil {
+		return Response{}, err
+	}
+	return ent.response(src), nil
+}
+
+// entry is one cached evaluation, immutable once built: the Result, its
+// encoded response document and the fingerprint of its key. It is built
+// exactly once, where the Result is born (newEntry), and shared by the
+// LRU, the flight that produced it and every Response served from it.
+type entry struct {
+	res  noc.Result
+	body []byte
+	fp   uint64
+}
+
+func newEntry(fp uint64, res noc.Result) (*entry, error) {
+	body, err := encodeResult(res)
+	if err != nil {
+		return nil, err
+	}
+	return &entry{res: res, body: body, fp: fp}, nil
+}
+
+// encodeResult is the one Result encoder of the serving stack: the
+// response document of /v1/evaluate and /v1/trace, newline-terminated,
+// HTML characters unescaped.
+func encodeResult(res noc.Result) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(res); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrUnencodable, err)
+	}
+	return buf.Bytes(), nil
+}
+
+func (ent *entry) response(src Source) Response {
+	return Response{Result: ent.res, Body: ent.body, Fingerprint: ent.fp, Source: src}
+}
+
 // flight is one in-progress evaluation; waiters block on done.
 type flight struct {
 	done chan struct{}
-	res  noc.Result
+	ent  *entry
 	err  error
 }
 
@@ -185,7 +249,7 @@ type Evaluator struct {
 	once sync.Once
 
 	mu      sync.Mutex
-	results *lruCache[noc.Result]
+	results *lruCache[*entry]
 	bases   *lruCache[*noc.Scenario]
 	flights map[string]*flight
 
@@ -204,7 +268,7 @@ func New(cfg Config) *Evaluator {
 		cfg:     cfg,
 		jobs:    make(chan job, cfg.QueueDepth),
 		done:    make(chan struct{}),
-		results: newLRU[noc.Result](cfg.CacheEntries),
+		results: newLRU[*entry](cfg.CacheEntries),
 		bases:   newLRU[*noc.Scenario](cfg.ScenarioEntries),
 		flights: make(map[string]*flight),
 	}
@@ -277,47 +341,52 @@ func (e *Evaluator) Healthz() HealthState {
 	return HealthState{Status: StatusOK}
 }
 
-// Evaluate serves one spec: from the cache when its canonical encoding
+// Serve answers one spec: from the cache when its canonical encoding
 // was evaluated before, by joining an identical in-flight evaluation, or
-// by scheduling a fresh evaluation on the worker pool. The returned
-// Source says which; cached and cold responses for the same spec are
-// bitwise identical.
-func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
+// by scheduling a fresh evaluation on the worker pool. Response.Source
+// says which; whichever it is, the same spec is answered with the same
+// bytes.
+func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	if err := sp.Validate(); err != nil {
-		return noc.Result{}, "", err
+		return Response{}, err
 	}
 	if sp.Record != "" || sp.Replay != "" {
-		return noc.Result{}, "", ErrTraceSpec
+		return Response{}, ErrTraceSpec
 	}
 	// Canonicalize once: the encoding is the cache key, and the canonical
 	// spec itself is what a worker compiles.
 	canon := sp.Canonical()
 	cjson, err := json.Marshal(canon)
 	if err != nil {
-		return noc.Result{}, "", fmt.Errorf("service: encoding spec: %w", err)
+		return Response{}, fmt.Errorf("service: encoding spec: %w", err)
 	}
-	key := string(cjson)
 
+	// Both lookups go by the marshalled bytes; only a miss pays for the
+	// string key the tables keep.
 	e.mu.Lock()
-	if res, ok := e.results.get(key); ok {
+	if ent, ok := e.results.get(cjson); ok {
 		e.mu.Unlock()
 		e.hits.Add(1)
-		return res, SourceCache, nil
+		return ent.response(SourceCache), nil
 	}
-	if f, ok := e.flights[key]; ok {
+	if f, ok := e.flights[string(cjson)]; ok {
 		e.mu.Unlock()
 		e.coalesced.Add(1)
-		res, err := e.wait(ctx, f)
-		if err != nil && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The submitting caller gave up before its job reached the
-			// queue and failed the shared flight with its own context
-			// error; ours is still live, so take over with a fresh
-			// attempt instead of propagating a foreign cancellation.
-			return e.Evaluate(ctx, sp)
+		ent, err := e.wait(ctx, f)
+		if err != nil {
+			if ctx.Err() == nil &&
+				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				// The submitting caller gave up before its job reached the
+				// queue and failed the shared flight with its own context
+				// error; ours is still live, so take over with a fresh
+				// attempt instead of propagating a foreign cancellation.
+				return e.Serve(ctx, sp)
+			}
+			return Response{}, err
 		}
-		return res, SourceCoalesced, err
+		return ent.response(SourceCoalesced), nil
 	}
+	key := string(cjson)
 	f := &flight{done: make(chan struct{})}
 	e.flights[key] = f
 	e.mu.Unlock()
@@ -325,12 +394,15 @@ func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Sour
 	// Durable layer: a warm restart finds the result on disk. The
 	// lookup runs under the flight, so concurrent identical requests
 	// coalesce onto one disk read exactly as they do onto one
-	// evaluation; resolve() promotes the hit into the LRU.
+	// evaluation; resolve() encodes the hit and promotes it into the LRU.
 	if e.cfg.Store != nil {
 		if res, ok := e.cfg.Store.Get(key); ok {
 			e.storeHits.Add(1)
 			e.resolve(job{key: key, f: f}, res, nil)
-			return res, SourceStore, nil
+			if f.err != nil {
+				return Response{}, f.err
+			}
+			return f.ent.response(SourceStore), nil
 		}
 	}
 	e.misses.Add(1)
@@ -351,13 +423,22 @@ func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Sour
 			err = fmt.Errorf("%w (%v)", ErrQueueSaturated, ctx.Err()) //quarclint:ignore errdiscipline the context error must NOT join the chain: overload classifies as queue_saturated, not as the caller's timeout
 		}
 		e.resolve(job{key: key, f: f}, noc.Result{}, err)
-		return noc.Result{}, "", err
+		return Response{}, err
 	case <-e.done:
 		e.resolve(job{key: key, f: f}, noc.Result{}, ErrClosed)
-		return noc.Result{}, "", ErrClosed
+		return Response{}, ErrClosed
 	}
-	res, err := e.wait(ctx, f)
-	return res, SourceComputed, err
+	ent, err := e.wait(ctx, f)
+	if err != nil {
+		return Response{}, err
+	}
+	return ent.response(SourceComputed), nil
+}
+
+// Evaluate is Serve for callers that want the Result alone.
+func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
+	resp, err := e.Serve(ctx, sp)
+	return resp.Result, resp.Source, err
 }
 
 // Sweep evaluates the spec across a rate grid on the shared pool — one
@@ -397,67 +478,69 @@ func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]
 }
 
 // Trace serves the observability payload of a previous (or in-flight)
-// evaluation by content address: the Result whose spec fingerprint is
+// evaluation by content address: the response whose spec fingerprint is
 // fp, searched through the LRU cache, the in-flight table (a live
 // evaluation resolves the query when it completes) and the durable
-// store. The fingerprint is derivable from the cache key — it is the
-// FNV-1a hash of the canonical spec encoding, the same address
-// noc.Spec.Fingerprint computes — so no side index is needed; the scan
-// is O(entries) per query, far off the evaluation hot path. A result
-// evaluated without Metrics resolves to ErrNotFound: the daemon never
-// recomputes on a GET.
-func (e *Evaluator) Trace(ctx context.Context, fp uint64) (noc.Result, Source, error) {
+// store. Every cached entry carries its fingerprint, so the cache scan
+// compares integers under the mutex and allocates nothing; the
+// in-flight table (at most Workers + QueueDepth keys) and the store's
+// key list are hashed per query — the fingerprint is the FNV-1a hash of
+// the canonical spec encoding, the same address noc.Spec.Fingerprint
+// computes, so no side index is needed. A result evaluated without
+// Metrics resolves to ErrNotFound: the daemon never recomputes on a GET.
+func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 	e.mu.Lock()
-	for _, key := range e.results.keys() {
-		if fingerprintOf(key) != fp {
-			continue
-		}
-		res, _ := e.results.get(key)
+	if ent, ok := e.results.find(func(ent *entry) bool { return ent.fp == fp }); ok {
 		e.mu.Unlock()
-		return traceResult(res, SourceCache)
+		return traceResponse(ent, SourceCache)
 	}
 	var live *flight
 	for key, f := range e.flights {
-		if fingerprintOf(key) == fp {
+		if FingerprintOf(key) == fp {
 			live = f
 			break
 		}
 	}
 	e.mu.Unlock()
 	if live != nil {
-		res, err := e.wait(ctx, live)
+		ent, err := e.wait(ctx, live)
 		if err != nil {
-			return noc.Result{}, "", err
+			return Response{}, err
 		}
-		return traceResult(res, SourceCoalesced)
+		return traceResponse(ent, SourceCoalesced)
 	}
 	if e.cfg.Store != nil {
 		for _, key := range e.cfg.Store.Keys() {
-			if fingerprintOf(key) != fp {
+			if FingerprintOf(key) != fp {
 				continue
 			}
 			if res, ok := e.cfg.Store.Get(key); ok {
 				e.storeHits.Add(1)
-				return traceResult(res, SourceStore)
+				ent, err := newEntry(fp, res)
+				if err != nil {
+					return Response{}, err
+				}
+				return traceResponse(ent, SourceStore)
 			}
 		}
 	}
-	return noc.Result{}, "", fmt.Errorf("%w: %016x has not been evaluated here", ErrNotFound, fp)
+	return Response{}, fmt.Errorf("%w: %016x has not been evaluated here", ErrNotFound, fp)
 }
 
-// traceResult finishes a Trace lookup: a hit without a recorded series
+// traceResponse finishes a Trace lookup: a hit without a recorded series
 // is still ErrNotFound, with a hint at the missing spec field.
-func traceResult(res noc.Result, src Source) (noc.Result, Source, error) {
-	if res.Series == nil {
-		return noc.Result{}, "", fmt.Errorf("%w: the result has no recorded series (evaluate with \"metrics\": true)", ErrNotFound)
+func traceResponse(ent *entry, src Source) (Response, error) {
+	if ent.res.Series == nil {
+		return Response{}, fmt.Errorf("%w: the result has no recorded series (evaluate with \"metrics\": true)", ErrNotFound)
 	}
-	return res, src, nil
+	return ent.response(src), nil
 }
 
-// fingerprintOf is the FNV-1a content address of a cache key — by
-// construction identical to noc.Spec.Fingerprint() of the spec the key
-// canonically encodes.
-func fingerprintOf(key string) uint64 {
+// FingerprintOf is the FNV-1a content address of a canonical spec
+// encoding (a cache key, or noc.Spec.CanonicalJSON's bytes) — by
+// construction identical to noc.Spec.Fingerprint() of the spec it
+// encodes, without canonicalizing and marshalling it again.
+func FingerprintOf[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -473,30 +556,38 @@ func fingerprintOf(key string) uint64 {
 // wait blocks until the flight resolves, the caller's context expires or
 // the evaluator closes. An abandoned flight still completes and caches
 // its result for the next request.
-func (e *Evaluator) wait(ctx context.Context, f *flight) (noc.Result, error) {
+func (e *Evaluator) wait(ctx context.Context, f *flight) (*entry, error) {
 	select {
 	case <-f.done:
-		return f.res, f.err
+		return f.ent, f.err
 	case <-ctx.Done():
-		return noc.Result{}, ctx.Err()
+		return nil, ctx.Err()
 	case <-e.done:
 		// The pool is shutting down; the flight may never run. Give a
 		// resolved flight precedence over the shutdown signal.
 		select {
 		case <-f.done:
-			return f.res, f.err
+			return f.ent, f.err
 		default:
-			return noc.Result{}, ErrClosed
+			return nil, ErrClosed
 		}
 	}
 }
 
-// resolve publishes a flight's outcome (caching successes) and wakes its
-// waiters. Freshly computed results are persisted to the durable store
-// before the flight resolves, so a result is on disk by the time any
-// client has seen it; a persistence failure only degrades durability
-// (counted, response unaffected).
+// resolve publishes a flight's outcome and wakes its waiters. This is
+// where a Result is born as far as serving goes: a success is encoded
+// into its entry here, once — on the worker for computed results, on the
+// requesting goroutine for a store read-back — and an encode failure
+// fails the flight like any evaluation error, so nothing unencodable is
+// cached, persisted or answered 200. Freshly computed results are
+// persisted to the durable store before the flight resolves, so a result
+// is on disk by the time any client has seen it; a persistence failure
+// only degrades durability (counted, response unaffected).
 func (e *Evaluator) resolve(j job, res noc.Result, err error) {
+	var ent *entry
+	if err == nil {
+		ent, err = newEntry(FingerprintOf(j.key), res)
+	}
 	if err == nil && j.persist && e.cfg.Store != nil {
 		if perr := e.cfg.Store.Put(j.key, res); perr != nil {
 			e.storeErrors.Add(1)
@@ -504,11 +595,11 @@ func (e *Evaluator) resolve(j job, res noc.Result, err error) {
 	}
 	e.mu.Lock()
 	if err == nil {
-		e.evictions.Add(uint64(e.results.add(j.key, res)))
+		e.evictions.Add(uint64(e.results.add(j.key, ent)))
 	}
 	delete(e.flights, j.key)
 	e.mu.Unlock()
-	j.f.res, j.f.err = res, err
+	j.f.ent, j.f.err = ent, err
 	close(j.f.done)
 }
 
@@ -561,9 +652,8 @@ func (e *Evaluator) baseFor(sp noc.Spec) (*noc.Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding structural spec: %w", err)
 	}
-	key := string(cjson)
 	e.mu.Lock()
-	base, ok := e.bases.get(key)
+	base, ok := e.bases.get(cjson)
 	e.mu.Unlock()
 	if ok {
 		return base, nil
@@ -573,7 +663,7 @@ func (e *Evaluator) baseFor(sp noc.Spec) (*noc.Scenario, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.bases.add(key, base)
+	e.bases.add(string(cjson), base)
 	e.mu.Unlock()
 	return base, nil
 }

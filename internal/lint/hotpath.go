@@ -20,17 +20,20 @@ func defaultHotpaths() map[string][]string {
 			"Engine.ReserveSeq",
 			"Engine.Schedule",
 			"Engine.ScheduleSeq",
-			"Engine.push",
+			"Engine.put",
 			"Engine.run",
 			"calQueue.dayOf",
 			"calQueue.head",
 			"calQueue.insert",
 			"calQueue.migrate",
-			"calQueue.pop",
-			"calQueue.push",
+			"calQueue.place",
+			"calQueue.popRef",
+			"calQueue.pushOverflow",
+			"calQueue.setOvDue",
+			"calQueue.slot",
 			"eventHeap.pop",
 			"eventHeap.push",
-			"lessItem",
+			"keyLess",
 		},
 		"quarc/internal/traffic": {
 			"Workload.Interarrival",

@@ -41,6 +41,14 @@ type calQueue struct {
 	// far-future horizons.
 	horizonDays int64
 	overflow    eventHeap
+	// ovDue caches when the overflow heap next needs looking at: its
+	// earliest event enters the ring horizon once day > ovDue, i.e. ovDue =
+	// dayOf(overflow[0].t) - horizonDays, or MaxInt64 while the heap is
+	// empty. Everything that moves either side of that equation — an
+	// overflow push or pop, a new day width or bucket count — goes through
+	// setOvDue, so head() tests one integer per pop instead of calling
+	// migrate.
+	ovDue int64
 
 	// growAt/shrinkAt are the population thresholds of the bucket count,
 	// derived from it at the last rebuild.
@@ -117,6 +125,26 @@ func (q *calQueue) setGeometry(nb int, width, now float64) {
 	if nb == calMinBuckets {
 		q.shrinkAt = 0 // never shrink below the minimum geometry
 	}
+	q.setOvDue()
+}
+
+// setOvDue recomputes ovDue from the overflow heap's head and the current
+// geometry.
+//
+//quarc:hotpath
+func (q *calQueue) setOvDue() {
+	q.ovDue = math.MaxInt64
+	if len(q.overflow) > 0 {
+		q.ovDue = q.dayOf(q.overflow[0].t) - q.horizonDays
+	}
+}
+
+// pushOverflow parks it in the far-future heap.
+//
+//quarc:hotpath
+func (q *calQueue) pushOverflow(it item) {
+	q.overflow.push(it)
+	q.setOvDue()
 }
 
 // bucketsFor returns the bucket count for a population of n: the next
@@ -165,29 +193,46 @@ func (q *calQueue) makeBuckets(nb int) {
 	q.horizonDays = horizonYears * int64(nb)
 }
 
-// push inserts it; now is the engine clock, a lower bound for it.t used
-// to anchor the geometry.
+// place files an event under (t, seq) and returns the bucket slot it will
+// wait in, key already set, for the caller to fill in the rest — or nil
+// when the event lies beyond the ring horizon and belongs in the overflow
+// heap (pushOverflow). now is the engine clock, a lower bound for t used
+// to anchor the geometry. The slot is valid until the next queue
+// operation.
 //
 //quarc:hotpath
-func (q *calQueue) push(it item, now float64) {
+func (q *calQueue) place(t float64, seq uint64, now float64) *item {
 	if q.buckets == nil {
 		q.setGeometry(calMinBuckets, 1, now)
 	}
 	if q.len() >= q.growAt {
 		q.resize(q.width)
 	}
-	q.insert(it)
+	d := q.dayOf(t)
+	if d >= q.day+q.horizonDays {
+		return nil
+	}
+	return q.slot(d, t, seq)
 }
 
-// insert places it into its ring slot or the overflow heap.
+// insert re-files a whole item into its ring slot or the overflow heap:
+// the by-value path of migrate, resize and unpop.
 //
 //quarc:hotpath
 func (q *calQueue) insert(it item) {
 	d := q.dayOf(it.t)
 	if d >= q.day+q.horizonDays {
-		q.overflow.push(it)
+		q.pushOverflow(it)
 		return
 	}
+	*q.slot(d, it.t, it.seq) = it
+}
+
+// slot opens the sorted position of key (t, seq) in day d's bucket and
+// returns it with the key stored.
+//
+//quarc:hotpath
+func (q *calQueue) slot(d int64, t float64, seq uint64) *item {
 	if d < q.day {
 		// The walk advanced to the head event's day, but the engine only
 		// peeked at it or deferred it at a Run horizon, and the clock
@@ -197,38 +242,40 @@ func (q *calQueue) insert(it item) {
 		q.day = d
 	}
 	b := &q.buckets[d&q.mask]
-	if len(b.items) == cap(b.items) && b.head > 0 {
+	n := len(b.items)
+	if n == cap(b.items) && b.head > 0 {
 		// The bucket is a FIFO ring: pops advance head while inserts
 		// append. Compact the dead head space instead of growing — a slot
 		// fed by a steady event chain would otherwise reallocate every
 		// ring lap.
-		n := copy(b.items, b.items[b.head:])
-		for j := n; j < len(b.items); j++ {
-			b.items[j] = item{} // drop payload references
-		}
-		b.items = b.items[:n]
+		n = copy(b.items, b.items[b.head:])
 		b.head = 0
 	}
-	b.items = append(b.items, it)
+	if n < cap(b.items) {
+		b.items = b.items[:n+1]
+	} else {
+		b.items = append(b.items, item{})
+	}
 	// Shift later items up to keep the bucket sorted. Same-time events
 	// arrive in increasing seq, so the common case is zero moves.
-	items, n := b.items, len(b.items)-1
-	i := n
-	for ; i > b.head && lessItem(it, items[i-1]); i-- {
+	items, i := b.items, n
+	for ; i > b.head && keyLess(t, seq, &items[i-1]); i-- {
 		items[i] = items[i-1]
 	}
-	if i < n {
-		items[i] = it
-	}
 	q.count++
+	p := &items[i]
+	p.t, p.seq = t, seq
+	return p
 }
 
+// keyLess reports whether key (t, seq) orders before b's.
+//
 //quarc:hotpath
-func lessItem(a, b item) bool {
-	if a.t != b.t {
-		return a.t < b.t
+func keyLess(t float64, seq uint64, b *item) bool {
+	if t != b.t {
+		return t < b.t
 	}
-	return a.seq < b.seq
+	return seq < b.seq
 }
 
 // migrate moves overflow events that entered the ring horizon (the
@@ -236,25 +283,30 @@ func lessItem(a, b item) bool {
 //
 //quarc:hotpath
 func (q *calQueue) migrate() {
-	for len(q.overflow) > 0 && q.dayOf(q.overflow[0].t) < q.day+q.horizonDays {
-		q.insert(q.overflow.pop())
+	for q.day > q.ovDue {
+		it := q.overflow.pop()
+		q.setOvDue()
+		q.insert(it)
 	}
 }
 
-// pop removes and returns the earliest (t, seq) event; now is the engine
-// clock, the time the dequeues counted so far have served up to.
+// popRef dequeues the earliest (t, seq) event and returns its slot, or nil
+// when the queue is empty; now is the engine clock, the time the dequeues
+// counted so far have served up to. The slot is left as it is — nothing in
+// an item needs dropping — and stays readable until the next queue
+// operation, which may compact over it or abandon its array: the caller
+// copies out what it needs first.
 //
 //quarc:hotpath
-func (q *calQueue) pop(now float64) (item, bool) {
+func (q *calQueue) popRef(now float64) *item {
 	if q.len() == 0 {
-		return item{}, false
+		return nil
 	}
 	if q.pops >= calWindow || q.len() < q.shrinkAt {
 		q.retune(now)
 	}
 	b := q.head()
-	it := b.items[b.head]
-	b.items[b.head] = item{} // drop payload references
+	p := &b.items[b.head]
 	b.head++
 	if b.head == len(b.items) {
 		b.items = b.items[:0]
@@ -262,12 +314,13 @@ func (q *calQueue) pop(now float64) (item, bool) {
 	}
 	q.count--
 	q.pops++
-	return it, true
+	return p
 }
 
-// unpop re-files the item pop just returned and takes it back out of the
-// dequeue count: the engine's put-back of the first event beyond a Run
-// horizon, which was never served.
+// unpop re-files the item popRef just returned (passed by value: filing it
+// reuses the slot) and takes it back out of the dequeue count: the
+// engine's put-back of the first event beyond a Run horizon, which was
+// never served.
 func (q *calQueue) unpop(it item) {
 	q.insert(it)
 	q.pops--
@@ -287,7 +340,7 @@ func (q *calQueue) peek() (float64, bool) {
 //
 //quarc:hotpath
 func (q *calQueue) head() *bucket {
-	if len(q.overflow) > 0 {
+	if q.day > q.ovDue || q.count == 0 {
 		if q.count == 0 {
 			// Everything lies beyond the ring horizon: jump to it.
 			q.day = q.dayOf(q.overflow[0].t)
@@ -333,7 +386,7 @@ func (q *calQueue) minBucketDay() int64 {
 	return min
 }
 
-// retune is the geometry policy, run from pop. A day is sized by what the
+// retune is the geometry policy, run from popRef. A day is sized by what the
 // queue serves, not by what it stores: ~3x the mean gap between dequeues
 // over the last calWindow of them (Brown's rule, with the separation
 // measured at the head of the queue). A population of parked timers far
@@ -395,9 +448,6 @@ func (q *calQueue) resize(width float64) {
 	}
 	// Retain the gather buffer only at moderate sizes so one huge run
 	// doesn't pin the scratch space.
-	for i := range all {
-		all[i] = item{}
-	}
 	if cap(all) <= 1<<15 {
 		q.scratch = all[:0]
 	} else {
@@ -405,32 +455,27 @@ func (q *calQueue) resize(width float64) {
 	}
 }
 
-// reset empties the queue, dropping payload references, and forgets
-// everything the last run learned: the geometry returns to the default
-// (the owner re-issues its hint) and the dequeue window restarts, so a
-// reused queue's speed is a function of the run it serves and never of
-// the runs before it. Only storage survives — unless grossly over-grown
-// by a past run: buckets and the overflow heap above maxRetain items are
-// freed so a single huge run does not pin memory for the rest of a sweep.
+// reset empties the queue and forgets everything the last run learned:
+// the geometry returns to the default (the owner re-issues its hint) and
+// the dequeue window restarts, so a reused queue's speed is a function of
+// the run it serves and never of the runs before it. Only storage
+// survives — unless grossly over-grown by a past run: buckets and the
+// overflow heap above maxRetain items are freed so a single huge run does
+// not pin memory for the rest of a sweep.
 func (q *calQueue) reset(maxRetain int) {
 	total := 0
 	for i := range q.bucketStore {
 		b := &q.bucketStore[i]
-		for j := b.head; j < len(b.items); j++ {
-			b.items[j] = item{}
-		}
 		total += cap(b.items)
 		b.items = b.items[:0]
 		b.head = 0
-	}
-	for i := range q.overflow {
-		q.overflow[i] = item{}
 	}
 	if cap(q.overflow) > maxRetain {
 		q.overflow = nil
 	} else {
 		q.overflow = q.overflow[:0]
 	}
+	q.setOvDue()
 	if cap(q.scratch) > maxRetain {
 		q.scratch = nil
 	}

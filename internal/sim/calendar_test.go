@@ -253,3 +253,240 @@ func FuzzCalendarVsHeap(f *testing.F) {
 		}
 	})
 }
+
+// reentrant is a handler that schedules from inside Handle, driven by a
+// cyclic op tape: the engine pops an event by reference and the handler
+// then inserts into the very bucket the popped slot lives in. Every event
+// carries a distinct (Kind, Arg, Ref) and every eighth a Data value or a
+// closure, so a slot read after it was overwritten — or a side-table entry
+// crossed with another's — shows up in the record.
+type reentrant struct {
+	ops    []byte
+	cursor int
+	next   int32 // id of the next event to schedule
+	budget int   // events the handler may still schedule
+	log    []fired
+}
+
+type fired struct {
+	t    float64
+	kind Kind
+	arg  int32
+	ref  int32
+	data any
+}
+
+func (r *reentrant) schedule(e *Engine, t float64) {
+	id := r.next
+	r.next++
+	ev := Event{Kind: Kind(id%250 + 1), Arg: id, Ref: -id * 7}
+	switch id % 16 {
+	case 0:
+		ev.Data = int(id) // compared by value across the two schedulers
+	case 8:
+		ev.Fn = func(e *Engine) {
+			r.log = append(r.log, fired{t: e.Now(), arg: id, data: "fn"})
+			r.react(e)
+		}
+	}
+	e.Schedule(t, ev)
+}
+
+func (r *reentrant) Handle(e *Engine, ev Event) {
+	r.log = append(r.log, fired{e.Now(), ev.Kind, ev.Arg, ev.Ref, ev.Data})
+	r.react(e)
+}
+
+// react consumes one op and schedules what it asks for, all relative to
+// the firing event's own time.
+func (r *reentrant) react(e *Engine) {
+	if len(r.ops) == 0 || r.budget <= 0 {
+		return
+	}
+	op := r.ops[r.cursor%len(r.ops)]
+	r.cursor++
+	n, at := 0, func(int) float64 { return e.Now() }
+	switch op % 6 {
+	case 0: // same instant
+		n = 1 + int(op>>4)%3
+	case 1: // same day: enough to compact and then grow the popped bucket
+		n = 17 + int(op>>4)
+		at = func(j int) float64 { return e.Now() + float64(j)*1e-7 }
+	case 2: // the next days
+		n = 2
+		at = func(j int) float64 { return e.Now() + float64(1+j)*1.25 }
+	case 3: // far beyond the ring horizon: the overflow heap
+		n = 1
+		at = func(int) float64 { return e.Now() + 1e7 + float64(op) }
+	case 4: // one step ahead: keeps a chain alive
+		n = 1
+		at = func(int) float64 { return e.Now() + 0.5 }
+	}
+	for j := 0; j < n && r.budget > 0; j++ {
+		r.schedule(e, at(j))
+		r.budget--
+	}
+}
+
+// FuzzEngineReentrant is FuzzCalendarVsHeap with the scheduling moved
+// inside Handle, where the pop-by-reference hazard lives: calendar and
+// heap must dispatch identical (t, Kind, Arg, Ref, Data) sequences.
+func FuzzEngineReentrant(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1})                       // same-day floods only
+	f.Add([]byte{0, 1, 2, 3, 4, 5})                 // one of each
+	f.Add([]byte{4, 4, 4, 17, 4, 4, 33, 3, 4, 1})   // chains with floods and far timers
+	f.Add([]byte{3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 49}) // overflow-heavy
+	f.Add(bytes.Repeat([]byte{4, 0, 4, 2, 1}, 40))  // long enough to cross a dequeue window
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		run := func(e *Engine) []fired {
+			r := &reentrant{ops: ops, budget: 6000}
+			e.SetHandler(r)
+			for i := 0; i < 8; i++ {
+				r.schedule(e, float64(i)*0.75)
+			}
+			for i := 0; i < 64 && e.Pending() > 0; i++ {
+				e.Run(e.Now() + 3.3) // horizons cut through floods: put-backs
+			}
+			e.RunAll()
+			return r.log
+		}
+		cal, heap := run(New()), run(NewWithHeap())
+		if len(cal) != len(heap) {
+			t.Fatalf("calendar fired %d, heap fired %d", len(cal), len(heap))
+		}
+		for i := range cal {
+			if cal[i] != heap[i] {
+				t.Fatalf("dispatch %d diverged: calendar %+v vs heap %+v", i, cal[i], heap[i])
+			}
+		}
+	})
+}
+
+// TestOverflowDueCache drives the cached overflow due-day through every
+// point that can move it — overflow pushes and pops, a hint, a grow and a
+// shrink rebuild, width retunes, a RunBefore put-back, peeks and Reset —
+// under the wormhole's shape: parked far timers behind a dense near
+// stream. The cache must equal its definition at every checkpoint, the
+// dispatch order must equal the heap oracle's, and once the clock has
+// passed the timers nothing may be left in the overflow heap.
+func TestOverflowDueCache(t *testing.T) {
+	const (
+		kindFar  Kind = 1 // parked far ahead; re-parks itself twice
+		kindNear Kind = 2 // dense near stream: re-arms 0.25 ahead
+		kindFill Kind = 3 // filler that forces the grow, then the shrink
+	)
+	var checks int
+	check := func(e *Engine, where string) {
+		if e.useHeap {
+			return
+		}
+		q := &e.cal
+		want := int64(math.MaxInt64)
+		if len(q.overflow) > 0 {
+			want = q.dayOf(q.overflow[0].t) - q.horizonDays
+		}
+		if q.ovDue != want {
+			t.Fatalf("%s: ovDue = %d, its definition gives %d (%d in overflow, day %d)", where, q.ovDue, want, len(q.overflow), q.day)
+		}
+		checks++
+	}
+	drive := func(e *Engine) *sink {
+		s := &sink{}
+		var sawOverflow, grew, shrank bool
+		e.SetHandler(handlerFunc(func(e *Engine, ev Event) {
+			s.Handle(e, ev)
+			switch ev.Kind {
+			case kindFar:
+				if ev.Ref > 0 { // re-park from inside Handle: an overflow push mid-run
+					e.Schedule(e.Now()+4000, Event{Kind: kindFar, Arg: ev.Arg, Ref: ev.Ref - 1})
+				}
+			case kindNear:
+				if e.Now() < 9000 {
+					e.Schedule(e.Now()+0.25, ev)
+				}
+			}
+			if len(s.times)%257 == 0 {
+				check(e, "inside Handle")
+			}
+		}))
+		e.HintSchedule(64, 32)
+		for i := 0; i < 40; i++ {
+			e.Schedule(5000+100*float64(i), Event{Kind: kindFar, Arg: int32(i), Ref: 2})
+		}
+		check(e, "after parking")
+		if _, _, _, share := e.Geometry(); !e.useHeap && share != 1 {
+			t.Fatalf("parked timers: overflow share %v, want 1", share)
+		}
+		for i := 0; i < 8; i++ {
+			e.Schedule(float64(i)/32, Event{Kind: kindNear, Arg: int32(i)})
+		}
+		for step := 0; e.Pending() > 0 && step < 4000; step++ {
+			if step == 20 { // the grow rebuild...
+				_, _, before, _ := e.Geometry()
+				for i := 0; i < 3000; i++ {
+					e.Schedule(e.Now()+float64(i%1500)/3, Event{Kind: kindFill, Arg: int32(i)})
+				}
+				_, _, after, _ := e.Geometry()
+				grew = after > before
+			}
+			nt, ok := e.NextTime()
+			if !ok {
+				t.Fatal("pending events but nothing to peek")
+			}
+			check(e, "after NextTime")
+			// ... and exclusive horizons landing exactly on an event: the
+			// head is popped, found at the horizon and put back.
+			e.RunBefore(nt + 7)
+			check(e, "after RunBefore")
+			e.Run(e.Now() + 3.3)
+			check(e, "after Run")
+			_, _, _, share := e.Geometry()
+			sawOverflow = sawOverflow || share > 0
+			if step == 400 {
+				b, _, _, _ := e.Geometry()
+				shrank = b < bucketsFor(3000)
+			}
+			if e.Now() > 17000 && !e.useHeap && len(e.cal.overflow) != 0 {
+				t.Fatalf("clock at %v, past every timer, with %d events still in overflow", e.Now(), len(e.cal.overflow))
+			}
+		}
+		if !e.useHeap && !(sawOverflow && grew && shrank) {
+			t.Fatalf("vacuous drive: overflow %v, grow %v, shrink %v", sawOverflow, grew, shrank)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%d events left after the drive", e.Pending())
+		}
+		if _, _, _, share := e.Geometry(); share != 0 {
+			t.Fatalf("overflow share %v after the drain, want 0", share)
+		}
+		return s
+	}
+	equal := func(stage string, cal, heap *sink) {
+		if !slices.Equal(cal.times, heap.times) || !slices.Equal(cal.args, heap.args) {
+			t.Fatalf("%s: calendar and heap dispatch orders differ (%d vs %d events)", stage, len(cal.times), len(heap.times))
+		}
+	}
+	e, oracle := New(), NewWithHeap()
+	equal("first drive", drive(e), drive(oracle))
+
+	// Reset with timers parked: the cache must not survive them.
+	e.Schedule(e.Now()+1e6, Event{Kind: kindFill})
+	e.Reset()
+	oracle.Reset()
+	check(e, "after Reset")
+	if e.cal.ovDue != math.MaxInt64 {
+		t.Fatalf("ovDue = %d after Reset, want the empty-heap sentinel", e.cal.ovDue)
+	}
+	equal("after Reset", drive(e), drive(oracle))
+	if checks == 0 {
+		t.Fatal("no checkpoint ran")
+	}
+}
+
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(e *Engine, ev Event)
+
+func (f handlerFunc) Handle(e *Engine, ev Event) { f(e, ev) }

@@ -8,13 +8,17 @@
 //
 // # Typed events
 //
-// Events come in two flavors. The hot path uses typed events: a small
-// tagged Event record (kind + integer argument + optional pointer payload)
-// dispatched through the engine's Handler. Scheduling a typed event copies
-// a few words into the engine's own event storage and allocates nothing, so
-// a warmed-up event loop runs allocation-free. The generic callback form
-// (At/After with a closure) is kept as an escape hatch for tests and
-// ad-hoc callers; each closure naturally costs one allocation.
+// Events come in two flavors. The hot path uses typed events: a kind tag
+// and two integers (Arg, Ref) that the Handler's owner interprets — a node
+// or channel id, an index into a table it keeps — dispatched through the
+// engine's Handler. A pending typed event is one 32-byte pointer-free
+// record, written once into the slot it waits in and read once from there,
+// so a warmed-up event loop allocates nothing and the garbage collector
+// never scans the pending set. Pointer payloads travel out of line: an
+// event with a Data value or a generic callback (At/After with a closure,
+// the escape hatch for tests and ad-hoc callers) parks them in a side
+// table the engine owns and its record carries the table index. Each
+// closure naturally costs one allocation.
 //
 // # Schedulers
 //
@@ -42,14 +46,17 @@ type Func func(e *Engine)
 type Kind uint8
 
 // Event is one scheduled occurrence: either a typed record (Kind, Arg,
-// Data) dispatched through the engine's Handler, or a generic callback in
-// Fn. Arg carries a small integer payload such as a node or channel id;
-// Data carries an optional pointer payload (storing a pointer in an
-// interface does not allocate). When Fn is non-nil it takes precedence and
-// the typed fields are ignored.
+// Ref, Data) dispatched through the engine's Handler, or a generic
+// callback in Fn. Arg carries a small integer payload such as a node or
+// channel id; Ref is a second integer the handler owns, typically an index
+// into its own table. Data and Fn are the out-of-line form: when either is
+// non-nil the engine keeps them in its side table until the event fires
+// (storing a pointer in an interface does not allocate). When Fn is
+// non-nil it takes precedence and the typed fields are ignored.
 type Event struct {
 	Kind Kind
 	Arg  int32
+	Ref  int32
 	Data any
 	Fn   Func
 }
@@ -60,10 +67,20 @@ type Handler interface {
 	Handle(e *Engine, ev Event)
 }
 
+// item is one pending event as both schedulers store it: 32 bytes, two to
+// a cache line, no pointers. slot indexes the engine's side table when the
+// event carries a Data or Fn payload and is -1 otherwise.
 type item struct {
-	t   float64
-	seq uint64
-	ev  Event
+	t              float64
+	seq            uint64
+	kind           Kind
+	arg, ref, slot int32
+}
+
+// payload is a side-table entry: the pointer-bearing half of an Event.
+type payload struct {
+	data any
+	fn   Func
 }
 
 // eventHeap is a binary min-heap ordered by (t, seq). The sift operations
@@ -100,7 +117,6 @@ func (h *eventHeap) pop() item {
 	n := len(hh) - 1
 	it := hh[0]
 	hh[0] = hh[n]
-	hh[n] = item{} // drop payload references from the vacated slot
 	hh = hh[:n]
 	i := 0
 	for {
@@ -139,6 +155,10 @@ type Engine struct {
 	handler Handler
 	stopped bool
 	fired   uint64
+	// side holds the Data/Fn payloads of pending events that carry one,
+	// addressed by item.slot; sideFree lists its vacant entries.
+	side     []payload
+	sideFree []int32
 }
 
 // New returns an empty engine at time zero, backed by the calendar-queue
@@ -162,15 +182,20 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.fired = 0
 	e.stopped = false
-	for i := range e.heap {
-		e.heap[i] = item{} // drop payload references
-	}
 	if cap(e.heap) > maxRetainedEvents {
 		e.heap = nil
 	} else {
 		e.heap = e.heap[:0]
 	}
 	e.cal.reset(maxRetainedEvents)
+	// The discarded events' payloads are the only references the pending
+	// set ever held: drop them, or a pooled engine pins them for life.
+	clear(e.side)
+	if cap(e.side) > maxRetainedEvents {
+		e.side, e.sideFree = nil, nil
+	} else {
+		e.side, e.sideFree = e.side[:0], e.sideFree[:0]
+	}
 }
 
 // SetHandler installs the dispatcher for typed events. Scheduling a typed
@@ -241,7 +266,7 @@ func (e *Engine) Schedule(t float64, ev Event) {
 		panic("sim: scheduling event at NaN")
 	}
 	e.seq++
-	e.push(item{t: t, seq: e.seq, ev: ev})
+	e.put(t, e.seq, ev)
 }
 
 // HintSchedule pre-sizes the calendar scheduler for a workload expected
@@ -285,7 +310,48 @@ func (e *Engine) ScheduleSeq(t float64, seq uint64, ev Event) {
 	if math.IsNaN(t) {
 		panic("sim: scheduling event at NaN")
 	}
-	e.push(item{t: t, seq: seq, ev: ev})
+	e.put(t, seq, ev)
+}
+
+// put files a checked event under (t, seq). On the calendar the record is
+// written where it will wait: place returns the sorted slot with the key
+// set and the remaining fields are stored straight into it. (Building the
+// item first and copying it in is measurably slower — narrow field stores
+// followed by a wide load of the same bytes defeat store forwarding.)
+//
+//quarc:hotpath
+func (e *Engine) put(t float64, seq uint64, ev Event) {
+	slot := int32(-1)
+	if ev.Data != nil || ev.Fn != nil {
+		slot = e.park(ev.Data, ev.Fn)
+	}
+	if e.useHeap {
+		e.heap.push(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
+	} else if p := e.cal.place(t, seq, e.now); p != nil {
+		p.kind, p.arg, p.ref, p.slot = ev.Kind, ev.Arg, ev.Ref, slot
+	} else {
+		e.cal.pushOverflow(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
+	}
+}
+
+// park stores an event's out-of-line payload and returns its slot.
+func (e *Engine) park(data any, fn Func) int32 {
+	if n := len(e.sideFree); n > 0 {
+		slot := e.sideFree[n-1]
+		e.sideFree = e.sideFree[:n-1]
+		e.side[slot] = payload{data, fn}
+		return slot
+	}
+	e.side = append(e.side, payload{data, fn})
+	return int32(len(e.side) - 1)
+}
+
+// take empties a side-table slot and returns what it held.
+func (e *Engine) take(slot int32) payload {
+	p := e.side[slot]
+	e.side[slot] = payload{}
+	e.sideFree = append(e.sideFree, slot)
+	return p
 }
 
 // At schedules fn to run at absolute time t — the generic-callback form of
@@ -317,39 +383,45 @@ func (e *Engine) RunBefore(horizon float64) float64 { return e.run(horizon, fals
 //quarc:hotpath
 func (e *Engine) run(horizon float64, inclusive bool) float64 {
 	e.stopped = false
+	var popped item // the heap scheduler pops by value
 	for !e.stopped {
-		// The scheduler dispatch is open-coded here (rather than through
-		// e.pop) to keep one call and one item copy out of the hot loop.
-		var it item
+		p := &popped
 		if e.useHeap {
 			if len(e.heap) == 0 {
 				break
 			}
-			it = e.heap.pop()
-		} else {
-			var ok bool
-			if it, ok = e.cal.pop(e.now); !ok {
-				break
-			}
+			popped = e.heap.pop()
+		} else if p = e.cal.popRef(e.now); p == nil {
+			break
 		}
-		if it.t > horizon || (!inclusive && it.t == horizon) {
+		if p.t > horizon || (!inclusive && p.t == horizon) {
 			// Beyond this run's window: put it back for a later Run.
 			if e.useHeap {
-				e.heap.push(it)
+				e.heap.push(*p)
 			} else {
-				e.cal.unpop(it)
+				e.cal.unpop(*p)
 			}
 			break
 		}
-		e.now = it.t
+		// Read the record out before dispatch: p points into the bucket it
+		// was popped from, and a handler scheduling into that bucket may
+		// compact, overwrite or abandon the slot.
+		ev := Event{Kind: p.kind, Arg: p.arg, Ref: p.ref}
+		slot := p.slot
+		e.now = p.t
 		e.fired++
-		if it.ev.Fn != nil {
-			it.ev.Fn(e)
-		} else if e.handler != nil {
-			e.handler.Handle(e, it.ev)
-		} else {
+		if slot >= 0 {
+			pl := e.take(slot)
+			if pl.fn != nil {
+				pl.fn(e)
+				continue
+			}
+			ev.Data = pl.data
+		}
+		if e.handler == nil {
 			panic("sim: typed event fired on an engine without a handler")
 		}
+		e.handler.Handle(e, ev)
 	}
 	if !e.stopped && e.now < horizon && !math.IsInf(horizon, 1) {
 		e.now = horizon
@@ -359,12 +431,3 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 
 // RunAll executes events until none remain or Stop is called.
 func (e *Engine) RunAll() float64 { return e.Run(math.Inf(1)) }
-
-//quarc:hotpath
-func (e *Engine) push(it item) {
-	if e.useHeap {
-		e.heap.push(it)
-		return
-	}
-	e.cal.push(it, e.now)
-}

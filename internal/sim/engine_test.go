@@ -3,8 +3,10 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 func TestRunsEventsInTimeOrder(t *testing.T) {
@@ -256,6 +258,78 @@ func TestReset(t *testing.T) {
 			t.Fatalf("same-time events not FIFO after Reset: %v", order)
 		}
 	}
+}
+
+// TestResetEmptiesSideTable pins that Reset drops the out-of-line payloads
+// of the events it discards — a pooled engine would otherwise pin a
+// discarded closure or Data value for life — and hands the table back
+// empty: the next payload parks in slot 0.
+func TestResetEmptiesSideTable(t *testing.T) {
+	for _, mk := range []func() *Engine{New, NewWithHeap} {
+		e := mk()
+		h := &recordingHandler{}
+		e.SetHandler(h)
+		for i := 0; i < 10; i++ {
+			e.Schedule(float64(i), Event{Kind: 1, Data: h})
+			e.After(float64(i), func(*Engine) {})
+			e.Schedule(float64(i), Event{Kind: 2, Arg: int32(i)}) // no payload: no slot
+		}
+		e.Run(3) // some slots freed and reusable, most still parked
+		if len(e.side) != 20 {
+			t.Fatalf("%s: side table holds %d entries, want 20", e.SchedulerName(), len(e.side))
+		}
+		side := e.side
+		e.Reset()
+		for i, p := range side {
+			if p.data != nil || p.fn != nil {
+				t.Errorf("%s: side-table entry %d still holds a payload after Reset", e.SchedulerName(), i)
+			}
+		}
+		if len(e.side) != 0 || len(e.sideFree) != 0 {
+			t.Fatalf("%s: Reset left %d entries and %d free slots", e.SchedulerName(), len(e.side), len(e.sideFree))
+		}
+		h.data = h.data[:0]
+		e.Schedule(1, Event{Kind: 3, Data: h})
+		if len(e.side) != 1 || e.side[0].data != h {
+			t.Fatalf("%s: the first payload after Reset did not park in slot 0", e.SchedulerName())
+		}
+		e.RunAll()
+		if len(h.data) != 1 || h.data[0] != h {
+			t.Fatalf("%s: payload not delivered after Reset: %v", e.SchedulerName(), h.data)
+		}
+		if e.side[0].data != nil || len(e.sideFree) != 1 {
+			t.Fatalf("%s: a fired event's slot was not emptied and freed", e.SchedulerName())
+		}
+	}
+}
+
+// TestItemLayout pins the pending-event record: 32 bytes, two to a cache
+// line, and nothing in it for the garbage collector to follow.
+func TestItemLayout(t *testing.T) {
+	if got := unsafe.Sizeof(item{}); got != 32 {
+		t.Errorf("item is %d bytes, want 32", got)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					t.Errorf("item field %s (%s) bears a pointer", ty.Field(i).Name, ty.Field(i).Type)
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	pointerFree(reflect.TypeOf(item{}))
 }
 
 // recordingHandler collects the typed events it dispatches.

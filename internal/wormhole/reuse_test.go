@@ -359,9 +359,10 @@ func TestSteadyStateAllocFreeAllArrivals(t *testing.T) {
 
 // TestPooledReuseAllocBound pins the path a pooled simulator takes per
 // point — Workload.Reset, Network.Reset, Run — on the mid-load quarc-16
-// configuration: 9 allocations at the time of writing (the run's result
-// and statistics), against 159 for a fresh network. The ceiling leaves
-// the reuse path a little room, not a rebuild.
+// configuration: 5 allocations at the time of writing (the run's result
+// and statistics; 9 before Reset reclaimed the worms and messages in
+// flight at the previous run's horizon), against 159 for a fresh network.
+// The ceiling leaves the reuse path a little room, not a rebuild.
 func TestPooledReuseAllocBound(t *testing.T) {
 	rt := quarcRouter(t, 16)
 	set, err := rt.LocalizedSet(topology.PortL, 4)
@@ -389,8 +390,8 @@ func TestPooledReuseAllocBound(t *testing.T) {
 		}
 		completed += nw.Run().Completed
 	})
-	if avg > 12 {
-		t.Errorf("a pooled reset + run allocates %v times, want at most 12", avg)
+	if avg > 8 {
+		t.Errorf("a pooled reset + run allocates %v times, want at most 8", avg)
 	}
 	if completed == 0 {
 		t.Fatal("nothing completed — the alloc measurement was vacuous")
@@ -464,4 +465,93 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 				i, prime.rate, prime.msgLen, primed, got, want)
 		}
 	}
+}
+
+// TestResetReclaimsInFlight pins the leak fix: worms and messages that
+// were in flight when a run stopped — held only by events and wait queues
+// that Reset discards — return to the pools, so a pooled network neither
+// re-allocates them nor grows its tables, and still reproduces a fresh
+// network bitwise. Each cycle stops a saturating run mid-flight with far
+// more than one slab of worms queued, then runs the mid-load point.
+func TestResetReclaimsInFlight(t *testing.T) {
+	rt := quarcRouter(t, 16)
+	set, err := rt.LocalizedSet(topology.PortL, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := traffic.Spec{Rate: 0.004, MulticastFrac: 0.05, Set: set}
+	sat := traffic.Spec{Rate: 0.05, MulticastFrac: 0.05, Set: set}
+	cfg := Config{MsgLen: 32, Warmup: 1000, Measure: 10000, SatQueue: 200}
+	want := freshRun(t, rt, mid, 1, cfg)
+
+	w, err := traffic.NewWorkload(rt, sat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := New(rt.Graph(), w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worms, msgs int
+	for cycle := 0; cycle < 10; cycle++ {
+		if !nw.Run().Saturated {
+			t.Fatal("the priming run did not saturate")
+		}
+		if inFlight := len(nw.worms) - len(nw.wormPool); inFlight <= slabSize {
+			t.Fatalf("cycle %d: only %d worms in flight at the stop, want more than a slab", cycle, inFlight)
+		}
+		if cycle == 0 {
+			worms, msgs = len(nw.worms), len(nw.msgs)
+		} else if len(nw.worms) != worms || len(nw.msgs) != msgs {
+			t.Fatalf("cycle %d: tables grew to %d worms and %d messages from %d and %d: Reset leaked the in-flight ones",
+				cycle, len(nw.worms), len(nw.msgs), worms, msgs)
+		}
+
+		if err := w.Reset(mid, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Reset(w, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(nw.wormPool) != len(nw.worms) || len(nw.msgPool) != len(nw.msgs) {
+			t.Fatalf("cycle %d: Reset pooled %d of %d worms and %d of %d messages", cycle,
+				len(nw.wormPool), len(nw.worms), len(nw.msgPool), len(nw.msgs))
+		}
+		for _, wm := range nw.worms {
+			if wm.msg != nil || wm.path != nil {
+				t.Fatalf("cycle %d: pooled worm %d still references its message or path", cycle, wm.id)
+			}
+		}
+		sameResult(t, fmtPoint("reclaimed", cycle, 1), nw.Run(), want)
+
+		if err := w.Reset(sat, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Reset(w, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A run that saturates with the default backlog limit leaves more
+	// objects than a network may retain: Reset lets them go, and the next
+	// run still matches a fresh network.
+	deep := cfg
+	deep.SatQueue, deep.Measure = 0, 60000
+	if err := nw.Reset(w, deep); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run()
+	if len(nw.worms) <= maxRetainedObjects {
+		t.Fatalf("the deep saturating run allocated %d worms, want more than %d", len(nw.worms), maxRetainedObjects)
+	}
+	if err := w.Reset(mid, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Reset(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(nw.worms) != 0 || len(nw.wormPool) != 0 || len(nw.msgs) != 0 || len(nw.msgPool) != 0 {
+		t.Fatalf("Reset retained %d worms and %d messages beyond the cap", len(nw.worms), len(nw.msgs))
+	}
+	sameResult(t, "after the cap released the tables", nw.Run(), want)
 }

@@ -132,7 +132,7 @@ type Result struct {
 	// Events is the number of flit-level-equivalent discrete events: a
 	// coalesced span event (see DESIGN.md §10) counts once per micro-event
 	// it absorbs, so the figure is identical with coalescing on or off
-	// and stays comparable across the BENCH_*.json trajectory.
+	// and stays comparable across the EXPERIMENTS.md tables.
 	Events uint64
 	// MaxUtil is the highest channel utilization observed during the
 	// measurement window.
@@ -166,7 +166,11 @@ type channel struct {
 }
 
 type message struct {
+	// id is the observable message number hooks and traces print (the
+	// nextMsgID count of the run); idx is the message's fixed position in
+	// Network.msgs, which events address it by.
 	id        int64
+	idx       int32
 	gen       float64
 	multicast bool
 	pending   int32
@@ -232,6 +236,9 @@ func sortSamples(s []latSample) {
 }
 
 type worm struct {
+	// id is the worm's fixed position in Network.worms: events carry it in
+	// sim.Event.Ref instead of a pointer. It survives re-initialisation.
+	id     int32
 	msg    *message
 	branch int
 	path   routing.Path
@@ -262,12 +269,22 @@ type worm struct {
 // steady-state event loop allocation-free.
 const (
 	evGenerate sim.Kind = iota + 1 // Arg = generating node
-	evRequest                      // Data = *worm requesting its next channel
+	evRequest                      // Ref = worm requesting its next channel
 	evRelease                      // Arg = channel to release
-	evComplete                     // Data = *message, Arg = completing branch
-	evAdvance                      // Data = *worm: fused tail-release + header-request
-	evSpanDone                     // Data = *worm finishing a coalesced drain
+	evComplete                     // Ref = message, Arg = completing branch
+	evAdvance                      // Ref = worm: fused tail-release + header-request
+	evSpanDone                     // Ref = worm finishing a coalesced drain
 )
+
+// slabSize is how many worms or messages one pool miss allocates: a fresh
+// network pays one allocation per slab instead of one per object.
+const slabSize = 64
+
+// maxRetainedObjects caps the worms and messages a network keeps across
+// Reset. A saturated run leaves tens of thousands queued, and keeping them
+// all would pin that memory for every later point of a sweep (the engine
+// caps its event storage for the same reason).
+const maxRetainedObjects = 1 << 14
 
 // Network is one simulation instance. Create with New, run with Run, and
 // reuse across runs with Reset.
@@ -299,8 +316,16 @@ type Network struct {
 	// Reset truncates it in place, so a reused network appends into
 	// already-sized backing storage.
 	samples []latSample
-	// wormPool and msgPool recycle the per-message heap objects; both only
-	// ever hold fully dead objects (no event or queue references them).
+	// worms and msgs list every worm and message the network ever
+	// allocated, each at the index it carries (worm.id, message.idx):
+	// events name their worm or message by that index (the serial path's
+	// scheduler items hold no pointers), and Reset finds the objects a
+	// discarded event was the last reference to. Objects are allocated in
+	// slabs of slabSize and never move.
+	worms []*worm
+	msgs  []*message
+	// wormPool and msgPool recycle them; both only ever hold fully dead
+	// objects (no event or queue references them).
 	wormPool []*worm
 	msgPool  []*message
 }
@@ -320,11 +345,11 @@ func (nw *Network) Handle(e *sim.Engine, ev sim.Event) {
 		nw.generate(node, t)
 		nw.scheduleGeneration(node, t)
 	case evRequest:
-		nw.request(ev.Data.(*worm), t)
+		nw.request(nw.worms[ev.Ref], t)
 	case evRelease:
 		nw.release(topology.ChannelID(ev.Arg), t)
 	case evComplete:
-		msg := ev.Data.(*message)
+		msg := nw.msgs[ev.Ref]
 		nw.trace(msg, int(ev.Arg), TraceComplete, topology.None, t)
 		nw.complete(msg, t)
 	case evAdvance:
@@ -333,12 +358,12 @@ func (nw *Network) Handle(e *sim.Engine, ev sim.Event) {
 		// cycle; free it, then request the header's next channel. The two
 		// were scheduled back to back in the fine-grained simulator, so
 		// fusing them preserves the exact event order.
-		w := ev.Data.(*worm)
+		w := nw.worms[ev.Ref]
 		nw.release(w.path[w.hop-nw.cfg.MsgLen], t)
 		nw.coalesced++
 		nw.request(w, t)
 	case evSpanDone:
-		nw.spanDone(ev.Data.(*worm), t)
+		nw.spanDone(nw.worms[ev.Ref], t)
 	default:
 		panic(fmt.Sprintf("wormhole: unknown event kind %d", ev.Kind))
 	}
@@ -346,14 +371,14 @@ func (nw *Network) Handle(e *sim.Engine, ev sim.Event) {
 
 //quarc:hotpath
 func (nw *Network) getWorm(msg *message, branch int, path routing.Path) *worm {
-	if n := len(nw.wormPool); n > 0 {
-		w := nw.wormPool[n-1]
-		nw.wormPool[n-1] = nil
-		nw.wormPool = nw.wormPool[:n-1]
-		*w = worm{msg: msg, branch: branch, path: path}
-		return w
+	if len(nw.wormPool) == 0 {
+		nw.growWorms()
 	}
-	return &worm{msg: msg, branch: branch, path: path} //quarclint:ignore hotpath pool-miss path: allocates once per pool high-water mark, not per op
+	n := len(nw.wormPool) - 1
+	w := nw.wormPool[n]
+	nw.wormPool = nw.wormPool[:n]
+	*w = worm{id: w.id, msg: msg, branch: branch, path: path}
+	return w
 }
 
 //quarc:hotpath
@@ -365,19 +390,47 @@ func (nw *Network) putWorm(w *worm) {
 
 //quarc:hotpath
 func (nw *Network) getMessage() *message {
-	if n := len(nw.msgPool); n > 0 {
-		m := nw.msgPool[n-1]
-		nw.msgPool[n-1] = nil
-		nw.msgPool = nw.msgPool[:n-1]
-		*m = message{}
-		return m
+	if len(nw.msgPool) == 0 {
+		nw.growMessages()
 	}
-	return &message{} //quarclint:ignore hotpath pool-miss path: allocates once per pool high-water mark, not per op
+	n := len(nw.msgPool) - 1
+	m := nw.msgPool[n]
+	nw.msgPool = nw.msgPool[:n]
+	*m = message{idx: m.idx}
+	return m
 }
 
 //quarc:hotpath
 func (nw *Network) putMessage(m *message) {
 	nw.msgPool = append(nw.msgPool, m)
+}
+
+// growWorms is the pool-miss path: it allocates one slab of worms, enters
+// them in the index table and hands them to the pool. It runs once per
+// slabSize of the pool's high-water mark, not per operation.
+func (nw *Network) growWorms() {
+	slab := make([]worm, slabSize)
+	nw.worms = slices.Grow(nw.worms, slabSize)
+	nw.wormPool = slices.Grow(nw.wormPool, slabSize)
+	for i := range slab {
+		w := &slab[i]
+		w.id = int32(len(nw.worms))
+		nw.worms = append(nw.worms, w)
+		nw.wormPool = append(nw.wormPool, w)
+	}
+}
+
+// growMessages is growWorms for messages.
+func (nw *Network) growMessages() {
+	slab := make([]message, slabSize)
+	nw.msgs = slices.Grow(nw.msgs, slabSize)
+	nw.msgPool = slices.Grow(nw.msgPool, slabSize)
+	for i := range slab {
+		m := &slab[i]
+		m.idx = int32(len(nw.msgs))
+		nw.msgs = append(nw.msgs, m)
+		nw.msgPool = append(nw.msgPool, m)
+	}
 }
 
 // trace appends a trace event if tracing is active and under the cap.
@@ -443,8 +496,9 @@ func hintSchedule(eng *sim.Engine, msgLen, nodes int) {
 
 // Reset rebinds the network to a new traffic source and configuration and
 // returns it to its pre-Run state over the same channel graph, reusing the
-// engine's event heap, the channel array, the per-channel wait queues and
-// the worm/message pools. A Reset network runs bitwise-identically to a
+// engine's event storage, the channel array, the per-channel wait queues
+// and every worm and message it ever allocated — those in flight when the
+// last run stopped included, up to maxRetainedObjects. A Reset network runs bitwise-identically to a
 // freshly constructed one, so one Network can serve every point of a
 // sweep without reallocating its hot-path state. Like a fresh network it
 // starts with no hooks attached — re-Attach after Reset to keep
@@ -481,6 +535,22 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.nextMsgID = 0
 	nw.coalesced = 0
 	nw.samples = nw.samples[:0]
+	// Objects in flight when the last run stopped were referenced only by
+	// the events and queues just discarded: rebuild both free lists from
+	// the index tables so nothing leaks. (Pool order is unobservable —
+	// object identity never reaches a Result.)
+	if len(nw.worms) > maxRetainedObjects {
+		nw.worms, nw.wormPool = nil, nil
+	}
+	if len(nw.msgs) > maxRetainedObjects {
+		nw.msgs, nw.msgPool = nil, nil
+	}
+	for _, w := range nw.worms {
+		w.msg = nil
+		w.path = nil
+	}
+	nw.wormPool = append(nw.wormPool[:0], nw.worms...)
+	nw.msgPool = append(nw.msgPool[:0], nw.msgs...)
 	return nil
 }
 
@@ -757,7 +827,7 @@ func (nw *Network) grant(w *worm, id topology.ChannelID, t float64) {
 			nw.eng.Schedule(te+float64(msgLen)-k, sim.Event{Kind: evRelease, Arg: int32(w.path[i])})
 		}
 		nw.eng.Schedule(te+float64(msgLen),
-			sim.Event{Kind: evComplete, Arg: int32(w.branch), Data: w.msg})
+			sim.Event{Kind: evComplete, Arg: int32(w.branch), Ref: w.msg.idx})
 		return
 	}
 	if i := j - msgLen + 1; i >= 0 {
@@ -770,11 +840,11 @@ func (nw *Network) grant(w *worm, id topology.ChannelID, t float64) {
 			// Reserve both micro-event slots (release + request) so the
 			// sequence counter advances exactly as in fine-grained mode.
 			seq := nw.eng.ReserveSeq(2)
-			nw.eng.ScheduleSeq(t+1, seq, sim.Event{Kind: evAdvance, Data: w})
+			nw.eng.ScheduleSeq(t+1, seq, sim.Event{Kind: evAdvance, Ref: w.id})
 			return
 		}
 	}
-	nw.eng.Schedule(t+1, sim.Event{Kind: evRequest, Data: w})
+	nw.eng.Schedule(t+1, sim.Event{Kind: evRequest, Ref: w.id})
 }
 
 // spanStart begins a coalesced drain at the worm's ejection grant (time
@@ -809,7 +879,7 @@ func (nw *Network) spanStart(w *worm, lo int, te float64) {
 		c.spanSeq = sq
 	}
 	w.spanning = true
-	nw.eng.ScheduleSeq(te+msgLen, seq+uint64(len(w.path)-lo), sim.Event{Kind: evSpanDone, Data: w})
+	nw.eng.ScheduleSeq(te+msgLen, seq+uint64(len(w.path)-lo), sim.Event{Kind: evSpanDone, Ref: w.id})
 }
 
 // releaseSpanned applies a spanning worm's deferred channel release with

@@ -1,13 +1,13 @@
 // Command quarclint runs the repository's own static-analysis pass: the
 // syntactic checkers (determinism, hot-path purity, error discipline,
 // registry hygiene) and the quarcflow dataflow checkers (pool lifetimes,
-// RNG seed provenance, float fold order, shared-state audit) in
+// RNG seed provenance, float fold order, shared package state) in
 // internal/lint, over the packages matched by the given patterns
 // (default ./...).
 //
 // Usage:
 //
-//	go run ./cmd/quarclint [-json] [-C dir] [-checkers csv] [-timing] [-sharedstate file] [packages...]
+//	go run ./cmd/quarclint [-json] [-C dir] [-checkers csv] [-timing] [packages...]
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when the analysis itself failed (unparseable source,
@@ -15,10 +15,7 @@
 // are emitted as one JSON document on stdout — the machine-readable form
 // CI uploads as an artifact on failure. -checkers restricts the run to a
 // comma-separated subset of the registry; -timing reports per-checker
-// wall time on stderr (or in the JSON document); -sharedstate writes the
-// mutable-state inventory to the named file ("-" for stdout) in its
-// canonical byte form, the same bytes as the committed
-// lint/sharedstate.json baseline.
+// wall time on stderr (or in the JSON document).
 package main
 
 import (
@@ -37,9 +34,8 @@ func main() {
 	dir := flag.String("C", ".", "run the analysis rooted at this directory")
 	checkersFlag := flag.String("checkers", "", "comma-separated checkers to run (default all)")
 	timing := flag.Bool("timing", false, "report per-checker wall time")
-	sharedOut := flag.String("sharedstate", "", "write the shared-state inventory to this file (\"-\" for stdout)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: quarclint [-json] [-C dir] [-checkers csv] [-timing] [-sharedstate file] [packages...]\n\nCheckers: %v\n", lint.Checkers())
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: quarclint [-json] [-C dir] [-checkers csv] [-timing] [packages...]\n\nCheckers: %v\n", lint.Checkers())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -85,16 +81,6 @@ func main() {
 	}
 	report := lint.RunReport(pkgs, cfg)
 	diags := report.Diagnostics
-
-	if *sharedOut != "" {
-		data := lint.SharedStateJSON(report.SharedState)
-		if *sharedOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*sharedOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "quarclint: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
 	if *jsonOut {
 		doc := struct {

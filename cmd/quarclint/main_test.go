@@ -151,20 +151,3 @@ func TestCheckersSubsetFlag(t *testing.T) {
 		t.Error("errdiscipline reported nothing on the corpus")
 	}
 }
-
-func TestSharedStateFlag(t *testing.T) {
-	// The clean fixture has no packages in the default shared-state
-	// scope, so the flag must emit the canonical empty inventory.
-	dir, err := filepath.Abs(filepath.Join("testdata", "clean"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout, _, code := runLint(t, "-checkers", "sharedstate", "-sharedstate", "-", "-C", dir, "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	want := string(lint.SharedStateJSON(nil))
-	if stdout != want {
-		t.Errorf("-sharedstate - output = %q, want canonical empty inventory %q", stdout, want)
-	}
-}

@@ -308,9 +308,8 @@ func (cx *context) checkReturnBoxing(fd *ast.FuncDecl, ret *ast.ReturnStmt) {
 }
 
 // checkCompositeBoxing flags struct-literal fields that box: assigning a
-// concrete non-pointer value to an interface-typed field (sim.Event's
-// Data, for example, is documented to carry pointers precisely so the
-// store never allocates).
+// concrete non-pointer value to an interface-typed field. A pointer fits
+// the interface's data word, so storing one never allocates.
 func (cx *context) checkCompositeBoxing(lit *ast.CompositeLit) {
 	t := cx.typeOf(lit)
 	if t == nil {

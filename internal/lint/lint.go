@@ -34,10 +34,9 @@
 //     never a package-level var or a bare literal.
 //   - floatorder: no float accumulation inside a loop ranging a map or
 //     a slice collected from a map without sorting.
-//   - sharedstate: inventories every package-level var and every struct
-//     field written at runtime in the configured packages into the
-//     lint/sharedstate.json artifact; a runtime-mutated global without
-//     a //quarcflow:shared justification is a finding.
+//   - sharedstate: a package-level var that a determinism package
+//     mutates at runtime without a //quarcflow:shared justification is a
+//     finding (concurrent sweep and replication workers share it).
 //
 // A finding can be silenced case by case with a trailing
 // "//quarclint:ignore <checker> <reason>" comment on the offending line;
@@ -87,10 +86,6 @@ type Config struct {
 	// carry the //quarc:hotpath directive, and no function outside the
 	// list may carry it — the directive placement is itself checked.
 	Hotpaths map[string][]string
-	// SharedStatePackages lists the import paths the sharedstate audit
-	// inventories — the packages the future parallel engine would shard
-	// across cores. Defaults to the determinism closure.
-	SharedStatePackages []string
 	// Checkers restricts the run to the named checkers; empty means all.
 	// Names must come from Checkers() — the caller validates.
 	Checkers []string
@@ -101,17 +96,15 @@ type Config struct {
 // TestSteadyStateEventLoopAllocFree, TestArrivalAndDestAllocFree and
 // TestNoopHookSteadyStateAllocFree.
 func DefaultConfig() Config {
-	det := []string{
-		"quarc/internal/routing",
-		"quarc/internal/sim",
-		"quarc/internal/stats",
-		"quarc/internal/traffic",
-		"quarc/internal/wormhole",
-	}
 	return Config{
-		DeterminismPackages: det,
-		Hotpaths:            defaultHotpaths(),
-		SharedStatePackages: det,
+		DeterminismPackages: []string{
+			"quarc/internal/routing",
+			"quarc/internal/sim",
+			"quarc/internal/stats",
+			"quarc/internal/traffic",
+			"quarc/internal/wormhole",
+		},
+		Hotpaths: defaultHotpaths(),
 	}
 }
 
@@ -142,7 +135,7 @@ var checkers = []checker{
 	{"poollifetime", "values returned to a free list are dead: no later read, write or schedule", checkPoolLifetime},
 	{"registryhygiene", "lowercase registry names, init-time registration, sorted enumerations", checkRegistryHygiene},
 	{"rngprovenance", "every generator seed on the result path data-flows from the replication seed parameter", checkRNGProvenance},
-	{"sharedstate", "inventory of runtime-mutated package state; undocumented globals are findings", checkSharedState},
+	{"sharedstate", "runtime-mutated package-level vars on the result path carry a //quarcflow:shared reason", checkSharedState},
 }
 
 // Checkers returns the checker names, sorted.
@@ -157,11 +150,10 @@ func Checkers() []string {
 
 // context carries one (package, checker) pass's state.
 type context struct {
-	pkg    *Package
-	cfg    *Config
-	name   string
-	out    *[]Diagnostic
-	shared *SharedStateReport
+	pkg  *Package
+	cfg  *Config
+	name string
+	out  *[]Diagnostic
 }
 
 func (cx *context) reportf(pos token.Pos, format string, args ...any) {
@@ -195,9 +187,6 @@ type CheckerTiming struct {
 type Report struct {
 	// Diagnostics are the surviving findings, sorted by position.
 	Diagnostics []Diagnostic
-	// SharedState is the mutable-state inventory the sharedstate checker
-	// accumulated (empty unless that checker ran over in-scope packages).
-	SharedState *SharedStateReport
 	// Timing lists per-checker wall time in registry order.
 	Timing []CheckerTiming
 }
@@ -211,7 +200,7 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 
 // RunReport executes the configured checkers (all of them when
 // cfg.Checkers is empty) over every package and returns the diagnostics
-// together with the sharedstate inventory and per-checker timing.
+// together with per-checker timing.
 func RunReport(pkgs []*Package, cfg Config) Report {
 	selected := checkers
 	if len(cfg.Checkers) > 0 {
@@ -227,12 +216,11 @@ func RunReport(pkgs []*Package, cfg Config) Report {
 		}
 	}
 	var diags []Diagnostic
-	shared := &SharedStateReport{Globals: []SharedGlobal{}, Fields: []SharedField{}}
 	elapsed := make(map[string]time.Duration, len(selected))
 	for _, pkg := range pkgs {
 		for _, c := range selected {
 			start := time.Now()
-			c.run(&context{pkg: pkg, cfg: &cfg, name: c.name, out: &diags, shared: shared})
+			c.run(&context{pkg: pkg, cfg: &cfg, name: c.name, out: &diags})
 			elapsed[c.name] += time.Since(start)
 		}
 		diags = filterIgnored(pkg, &cfg, diags)
@@ -250,36 +238,11 @@ func RunReport(pkgs []*Package, cfg Config) Report {
 		}
 		return a.Checker < b.Checker
 	})
-	sortSharedState(shared)
 	timing := make([]CheckerTiming, 0, len(selected))
 	for _, c := range selected {
 		timing = append(timing, CheckerTiming{Checker: c.name, Millis: float64(elapsed[c.name]) / float64(time.Millisecond)})
 	}
-	return Report{Diagnostics: diags, SharedState: shared, Timing: timing}
-}
-
-// sortSharedState puts the inventory in its canonical order: globals by
-// (package, name), fields by (package, type, field). Per-package
-// emission already sorts within a package; this fixes the cross-package
-// order regardless of load order.
-func sortSharedState(r *SharedStateReport) {
-	sort.Slice(r.Globals, func(i, j int) bool {
-		a, b := r.Globals[i], r.Globals[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		return a.Name < b.Name
-	})
-	sort.Slice(r.Fields, func(i, j int) bool {
-		a, b := r.Fields[i], r.Fields[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return a.Field < b.Field
-	})
+	return Report{Diagnostics: diags, Timing: timing}
 }
 
 // hotpathDirective marks a function as a pinned allocation-free hot

@@ -28,11 +28,10 @@ func loadCorpus(t *testing.T) Report {
 	}
 	cfg := Config{
 		BaseDir:             dir,
-		DeterminismPackages: []string{"quarclint.example/det", "quarclint.example/rng"},
+		DeterminismPackages: []string{"quarclint.example/det", "quarclint.example/rng", "quarclint.example/shared"},
 		Hotpaths: map[string][]string{
 			"quarclint.example/hot": {"Cold", "Hot", "Missing"},
 		},
-		SharedStatePackages: []string{"quarclint.example/shared"},
 	}
 	return RunReport(pkgs, cfg)
 }
@@ -63,28 +62,6 @@ func TestCorpusGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("corpus diagnostics diverge from %s\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
-	}
-}
-
-// TestCorpusSharedState pins the sharedstate inventory the fixture
-// corpus must produce, in its canonical JSON byte form. Regenerate with
-// -update alongside the diagnostics golden.
-func TestCorpusSharedState(t *testing.T) {
-	report := loadCorpus(t)
-	got := SharedStateJSON(report.SharedState)
-
-	goldenPath := filepath.Join("testdata", "sharedstate_golden.json")
-	if *update {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("reading sharedstate golden (run with -update to create it): %v", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("sharedstate inventory diverges from %s\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
 	}
 }
 
@@ -130,36 +107,6 @@ func TestRepoIsClean(t *testing.T) {
 	diags := Run(pkgs, cfg)
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic: %s", d)
-	}
-}
-
-// TestSharedStateBaseline pins the committed lint/sharedstate.json to
-// the audit's live output, byte for byte: the artifact is reproducible
-// from a clean checkout, and any new shared state shows up as a test
-// diff (and a CI growth-gate failure) rather than drifting silently.
-// Regenerate with
-//
-//	go run ./cmd/quarclint -sharedstate lint/sharedstate.json ./...
-func TestSharedStateBaseline(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	cfg := DefaultConfig()
-	cfg.BaseDir = root
-	report := RunReport(pkgs, cfg)
-	got := SharedStateJSON(report.SharedState)
-	baseline := filepath.Join(root, "lint", "sharedstate.json")
-	want, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatalf("reading committed baseline (regenerate with go run ./cmd/quarclint -sharedstate lint/sharedstate.json ./...): %v", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("sharedstate inventory diverges from the committed %s\n--- got ---\n%s--- want ---\n%s", baseline, got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package shared is the sharedstate audit's fixture: package-level
-// state in every justification posture, plus struct fields the field
-// inventory must attribute to their writers.
+// state in every justification posture, written by runtime functions
+// and by each init-time exemption.
 package shared
 
 // counter is runtime-mutated with no justification: the finding.
@@ -38,25 +38,18 @@ func Rename(label string) { registry.Label = label }
 // Lookup only reads: reads never make a writer.
 func Lookup(k string) int { return cache[k] }
 
-// Box is the field-inventory subject.
+// Box is the registry's type.
 type Box struct {
 	N     int
 	Label string
 }
 
-// Fill is a runtime field writer.
-func (b *Box) Fill(n int) { b.N = n }
-
-// Clear stores the whole struct: recorded as field "*".
-func (b *Box) Clear() { *b = Box{} }
-
-// NewBox is a constructor: its stores are initialization, not shared
-// mutation.
+// NewBox is a constructor: its stores to the registry are
+// initialization, not shared mutation.
 func NewBox(n int) *Box {
-	b := &Box{}
-	b.N = n
-	return b
+	registry.N = n
+	return &registry
 }
 
 // ResetBox is likewise excluded.
-func ResetBox(b *Box) { b.N = 0 }
+func ResetBox() { registry = Box{} }

@@ -17,7 +17,8 @@ import (
 	"quarc/internal/wormhole"
 )
 
-// Kind classifies a Record; values mirror wormhole.HookPos.
+// Kind classifies a Record; values mirror wormhole.HookPos, one kind per
+// hook position, KindInjected through KindQueue.
 type Kind uint8
 
 const (
@@ -31,10 +32,6 @@ const (
 	KindReleased Kind = Kind(wormhole.HookChannelReleased)
 	// KindQueue is a channel wait-queue occupancy change.
 	KindQueue Kind = Kind(wormhole.HookQueueChanged)
-	// KindPartition is a parallel run's per-partition summary
-	// (wormhole.HookPartitionDone): Node carries the partition index and
-	// Msg the partition's flit-level-equivalent event count.
-	KindPartition Kind = Kind(wormhole.HookPartitionDone)
 )
 
 // Record is one recorded hook firing, flattened to plain scalars so it

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -156,6 +158,38 @@ func TestReadFileMidCorruption(t *testing.T) {
 	// Flip a payload byte of the FIRST frame: the checksum fails with a
 	// complete frame after it, so this is corruption, not a torn tail.
 	corrupt("payload.obs", func(b []byte) { b[20] ^= 0xff })
+}
+
+// TestReadFileRejectsUnknownKind pins the kind check on outside input: a
+// frame whose checksum is valid but whose record names no hook position
+// (kind 5, once the parallel engine's, or any byte up to 255) is a
+// corrupt file, not a record Aggregate would silently drop.
+func TestReadFileRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []byte{5, 255} {
+		payload := make([]byte, recordSize)
+		encodeRecord(payload, &Record{Node: -1, Channel: 3, Msg: 1, Time: 2})
+		payload[0] = kind
+		frame := []byte(frameMagic)
+		frame = binary.LittleEndian.AppendUint32(frame, 1)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+		frame = append(frame, payload...)
+		p := filepath.Join(t.TempDir(), "kind.obs")
+		if err := os.WriteFile(p, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := ReadFile(p); err == nil {
+			t.Errorf("kind %d: ReadFile accepted %d records", kind, len(recs))
+		}
+		payload[0] = byte(KindQueue) // the same frame with a real kind reads back
+		binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
+		copy(frame[12:], payload)
+		if err := os.WriteFile(p, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := ReadFile(p); err != nil || len(recs) != 1 || recs[0].Kind != KindQueue {
+			t.Errorf("kind %d control: ReadFile = %v, %v", KindQueue, recs, err)
+		}
+	}
 }
 
 // errSink fails every Append.

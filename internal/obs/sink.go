@@ -161,7 +161,8 @@ func (s *FileSink) Close() error {
 // ReadFile decodes a FileSink file. A torn tail frame (short read or
 // CRC mismatch at the end of the file) is tolerated — the records of
 // the complete frames before it are returned, as in WAL recovery — but
-// corruption before the tail is an error.
+// corruption before the tail is an error, and so is a record whose kind
+// names no hook position.
 func ReadFile(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -197,7 +198,13 @@ func ReadFile(path string) ([]Record, error) {
 			return nil, fmt.Errorf("obs: %s: frame checksum mismatch at record %d", path, len(recs))
 		}
 		for i := 0; i < int(n); i++ {
-			recs = append(recs, decodeRecord(payload[i*recordSize:]))
+			r := decodeRecord(payload[i*recordSize:])
+			// The file comes from outside the program: a kind no hook
+			// position produces would decode and then vanish in Aggregate.
+			if r.Kind > KindQueue {
+				return nil, fmt.Errorf("obs: %s: unknown record kind %d at record %d", path, r.Kind, len(recs))
+			}
+			recs = append(recs, r)
 		}
 	}
 }

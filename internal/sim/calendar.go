@@ -56,8 +56,8 @@ type calQueue struct {
 	shrinkAt int
 
 	// pops counts the events dequeued since the clock read popT: the
-	// window the day width is measured over (see retune). Peeks and
-	// put-backs are not dequeues and never move either.
+	// window the day width is measured over (see retune). Put-backs are
+	// not dequeues and never move either.
 	pops int
 	popT float64
 
@@ -234,9 +234,9 @@ func (q *calQueue) insert(it item) {
 //quarc:hotpath
 func (q *calQueue) slot(d int64, t float64, seq uint64) *item {
 	if d < q.day {
-		// The walk advanced to the head event's day, but the engine only
-		// peeked at it or deferred it at a Run horizon, and the clock
-		// stayed behind; a later push may land on an earlier day. Rewind:
+		// The walk advanced to the head event's day, but the engine
+		// deferred it at a Run horizon and the clock stayed behind; a
+		// later push may land on an earlier day. Rewind:
 		// pop compares real (t, seq) keys, so this costs a re-walk of
 		// empty days, never a reorder.
 		q.day = d
@@ -324,15 +324,6 @@ func (q *calQueue) popRef(now float64) *item {
 func (q *calQueue) unpop(it item) {
 	q.insert(it)
 	q.pops--
-}
-
-// peek returns the time of the earliest event without dequeuing it.
-func (q *calQueue) peek() (float64, bool) {
-	if q.len() == 0 {
-		return 0, false
-	}
-	b := q.head()
-	return b.items[b.head].t, true
 }
 
 // head advances the current day to the earliest stored event's and

@@ -256,10 +256,10 @@ func FuzzCalendarVsHeap(f *testing.F) {
 
 // reentrant is a handler that schedules from inside Handle, driven by a
 // cyclic op tape: the engine pops an event by reference and the handler
-// then inserts into the very bucket the popped slot lives in. Every event
-// carries a distinct (Kind, Arg, Ref) and every eighth a Data value or a
-// closure, so a slot read after it was overwritten — or a side-table entry
-// crossed with another's — shows up in the record.
+// then inserts into the very bucket the popped slot lives in. Every typed
+// event carries a distinct (Kind, Arg, Ref) and every eighth event is a
+// closure that logs its own id, so a slot read after it was overwritten —
+// or a side-table entry crossed with another's — shows up in the record.
 type reentrant struct {
 	ops    []byte
 	cursor int
@@ -273,19 +273,16 @@ type fired struct {
 	kind Kind
 	arg  int32
 	ref  int32
-	data any
+	fn   int32 // a closure event's id + 1; 0 for typed events
 }
 
 func (r *reentrant) schedule(e *Engine, t float64) {
 	id := r.next
 	r.next++
 	ev := Event{Kind: Kind(id%250 + 1), Arg: id, Ref: -id * 7}
-	switch id % 16 {
-	case 0:
-		ev.Data = int(id) // compared by value across the two schedulers
-	case 8:
+	if id%8 == 0 {
 		ev.Fn = func(e *Engine) {
-			r.log = append(r.log, fired{t: e.Now(), arg: id, data: "fn"})
+			r.log = append(r.log, fired{t: e.Now(), fn: id + 1})
 			r.react(e)
 		}
 	}
@@ -293,7 +290,7 @@ func (r *reentrant) schedule(e *Engine, t float64) {
 }
 
 func (r *reentrant) Handle(e *Engine, ev Event) {
-	r.log = append(r.log, fired{e.Now(), ev.Kind, ev.Arg, ev.Ref, ev.Data})
+	r.log = append(r.log, fired{e.Now(), ev.Kind, ev.Arg, ev.Ref, 0})
 	r.react(e)
 }
 
@@ -330,7 +327,7 @@ func (r *reentrant) react(e *Engine) {
 
 // FuzzEngineReentrant is FuzzCalendarVsHeap with the scheduling moved
 // inside Handle, where the pop-by-reference hazard lives: calendar and
-// heap must dispatch identical (t, Kind, Arg, Ref, Data) sequences.
+// heap must dispatch identical (t, Kind, Arg, Ref, closure id) sequences.
 func FuzzEngineReentrant(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1})                       // same-day floods only
 	f.Add([]byte{0, 1, 2, 3, 4, 5})                 // one of each
@@ -367,7 +364,7 @@ func FuzzEngineReentrant(f *testing.F) {
 
 // TestOverflowDueCache drives the cached overflow due-day through every
 // point that can move it — overflow pushes and pops, a hint, a grow and a
-// shrink rebuild, width retunes, a RunBefore put-back, peeks and Reset —
+// shrink rebuild, width retunes, a RunBefore put-back and Reset —
 // under the wormhole's shape: parked far timers behind a dense near
 // stream. The cache must equal its definition at every checkpoint, the
 // dispatch order must equal the heap oracle's, and once the clock has
@@ -432,14 +429,10 @@ func TestOverflowDueCache(t *testing.T) {
 				_, _, after, _ := e.Geometry()
 				grew = after > before
 			}
-			nt, ok := e.NextTime()
-			if !ok {
-				t.Fatal("pending events but nothing to peek")
-			}
-			check(e, "after NextTime")
-			// ... and exclusive horizons landing exactly on an event: the
-			// head is popped, found at the horizon and put back.
-			e.RunBefore(nt + 7)
+			// ... and exclusive horizons landing exactly on an event (the
+			// near stream fires at every integer time): the head is popped,
+			// found at the horizon and put back.
+			e.RunBefore(math.Ceil(e.Now()) + 7)
 			check(e, "after RunBefore")
 			e.Run(e.Now() + 3.3)
 			check(e, "after Run")

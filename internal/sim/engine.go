@@ -14,11 +14,11 @@
 // engine's Handler. A pending typed event is one 32-byte pointer-free
 // record, written once into the slot it waits in and read once from there,
 // so a warmed-up event loop allocates nothing and the garbage collector
-// never scans the pending set. Pointer payloads travel out of line: an
-// event with a Data value or a generic callback (At/After with a closure,
-// the escape hatch for tests and ad-hoc callers) parks them in a side
-// table the engine owns and its record carries the table index. Each
-// closure naturally costs one allocation.
+// never scans the pending set. The one pointer an event can carry is a
+// generic callback (At/After with a closure, the escape hatch for tests
+// and ad-hoc callers): it travels out of line, parked in a side table the
+// engine owns, and the record carries the table index. Each closure
+// naturally costs one allocation.
 //
 // # Schedulers
 //
@@ -46,18 +46,15 @@ type Func func(e *Engine)
 type Kind uint8
 
 // Event is one scheduled occurrence: either a typed record (Kind, Arg,
-// Ref, Data) dispatched through the engine's Handler, or a generic
-// callback in Fn. Arg carries a small integer payload such as a node or
-// channel id; Ref is a second integer the handler owns, typically an index
-// into its own table. Data and Fn are the out-of-line form: when either is
-// non-nil the engine keeps them in its side table until the event fires
-// (storing a pointer in an interface does not allocate). When Fn is
-// non-nil it takes precedence and the typed fields are ignored.
+// Ref) dispatched through the engine's Handler, or a generic callback in
+// Fn. Arg carries a small integer payload such as a node or channel id;
+// Ref is a second integer the handler owns, typically an index into its
+// own table. A non-nil Fn is the out-of-line form: the engine keeps it in
+// its side table until the event fires, and the typed fields are ignored.
 type Event struct {
 	Kind Kind
 	Arg  int32
 	Ref  int32
-	Data any
 	Fn   Func
 }
 
@@ -69,18 +66,12 @@ type Handler interface {
 
 // item is one pending event as both schedulers store it: 32 bytes, two to
 // a cache line, no pointers. slot indexes the engine's side table when the
-// event carries a Data or Fn payload and is -1 otherwise.
+// event carries an Fn callback and is -1 otherwise.
 type item struct {
 	t              float64
 	seq            uint64
 	kind           Kind
 	arg, ref, slot int32
-}
-
-// payload is a side-table entry: the pointer-bearing half of an Event.
-type payload struct {
-	data any
-	fn   Func
 }
 
 // eventHeap is a binary min-heap ordered by (t, seq). The sift operations
@@ -155,9 +146,9 @@ type Engine struct {
 	handler Handler
 	stopped bool
 	fired   uint64
-	// side holds the Data/Fn payloads of pending events that carry one,
+	// side holds the Fn callbacks of pending events that carry one,
 	// addressed by item.slot; sideFree lists its vacant entries.
-	side     []payload
+	side     []Func
 	sideFree []int32
 }
 
@@ -188,7 +179,7 @@ func (e *Engine) Reset() {
 		e.heap = e.heap[:0]
 	}
 	e.cal.reset(maxRetainedEvents)
-	// The discarded events' payloads are the only references the pending
+	// The discarded events' callbacks are the only references the pending
 	// set ever held: drop them, or a pooled engine pins them for life.
 	clear(e.side)
 	if cap(e.side) > maxRetainedEvents {
@@ -215,21 +206,6 @@ func (e *Engine) Pending() int {
 		return len(e.heap)
 	}
 	return e.cal.len()
-}
-
-// NextTime returns the time of the earliest pending event without firing
-// it, and false when no events are pending. A peek is not a dequeue: it
-// leaves the calendar's geometry and its dequeue-rate window alone. The
-// conservative parallel coordinator (internal/sim/par) uses this to
-// compute the global synchronization horizon each round.
-func (e *Engine) NextTime() (float64, bool) {
-	if e.useHeap {
-		if len(e.heap) == 0 {
-			return 0, false
-		}
-		return e.heap[0].t, true
-	}
-	return e.cal.peek()
 }
 
 // Geometry reports the calendar scheduler's current shape — bucket count,
@@ -322,8 +298,8 @@ func (e *Engine) ScheduleSeq(t float64, seq uint64, ev Event) {
 //quarc:hotpath
 func (e *Engine) put(t float64, seq uint64, ev Event) {
 	slot := int32(-1)
-	if ev.Data != nil || ev.Fn != nil {
-		slot = e.park(ev.Data, ev.Fn)
+	if ev.Fn != nil {
+		slot = e.park(ev.Fn)
 	}
 	if e.useHeap {
 		e.heap.push(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
@@ -334,24 +310,24 @@ func (e *Engine) put(t float64, seq uint64, ev Event) {
 	}
 }
 
-// park stores an event's out-of-line payload and returns its slot.
-func (e *Engine) park(data any, fn Func) int32 {
+// park stores an event's callback out of line and returns its slot.
+func (e *Engine) park(fn Func) int32 {
 	if n := len(e.sideFree); n > 0 {
 		slot := e.sideFree[n-1]
 		e.sideFree = e.sideFree[:n-1]
-		e.side[slot] = payload{data, fn}
+		e.side[slot] = fn
 		return slot
 	}
-	e.side = append(e.side, payload{data, fn})
+	e.side = append(e.side, fn)
 	return int32(len(e.side) - 1)
 }
 
-// take empties a side-table slot and returns what it held.
-func (e *Engine) take(slot int32) payload {
-	p := e.side[slot]
-	e.side[slot] = payload{}
+// take empties a side-table slot and returns the callback it held.
+func (e *Engine) take(slot int32) Func {
+	fn := e.side[slot]
+	e.side[slot] = nil
 	e.sideFree = append(e.sideFree, slot)
-	return p
+	return fn
 }
 
 // At schedules fn to run at absolute time t — the generic-callback form of
@@ -411,12 +387,8 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 		e.now = p.t
 		e.fired++
 		if slot >= 0 {
-			pl := e.take(slot)
-			if pl.fn != nil {
-				pl.fn(e)
-				continue
-			}
-			ev.Data = pl.data
+			e.take(slot)(e)
+			continue
 		}
 		if e.handler == nil {
 			panic("sim: typed event fired on an engine without a handler")

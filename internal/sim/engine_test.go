@@ -260,19 +260,19 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestResetEmptiesSideTable pins that Reset drops the out-of-line payloads
-// of the events it discards — a pooled engine would otherwise pin a
-// discarded closure or Data value for life — and hands the table back
-// empty: the next payload parks in slot 0.
+// TestResetEmptiesSideTable pins that Reset drops the out-of-line
+// callbacks of the events it discards — a pooled engine would otherwise
+// pin a discarded closure for life — and hands the table back empty: the
+// next callback parks in slot 0.
 func TestResetEmptiesSideTable(t *testing.T) {
 	for _, mk := range []func() *Engine{New, NewWithHeap} {
 		e := mk()
 		h := &recordingHandler{}
 		e.SetHandler(h)
 		for i := 0; i < 10; i++ {
-			e.Schedule(float64(i), Event{Kind: 1, Data: h})
+			e.Schedule(float64(i), Event{Fn: func(*Engine) {}})
 			e.After(float64(i), func(*Engine) {})
-			e.Schedule(float64(i), Event{Kind: 2, Arg: int32(i)}) // no payload: no slot
+			e.Schedule(float64(i), Event{Kind: 2, Arg: int32(i), Ref: int32(i)}) // no callback: no slot
 		}
 		e.Run(3) // some slots freed and reusable, most still parked
 		if len(e.side) != 20 {
@@ -280,27 +280,64 @@ func TestResetEmptiesSideTable(t *testing.T) {
 		}
 		side := e.side
 		e.Reset()
-		for i, p := range side {
-			if p.data != nil || p.fn != nil {
-				t.Errorf("%s: side-table entry %d still holds a payload after Reset", e.SchedulerName(), i)
+		for i, fn := range side {
+			if fn != nil {
+				t.Errorf("%s: side-table entry %d still holds a callback after Reset", e.SchedulerName(), i)
 			}
 		}
 		if len(e.side) != 0 || len(e.sideFree) != 0 {
 			t.Fatalf("%s: Reset left %d entries and %d free slots", e.SchedulerName(), len(e.side), len(e.sideFree))
 		}
-		h.data = h.data[:0]
-		e.Schedule(1, Event{Kind: 3, Data: h})
-		if len(e.side) != 1 || e.side[0].data != h {
-			t.Fatalf("%s: the first payload after Reset did not park in slot 0", e.SchedulerName())
+		fired := 0
+		e.At(1, func(*Engine) { fired++ })
+		if len(e.side) != 1 || e.side[0] == nil {
+			t.Fatalf("%s: the first callback after Reset did not park in slot 0", e.SchedulerName())
 		}
 		e.RunAll()
-		if len(h.data) != 1 || h.data[0] != h {
-			t.Fatalf("%s: payload not delivered after Reset: %v", e.SchedulerName(), h.data)
+		if fired != 1 {
+			t.Fatalf("%s: callback fired %d times after Reset, want 1", e.SchedulerName(), fired)
 		}
-		if e.side[0].data != nil || len(e.sideFree) != 1 {
+		if e.side[0] != nil || len(e.sideFree) != 1 {
 			t.Fatalf("%s: a fired event's slot was not emptied and freed", e.SchedulerName())
 		}
 	}
+}
+
+// TestEventPayloadIsFnOnly pins what an Event may carry: its callback is
+// the one pointer-bearing field, so the side table holds Funcs and nothing
+// else, and every typed event is pointer-free end to end.
+func TestEventPayloadIsFnOnly(t *testing.T) {
+	ty := reflect.TypeOf(Event{})
+	for i := 0; i < ty.NumField(); i++ {
+		f := ty.Field(i)
+		if hasPointers(f.Type) != (f.Name == "Fn") {
+			t.Errorf("Event field %s (%s): pointer-bearing = %v, want only Fn", f.Name, f.Type, hasPointers(f.Type))
+		}
+	}
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("Event is %d bytes, want 24", got)
+	}
+}
+
+// hasPointers reports whether a value of type ty holds anything the
+// garbage collector follows.
+func hasPointers(ty reflect.Type) bool {
+	switch ty.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return hasPointers(ty.Elem())
+	case reflect.Struct:
+		for i := 0; i < ty.NumField(); i++ {
+			if hasPointers(ty.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // TestItemLayout pins the pending-event record: 32 bytes, two to a cache
@@ -309,41 +346,26 @@ func TestItemLayout(t *testing.T) {
 	if got := unsafe.Sizeof(item{}); got != 32 {
 		t.Errorf("item is %d bytes, want 32", got)
 	}
-	var pointerFree func(reflect.Type) bool
-	pointerFree = func(ty reflect.Type) bool {
-		switch ty.Kind() {
-		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-			return true
-		case reflect.Array:
-			return pointerFree(ty.Elem())
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				if !pointerFree(ty.Field(i).Type) {
-					t.Errorf("item field %s (%s) bears a pointer", ty.Field(i).Name, ty.Field(i).Type)
-					return false
-				}
-			}
-			return true
+	ty := reflect.TypeOf(item{})
+	for i := 0; i < ty.NumField(); i++ {
+		if hasPointers(ty.Field(i).Type) {
+			t.Errorf("item field %s (%s) bears a pointer", ty.Field(i).Name, ty.Field(i).Type)
 		}
-		return false
 	}
-	pointerFree(reflect.TypeOf(item{}))
 }
 
 // recordingHandler collects the typed events it dispatches.
 type recordingHandler struct {
 	kinds []Kind
 	args  []int32
-	data  []any
+	refs  []int32
 	times []float64
 }
 
 func (h *recordingHandler) Handle(e *Engine, ev Event) {
 	h.kinds = append(h.kinds, ev.Kind)
 	h.args = append(h.args, ev.Arg)
-	h.data = append(h.data, ev.Data)
+	h.refs = append(h.refs, ev.Ref)
 	h.times = append(h.times, e.Now())
 }
 
@@ -351,9 +373,8 @@ func TestTypedEventsDispatchThroughHandler(t *testing.T) {
 	e := New()
 	h := &recordingHandler{}
 	e.SetHandler(h)
-	payload := &recordingHandler{} // any pointer will do
 	e.Schedule(2, Event{Kind: 7, Arg: 42})
-	e.Schedule(1, Event{Kind: 3, Data: payload})
+	e.Schedule(1, Event{Kind: 3, Ref: -9})
 	e.RunAll()
 	if len(h.kinds) != 2 || h.kinds[0] != 3 || h.kinds[1] != 7 {
 		t.Fatalf("dispatched kinds %v, want [3 7] in time order", h.kinds)
@@ -361,8 +382,8 @@ func TestTypedEventsDispatchThroughHandler(t *testing.T) {
 	if h.args[1] != 42 {
 		t.Fatalf("Arg = %d, want 42", h.args[1])
 	}
-	if h.data[0] != payload {
-		t.Fatalf("Data payload not delivered identically")
+	if h.refs[0] != -9 {
+		t.Fatalf("Ref = %d, want -9", h.refs[0])
 	}
 	if h.times[0] != 1 || h.times[1] != 2 {
 		t.Fatalf("dispatch times %v, want [1 2]", h.times)
@@ -441,78 +462,10 @@ func TestRandomizedOrdering(t *testing.T) {
 	}
 }
 
-// TestNextTimePeeks pins the peek contract on both schedulers: NextTime
-// reports the earliest pending time without firing, reordering or
-// losing anything — and on the calendar, without counting as a dequeue:
-// neither peeks nor the put-back of the first event beyond a Run horizon
-// may move the geometry or the dequeue-rate window it is measured over.
-func TestNextTimePeeks(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		make func() *Engine
-	}{{"calendar", New}, {"heap", NewWithHeap}} {
-		t.Run(mk.name, func(t *testing.T) {
-			e := mk.make()
-			if _, ok := e.NextTime(); ok {
-				t.Fatal("empty engine reported a pending time")
-			}
-			var order []int
-			rng := rand.New(rand.NewPCG(1, 2))
-			id := 0
-			for i := 0; i < 200; i++ {
-				tm := rng.Float64() * 100
-				if i%7 == 0 {
-					tm = 50 // same-instant cluster crossing the peek
-				}
-				k := id
-				e.At(tm, func(*Engine) { order = append(order, k) })
-				id++
-				if nt, ok := e.NextTime(); !ok || nt > tm {
-					t.Fatalf("peek %v, ok=%v after scheduling at %v", nt, ok, tm)
-				}
-			}
-			// Interleave peeks with firing: each peek must match the time
-			// the next fired event runs at, and must not advance the clock.
-			reference := mk.make()
-			var want []int
-			rng2 := rand.New(rand.NewPCG(1, 2))
-			id = 0
-			for i := 0; i < 200; i++ {
-				tm := rng2.Float64() * 100
-				if i%7 == 0 {
-					tm = 50
-				}
-				k := id
-				reference.At(tm, func(*Engine) { want = append(want, k) })
-				id++
-			}
-			for {
-				nt, ok := e.NextTime()
-				if !ok {
-					break
-				}
-				if pending := e.Pending(); pending == 0 {
-					t.Fatal("peek reported a time with nothing pending")
-				}
-				before := e.Now()
-				fired := e.Fired()
-				e.Run(nt) // fire exactly the events at the peeked time
-				if e.Fired() == fired {
-					t.Fatalf("nothing fired at peeked time %v (clock was %v)", nt, before)
-				}
-			}
-			reference.RunAll()
-			if len(order) != len(want) {
-				t.Fatalf("peek-interleaved run fired %d events, reference %d", len(order), len(want))
-			}
-			for i := range order {
-				if order[i] != want[i] {
-					t.Fatalf("peek perturbed event order at %d: got %v want %v", i, order[i], want[i])
-				}
-			}
-		})
-	}
-
+// TestPutBackIsNotADequeue pins that the put-back of the first event
+// beyond a Run horizon is invisible to the calendar: it moves neither the
+// geometry nor the dequeue-rate window the day width is measured over.
+func TestPutBackIsNotADequeue(t *testing.T) {
 	e := New()
 	e.HintSchedule(256, 256)
 	newSimShape(e, 1, 64, 600).runTo(e, 9000) // several windows in, part-way through one
@@ -530,15 +483,12 @@ func TestNextTimePeeks(t *testing.T) {
 	}
 	before := read()
 	if before.rebuilds == 0 || before.pops == 0 {
-		t.Fatalf("want a learned geometry and an open window before peeking, have %+v", before)
+		t.Fatalf("want a learned geometry and an open window before the put-backs, have %+v", before)
 	}
 	for i := 0; i < 10000; i++ {
-		if nt, ok := e.NextTime(); !ok || nt <= e.Now() {
-			t.Fatalf("peek %d: %v, %v with the clock at %v", i, nt, ok, e.Now())
-		}
 		e.Run(e.Now()) // pops the head, finds it beyond the horizon, puts it back
 	}
 	if after := read(); after != before {
-		t.Errorf("10 000 peeks and put-backs moved the calendar: %+v, was %+v", after, before)
+		t.Errorf("10 000 put-backs moved the calendar: %+v, was %+v", after, before)
 	}
 }

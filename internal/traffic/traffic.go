@@ -329,7 +329,7 @@ func NewWorkload(router routing.Router, spec Spec, seed uint64) (*Workload, erro
 // maxCachedTables entries: a flush only costs recomputation, never
 // correctness.
 var (
-	//quarcflow:shared mutex-guarded memo cache; a hit and a miss return bitwise-identical tables (routes are a pure function of the router), so the cache never changes a Result — a parallel engine can keep it as-is or drop it per-shard
+	//quarcflow:shared mutex-guarded memo cache; a hit and a miss return bitwise-identical tables (routes are a pure function of the router), so the cache never changes a Result — concurrent Sweep and replication workers share it as-is
 	routeMu sync.Mutex
 	//quarcflow:shared see routeMu: pure-memoization cache guarded by routeMu, value identity never affects results
 	unicastTables = map[routing.Router][][]routing.Branch{}
@@ -419,13 +419,6 @@ func multicastTable(router routing.Router, set routing.MulticastSet) ([][]routin
 
 // Spec returns the workload specification.
 func (w *Workload) Spec() Spec { return w.spec }
-
-// ParallelSafe marks the workload safe for concurrent Interarrival and
-// Next calls on distinct nodes (the wormhole.ParallelSafe contract):
-// generation state is per node — rngs[node], srcs[node], arr[node] —
-// and the route tables, branch caches and destination CDF those calls
-// read are built once up front and never written during a run.
-func (w *Workload) ParallelSafe() {}
 
 // Reset re-derives the workload in place for a new spec and seed over the
 // same router. The unicast route cache is always kept (routes depend only

@@ -66,17 +66,9 @@ func TestHookFiresAtEveryPosition(t *testing.T) {
 	nw.Attach(h)
 	r := nw.Run()
 	for p := HookPos(0); p < numHookPos; p++ {
-		if p == HookPartitionDone {
-			// Parallel-only position: a serial run never fires it (its
-			// coverage is pinned by TestParallelPartitionHook).
-			continue
-		}
 		if h.counts[p] == 0 {
 			t.Errorf("position %v never fired", p)
 		}
-	}
-	if h.counts[HookPartitionDone] != 0 {
-		t.Errorf("partition-done fired %d times in a serial run", h.counts[HookPartitionDone])
 	}
 	if h.counts[HookChannelGranted] != h.counts[HookChannelReleased] {
 		t.Errorf("grants %d != releases %d (a drained run balances them)",

@@ -156,13 +156,6 @@ type channel struct {
 	// when holder != nil && holder.spanning.
 	spanRelease float64
 	spanSeq     uint64
-	// spanDeferred is the parallel engine's explicit deferral marker
-	// (parallel.go). Serially, "holder is spanning and the queue is
-	// empty" implies this channel's release was deferred, but a parallel
-	// shard can hold a channel whose worm spans in another shard (the
-	// release then arrives as a materialized event), so deferral is
-	// recorded per channel. The serial path never reads it.
-	spanDeferred bool
 }
 
 type message struct {
@@ -184,11 +177,6 @@ type message struct {
 	// src is the injecting node, kept for the canonical sample fold's
 	// tie-break key (see foldSamples).
 	src topology.NodeID
-	// lastDoneBits is the parallel engine's field (parallel.go): the
-	// float64 bit pattern of the latest branch completion, maintained by
-	// CAS so branches completing in different shards fold commutatively.
-	// The serial path never touches it (it uses lastDone directly).
-	lastDoneBits uint64
 }
 
 // latSample is one measured message completion. Latency estimators are
@@ -197,16 +185,14 @@ type message struct {
 // order: event order and canonical order differ only where completion
 // times tie exactly — which blocking makes routine, since a worm granted
 // at its blocker's release inherits the blocker's time base — and the
-// canonical order is the one a parallel run can reproduce, because it is
-// a function of sample content rather than of the global event sequence
-// (see parallel.go).
+// canonical order is the pinned order of every golden: folding in event
+// order instead would move the low bits of every recorded estimate.
 type latSample struct {
 	t, gen    float64
 	src       topology.NodeID
 	multicast bool
 	// port and depth carry the unicast breakdown coordinates for Detail
-	// runs (zero otherwise; the parallel engine never records them, as
-	// Detail runs fall back to the serial path).
+	// runs (zero otherwise).
 	port  int
 	depth int
 }
@@ -248,13 +234,6 @@ type worm struct {
 	// queue references the worm and it returns to the pool.
 	held int
 	done bool
-	// pstate packs the same occupancy state for the parallel engine
-	// (parallel.go): a held count in the low bits plus done/spanning flag
-	// bits, maintained with atomic adds because a stretched worm's
-	// channels can be released from several shards. Serial and parallel
-	// runs use disjoint worm populations, so each mode reads only its own
-	// fields.
-	pstate int32
 	// spanning marks a worm draining in coalesced span mode: its remaining
 	// channel releases are deferred to their precomputed times (each
 	// channel's spanRelease) and applied lazily, by one evSpanDone event,
@@ -486,10 +465,10 @@ func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 // hintSchedule seeds an engine's scheduler geometry with the workload's
 // shape — about two events in flight per node (its parked generation
 // timer and a worm's next step), scheduled up to a few message-drain
-// times ahead — instead of paying the learning transient every run. New,
-// Reset and the parallel shards all issue it, so a run's starting
-// geometry is a function of (nodes, message length) alone; the engine's
-// own policy then follows the run's dequeue rate.
+// times ahead — instead of paying the learning transient every run. New
+// and Reset both issue it, so a run's starting geometry is a function of
+// (nodes, message length) alone; the engine's own policy then follows the
+// run's dequeue rate.
 func hintSchedule(eng *sim.Engine, msgLen, nodes int) {
 	eng.HintSchedule(float64(msgLen)*8, nodes*2)
 }
@@ -523,7 +502,6 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 		c.busy = 0
 		c.grants = 0
 		c.spanRelease = 0
-		c.spanDeferred = false
 	}
 	nw.res = Result{}
 	nw.measuring = false
@@ -588,6 +566,11 @@ func (nw *Network) Run() Result {
 	return nw.res
 }
 
+// RunParallel is Run: the intra-run parallel engine is gone.
+//
+// Deprecated: call Run. Kept only for the frozen benchmark probe.
+func (nw *Network) RunParallel(int) (Result, bool) { return nw.Run(), true }
+
 func (nw *Network) beginMeasurement() {
 	nw.measuring = true
 	nw.measureStart = nw.eng.Now()
@@ -628,7 +611,7 @@ func (nw *Network) busySpan(grant, release float64) float64 {
 // foldSamples sorts the buffered completion samples canonically and
 // feeds them to the latency estimators. Order only matters to the
 // rounding of the running sums and the batch-means boundaries; sorting
-// pins that rounding to a sequence a parallel run can reproduce.
+// pins that rounding to the sequence every golden was recorded with.
 func (nw *Network) foldSamples() {
 	sortSamples(nw.samples)
 	for _, s := range nw.samples {

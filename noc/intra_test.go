@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// intraBase is a mid-load scenario cheap enough for the differential
-// matrix below.
+// intraBase is a mid-load scenario cheap enough for the matrix below.
 func intraBase(t *testing.T, extra ...Option) *Scenario {
 	t.Helper()
 	opts := append([]Option{
@@ -21,11 +20,10 @@ func intraBase(t *testing.T, extra ...Option) *Scenario {
 	return s
 }
 
-// TestIntraParallelismBitwise pins the option's contract at the API
-// boundary: for every shard count — and on both the stateless and the
-// pooled simulator — the Result is bitwise-identical to the serial
-// evaluation, including the paths the engine declines and runs serially
-// (lattice arrivals, metrics recording).
+// TestIntraParallelismBitwise pins the deprecated option as a no-op at
+// the API boundary: for every p — and on both the stateless and the
+// pooled simulator, under every arrival process and with metrics
+// recording — the Result JSON is identical to having no option set.
 func TestIntraParallelismBitwise(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -65,10 +63,9 @@ func TestIntraParallelismBitwise(t *testing.T) {
 	}
 }
 
-// TestIntraParallelismSaturationRerun pins the abort path through the
-// evaluator: a saturating scenario under IntraParallelism still reports
-// the serial engine's truncated saturated Result, via the rebuild-and-
-// rerun fallback.
+// TestIntraParallelismSaturationRerun pins the no-op on a saturating
+// scenario: under IntraParallelism it reports exactly the truncated
+// saturated Result of a run without the option.
 func TestIntraParallelismSaturationRerun(t *testing.T) {
 	hot := []Option{Rate(0.05), SatQueue(20), Measure(20000)}
 	serial, err := (Simulator{}).Evaluate(intraBase(t, hot...))
@@ -87,10 +84,10 @@ func TestIntraParallelismSaturationRerun(t *testing.T) {
 	}
 }
 
-// TestIntraParallelismSpec pins the declarative surface: the JSON field
-// round-trips through ParseSpec, canonicalizes to zero (execution
-// advice, not content), leaves the Fingerprint unperturbed, and still
-// reaches the compiled scenario's configuration.
+// TestIntraParallelismSpec pins the wire-compatible surface: the JSON
+// field still parses and is range-checked, canonicalizes to zero, leaves
+// the Fingerprint unperturbed, and still reaches the compiled scenario's
+// configuration, where nothing reads it.
 func TestIntraParallelismSpec(t *testing.T) {
 	sp, err := ParseSpec([]byte(`{"intra_parallelism": 4, "rate": 0.004}`))
 	if err != nil {

@@ -454,23 +454,12 @@ func Parallelism(k int) Option {
 	}
 }
 
-// IntraParallelism partitions a single simulation run across p shards of
-// the conservative parallel engine (internal/sim/par): the network is
-// split spatially, each shard advances on its own event engine, and the
-// shards synchronize in lookahead-wide windows. The Result is
-// bitwise-identical to the serial engine's for every p (pinned by
-// TestParallelMatchesSerial and FuzzParallelVsSerial) — like Parallelism
-// this is execution advice, not content, so it never enters the Spec
-// fingerprint. p <= 1 selects the serial engine.
+// IntraParallelism is accepted and ignored; kept for wire compatibility.
+// It once selected an intra-run parallel engine, which was deleted after
+// it measured slower than the serial one; a run's Result is the same for
+// every p. Spend cores on Replications and Sweep points instead.
 //
-// The parallel engine declines configurations it cannot reproduce
-// exactly and runs them serially instead: drain, detail, tracing,
-// per-event hooks (metrics recording included), trace record/replay,
-// and integer-lattice arrival processes ("bernoulli", "periodic") whose
-// cross-node event-time ties encode the serial engine's global
-// scheduling order. A run that hits saturation mid-flight is also
-// rerun serially — the truncated stop is a global-order artifact. In
-// every such case the option costs nothing and changes nothing.
+// Deprecated: drop the option; it is a no-op.
 func IntraParallelism(p int) Option {
 	return func(cfg *config) error {
 		cfg.IntraParallelism = p

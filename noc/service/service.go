@@ -407,11 +407,11 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	}
 	e.misses.Add(1)
 
-	// Execution advice is not content — Canonical dropped it from the key
-	// — but it does reach the engine: the caller's intra-run sharding, and
-	// serial replications, so that Workers is the only concurrency bound
-	// (the aggregate is bitwise-independent of that choice).
-	canon.Parallelism, canon.IntraParallelism = 1, sp.IntraParallelism
+	// Execution advice is not content — Canonical dropped it from the key.
+	// Replications run serially inside a job, so that Workers is the only
+	// concurrency bound (the aggregate is bitwise-independent of that
+	// choice).
+	canon.Parallelism = 1
 	select {
 	case e.jobs <- job{key: key, sp: canon, f: f, persist: true}:
 	case <-ctx.Done():

@@ -92,10 +92,10 @@ type Spec struct {
 	TraceLimit        int     `json:"trace_limit,omitempty"`
 	Replications      int     `json:"replications,omitempty"`
 	Parallelism       int     `json:"parallelism,omitempty"`
-	// IntraParallelism shards a single run across the conservative
-	// parallel engine (the IntraParallelism option). Like Parallelism it
-	// is execution advice with a bitwise-invariant Result, so Canonical
-	// clears it and it never perturbs the Fingerprint.
+	// IntraParallelism is accepted and ignored; kept for wire
+	// compatibility (see the deprecated IntraParallelism option). It is
+	// still range-checked, and Canonical clears it, so it never perturbs
+	// the Fingerprint.
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
 
 	// Metrics enables time-series recording (the Metrics option):

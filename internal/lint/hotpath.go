@@ -20,20 +20,25 @@ func defaultHotpaths() map[string][]string {
 			"Engine.ReserveSeq",
 			"Engine.Schedule",
 			"Engine.ScheduleSeq",
+			"Engine.laneFor",
 			"Engine.put",
 			"Engine.run",
 			"calQueue.dayOf",
 			"calQueue.head",
 			"calQueue.insert",
 			"calQueue.migrate",
+			"calQueue.peek",
 			"calQueue.place",
 			"calQueue.popRef",
 			"calQueue.pushOverflow",
 			"calQueue.setOvDue",
 			"calQueue.slot",
+			"calQueue.walk",
 			"eventHeap.pop",
 			"eventHeap.push",
 			"keyLess",
+			"lane.front",
+			"lane.place",
 		},
 		"quarc/internal/traffic": {
 			"Workload.Interarrival",

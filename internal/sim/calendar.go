@@ -56,10 +56,20 @@ type calQueue struct {
 	shrinkAt int
 
 	// pops counts the events dequeued since the clock read popT: the
-	// window the day width is measured over (see retune). Put-backs are
-	// not dequeues and never move either.
+	// window the day width is measured over (see retune). Peeks and
+	// put-backs are not dequeues and never move either.
 	pops int
 	popT float64
+
+	// min caches the key (t, seq) of the earliest stored event while
+	// peeked is set, and the walk stands on it: day is its day and it
+	// heads that day's bucket. peek sets it; place keeps it (a smaller
+	// key lands on that day or an earlier one, which slot rewinds to, and
+	// heads its bucket); a pop or a rebuild clears it. So the engine can
+	// compare the calendar against its lanes on every pop without
+	// walking, and popRef takes the earliest event without a second walk.
+	min    item
+	peeked bool
 
 	// resizes counts geometry rebuilds since the last reset (see
 	// Engine.Geometry).
@@ -70,6 +80,9 @@ type calQueue struct {
 	// within its capacity (shrinks, re-grows after a shrink) reslice it
 	// instead of allocating, keeping geometry churn GC-quiet.
 	bucketStore []bucket
+	// laneStore is the tail of bucketStore's item arena set aside for the
+	// engine's lane rings: two slots per allocated bucket (see makeBuckets).
+	laneStore []item
 }
 
 // bucket is one calendar slot: items[head:] sorted ascending by (t, seq).
@@ -169,25 +182,39 @@ func (q *calQueue) hint(span float64, pending int, now float64) {
 	q.setGeometry(nb, span/float64(nb), now)
 }
 
+// laneArena returns the lane store, bootstrapping the default geometry
+// first if the queue has none yet: at least two slots per current
+// bucket, since the store belongs to an arena allocated for at least as
+// many buckets.
+func (q *calQueue) laneArena(now float64) []item {
+	if q.buckets == nil {
+		q.setGeometry(calMinBuckets, 1, now)
+	}
+	return q.laneStore
+}
+
 // makeBuckets builds a bucket array over one flat item arena: two
 // allocations per geometry rebuild instead of one per bucket, so a fresh
 // network's first run doesn't pay hundreds of slice-growth allocations.
 // Buckets that outgrow their arena segment reallocate individually (the
 // three-index slice caps them against overlap). A day holds ~3 events by
-// design; the segment leaves a burst five times that in place, or a
+// design; the segment leaves a burst four times that in place, or a
 // pooled engine's narrow days outgrow it one bucket at a time, run after
-// run.
+// run. The arena's last two slots per bucket are the lane store, the
+// rings of the engine's fixed-delay lanes (DeclareLanes), so lanes cost a
+// fresh engine no allocation of their own.
 func (q *calQueue) makeBuckets(nb int) {
-	const seg = 16
+	const seg = 14
 	if cap(q.bucketStore) >= nb {
 		q.buckets = q.bucketStore[:nb]
 	} else {
 		q.bucketStore = make([]bucket, nb)
 		q.buckets = q.bucketStore
-		flat := make([]item, nb*seg)
+		flat := make([]item, nb*(seg+2))
 		for i := range q.buckets {
 			q.buckets[i].items = flat[i*seg : i*seg : (i+1)*seg]
 		}
+		q.laneStore = flat[nb*seg:]
 	}
 	q.mask = int64(nb - 1)
 	q.horizonDays = horizonYears * int64(nb)
@@ -212,6 +239,9 @@ func (q *calQueue) place(t float64, seq uint64, now float64) *item {
 	if d >= q.day+q.horizonDays {
 		return nil
 	}
+	if q.peeked && keyLess(t, seq, &q.min) {
+		q.min.t, q.min.seq = t, seq
+	}
 	return q.slot(d, t, seq)
 }
 
@@ -234,11 +264,12 @@ func (q *calQueue) insert(it item) {
 //quarc:hotpath
 func (q *calQueue) slot(d int64, t float64, seq uint64) *item {
 	if d < q.day {
-		// The walk advanced to the head event's day, but the engine
-		// deferred it at a Run horizon and the clock stayed behind; a
-		// later push may land on an earlier day. Rewind:
-		// pop compares real (t, seq) keys, so this costs a re-walk of
-		// empty days, never a reorder.
+		// The walk advanced to the head event's day, but the engine did
+		// not serve it — it peeked it and a lane's event came first, or
+		// put it back at a Run horizon — and the clock stayed behind; a
+		// later push may land on an earlier day. Rewind: pop compares
+		// real (t, seq) keys, so this costs a re-walk of empty days,
+		// never a reorder.
 		q.day = d
 	}
 	b := &q.buckets[d&q.mask]
@@ -305,7 +336,11 @@ func (q *calQueue) popRef(now float64) *item {
 	if q.pops >= calWindow || q.len() < q.shrinkAt {
 		q.retune(now)
 	}
-	b := q.head()
+	b := &q.buckets[q.day&q.mask]
+	if !q.peeked {
+		b = q.head()
+	}
+	q.peeked = false
 	p := &b.items[b.head]
 	b.head++
 	if b.head == len(b.items) {
@@ -324,6 +359,33 @@ func (q *calQueue) popRef(now float64) *item {
 func (q *calQueue) unpop(it item) {
 	q.insert(it)
 	q.pops--
+}
+
+// peek returns the key of the earliest stored event (only t and seq are
+// set), walking to it unless a peek since the last pop already has, or
+// nil when the queue is empty.
+//
+//quarc:hotpath
+func (q *calQueue) peek() *item {
+	if q.peeked {
+		return &q.min
+	}
+	return q.walk()
+}
+
+// walk is peek's slow path: it walks to the earliest stored event and
+// caches its key.
+//
+//quarc:hotpath
+func (q *calQueue) walk() *item {
+	if q.len() == 0 {
+		return nil
+	}
+	b := q.head()
+	it := &b.items[b.head]
+	q.min.t, q.min.seq = it.t, it.seq
+	q.peeked = true
+	return &q.min
 }
 
 // head advances the current day to the earliest stored event's and
@@ -431,6 +493,7 @@ func (q *calQueue) resize(width float64) {
 	all = append(all, q.overflow...)
 	q.overflow = q.overflow[:0]
 	q.count = 0
+	q.peeked = false
 
 	q.setGeometry(bucketsFor(len(all)), width, anchor)
 	q.resizes++
@@ -454,7 +517,7 @@ func (q *calQueue) resize(width float64) {
 // overflow heap above maxRetain items are freed so a single huge run does
 // not pin memory for the rest of a sweep.
 func (q *calQueue) reset(maxRetain int) {
-	total := 0
+	total := len(q.laneStore)
 	for i := range q.bucketStore {
 		b := &q.bucketStore[i]
 		total += cap(b.items)
@@ -471,11 +534,12 @@ func (q *calQueue) reset(maxRetain int) {
 		q.scratch = nil
 	}
 	q.count = 0
+	q.peeked = false
 	q.pops, q.popT = 0, 0
 	q.resizes = 0
 	if total > maxRetain || len(q.bucketStore) > calMaxRetainedBuckets {
 		// Re-made lazily, by the next hint or push.
-		q.buckets, q.bucketStore = nil, nil
+		q.buckets, q.bucketStore, q.laneStore = nil, nil, nil
 	} else if q.buckets != nil {
 		q.setGeometry(calMinBuckets, 1, 0)
 	}

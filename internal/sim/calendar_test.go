@@ -8,10 +8,12 @@ import (
 	"testing"
 )
 
-// sink records the dispatch order of typed events.
+// sink records the dispatch order of typed events, and how many keys a
+// lane refused when the schedule counts them (laneShape).
 type sink struct {
-	times []float64
-	args  []int32
+	times   []float64
+	args    []int32
+	refused int
 }
 
 func (s *sink) Handle(e *Engine, ev Event) {
@@ -63,19 +65,27 @@ func drive(e *Engine, seed uint64) *sink {
 // (time, seq) order on random schedules, including same-time bursts and
 // far-future horizons, and on the simulator-shaped schedules (steady
 // bimodal, light -> heavy -> light) whose dequeue rate makes the calendar
-// rebuild from inside pop, mid-burst and at Run horizons.
+// rebuild from inside pop, mid-burst and at Run horizons — and, with
+// fixed-delay lanes declared, on chains the lanes serve (at least half the
+// pops) interleaved with keys they must refuse.
 func TestCalendarMatchesHeapOracle(t *testing.T) {
 	for _, sched := range []struct {
 		name  string
 		seeds uint64
 		drive func(e *Engine, seed uint64) *sink
-	}{{"random", 50, drive}, {"bimodal", 10, driveBimodal}, {"rate-step", 10, driveRateStep}} {
+	}{{"random", 50, drive}, {"bimodal", 10, driveBimodal}, {"rate-step", 10, driveRateStep}, {"lanes", 10, driveLanes}} {
 		for seed := uint64(1); seed <= sched.seeds; seed++ {
 			e := New()
 			cal := sched.drive(e, seed)
 			heap := sched.drive(NewWithHeap(), seed)
 			if _, _, rebuilds, _ := e.Geometry(); rebuilds == 0 {
 				t.Fatalf("%s seed %d: the calendar never rebuilt", sched.name, seed)
+			}
+			if delays, served := e.Lanes(); delays[0] != 0 {
+				if share := float64(served[0]+served[1]) / float64(e.Fired()); share < 0.5 || cal.refused == 0 {
+					t.Fatalf("%s seed %d: vacuous lane drive: lanes %v served %.2f of the pops, %d keys refused",
+						sched.name, seed, delays, share, cal.refused)
+				}
 			}
 			if len(cal.times) != len(heap.times) {
 				t.Fatalf("%s seed %d: calendar fired %d events, heap %d", sched.name, seed, len(cal.times), len(heap.times))
@@ -204,13 +214,22 @@ func FuzzCalendarVsHeap(f *testing.F) {
 	// dequeue gap moves 4x each way, across Run horizons.
 	f.Add(bytes.Repeat([]byte{2, 1, 200}, 120))
 	f.Add(slices.Concat(bytes.Repeat([]byte{1, 200}, 110), bytes.Repeat([]byte{1, 1, 1, 1, 200}, 30), bytes.Repeat([]byte{1, 200}, 110)))
+	// Lanes: chains at now+1 and now+7 with refused reserved keys between
+	// partial drains; lane runs cut by horizons; a same-instant burst that
+	// overfills the now+7 lane.
+	f.Add([]byte{4, 4, 4, 200, 4, 1, 4, 200, 250, 4})
+	f.Add(bytes.Repeat([]byte{4, 0, 4, 3, 200}, 60))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		run := func(e *Engine) *sink {
+		// The calendar engine declares lanes for 1 and 7 (the heap ignores
+		// the declaration); Pending is recorded after every op.
+		run := func(e *Engine) (*sink, []int) {
 			s := &sink{}
 			e.SetHandler(s)
+			e.DeclareLanes(1, 7)
+			var pending []int
 			id := int32(0)
 			for _, op := range ops {
 				switch {
@@ -233,15 +252,27 @@ func FuzzCalendarVsHeap(f *testing.F) {
 						e.Schedule(base+float64(j)+1e-9, Event{Kind: 1, Arg: id})
 						id++
 					}
+				case op == 4: // the lanes: a step and a drain, then reserved keys under both that they refuse
+					seq := e.ReserveSeq(2)
+					e.Schedule(e.Now()+1, Event{Kind: 1, Arg: id})
+					e.Schedule(e.Now()+7, Event{Kind: 1, Arg: id + 1})
+					e.ScheduleSeq(e.Now()+1, seq, Event{Kind: 1, Arg: id + 2})
+					e.ScheduleSeq(e.Now()+7, seq+1, Event{Kind: 1, Arg: id + 3})
+					id += 4
 				default: // op as a pseudo-random near time
 					e.Schedule(e.Now()+float64(op)*1.5, Event{Kind: 1, Arg: id})
 					id++
 				}
+				pending = append(pending, e.Pending())
 			}
 			e.RunAll()
-			return s
+			return s, pending
 		}
-		cal, heap := run(New()), run(NewWithHeap())
+		cal, calPending := run(New())
+		heap, heapPending := run(NewWithHeap())
+		if slices.Compare(calPending, heapPending) != 0 {
+			t.Fatalf("Pending diverged: calendar %v, heap %v", calPending, heapPending)
+		}
 		if len(cal.times) != len(heap.times) {
 			t.Fatalf("calendar fired %d, heap fired %d", len(cal.times), len(heap.times))
 		}
@@ -261,11 +292,12 @@ func FuzzCalendarVsHeap(f *testing.F) {
 // closure that logs its own id, so a slot read after it was overwritten —
 // or a side-table entry crossed with another's — shows up in the record.
 type reentrant struct {
-	ops    []byte
-	cursor int
-	next   int32 // id of the next event to schedule
-	budget int   // events the handler may still schedule
-	log    []fired
+	ops     []byte
+	cursor  int
+	next    int32 // id of the next event to schedule
+	budget  int   // events the handler may still schedule
+	log     []fired
+	pending []int // Pending() after each op
 }
 
 type fired struct {
@@ -276,7 +308,9 @@ type fired struct {
 	fn   int32 // a closure event's id + 1; 0 for typed events
 }
 
-func (r *reentrant) schedule(e *Engine, t float64) {
+// schedule files the next event at t, under a fresh sequence number or,
+// when seq is not zero, under that reserved one.
+func (r *reentrant) schedule(e *Engine, t float64, seq uint64) {
 	id := r.next
 	r.next++
 	ev := Event{Kind: Kind(id%250 + 1), Arg: id, Ref: -id * 7}
@@ -286,7 +320,11 @@ func (r *reentrant) schedule(e *Engine, t float64) {
 			r.react(e)
 		}
 	}
-	e.Schedule(t, ev)
+	if seq != 0 {
+		e.ScheduleSeq(t, seq, ev)
+	} else {
+		e.Schedule(t, ev)
+	}
 }
 
 func (r *reentrant) Handle(e *Engine, ev Event) {
@@ -302,6 +340,7 @@ func (r *reentrant) react(e *Engine) {
 	}
 	op := r.ops[r.cursor%len(r.ops)]
 	r.cursor++
+	defer func() { r.pending = append(r.pending, e.Pending()) }()
 	n, at := 0, func(int) float64 { return e.Now() }
 	switch op % 6 {
 	case 0: // same instant
@@ -318,9 +357,20 @@ func (r *reentrant) react(e *Engine) {
 	case 4: // one step ahead: keeps a chain alive
 		n = 1
 		at = func(int) float64 { return e.Now() + 0.5 }
+	case 5: // the lanes: a step at now+1 and a drain at now+3, then a
+		// reserved key under each that the lane refuses
+		if r.budget < 4 {
+			return
+		}
+		seq := e.ReserveSeq(2)
+		r.schedule(e, e.Now()+1, 0)
+		r.schedule(e, e.Now()+3, 0)
+		r.schedule(e, e.Now()+1, seq)
+		r.schedule(e, e.Now()+3, seq+1)
+		r.budget -= 4
 	}
 	for j := 0; j < n && r.budget > 0; j++ {
-		r.schedule(e, at(j))
+		r.schedule(e, at(j), 0)
 		r.budget--
 	}
 }
@@ -334,23 +384,32 @@ func FuzzEngineReentrant(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 17, 4, 4, 33, 3, 4, 1})   // chains with floods and far timers
 	f.Add([]byte{3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 49}) // overflow-heavy
 	f.Add(bytes.Repeat([]byte{4, 0, 4, 2, 1}, 40))  // long enough to cross a dequeue window
+	f.Add([]byte{5, 5, 4, 5, 0, 5})                 // lane chains with refused keys
+	f.Add(bytes.Repeat([]byte{5, 4, 1, 5, 3}, 30))  // lanes beside floods and far timers
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		run := func(e *Engine) []fired {
+		// The calendar engine declares lanes for 1 and 3 (the heap ignores
+		// the declaration).
+		run := func(e *Engine) ([]fired, []int) {
 			r := &reentrant{ops: ops, budget: 6000}
 			e.SetHandler(r)
+			e.DeclareLanes(1, 3)
 			for i := 0; i < 8; i++ {
-				r.schedule(e, float64(i)*0.75)
+				r.schedule(e, float64(i)*0.75, 0)
 			}
 			for i := 0; i < 64 && e.Pending() > 0; i++ {
-				e.Run(e.Now() + 3.3) // horizons cut through floods: put-backs
+				e.Run(e.Now() + 3.3) // horizons cut through floods and lane runs
 			}
 			e.RunAll()
-			return r.log
+			return r.log, r.pending
 		}
-		cal, heap := run(New()), run(NewWithHeap())
+		cal, calPending := run(New())
+		heap, heapPending := run(NewWithHeap())
+		if slices.Compare(calPending, heapPending) != 0 {
+			t.Fatalf("Pending diverged: calendar %v, heap %v", calPending, heapPending)
+		}
 		if len(cal) != len(heap) {
 			t.Fatalf("calendar fired %d, heap fired %d", len(cal), len(heap))
 		}

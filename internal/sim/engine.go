@@ -24,11 +24,13 @@
 //
 // The pending-event set has two implementations behind the same Engine
 // API. The default is a calendar queue (bucketed time ring with an
-// overflow heap) with O(1) amortized schedule and pop; NewWithHeap selects
-// the plain binary heap, retained as the simpler fallback and as the
-// oracle for differential tests. Both order events identically by
-// (time, sequence), so which scheduler runs is invisible in the results —
-// only in the throughput.
+// overflow heap) with O(1) amortized schedule and pop, fronted by up to
+// two fixed-delay lanes (DeclareLanes): FIFOs for events filed a constant
+// delay after the clock, which arrive already sorted and skip the
+// calendar. NewWithHeap selects the plain binary heap, retained as the
+// simpler fallback and as the oracle for differential tests. Both order
+// events identically by (time, sequence), so which scheduler runs is
+// invisible in the results — only in the throughput.
 package sim
 
 import (
@@ -143,6 +145,10 @@ type Engine struct {
 	useHeap bool
 	heap    eventHeap
 	cal     calQueue
+	// lanes are the fixed-delay FIFOs in front of the calendar (see lane
+	// and DeclareLanes); an undeclared lane has no ring and refuses
+	// every event.
+	lanes   [2]lane
 	handler Handler
 	stopped bool
 	fired   uint64
@@ -162,12 +168,13 @@ func New() *Engine { return &Engine{} }
 func NewWithHeap() *Engine { return &Engine{useHeap: true} }
 
 // Reset returns the engine to its zero state — time zero, no pending
-// events, counters cleared, the calendar back at its default geometry
-// (re-issue HintSchedule after it) — while keeping the allocated event
-// storage and the handler, so one engine can be reused across the points
-// of a sweep without reallocating, at a speed that depends on the run and
-// never on the runs before it. Storage grossly over-grown by a past run
-// (beyond maxRetainedEvents) is released instead of retained.
+// events, counters cleared, the calendar back at its default geometry and
+// no lanes declared (re-issue HintSchedule and DeclareLanes after it) —
+// while keeping the allocated event storage and the handler, so one
+// engine can be reused across the points of a sweep without reallocating,
+// at a speed that depends on the run and never on the runs before it.
+// Storage grossly over-grown by a past run (beyond maxRetainedEvents) is
+// released instead of retained.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -178,6 +185,9 @@ func (e *Engine) Reset() {
 	} else {
 		e.heap = e.heap[:0]
 	}
+	// The lane rings live in the calendar's arena, which reset keeps or
+	// frees; DeclareLanes carves them out of it again.
+	e.lanes = [2]lane{}
 	e.cal.reset(maxRetainedEvents)
 	// The discarded events' callbacks are the only references the pending
 	// set ever held: drop them, or a pooled engine pins them for life.
@@ -205,7 +215,7 @@ func (e *Engine) Pending() int {
 	if e.useHeap {
 		return len(e.heap)
 	}
-	return e.cal.len()
+	return e.cal.len() + e.lanes[0].len() + e.lanes[1].len()
 }
 
 // Geometry reports the calendar scheduler's current shape — bucket count,
@@ -215,10 +225,23 @@ func (e *Engine) Pending() int {
 // zeros.
 func (e *Engine) Geometry() (buckets int, width float64, rebuilds uint64, overflow float64) {
 	q := &e.cal
-	if n := q.len(); n > 0 {
+	if n := e.Pending(); n > 0 {
 		overflow = float64(len(q.overflow)) / float64(n)
 	}
 	return len(q.buckets), q.width, q.resizes, overflow
+}
+
+// Lanes reports the declared fixed-delay lanes — each one's delay and the
+// events it has served since it was declared, zero for an undeclared lane
+// — for tests and out-of-band reporting. Like Geometry it only ever
+// describes speed.
+func (e *Engine) Lanes() (delays [2]float64, served [2]uint64) {
+	for k := range e.lanes {
+		if l := &e.lanes[k]; l.ring != nil {
+			delays[k], served[k] = l.delay, l.head
+		}
+	}
+	return delays, served
 }
 
 // SchedulerName identifies the active pending-event structure ("calendar"
@@ -235,11 +258,8 @@ func (e *Engine) SchedulerName() string {
 //
 //quarc:hotpath
 func (e *Engine) Schedule(t float64, ev Event) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN")
+	if !(t >= e.now) {
+		e.refuse(t)
 	}
 	e.seq++
 	e.put(t, e.seq, ev)
@@ -257,6 +277,29 @@ func (e *Engine) HintSchedule(span float64, pending int) {
 		return
 	}
 	e.cal.hint(span, pending, e.now)
+}
+
+// DeclareLanes gives the calendar scheduler a fixed-delay lane for each of
+// up to two delays (further ones are ignored): a FIFO that takes every
+// event scheduled exactly that delay after the clock, where it arrives
+// already in (time, sequence) order, so it is neither bucketed nor
+// searched. Declare the delays a workload schedules at most often — the
+// wormhole simulator's one-cycle header steps and message-length drains;
+// any delay is safe, since a lane refuses a key that would order before
+// its tail. Like HintSchedule it is purely about speed, follows it (the
+// lane rings come out of the arena the hinted geometry allocated, a
+// bucket count's worth of slots each), and is ignored by the heap
+// scheduler and by engines with pending events. Reset forgets the lanes.
+func (e *Engine) DeclareLanes(delays ...float64) {
+	if e.useHeap || e.Pending() > 0 {
+		return
+	}
+	e.lanes = [2]lane{}
+	store := e.cal.laneArena(e.now)
+	n := len(e.cal.buckets)
+	for k, d := range delays[:min(len(delays), len(e.lanes))] {
+		e.lanes[k] = lane{delay: d, ring: store[k*n : (k+1)*n : (k+1)*n], mask: uint64(n - 1)}
+	}
 }
 
 // ReserveSeq consumes the next n sequence numbers and returns the first,
@@ -280,20 +323,28 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 //
 //quarc:hotpath
 func (e *Engine) ScheduleSeq(t float64, seq uint64, ev Event) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN")
+	if !(t >= e.now) {
+		e.refuse(t)
 	}
 	e.put(t, seq, ev)
 }
 
-// put files a checked event under (t, seq). On the calendar the record is
-// written where it will wait: place returns the sorted slot with the key
-// set and the remaining fields are stored straight into it. (Building the
-// item first and copying it in is measurably slower — narrow field stores
-// followed by a wide load of the same bytes defeat store forwarding.)
+// refuse panics on a time Schedule and ScheduleSeq reject: NaN, or before
+// now.
+func (e *Engine) refuse(t float64) {
+	if math.IsNaN(t) {
+		panic("sim: scheduling event at NaN")
+	}
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+}
+
+// put files a checked event under (t, seq): into the lane whose delay it
+// lands at, if that lane takes the key, and otherwise into the calendar.
+// Either way the record is written where it will wait: place returns the
+// slot with the key set and the remaining fields are stored straight into
+// it. (Building the item first and copying it in is measurably slower —
+// narrow field stores followed by a wide load of the same bytes defeat
+// store forwarding.)
 //
 //quarc:hotpath
 func (e *Engine) put(t float64, seq uint64, ev Event) {
@@ -303,11 +354,33 @@ func (e *Engine) put(t float64, seq uint64, ev Event) {
 	}
 	if e.useHeap {
 		e.heap.push(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
-	} else if p := e.cal.place(t, seq, e.now); p != nil {
-		p.kind, p.arg, p.ref, p.slot = ev.Kind, ev.Arg, ev.Ref, slot
-	} else {
-		e.cal.pushOverflow(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
+		return
 	}
+	var p *item
+	if l := e.laneFor(t); l != nil {
+		p = l.place(t, seq)
+	}
+	if p == nil {
+		if p = e.cal.place(t, seq, e.now); p == nil {
+			e.cal.pushOverflow(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
+			return
+		}
+	}
+	p.kind, p.arg, p.ref, p.slot = ev.Kind, ev.Arg, ev.Ref, slot
+}
+
+// laneFor returns the lane whose delay t lands at, or nil.
+//
+//quarc:hotpath
+func (e *Engine) laneFor(t float64) *lane {
+	var l *lane
+	if t == e.now+e.lanes[1].delay {
+		l = &e.lanes[1]
+	}
+	if t == e.now+e.lanes[0].delay {
+		l = &e.lanes[0]
+	}
+	return l
 }
 
 // park stores an event's callback out of line and returns its slot.
@@ -361,26 +434,48 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 	e.stopped = false
 	var popped item // the heap scheduler pops by value
 	for !e.stopped {
-		p := &popped
-		if e.useHeap {
-			if len(e.heap) == 0 {
+		var p *item
+		if l0, l1 := &e.lanes[0], &e.lanes[1]; e.useHeap || l0.head == l0.tail && l1.head == l1.tail {
+			// No lane event to merge with: pop the earliest event, and put
+			// it back if it lies beyond this run's window.
+			p = &popped
+			if e.useHeap {
+				if len(e.heap) == 0 {
+					break
+				}
+				popped = e.heap.pop()
+			} else if p = e.cal.popRef(e.now); p == nil {
 				break
 			}
-			popped = e.heap.pop()
-		} else if p = e.cal.popRef(e.now); p == nil {
-			break
-		}
-		if p.t > horizon || (!inclusive && p.t == horizon) {
-			// Beyond this run's window: put it back for a later Run.
-			if e.useHeap {
-				e.heap.push(*p)
-			} else {
-				e.cal.unpop(*p)
+			if beyond(p.t, horizon, inclusive) {
+				if e.useHeap {
+					e.heap.push(*p)
+				} else {
+					e.cal.unpop(*p)
+				}
+				break
 			}
-			break
+		} else {
+			// Merge the lane fronts with the calendar's earliest key,
+			// cached across lane pops; pop the winner only inside the window.
+			p = e.cal.peek()
+			var src *lane
+			for k := range e.lanes {
+				if f := e.lanes[k].front(); f != nil && (p == nil || keyLess(f.t, f.seq, p)) {
+					p, src = f, &e.lanes[k]
+				}
+			}
+			if beyond(p.t, horizon, inclusive) {
+				break
+			}
+			if src != nil {
+				src.head++
+			} else {
+				p = e.cal.popRef(e.now)
+			}
 		}
-		// Read the record out before dispatch: p points into the bucket it
-		// was popped from, and a handler scheduling into that bucket may
+		// Read the record out before dispatch: p points into the bucket or
+		// ring it was popped from, and a handler scheduling there may
 		// compact, overwrite or abandon the slot.
 		ev := Event{Kind: p.kind, Arg: p.arg, Ref: p.ref}
 		slot := p.slot
@@ -399,6 +494,12 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 		e.now = horizon
 	}
 	return e.now
+}
+
+// beyond reports whether an event at t lies outside the window of a run
+// to horizon: after it, or exactly at an exclusive one.
+func beyond(t, horizon float64, inclusive bool) bool {
+	return t > horizon || (!inclusive && t == horizon)
 }
 
 // RunAll executes events until none remain or Stop is called.

@@ -90,6 +90,70 @@ func driveRateStep(e *Engine, seed uint64) *sink {
 	return &s.sink
 }
 
+// laneShape is the wormhole's schedule as the lanes see it: parked timers
+// on the calendar each start a chain of +1 header steps ending in a +L
+// drain, both on lanes; and, as a span drain does, a timer reserves a
+// sequence number before the chain it starts and then schedules a release
+// under it at now+1 or now+L — a key that orders before the lane's tail,
+// which the lane must refuse. The sink counts the refusals, read off the
+// lane's tail (no lane on the heap oracle: nothing to count).
+type laneShape struct {
+	sink
+	rng *rand.Rand
+}
+
+const (
+	laneL            = 5
+	kindRelease Kind = 4
+)
+
+func (s *laneShape) Handle(e *Engine, ev Event) {
+	s.sink.Handle(e, ev)
+	switch left := ev.Arg & 7; {
+	case ev.Kind == kindTimer:
+		e.Schedule(e.Now()+math.Ceil(s.rng.ExpFloat64()*800)/4, ev)
+		seq := e.ReserveSeq(1)
+		e.Schedule(e.Now()+1, Event{Kind: kindStep, Arg: ev.Arg<<3 | int32(1+s.rng.IntN(6))})
+		d := 1.0
+		if s.rng.IntN(2) == 0 {
+			e.Schedule(e.Now()+laneL, Event{Kind: kindStep, Arg: ev.Arg << 3})
+			d = laneL
+		}
+		l := &e.lanes[0]
+		if d == laneL {
+			l = &e.lanes[1]
+		}
+		tail := l.tail
+		e.ScheduleSeq(e.Now()+d, seq, Event{Kind: kindRelease, Arg: ev.Arg})
+		if l.ring != nil && l.tail == tail {
+			s.refused++
+		}
+	case ev.Kind == kindStep && left > 1:
+		e.Schedule(e.Now()+1, Event{Kind: kindStep, Arg: ev.Arg - 1})
+	case ev.Kind == kindStep && left == 1:
+		e.Schedule(e.Now()+laneL, Event{Kind: kindStep, Arg: ev.Arg - 1})
+	}
+}
+
+// driveLanes runs laneShape on an engine with lanes for 1 and laneL, in
+// Run slices that end off the quarter-cycle grid (so a horizon cuts a lane
+// run between two of its events) and RunBefore slices that end on it (so
+// an event exactly at the exclusive horizon is left pending).
+func driveLanes(e *Engine, seed uint64) *sink {
+	s := &laneShape{rng: rand.New(rand.NewPCG(seed, 0x1A4E))}
+	e.SetHandler(s)
+	e.HintSchedule(256, 128)
+	e.DeclareLanes(1, laneL)
+	for i := 0; i < 64; i++ {
+		e.Schedule(math.Ceil(s.rng.Float64()*800)/4, Event{Kind: kindTimer, Arg: int32(i)})
+	}
+	for e.Now() < 30000 {
+		e.Run(e.Now() + 3.3)
+		e.RunBefore(math.Ceil(e.Now()) + 2)
+	}
+	return &s.sink
+}
+
 // geomCount is the test-only accounting of what a geometry costs: bubble
 // moves per insert and empty days stepped over per pop, read off the
 // queue's state after each operation — nothing is counted on the hot path.

@@ -402,8 +402,14 @@ func TestPooledReuseAllocBound(t *testing.T) {
 // benchmark's sim-mid scenario (quarc-64, 40 % of saturation) run through
 // Reset on networks primed four different ways — another seed, a light
 // load, the knee, a saturated run with another message length — ends on
-// the scheduler geometry a fresh network ends on, so a pooled simulator's
+// the scheduler state a fresh network ends on, so a pooled simulator's
 // speed is a function of the scenario it runs and not of its history.
+// The state is the calendar's geometry and the fixed-delay lanes: their
+// delays and the events each served. The window is long enough for the
+// calendar, which serves only what the lanes do not, to dequeue more than
+// one retune window and rebuild; and the 16-flit priming must leave the
+// 32-flit run draining through a 32-cycle lane — a stale 16-cycle one
+// would be correct but slow, so nothing else would notice.
 func TestPooledGeometryForgetsPriming(t *testing.T) {
 	rt := quarcRouter(t, 64)
 	set, err := rt.LocalizedSet(topology.PortL, 8)
@@ -411,15 +417,18 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := traffic.Spec{Rate: 0.00068, MulticastFrac: 0.05, Set: set}
-	cfg := Config{MsgLen: 32, Warmup: 2000, Measure: 60000}
+	cfg := Config{MsgLen: 32, Warmup: 2000, Measure: 200000}
 	type geometry struct {
 		buckets  int
 		width    float64
 		rebuilds uint64
+		delays   [2]float64
+		served   [2]uint64
 	}
 	read := func(nw *Network) geometry {
 		b, w, r, _ := nw.eng.Geometry()
-		return geometry{b, w, r}
+		d, s := nw.eng.Lanes()
+		return geometry{b, w, r, d, s}
 	}
 	w, err := traffic.NewWorkload(rt, mid, 9)
 	if err != nil {
@@ -429,11 +438,14 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := read(fresh) // the hinted geometry: a function of (nodes, message length)
+	start := read(fresh) // the hinted geometry and declared lanes: a function of (nodes, message length)
 	fresh.Run()
 	want := read(fresh)
 	if want.rebuilds == 0 {
 		t.Fatal("the reference run never rebuilt its calendar: the comparison is vacuous")
+	}
+	if want.delays != [2]float64{1, 32} || want.served[1] == 0 {
+		t.Fatalf("the reference run has lanes %v serving %v: want 1 and 32, the drain lane in use", want.delays, want.served)
 	}
 
 	for i, prime := range []struct {
@@ -457,11 +469,11 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := read(nw); got != start {
-			t.Errorf("priming %d: Reset leaves geometry %+v, a fresh network starts at %+v (the hint was not re-issued)", i, got, start)
+			t.Errorf("priming %d: Reset leaves %+v, a fresh network starts at %+v (the hint or the lanes were not re-issued)", i, got, start)
 		}
 		nw.Run()
 		if got := read(nw); got != want {
-			t.Errorf("priming %d (rate %v, %d flits, left at %+v): geometry %+v after Reset and the sim-mid run, a fresh network ends at %+v",
+			t.Errorf("priming %d (rate %v, %d flits, left at %+v): %+v after Reset and the sim-mid run, a fresh network ends at %+v",
 				i, prime.rate, prime.msgLen, primed, got, want)
 		}
 	}
@@ -554,4 +566,55 @@ func TestResetReclaimsInFlight(t *testing.T) {
 		t.Fatalf("Reset retained %d worms and %d messages beyond the cap", len(nw.worms), len(nw.msgs))
 	}
 	sameResult(t, "after the cap released the tables", nw.Run(), want)
+}
+
+// TestResetReleasesGrownSampleBuffer pins the sample-buffer cap: a run
+// that measures more completions than maxRetainedSamples grows a
+// window-sized buffer, and Reset must let it go rather than pin it for the
+// rest of a pooled network's life. A buffer within the cap is kept for
+// reuse, and the reset network still reproduces a fresh one.
+func TestResetReleasesGrownSampleBuffer(t *testing.T) {
+	rt := quarcRouter(t, 16)
+	set, err := rt.LocalizedSet(topology.PortL, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := traffic.Spec{Rate: 0.004, MulticastFrac: 0.05, Set: set}
+	cfg := Config{MsgLen: 32, Warmup: 1000, Measure: 10000}
+	want := freshRun(t, rt, mid, 1, cfg)
+
+	w, err := traffic.NewWorkload(rt, traffic.Spec{Rate: 0.005, MulticastFrac: 0.05, Set: set}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := New(rt.Graph(), w, Config{MsgLen: 16, Warmup: 1000, Measure: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := nw.Run(); res.Saturated || res.Completed <= maxRetainedSamples {
+		t.Fatalf("the long run measured %d completions (saturated %v), want more than %d unsaturated",
+			res.Completed, res.Saturated, maxRetainedSamples)
+	}
+	grown := cap(nw.samples)
+	if err := w.Reset(mid, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Reset(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(nw.samples); c > maxRetainedSamples {
+		t.Fatalf("Reset kept a %d-sample buffer (grown to %d by the long run), want at most %d", c, grown, maxRetainedSamples)
+	}
+	sameResult(t, "after the cap released the buffer", nw.Run(), want)
+
+	kept := cap(nw.samples)
+	if err := w.Reset(mid, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Reset(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if kept == 0 || cap(nw.samples) != kept {
+		t.Errorf("Reset changed a %d-sample buffer within the cap to %d, want it kept for reuse", kept, cap(nw.samples))
+	}
 }

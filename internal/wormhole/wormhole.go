@@ -265,6 +265,12 @@ const slabSize = 64
 // caps its event storage for the same reason).
 const maxRetainedObjects = 1 << 14
 
+// maxRetainedSamples caps the completion-sample buffer a network keeps
+// across Reset, for the same reason: the buffer grows with the
+// measurement window (40 bytes per measured message), and one long run
+// would otherwise pin it for the life of a pooled network.
+const maxRetainedSamples = 1 << 16
+
 // Network is one simulation instance. Create with New, run with Run, and
 // reuse across runs with Reset.
 type Network struct {
@@ -293,7 +299,7 @@ type Network struct {
 	// samples buffers the measured completions until finish folds them
 	// into the latency estimators in canonical order (see latSample).
 	// Reset truncates it in place, so a reused network appends into
-	// already-sized backing storage.
+	// already-sized backing storage — up to maxRetainedSamples.
 	samples []latSample
 	// worms and msgs list every worm and message the network ever
 	// allocated, each at the index it carries (worm.id, message.idx):
@@ -447,6 +453,12 @@ func checkConfig(cfg *Config) error {
 
 // New creates a simulator over the given channel graph and traffic source.
 func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
+	return newOn(sim.New(), g, traffic, cfg)
+}
+
+// newOn is New on a given engine — the seam that lets tests run a network
+// on the heap scheduler, the calendar's oracle.
+func newOn(eng *sim.Engine, g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 	if err := checkConfig(&cfg); err != nil {
 		return nil, err
 	}
@@ -454,7 +466,7 @@ func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 		g:        g,
 		traffic:  traffic,
 		cfg:      cfg,
-		eng:      sim.New(),
+		eng:      eng,
 		channels: make([]channel, g.NumChannels()),
 	}
 	nw.eng.SetHandler(nw)
@@ -462,22 +474,27 @@ func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 	return nw, nil
 }
 
-// hintSchedule seeds an engine's scheduler geometry with the workload's
-// shape — about two events in flight per node (its parked generation
-// timer and a worm's next step), scheduled up to a few message-drain
-// times ahead — instead of paying the learning transient every run. New
-// and Reset both issue it, so a run's starting geometry is a function of
-// (nodes, message length) alone; the engine's own policy then follows the
-// run's dequeue rate.
+// hintSchedule seeds an engine's scheduler with the workload's shape
+// instead of paying the learning transient every run. Almost every event
+// lands a fixed delay after the one that schedules it: a header step one
+// cycle on (evRequest, evAdvance) or a span drain one message length on
+// (evSpanDone), so those two delays get the engine's fixed-delay lanes.
+// The calendar keeps what is left — parked generation timers and
+// contended releases — and is sized for about two events in flight per
+// node over a few message-drain times. New and Reset both issue it, so a
+// run's starting scheduler is a function of (nodes, message length)
+// alone; the engine's own policy then follows the run's dequeue rate.
 func hintSchedule(eng *sim.Engine, msgLen, nodes int) {
 	eng.HintSchedule(float64(msgLen)*8, nodes*2)
+	eng.DeclareLanes(1, float64(msgLen))
 }
 
 // Reset rebinds the network to a new traffic source and configuration and
 // returns it to its pre-Run state over the same channel graph, reusing the
-// engine's event storage, the channel array, the per-channel wait queues
-// and every worm and message it ever allocated — those in flight when the
-// last run stopped included, up to maxRetainedObjects. A Reset network runs bitwise-identically to a
+// engine's event storage, the channel array, the per-channel wait queues,
+// the completion-sample buffer (up to maxRetainedSamples) and every worm
+// and message it ever allocated — those in flight when the last run
+// stopped included, up to maxRetainedObjects. A Reset network runs bitwise-identically to a
 // freshly constructed one, so one Network can serve every point of a
 // sweep without reallocating its hot-path state. Like a fresh network it
 // starts with no hooks attached — re-Attach after Reset to keep
@@ -512,7 +529,11 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.pendingMeasured = 0
 	nw.nextMsgID = 0
 	nw.coalesced = 0
-	nw.samples = nw.samples[:0]
+	if cap(nw.samples) > maxRetainedSamples {
+		nw.samples = nil
+	} else {
+		nw.samples = nw.samples[:0]
+	}
 	// Objects in flight when the last run stopped were referenced only by
 	// the events and queues just discarded: rebuild both free lists from
 	// the index tables so nothing leaks. (Pool order is unobservable —

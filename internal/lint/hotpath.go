@@ -53,10 +53,12 @@ func defaultHotpaths() map[string][]string {
 		},
 		"quarc/internal/wormhole": {
 			"Network.Handle",
+			"Network.addSample",
 			"Network.busySpan",
 			"Network.complete",
 			"Network.fire",
 			"Network.flushSpans",
+			"Network.foldSamples",
 			"Network.generate",
 			"Network.getMessage",
 			"Network.getWorm",

@@ -175,18 +175,17 @@ type message struct {
 	port  int
 	depth int
 	// src is the injecting node, kept for the canonical sample fold's
-	// tie-break key (see foldSamples).
+	// tie-break key (see addSample).
 	src topology.NodeID
 }
 
 // latSample is one measured message completion. Latency estimators are
-// folded from buffered samples at the end of the run, in the canonical
-// (completion, generation, source) order, rather than inline in event
-// order: event order and canonical order differ only where completion
-// times tie exactly — which blocking makes routine, since a worm granted
-// at its blocker's release inherits the blocker's time base — and the
-// canonical order is the pinned order of every golden: folding in event
-// order instead would move the low bits of every recorded estimate.
+// folded in the canonical (completion, generation, source) order rather
+// than in event order: the two differ only where completion times tie
+// exactly — which blocking makes routine, since a worm granted at its
+// blocker's release inherits the blocker's time base — and the canonical
+// order is the pinned order of every golden: folding in event order
+// instead would move the low bits of every recorded estimate.
 type latSample struct {
 	t, gen    float64
 	src       topology.NodeID
@@ -195,30 +194,6 @@ type latSample struct {
 	// runs (zero otherwise).
 	port  int
 	depth int
-}
-
-// sortSamples orders samples canonically: by completion time, then
-// generation time, then source node. Two distinct messages can share a
-// completion time (inherited time bases) and, in principle, a generation
-// time; no two share all three, since one node generates at most one
-// message per instant.
-func sortSamples(s []latSample) {
-	slices.SortFunc(s, func(a, b latSample) int {
-		switch {
-		case a.t != b.t:
-			if a.t < b.t {
-				return -1
-			}
-			return 1
-		case a.gen != b.gen:
-			if a.gen < b.gen {
-				return -1
-			}
-			return 1
-		default:
-			return int(a.src) - int(b.src)
-		}
-	})
 }
 
 type worm struct {
@@ -265,12 +240,6 @@ const slabSize = 64
 // caps its event storage for the same reason).
 const maxRetainedObjects = 1 << 14
 
-// maxRetainedSamples caps the completion-sample buffer a network keeps
-// across Reset, for the same reason: the buffer grows with the
-// measurement window (40 bytes per measured message), and one long run
-// would otherwise pin it for the life of a pooled network.
-const maxRetainedSamples = 1 << 16
-
 // Network is one simulation instance. Create with New, run with Run, and
 // reuse across runs with Reset.
 type Network struct {
@@ -296,10 +265,8 @@ type Network struct {
 	// drains, fused advances, lazily applied releases), so Result.Events
 	// can report flit-level-equivalent event counts.
 	coalesced uint64
-	// samples buffers the measured completions until finish folds them
-	// into the latency estimators in canonical order (see latSample).
-	// Reset truncates it in place, so a reused network appends into
-	// already-sized backing storage — up to maxRetainedSamples.
+	// samples is the open tie group: the measured completions sharing one
+	// completion time, in canonical order until folded (see addSample).
 	samples []latSample
 	// worms and msgs list every worm and message the network ever
 	// allocated, each at the index it carries (worm.id, message.idx):
@@ -442,7 +409,8 @@ func checkConfig(cfg *Config) error {
 	if cfg.MsgLen < 2 {
 		return fmt.Errorf("wormhole: message length %d too short", cfg.MsgLen)
 	}
-	if cfg.Warmup < 0 || cfg.Measure <= 0 {
+	// Written so NaN fails the range test; an infinite horizon never ends.
+	if !(cfg.Warmup >= 0 && cfg.Measure > 0) || math.IsInf(cfg.Warmup+cfg.Measure, 0) {
 		return fmt.Errorf("wormhole: invalid warmup/measure %v/%v", cfg.Warmup, cfg.Measure)
 	}
 	if cfg.SatQueue <= 0 {
@@ -492,9 +460,9 @@ func hintSchedule(eng *sim.Engine, msgLen, nodes int) {
 // Reset rebinds the network to a new traffic source and configuration and
 // returns it to its pre-Run state over the same channel graph, reusing the
 // engine's event storage, the channel array, the per-channel wait queues,
-// the completion-sample buffer (up to maxRetainedSamples) and every worm
-// and message it ever allocated — those in flight when the last run
-// stopped included, up to maxRetainedObjects. A Reset network runs bitwise-identically to a
+// the tie-group buffer and every worm and message it ever allocated —
+// those in flight when the last run stopped included, up to
+// maxRetainedObjects. A Reset network runs bitwise-identically to a
 // freshly constructed one, so one Network can serve every point of a
 // sweep without reallocating its hot-path state. Like a fresh network it
 // starts with no hooks attached — re-Attach after Reset to keep
@@ -529,11 +497,7 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.pendingMeasured = 0
 	nw.nextMsgID = 0
 	nw.coalesced = 0
-	if cap(nw.samples) > maxRetainedSamples {
-		nw.samples = nil
-	} else {
-		nw.samples = nw.samples[:0]
-	}
+	nw.samples = nw.samples[:0]
 	// Objects in flight when the last run stopped were referenced only by
 	// the events and queues just discarded: rebuild both free lists from
 	// the index tables so nothing leaks. (Pool order is unobservable —
@@ -629,12 +593,39 @@ func (nw *Network) busySpan(grant, release float64) float64 {
 	return hi - lo
 }
 
-// foldSamples sorts the buffered completion samples canonically and
-// feeds them to the latency estimators. Order only matters to the
-// rounding of the running sums and the batch-means boundaries; sorting
-// pins that rounding to the sequence every golden was recorded with.
+// addSample files a measured completion into the open tie group at its
+// canonical position. Completions are stamped with the engine clock, so
+// they arrive nondecreasing: a later time closes and folds the group, and
+// an earlier one would break the canonical order, so it panics.
+//
+//quarc:hotpath
+func (nw *Network) addSample(s latSample) {
+	if len(nw.samples) > 0 && s.t != nw.samples[0].t {
+		if s.t < nw.samples[0].t {
+			panic("wormhole: completion time went backwards")
+		}
+		nw.foldSamples()
+	}
+	// Within the group: by generation, then source (a node generates at
+	// most one message per instant, so no two samples share both).
+	i := len(nw.samples)
+	nw.samples = append(nw.samples, s)
+	for ; i > 0; i-- {
+		p := nw.samples[i-1]
+		if p.gen < s.gen || (p.gen == s.gen && p.src < s.src) {
+			break
+		}
+		nw.samples[i] = p
+	}
+	nw.samples[i] = s
+}
+
+// foldSamples feeds the tie group to the latency estimators in order and
+// empties it. Order only matters to the rounding of the running sums and
+// the batch-means boundaries, which the canonical order pins.
+//
+//quarc:hotpath
 func (nw *Network) foldSamples() {
-	sortSamples(nw.samples)
 	for _, s := range nw.samples {
 		lat := s.t - s.gen
 		if s.multicast {
@@ -656,7 +647,7 @@ func (nw *Network) foldSamples() {
 
 func (nw *Network) finish() {
 	nw.res.Time = nw.eng.Now()
-	nw.foldSamples()
+	nw.foldSamples() // the last tie group
 	// Deferred releases that logically happened before the end of the run
 	// must be applied so the utilization accounting below sees their true
 	// release times (their evSpanDone may lie beyond the horizon).
@@ -1012,9 +1003,8 @@ func (nw *Network) complete(msg *message, t float64) {
 	if nw.measuring && msg.measured {
 		nw.res.Completed++
 		nw.pendingMeasured--
-		// The estimator folds are deferred to finish so they happen in
-		// canonical rather than event order (see latSample).
-		nw.samples = append(nw.samples, latSample{
+		// Folded when its tie group closes, in canonical order.
+		nw.addSample(latSample{
 			t: msg.lastDone, gen: msg.gen, src: msg.src,
 			multicast: msg.multicast, port: msg.port, depth: msg.depth,
 		})

@@ -240,17 +240,37 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestConfigValidation covers New's and Reset's own guard. A NaN window
+// compares false against every bound and an infinite one never ends, so
+// both are rejected here too, not only by noc's spec checks.
 func TestConfigValidation(t *testing.T) {
 	rt := quarcRouter(t, 16)
 	w := poissonWorkload(t, rt, 0.001, 0, routing.MulticastSet{}, 1)
-	if _, err := New(rt.Graph(), w, Config{MsgLen: 1, Warmup: 0, Measure: 10}); err == nil {
-		t.Error("accepted msgLen 1")
+	nw, err := New(rt.Graph(), w, Config{MsgLen: 8, Measure: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(rt.Graph(), w, Config{MsgLen: 8, Warmup: -1, Measure: 10}); err == nil {
-		t.Error("accepted negative warmup")
-	}
-	if _, err := New(rt.Graph(), w, Config{MsgLen: 8, Warmup: 0, Measure: 0}); err == nil {
-		t.Error("accepted zero measure window")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"msgLen 1", Config{MsgLen: 1, Warmup: 0, Measure: 10}},
+		{"negative warmup", Config{MsgLen: 8, Warmup: -1, Measure: 10}},
+		{"zero measure window", Config{MsgLen: 8, Warmup: 0, Measure: 0}},
+		{"NaN warmup", Config{MsgLen: 8, Warmup: nan, Measure: 10}},
+		{"NaN measure", Config{MsgLen: 8, Warmup: 0, Measure: nan}},
+		{"+Inf warmup", Config{MsgLen: 8, Warmup: inf, Measure: 10}},
+		{"+Inf measure", Config{MsgLen: 8, Warmup: 0, Measure: inf}},
+		{"-Inf warmup", Config{MsgLen: 8, Warmup: -inf, Measure: 10}},
+		{"-Inf measure", Config{MsgLen: 8, Warmup: 0, Measure: -inf}},
+	} {
+		if _, err := New(rt.Graph(), w, c.cfg); err == nil {
+			t.Errorf("New accepted %s", c.name)
+		}
+		if err := nw.Reset(w, c.cfg); err == nil {
+			t.Errorf("Reset accepted %s", c.name)
+		}
 	}
 }
 

@@ -101,7 +101,6 @@ type channelState struct {
 	lambda  float64 // total arrival rate (messages/cycle)
 	service float64 // mean holding time x̄
 	wait    float64 // M/G/1 mean wait W
-	eject   bool
 	// trans[trLo:trHi] are the channel's outgoing transitions.
 	trLo, trHi int32
 }
@@ -156,6 +155,10 @@ type Model struct {
 	unicast []flow
 	mcast   []flow
 	mcastOf []int32
+	// rows lists, in index order, the channels Eq. 6 can update: the
+	// non-ejection channels some traffic-carrying route crosses. Every
+	// other channel keeps x̄ = msg and a wait fixed for the whole solve.
+	rows []int32
 	// active counts the sources that generate traffic: all of them, unless
 	// a permutation self-map silences some. Latency averages divide by it,
 	// matching the simulator's per-message means.
@@ -204,9 +207,6 @@ func NewModel(in Input) (*Model, error) {
 	g := in.Router.Graph()
 	n := g.Nodes()
 	m := &Model{in: in, g: g, channels: make([]channelState, g.NumChannels()), active: n}
-	for i := range m.channels {
-		m.channels[i].eject = g.Channel(topology.ChannelID(i)).Kind == topology.Ejection
-	}
 	if in.Spec.Perm != nil {
 		m.active = 0
 		for src := 0; src < n; src++ {
@@ -221,9 +221,15 @@ func NewModel(in Input) (*Model, error) {
 	// below. Routes that carry no traffic only look their turns up.
 	index := map[uint64]int32{}
 	var keys []uint64
+	// rows[id] is 1 while building if a carrying route crosses channel id;
+	// the list of row indices is compacted into it at the end.
+	rows := make([]int32, len(m.channels))
 	store := func(path routing.Path, carries bool) flow {
 		f := flow{lo: int32(len(m.hops))}
 		for i, id := range path {
+			if carries {
+				rows[id] = 1
+			}
 			tr := int32(-1)
 			if i > 0 {
 				key := uint64(path[i-1])<<32 | uint64(id)
@@ -296,11 +302,10 @@ func NewModel(in Input) (*Model, error) {
 		}
 	}
 
-	sorted := slices.Clone(keys)
-	slices.Sort(sorted)
+	slices.Sort(keys) // index still maps each key to its first-met number
 	renumber := make([]int32, len(keys))
-	m.trans = make([]transition, len(sorted))
-	for t, key := range sorted {
+	m.trans = make([]transition, len(keys))
+	for t, key := range keys {
 		renumber[index[key]] = int32(t)
 		m.trans[t].to = topology.ChannelID(key & 0xffffffff)
 		c := &m.channels[key>>32]
@@ -314,6 +319,15 @@ func NewModel(in Input) (*Model, error) {
 			h.tr = renumber[h.tr]
 		}
 	}
+	// Compact in place: the write index never passes the read index.
+	k := 0
+	for i, carried := range rows {
+		if carried != 0 && g.Channel(topology.ChannelID(i)).Kind != topology.Ejection {
+			rows[k] = int32(i)
+			k++
+		}
+	}
+	m.rows = rows[:k]
 	m.load(in.Spec.Rate)
 	return m, nil
 }
@@ -349,12 +363,16 @@ func (m *Model) Solve() (Prediction, error) { return m.SolveAt(m.in.Spec.Rate) }
 
 // load resets the arrival and transition rates to generation rate lam by
 // replaying the flows in enumeration order.
+//
+//quarc:hotpath
 func (m *Model) load(lam float64) {
 	for i := range m.channels {
 		m.channels[i].lambda = 0
 	}
 	for i := range m.trans {
-		m.trans[i].rate = 0
+		// Unloaded, a transition counts its head's wait in full (scale 1).
+		tr := &m.trans[i]
+		tr.rate, tr.p, tr.scale = 0, 0, 1
 	}
 	alpha := m.in.Spec.MulticastFrac
 	if lam > 0 && alpha < 1 {
@@ -368,7 +386,10 @@ func (m *Model) load(lam float64) {
 		}
 	}
 	// The quotients of Eq. 6 do not change over the fixed point. A loaded
-	// transition has a positive rate, so both ends have a positive λ.
+	// transition has a positive rate, so both ends have a positive λ. At a
+	// subnormal rate a flow's share can round to 0: its transition stays
+	// unloaded, and its head may carry nothing, so scale keeps 1 rather
+	// than 1 - 0/0 (p = 0 weights the term out of Eq. 6; a NaN would not).
 	for i := range m.channels {
 		c := &m.channels[i]
 		if c.lambda == 0 {
@@ -377,14 +398,20 @@ func (m *Model) load(lam float64) {
 		for t := c.trLo; t < c.trHi; t++ {
 			tr := &m.trans[t]
 			tr.p = tr.rate / c.lambda
-			tr.scale = 1 - tr.rate/m.channels[tr.to].lambda
-			if tr.scale < 0 {
-				tr.scale = 0
+			if tr.rate > 0 {
+				tr.scale = 1 - tr.rate/m.channels[tr.to].lambda
+				if tr.scale < 0 {
+					tr.scale = 0
+				}
 			}
 		}
 	}
 }
 
+// addFlow adds one flow's rate to the λ of every channel on its route and
+// to the rate of every transition it takes.
+//
+//quarc:hotpath
 func (m *Model) addFlow(f flow, rate float64) {
 	for _, h := range m.hops[f.lo:f.hi] {
 		m.channels[h.ch].lambda += rate
@@ -403,58 +430,7 @@ func (m *Model) SolveAt(rate float64) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("core: invalid rate %v", rate)
 	}
 	m.load(rate)
-	msg := float64(m.in.MsgLen)
-	hop := 1.0
-	if m.in.ServiceFormula == TailRelease {
-		hop = 0
-	}
-
-	// Initialize every channel's holding time to the bare drain time.
-	for i := range m.channels {
-		m.channels[i].service = msg
-	}
-
-	saturated := false
-	iter := 0
-	converged := false
-	for ; iter < m.in.MaxIter; iter++ {
-		// Waits from current services.
-		unstable := false
-		for i := range m.channels {
-			c := &m.channels[i]
-			c.wait = m.channelWait(c.lambda, c.service, msg)
-			if math.IsInf(c.wait, 1) {
-				unstable = true
-			}
-		}
-		if unstable {
-			saturated = true
-			break
-		}
-		// Service-time sweep (Eq. 6).
-		maxDelta := 0.0
-		for i := range m.channels {
-			c := &m.channels[i]
-			if c.eject || c.lambda == 0 {
-				continue
-			}
-			var x float64
-			for _, tr := range m.trans[c.trLo:c.trHi] {
-				b := &m.channels[tr.to]
-				x += tr.p * (tr.scale*b.wait + b.service + hop)
-			}
-			nx := c.service + m.in.Damping*(x-c.service)
-			if d := math.Abs(nx-c.service) / math.Max(1, c.service); d > maxDelta {
-				maxDelta = d
-			}
-			c.service = nx
-		}
-		if maxDelta < m.in.Tol {
-			converged = true
-			iter++
-			break
-		}
-	}
+	iter, converged, saturated := m.fixedPoint()
 
 	maxRho := 0.0
 	for i := range m.channels {
@@ -474,10 +450,11 @@ func (m *Model) SolveAt(rate float64) (Prediction, error) {
 		return pred, nil
 	}
 
-	// Final waits from converged services.
-	for i := range m.channels {
-		c := &m.channels[i]
-		c.wait = m.channelWait(c.lambda, c.service, msg)
+	// Final waits from converged services; only the rows' have moved.
+	msg, eq3 := float64(m.in.MsgLen), m.in.WaitFormula == PaperEq3Literal
+	for _, r := range m.rows {
+		c := &m.channels[r]
+		c.wait = waitOf(c.lambda, c.service, msg, eq3)
 	}
 
 	if m.active == 0 {
@@ -489,13 +466,113 @@ func (m *Model) SolveAt(rate float64) (Prediction, error) {
 	return pred, err
 }
 
-// channelWait applies the configured waiting-time formula to a channel.
-func (m *Model) channelWait(lambda, service, msg float64) float64 {
-	sigma := ServiceSigma(service, msg)
-	if m.in.WaitFormula == PaperEq3Literal {
-		return MG1WaitPaperEq3(lambda, service, sigma)
+// fixedPoint runs the service-time fixed point of Eq. 6, with the P-K wait
+// of Eq. 3, from the cold start x̄ = msg on every channel, over the rates
+// load left. It returns the sweeps performed, whether they met the
+// tolerance, and whether some channel's wait went infinite (ρ ≥ 1).
+//
+// The sweep is Gauss–Seidel in channel index order: a channel reads the
+// services its downstream channels already have this sweep, so the rows
+// are visited in index order and every sum keeps its operand order. Only
+// the rows move; the waits of all other channels are computed once.
+//
+//quarc:hotpath
+func (m *Model) fixedPoint() (iter int, converged, saturated bool) {
+	msg := float64(m.in.MsgLen)
+	hop := 1.0
+	if m.in.ServiceFormula == TailRelease {
+		hop = 0
 	}
-	return MG1Wait(lambda, service, sigma)
+	eq3 := m.in.WaitFormula == PaperEq3Literal
+	damping, tol := m.in.Damping, m.in.Tol
+	chans, trans, rows := m.channels, m.trans, m.rows
+
+	// Cold start. A channel off the row list keeps x̄ = msg, so the wait
+	// found here is its wait for the whole solve: constant at an ejection
+	// channel, 0 where no traffic flows.
+	constUnstable := false
+	for i := range chans {
+		c := &chans[i]
+		c.service = msg
+		c.wait = waitOf(c.lambda, msg, msg, eq3)
+		if math.IsInf(c.wait, 1) {
+			constUnstable = true
+		}
+	}
+
+	for ; iter < m.in.MaxIter; iter++ {
+		// Waits from current services.
+		unstable := constUnstable
+		for _, r := range rows {
+			c := &chans[r]
+			c.wait = waitOf(c.lambda, c.service, msg, eq3)
+			if math.IsInf(c.wait, 1) {
+				unstable = true
+			}
+		}
+		if unstable {
+			return iter, false, true
+		}
+		// Service-time sweep (Eq. 6). Convergence reads maxDelta only as
+		// maxDelta < tol and maxDelta never falls within a sweep, so once
+		// one row misses the tolerance the rest need not be measured.
+		maxDelta := 0.0
+		for _, r := range rows {
+			c := &chans[r]
+			if c.lambda == 0 {
+				continue // a rate so small its share of every flow rounds to 0
+			}
+			var x float64
+			for _, tr := range trans[c.trLo:c.trHi] {
+				b := &chans[tr.to]
+				x += tr.p * (tr.scale*b.wait + b.service + hop)
+			}
+			nx := c.service + damping*(x-c.service)
+			if maxDelta < tol {
+				scale := c.service // math.Max(1, x̄), which does not inline
+				if scale < 1 {
+					scale = 1
+				}
+				if d := math.Abs(nx-c.service) / scale; d > maxDelta {
+					maxDelta = d
+				}
+			}
+			c.service = nx
+		}
+		if maxDelta < tol {
+			return iter + 1, true, false
+		}
+	}
+	return iter, false, false
+}
+
+// posInf is +Inf as a load, not a call: it keeps waitOf within the
+// inlining budget.
+var posInf = math.Inf(1)
+
+// waitOf is a channel's M/G/1 wait under the configured formula (eq3
+// selects PaperEq3Literal): ServiceSigma, then MG1Wait or
+// MG1WaitPaperEq3, open-coded with the same expressions in the same
+// operand order. Their argument checks cannot fire here: λ ≥ 0, x̄ > 0
+// (every route ends at an ejection channel, so a row's x̄ sums positive
+// terms), and λ = 0 gives +0 as the checks would.
+//
+//quarc:hotpath
+func waitOf(lambda, xbar, msg float64, eq3 bool) float64 {
+	rho := lambda * xbar
+	if rho >= 1 {
+		return posInf
+	}
+	sigma := xbar - msg
+	if sigma < 0 {
+		sigma = 0
+	}
+	if eq3 {
+		cv := 1 + sigma*sigma/(xbar*xbar)
+		return lambda * rho * cv / (2 * (1 - rho))
+	}
+	ex2 := xbar*xbar + sigma*sigma
+	return lambda * ex2 / (2 * (1 - rho))
 }
 
 // hopWait is one channel's share of a path's header wait: its M/G/1 wait,
@@ -608,12 +685,19 @@ func (m *Model) serializedMulticastNode(branches []flow) float64 {
 }
 
 // SaturationRate bisects for the highest generation rate at which the model
-// is stable, within relative tolerance tol.
+// is stable, within relative tolerance tol ∈ (0,1). A tol below the float
+// spacing ends the search when lo and hi are adjacent floats.
 func (m *Model) SaturationRate(tol float64) (float64, error) {
+	if !(tol > 0 && tol < 1) {
+		return 0, fmt.Errorf("core: saturation tolerance %v out of (0,1)", tol)
+	}
 	lo := 0.0
 	hi := 1.0 / float64(m.in.MsgLen) // one message per drain time is far beyond capacity
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break // no float lies strictly between lo and hi
+		}
 		pred, err := m.SolveAt(mid)
 		if err != nil {
 			return 0, err

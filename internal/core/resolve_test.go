@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"quarc/internal/routing"
 	"quarc/internal/topology"
@@ -168,11 +169,84 @@ func TestCloneSolvesIndependently(t *testing.T) {
 	}
 }
 
+// The guard of the hot-path entries fixedPoint, waitOf, load and addFlow:
+// a re-solve, a whole bisection and a re-solve on a clone allocate
+// nothing once the multicast scratch has grown.
 func TestResolveDoesNotAllocate(t *testing.T) {
 	m := simMidModel(t)
 	rate := 0.5 * must(m.SaturationRate(1e-3))
 	if allocs := testing.AllocsPerRun(10, func() { must(m.SolveAt(rate)) }); allocs != 0 {
 		t.Errorf("a re-solve allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { must(m.SaturationRate(1e-3)) }); allocs != 0 {
+		t.Errorf("a bisection allocates %v times, want 0", allocs)
+	}
+	c := m.Clone()
+	if allocs := testing.AllocsPerRun(10, func() { must(c.SolveAt(rate)) }); allocs != 0 {
+		t.Errorf("a re-solve on a clone allocates %v times, want 0", allocs)
+	}
+}
+
+// SaturationRate refuses a tolerance outside (0,1) and stops a tolerance
+// finer than the float spacing once lo and hi are adjacent floats, where
+// it used to bisect forever.
+func TestSaturationRateTolerance(t *testing.T) {
+	rt := quarcRouter(t, 16)
+	set := must(rt.RandomSet(rand.New(rand.NewPCG(61, 0x5e7)), 5))
+	in := Input{Router: rt, Spec: traffic.Spec{MulticastFrac: 0.05, Set: set}, MsgLen: 32}
+	coarse := must(must(NewModel(in)).SaturationRate(1e-3))
+	for _, c := range []struct {
+		tol     float64
+		wantErr bool
+	}{{0, true}, {-1, true}, {math.NaN(), true}, {1, true}, {1e-18, false}} {
+		m := must(NewModel(in))
+		type outcome struct {
+			sat float64
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			sat, err := m.SaturationRate(c.tol)
+			done <- outcome{sat, err}
+		}()
+		select {
+		case o := <-done:
+			if (o.err != nil) != c.wantErr {
+				t.Errorf("tol %v: rate %v, error %v; want an error: %v", c.tol, o.sat, o.err, c.wantErr)
+			}
+			if !c.wantErr && (math.Abs(o.sat-coarse) > 1e-3*coarse || must(m.SolveAt(o.sat)).Saturated) {
+				t.Errorf("tol %v: rate %v, want a stable rate within 0.1 %% of %v", c.tol, o.sat, coarse)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("tol %v: SaturationRate still running after 1 s", c.tol)
+		}
+	}
+}
+
+// At the smallest subnormal rate a source's per-destination shares round
+// to 0 on some routes, so some transitions stay unloaded and some channels
+// carry nothing. A solve there is finite and, like any other, independent
+// of what the model solved before.
+func TestSubnormalRateSolvesLikeFresh(t *testing.T) {
+	for _, tp := range batteryTopos() {
+		for pattern, spec := range batterySpatial(tp.rt.Graph().Nodes()) {
+			spec.MulticastFrac, spec.Set = 0.05, tp.set
+			in := Input{Router: tp.rt, Spec: spec, MsgLen: 16}
+			m := must(NewModel(in))
+			must(m.SolveAt(0.5 * must(m.SaturationRate(1e-2))))
+			got := must(m.SolveAt(5e-324))
+			in.Spec.Rate = 5e-324
+			fresh := must(NewModel(in))
+			want := must(fresh.Solve())
+			if !samePrediction(got, want) || math.IsNaN(got.UnicastLatency) || math.IsNaN(got.MulticastLatency) {
+				t.Fatalf("%s/%s: re-solve %+v, fresh %+v", tp.name, pattern, got, want)
+			}
+			for _, b := range must(tp.rt.MulticastBranches(3, tp.set)) {
+				if g, w := m.PathWait(b.Path), fresh.PathWait(b.Path); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s/%s: PathWait %v on the re-solved model, %v on a fresh one", tp.name, pattern, g, w)
+				}
+			}
+		}
 	}
 }
 
@@ -215,5 +289,24 @@ func BenchmarkModelResolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = must(m.SolveAt(rate))
+	}
+}
+
+var satSink float64
+
+// BenchmarkSaturationRate is the bisection every figure panel runs to
+// scale its rate grid: a dozen cold-start solves, mostly near the knee.
+func BenchmarkSaturationRate(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("quarc-%d", n), func(b *testing.B) {
+			rt := quarcRouter(b, n)
+			set := must(rt.RandomSet(rand.New(rand.NewPCG(63, 0x5e7)), 8))
+			m := must(NewModel(Input{Router: rt, Spec: traffic.Spec{MulticastFrac: 0.05, Set: set}, MsgLen: 32}))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				satSink = must(m.SaturationRate(1e-3))
+			}
+		})
 	}
 }

@@ -10,12 +10,20 @@ import (
 // steady-state event loop guarded by TestSteadyStateEventLoopAllocFree
 // and TestSteadyStateAllocFreeAllArrivals (internal/wormhole), the
 // workload draw guarded by TestArrivalAndDestAllocFree
-// (internal/traffic), and the scheduler operations under them. Adding a
+// (internal/traffic), the scheduler operations under them, and the
+// analytical model's fixed-point kernel guarded by
+// TestResolveDoesNotAllocate (internal/core). Adding a
 // function here requires the matching alloc guard; annotating a function
 // not listed here is itself a diagnostic, so directive placement and the
 // bench list can never drift apart.
 func defaultHotpaths() map[string][]string {
 	return map[string][]string{
+		"quarc/internal/core": {
+			"Model.addFlow",
+			"Model.fixedPoint",
+			"Model.load",
+			"waitOf",
+		},
 		"quarc/internal/sim": {
 			"Engine.ReserveSeq",
 			"Engine.Schedule",

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// sink records the dispatch order of typed events, and how many keys a
+// sink records the dispatch order of events, and how many keys a
 // lane refused when the schedule counts them (laneShape).
 type sink struct {
 	times   []float64
@@ -21,12 +21,22 @@ func (s *sink) Handle(e *Engine, ev Event) {
 	s.args = append(s.args, ev.Arg)
 }
 
+// kindFanout is drive's event that schedules Arg more events when it fires.
+const kindFanout Kind = 5
+
 // drive feeds the same randomized schedule to an engine: an interleaving
 // of up-front scheduling, partial runs, and events scheduled from inside
 // events, covering same-time bursts and far-future horizons.
 func drive(e *Engine, seed uint64) *sink {
 	s := &sink{}
-	e.SetHandler(s)
+	e.SetHandler(handlerFunc(func(e *Engine, ev Event) {
+		s.Handle(e, ev)
+		if ev.Kind == kindFanout {
+			for j := int32(0); j < ev.Arg; j++ {
+				e.Schedule(e.Now()+float64(j), Event{Kind: 1, Arg: -1})
+			}
+		}
+	}))
 	rng := rand.New(rand.NewPCG(seed, 0xCA1E))
 	n := 200 + rng.IntN(800)
 	id := int32(0)
@@ -44,13 +54,9 @@ func drive(e *Engine, seed uint64) *sink {
 			id++
 		case 2: // partial run to a horizon, then keep scheduling
 			e.Run(e.Now() + rng.Float64()*100)
-		case 3: // event that schedules more events when it fires
+		case 3: // event that schedules Arg more events when it fires
 			k := rng.IntN(4)
-			e.At(e.Now()+rng.Float64()*200, func(e *Engine) {
-				for j := 0; j < k; j++ {
-					e.Schedule(e.Now()+float64(j), Event{Kind: 1, Arg: -1})
-				}
-			})
+			e.Schedule(e.Now()+rng.Float64()*200, Event{Kind: kindFanout, Arg: int32(k)})
 		default: // plain event at a random near-future time
 			e.Schedule(e.Now()+rng.Float64()*500, Event{Kind: 1, Arg: id})
 			id++
@@ -287,10 +293,9 @@ func FuzzCalendarVsHeap(f *testing.F) {
 
 // reentrant is a handler that schedules from inside Handle, driven by a
 // cyclic op tape: the engine pops an event by reference and the handler
-// then inserts into the very bucket the popped slot lives in. Every typed
-// event carries a distinct (Kind, Arg, Ref) and every eighth event is a
-// closure that logs its own id, so a slot read after it was overwritten —
-// or a side-table entry crossed with another's — shows up in the record.
+// then inserts into the very bucket the popped slot lives in. Every event
+// carries a distinct (Kind, Arg, Ref), so a slot read after it was
+// overwritten shows up in the record.
 type reentrant struct {
 	ops     []byte
 	cursor  int
@@ -305,7 +310,6 @@ type fired struct {
 	kind Kind
 	arg  int32
 	ref  int32
-	fn   int32 // a closure event's id + 1; 0 for typed events
 }
 
 // schedule files the next event at t, under a fresh sequence number or,
@@ -314,12 +318,6 @@ func (r *reentrant) schedule(e *Engine, t float64, seq uint64) {
 	id := r.next
 	r.next++
 	ev := Event{Kind: Kind(id%250 + 1), Arg: id, Ref: -id * 7}
-	if id%8 == 0 {
-		ev.Fn = func(e *Engine) {
-			r.log = append(r.log, fired{t: e.Now(), fn: id + 1})
-			r.react(e)
-		}
-	}
 	if seq != 0 {
 		e.ScheduleSeq(t, seq, ev)
 	} else {
@@ -328,7 +326,7 @@ func (r *reentrant) schedule(e *Engine, t float64, seq uint64) {
 }
 
 func (r *reentrant) Handle(e *Engine, ev Event) {
-	r.log = append(r.log, fired{e.Now(), ev.Kind, ev.Arg, ev.Ref, 0})
+	r.log = append(r.log, fired{e.Now(), ev.Kind, ev.Arg, ev.Ref})
 	r.react(e)
 }
 
@@ -377,7 +375,7 @@ func (r *reentrant) react(e *Engine) {
 
 // FuzzEngineReentrant is FuzzCalendarVsHeap with the scheduling moved
 // inside Handle, where the pop-by-reference hazard lives: calendar and
-// heap must dispatch identical (t, Kind, Arg, Ref, closure id) sequences.
+// heap must dispatch identical (t, Kind, Arg, Ref) sequences.
 func FuzzEngineReentrant(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1})                       // same-day floods only
 	f.Add([]byte{0, 1, 2, 3, 4, 5})                 // one of each

@@ -8,17 +8,12 @@
 //
 // # Typed events
 //
-// Events come in two flavors. The hot path uses typed events: a kind tag
-// and two integers (Arg, Ref) that the Handler's owner interprets — a node
-// or channel id, an index into a table it keeps — dispatched through the
-// engine's Handler. A pending typed event is one 32-byte pointer-free
-// record, written once into the slot it waits in and read once from there,
-// so a warmed-up event loop allocates nothing and the garbage collector
-// never scans the pending set. The one pointer an event can carry is a
-// generic callback (At/After with a closure, the escape hatch for tests
-// and ad-hoc callers): it travels out of line, parked in a side table the
-// engine owns, and the record carries the table index. Each closure
-// naturally costs one allocation.
+// An event is a kind tag and two integers (Arg, Ref) that the Handler's
+// owner interprets — a node or channel id, an index into a table it keeps
+// — dispatched through the engine's Handler. A pending event is one
+// 32-byte pointer-free record, written once into the slot it waits in and
+// read once from there, so a warmed-up event loop allocates nothing and
+// the garbage collector never scans the pending set.
 //
 // # Schedulers
 //
@@ -38,42 +33,33 @@ import (
 	"math"
 )
 
-// Func is a generic event callback. The callback receives the engine so it
-// can schedule further events.
-type Func func(e *Engine)
-
-// Kind tags a typed event. Kind values are defined by the Handler's owner
-// (the engine only stores and dispatches them); zero is reserved for
-// events carrying a generic callback.
+// Kind tags an event. Kind values are defined by the Handler's owner (the
+// engine only stores and dispatches them).
 type Kind uint8
 
-// Event is one scheduled occurrence: either a typed record (Kind, Arg,
-// Ref) dispatched through the engine's Handler, or a generic callback in
-// Fn. Arg carries a small integer payload such as a node or channel id;
-// Ref is a second integer the handler owns, typically an index into its
-// own table. A non-nil Fn is the out-of-line form: the engine keeps it in
-// its side table until the event fires, and the typed fields are ignored.
+// Event is one scheduled occurrence, dispatched through the engine's
+// Handler. Arg carries a small integer payload such as a node or channel
+// id; Ref is a second integer the handler owns, typically an index into
+// its own table.
 type Event struct {
 	Kind Kind
 	Arg  int32
 	Ref  int32
-	Fn   Func
 }
 
-// Handler dispatches typed events. The handler is called with the engine
-// so it can schedule further events; Engine.Now is the event's time.
+// Handler dispatches events. The handler is called with the engine so it
+// can schedule further events; Engine.Now is the event's time.
 type Handler interface {
 	Handle(e *Engine, ev Event)
 }
 
 // item is one pending event as both schedulers store it: 32 bytes, two to
-// a cache line, no pointers. slot indexes the engine's side table when the
-// event carries an Fn callback and is -1 otherwise.
+// a cache line, no pointers.
 type item struct {
-	t              float64
-	seq            uint64
-	kind           Kind
-	arg, ref, slot int32
+	t        float64
+	seq      uint64
+	kind     Kind
+	arg, ref int32
 }
 
 // eventHeap is a binary min-heap ordered by (t, seq). The sift operations
@@ -152,10 +138,6 @@ type Engine struct {
 	handler Handler
 	stopped bool
 	fired   uint64
-	// side holds the Fn callbacks of pending events that carry one,
-	// addressed by item.slot; sideFree lists its vacant entries.
-	side     []Func
-	sideFree []int32
 }
 
 // New returns an empty engine at time zero, backed by the calendar-queue
@@ -189,19 +171,10 @@ func (e *Engine) Reset() {
 	// frees; DeclareLanes carves them out of it again.
 	e.lanes = [2]lane{}
 	e.cal.reset(maxRetainedEvents)
-	// The discarded events' callbacks are the only references the pending
-	// set ever held: drop them, or a pooled engine pins them for life.
-	clear(e.side)
-	if cap(e.side) > maxRetainedEvents {
-		e.side, e.sideFree = nil, nil
-	} else {
-		e.side, e.sideFree = e.side[:0], e.sideFree[:0]
-	}
 }
 
-// SetHandler installs the dispatcher for typed events. Scheduling a typed
-// event on an engine without a handler is a logic error (Run panics when
-// it fires).
+// SetHandler installs the event dispatcher. Scheduling an event on an
+// engine without a handler is a logic error (Run panics when it fires).
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // Now returns the current simulated time.
@@ -242,15 +215,6 @@ func (e *Engine) Lanes() (delays [2]float64, served [2]uint64) {
 		}
 	}
 	return delays, served
-}
-
-// SchedulerName identifies the active pending-event structure ("calendar"
-// or "heap") for logs and benchmark labels.
-func (e *Engine) SchedulerName() string {
-	if e.useHeap {
-		return "heap"
-	}
-	return "calendar"
 }
 
 // Schedule schedules ev to fire at absolute time t. Scheduling in the past
@@ -348,12 +312,8 @@ func (e *Engine) refuse(t float64) {
 //
 //quarc:hotpath
 func (e *Engine) put(t float64, seq uint64, ev Event) {
-	slot := int32(-1)
-	if ev.Fn != nil {
-		slot = e.park(ev.Fn)
-	}
 	if e.useHeap {
-		e.heap.push(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
+		e.heap.push(item{t, seq, ev.Kind, ev.Arg, ev.Ref})
 		return
 	}
 	var p *item
@@ -362,11 +322,11 @@ func (e *Engine) put(t float64, seq uint64, ev Event) {
 	}
 	if p == nil {
 		if p = e.cal.place(t, seq, e.now); p == nil {
-			e.cal.pushOverflow(item{t, seq, ev.Kind, ev.Arg, ev.Ref, slot})
+			e.cal.pushOverflow(item{t, seq, ev.Kind, ev.Arg, ev.Ref})
 			return
 		}
 	}
-	p.kind, p.arg, p.ref, p.slot = ev.Kind, ev.Arg, ev.Ref, slot
+	p.kind, p.arg, p.ref = ev.Kind, ev.Arg, ev.Ref
 }
 
 // laneFor returns the lane whose delay t lands at, or nil.
@@ -382,33 +342,6 @@ func (e *Engine) laneFor(t float64) *lane {
 	}
 	return l
 }
-
-// park stores an event's callback out of line and returns its slot.
-func (e *Engine) park(fn Func) int32 {
-	if n := len(e.sideFree); n > 0 {
-		slot := e.sideFree[n-1]
-		e.sideFree = e.sideFree[:n-1]
-		e.side[slot] = fn
-		return slot
-	}
-	e.side = append(e.side, fn)
-	return int32(len(e.side) - 1)
-}
-
-// take empties a side-table slot and returns the callback it held.
-func (e *Engine) take(slot int32) Func {
-	fn := e.side[slot]
-	e.side[slot] = nil
-	e.sideFree = append(e.sideFree, slot)
-	return fn
-}
-
-// At schedules fn to run at absolute time t — the generic-callback form of
-// Schedule.
-func (e *Engine) At(t float64, fn Func) { e.Schedule(t, Event{Fn: fn}) }
-
-// After schedules fn to run d time units from now.
-func (e *Engine) After(d float64, fn Func) { e.At(e.now+d, fn) }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -478,15 +411,10 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 		// ring it was popped from, and a handler scheduling there may
 		// compact, overwrite or abandon the slot.
 		ev := Event{Kind: p.kind, Arg: p.arg, Ref: p.ref}
-		slot := p.slot
 		e.now = p.t
 		e.fired++
-		if slot >= 0 {
-			e.take(slot)(e)
-			continue
-		}
 		if e.handler == nil {
-			panic("sim: typed event fired on an engine without a handler")
+			panic("sim: event fired on an engine without a handler")
 		}
 		e.handler.Handle(e, ev)
 	}

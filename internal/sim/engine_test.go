@@ -9,13 +9,31 @@ import (
 	"unsafe"
 )
 
+// calls is a test Handler that runs closures: at files each one in fns
+// and schedules an event whose Ref is its index.
+type calls struct{ fns []func(e *Engine) }
+
+func (c *calls) Handle(e *Engine, ev Event) { c.fns[ev.Ref](e) }
+
+// at schedules fn to run at time t, through the calls handler it installs
+// on e the first time.
+func at(e *Engine, t float64, fn func(e *Engine)) {
+	c, ok := e.handler.(*calls)
+	if !ok {
+		c = &calls{}
+		e.SetHandler(c)
+	}
+	c.fns = append(c.fns, fn)
+	e.Schedule(t, Event{Ref: int32(len(c.fns) - 1)})
+}
+
 func TestRunsEventsInTimeOrder(t *testing.T) {
 	e := New()
 	var order []float64
 	times := []float64{5, 1, 3, 2, 4}
 	for _, tm := range times {
 		tm := tm
-		e.At(tm, func(e *Engine) { order = append(order, tm) })
+		at(e, tm, func(e *Engine) { order = append(order, tm) })
 	}
 	e.RunAll()
 	if !sort.Float64sAreSorted(order) {
@@ -31,7 +49,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(1.0, func(e *Engine) { order = append(order, i) })
+		at(e, 1.0, func(e *Engine) { order = append(order, i) })
 	}
 	e.RunAll()
 	for i, v := range order {
@@ -44,8 +62,8 @@ func TestTieBreakIsFIFO(t *testing.T) {
 func TestNowAdvances(t *testing.T) {
 	e := New()
 	var seen []float64
-	e.At(1, func(e *Engine) { seen = append(seen, e.Now()) })
-	e.At(2.5, func(e *Engine) { seen = append(seen, e.Now()) })
+	at(e, 1, func(e *Engine) { seen = append(seen, e.Now()) })
+	at(e, 2.5, func(e *Engine) { seen = append(seen, e.Now()) })
 	e.RunAll()
 	if seen[0] != 1 || seen[1] != 2.5 {
 		t.Fatalf("Now() inside events = %v, want [1 2.5]", seen)
@@ -59,10 +77,10 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	chain = func(e *Engine) {
 		count++
 		if count < 5 {
-			e.After(1, chain)
+			at(e, e.Now()+1, chain)
 		}
 	}
-	e.At(0, chain)
+	at(e, 0, chain)
 	end := e.RunAll()
 	if count != 5 {
 		t.Fatalf("chain fired %d times, want 5", count)
@@ -76,7 +94,7 @@ func TestHorizonStopsExecution(t *testing.T) {
 	e := New()
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(e *Engine) { fired++ })
+		at(e, float64(i), func(e *Engine) { fired++ })
 	}
 	e.Run(5)
 	if fired != 5 {
@@ -97,7 +115,7 @@ func TestRunAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 	// Scheduling after an idle advance must still work.
 	ok := false
-	e.At(60, func(e *Engine) { ok = true })
+	at(e, 60, func(e *Engine) { ok = true })
 	e.RunAll()
 	if !ok {
 		t.Fatal("event after idle advance did not fire")
@@ -112,8 +130,8 @@ func TestRunAdvancesToHorizonWhenIdle(t *testing.T) {
 func TestRunAdvancesToHorizonWithPendingBeyond(t *testing.T) {
 	e := New()
 	fired := 0
-	e.At(3, func(e *Engine) { fired++ })
-	e.At(70, func(e *Engine) { fired++ })
+	at(e, 3, func(e *Engine) { fired++ })
+	at(e, 70, func(e *Engine) { fired++ })
 	if got := e.Run(10); got != 10 {
 		t.Fatalf("Run(10) returned %v, want 10 (pending event at 70 must not hold the clock at 3)", got)
 	}
@@ -142,7 +160,7 @@ func TestRunBeforeExcludesHorizon(t *testing.T) {
 	var fired []float64
 	for _, tm := range []float64{3, 5, 8} {
 		tm := tm
-		e.At(tm, func(e *Engine) { fired = append(fired, tm) })
+		at(e, tm, func(e *Engine) { fired = append(fired, tm) })
 	}
 	if got := e.RunBefore(5); got != 5 {
 		t.Fatalf("RunBefore(5) returned %v, want 5", got)
@@ -161,8 +179,8 @@ func TestRunBeforeExcludesHorizon(t *testing.T) {
 // simulator stops at saturation), not "skip to the horizon".
 func TestStopDoesNotAdvanceToHorizon(t *testing.T) {
 	e := New()
-	e.At(4, func(e *Engine) { e.Stop() })
-	e.At(6, func(e *Engine) {})
+	at(e, 4, func(e *Engine) { e.Stop() })
+	at(e, 6, func(e *Engine) {})
 	if got := e.Run(50); got != 4 {
 		t.Fatalf("stopped Run(50) returned %v, want 4", got)
 	}
@@ -175,7 +193,7 @@ func TestStop(t *testing.T) {
 	e := New()
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(e *Engine) {
+		at(e, float64(i), func(e *Engine) {
 			fired++
 			if fired == 3 {
 				e.Stop()
@@ -193,13 +211,13 @@ func TestStop(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func(e *Engine) {
+	at(e, 10, func(e *Engine) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		e.At(5, func(e *Engine) {})
+		at(e, 5, func(e *Engine) {})
 	})
 	e.RunAll()
 }
@@ -211,13 +229,13 @@ func TestSchedulingNaNPanics(t *testing.T) {
 			t.Fatal("expected panic scheduling at NaN")
 		}
 	}()
-	e.At(math.NaN(), func(e *Engine) {})
+	at(e, math.NaN(), func(e *Engine) {})
 }
 
 func TestFiredCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {
-		e.At(float64(i), func(e *Engine) {})
+		at(e, float64(i), func(e *Engine) {})
 	}
 	e.RunAll()
 	if e.Fired() != 7 {
@@ -228,8 +246,8 @@ func TestFiredCounter(t *testing.T) {
 func TestReset(t *testing.T) {
 	e := New()
 	fired := 0
-	e.At(1, func(e *Engine) { fired++ })
-	e.At(2, func(e *Engine) { fired++ })
+	at(e, 1, func(e *Engine) { fired++ })
+	at(e, 2, func(e *Engine) { fired++ })
 	e.Run(1)
 
 	e.Reset()
@@ -240,7 +258,7 @@ func TestReset(t *testing.T) {
 	// Scheduling at times earlier than the pre-Reset clock must work, and
 	// the dropped pending event must not fire.
 	fired = 0
-	e.At(0.5, func(e *Engine) { fired++ })
+	at(e, 0.5, func(e *Engine) { fired++ })
 	e.RunAll()
 	if fired != 1 {
 		t.Fatalf("fired %d events after Reset, want 1", fired)
@@ -250,7 +268,7 @@ func TestReset(t *testing.T) {
 	e.Reset()
 	var order []int
 	for i := 0; i < 5; i++ {
-		e.At(1, func(e *Engine) { order = append(order, i) })
+		at(e, 1, func(e *Engine) { order = append(order, i) })
 	}
 	e.RunAll()
 	for i, v := range order {
@@ -260,62 +278,17 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestResetEmptiesSideTable pins that Reset drops the out-of-line
-// callbacks of the events it discards — a pooled engine would otherwise
-// pin a discarded closure for life — and hands the table back empty: the
-// next callback parks in slot 0.
-func TestResetEmptiesSideTable(t *testing.T) {
-	for _, mk := range []func() *Engine{New, NewWithHeap} {
-		e := mk()
-		h := &recordingHandler{}
-		e.SetHandler(h)
-		for i := 0; i < 10; i++ {
-			e.Schedule(float64(i), Event{Fn: func(*Engine) {}})
-			e.After(float64(i), func(*Engine) {})
-			e.Schedule(float64(i), Event{Kind: 2, Arg: int32(i), Ref: int32(i)}) // no callback: no slot
-		}
-		e.Run(3) // some slots freed and reusable, most still parked
-		if len(e.side) != 20 {
-			t.Fatalf("%s: side table holds %d entries, want 20", e.SchedulerName(), len(e.side))
-		}
-		side := e.side
-		e.Reset()
-		for i, fn := range side {
-			if fn != nil {
-				t.Errorf("%s: side-table entry %d still holds a callback after Reset", e.SchedulerName(), i)
-			}
-		}
-		if len(e.side) != 0 || len(e.sideFree) != 0 {
-			t.Fatalf("%s: Reset left %d entries and %d free slots", e.SchedulerName(), len(e.side), len(e.sideFree))
-		}
-		fired := 0
-		e.At(1, func(*Engine) { fired++ })
-		if len(e.side) != 1 || e.side[0] == nil {
-			t.Fatalf("%s: the first callback after Reset did not park in slot 0", e.SchedulerName())
-		}
-		e.RunAll()
-		if fired != 1 {
-			t.Fatalf("%s: callback fired %d times after Reset, want 1", e.SchedulerName(), fired)
-		}
-		if e.side[0] != nil || len(e.sideFree) != 1 {
-			t.Fatalf("%s: a fired event's slot was not emptied and freed", e.SchedulerName())
-		}
-	}
-}
-
-// TestEventPayloadIsFnOnly pins what an Event may carry: its callback is
-// the one pointer-bearing field, so the side table holds Funcs and nothing
-// else, and every typed event is pointer-free end to end.
-func TestEventPayloadIsFnOnly(t *testing.T) {
+// TestEventHasNoPointers pins the event shape: three integers, 12 bytes,
+// nothing in it for the garbage collector to follow.
+func TestEventHasNoPointers(t *testing.T) {
 	ty := reflect.TypeOf(Event{})
 	for i := 0; i < ty.NumField(); i++ {
-		f := ty.Field(i)
-		if hasPointers(f.Type) != (f.Name == "Fn") {
-			t.Errorf("Event field %s (%s): pointer-bearing = %v, want only Fn", f.Name, f.Type, hasPointers(f.Type))
+		if f := ty.Field(i); hasPointers(f.Type) {
+			t.Errorf("Event field %s (%s) bears a pointer", f.Name, f.Type)
 		}
 	}
-	if got := unsafe.Sizeof(Event{}); got != 24 {
-		t.Errorf("Event is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Event{}); got != 12 {
+		t.Errorf("Event is %d bytes, want 12", got)
 	}
 }
 
@@ -354,7 +327,7 @@ func TestItemLayout(t *testing.T) {
 	}
 }
 
-// recordingHandler collects the typed events it dispatches.
+// recordingHandler collects the events it dispatches.
 type recordingHandler struct {
 	kinds []Kind
 	args  []int32
@@ -390,40 +363,20 @@ func TestTypedEventsDispatchThroughHandler(t *testing.T) {
 	}
 }
 
-// TestTypedAndFuncEventsInterleaveFIFO checks that the two event flavors
-// share one (time, sequence) order: a closure and a typed event at the
-// same instant fire in scheduling order.
-func TestTypedAndFuncEventsInterleaveFIFO(t *testing.T) {
-	e := New()
-	var order []int
-	h := &recordingHandler{}
-	e.SetHandler(h)
-	e.Schedule(5, Event{Kind: 1, Arg: 0})
-	e.At(5, func(e *Engine) { order = append(order, len(h.kinds)) })
-	e.Schedule(5, Event{Kind: 1, Arg: 1})
-	e.RunAll()
-	// The closure fired after the first typed event and before the second.
-	if len(order) != 1 || order[0] != 1 {
-		t.Fatalf("closure saw %v typed events before it, want exactly 1", order)
-	}
-	if len(h.kinds) != 2 {
-		t.Fatalf("dispatched %d typed events, want 2", len(h.kinds))
-	}
-}
-
 func TestResetKeepsHandler(t *testing.T) {
-	e := New()
-	h := &recordingHandler{}
-	e.SetHandler(h)
-	e.Schedule(1, Event{Kind: 9})
-	e.Reset()
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after Reset, want 0", e.Pending())
-	}
-	e.Schedule(1, Event{Kind: 4})
-	e.RunAll()
-	if len(h.kinds) != 1 || h.kinds[0] != 4 {
-		t.Fatalf("after Reset dispatched %v, want [4] (handler kept, old event dropped)", h.kinds)
+	for _, e := range []*Engine{New(), NewWithHeap()} {
+		h := &recordingHandler{}
+		e.SetHandler(h)
+		e.Schedule(1, Event{Kind: 9})
+		e.Reset()
+		if e.Pending() != 0 {
+			t.Fatalf("heap %v: pending = %d after Reset, want 0", e.useHeap, e.Pending())
+		}
+		e.Schedule(1, Event{Kind: 4})
+		e.RunAll()
+		if len(h.kinds) != 1 || h.kinds[0] != 4 {
+			t.Fatalf("heap %v: after Reset dispatched %v, want [4] (handler kept, old event dropped)", e.useHeap, h.kinds)
+		}
 	}
 }
 
@@ -446,7 +399,7 @@ func TestRandomizedOrdering(t *testing.T) {
 	violations := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		e.At(rng.Float64()*1000, func(e *Engine) {
+		at(e, rng.Float64()*1000, func(e *Engine) {
 			if e.Now() < last {
 				violations++
 			}
@@ -491,4 +444,52 @@ func TestPutBackIsNotADequeue(t *testing.T) {
 	if after := read(); after != before {
 		t.Errorf("10 000 put-backs moved the calendar: %+v, was %+v", after, before)
 	}
+}
+
+// tick reschedules every event one cycle later: the minimal
+// self-sustaining event loop, so a run is pure scheduler work.
+type tick struct{}
+
+func (tick) Handle(e *Engine, ev Event) { e.Schedule(e.Now()+1, ev) }
+
+// chains starts n tick chains at time 1 on e.
+func chains(e *Engine, n int) *Engine {
+	e.SetHandler(tick{})
+	for i := 0; i < n; i++ {
+		e.Schedule(1, Event{Kind: 1, Arg: int32(i)})
+	}
+	return e
+}
+
+// TestWarmLoopDoesNotAllocate pins the package doc's claim: once the
+// storage has grown to the run's shape, scheduling and firing events
+// allocates nothing, on the calendar with its lanes and on the heap.
+func TestWarmLoopDoesNotAllocate(t *testing.T) {
+	cal := New()
+	cal.DeclareLanes(1)
+	for _, e := range []*Engine{chains(cal, 64), chains(NewWithHeap(), 64)} {
+		e.Run(1 << 14) // a million events: the geometry has settled
+		fired := e.Fired()
+		if allocs := testing.AllocsPerRun(10, func() { e.Run(e.Now() + 1024) }); allocs != 0 {
+			t.Errorf("heap %v: a warm Run of 64k events allocates %v times, want 0", e.useHeap, allocs)
+		}
+		if e.Fired()-fired != 11*64*1024 {
+			t.Errorf("heap %v: fired %d events in the measured runs, want %d", e.useHeap, e.Fired()-fired, 11*64*1024)
+		}
+	}
+	if _, served := cal.Lanes(); served[0] == 0 {
+		t.Error("the lane served no event: the calendar check is vacuous")
+	}
+}
+
+// BenchmarkEngineChains is the benchmark harness's sim.ns_per_event
+// probe: 64 tick chains on a calendar warmed by a million events. An op
+// is one event.
+func BenchmarkEngineChains(b *testing.B) {
+	const n = 64
+	e := chains(New(), n)
+	e.Run(1 << 20 / n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(e.Now() + float64((b.N+n-1)/n))
 }

@@ -269,14 +269,13 @@ func TestGeometryClassesKept(t *testing.T) {
 	t.Run("uniform", func(t *testing.T) {
 		e := New()
 		cnt := &geomCount{}
-		var tick func(e *Engine)
-		tick = func(e *Engine) {
+		e.SetHandler(handlerFunc(func(e *Engine, ev Event) {
 			cnt.popped(e)
-			e.At(e.Now()+1, tick)
+			e.Schedule(e.Now()+1, ev)
 			cnt.inserted(e, e.Now()+1)
-		}
+		}))
 		for i := 0; i < 64; i++ {
-			e.At(1, tick)
+			e.Schedule(1, Event{Arg: int32(i)})
 		}
 		e.Run(400)
 		if _, _, rebuilds, _ := e.Geometry(); rebuilds == 0 {
@@ -290,9 +289,9 @@ func TestGeometryClassesKept(t *testing.T) {
 	t.Run("flood", func(t *testing.T) {
 		e := New()
 		cnt := &geomCount{}
-		popped := func(e *Engine) { cnt.popped(e) }
+		e.SetHandler(handlerFunc(func(e *Engine, _ Event) { cnt.popped(e) }))
 		for i := 0; i < 50000; i++ {
-			e.At(42, popped)
+			e.Schedule(42, Event{Arg: int32(i)})
 			cnt.inserted(e, 42)
 		}
 		e.RunAll()

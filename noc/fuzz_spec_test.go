@@ -19,30 +19,7 @@ import (
 // The seed corpus under testdata/fuzz/FuzzSpecJSON pins one document per
 // hostile class.
 func FuzzSpecJSON(f *testing.F) {
-	seeds := []string{
-		`{}`,
-		`{"topology":"quarc","n":16,"rate":0.002,"alpha":0.05,"pattern":"localized","dests":4}`,
-		`{"topology":"mesh","w":4,"h":4,"pattern":"highlow","high":[1,3],"low":[2],"arrival":"onoff","burst_len":8,"duty_cycle":0.5}`,
-		`{"n":1000000000}`,
-		`{"topology":"mesh","w":100000,"h":100000}`,
-		`{"topology":"hypercube","dims":64}`,
-		`{"rate":1e308,"alpha":2}`,
-		`{"rate":-1}`,
-		`{"warmup":-5,"measure":0}`,
-		`{"record":"a.trace","replay":"b.trace"}`,
-		`{"topology":"ring","n":16}`,
-		`{"arrival":"bursty"}`,
-		`{"spatial":"swirl","spatial_frac":-3}`,
-		`{"unknown_field":1}`,
-		`{"n":16} trailing`,
-		`{"wait":"magic","service":"wizard","evaluator":"oracle"}`,
-		`{"replications":-1,"parallelism":-1}`,
-		`{"trace_node":-5,"trace_limit":9999999999}`,
-		`[1,2,3]`,
-		`"quarc"`,
-		`{`,
-	}
-	for _, s := range seeds {
+	for _, s := range specFuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -75,4 +52,30 @@ func FuzzSpecJSON(f *testing.F) {
 			t.Fatal("nil scenario without error")
 		}
 	})
+}
+
+// specFuzzSeeds are FuzzSpecJSON's inline seeds, one document per
+// hostile class; FuzzSpecCodecMatchesJSON starts from them too.
+var specFuzzSeeds = []string{
+	`{}`,
+	`{"topology":"quarc","n":16,"rate":0.002,"alpha":0.05,"pattern":"localized","dests":4}`,
+	`{"topology":"mesh","w":4,"h":4,"pattern":"highlow","high":[1,3],"low":[2],"arrival":"onoff","burst_len":8,"duty_cycle":0.5}`,
+	`{"n":1000000000}`,
+	`{"topology":"mesh","w":100000,"h":100000}`,
+	`{"topology":"hypercube","dims":64}`,
+	`{"rate":1e308,"alpha":2}`,
+	`{"rate":-1}`,
+	`{"warmup":-5,"measure":0}`,
+	`{"record":"a.trace","replay":"b.trace"}`,
+	`{"topology":"ring","n":16}`,
+	`{"arrival":"bursty"}`,
+	`{"spatial":"swirl","spatial_frac":-3}`,
+	`{"unknown_field":1}`,
+	`{"n":16} trailing`,
+	`{"wait":"magic","service":"wizard","evaluator":"oracle"}`,
+	`{"replications":-1,"parallelism":-1}`,
+	`{"trace_node":-5,"trace_limit":9999999999}`,
+	`[1,2,3]`,
+	`"quarc"`,
+	`{`,
 }

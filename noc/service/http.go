@@ -229,7 +229,9 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 			writeError(w, fmt.Errorf("%w: %w", noc.ErrInvalidSpec, err))
 			return
 		}
-		if len(raw.Spec) == 0 {
+		// A null spec is as absent as an omitted one, though ParseSpec
+		// reads a bare null document as the default spec.
+		if len(raw.Spec) == 0 || string(raw.Spec) == "null" {
 			writeError(w, fmt.Errorf("%w: a sweep request needs a spec", noc.ErrInvalidSpec))
 			return
 		}
@@ -246,7 +248,7 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 			return
 		}
 		resp := SweepResponse{
-			Fingerprint: fmt.Sprintf("%016x", req.Spec.Fingerprint()),
+			Fingerprint: hex16(req.Spec.Fingerprint()),
 			Points:      make([]SweepPoint, len(results)),
 		}
 		for i, res := range results {

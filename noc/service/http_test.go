@@ -188,6 +188,29 @@ func TestHTTPSweep(t *testing.T) {
 	}
 }
 
+// TestHTTPSweepNullSpec pins that a JSON null spec is as absent as an
+// omitted one: 400 invalid_spec, not a sweep of the default spec (a bare
+// null document parses as {}).
+func TestHTTPSweepNullSpec(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	h := NewHandler(e)
+	for _, body := range []string{`{"spec": null, "rates": [0.001]}`, `{"rates":[0.001],"spec":null}`} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("%s: body %q: %v", body, rec.Body.Bytes(), err)
+		}
+		if rec.Code != http.StatusBadRequest || eb.Code != CodeInvalidSpec || !strings.Contains(eb.Error, "needs a spec") {
+			t.Errorf("%s: answered %d %+v, want 400 %s: a sweep request needs a spec", body, rec.Code, eb, CodeInvalidSpec)
+		}
+	}
+	if st := e.Stats(); st.Misses != 0 || st.Evaluations != 0 {
+		t.Errorf("a null-spec sweep reached the evaluator: %+v", st)
+	}
+}
+
 // TestHTTPEvaluateSizeDefault pins the ring-size default on the wire: a
 // spec naming quarc without n serves quarc-16, sharing its content
 // address with the explicit form.

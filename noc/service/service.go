@@ -356,13 +356,14 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	// Canonicalize once: the encoding is the cache key, and the canonical
 	// spec itself is what a worker compiles.
 	canon := sp.Canonical()
-	cjson, err := json.Marshal(canon)
+	var kb [512]byte
+	cjson, err := canon.AppendJSON(kb[:0])
 	if err != nil {
 		return Response{}, fmt.Errorf("service: encoding spec: %w", err)
 	}
 
-	// Both lookups go by the marshalled bytes; only a miss pays for the
-	// string key the tables keep.
+	// Both lookups go by the encoded bytes, on the stack for any
+	// ordinary spec; only a miss pays for the string key the tables keep.
 	e.mu.Lock()
 	if ent, ok := e.results.get(cjson); ok {
 		e.mu.Unlock()
@@ -648,7 +649,8 @@ func (e *Evaluator) evaluateSpec(sp noc.Spec, sim noc.Evaluator) (noc.Result, er
 // equivalent, so this is a benign inefficiency, not a correctness issue.
 func (e *Evaluator) baseFor(sp noc.Spec) (*noc.Scenario, error) {
 	st := sp.Structural()
-	cjson, err := json.Marshal(st)
+	var kb [512]byte
+	cjson, err := st.AppendJSON(kb[:0])
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding structural spec: %w", err)
 	}

@@ -1,11 +1,8 @@
 package noc
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"slices"
@@ -261,16 +258,12 @@ func (sp Spec) Validate() error {
 // ParseSpec decodes a Spec from JSON strictly — unknown fields, trailing
 // data and out-of-range values are all errors, never panics — making it
 // the safe entry point for untrusted documents (the quarcd wire, fuzzed
-// input).
+// input). It accepts exactly what encoding/json accepts into a Spec, and
+// a rejection names the key and the byte offset (speccodec.go).
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
-		return Spec{}, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return Spec{}, fmt.Errorf("%w: trailing data after the spec document", ErrInvalidSpec)
+	if err := sp.decodeJSON(data); err != nil {
+		return Spec{}, err
 	}
 	if err := sp.Validate(); err != nil {
 		return Spec{}, err
@@ -386,9 +379,12 @@ func orDefault(name *string, def string) {
 // CanonicalJSON is the canonical encoding: the JSON document of the
 // canonical form. Specs describing the same scenario encode to the same
 // bytes, and ParseSpec(CanonicalJSON) round-trips (pinned by
-// TestSpecRoundTrip and FuzzSpecJSON).
+// TestSpecRoundTrip and FuzzSpecJSON). The buffer is sized for every
+// scalar field of a typical spec plus its list elements, so it is
+// allocated once and rarely grows.
 func (sp Spec) CanonicalJSON() ([]byte, error) {
-	return json.Marshal(sp.Canonical())
+	c := sp.Canonical()
+	return c.AppendJSON(make([]byte, 0, 512+24*(len(c.High)+len(c.Low)+len(c.SpatialNodes)+len(c.SpatialWeights))))
 }
 
 const (
@@ -412,7 +408,8 @@ func fnv1a(data []byte) uint64 {
 // (non-finite floats, which Validate rejects anyway) hashes a distinct
 // error form rather than panicking.
 func (sp Spec) Fingerprint() uint64 {
-	b, err := sp.CanonicalJSON()
+	var buf [512]byte
+	b, err := sp.Canonical().AppendJSON(buf[:0])
 	if err != nil {
 		b = []byte("noc:unencodable-spec:" + err.Error())
 	}

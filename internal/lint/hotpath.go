@@ -31,17 +31,6 @@ func defaultHotpaths() map[string][]string {
 			"Engine.laneFor",
 			"Engine.put",
 			"Engine.run",
-			"calQueue.dayOf",
-			"calQueue.head",
-			"calQueue.insert",
-			"calQueue.migrate",
-			"calQueue.peek",
-			"calQueue.place",
-			"calQueue.popRef",
-			"calQueue.pushOverflow",
-			"calQueue.setOvDue",
-			"calQueue.slot",
-			"calQueue.walk",
 			"eventHeap.pop",
 			"eventHeap.push",
 			"keyLess",

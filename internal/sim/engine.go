@@ -15,17 +15,16 @@
 // read once from there, so a warmed-up event loop allocates nothing and
 // the garbage collector never scans the pending set.
 //
-// # Schedulers
+// # Scheduler
 //
-// The pending-event set has two implementations behind the same Engine
-// API. The default is a calendar queue (bucketed time ring with an
-// overflow heap) with O(1) amortized schedule and pop, fronted by up to
-// two fixed-delay lanes (DeclareLanes): FIFOs for events filed a constant
-// delay after the clock, which arrive already sorted and skip the
-// calendar. NewWithHeap selects the plain binary heap, retained as the
-// simpler fallback and as the oracle for differential tests. Both order
-// events identically by (time, sequence), so which scheduler runs is
-// invisible in the results — only in the throughput.
+// The pending-event set is a binary min-heap fronted by up to two
+// fixed-delay lanes (DeclareLanes): FIFOs for events filed a constant
+// delay after the clock, which arrive already sorted and never reach the
+// heap. A lane refuses any key that would order before its tail, so the
+// dispatch order is a pure function of the (time, sequence) keys whichever
+// structure holds an event: lanes show only in the throughput. An engine
+// without lanes, its heap holding every event, is the oracle the lanes are
+// differential-tested against.
 package sim
 
 import (
@@ -53,8 +52,8 @@ type Handler interface {
 	Handle(e *Engine, ev Event)
 }
 
-// item is one pending event as both schedulers store it: 32 bytes, two to
-// a cache line, no pointers.
+// item is one pending event as the heap and the lanes store it: 32 bytes,
+// two to a cache line, no pointers.
 type item struct {
 	t        float64
 	seq      uint64
@@ -62,101 +61,101 @@ type item struct {
 	arg, ref int32
 }
 
-// eventHeap is a binary min-heap ordered by (t, seq). The sift operations
-// are inlined here rather than going through container/heap, whose
-// interface-based API boxes every pushed item into an allocation. It backs
-// the heap-scheduler mode and the calendar queue's far-future overflow.
-type eventHeap []item
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// keyLess reports whether key (t, seq) orders before b's.
+//
+//quarc:hotpath
+func keyLess(t float64, seq uint64, b *item) bool {
+	if t != b.t {
+		return t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return seq < b.seq
 }
 
+// eventHeap is a binary min-heap ordered by (t, seq). The sift operations
+// are inlined here rather than going through container/heap, whose
+// interface-based API boxes every pushed item into an allocation, and both
+// move a hole instead of swapping: every item moved is written once, into
+// the slot it ends in.
+type eventHeap []item
+
+// push files ev under (t, seq): parents that order after the key move down
+// into the hole until the key's slot is found, and the record is written
+// there.
+//
 //quarc:hotpath
-func (h *eventHeap) push(it item) {
-	hh := append(*h, it)
+func (h *eventHeap) push(t float64, seq uint64, ev Event) {
+	hh := append(*h, item{})
 	i := len(hh) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !hh.less(i, parent) {
+		if !keyLess(t, seq, &hh[parent]) {
 			break
 		}
-		hh[i], hh[parent] = hh[parent], hh[i]
+		hh[i] = hh[parent]
 		i = parent
 	}
+	p := &hh[i]
+	p.t, p.seq, p.kind, p.arg, p.ref = t, seq, ev.Kind, ev.Arg, ev.Ref
 	*h = hh
 }
 
+// pop removes the root, which the caller has read: the last item sinks
+// from the root through the hole, past every smaller child, and the heap
+// shrinks by its old slot.
+//
 //quarc:hotpath
-func (h *eventHeap) pop() item {
+func (h *eventHeap) pop() {
 	hh := *h
 	n := len(hh) - 1
-	it := hh[0]
-	hh[0] = hh[n]
-	hh = hh[:n]
+	last := &hh[n]
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && hh.less(r, l) {
+		if r := j + 1; r < n && keyLess(hh[r].t, hh[r].seq, &hh[j]) {
 			j = r
 		}
-		if !hh.less(j, i) {
+		if !keyLess(hh[j].t, hh[j].seq, last) {
 			break
 		}
-		hh[i], hh[j] = hh[j], hh[i]
+		hh[i] = hh[j]
 		i = j
 	}
-	*h = hh
-	return it
+	hh[i] = *last
+	*h = hh[:n]
 }
 
-// maxRetainedEvents caps the event storage (heap slots or calendar bucket
-// slots) an Engine keeps across Reset: a single saturated run can grow the
+// maxRetainedEvents caps the event storage — the heap and each lane ring —
+// an Engine keeps across Reset: a single saturated run can grow the
 // pending set enormously, and retaining all of it would pin that memory
 // for every later point of a sweep.
 const maxRetainedEvents = 1 << 15
 
 // Engine is a discrete-event scheduler. The zero value is ready to use and
-// runs on the calendar-queue scheduler.
+// has no lanes.
 type Engine struct {
-	now     float64
-	seq     uint64
-	useHeap bool
-	heap    eventHeap
-	cal     calQueue
-	// lanes are the fixed-delay FIFOs in front of the calendar (see lane
-	// and DeclareLanes); an undeclared lane has no ring and refuses
-	// every event.
+	now  float64
+	seq  uint64
+	heap eventHeap
+	// lanes are the fixed-delay FIFOs in front of the heap (see lane and
+	// DeclareLanes); an undeclared lane refuses every event.
 	lanes   [2]lane
 	handler Handler
 	stopped bool
 	fired   uint64
 }
 
-// New returns an empty engine at time zero, backed by the calendar-queue
-// scheduler.
+// New returns an empty engine at time zero, with no lanes.
 func New() *Engine { return &Engine{} }
 
-// NewWithHeap returns an empty engine backed by the binary-heap scheduler:
-// the simpler fallback, and the oracle the calendar queue is
-// differential-tested against. Event ordering is identical to New's.
-func NewWithHeap() *Engine { return &Engine{useHeap: true} }
-
 // Reset returns the engine to its zero state — time zero, no pending
-// events, counters cleared, the calendar back at its default geometry and
-// no lanes declared (re-issue HintSchedule and DeclareLanes after it) —
-// while keeping the allocated event storage and the handler, so one
-// engine can be reused across the points of a sweep without reallocating,
-// at a speed that depends on the run and never on the runs before it.
-// Storage grossly over-grown by a past run (beyond maxRetainedEvents) is
-// released instead of retained.
+// events, counters cleared and no lanes declared (re-issue DeclareLanes
+// after it) — while keeping the allocated event storage and the handler,
+// so one engine can be reused across the points of a sweep without
+// reallocating. Storage grossly over-grown by a past run (a heap or a ring
+// beyond maxRetainedEvents) is released instead of retained.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -167,10 +166,9 @@ func (e *Engine) Reset() {
 	} else {
 		e.heap = e.heap[:0]
 	}
-	// The lane rings live in the calendar's arena, which reset keeps or
-	// frees; DeclareLanes carves them out of it again.
-	e.lanes = [2]lane{}
-	e.cal.reset(maxRetainedEvents)
+	for k := range e.lanes {
+		e.lanes[k].clear()
+	}
 }
 
 // SetHandler installs the event dispatcher. Scheduling an event on an
@@ -184,33 +182,14 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int {
-	if e.useHeap {
-		return len(e.heap)
-	}
-	return e.cal.len() + e.lanes[0].len() + e.lanes[1].len()
-}
-
-// Geometry reports the calendar scheduler's current shape — bucket count,
-// day width, geometry rebuilds since the last Reset, and the share of
-// pending events parked in the overflow heap — for tests and out-of-band
-// reporting. Geometry only ever affects speed; the heap scheduler reports
-// zeros.
-func (e *Engine) Geometry() (buckets int, width float64, rebuilds uint64, overflow float64) {
-	q := &e.cal
-	if n := e.Pending(); n > 0 {
-		overflow = float64(len(q.overflow)) / float64(n)
-	}
-	return len(q.buckets), q.width, q.resizes, overflow
-}
+func (e *Engine) Pending() int { return len(e.heap) + e.lanes[0].len() + e.lanes[1].len() }
 
 // Lanes reports the declared fixed-delay lanes — each one's delay and the
 // events it has served since it was declared, zero for an undeclared lane
-// — for tests and out-of-band reporting. Like Geometry it only ever
-// describes speed.
+// — for tests and out-of-band reporting. It only ever describes speed.
 func (e *Engine) Lanes() (delays [2]float64, served [2]uint64) {
 	for k := range e.lanes {
-		if l := &e.lanes[k]; l.ring != nil {
+		if l := &e.lanes[k]; len(l.ring) > 0 {
 			delays[k], served[k] = l.delay, l.head
 		}
 	}
@@ -229,40 +208,27 @@ func (e *Engine) Schedule(t float64, ev Event) {
 	e.put(t, e.seq, ev)
 }
 
-// HintSchedule pre-sizes the calendar scheduler for a workload expected
-// to keep roughly `pending` events in flight, scheduled up to roughly
-// `span` time units ahead. A good hint skips the geometry-learning
-// rebuilds a fresh engine otherwise pays during its first few thousand
-// events; a bad one is corrected by the adaptive resize policy. The hint
-// is purely about speed — event order never depends on geometry — and is
-// ignored by the heap scheduler and by engines with pending events.
-func (e *Engine) HintSchedule(span float64, pending int) {
-	if e.useHeap || pending <= 0 || span <= 0 || math.IsNaN(span) || math.IsInf(span, 1) {
-		return
-	}
-	e.cal.hint(span, pending, e.now)
-}
-
-// DeclareLanes gives the calendar scheduler a fixed-delay lane for each of
-// up to two delays (further ones are ignored): a FIFO that takes every
-// event scheduled exactly that delay after the clock, where it arrives
-// already in (time, sequence) order, so it is neither bucketed nor
-// searched. Declare the delays a workload schedules at most often — the
-// wormhole simulator's one-cycle header steps and message-length drains;
-// any delay is safe, since a lane refuses a key that would order before
-// its tail. Like HintSchedule it is purely about speed, follows it (the
-// lane rings come out of the arena the hinted geometry allocated, a
-// bucket count's worth of slots each), and is ignored by the heap
-// scheduler and by engines with pending events. Reset forgets the lanes.
+// DeclareLanes gives the engine a fixed-delay lane for each of up to two
+// delays (further ones are ignored) and undeclares the rest: a FIFO that
+// takes every event scheduled exactly that delay after the clock, where it
+// arrives already in (time, sequence) order, so the heap never sifts it.
+// Declare the delays a workload schedules at most often — the wormhole
+// simulator's one-cycle header steps and message-length drains; any delay
+// is safe, since a lane refuses a key that would order before its tail.
+// DeclareLanes() with no delays leaves the engine without lanes, every
+// event on the heap. Lanes are purely about speed: a ring is allocated
+// here, or kept from before Reset, and doubles whenever it is full. An
+// engine with pending events ignores the call; Reset undeclares the lanes.
 func (e *Engine) DeclareLanes(delays ...float64) {
-	if e.useHeap || e.Pending() > 0 {
+	if e.Pending() > 0 {
 		return
 	}
-	e.lanes = [2]lane{}
-	store := e.cal.laneArena(e.now)
-	n := len(e.cal.buckets)
-	for k, d := range delays[:min(len(delays), len(e.lanes))] {
-		e.lanes[k] = lane{delay: d, ring: store[k*n : (k+1)*n : (k+1)*n], mask: uint64(n - 1)}
+	for k := range e.lanes {
+		if k < len(delays) {
+			e.lanes[k].declare(delays[k])
+		} else {
+			e.lanes[k].clear()
+		}
 	}
 }
 
@@ -303,30 +269,23 @@ func (e *Engine) refuse(t float64) {
 }
 
 // put files a checked event under (t, seq): into the lane whose delay it
-// lands at, if that lane takes the key, and otherwise into the calendar.
+// lands at, if that lane takes the key, and otherwise into the heap.
 // Either way the record is written where it will wait: place returns the
-// slot with the key set and the remaining fields are stored straight into
-// it. (Building the item first and copying it in is measurably slower —
+// ring slot with the key set and the remaining fields are stored straight
+// into it, and push writes the record into the hole its sift leaves.
+// (Building the item first and copying it in is measurably slower —
 // narrow field stores followed by a wide load of the same bytes defeat
 // store forwarding.)
 //
 //quarc:hotpath
 func (e *Engine) put(t float64, seq uint64, ev Event) {
-	if e.useHeap {
-		e.heap.push(item{t, seq, ev.Kind, ev.Arg, ev.Ref})
-		return
-	}
-	var p *item
 	if l := e.laneFor(t); l != nil {
-		p = l.place(t, seq)
-	}
-	if p == nil {
-		if p = e.cal.place(t, seq, e.now); p == nil {
-			e.cal.pushOverflow(item{t, seq, ev.Kind, ev.Arg, ev.Ref})
+		if p := l.place(t, seq); p != nil {
+			p.kind, p.arg, p.ref = ev.Kind, ev.Arg, ev.Ref
 			return
 		}
 	}
-	p.kind, p.arg, p.ref = ev.Kind, ev.Arg, ev.Ref
+	e.heap.push(t, seq, ev)
 }
 
 // laneFor returns the lane whose delay t lands at, or nil.
@@ -365,53 +324,33 @@ func (e *Engine) RunBefore(horizon float64) float64 { return e.run(horizon, fals
 //quarc:hotpath
 func (e *Engine) run(horizon float64, inclusive bool) float64 {
 	e.stopped = false
-	var popped item // the heap scheduler pops by value
 	for !e.stopped {
+		// The earliest event is the heap's root or a lane's front, each
+		// read where it waits; only the winner, and only inside the
+		// window, is removed.
 		var p *item
-		if l0, l1 := &e.lanes[0], &e.lanes[1]; e.useHeap || l0.head == l0.tail && l1.head == l1.tail {
-			// No lane event to merge with: pop the earliest event, and put
-			// it back if it lies beyond this run's window.
-			p = &popped
-			if e.useHeap {
-				if len(e.heap) == 0 {
-					break
-				}
-				popped = e.heap.pop()
-			} else if p = e.cal.popRef(e.now); p == nil {
-				break
-			}
-			if beyond(p.t, horizon, inclusive) {
-				if e.useHeap {
-					e.heap.push(*p)
-				} else {
-					e.cal.unpop(*p)
-				}
-				break
-			}
-		} else {
-			// Merge the lane fronts with the calendar's earliest key,
-			// cached across lane pops; pop the winner only inside the window.
-			p = e.cal.peek()
-			var src *lane
-			for k := range e.lanes {
-				if f := e.lanes[k].front(); f != nil && (p == nil || keyLess(f.t, f.seq, p)) {
-					p, src = f, &e.lanes[k]
-				}
-			}
-			if beyond(p.t, horizon, inclusive) {
-				break
-			}
-			if src != nil {
-				src.head++
-			} else {
-				p = e.cal.popRef(e.now)
+		if len(e.heap) > 0 {
+			p = &e.heap[0]
+		}
+		var src *lane
+		for k := range e.lanes {
+			if f := e.lanes[k].front(); f != nil && (p == nil || keyLess(f.t, f.seq, p)) {
+				p, src = f, &e.lanes[k]
 			}
 		}
-		// Read the record out before dispatch: p points into the bucket or
-		// ring it was popped from, and a handler scheduling there may
-		// compact, overwrite or abandon the slot.
+		if p == nil || beyond(p.t, horizon, inclusive) {
+			break
+		}
+		// Read the record out before removing it: the heap's pop moves
+		// another item into p's slot, and a handler scheduling into the
+		// ring may overwrite it.
 		ev := Event{Kind: p.kind, Arg: p.arg, Ref: p.ref}
 		e.now = p.t
+		if src != nil {
+			src.head++
+		} else {
+			e.heap.pop()
+		}
 		e.fired++
 		if e.handler == nil {
 			panic("sim: event fired on an engine without a handler")

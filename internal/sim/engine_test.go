@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -364,18 +366,20 @@ func TestTypedEventsDispatchThroughHandler(t *testing.T) {
 }
 
 func TestResetKeepsHandler(t *testing.T) {
-	for _, e := range []*Engine{New(), NewWithHeap()} {
+	laned := New()
+	laned.DeclareLanes(1)
+	for _, e := range []*Engine{laned, New()} {
 		h := &recordingHandler{}
 		e.SetHandler(h)
 		e.Schedule(1, Event{Kind: 9})
 		e.Reset()
 		if e.Pending() != 0 {
-			t.Fatalf("heap %v: pending = %d after Reset, want 0", e.useHeap, e.Pending())
+			t.Fatalf("pending = %d after Reset, want 0", e.Pending())
 		}
 		e.Schedule(1, Event{Kind: 4})
 		e.RunAll()
 		if len(h.kinds) != 1 || h.kinds[0] != 4 {
-			t.Fatalf("heap %v: after Reset dispatched %v, want [4] (handler kept, old event dropped)", e.useHeap, h.kinds)
+			t.Fatalf("after Reset dispatched %v, want [4] (handler kept, old event dropped)", h.kinds)
 		}
 	}
 }
@@ -391,58 +395,62 @@ func TestTypedEventWithoutHandlerPanics(t *testing.T) {
 	e.RunAll()
 }
 
-// Stress: many random events must fire in nondecreasing time order.
+// TestRandomizedOrdering stresses the order: 10 000 events at random
+// times, half of them each starting a follower one or two cycles on, must
+// each dispatch as the minimum of the test's sorted reference — on an
+// engine whose lanes take the followers and on one whose heap holds all.
 func TestRandomizedOrdering(t *testing.T) {
-	e := New()
-	rng := rand.New(rand.NewPCG(7, 9))
-	last := math.Inf(-1)
-	violations := 0
 	const n = 10000
-	for i := 0; i < n; i++ {
-		at(e, rng.Float64()*1000, func(e *Engine) {
-			if e.Now() < last {
-				violations++
+	for _, lanes := range [][]float64{nil, {1, 2}} {
+		e := New()
+		e.DeclareLanes(lanes...)
+		o := &keyOrder{}
+		rng := rand.New(rand.NewPCG(7, 9))
+		e.SetHandler(handlerFunc(func(e *Engine, ev Event) {
+			o.fired(e, ev)
+			if ev.Kind == 2 {
+				o.schedule(e, e.Now()+float64(1+rng.IntN(2)), Event{Kind: 1, Arg: -ev.Arg})
 			}
-			last = e.Now()
-		})
-	}
-	e.RunAll()
-	if violations != 0 {
-		t.Fatalf("%d time-order violations", violations)
-	}
-	if e.Fired() != n {
-		t.Fatalf("fired %d, want %d", e.Fired(), n)
+		}))
+		for i := 0; i < n; i++ {
+			o.schedule(e, rng.Float64()*1000, Event{Kind: Kind(1 + i%2), Arg: int32(i)})
+		}
+		e.RunAll()
+		o.check(t, fmt.Sprintf("lanes %v", lanes), e.Fired())
+		if e.Fired() != n+n/2 {
+			t.Fatalf("lanes %v: fired %d, want %d", lanes, e.Fired(), n+n/2)
+		}
 	}
 }
 
-// TestPutBackIsNotADequeue pins that the put-back of the first event
-// beyond a Run horizon is invisible to the calendar: it moves neither the
-// geometry nor the dequeue-rate window the day width is measured over.
+// TestPutBackIsNotADequeue pins that a Run cut at the clock, with every
+// pending event beyond it, is invisible: 10 000 Run(Now()) calls fire
+// nothing and change neither Pending() nor what dispatches next, which a
+// twin engine that never made the cuts shows.
 func TestPutBackIsNotADequeue(t *testing.T) {
-	e := New()
-	e.HintSchedule(256, 256)
-	newSimShape(e, 1, 64, 600).runTo(e, 9000) // several windows in, part-way through one
-	type state struct {
-		buckets  int
-		width    float64
-		rebuilds uint64
-		pops     int
-		popT     float64
-		fired    uint64
+	run := func(cuts int) *sink {
+		e := New()
+		e.DeclareLanes(1, 32)
+		s := newSimShape(e, 1, 64, 600)
+		s.runTo(e, 9000)
+		fired, pending := e.Fired(), e.Pending()
+		if pending == 0 {
+			t.Fatal("nothing pending at the cut: the check is vacuous")
+		}
+		for i := 0; i < cuts; i++ {
+			e.Run(e.Now())
+		}
+		if e.Fired() != fired || e.Pending() != pending {
+			t.Fatalf("%d cuts at %v: fired %d and pending %d, were %d and %d",
+				cuts, e.Now(), e.Fired(), e.Pending(), fired, pending)
+		}
+		s.runTo(e, 9500)
+		s.order.check(t, fmt.Sprintf("%d cuts", cuts), e.Fired())
+		return &s.sink
 	}
-	read := func() state {
-		b, w, r, _ := e.Geometry()
-		return state{b, w, r, e.cal.pops, e.cal.popT, e.Fired()}
-	}
-	before := read()
-	if before.rebuilds == 0 || before.pops == 0 {
-		t.Fatalf("want a learned geometry and an open window before the put-backs, have %+v", before)
-	}
-	for i := 0; i < 10000; i++ {
-		e.Run(e.Now()) // pops the head, finds it beyond the horizon, puts it back
-	}
-	if after := read(); after != before {
-		t.Errorf("10 000 put-backs moved the calendar: %+v, was %+v", after, before)
+	cut, plain := run(10000), run(0)
+	if !slices.Equal(cut.times, plain.times) || !slices.Equal(cut.args, plain.args) {
+		t.Error("10 000 cuts at the clock changed the dispatches that follow")
 	}
 }
 
@@ -463,28 +471,53 @@ func chains(e *Engine, n int) *Engine {
 
 // TestWarmLoopDoesNotAllocate pins the package doc's claim: once the
 // storage has grown to the run's shape, scheduling and firing events
-// allocates nothing, on the calendar with its lanes and on the heap.
+// allocates nothing, on an engine with a lane and on one without.
 func TestWarmLoopDoesNotAllocate(t *testing.T) {
-	cal := New()
-	cal.DeclareLanes(1)
-	for _, e := range []*Engine{chains(cal, 64), chains(NewWithHeap(), 64)} {
-		e.Run(1 << 14) // a million events: the geometry has settled
+	laned := New()
+	laned.DeclareLanes(1)
+	for _, e := range []*Engine{chains(laned, 64), chains(New(), 64)} {
+		delays, _ := e.Lanes()
+		e.Run(1 << 14) // a million events: the storage has settled
 		fired := e.Fired()
 		if allocs := testing.AllocsPerRun(10, func() { e.Run(e.Now() + 1024) }); allocs != 0 {
-			t.Errorf("heap %v: a warm Run of 64k events allocates %v times, want 0", e.useHeap, allocs)
+			t.Errorf("lanes %v: a warm Run of 64k events allocates %v times, want 0", delays, allocs)
 		}
 		if e.Fired()-fired != 11*64*1024 {
-			t.Errorf("heap %v: fired %d events in the measured runs, want %d", e.useHeap, e.Fired()-fired, 11*64*1024)
+			t.Errorf("lanes %v: fired %d events in the measured runs, want %d", delays, e.Fired()-fired, 11*64*1024)
 		}
 	}
-	if _, served := cal.Lanes(); served[0] == 0 {
-		t.Error("the lane served no event: the calendar check is vacuous")
+	if _, served := laned.Lanes(); served[0] == 0 {
+		t.Error("the lane served no event: the check is vacuous")
+	}
+}
+
+// TestResetKeepsLargePopulationStorage pins pooled storage at a large
+// population: 5 000 parked timers feeding +1 and +32 chains, as many as a
+// quarc-2048 network parks at two per node. After Reset and the lanes
+// declared again, an identical run allocates nothing: the heap and the
+// rings the first run grew are kept, each under maxRetainedEvents.
+func TestResetKeepsLargePopulationStorage(t *testing.T) {
+	e := New()
+	p := newParked(5000, 32)
+	run := func() {
+		e.Reset()
+		e.DeclareLanes(1, 32)
+		p.start(e)
+		e.Run(3000)
+	}
+	run()
+	fired := e.Fired()
+	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+		t.Errorf("a reset run of 5 000 parked timers allocates %v times, want 0", allocs)
+	}
+	if _, served := e.Lanes(); e.Fired() != fired || served[0] == 0 || served[1] == 0 {
+		t.Errorf("runs fired %d then %d events, lanes served %v: want equal runs on both lanes", fired, e.Fired(), served)
 	}
 }
 
 // BenchmarkEngineChains is the benchmark harness's sim.ns_per_event
-// probe: 64 tick chains on a calendar warmed by a million events. An op
-// is one event.
+// probe: 64 tick chains on an engine without lanes, warmed by a million
+// events, so every event goes through the heap. An op is one event.
 func BenchmarkEngineChains(b *testing.B) {
 	const n = 64
 	e := chains(New(), n)
@@ -492,4 +525,25 @@ func BenchmarkEngineChains(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run(e.Now() + float64((b.N+n-1)/n))
+}
+
+// BenchmarkEngineParked is the wormhole's scheduler load at two network
+// sizes: N parked exponential timers on the heap, one firing per cycle,
+// each starting a +1 chain and a +32 drain on the lanes. An op is one
+// event.
+func BenchmarkEngineParked(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			e := New()
+			e.DeclareLanes(1, 32)
+			newParked(n, 32).start(e)
+			e.Run(1 << 16) // many mean park times: the storage has settled
+			fired := e.Fired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for e.Fired()-fired < uint64(b.N) {
+				e.Run(e.Now() + 16)
+			}
+		})
+	}
 }

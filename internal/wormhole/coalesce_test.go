@@ -28,7 +28,7 @@ func runPair(t *testing.T, rt routing.Router, spec traffic.Spec, seed uint64, cf
 		if cfg.Drain {
 			// A drained run can be leak-checked once the engine empties;
 			// without Drain, generation events reschedule forever.
-			nw.Engine().RunAll()
+			nw.eng.RunAll()
 			if err := nw.LeakCheck(); err != nil {
 				t.Errorf("noCoalesce=%v: %v", noCoalesce, err)
 			}
@@ -137,7 +137,7 @@ func TestCoalescingReducesFiredEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := nw.Run()
-		return nw.Engine().Fired(), res.Events
+		return nw.eng.Fired(), res.Events
 	}
 	coEng, coLog := fired(false)
 	fiEng, fiLog := fired(true)

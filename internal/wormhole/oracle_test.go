@@ -6,17 +6,16 @@ import (
 	"testing"
 
 	"quarc/internal/routing"
-	"quarc/internal/sim"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
 )
 
 // FuzzNetworkVsHeap is the scheduler's end-to-end oracle: one workload
-// simulated on the default engine — the calendar queue with the
-// network's fixed-delay lanes — and on the binary-heap engine must give
-// bitwise-identical Results, traces included, across Quarc and mesh
-// sizes, loads up to saturation, message lengths 2–40, coalescing on and
-// off, multicast priority and drain.
+// simulated on a network as New builds it — the heap with the fixed-delay
+// lanes — and on one whose engine has its lanes undeclared, the heap
+// holding every event, must give bitwise-identical Results, traces
+// included, across Quarc and mesh sizes, loads up to saturation, message
+// lengths 2–40, coalescing on and off, multicast priority and drain.
 func FuzzNetworkVsHeap(f *testing.F) {
 	f.Add(false, uint8(2), 0.15, uint8(30), false, false, false, uint64(1)) // quarc-16, 32 flits, mid load
 	f.Add(false, uint8(0), 0.9, uint8(6), true, false, true, uint64(2))     // quarc-8, 8 flits, fine-grained, drain
@@ -55,21 +54,24 @@ func FuzzNetworkVsHeap(f *testing.F) {
 		cfg := Config{MsgLen: 2 + int(msgLen)%39, Warmup: 300, Measure: 3000, SatQueue: 40,
 			NoCoalesce: noCoalesce, MulticastPriority: priority, Drain: drain,
 			TraceEnabled: true, TraceNode: topology.NodeID(seed % uint64(rt.Graph().Nodes()))}
-		run := func(eng *sim.Engine) Result {
+		run := func(lanes bool) Result {
 			w, err := traffic.NewWorkload(rt, spec, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw, err := newOn(eng, rt.Graph(), w, cfg)
+			nw, err := New(rt.Graph(), w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !lanes {
+				nw.eng.DeclareLanes()
+			}
 			return nw.Run()
 		}
-		cal, heap := run(sim.New()), run(sim.NewWithHeap())
-		if !reflect.DeepEqual(cal, heap) {
-			t.Fatalf("%s, rate %v, %+v: the calendar engine's Result %+v differs from the heap's %+v",
-				rt.Graph().Name(), spec.Rate, cfg, cal, heap)
+		laned, heap := run(true), run(false)
+		if !reflect.DeepEqual(laned, heap) {
+			t.Fatalf("%s, rate %v, %+v: the Result with lanes %+v differs from the lane-less heap's %+v",
+				rt.Graph().Name(), spec.Rate, cfg, laned, heap)
 		}
 	})
 }

@@ -75,7 +75,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 			t.Logf("seed %d: multicast min %v below floor %v", seed, res.Multicast.Min(), floor)
 			return false
 		}
-		nw.Engine().RunAll()
+		nw.eng.RunAll()
 		if err := nw.LeakCheck(); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

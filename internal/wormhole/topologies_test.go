@@ -31,7 +31,7 @@ func runOn(t *testing.T, rt routing.Router, set routing.MulticastSet, alpha, rat
 		t.Fatalf("%s: %d of %d messages missing after drain (possible deadlock)",
 			rt.Graph().Name(), res.Generated-res.Completed, res.Generated)
 	}
-	nw.Engine().RunAll()
+	nw.eng.RunAll()
 	if err := nw.LeakCheck(); err != nil {
 		t.Fatalf("%s: %v", rt.Graph().Name(), err)
 	}

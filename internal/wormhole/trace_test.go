@@ -155,7 +155,7 @@ func TestLeakCheckAfterDrain(t *testing.T) {
 	}
 	// After the drain, only unmeasured stragglers could remain; run the
 	// engine dry and the network must be completely empty.
-	nw.Engine().RunAll()
+	nw.eng.RunAll()
 	if err := nw.LeakCheck(); err != nil {
 		t.Fatal(err)
 	}

@@ -421,12 +421,6 @@ func checkConfig(cfg *Config) error {
 
 // New creates a simulator over the given channel graph and traffic source.
 func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
-	return newOn(sim.New(), g, traffic, cfg)
-}
-
-// newOn is New on a given engine — the seam that lets tests run a network
-// on the heap scheduler, the calendar's oracle.
-func newOn(eng *sim.Engine, g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 	if err := checkConfig(&cfg); err != nil {
 		return nil, err
 	}
@@ -434,27 +428,17 @@ func newOn(eng *sim.Engine, g *topology.Graph, traffic Traffic, cfg Config) (*Ne
 		g:        g,
 		traffic:  traffic,
 		cfg:      cfg,
-		eng:      eng,
+		eng:      sim.New(),
 		channels: make([]channel, g.NumChannels()),
 	}
 	nw.eng.SetHandler(nw)
-	hintSchedule(nw.eng, nw.cfg.MsgLen, nw.g.Nodes())
+	// Almost every event lands a fixed delay after the one that schedules
+	// it: a header step one cycle on (evRequest, evAdvance) or a span drain
+	// one message length on (evSpanDone). Those two delays get the engine's
+	// fixed-delay lanes, here and in Reset; the heap keeps the rest, parked
+	// generation timers and contended releases.
+	nw.eng.DeclareLanes(1, float64(cfg.MsgLen))
 	return nw, nil
-}
-
-// hintSchedule seeds an engine's scheduler with the workload's shape
-// instead of paying the learning transient every run. Almost every event
-// lands a fixed delay after the one that schedules it: a header step one
-// cycle on (evRequest, evAdvance) or a span drain one message length on
-// (evSpanDone), so those two delays get the engine's fixed-delay lanes.
-// The calendar keeps what is left — parked generation timers and
-// contended releases — and is sized for about two events in flight per
-// node over a few message-drain times. New and Reset both issue it, so a
-// run's starting scheduler is a function of (nodes, message length)
-// alone; the engine's own policy then follows the run's dequeue rate.
-func hintSchedule(eng *sim.Engine, msgLen, nodes int) {
-	eng.HintSchedule(float64(msgLen)*8, nodes*2)
-	eng.DeclareLanes(1, float64(msgLen))
 }
 
 // Reset rebinds the network to a new traffic source and configuration and
@@ -475,7 +459,7 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.detachHooks()
 	nw.cfg = cfg
 	nw.eng.Reset()
-	hintSchedule(nw.eng, nw.cfg.MsgLen, nw.g.Nodes())
+	nw.eng.DeclareLanes(1, float64(cfg.MsgLen))
 	for i := range nw.channels {
 		c := &nw.channels[i]
 		c.holder = nil
@@ -1015,6 +999,3 @@ func (nw *Network) complete(msg *message, t float64) {
 	// The last branch completed: no event or worm references msg anymore.
 	nw.putMessage(msg)
 }
-
-// Engine exposes the underlying event engine (used by tests).
-func (nw *Network) Engine() *sim.Engine { return nw.eng }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,34 +11,40 @@ import (
 	"quarc/internal/wormhole"
 )
 
-// pairNetwork builds the smallest possible wormhole network: two nodes
-// connected by one link in each direction, routed by a TableRouter. On
-// this network the model's recurrences collapse to textbook M/G/1
-// formulas that can be checked by hand, and the simulator can be compared
-// against both.
-func pairNetwork(t *testing.T) *routing.TableRouter {
+// pairRouter routes the smallest possible wormhole network: two nodes
+// connected by one link in each direction. On this network the model's
+// recurrences collapse to textbook M/G/1 formulas that can be checked by
+// hand, and the simulator can be compared against both.
+type pairRouter struct{ g *topology.Graph }
+
+func pairNetwork(t *testing.T) pairRouter {
 	t.Helper()
 	g := topology.NewGraph("pair", 2, 1)
-	inj0 := g.AddInjection(0, 0)
-	inj1 := g.AddInjection(1, 0)
-	ej0 := g.AddEjection(0, 0)
-	ej1 := g.AddEjection(1, 0)
-	l01 := g.AddLink(0, 1, 0, 0)
-	l10 := g.AddLink(1, 0, 0, 0)
+	g.AddInjection(0, 0)
+	g.AddInjection(1, 0)
+	g.AddEjection(0, 0)
+	g.AddEjection(1, 0)
+	g.AddLink(0, 1, 0, 0)
+	g.AddLink(1, 0, 0, 0)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rt := routing.NewTableRouter(g)
-	if err := rt.SetPath(0, 1, routing.Path{inj0, l01, ej1}); err != nil {
-		t.Fatal(err)
+	return pairRouter{g}
+}
+
+func (r pairRouter) Graph() *topology.Graph { return r.g }
+
+func (r pairRouter) UnicastPath(src, dst topology.NodeID) (routing.Path, error) {
+	if src == dst {
+		return nil, fmt.Errorf("pair: self path %d", src)
 	}
-	if err := rt.SetPath(1, 0, routing.Path{inj1, l10, ej0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Complete(); err != nil {
-		t.Fatal(err)
-	}
-	return rt
+	return routing.Path{r.g.Injection(src, 0), r.g.LinkFrom(src, 0, 0), r.g.Ejection(dst, 0)}, nil
+}
+
+func (r pairRouter) UnicastPort(src, dst topology.NodeID) (int, error) { return 0, nil }
+
+func (r pairRouter) MulticastBranches(topology.NodeID, routing.MulticastSet) ([]routing.Branch, error) {
+	return nil, fmt.Errorf("pair: no multicast")
 }
 
 // TestPairNetworkHandComputation pins the model to a full hand
@@ -127,62 +134,5 @@ func TestPairNetworkModelVsSim(t *testing.T) {
 			t.Errorf("rate %v: model %v vs sim %v (err %.4f > 2%%)",
 				rate, pred.UnicastLatency, res.Unicast.Mean(), e)
 		}
-	}
-}
-
-func TestTableRouterValidation(t *testing.T) {
-	g := topology.NewGraph("pair", 2, 1)
-	inj0 := g.AddInjection(0, 0)
-	g.AddInjection(1, 0)
-	ej0 := g.AddEjection(0, 0)
-	ej1 := g.AddEjection(1, 0)
-	l01 := g.AddLink(0, 1, 0, 0)
-	l10 := g.AddLink(1, 0, 0, 0)
-	rt := routing.NewTableRouter(g)
-
-	if err := rt.SetPath(0, 0, routing.Path{inj0, ej0}); err == nil {
-		t.Error("self path accepted")
-	}
-	if err := rt.SetPath(0, 1, routing.Path{inj0}); err == nil {
-		t.Error("short path accepted")
-	}
-	if err := rt.SetPath(0, 1, routing.Path{ej0, l01, ej1}); err == nil {
-		t.Error("path not starting with injection accepted")
-	}
-	if err := rt.SetPath(0, 1, routing.Path{inj0, l10, ej1}); err == nil {
-		t.Error("physically broken path accepted")
-	}
-	if err := rt.SetPath(0, 1, routing.Path{inj0, l01, ej0}); err == nil {
-		t.Error("path ending at wrong node accepted")
-	}
-	if err := rt.Complete(); err == nil {
-		t.Error("incomplete table reported complete")
-	}
-	if _, err := rt.UnicastPath(0, 1); err == nil {
-		t.Error("missing path did not error")
-	}
-	if err := rt.SetPath(0, 1, routing.Path{inj0, l01, ej1}); err != nil {
-		t.Fatal(err)
-	}
-	if port, err := rt.UnicastPort(0, 1); err != nil || port != 0 {
-		t.Errorf("port = %d err = %v", port, err)
-	}
-}
-
-func TestTableRouterFanoutMulticast(t *testing.T) {
-	rt := pairNetwork(t)
-	set := routing.NewMulticastSet(1).Add(0, 1)
-	branches, err := rt.MulticastBranches(0, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(branches) != 1 || branches[0].Targets[0] != 1 {
-		t.Fatalf("branches = %+v", branches)
-	}
-	if _, err := rt.MulticastBranches(0, routing.NewMulticastSet(2)); err == nil {
-		t.Error("wrong port count accepted")
-	}
-	if _, err := rt.MulticastBranches(0, routing.NewMulticastSet(1).Add(0, 2)); err == nil {
-		t.Error("offset wrapping to source accepted")
 	}
 }

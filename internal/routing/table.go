@@ -2,123 +2,135 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"quarc/internal/topology"
 )
 
-// TableRouter routes over arbitrary topologies from precomputed path
-// tables. It exists for custom or irregular networks (and for tests that
-// need exact hand-constructed routes): fill in every ordered pair once,
-// then the analytical model and the simulator both consume it like any
-// other Router.
+// Table is a Router whose answers are enumerated once: every unicast
+// route of the base router and, for one multicast set, every source's
+// branches. The analytical model, the workload and the trace replayer
+// all read the same table, so a scenario pays for its n² routes once. A
+// table is read-only after NewTable: any number of goroutines share it
+// without a lock, and its routes live exactly as long as its holders.
 //
-// Multicast uses unicast fan-out with single-bitstring set semantics: bit
-// k-1 of port 0 selects the node at ID offset k, i.e. (src + k) mod N.
-type TableRouter struct {
-	g     *topology.Graph
-	paths map[[2]topology.NodeID]Path
+// Returned paths, targets and branch slices are the table's own storage
+// and must not be modified. They are capped at their length, so a
+// caller's append copies instead of clobbering a neighbouring route.
+type Table struct {
+	base Router
+	n    int
+	uni  []Branch // uni[src*n+dst]: the route src -> dst; zero if src == dst
+	set  MulticastSet
+	mc   [][]Branch // mc[src]: src's branches for set; nil if set is empty or rejected
 }
 
-// NewTableRouter creates an empty table router over the graph.
-func NewTableRouter(g *topology.Graph) *TableRouter {
-	return &TableRouter{g: g, paths: make(map[[2]topology.NodeID]Path)}
-}
-
-// SetPath registers the path for src -> dst. The path must start with an
-// injection channel at src and end with an ejection channel at dst, and
-// its links must be physically consecutive.
-func (rt *TableRouter) SetPath(src, dst topology.NodeID, p Path) error {
-	if src == dst {
-		return fmt.Errorf("routing: cannot set a self path for %d", src)
-	}
-	if len(p) < 2 {
-		return fmt.Errorf("routing: path %d->%d too short", src, dst)
-	}
-	first := rt.g.Channel(p[0])
-	if first.Kind != topology.Injection || first.Src != src {
-		return fmt.Errorf("routing: path %d->%d must start with an injection channel at %d", src, dst, src)
-	}
-	last := rt.g.Channel(p[len(p)-1])
-	if last.Kind != topology.Ejection || last.Src != dst {
-		return fmt.Errorf("routing: path %d->%d must end with an ejection channel at %d", src, dst, dst)
-	}
-	cur := src
-	for _, id := range p[1 : len(p)-1] {
-		c := rt.g.Channel(id)
-		if c.Kind != topology.Link || c.Src != cur {
-			return fmt.Errorf("routing: path %d->%d broken at channel %v", src, dst, c)
-		}
-		cur = c.Dst
-	}
-	if cur != dst {
-		return fmt.Errorf("routing: path %d->%d ends at node %d", src, dst, cur)
-	}
-	rt.paths[[2]topology.NodeID{src, dst}] = p
-	return nil
-}
-
-// Complete reports whether every ordered pair has a path.
-func (rt *TableRouter) Complete() error {
-	n := rt.g.Nodes()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
+// NewTable enumerates r's routes. Given a *Table, it returns that table
+// when set is empty or equals the table's set, and otherwise shares its
+// unicast half and enumerates only the multicast one. A set the base
+// router rejects is not an error here: the table falls through to the
+// base router for it, which reports the same error to the caller that
+// asks.
+func NewTable(r Router, set MulticastSet) (*Table, error) {
+	t, ok := r.(*Table)
+	switch {
+	case ok && (set.Empty() || set.Equal(t.set)):
+		return t, nil
+	case ok:
+		t = &Table{base: t.base, n: t.n, uni: t.uni}
+	default:
+		n := r.Graph().Nodes()
+		t = &Table{base: r, n: n, uni: make([]Branch, n*n)}
+		targets := make([]topology.NodeID, n*n)
+		for i := range t.uni {
+			src, dst := topology.NodeID(i/n), topology.NodeID(i%n)
 			if src == dst {
 				continue
 			}
-			if _, ok := rt.paths[[2]topology.NodeID{topology.NodeID(src), topology.NodeID(dst)}]; !ok {
-				return fmt.Errorf("routing: missing path %d->%d", src, dst)
+			path, err := r.UnicastPath(src, dst)
+			if err != nil {
+				return nil, fmt.Errorf("routing: unicast path %d->%d: %w", src, dst, err)
 			}
+			port, err := r.UnicastPort(src, dst)
+			if err != nil {
+				return nil, fmt.Errorf("routing: unicast port %d->%d: %w", src, dst, err)
+			}
+			targets[i] = dst
+			t.uni[i] = Branch{Port: port, Path: slices.Clip(path), Targets: targets[i : i+1 : i+1]}
 		}
 	}
-	return nil
-}
-
-// Graph returns the underlying channel graph.
-func (rt *TableRouter) Graph() *topology.Graph { return rt.g }
-
-// UnicastPath returns the registered path.
-func (rt *TableRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
-	p, ok := rt.paths[[2]topology.NodeID{src, dst}]
-	if !ok {
-		return nil, fmt.Errorf("routing: no path %d->%d", src, dst)
+	if set.Empty() {
+		return t, nil
 	}
-	return p, nil
-}
-
-// UnicastPort returns the injection port of the registered path.
-func (rt *TableRouter) UnicastPort(src, dst topology.NodeID) (int, error) {
-	p, err := rt.UnicastPath(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	return rt.g.Channel(p[0]).Class, nil
-}
-
-// MulticastBranches expands the set into unicast fan-out (one branch per
-// destination).
-func (rt *TableRouter) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
-	if len(set.Bits) != 1 {
-		return nil, fmt.Errorf("routing: table multicast set must have 1 port, got %d", len(set.Bits))
-	}
-	n := topology.NodeID(rt.g.Nodes())
-	var branches []Branch
-	for _, k := range set.Hops(0) {
-		dst := (src + topology.NodeID(k)) % n
-		if dst == src {
-			return nil, fmt.Errorf("routing: offset %d wraps to the source", k)
-		}
-		p, err := rt.UnicastPath(src, dst)
+	t.set = MulticastSet{Bits: slices.Clone(set.Bits)} // Add mutates in place
+	mc := make([][]Branch, t.n)
+	for src := range mc {
+		branches, err := t.base.MulticastBranches(topology.NodeID(src), set)
 		if err != nil {
-			return nil, err
+			return t, nil // rejected: leave mc nil
 		}
-		branches = append(branches, Branch{
-			Port: rt.g.Channel(p[0]).Class, Path: p, Targets: []topology.NodeID{dst},
-		})
+		mc[src] = slices.Clip(slices.Clone(branches))
+		for i := range mc[src] {
+			b := &mc[src][i]
+			b.Path, b.Targets = slices.Clip(b.Path), slices.Clip(b.Targets)
+		}
 	}
-	if len(branches) == 0 {
-		return nil, fmt.Errorf("routing: empty multicast set")
-	}
-	return branches, nil
+	t.mc = mc
+	return t, nil
 }
 
-var _ Router = (*TableRouter)(nil)
+// Graph returns the base router's channel graph.
+func (t *Table) Graph() *topology.Graph { return t.base.Graph() }
+
+// unicast returns the stored route src -> dst, or nil for pairs the
+// table does not hold (out of range or src == dst).
+func (t *Table) unicast(src, dst topology.NodeID) *Branch {
+	if src == dst || uint(src) >= uint(t.n) || uint(dst) >= uint(t.n) {
+		return nil
+	}
+	return &t.uni[int(src)*t.n+int(dst)]
+}
+
+// UnicastPath returns the stored route; other pairs go to the base router.
+func (t *Table) UnicastPath(src, dst topology.NodeID) (Path, error) {
+	if b := t.unicast(src, dst); b != nil {
+		return b.Path, nil
+	}
+	return t.base.UnicastPath(src, dst)
+}
+
+// UnicastPort returns the stored route's port; other pairs go to the base
+// router.
+func (t *Table) UnicastPort(src, dst topology.NodeID) (int, error) {
+	if b := t.unicast(src, dst); b != nil {
+		return b.Port, nil
+	}
+	return t.base.UnicastPort(src, dst)
+}
+
+// MulticastBranches returns the stored branches for the table's set; other
+// sets, and a set the base router rejected, go to the base router.
+func (t *Table) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
+	if t.mc != nil && uint(src) < uint(t.n) && set.Equal(t.set) {
+		return t.mc[src], nil
+	}
+	return t.base.MulticastBranches(src, set)
+}
+
+// Unicast returns the route src -> dst (src != dst, both in range) as a
+// one-branch slice, without allocating.
+func (t *Table) Unicast(src, dst topology.NodeID) []Branch {
+	i := int(src)*t.n + int(dst)
+	return t.uni[i : i+1 : i+1]
+}
+
+// Multicast returns src's branches for the table's set, nil when the
+// table holds none.
+func (t *Table) Multicast(src topology.NodeID) []Branch {
+	if t.mc == nil {
+		return nil
+	}
+	return t.mc[src]
+}
+
+var _ Router = (*Table)(nil)

@@ -130,7 +130,7 @@ func NewRecorder(src *Workload) *Recorder {
 		src: src,
 		tr: Trace{
 			N:       src.n,
-			Topo:    TopologyFingerprint(src.router.Graph()),
+			Topo:    TopologyFingerprint(src.routes.Graph()),
 			SetBits: slices.Clone(src.spec.Set.Bits),
 			Gaps:    make([][]float64, src.n),
 			Msgs:    make([][]TraceMsg, src.n),
@@ -175,18 +175,15 @@ func (r *Recorder) Injected(node topology.NodeID, t float64, multicast bool) {
 
 // Replayer feeds a captured trace back into the simulator. It implements
 // the Traffic interface: gaps and destinations come from the trace while
-// routes are re-derived from the router's shared route-table caches, so a
-// replayed run is bitwise-identical to the recorded one on the same
-// routed topology. When the trace runs dry a node simply stops
-// generating (an infinite gap), so replays of truncated traces terminate
-// cleanly.
+// routes come from the router's route table, so a replayed run is
+// bitwise-identical to the recorded one on the same routed topology.
+// When the trace runs dry a node simply stops generating (an infinite
+// gap), so replays of truncated traces terminate cleanly.
 type Replayer struct {
-	tr  *Trace
-	n   int
-	uni [][]routing.Branch
-	mc  [][]routing.Branch
-	gi  []int // per-node gap cursors
-	mi  []int // per-node message cursors
+	tr     *Trace
+	routes *routing.Table
+	gi     []int // per-node gap cursors
+	mi     []int // per-node message cursors
 }
 
 // NewReplayer builds a replayer of tr over the routed topology. The set
@@ -203,11 +200,7 @@ func NewReplayer(router routing.Router, set routing.MulticastSet, tr *Trace) (*R
 	if fp := TopologyFingerprint(router.Graph()); tr.Topo != 0 && tr.Topo != fp {
 		return nil, fmt.Errorf("traffic: trace was captured on a different topology (fingerprint %#x, replaying on %#x)", tr.Topo, fp)
 	}
-	uni, err := unicastTable(router)
-	if err != nil {
-		return nil, err
-	}
-	p := &Replayer{tr: tr, n: n, uni: uni, gi: make([]int, n), mi: make([]int, n)}
+	mcSet := routing.MulticastSet{}
 	if tr.multicasts() {
 		if set.Empty() {
 			return nil, fmt.Errorf("traffic: trace contains multicasts but no destination set was given")
@@ -215,13 +208,13 @@ func NewReplayer(router routing.Router, set routing.MulticastSet, tr *Trace) (*R
 		if tr.SetBits != nil && !set.Equal(routing.MulticastSet{Bits: tr.SetBits}) {
 			return nil, fmt.Errorf("traffic: trace multicasts were recorded under a different destination set")
 		}
-		mc, err := multicastTable(router, set)
-		if err != nil {
-			return nil, err
-		}
-		p.mc = mc
+		mcSet = set
 	}
-	return p, nil
+	routes, err := routeTable(router, mcSet)
+	if err != nil {
+		return nil, err
+	}
+	return &Replayer{tr: tr, routes: routes, gi: make([]int, n), mi: make([]int, n)}, nil
 }
 
 // Rewind resets the replay cursors so the same trace can be replayed
@@ -253,9 +246,9 @@ func (p *Replayer) Next(node topology.NodeID) ([]routing.Branch, bool) {
 	p.mi[node] = i + 1
 	m := msgs[i]
 	if m.Multicast {
-		return p.mc[node], true
+		return p.routes.Multicast(node), true
 	}
-	return p.uni[int(node)*p.n+int(m.Dst)], false
+	return p.routes.Unicast(node, m.Dst), false
 }
 
 // TopologyFingerprint hashes a routed topology's identity — its name,

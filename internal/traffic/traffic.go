@@ -3,9 +3,9 @@
 // messages are multicasts to a fixed relative destination set and the rest
 // are unicasts to uniformly random destinations.
 //
-// Workload satisfies the wormhole simulator's Traffic interface and is also
-// consumed by the analytical model, which enumerates the same routes with
-// the same rates — both sides of the validation therefore see exactly the
+// Workload satisfies the wormhole simulator's Traffic interface. The
+// analytical model reads the same Spec over the same routes, with the
+// same rates — both sides of the validation therefore see exactly the
 // same traffic specification.
 package traffic
 
@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
-	"sync"
 
 	"quarc/internal/routing"
 	"quarc/internal/topology"
@@ -256,24 +254,17 @@ func (s Spec) UnicastProbRow(n int, src topology.NodeID, out []float64) {
 // Workload is a reproducible Poisson workload over a router. It implements
 // the wormhole simulator's Traffic interface.
 type Workload struct {
-	spec   Spec
-	router routing.Router
+	spec Spec
+	// routes answers every route Next hands out. It is shared read-only
+	// with the scenario (and every other workload over the same table),
+	// so callers must treat the returned branches as read-only (the
+	// simulator does).
+	routes *routing.Table
 	n      int
 	rngs   []*rand.Rand
 	// srcs are the rngs' underlying PCG sources, kept so Reset can reseed
 	// in place (a rand.Rand holds no state beyond its source).
 	srcs []*rand.PCG
-	// branches caches the multicast branches per source (the set is
-	// relative, so they are fixed for the whole run); branchSet records
-	// the destination set the cache was built from, which can lag behind
-	// spec.Set across Resets while MulticastFrac is zero.
-	branches  [][]routing.Branch
-	branchSet routing.MulticastSet
-	// uni caches the single-branch route of every ordered unicast pair at
-	// index src*n+dst. Routes are deterministic, so precomputing them once
-	// keeps Next allocation-free on the simulator's hot path; callers must
-	// treat the returned branches as read-only (the simulator does).
-	uni [][]routing.Branch
 	// proc is the resolved arrival process and arr its per-node states
 	// (reset to zero by Reset, so a reset workload replays bitwise).
 	proc ArrivalProcess
@@ -287,163 +278,63 @@ type Workload struct {
 
 // NewWorkload builds a workload over the given router. Each node gets an
 // independent RNG stream derived from seed, so runs are reproducible and
-// node processes are mutually independent.
+// node processes are mutually independent. A router that already is a
+// routing.Table for the spec's set is used as is; any other is enumerated.
 func NewWorkload(router routing.Router, spec Spec, seed uint64) (*Workload, error) {
 	n := router.Graph().Nodes()
-	if err := spec.ValidateFor(n); err != nil {
-		return nil, err
-	}
-	w := &Workload{spec: spec, router: router, n: n,
-		rngs: make([]*rand.Rand, n), srcs: make([]*rand.PCG, n),
+	w := &Workload{n: n, rngs: make([]*rand.Rand, n), srcs: make([]*rand.PCG, n),
 		arr: make([]ArrivalState, n)}
-	w.proc, _ = lookupArrival(spec.Arrival) // validated above
-	w.buildCDF(spec.Weights)
-	for i := 0; i < n; i++ {
-		w.srcs[i] = rand.NewPCG(seed, uint64(i)*0x9e3779b97f4a7c15+1)
+	for i := range w.srcs {
+		w.srcs[i] = new(rand.PCG)
 		w.rngs[i] = rand.New(w.srcs[i])
 	}
-	if spec.MulticastFrac > 0 {
-		b, err := multicastTable(router, spec.Set)
-		if err != nil {
-			return nil, err
-		}
-		w.branches = b
-		// Clone the bits: MulticastSet.Add mutates in place, so keeping a
-		// reference would let a caller-side mutation defeat the Equal check.
-		w.branchSet = routing.MulticastSet{Bits: slices.Clone(spec.Set.Bits)}
-	}
-	uni, err := unicastTable(router)
-	if err != nil {
+	if err := w.reset(router, spec, seed); err != nil {
 		return nil, err
 	}
-	w.uni = uni
 	return w, nil
 }
 
-// Route-table caches. Routes are a pure function of the (immutable)
-// router, so every workload over the same router — every point of a
-// sweep, every replication — shares one read-only table instead of
-// re-deriving it. Keys are router identities, which a long-lived process
-// can mint without bound (every noc.NewScenario resolves a fresh
-// router), so both caches flush wholesale when they exceed
-// maxCachedTables entries: a flush only costs recomputation, never
-// correctness.
-var (
-	//quarcflow:shared mutex-guarded memo cache; a hit and a miss return bitwise-identical tables (routes are a pure function of the router), so the cache never changes a Result — concurrent Sweep and replication workers share it as-is
-	routeMu sync.Mutex
-	//quarcflow:shared see routeMu: pure-memoization cache guarded by routeMu, value identity never affects results
-	unicastTables = map[routing.Router][][]routing.Branch{}
-	//quarcflow:shared see routeMu: pure-memoization cache guarded by routeMu, value identity never affects results
-	multicastTables = map[multicastKey][][]routing.Branch{}
-)
-
-const maxCachedTables = 64
-
-func unicastTable(router routing.Router) ([][]routing.Branch, error) {
-	routeMu.Lock()
-	if t, ok := unicastTables[router]; ok {
-		routeMu.Unlock()
-		return t, nil
+// routeTable returns router's route table for set and checks that every
+// source has branches for it: a set the router rejects fails here, with
+// the router's error for the first source.
+func routeTable(router routing.Router, set routing.MulticastSet) (*routing.Table, error) {
+	routes, err := routing.NewTable(router, set)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
 	}
-	routeMu.Unlock()
-	n := router.Graph().Nodes()
-	uni := make([][]routing.Branch, n*n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			s, d := topology.NodeID(src), topology.NodeID(dst)
-			path, err := router.UnicastPath(s, d)
-			if err != nil {
-				return nil, fmt.Errorf("traffic: unicast path %d->%d: %w", src, dst, err)
-			}
-			port, err := router.UnicastPort(s, d)
-			if err != nil {
-				return nil, fmt.Errorf("traffic: unicast port %d->%d: %w", src, dst, err)
-			}
-			uni[src*n+dst] = []routing.Branch{{Port: port, Path: path, Targets: []topology.NodeID{d}}}
-		}
-	}
-	routeMu.Lock()
-	if len(unicastTables) >= maxCachedTables {
-		unicastTables = map[routing.Router][][]routing.Branch{}
-	}
-	unicastTables[router] = uni
-	routeMu.Unlock()
-	return uni, nil
-}
-
-// multicastKey identifies a multicast branch table: the router plus the
-// destination-set bits.
-type multicastKey struct {
-	router routing.Router
-	bits   string
-}
-
-func setKey(router routing.Router, set routing.MulticastSet) multicastKey {
-	var b []byte
-	for _, w := range set.Bits {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(w>>s))
-		}
-	}
-	return multicastKey{router: router, bits: string(b)}
-}
-
-func multicastTable(router routing.Router, set routing.MulticastSet) ([][]routing.Branch, error) {
-	key := setKey(router, set)
-	routeMu.Lock()
-	if t, ok := multicastTables[key]; ok {
-		routeMu.Unlock()
-		return t, nil
-	}
-	routeMu.Unlock()
-	n := router.Graph().Nodes()
-	branches := make([][]routing.Branch, n)
-	for src := 0; src < n; src++ {
-		b, err := router.MulticastBranches(topology.NodeID(src), set)
-		if err != nil {
+	for src := 0; !set.Empty() && src < routes.Graph().Nodes(); src++ {
+		if _, err := routes.MulticastBranches(topology.NodeID(src), set); err != nil {
 			return nil, fmt.Errorf("traffic: multicast branches for node %d: %w", src, err)
 		}
-		branches[src] = b
 	}
-	routeMu.Lock()
-	if len(multicastTables) >= maxCachedTables {
-		multicastTables = map[multicastKey][][]routing.Branch{}
-	}
-	multicastTables[key] = branches
-	routeMu.Unlock()
-	return branches, nil
+	return routes, nil
 }
 
 // Spec returns the workload specification.
 func (w *Workload) Spec() Spec { return w.spec }
 
 // Reset re-derives the workload in place for a new spec and seed over the
-// same router. The unicast route cache is always kept (routes depend only
-// on the router) and the multicast branch cache is kept whenever the
-// destination set is unchanged, so resetting a workload across the points
-// of a sweep skips the O(n²) routing work. A reset workload behaves
-// bitwise-identically to a fresh NewWorkload(router, spec, seed).
-func (w *Workload) Reset(spec Spec, seed uint64) error {
+// same routes. The route table is kept whenever it already holds the
+// spec's destination set (or the spec generates no multicasts); a new set
+// re-enumerates only the multicast branches. So resetting a workload
+// across the points of a sweep skips the O(n²) routing work. NewWorkload
+// runs the same reset, so a reset workload behaves bitwise-identically to
+// a fresh NewWorkload(router, spec, seed).
+func (w *Workload) Reset(spec Spec, seed uint64) error { return w.reset(w.routes, spec, seed) }
+
+func (w *Workload) reset(router routing.Router, spec Spec, seed uint64) error {
 	if err := spec.ValidateFor(w.n); err != nil {
 		return err
 	}
-	// Compare against the set the cache was actually built from, not
-	// spec.Set of the previous reset: a zero-MulticastFrac reset updates
-	// the spec without touching the cache, and the cache must not be
-	// trusted for a set it never saw.
-	if spec.MulticastFrac > 0 && (w.branches == nil || !w.branchSet.Equal(spec.Set)) {
-		b, err := multicastTable(w.router, spec.Set)
-		if err != nil {
-			return err
-		}
-		w.branches = b
-		// Clone the bits: MulticastSet.Add mutates in place, so keeping a
-		// reference would let a caller-side mutation defeat the Equal check.
-		w.branchSet = routing.MulticastSet{Bits: slices.Clone(spec.Set.Bits)}
+	var set routing.MulticastSet // routed only when multicasts are drawn
+	if spec.MulticastFrac > 0 {
+		set = spec.Set
 	}
+	routes, err := routeTable(router, set)
+	if err != nil {
+		return err
+	}
+	w.routes = routes
 	w.spec = spec
 	w.proc, _ = lookupArrival(spec.Arrival) // validated above
 	w.buildCDF(spec.Weights)
@@ -479,10 +370,10 @@ func (w *Workload) buildCDF(weights [][]float64) {
 	}
 }
 
-// checkHotspot rejects a hotspot destination outside the network: before
-// the unicast route cache, an out-of-range node panicked at generation
-// time; with the cache the aliased index would silently return another
-// source's route, so fail fast at construction instead.
+// checkHotspot rejects a hotspot destination outside the network: the
+// route table is indexed src*n+dst, so an out-of-range node would
+// silently alias another source's route; fail fast at construction
+// instead.
 func checkHotspot(spec Spec, n int) error {
 	if spec.HotspotFrac > 0 && (spec.HotspotNode < 0 || int(spec.HotspotNode) >= n) {
 		return fmt.Errorf("traffic: hotspot node %d outside the %d-node network", spec.HotspotNode, n)
@@ -510,20 +401,20 @@ func (w *Workload) Interarrival(node topology.NodeID) float64 {
 func (w *Workload) Next(node topology.NodeID) ([]routing.Branch, bool) {
 	rng := w.rngs[node]
 	if w.spec.MulticastFrac > 0 && rng.Float64() < w.spec.MulticastFrac {
-		return w.branches[node], true
+		return w.routes.Multicast(node), true
 	}
 	if w.spec.Perm != nil {
-		return w.uni[int(node)*w.n+int(w.spec.Perm[node])], false
+		return w.routes.Unicast(node, w.spec.Perm[node]), false
 	}
 	if w.cdf != nil {
-		return w.uni[int(node)*w.n+int(w.weightedDest(rng, node))], false
+		return w.routes.Unicast(node, w.weightedDest(rng, node)), false
 	}
 	dst := w.uniformDest(rng, node)
 	if w.spec.HotspotFrac > 0 && node != w.spec.HotspotNode &&
 		rng.Float64() < w.spec.HotspotFrac {
 		dst = w.spec.HotspotNode
 	}
-	return w.uni[int(node)*w.n+int(dst)], false
+	return w.routes.Unicast(node, dst), false
 }
 
 //quarc:hotpath
@@ -554,13 +445,4 @@ func (w *Workload) weightedDest(rng *rand.Rand, src topology.NodeID) topology.No
 		}
 	}
 	return topology.NodeID(lo)
-}
-
-// MulticastBranchesOf exposes the cached branches of a source node (used
-// by the analytical model to enumerate flows, and by tests).
-func (w *Workload) MulticastBranchesOf(src topology.NodeID) []routing.Branch {
-	if w.branches == nil {
-		return nil
-	}
-	return w.branches[src]
 }

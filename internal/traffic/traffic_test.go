@@ -183,7 +183,7 @@ func TestMulticastBranchesCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for node := topology.NodeID(0); node < 16; node++ {
-		b := w.MulticastBranchesOf(node)
+		b := w.routes.Multicast(node)
 		if len(b) != 1 || len(b[0].Targets) != 3 {
 			t.Fatalf("cached branches wrong at node %d: %+v", node, b)
 		}
@@ -193,7 +193,7 @@ func TestMulticastBranchesCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.MulticastBranchesOf(0) != nil {
+	if w2.routes.Multicast(0) != nil {
 		t.Fatal("unicast-only workload has multicast branches")
 	}
 }
@@ -283,7 +283,7 @@ func TestWorkloadResetRebuildsStaleBranchCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := w.MulticastBranchesOf(0), fresh.MulticastBranchesOf(0)
+	got, want := w.routes.Multicast(0), fresh.routes.Multicast(0)
 	if len(got) != len(want) {
 		t.Fatalf("stale branch cache survived the set change: %d branches, fresh has %d",
 			len(got), len(want))

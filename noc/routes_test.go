@@ -1,0 +1,103 @@
+package noc
+
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"quarc/internal/routing"
+	"quarc/internal/topology"
+)
+
+// countingRouter is the quarc router with its unicast route requests
+// counted.
+type countingRouter struct {
+	*routing.QuarcRouter
+	calls *atomic.Int64
+}
+
+func (r *countingRouter) UnicastPath(src, dst topology.NodeID) (routing.Path, error) {
+	r.calls.Add(1)
+	return r.QuarcRouter.UnicastPath(src, dst)
+}
+
+// registerCountingRouter registers a counting quarc router, and a
+// localized pattern that sees through it, under the given name. newRouter
+// runs on every router the builder makes.
+func registerCountingRouter(name string, calls *atomic.Int64, newRouter func(*countingRouter)) {
+	RegisterRouter(name, func(topo any) (any, error) {
+		q, ok := topo.(*topology.Quarc)
+		if !ok {
+			return nil, fmt.Errorf("%s needs a quarc topology, got %T", name, topo)
+		}
+		r := &countingRouter{QuarcRouter: routing.NewQuarcRouter(q), calls: calls}
+		newRouter(r)
+		return r, nil
+	})
+	RegisterPattern(name, func(router any, c PatternConfig) (any, error) {
+		return router.(*countingRouter).LocalizedSet(c.Port, c.K)
+	})
+}
+
+// TestScenarioEnumeratesRoutesOnce pins the one route table: a scenario,
+// its forks, the model, replicated and parallel simulations and a sweep
+// ask the router for each unicast route exactly once between them.
+func TestScenarioEnumeratesRoutesOnce(t *testing.T) {
+	var calls atomic.Int64
+	registerCountingRouter("test-counting", &calls, func(*countingRouter) {})
+	const n = 16
+	s, err := NewScenario(Quarc(n), Router("test-counting"), Pattern("test-counting", PatternConfig{Port: PortL, K: 3}),
+		Alpha(0.05), MsgLen(16), Rate(0.002), Warmup(500), Measure(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Model{}).Evaluate(s); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := s.With(Replications(3), Parallelism(2), Rate(0.003))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Simulator{}).Evaluate(reps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sweep(s, SweepOptions{Points: 4, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := calls.Load(), int64(n*(n-1)); got != want {
+		t.Fatalf("the router was asked for %d unicast routes, want %d (each pair once)", got, want)
+	}
+}
+
+// TestRoutesDieWithScenario pins that nothing outlives a scenario's
+// routes: once the scenario is unreachable, its router (and with it
+// every route derived from it) is collected.
+func TestRoutesDieWithScenario(t *testing.T) {
+	var calls atomic.Int64
+	var collected atomic.Bool
+	registerCountingRouter("test-finalized", &calls, func(r *countingRouter) {
+		runtime.SetFinalizer(r, func(*countingRouter) { collected.Store(true) })
+	})
+	func() {
+		s, err := NewScenario(Quarc(16), Router("test-finalized"), Pattern("test-finalized", PatternConfig{Port: PortL, K: 3}),
+			Alpha(0.05), MsgLen(16), Rate(0.002), Warmup(500), Measure(3000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Model{}).Evaluate(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Simulator{}).Evaluate(s); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for deadline := time.Now().Add(2 * time.Second); !collected.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the scenario's router is still reachable after the scenario was dropped")
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}

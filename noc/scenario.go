@@ -85,8 +85,10 @@ type Option func(*config) error
 // model and the discrete-event simulator, so both sides always see exactly
 // the same configuration.
 type Scenario struct {
-	cfg    config
-	router routing.Router
+	cfg config
+	// router is the scenario's route table: the model, the workload and
+	// the replayer all read it, and With forks share it.
+	router *routing.Table
 	set    routing.MulticastSet
 	dest   traffic.Dest
 }
@@ -574,7 +576,13 @@ func resolve(cfg config) (*Scenario, error) {
 		return nil, fmt.Errorf("noc: spatial pattern %q returned %T, not a traffic.Dest", cfg.Spatial, destVal)
 	}
 
-	return (&Scenario{cfg: cfg, router: router, set: set, dest: dest}).checked()
+	// The builders above see the concrete router (some type-assert it);
+	// everything downstream reads the scenario's one route table.
+	table, err := routing.NewTable(router, set)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
+	}
+	return (&Scenario{cfg: cfg, router: table, set: set, dest: dest}).checked()
 }
 
 // checked returns s once validate accepts it; every path that makes a

@@ -350,8 +350,9 @@ func TestRunSeriesTable(t *testing.T) {
 
 // TestSweepBuildsModelOnce pins the build-once property: one model per
 // (sweep, message length) serves the saturation bisection and every
-// point, so a Model-only auto-grid sweep costs less than two model
-// builds however many points it has. A build per point costs nine.
+// point, so a Model-only sweep's allocations do not grow with its points
+// by anything like a model build per point. Eight more points must cost
+// less than one build; a build per point costs eight.
 func TestSweepBuildsModelOnce(t *testing.T) {
 	s, err := NewScenario(Quarc(64), Alpha(0.05), LocalizedDests(PortL, 8))
 	if err != nil {
@@ -362,13 +363,16 @@ func TestSweepBuildsModelOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	sweep := testing.AllocsPerRun(3, func() {
-		res, err := Sweep(s, SweepOptions{Points: 8, Workers: 1, Evaluators: []Evaluator{Model{}}})
-		if err != nil || len(res.Points) != 8 {
-			t.Fatalf("sweep: %d points, err %v", len(res.Points), err)
-		}
-	})
-	if sweep >= 2*build {
-		t.Errorf("an 8-point model sweep allocates %v times, a model build %v: the sweep builds more than once", sweep, build)
+	sweep := func(points int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := Sweep(s, SweepOptions{Points: points, Workers: 1, Evaluators: []Evaluator{Model{}}})
+			if err != nil || len(res.Points) != points {
+				t.Fatalf("sweep: %d points, err %v", len(res.Points), err)
+			}
+		})
+	}
+	small, large := sweep(8), sweep(16)
+	if large-small >= build {
+		t.Errorf("a 16-point model sweep allocates %v times, an 8-point one %v, a model build %v: the sweep builds per point", large, small, build)
 	}
 }

@@ -9,7 +9,7 @@
 //	                                           time series) of a previous
 //	                                           evaluation, by content address
 //	GET  /dashboard                         -> static time-series viewer
-//	GET  /v1/registry                       -> registered topology/router/
+//	GET  /v1/registry                       -> the topology/router/
 //	                                           pattern/arrival/spatial names
 //	GET  /v1/healthz                        -> status + cache/pool stats
 //

@@ -6,8 +6,8 @@
 //
 // The public entry point is the noc package: a declarative Scenario built
 // from functional options drives both engines through a common Evaluator
-// interface, and string-keyed registries of topologies, routers and
-// traffic patterns keep new scenarios declarative:
+// interface, and closed, string-keyed tables of topologies and traffic
+// patterns keep scenarios declarative:
 //
 //	s, _ := noc.NewScenario(noc.Quarc(64), noc.MsgLen(32),
 //		noc.Rate(0.001), noc.Alpha(0.05), noc.RandomDests(8, 1))

@@ -1,5 +1,5 @@
 // Workloads: drive one topology through the workload-diversity
-// registries — every arrival process crossed with a few spatial
+// tables — every arrival process crossed with a few spatial
 // patterns — then capture a bursty run as a trace, replay it, and verify
 // the replay reproduces the original result exactly.
 //
@@ -19,8 +19,8 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	fmt.Println("registered arrival processes:", noc.Arrivals())
-	fmt.Println("registered spatial patterns: ", noc.Spatials())
+	fmt.Println("arrival processes:", noc.Arrivals())
+	fmt.Println("spatial patterns: ", noc.Spatials())
 	fmt.Println()
 
 	// The base scenario: a 16-node Quarc, 16-flit messages, a fixed

@@ -19,9 +19,8 @@
 //     non-pointer values into interfaces, or capture closures.
 //   - errdiscipline: sentinel errors are compared with errors.Is, never
 //     ==/!=, and fmt.Errorf wraps error operands with %w, never %v.
-//   - registryhygiene: registry names are lowercase, registration
-//     happens in init or package-level var declarations, and every
-//     map-derived enumeration is sorted before it is returned.
+//   - registryhygiene: every map-derived enumeration is sorted before
+//     it is returned, so name listings (/v1/registry) are byte-stable.
 //
 // Four more — the quarcflow layer — run a forward may-analysis over
 // per-function control-flow graphs (cfg.go, dataflow.go):
@@ -133,7 +132,7 @@ var checkers = []checker{
 	{"floatorder", "no float accumulation in map-ordered loops (directly or via unsorted collected slices)", checkFloatOrder},
 	{"hotpath", "//quarc:hotpath functions stay fmt-free, closure-free and allocation-free", checkHotpath},
 	{"poollifetime", "values returned to a free list are dead: no later read, write or schedule", checkPoolLifetime},
-	{"registryhygiene", "lowercase registry names, init-time registration, sorted enumerations", checkRegistryHygiene},
+	{"registryhygiene", "map-derived enumerations are sorted", checkRegistryHygiene},
 	{"rngprovenance", "every generator seed on the result path data-flows from the replication seed parameter", checkRNGProvenance},
 	{"sharedstate", "runtime-mutated package-level vars on the result path carry a //quarcflow:shared reason", checkSharedState},
 }

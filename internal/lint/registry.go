@@ -2,104 +2,22 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 )
 
-// checkRegistryHygiene enforces the string-keyed registry conventions
-// shared by the topology/router/pattern/spatial/arrival registries:
-//
-//   - registered names are lowercase, so spec documents and CLI flags
-//     never depend on the caller's casing;
-//   - registration happens at init time (an init function, a
-//     package-level var initializer, or a Register* wrapper), so the
-//     registries are immutable by the time any scenario compiles and a
-//     concurrent registration can never race an evaluation;
-//   - any function deriving a slice from ranging a map sorts it before
-//     returning, so List()-style enumerations — and the JSON documents
-//     built from them (/v1/registry) — are byte-stable run to run.
+// checkRegistryHygiene enforces the convention of the
+// topology/pattern/spatial/arrival name tables: any function deriving a
+// slice from ranging a map sorts it before returning, so List()-style
+// enumerations — and the JSON documents built from them (/v1/registry) —
+// are byte-stable run to run.
 func checkRegistryHygiene(cx *context) {
 	for _, f := range cx.pkg.Files {
-		cx.checkRegistrationSites(f)
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				cx.checkSortedEnumeration(fd)
 			}
 		}
 	}
-}
-
-// registerCall recognizes calls to functions named Register* whose first
-// parameter is a string: the registry-population convention.
-func (cx *context) registerCall(call *ast.CallExpr) (name string, ok bool) {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return "", false
-	}
-	if !strings.HasPrefix(id.Name, "Register") {
-		return "", false
-	}
-	sig, ok := cx.typeOf(call.Fun).(*types.Signature)
-	if !ok || sig.Params().Len() == 0 {
-		return "", false
-	}
-	if b, ok := sig.Params().At(0).Type().Underlying().(*types.Basic); !ok || b.Kind() != types.String {
-		return "", false
-	}
-	return id.Name, true
-}
-
-// checkRegistrationSites walks one file flagging Register* calls with
-// non-lowercase literal names or made outside init-time contexts.
-func (cx *context) checkRegistrationSites(f *ast.File) {
-	// Allowed contexts: init functions, Register* wrappers, and
-	// package-level var initializers.
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			allowed := (d.Recv == nil && d.Name.Name == "init") || strings.HasPrefix(d.Name.Name, "Register")
-			cx.inspectRegistrations(d, allowed)
-		case *ast.GenDecl:
-			if d.Tok == token.VAR {
-				cx.inspectRegistrations(d, true)
-			}
-		}
-	}
-}
-
-func (cx *context) inspectRegistrations(root ast.Node, allowed bool) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok && allowed {
-			// A closure inside an allowed context runs at some later,
-			// unknowable time; registrations inside it are not init-time.
-			cx.inspectRegistrations(fl.Body, false)
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fname, ok := cx.registerCall(call)
-		if !ok {
-			return true
-		}
-		if !allowed {
-			cx.reportf(call.Pos(), "%s called outside init, a package-level var or a Register* wrapper: registries must be immutable before any scenario compiles", fname)
-		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if name, err := strconv.Unquote(lit.Value); err == nil && name != strings.ToLower(name) {
-				cx.reportf(lit.Pos(), "registry name %q must be lowercase", name)
-			}
-		}
-		return true
-	})
 }
 
 // checkSortedEnumeration requires a sort in any function that collects

@@ -12,10 +12,10 @@ import (
 // Concurrent Sweep points and replication workers run simulations side by
 // side in one process, so every package-level variable a determinism
 // package mutates at runtime — outside init functions, package-level var
-// initializers, New*/Reset* constructors and Register* wrappers — is a
-// finding unless its declaration carries a "//quarcflow:shared <reason>"
-// justification: each global is either registration-time immutable or
-// has a documented concurrency story. Assignment, index/field stores,
+// initializers and New*/Reset* constructors — is a finding unless its
+// declaration carries a "//quarcflow:shared <reason>" justification: each
+// global is either immutable after initialization or has a documented
+// concurrency story. Assignment, index/field stores,
 // address-taking and pointer-receiver method calls (a mutex Lock mutates
 // the mutex) all count as mutation.
 const sharedDirective = "//quarcflow:shared"
@@ -107,9 +107,7 @@ func sharedJustification(gd *ast.GenDecl, vs *ast.ValueSpec) (string, token.Pos)
 }
 
 // initTimeWriter reports whether writes inside fd count as init-time:
-// init functions, New*/new* constructors, Reset* methods, and Register*
-// wrappers (registryhygiene separately pins that Register* calls only
-// happen at init time).
+// init functions, New*/new* constructors and Reset* methods.
 func initTimeWriter(fd *ast.FuncDecl) bool {
 	name := fd.Name.Name
 	switch {
@@ -118,8 +116,6 @@ func initTimeWriter(fd *ast.FuncDecl) bool {
 	case strings.HasPrefix(name, "New"), strings.HasPrefix(name, "new"):
 		return true
 	case strings.HasPrefix(name, "Reset"), strings.HasPrefix(name, "reset"):
-		return true
-	case strings.HasPrefix(name, "Register"):
 		return true
 	}
 	return false
@@ -198,6 +194,6 @@ func (a *sharedAudit) emit() {
 			writers = append(writers, w)
 		}
 		sort.Strings(writers)
-		a.cx.reportf(obj.Pos(), "package-level var %s is mutated at runtime on the result path (by %s): document the concurrency story with %s <reason> or refactor to registration-time immutability", obj.Name(), strings.Join(writers, ", "), sharedDirective)
+		a.cx.reportf(obj.Pos(), "package-level var %s is mutated at runtime on the result path (by %s): document the concurrency story with %s <reason> or refactor to init-time immutability", obj.Name(), strings.Join(writers, ", "), sharedDirective)
 	}
 }

@@ -1,29 +1,12 @@
 // Package reg is the registryhygiene checker's known-bad fixture: a
-// string-keyed registry populated and enumerated both correctly and
-// incorrectly.
+// closed string-keyed table enumerated both correctly and incorrectly.
 package reg
 
 import "sort"
 
-var things = map[string]func(){}
+var things = map[string]func(){"good": nil, "other": nil}
 
-// RegisterThing adds a named builder; as a Register* wrapper it is
-// itself an allowed registration context.
-func RegisterThing(name string, f func()) { things[name] = f }
-
-func init() {
-	RegisterThing("good", nil)
-	RegisterThing("BadName", nil) // uppercase registry name
-}
-
-// Sneaky registers outside any init-time context.
-func Sneaky() { RegisterThing("late", nil) }
-
-// Deferred registers from a closure: even declared inside a var
-// initializer, the call runs at some later, unknowable time.
-var Deferred = func() { RegisterThing("later", nil) }
-
-// List enumerates the registry without sorting.
+// List enumerates the table without sorting.
 func List() []string {
 	out := make([]string, 0, len(things))
 	for name := range things {

@@ -5,15 +5,14 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 )
 
-// The arrival-process registry decouples *when* a node injects from
+// The arrival-process table decouples *when* a node injects from
 // *where* its messages go (the spatial side: uniform, hotspot, permutation
 // or weighted destinations — see Spec). Each process is a stateless
 // singleton that reads its parameters from the Spec on every draw and
 // keeps per-node mutable state in a caller-owned ArrivalState, so one
-// registered value serves every node of every workload, Workload.Reset
+// table value serves every node of every workload, Workload.Reset
 // only has to zero the states, and the hot path stays allocation-free.
 
 // ArrivalState is the per-node mutable state of an arrival process. The
@@ -42,27 +41,19 @@ type ArrivalProcess interface {
 	Gap(s *Spec, rng *rand.Rand, st *ArrivalState) float64
 }
 
-var (
-	//quarcflow:shared registry lock only; arrivalReg is written via RegisterArrival at init time and read-locked afterward, so replications never observe a mutation
-	arrivalMu  sync.RWMutex
-	arrivalReg = map[string]ArrivalProcess{}
-)
-
-// RegisterArrival adds (or replaces) a named arrival process. The
-// built-in names are "poisson" (the default), "bernoulli", "onoff" and
-// "periodic".
-func RegisterArrival(name string, p ArrivalProcess) {
-	arrivalMu.Lock()
-	defer arrivalMu.Unlock()
-	arrivalReg[name] = p
+// arrivals is the closed arrival-process table; "poisson" is the
+// default.
+var arrivals = map[string]ArrivalProcess{
+	"poisson":   poissonArrival{},
+	"bernoulli": bernoulliArrival{},
+	"onoff":     onoffArrival{},
+	"periodic":  periodicArrival{},
 }
 
-// Arrivals returns the registered arrival-process names, sorted.
+// Arrivals returns the arrival-process names, sorted.
 func Arrivals() []string {
-	arrivalMu.RLock()
-	defer arrivalMu.RUnlock()
-	names := make([]string, 0, len(arrivalReg))
-	for name := range arrivalReg {
+	names := make([]string, 0, len(arrivals))
+	for name := range arrivals {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -75,25 +66,16 @@ func lookupArrival(name string) (ArrivalProcess, error) {
 	if name == "" {
 		name = "poisson"
 	}
-	arrivalMu.RLock()
-	p, ok := arrivalReg[name]
-	arrivalMu.RUnlock()
+	p, ok := arrivals[name]
 	if !ok {
 		return nil, fmt.Errorf("traffic: unknown arrival process %q (known: %v)", name, Arrivals())
 	}
 	return p, nil
 }
 
-func init() {
-	RegisterArrival("poisson", poissonArrival{})
-	RegisterArrival("bernoulli", bernoulliArrival{})
-	RegisterArrival("onoff", onoffArrival{})
-	RegisterArrival("periodic", periodicArrival{})
-}
-
 // poissonArrival is the paper's memoryless process: exponential gaps with
-// mean 1/Rate. It is the default and is pinned bitwise to the pre-registry
-// behavior (one ExpFloat64 draw per gap).
+// mean 1/Rate. It is the default, one ExpFloat64 draw per gap, pinned
+// bitwise by TestPoissonPinnedToPrePRGoldens.
 type poissonArrival struct{}
 
 func (poissonArrival) ValidateSpec(s Spec) error { return nil }

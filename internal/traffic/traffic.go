@@ -35,9 +35,8 @@ type Spec struct {
 	// HotspotNode is the hotspot destination.
 	HotspotNode topology.NodeID
 
-	// Arrival names the registered arrival process that paces injection;
-	// empty selects "poisson", the paper's assumption and the pre-registry
-	// behavior (see RegisterArrival).
+	// Arrival names the arrival process that paces injection (see
+	// Arrivals); empty selects "poisson", the paper's assumption.
 	Arrival string
 	// BurstLen is the mean burst length in messages for the "onoff"
 	// arrival process.

@@ -80,7 +80,7 @@ func MeshExtension(w, h, msgLen int, alpha float64, rates []float64, opts ...Opt
 }
 
 // WorkloadAblation sweeps the same offered load through the
-// workload-diversity registries: every arrival process (how the load
+// workload-diversity tables: every arrival process (how the load
 // clumps in time) and a selection of spatial patterns (how it clumps in
 // space), on one topology. The study runs the simulator only — the
 // analytical model's M/G/1 machinery assumes Poisson arrivals and

@@ -20,63 +20,46 @@ const (
 	PortR  = topology.PortR
 )
 
-func init() {
-	RegisterTopology("quarc", "quarc", func(c TopologyConfig) (any, error) {
-		return topology.NewQuarc(c.N)
-	})
-	RegisterTopology("quarc-oneport", "quarc", func(c TopologyConfig) (any, error) {
-		return topology.NewQuarcOnePort(c.N)
-	})
-	RegisterTopology("spidergon", "spidergon", func(c TopologyConfig) (any, error) {
-		return topology.NewSpidergon(c.N)
-	})
-	RegisterTopology("mesh", "mesh", func(c TopologyConfig) (any, error) {
-		return topology.NewMesh(c.W, c.H)
-	})
-	RegisterTopology("torus", "mesh", func(c TopologyConfig) (any, error) {
-		return topology.NewTorus(c.W, c.H)
-	})
-	RegisterTopology("hypercube", "hypercube", func(c TopologyConfig) (any, error) {
-		return topology.NewHypercube(c.Dims)
-	})
+// topologies is the closed topology table: each family with the one
+// router that routes it.
+var topologies = map[string]topologyDef{
+	"quarc": {"quarc", func(c TopologyConfig) (routing.Router, error) {
+		return routedBy(routing.NewQuarcRouter)(topology.NewQuarc(c.N))
+	}},
+	"quarc-oneport": {"quarc", func(c TopologyConfig) (routing.Router, error) {
+		return routedBy(routing.NewQuarcRouter)(topology.NewQuarcOnePort(c.N))
+	}},
+	"spidergon": {"spidergon", func(c TopologyConfig) (routing.Router, error) {
+		return routedBy(routing.NewSpidergonRouter)(topology.NewSpidergon(c.N))
+	}},
+	"mesh": {"mesh", func(c TopologyConfig) (routing.Router, error) {
+		return routedBy(routing.NewMeshRouter)(topology.NewMesh(c.W, c.H))
+	}},
+	"torus": {"mesh", func(c TopologyConfig) (routing.Router, error) {
+		return routedBy(routing.NewMeshRouter)(topology.NewTorus(c.W, c.H))
+	}},
+	"hypercube": {"hypercube", func(c TopologyConfig) (routing.Router, error) {
+		return routedBy(routing.NewHypercubeRouter)(topology.NewHypercube(c.Dims))
+	}},
+}
 
-	RegisterRouter("quarc", func(topo any) (any, error) {
-		q, ok := topo.(*topology.Quarc)
-		if !ok {
-			return nil, fmt.Errorf("noc: quarc router needs a quarc topology, got %T", topo)
-		}
-		return routing.NewQuarcRouter(q), nil
-	})
-	RegisterRouter("spidergon", func(topo any) (any, error) {
-		s, ok := topo.(*topology.Spidergon)
-		if !ok {
-			return nil, fmt.Errorf("noc: spidergon router needs a spidergon topology, got %T", topo)
-		}
-		return routing.NewSpidergonRouter(s), nil
-	})
-	RegisterRouter("mesh", func(topo any) (any, error) {
-		m, ok := topo.(*topology.Mesh)
-		if !ok {
-			return nil, fmt.Errorf("noc: mesh router needs a mesh or torus topology, got %T", topo)
-		}
-		return routing.NewMeshRouter(m), nil
-	})
-	RegisterRouter("hypercube", func(topo any) (any, error) {
-		h, ok := topo.(*topology.Hypercube)
-		if !ok {
-			return nil, fmt.Errorf("noc: hypercube router needs a hypercube topology, got %T", topo)
-		}
-		return routing.NewHypercubeRouter(h), nil
-	})
-
-	RegisterPattern("none", func(router any, c PatternConfig) (any, error) {
-		rt, err := asRouter(router)
+// routedBy wraps a topology constructor's result in its router, passing
+// the constructor's error through.
+func routedBy[T any, R routing.Router](newRouter func(T) R) func(T, error) (routing.Router, error) {
+	return func(topo T, err error) (routing.Router, error) {
 		if err != nil {
 			return nil, err
 		}
+		return newRouter(topo), nil
+	}
+}
+
+// patterns is the closed multicast traffic-pattern table.
+var patterns = map[string]func(routing.Router, PatternConfig) (routing.MulticastSet, error){
+	"none": func(rt routing.Router, c PatternConfig) (routing.MulticastSet, error) {
 		return routing.NewMulticastSet(rt.Graph().Ports()), nil
-	})
-	RegisterPattern("random", func(router any, c PatternConfig) (any, error) {
+	},
+	"random": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
 		rng := rand.New(rand.NewPCG(c.Seed, c.stream))
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
@@ -84,81 +67,83 @@ func init() {
 		case *routing.SpidergonRouter:
 			return rt.RandomSet(rng, c.K)
 		}
-		return nil, fmt.Errorf("noc: pattern \"random\" not supported on %T", router)
-	})
-	RegisterPattern("localized", func(router any, c PatternConfig) (any, error) {
+		return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"random\" not supported on %T", router)
+	},
+	"localized": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
 			return rt.LocalizedSet(c.Port, c.K)
 		case *routing.SpidergonRouter:
 			return rt.LocalizedSet(c.K)
 		}
-		return nil, fmt.Errorf("noc: pattern \"localized\" not supported on %T", router)
-	})
-	RegisterPattern("broadcast", func(router any, c PatternConfig) (any, error) {
+		return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"localized\" not supported on %T", router)
+	},
+	"broadcast": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
 			return rt.BroadcastSet(), nil
 		case *routing.SpidergonRouter:
 			return rt.BroadcastSet(), nil
 		}
-		return nil, fmt.Errorf("noc: pattern \"broadcast\" not supported on %T", router)
-	})
-	RegisterPattern("highlow", func(router any, c PatternConfig) (any, error) {
+		return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"broadcast\" not supported on %T", router)
+	},
+	"highlow": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
 		rt, ok := router.(*routing.MeshRouter)
 		if !ok {
-			return nil, fmt.Errorf("noc: pattern \"highlow\" not supported on %T", router)
+			return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"highlow\" not supported on %T", router)
 		}
 		return rt.HighLowSet(c.High, c.Low)
-	})
+	},
+}
 
-	// Spatial (unicast-destination) patterns: the standard permutation
-	// families of NoC evaluation plus the weight-matrix hotspot. The
-	// bit-wise permutations interpret node indices as log2(n)-bit words;
-	// transpose and tornado use mesh coordinates when the topology is a
-	// mesh or torus and fall back to the index forms otherwise.
-	RegisterSpatial("uniform", func(router any, c SpatialConfig) (any, error) {
+// spatials is the closed spatial (unicast-destination) pattern table: the
+// standard permutation families of NoC evaluation plus the weight-matrix
+// hotspot. The bit-wise permutations interpret node indices as
+// log2(n)-bit words; transpose and tornado use mesh coordinates when the
+// topology is a mesh or torus and fall back to the index forms otherwise.
+var spatials = map[string]func(routing.Router, SpatialConfig) (traffic.Dest, error){
+	"uniform": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
 		return traffic.Dest{}, nil
-	})
-	RegisterSpatial("transpose", func(router any, c SpatialConfig) (any, error) {
-		if m, ok := meshOf(router); ok {
+	},
+	"transpose": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+		if m, ok := meshOf(rt); ok {
 			if m.W() != m.H() {
-				return nil, fmt.Errorf("noc: transpose needs a square mesh, got %dx%d", m.W(), m.H())
+				return traffic.Dest{}, fmt.Errorf("noc: transpose needs a square mesh, got %dx%d", m.W(), m.H())
 			}
 			return permDest(m.W()*m.H(), func(src int) int {
 				x, y := m.XY(topology.NodeID(src))
 				return int(m.ID(y, x))
 			}), nil
 		}
-		return bitPerm(router, "transpose", func(src, bits int) int {
+		return bitPerm(rt, "transpose", func(src, bits int) int {
 			// Swap the high and low halves of the index bits — the matrix
 			// transpose of a 2^(b/2) x 2^(b/2) grid.
 			half := bits / 2
 			lo := src & (1<<half - 1)
 			return src>>half | lo<<half
 		}, true)
-	})
-	RegisterSpatial("bit-reversal", func(router any, c SpatialConfig) (any, error) {
-		return bitPerm(router, "bit-reversal", func(src, bits int) int {
+	},
+	"bit-reversal": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+		return bitPerm(rt, "bit-reversal", func(src, bits int) int {
 			out := 0
 			for i := 0; i < bits; i++ {
 				out = out<<1 | src>>i&1
 			}
 			return out
 		}, false)
-	})
-	RegisterSpatial("bit-complement", func(router any, c SpatialConfig) (any, error) {
-		return bitPerm(router, "bit-complement", func(src, bits int) int {
+	},
+	"bit-complement": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+		return bitPerm(rt, "bit-complement", func(src, bits int) int {
 			return ^src & (1<<bits - 1)
 		}, false)
-	})
-	RegisterSpatial("shuffle", func(router any, c SpatialConfig) (any, error) {
-		return bitPerm(router, "shuffle", func(src, bits int) int {
+	},
+	"shuffle": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+		return bitPerm(rt, "shuffle", func(src, bits int) int {
 			return (src<<1 | src>>(bits-1)) & (1<<bits - 1)
 		}, false)
-	})
-	RegisterSpatial("tornado", func(router any, c SpatialConfig) (any, error) {
-		if m, ok := meshOf(router); ok {
+	},
+	"tornado": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+		if m, ok := meshOf(rt); ok {
 			// Per-dimension half-way shift: (x, y) -> (x + ⌈W/2⌉-1, y + ⌈H/2⌉-1).
 			dx, dy := (m.W()+1)/2-1, (m.H()+1)/2-1
 			return permDest(m.W()*m.H(), func(src int) int {
@@ -166,26 +151,18 @@ func init() {
 				return int(m.ID((x+dx)%m.W(), (y+dy)%m.H()))
 			}), nil
 		}
-		rt, err := asRouter(router)
-		if err != nil {
-			return nil, err
-		}
 		// Ring form (quarc and spidergon are ring-based): half-way around.
 		n := rt.Graph().Nodes()
 		shift := (n+1)/2 - 1
 		return permDest(n, func(src int) int { return (src + shift) % n }), nil
-	})
-	RegisterSpatial("hotspot", func(router any, c SpatialConfig) (any, error) {
-		rt, err := asRouter(router)
-		if err != nil {
-			return nil, err
-		}
+	},
+	"hotspot": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
 		return hotspotDest(rt.Graph().Nodes(), c)
-	})
+	},
 }
 
 // meshOf unwraps a mesh or torus router's coordinate geometry.
-func meshOf(router any) (*topology.Mesh, bool) {
+func meshOf(router routing.Router) (*topology.Mesh, bool) {
 	rt, ok := router.(*routing.MeshRouter)
 	if !ok {
 		return nil, false
@@ -205,21 +182,17 @@ func permDest(n int, f func(int) int) traffic.Dest {
 // bitPerm builds a bit-wise permutation over node indices; the network
 // size must be a power of two (and evenBits additionally requires an even
 // bit count, e.g. for transpose).
-func bitPerm(router any, name string, f func(src, bits int) int, evenBits bool) (any, error) {
-	rt, err := asRouter(router)
-	if err != nil {
-		return nil, err
-	}
+func bitPerm(rt routing.Router, name string, f func(src, bits int) int, evenBits bool) (traffic.Dest, error) {
 	n := rt.Graph().Nodes()
 	bits := 0
 	for 1<<bits < n {
 		bits++
 	}
 	if 1<<bits != n {
-		return nil, fmt.Errorf("noc: spatial pattern %q needs a power-of-two network, got %d nodes", name, n)
+		return traffic.Dest{}, fmt.Errorf("noc: spatial pattern %q needs a power-of-two network, got %d nodes", name, n)
 	}
 	if evenBits && bits%2 != 0 {
-		return nil, fmt.Errorf("noc: spatial pattern %q needs an even number of index bits, got %d nodes (%d bits)", name, n, bits)
+		return traffic.Dest{}, fmt.Errorf("noc: spatial pattern %q needs an even number of index bits, got %d nodes (%d bits)", name, n, bits)
 	}
 	return permDest(n, func(src int) int { return f(src, bits) }), nil
 }
@@ -283,12 +256,4 @@ func hotspotDest(n int, c SpatialConfig) (traffic.Dest, error) {
 		weights[src] = row
 	}
 	return traffic.Dest{Weights: weights}, nil
-}
-
-func asRouter(v any) (routing.Router, error) {
-	rt, ok := v.(routing.Router)
-	if !ok {
-		return nil, fmt.Errorf("noc: %T is not a router", v)
-	}
-	return rt, nil
 }

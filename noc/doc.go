@@ -3,8 +3,9 @@
 // M/G/1 wormhole model and the discrete-event wormhole simulator, and both
 // return the same Result type.
 //
-// A scenario is assembled from functional options over string-keyed
-// registries of topologies, routers and traffic patterns:
+// A scenario is assembled from functional options over closed,
+// string-keyed tables of topologies, traffic patterns, spatial patterns
+// and arrival processes:
 //
 //	s, err := noc.NewScenario(
 //		noc.Quarc(64),
@@ -23,10 +24,12 @@
 // OnePortAblation, SpidergonComparison, MeshExtension and
 // ServiceFormulaAblation.
 //
-// The registries are open: RegisterTopology, RegisterRouter and
-// RegisterPattern add named builders that NewScenario resolves by name, so
-// new scenarios stay declarative. Topologies(), Routers() and Patterns()
-// enumerate what is available.
+// The tables are closed: a name means the same builder in every process,
+// which is what lets a Spec's Fingerprint stand for its Result. Each
+// topology is routed by exactly one router, so a scenario names its
+// topology and the router follows. Topologies(), Routers(), Patterns(),
+// Spatials() and Arrivals() enumerate what is available; adding a
+// topology or pattern is one table entry in builtin.go.
 //
 // Spec is the fully declarative, JSON-able form of a scenario: every
 // builtin option has a Spec field, Spec.Scenario compiles it, and the

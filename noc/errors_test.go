@@ -36,7 +36,7 @@ func TestSentinelChains(t *testing.T) {
 		{
 			"registry lookup",
 			func(t *testing.T) error {
-				_, err := NewScenario(Quarc(16), Router("no-such-router"))
+				_, err := Spec{Router: "no-such-router"}.Scenario()
 				return err
 			},
 			ErrInvalidOption,

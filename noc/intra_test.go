@@ -1,86 +1,70 @@
 package noc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
 
-// intraBase is a mid-load scenario cheap enough for the matrix below.
-func intraBase(t *testing.T, extra ...Option) *Scenario {
-	t.Helper()
-	opts := append([]Option{
-		Quarc(16), LocalizedDests(PortL, 4),
-		MsgLen(16), Rate(0.004), Alpha(0.05),
-		Seed(21), Warmup(1000), Measure(8000),
-	}, extra...)
-	s, err := NewScenario(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+// intraDoc is a mid-load spec document cheap enough for the matrix
+// below, with extra fields spliced in.
+func intraDoc(extra string) string {
+	return `{"topology":"quarc","n":16,"pattern":"localized","port":0,"dests":4,` +
+		`"msglen":16,"rate":0.004,"alpha":0.05,"seed":21,"warmup":1000,"measure":8000` + extra + `}`
 }
 
-// TestIntraParallelismBitwise pins the deprecated option as a no-op at
-// the API boundary: for every p — and on both the stateless and the
-// pooled simulator, under every arrival process and with metrics
-// recording — the Result JSON is identical to having no option set.
+// TestIntraParallelismBitwise pins the wire-only field as a no-op: for
+// every p — and on both the stateless and the pooled simulator, under
+// every arrival process and with metrics recording — a document with
+// "intra_parallelism" gives the Result JSON of the same document
+// without it.
 func TestIntraParallelismBitwise(t *testing.T) {
 	cases := []struct {
 		name  string
-		extra []Option
+		extra string
 	}{
 		{name: "poisson"},
-		{name: "onoff", extra: []Option{OnOff(4, 0.5)}},
-		{name: "bernoulli-falls-back", extra: []Option{Arrival("bernoulli")}},
-		{name: "metrics-falls-back", extra: []Option{Metrics(50)}},
+		{name: "onoff", extra: `,"arrival":"onoff","burst_len":4,"duty_cycle":0.5`},
+		{name: "bernoulli-falls-back", extra: `,"arrival":"bernoulli"`},
+		{name: "metrics-falls-back", extra: `,"metrics":true,"metrics_buckets":50`},
+	}
+	compile := func(t *testing.T, doc string) *Scenario {
+		t.Helper()
+		sp, err := ParseSpec([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sp.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := (Simulator{}).Evaluate(intraBase(t, tc.extra...))
+			serial, err := (Simulator{}).Evaluate(compile(t, intraDoc(tc.extra)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := resultJSON(t, serial)
 			for _, p := range []int{2, 4, 8} {
-				s := intraBase(t, append(tc.extra, IntraParallelism(p))...)
+				s := compile(t, intraDoc(fmt.Sprintf(`%s,"intra_parallelism":%d`, tc.extra, p)))
 				got, err := (Simulator{}).Evaluate(s)
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
 				}
 				if gj := resultJSON(t, got); gj != want {
-					t.Errorf("p=%d: parallel result diverges\n got %s\nwant %s", p, gj, want)
+					t.Errorf("p=%d: result diverges\n got %s\nwant %s", p, gj, want)
 				}
-				pooled := NewPooledSimulator()
-				got2, err := pooled.Evaluate(s)
+				got2, err := NewPooledSimulator().Evaluate(s)
 				if err != nil {
 					t.Fatalf("p=%d pooled: %v", p, err)
 				}
 				if gj := resultJSON(t, got2); gj != want {
-					t.Errorf("p=%d: pooled parallel result diverges\n got %s\nwant %s", p, gj, want)
+					t.Errorf("p=%d: pooled result diverges\n got %s\nwant %s", p, gj, want)
 				}
 			}
 		})
-	}
-}
-
-// TestIntraParallelismSaturationRerun pins the no-op on a saturating
-// scenario: under IntraParallelism it reports exactly the truncated
-// saturated Result of a run without the option.
-func TestIntraParallelismSaturationRerun(t *testing.T) {
-	hot := []Option{Rate(0.05), SatQueue(20), Measure(20000)}
-	serial, err := (Simulator{}).Evaluate(intraBase(t, hot...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Saturated {
-		t.Fatal("saturation scenario did not saturate serially")
-	}
-	got, err := (Simulator{}).Evaluate(intraBase(t, append(hot, IntraParallelism(4))...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gj, want := resultJSON(t, got), resultJSON(t, serial); gj != want {
-		t.Errorf("saturated parallel result diverges\n got %s\nwant %s", gj, want)
 	}
 }
 

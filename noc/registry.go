@@ -3,8 +3,8 @@ package noc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
+	"quarc/internal/routing"
 	"quarc/internal/traffic"
 )
 
@@ -30,21 +30,6 @@ type PatternConfig struct {
 	stream uint64
 }
 
-// TopologyBuilder constructs a topology value from its configuration. The
-// returned value is opaque to callers; it is consumed by the matching
-// RouterBuilder.
-type TopologyBuilder func(TopologyConfig) (any, error)
-
-// RouterBuilder wraps a topology value (produced by a TopologyBuilder)
-// with its deterministic router. The returned value must implement the
-// internal routing.Router interface; external callers treat it as opaque.
-type RouterBuilder func(topo any) (any, error)
-
-// PatternBuilder materializes a multicast destination set for a router
-// (produced by a RouterBuilder). The returned value must be a
-// routing.MulticastSet; external callers treat it as opaque.
-type PatternBuilder func(router any, cfg PatternConfig) (any, error)
-
 // SpatialConfig parameterizes a spatial (unicast-destination) pattern
 // builder. The permutation families ignore it; "hotspot" reads all three
 // fields.
@@ -58,108 +43,53 @@ type SpatialConfig struct {
 	Weights []float64
 }
 
-// SpatialBuilder materializes a unicast-destination pattern for a router:
-// a fixed permutation (transpose, bit-reversal, tornado, ...) or a
-// destination weight matrix (hotspot). The returned value must be a
-// traffic.Dest; external callers treat it as opaque.
-type SpatialBuilder func(router any, cfg SpatialConfig) (any, error)
-
-// registry is a concurrency-safe string-keyed table of builders.
-type registry[T any] struct {
-	kind string
-	mu   sync.RWMutex
-	m    map[string]T
+// topologyDef is one row of the closed topology table: the name of the
+// one router that routes the family, and a builder that makes the
+// topology and wraps it in that router.
+type topologyDef struct {
+	router string
+	build  func(TopologyConfig) (routing.Router, error)
 }
 
-func (r *registry[T]) register(name string, v T) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		r.m = make(map[string]T)
+// Topologies returns the topology names, sorted.
+func Topologies() []string { return names(topologies) }
+
+// Routers returns the router names, sorted: the routers the topologies
+// are built with.
+func Routers() []string {
+	used := make(map[string]bool, len(topologies))
+	for _, def := range topologies {
+		used[def.router] = true
 	}
-	r.m[name] = v
+	return names(used)
 }
 
-func (r *registry[T]) lookup(name string) (T, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.m[name]
-	if !ok {
-		return v, fmt.Errorf("%w: unknown %s %q (known: %v)", ErrInvalidOption, r.kind, name, r.namesLocked())
-	}
-	return v, nil
-}
+// Patterns returns the traffic-pattern names, sorted.
+func Patterns() []string { return names(patterns) }
 
-func (r *registry[T]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
+// Spatials returns the spatial-pattern names, sorted.
+func Spatials() []string { return names(spatials) }
 
-func (r *registry[T]) namesLocked() []string {
-	names := make([]string, 0, len(r.m))
-	for name := range r.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-var (
-	topologyReg = &registry[TopologyBuilder]{kind: "topology"}
-	routerReg   = &registry[RouterBuilder]{kind: "router"}
-	patternReg  = &registry[PatternBuilder]{kind: "traffic pattern"}
-	spatialReg  = &registry[SpatialBuilder]{kind: "spatial pattern"}
-
-	// defaultRouter maps a topology name to the router used when a
-	// scenario does not name one explicitly.
-	defaultRouterMu sync.RWMutex
-	defaultRouter   = map[string]string{}
-)
-
-// RegisterTopology adds (or replaces) a named topology builder and its
-// default router name. The built-in names are "quarc", "quarc-oneport",
-// "spidergon", "mesh", "torus" and "hypercube".
-func RegisterTopology(name, router string, b TopologyBuilder) {
-	topologyReg.register(name, b)
-	defaultRouterMu.Lock()
-	defaultRouter[name] = router
-	defaultRouterMu.Unlock()
-}
-
-// RegisterRouter adds (or replaces) a named router builder. The built-in
-// names are "quarc", "spidergon", "mesh" and "hypercube".
-func RegisterRouter(name string, b RouterBuilder) { routerReg.register(name, b) }
-
-// RegisterPattern adds (or replaces) a named traffic-pattern builder. The
-// built-in names are "none", "random", "localized", "broadcast" and
-// "highlow".
-func RegisterPattern(name string, b PatternBuilder) { patternReg.register(name, b) }
-
-// Topologies returns the registered topology names, sorted.
-func Topologies() []string { return topologyReg.names() }
-
-// Routers returns the registered router names, sorted.
-func Routers() []string { return routerReg.names() }
-
-// Patterns returns the registered traffic-pattern names, sorted.
-func Patterns() []string { return patternReg.names() }
-
-// RegisterSpatial adds (or replaces) a named spatial (unicast-destination)
-// pattern builder. The built-in names are "uniform", "transpose",
-// "bit-reversal", "bit-complement", "shuffle", "tornado" and "hotspot".
-func RegisterSpatial(name string, b SpatialBuilder) { spatialReg.register(name, b) }
-
-// Spatials returns the registered spatial-pattern names, sorted.
-func Spatials() []string { return spatialReg.names() }
-
-// Arrivals returns the registered arrival-process names, sorted. The
-// built-ins are "bernoulli", "onoff", "periodic" and "poisson" (the
-// default); register more with traffic.RegisterArrival.
+// Arrivals returns the arrival-process names, sorted: "bernoulli",
+// "onoff", "periodic" and "poisson" (the default).
 func Arrivals() []string { return traffic.Arrivals() }
 
-func defaultRouterFor(topology string) string {
-	defaultRouterMu.RLock()
-	defer defaultRouterMu.RUnlock()
-	return defaultRouter[topology]
+// names returns a table's keys, sorted.
+func names[V any](table map[string]V) []string {
+	out := make([]string, 0, len(table))
+	for name := range table {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lookup resolves a name in one of the tables, or rejects it with the
+// names the table knows.
+func lookup[V any](table map[string]V, kind, name string) (V, error) {
+	v, ok := table[name]
+	if !ok {
+		return v, fmt.Errorf("%w: unknown %s %q (known: %v)", ErrInvalidOption, kind, name, names(table))
+	}
+	return v, nil
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -22,8 +23,24 @@ func TestRegistryNames(t *testing.T) {
 			t.Errorf("Patterns() = %v, missing %q", Patterns(), want)
 		}
 	}
-	if !slices.IsSorted(Topologies()) || !slices.IsSorted(Routers()) || !slices.IsSorted(Patterns()) {
-		t.Error("registry name listings must be sorted")
+	// Every name in every table is lowercase, so spec documents and CLI
+	// flags never depend on the caller's casing, and every listing is
+	// sorted, so /v1/registry is byte-stable.
+	for kind, list := range map[string][]string{
+		"topology": Topologies(), "router": Routers(), "pattern": Patterns(),
+		"spatial": Spatials(), "arrival": Arrivals(),
+	} {
+		if len(list) == 0 {
+			t.Errorf("no %s names", kind)
+		}
+		if !slices.IsSorted(list) {
+			t.Errorf("%s names %v are not sorted", kind, list)
+		}
+		for _, name := range list {
+			if name != strings.ToLower(name) {
+				t.Errorf("%s name %q is not lowercase", kind, name)
+			}
+		}
 	}
 }
 
@@ -71,7 +88,7 @@ func TestRegistryUnknownNames(t *testing.T) {
 		t.Errorf("unknown topology error does not list known names: %v", err)
 	}
 
-	_, err = NewScenario(Quarc(16), Router("xy"))
+	_, err = Spec{Router: "xy"}.Scenario()
 	if err == nil || !strings.Contains(err.Error(), `unknown router "xy"`) {
 		t.Errorf("unknown router error = %v", err)
 	}
@@ -93,19 +110,30 @@ func TestPatternTopologyMismatch(t *testing.T) {
 	}
 }
 
-func TestRegisterCustomTopology(t *testing.T) {
-	// A custom name can alias an existing builder through the public
-	// registration hooks.
-	builder, err := topologyReg.lookup("quarc")
-	if err != nil {
-		t.Fatal(err)
+// TestResolveErrorOrder pins the order in which resolve reports a spec's
+// faults: each document carries two, and the first in resolve's order
+// wins — unknown topology, unknown router, unknown pattern, topology
+// size, router of another topology, pattern on the topology, unknown
+// spatial pattern, spatial pattern on the topology, then validation.
+func TestResolveErrorOrder(t *testing.T) {
+	cases := []struct{ doc, want string }{
+		{`{"topology":"ring","router":"xy"}`, `unknown topology "ring"`},
+		{`{"router":"xy","pattern":"bogus"}`, `unknown router "xy"`},
+		{`{"pattern":"bogus","n":10}`, `unknown traffic pattern "bogus"`},
+		{`{"topology":"mesh","router":"quarc"}`, "mesh dimensions"},
+		{`{"topology":"mesh","w":4,"h":4,"router":"quarc","pattern":"localized","dests":3}`, "routed by the mesh router"},
+		{`{"pattern":"localized","dests":12,"spatial":"bogus"}`, "localized set size 12"},
+		{`{"spatial":"bogus","trace_node":99,"trace_limit":5}`, `unknown spatial pattern "bogus"`},
+		{`{"n":12,"spatial":"transpose","trace_node":99,"trace_limit":5}`, "power-of-two"},
 	}
-	RegisterTopology("quarc-test-alias", "quarc", builder)
-	s, err := NewScenario(Topology("quarc-test-alias", TopologyConfig{N: 16}), Rate(0.001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Nodes() != 16 {
-		t.Errorf("aliased topology Nodes() = %d", s.Nodes())
+	for _, tc := range cases {
+		sp, err := ParseSpec([]byte(tc.doc))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.doc, err)
+		}
+		_, err = sp.Scenario()
+		if !errors.Is(err, ErrInvalidOption) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want ErrInvalidOption reporting %q", tc.doc, err, tc.want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -23,21 +22,26 @@ func (r *countingRouter) UnicastPath(src, dst topology.NodeID) (routing.Path, er
 	return r.QuarcRouter.UnicastPath(src, dst)
 }
 
-// registerCountingRouter registers a counting quarc router, and a
-// localized pattern that sees through it, under the given name. newRouter
-// runs on every router the builder makes.
-func registerCountingRouter(name string, calls *atomic.Int64, newRouter func(*countingRouter)) {
-	RegisterRouter(name, func(topo any) (any, error) {
-		q, ok := topo.(*topology.Quarc)
-		if !ok {
-			return nil, fmt.Errorf("%s needs a quarc topology, got %T", name, topo)
+// addCountingTopology adds a quarc-n topology routed by a counting
+// router, and a localized pattern that sees through it, to the tables
+// under the given name until the test ends. newRouter runs on every
+// router the builder makes.
+func addCountingTopology(t *testing.T, name string, calls *atomic.Int64, newRouter func(*countingRouter)) {
+	topologies[name] = topologyDef{router: "quarc", build: func(c TopologyConfig) (routing.Router, error) {
+		q, err := topology.NewQuarc(c.N)
+		if err != nil {
+			return nil, err
 		}
 		r := &countingRouter{QuarcRouter: routing.NewQuarcRouter(q), calls: calls}
 		newRouter(r)
 		return r, nil
-	})
-	RegisterPattern(name, func(router any, c PatternConfig) (any, error) {
+	}}
+	patterns[name] = func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
 		return router.(*countingRouter).LocalizedSet(c.Port, c.K)
+	}
+	t.Cleanup(func() {
+		delete(topologies, name)
+		delete(patterns, name)
 	})
 }
 
@@ -46,9 +50,9 @@ func registerCountingRouter(name string, calls *atomic.Int64, newRouter func(*co
 // ask the router for each unicast route exactly once between them.
 func TestScenarioEnumeratesRoutesOnce(t *testing.T) {
 	var calls atomic.Int64
-	registerCountingRouter("test-counting", &calls, func(*countingRouter) {})
+	addCountingTopology(t, "test-counting", &calls, func(*countingRouter) {})
 	const n = 16
-	s, err := NewScenario(Quarc(n), Router("test-counting"), Pattern("test-counting", PatternConfig{Port: PortL, K: 3}),
+	s, err := NewScenario(Topology("test-counting", TopologyConfig{N: n}), Pattern("test-counting", PatternConfig{Port: PortL, K: 3}),
 		Alpha(0.05), MsgLen(16), Rate(0.002), Warmup(500), Measure(3000))
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +81,11 @@ func TestScenarioEnumeratesRoutesOnce(t *testing.T) {
 func TestRoutesDieWithScenario(t *testing.T) {
 	var calls atomic.Int64
 	var collected atomic.Bool
-	registerCountingRouter("test-finalized", &calls, func(r *countingRouter) {
+	addCountingTopology(t, "test-finalized", &calls, func(r *countingRouter) {
 		runtime.SetFinalizer(r, func(*countingRouter) { collected.Store(true) })
 	})
 	func() {
-		s, err := NewScenario(Quarc(16), Router("test-finalized"), Pattern("test-finalized", PatternConfig{Port: PortL, K: 3}),
+		s, err := NewScenario(Topology("test-finalized", TopologyConfig{N: 16}), Pattern("test-finalized", PatternConfig{Port: PortL, K: 3}),
 			Alpha(0.05), MsgLen(16), Rate(0.002), Warmup(500), Measure(3000))
 		if err != nil {
 			t.Fatal(err)

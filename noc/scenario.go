@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"quarc/internal/obs"
@@ -63,7 +64,7 @@ type config struct {
 	stream         uint64         // PatternConfig.stream (figure panels)
 }
 
-// apply runs the options in order, then fills the registry names an
+// apply runs the options in order, then fills the table names an
 // option left empty, so the stored form is materialized again.
 func (c *config) apply(opts []Option) error {
 	for _, opt := range opts {
@@ -116,23 +117,13 @@ func Torus(w, h int) Option { return Topology("torus", TopologyConfig{W: w, H: h
 // Hypercube selects a hypercube with the given number of dimensions.
 func Hypercube(dims int) Option { return Topology("hypercube", TopologyConfig{Dims: dims}) }
 
-// Topology selects a registered topology by name — the declarative form
-// the named options above reduce to. A router that is the current
-// topology's default follows the new topology; one set with Router stays.
+// Topology selects a topology by name — the declarative form the named
+// options above reduce to. The router follows the topology: each family
+// has exactly one.
 func Topology(name string, c TopologyConfig) Option {
 	return func(cfg *config) error {
-		if cfg.Router == defaultRouterFor(cfg.Topology) {
-			cfg.Router = ""
-		}
+		cfg.Router = ""
 		cfg.Topology, cfg.N, cfg.W, cfg.H, cfg.Dims = name, c.N, c.W, c.H, c.Dims
-		return nil
-	}
-}
-
-// Router overrides the topology's default router with a registered one.
-func Router(name string) Option {
-	return func(cfg *config) error {
-		cfg.Router = name
 		return nil
 	}
 }
@@ -176,7 +167,7 @@ func Hotspot(frac float64, node int) Option {
 
 // Arrival-process options (when a node injects).
 
-// Arrival selects a registered arrival process by name: "poisson" (the
+// Arrival selects an arrival process by name: "poisson" (the
 // default), "bernoulli" (per-cycle coin flips, arrivals on the cycle
 // grid), "onoff" (bursts — configure with OnOff) or "periodic"
 // (deterministic spacing with a random per-node phase). All processes
@@ -204,7 +195,7 @@ func OnOff(burstLen, duty float64) Option {
 
 // Spatial-pattern options (where a unicast goes).
 
-// Permutation selects a registered spatial pattern by name: "transpose",
+// Permutation selects a spatial pattern by name: "transpose",
 // "bit-reversal", "bit-complement", "shuffle" or "tornado" (or "uniform",
 // the default). Each source then sends all its unicasts to one fixed
 // destination; a source the permutation maps to itself falls silent, the
@@ -220,7 +211,7 @@ func HotspotDests(frac float64, nodes []int, weights []float64) Option {
 	return Spatial("hotspot", SpatialConfig{Frac: frac, Nodes: nodes, Weights: weights})
 }
 
-// Spatial selects a registered spatial (unicast-destination) pattern by
+// Spatial selects a spatial (unicast-destination) pattern by
 // name — the declarative form Permutation and HotspotDests reduce to.
 func Spatial(name string, c SpatialConfig) Option {
 	return func(cfg *config) error {
@@ -253,7 +244,7 @@ func HighLowDests(high, low []int) Option {
 	return Pattern("highlow", PatternConfig{High: high, Low: low})
 }
 
-// Pattern selects a registered traffic pattern by name — the declarative
+// Pattern selects a traffic pattern by name — the declarative
 // form the named options above reduce to.
 func Pattern(name string, c PatternConfig) Option {
 	return func(cfg *config) error {
@@ -456,19 +447,6 @@ func Parallelism(k int) Option {
 	}
 }
 
-// IntraParallelism is accepted and ignored; kept for wire compatibility.
-// It once selected an intra-run parallel engine, which was deleted after
-// it measured slower than the serial one; a run's Result is the same for
-// every p. Spend cores on Replications and Sweep points instead.
-//
-// Deprecated: drop the option; it is a no-op.
-func IntraParallelism(p int) Option {
-	return func(cfg *config) error {
-		cfg.IntraParallelism = p
-		return nil
-	}
-}
-
 // Effort bundles the simulation effort knobs (warmup, measurement window,
 // seed) so presets can be passed around as one value.
 type Effort struct {
@@ -496,7 +474,7 @@ func SimEffort(e Effort) Option {
 
 // NewScenario resolves a declarative configuration into a runnable
 // scenario: it applies the options to the default Spec, builds the
-// topology and router through the registries and materializes the
+// routed topology from the topology table and materializes the
 // multicast destination set.
 func NewScenario(opts ...Option) (*Scenario, error) {
 	cfg := config{Spec: Spec{}.Canonical()}
@@ -524,56 +502,41 @@ func (s *Scenario) With(opts ...Option) (*Scenario, error) {
 }
 
 func resolve(cfg config) (*Scenario, error) {
-	buildTopo, err := topologyReg.lookup(cfg.Topology)
+	topo, err := lookup(topologies, "topology", cfg.Topology)
 	if err != nil {
 		return nil, err
 	}
-	buildRouter, err := routerReg.lookup(cfg.Router)
-	if err != nil {
-		return nil, err
+	if cfg.Router != topo.router && !slices.Contains(Routers(), cfg.Router) {
+		return nil, fmt.Errorf("%w: unknown router %q (known: %v)", ErrInvalidOption, cfg.Router, Routers())
 	}
-	buildPattern, err := patternReg.lookup(cfg.Pattern)
+	buildPattern, err := lookup(patterns, "traffic pattern", cfg.Pattern)
 	if err != nil {
 		return nil, err
 	}
 
-	topo, err := buildTopo(TopologyConfig{N: cfg.N, W: cfg.W, H: cfg.H, Dims: cfg.Dims})
-	if err != nil {
-		// Builder rejections (bad sizes, mismatched families) are
-		// configuration mistakes like any other option error; wrap them
-		// in the sentinel so callers — the quarcd error mapping in
-		// particular — can classify them without string matching.
-		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
-	}
-	routerVal, err := buildRouter(topo)
+	// Builder rejections (bad sizes, mismatched families) are
+	// configuration mistakes like any other option error; they wrap the
+	// sentinel so callers — the quarcd error mapping in particular — can
+	// classify them without string matching.
+	router, err := topo.build(TopologyConfig{N: cfg.N, W: cfg.W, H: cfg.H, Dims: cfg.Dims})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
-	router, err := asRouter(routerVal)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
+	if cfg.Router != topo.router {
+		return nil, fmt.Errorf("%w: noc: a %s topology is routed by the %s router, not %s", ErrInvalidOption, cfg.Topology, topo.router, cfg.Router)
 	}
-	setVal, err := buildPattern(router, PatternConfig{
+	set, err := buildPattern(router, PatternConfig{
 		K: cfg.Dests, Port: cfg.Port, Seed: cfg.SetSeed, High: cfg.High, Low: cfg.Low, stream: cfg.stream})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
-	set, ok := setVal.(routing.MulticastSet)
-	if !ok {
-		return nil, fmt.Errorf("noc: pattern %q returned %T, not a multicast set", cfg.Pattern, setVal)
-	}
-
-	buildSpatial, err := spatialReg.lookup(cfg.Spatial)
+	buildSpatial, err := lookup(spatials, "spatial pattern", cfg.Spatial)
 	if err != nil {
 		return nil, err
 	}
-	destVal, err := buildSpatial(routerVal, SpatialConfig{Frac: cfg.SpatialFrac, Nodes: cfg.SpatialNodes, Weights: cfg.SpatialWeights})
+	dest, err := buildSpatial(router, SpatialConfig{Frac: cfg.SpatialFrac, Nodes: cfg.SpatialNodes, Weights: cfg.SpatialWeights})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
-	}
-	dest, ok := destVal.(traffic.Dest)
-	if !ok {
-		return nil, fmt.Errorf("noc: spatial pattern %q returned %T, not a traffic.Dest", cfg.Spatial, destVal)
 	}
 
 	// The builders above see the concrete router (some type-assert it);
@@ -663,17 +626,17 @@ func (s *Scenario) trafficSpec() traffic.Spec {
 	}
 }
 
-// TopologyName returns the scenario's topology registry name.
+// TopologyName returns the scenario's topology name.
 func (s *Scenario) TopologyName() string { return s.cfg.Topology }
 
-// PatternName returns the scenario's traffic-pattern registry name.
+// PatternName returns the scenario's traffic-pattern name.
 func (s *Scenario) PatternName() string { return s.cfg.Pattern }
 
-// ArrivalName returns the scenario's arrival-process registry name
+// ArrivalName returns the scenario's arrival-process name
 // ("poisson" when defaulted).
 func (s *Scenario) ArrivalName() string { return s.cfg.Arrival }
 
-// SpatialName returns the scenario's spatial-pattern registry name
+// SpatialName returns the scenario's spatial-pattern name
 // ("uniform" when defaulted).
 func (s *Scenario) SpatialName() string { return s.cfg.Spatial }
 

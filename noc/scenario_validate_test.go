@@ -30,7 +30,6 @@ func TestScenarioValidationSentinels(t *testing.T) {
 		{"wait formula out of range", []Option{Quarc(16), ModelWait(WaitFormula(2))}, ErrInvalidOption},
 		{"service formula out of range", []Option{Quarc(16), ModelService(ServiceFormula(-1))}, ErrInvalidOption},
 		{"unknown topology", []Option{Topology("ring", TopologyConfig{N: 16})}, ErrInvalidOption},
-		{"unknown router", []Option{Quarc(16), Router("xy")}, ErrInvalidOption},
 		{"mesh without size", []Option{Topology("mesh", TopologyConfig{})}, ErrInvalidOption},
 		{"quarc size not multiple of 4", []Option{Quarc(10)}, ErrInvalidOption},
 		{"dests beyond the rim", []Option{Quarc(16), LocalizedDests(PortL, 12)}, ErrInvalidOption},
@@ -43,6 +42,23 @@ func TestScenarioValidationSentinels(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v does not wrap %v", err, tc.want)
+			}
+		})
+	}
+	// No option names a router: it follows the topology. A spec that
+	// names one anyway must name the topology's own.
+	for name, doc := range map[string]string{
+		"unknown router":              `{"router":"xy"}`,
+		"router of another topology":  `{"topology":"mesh","w":4,"h":4,"router":"quarc"}`,
+		"mesh router on a quarc ring": `{"topology":"quarc","n":16,"router":"mesh"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			sp, err := ParseSpec([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sp.Scenario(); !errors.Is(err, ErrInvalidOption) {
+				t.Fatalf("error %v does not wrap %v", err, ErrInvalidOption)
 			}
 		})
 	}

@@ -104,7 +104,7 @@ type SweepResponse struct {
 }
 
 // Registry is the GET /v1/registry response body: every name the spec
-// codec accepts, straight from the noc registries.
+// codec accepts, straight from the noc name tables.
 type Registry struct {
 	Topologies []string `json:"topologies"`
 	Routers    []string `json:"routers"`
@@ -183,7 +183,7 @@ func errorCode(err error) string {
 //	POST /v1/sweep              {spec, rates} -> {fingerprint, points}
 //	GET  /v1/trace/{fp}                       -> Result JSON with series
 //	GET  /dashboard                           -> time-series dashboard page
-//	GET  /v1/registry                         -> registered names
+//	GET  /v1/registry                         -> the names specs may use
 //	GET  /v1/healthz                          -> status + cache/pool stats
 //
 // Evaluate and sweep responses carry X-Quarc-Fingerprint (the content

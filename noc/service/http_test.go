@@ -234,19 +234,33 @@ func TestHTTPEvaluateSizeDefault(t *testing.T) {
 	}
 }
 
-// TestHTTPRegistry pins the discovery endpoint.
+// TestHTTPRegistry pins the discovery endpoint, byte for byte: the
+// scenario vocabulary is closed, so its listing never varies.
 func TestHTTPRegistry(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(srv.URL + "/v1/registry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
+	const want = `{"topologies":["hypercube","mesh","quarc","quarc-oneport","spidergon","torus"],` +
+		`"routers":["hypercube","mesh","quarc","spidergon"],` +
+		`"patterns":["broadcast","highlow","localized","none","random"],` +
+		`"arrivals":["bernoulli","onoff","periodic","poisson"],` +
+		`"spatials":["bit-complement","bit-reversal","hotspot","shuffle","tornado","transpose","uniform"],` +
+		`"evaluators":["model","simulator"]}`
+	if got := strings.TrimSuffix(string(body), "\n"); got != want {
+		t.Errorf("registry body\n got %s\nwant %s", got, want)
+	}
 	var reg Registry
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+	if err := json.Unmarshal(body, &reg); err != nil {
 		t.Fatal(err)
 	}
 	has := func(list []string, name string) bool {
@@ -309,6 +323,8 @@ func TestHTTPErrors(t *testing.T) {
 		`{"rate":-5}`,
 		`{"topology":"ring","n":16}`,
 		`{"topology":"mesh"}`, // builder rejection (no size) is a client mistake
+		`{"topology":"mesh","w":4,"h":4,"router":"quarc"}`, // a router follows its topology
+		`{"topology":"quarc","n":16,"router":"xy"}`,
 		`{"record":"a","replay":"b"}`,
 		`{"record":"server-side-file"}`,
 		`{"n":16} {"n":8}`,
@@ -319,8 +335,8 @@ func TestHTTPErrors(t *testing.T) {
 			t.Errorf("body %q: status %d (%s), want 400", body, resp.StatusCode, out)
 		}
 		var eb errorBody
-		if err := json.Unmarshal([]byte(out), &eb); err != nil || eb.Error == "" {
-			t.Errorf("body %q: error response %q is not {error: ...}", body, out)
+		if err := json.Unmarshal([]byte(out), &eb); err != nil || eb.Error == "" || eb.Code != CodeInvalidSpec {
+			t.Errorf("body %q: error response %q is not {error: ..., code: %q}", body, out, CodeInvalidSpec)
 		}
 	}
 

@@ -18,13 +18,15 @@ import (
 // On the wire a zero field selects the default (quarc-16, msglen 32,
 // poisson arrivals, uniform unicasts, seed 1, warmup 10000, measure
 // 100000). Canonical materializes those defaults and clears fields the
-// chosen registries do not read, so specs that describe the same
+// chosen names do not read, so specs that describe the same
 // scenario share one canonical encoding — and therefore one Fingerprint,
 // the content address under which noc/service caches Results. Inside a
 // Scenario the spec is stored materialized, where zero means zero.
 type Spec struct {
-	// Topology and router (Topology, Router options). N sizes quarc and
-	// spidergon rings, W/H size meshes and tori, Dims sizes hypercubes.
+	// Topology and router (Topology option; the router follows the
+	// topology, and a document may only name the topology's own). N
+	// sizes quarc and spidergon rings, W/H size meshes and tori, Dims
+	// sizes hypercubes.
 	Topology string `json:"topology,omitempty"`
 	N        int    `json:"n,omitempty"`
 	W        int    `json:"w,omitempty"`
@@ -90,7 +92,7 @@ type Spec struct {
 	Replications      int     `json:"replications,omitempty"`
 	Parallelism       int     `json:"parallelism,omitempty"`
 	// IntraParallelism is accepted and ignored; kept for wire
-	// compatibility (see the deprecated IntraParallelism option). It is
+	// compatibility with the deleted intra-run parallel engine. It is
 	// still range-checked, and Canonical clears it, so it never perturbs
 	// the Fingerprint.
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
@@ -143,7 +145,7 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // Scenario, so hostile documents (huge sizes, NaN/Inf rates, absurd
 // windows) are rejected here with ErrInvalidSpec instead of exhausting
 // memory downstream. Names are only checked against closed enums (wait,
-// service, evaluator); registry names are resolved — and rejected — when
+// service, evaluator); table names are resolved — and rejected — when
 // the scenario is built.
 func (sp Spec) Validate() error {
 	fail := func(format string, args ...any) error {
@@ -273,7 +275,7 @@ func ParseSpec(data []byte) (Spec, error) {
 
 // Canonical returns the spec in normal form: defaults are materialized
 // (topology, msglen, arrival, spatial, wait/service formulas, seed and
-// windows) and fields the selected registries do not read are cleared
+// windows) and fields the selected names do not read are cleared
 // (pattern parameters of other patterns, onoff knobs under other
 // arrivals, hotspot knobs when unused, Parallelism always — it cannot
 // change a Result). Two specs describing the same scenario therefore
@@ -360,7 +362,7 @@ func (sp Spec) Canonical() Spec {
 func (sp *Spec) fillNames() {
 	orDefault(&sp.Topology, "quarc")
 	if sp.Router == "" {
-		sp.Router = defaultRouterFor(sp.Topology)
+		sp.Router = topologies[sp.Topology].router
 	}
 	orDefault(&sp.Pattern, "none")
 	orDefault(&sp.Arrival, "poisson")

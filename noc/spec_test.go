@@ -245,6 +245,14 @@ func TestScenarioWithSharesStructure(t *testing.T) {
 	if fast.router != base.router {
 		t.Error("ScenarioWith did not share the base router")
 	}
+	// Naming the topology's router explicitly is the same structure.
+	named := sp
+	named.Router = "quarc"
+	if fork, err := named.ScenarioWith(base); err != nil {
+		t.Fatal(err)
+	} else if fork.router != base.router {
+		t.Error("ScenarioWith rebuilt the routed topology for an explicit default router")
+	}
 	cold, err := sp.Scenario()
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +285,6 @@ func TestScenarioWithSharesStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]Option{
-		"Router(quarc)":    Router("quarc"),
 		"Arrival(poisson)": Arrival("poisson"),
 		"Spatial(uniform)": Spatial("uniform", SpatialConfig{}),
 		"Quarc(16)":        Quarc(16),
@@ -357,57 +364,57 @@ func TestStructuralPredicateMatchesStructural(t *testing.T) {
 // TestEveryOptionHasASpecField walks Spec's JSON keys and requires, for
 // each, an option that writes it — so a field added to Spec without an
 // option (or an option that stores its value anywhere else) fails here.
-// Evaluator and the trace paths are wire-only: no option produces them.
+// Evaluator, the trace paths, the router (it follows the topology) and
+// the no-op intra_parallelism are wire-only: no option produces them.
 func TestEveryOptionHasASpecField(t *testing.T) {
 	table := map[string]struct {
 		opts []Option
 		want any
 	}{
-		"topology":          {[]Option{Spidergon(16)}, "spidergon"},
-		"n":                 {[]Option{Quarc(32)}, 32},
-		"w":                 {[]Option{Mesh(4, 2)}, 4},
-		"h":                 {[]Option{Mesh(4, 2)}, 2},
-		"dims":              {[]Option{Hypercube(3)}, 3},
-		"router":            {[]Option{Torus(4, 4), Router("mesh")}, "mesh"},
-		"pattern":           {[]Option{Broadcast()}, "broadcast"},
-		"dests":             {[]Option{LocalizedDests(PortR, 3)}, 3},
-		"port":              {[]Option{LocalizedDests(PortR, 3)}, PortR},
-		"set_seed":          {[]Option{RandomDests(3, 7)}, uint64(7)},
-		"high":              {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{1, 3}},
-		"low":               {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{2}},
-		"msglen":            {[]Option{MsgLen(8)}, 8},
-		"rate":              {[]Option{Rate(0.002)}, 0.002},
-		"alpha":             {[]Option{Broadcast(), Alpha(0.1)}, 0.1},
-		"hotspot_frac":      {[]Option{Hotspot(0.2, 3)}, 0.2},
-		"hotspot_node":      {[]Option{Hotspot(0.2, 3)}, 3},
-		"arrival":           {[]Option{Arrival("periodic")}, "periodic"},
-		"burst_len":         {[]Option{OnOff(4, 0.5)}, 4.0},
-		"duty_cycle":        {[]Option{OnOff(4, 0.5)}, 0.5},
-		"spatial":           {[]Option{Permutation("tornado")}, "tornado"},
-		"spatial_frac":      {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, 0.3},
-		"spatial_nodes":     {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []int{0, 5}},
-		"spatial_weights":   {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []float64{1, 2}},
-		"damping":           {[]Option{ModelDamping(0.5)}, 0.5},
-		"max_iter":          {[]Option{ModelMaxIter(50)}, 50},
-		"tol":               {[]Option{ModelTol(1e-6)}, 1e-6},
-		"wait":              {[]Option{ModelWait(PaperEq3Literal)}, "eq3"},
-		"service":           {[]Option{ModelService(TailRelease)}, "tail"},
-		"seed":              {[]Option{Seed(9)}, uint64(9)},
-		"warmup":            {[]Option{Warmup(500)}, 500.0},
-		"measure":           {[]Option{Measure(5000)}, 5000.0},
-		"sat_queue":         {[]Option{SatQueue(64)}, 64},
-		"drain":             {[]Option{Drain(true)}, true},
-		"detail":            {[]Option{Detail(true)}, true},
-		"mc_priority":       {[]Option{MulticastPriority(true)}, true},
-		"trace_node":        {[]Option{Trace(2, 8)}, 2},
-		"trace_limit":       {[]Option{Trace(2, 8)}, 8},
-		"replications":      {[]Option{Replications(3)}, 3},
-		"parallelism":       {[]Option{Parallelism(2)}, 2},
-		"intra_parallelism": {[]Option{IntraParallelism(4)}, 4},
-		"metrics":           {[]Option{Metrics(16)}, true},
-		"metrics_buckets":   {[]Option{Metrics(16)}, 16},
+		"topology":        {[]Option{Spidergon(16)}, "spidergon"},
+		"n":               {[]Option{Quarc(32)}, 32},
+		"w":               {[]Option{Mesh(4, 2)}, 4},
+		"h":               {[]Option{Mesh(4, 2)}, 2},
+		"dims":            {[]Option{Hypercube(3)}, 3},
+		"pattern":         {[]Option{Broadcast()}, "broadcast"},
+		"dests":           {[]Option{LocalizedDests(PortR, 3)}, 3},
+		"port":            {[]Option{LocalizedDests(PortR, 3)}, PortR},
+		"set_seed":        {[]Option{RandomDests(3, 7)}, uint64(7)},
+		"high":            {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{1, 3}},
+		"low":             {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{2}},
+		"msglen":          {[]Option{MsgLen(8)}, 8},
+		"rate":            {[]Option{Rate(0.002)}, 0.002},
+		"alpha":           {[]Option{Broadcast(), Alpha(0.1)}, 0.1},
+		"hotspot_frac":    {[]Option{Hotspot(0.2, 3)}, 0.2},
+		"hotspot_node":    {[]Option{Hotspot(0.2, 3)}, 3},
+		"arrival":         {[]Option{Arrival("periodic")}, "periodic"},
+		"burst_len":       {[]Option{OnOff(4, 0.5)}, 4.0},
+		"duty_cycle":      {[]Option{OnOff(4, 0.5)}, 0.5},
+		"spatial":         {[]Option{Permutation("tornado")}, "tornado"},
+		"spatial_frac":    {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, 0.3},
+		"spatial_nodes":   {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []int{0, 5}},
+		"spatial_weights": {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []float64{1, 2}},
+		"damping":         {[]Option{ModelDamping(0.5)}, 0.5},
+		"max_iter":        {[]Option{ModelMaxIter(50)}, 50},
+		"tol":             {[]Option{ModelTol(1e-6)}, 1e-6},
+		"wait":            {[]Option{ModelWait(PaperEq3Literal)}, "eq3"},
+		"service":         {[]Option{ModelService(TailRelease)}, "tail"},
+		"seed":            {[]Option{Seed(9)}, uint64(9)},
+		"warmup":          {[]Option{Warmup(500)}, 500.0},
+		"measure":         {[]Option{Measure(5000)}, 5000.0},
+		"sat_queue":       {[]Option{SatQueue(64)}, 64},
+		"drain":           {[]Option{Drain(true)}, true},
+		"detail":          {[]Option{Detail(true)}, true},
+		"mc_priority":     {[]Option{MulticastPriority(true)}, true},
+		"trace_node":      {[]Option{Trace(2, 8)}, 2},
+		"trace_limit":     {[]Option{Trace(2, 8)}, 8},
+		"replications":    {[]Option{Replications(3)}, 3},
+		"parallelism":     {[]Option{Parallelism(2)}, 2},
+		"metrics":         {[]Option{Metrics(16)}, true},
+		"metrics_buckets": {[]Option{Metrics(16)}, 16},
 	}
-	wireOnly := map[string]bool{"evaluator": true, "record": true, "replay": true}
+	wireOnly := map[string]bool{"evaluator": true, "record": true, "replay": true,
+		"router": true, "intra_parallelism": true}
 	rt := reflect.TypeOf(Spec{})
 	for i := 0; i < rt.NumField(); i++ {
 		key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
@@ -424,7 +431,7 @@ func TestEveryOptionHasASpecField(t *testing.T) {
 			continue
 		}
 		// Execution advice is stored but canonicalized out of Spec().
-		got, advice := s.Spec(), key == "parallelism" || key == "intra_parallelism"
+		got, advice := s.Spec(), key == "parallelism"
 		if advice {
 			if v := reflect.ValueOf(got).Field(i); !v.IsZero() {
 				t.Errorf("%s: Spec() reports %v, want it canonicalized away", key, v)

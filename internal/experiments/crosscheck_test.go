@@ -12,6 +12,42 @@ import (
 	"quarc/internal/wormhole"
 )
 
+// grantCounter is a hook subscriber counting each channel's grants inside
+// a run's measurement window.
+type grantCounter struct {
+	from, to float64
+	grants   map[topology.ChannelID]float64
+}
+
+// countGrants attaches a grant counter for cfg's window to nw.
+func countGrants(nw *wormhole.Network, cfg wormhole.Config) *grantCounter {
+	g := &grantCounter{from: cfg.Warmup, to: cfg.Warmup + cfg.Measure, grants: map[topology.ChannelID]float64{}}
+	nw.Attach(g, wormhole.HookChannelGranted)
+	return g
+}
+
+func (g *grantCounter) Func(c wormhole.HookCtx) {
+	if c.Time >= g.from && c.Time < g.to {
+		g.grants[c.Channel]++
+	}
+}
+
+// rate is the channel's measured arrival rate in grants per cycle.
+func (g *grantCounter) rate(id topology.ChannelID) float64 { return g.grants[id] / (g.to - g.from) }
+
+// attachDetail attaches a detail subscriber for a run of cfg over rt's
+// routes to nw.
+func attachDetail(t *testing.T, nw *wormhole.Network, rt routing.Router, cfg wormhole.Config) *wormhole.Instrumentation {
+	t.Helper()
+	routes, err := routing.NewTable(rt, routing.MulticastSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	detail := wormhole.NewInstrumentation(routes, cfg)
+	nw.Attach(detail, detail.Positions()...)
+	return detail
+}
+
 // TestModelChannelRatesMatchSimulator is the strongest structural
 // cross-check between the two halves of the reproduction: the analytical
 // model's flow enumeration assigns every channel an arrival rate λ, and
@@ -42,14 +78,13 @@ func TestModelChannelRatesMatchSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := wormhole.New(rt.Graph(), w, wormhole.Config{
-		MsgLen: msgLen, Warmup: 5000, Measure: 150000, Detail: true,
-	})
+	cfg := wormhole.Config{MsgLen: msgLen, Warmup: 5000, Measure: 150000}
+	nw, err := wormhole.New(rt.Graph(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run()
-	if res.Saturated {
+	grants := countGrants(nw, cfg)
+	if nw.Run().Saturated {
 		t.Fatal("unexpected saturation")
 	}
 
@@ -69,16 +104,15 @@ func TestModelChannelRatesMatchSimulator(t *testing.T) {
 			}[c.Class]
 		}
 	}
-	for _, cs := range res.Detail.Channels {
-		c := rt.Graph().Channel(cs.ID)
+	for _, c := range rt.Graph().Channels() {
 		k := key(c)
 		a, ok := byClass[k]
 		if !ok {
 			a = &agg{}
 			byClass[k] = a
 		}
-		a.model += m.Lambda(cs.ID)
-		a.sim += cs.Rate
+		a.model += m.Lambda(c.ID)
+		a.sim += grants.rate(c.ID)
 	}
 	for k, a := range byClass {
 		if a.model == 0 && a.sim == 0 {
@@ -113,14 +147,14 @@ func TestPerDistanceLatencyMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := wormhole.New(rt.Graph(), w, wormhole.Config{
-		MsgLen: msgLen, Warmup: 2000, Measure: 120000, Detail: true,
-	})
+	cfg := wormhole.Config{MsgLen: msgLen, Warmup: 2000, Measure: 120000}
+	nw, err := wormhole.New(rt.Graph(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run()
-	for depth, r := range res.Detail.PerDistanceUnicast {
+	detail := attachDetail(t, nw, rt, cfg)
+	nw.Run()
+	for depth, r := range detail.PerDistanceUnicast {
 		if r.N() < 30 {
 			continue
 		}
@@ -139,8 +173,8 @@ func TestPerDistanceLatencyMatchesModel(t *testing.T) {
 			t.Errorf("depth %d: min %.3f, want exactly %.0f", depth, r.Min(), zeroLoad)
 		}
 	}
-	if len(res.Detail.PerDistanceUnicast) < 4 {
-		t.Fatalf("only %d distinct depths observed", len(res.Detail.PerDistanceUnicast))
+	if len(detail.PerDistanceUnicast) < 4 {
+		t.Fatalf("only %d distinct depths observed", len(detail.PerDistanceUnicast))
 	}
 }
 
@@ -197,21 +231,17 @@ func TestInstrumentationSummaryRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := wormhole.New(rt.Graph(), w, wormhole.Config{
-		MsgLen: 16, Warmup: 1000, Measure: 20000, Detail: true,
-	})
+	cfg := wormhole.Config{MsgLen: 16, Warmup: 1000, Measure: 20000}
+	nw, err := wormhole.New(rt.Graph(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run()
-	sum := res.Detail.Summary()
+	detail := attachDetail(t, nw, rt, cfg)
+	nw.Run()
+	sum := detail.Summary()
 	for _, want := range []string{"injection port", "header depth", "percentiles"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
-	}
-	if len(res.Detail.Channels) != rt.Graph().NumChannels() {
-		t.Errorf("channel stats for %d channels, want %d",
-			len(res.Detail.Channels), rt.Graph().NumChannels())
 	}
 }

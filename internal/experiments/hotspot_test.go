@@ -37,12 +37,12 @@ func TestHotspotModelTracksSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := wormhole.New(rt.Graph(), w, wormhole.Config{
-		MsgLen: 24, Warmup: 5000, Measure: 120000, Detail: true,
-	})
+	cfg := wormhole.Config{MsgLen: 24, Warmup: 5000, Measure: 120000}
+	nw, err := wormhole.New(rt.Graph(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	grants := countGrants(nw, cfg)
 	res := nw.Run()
 	if res.Saturated {
 		t.Fatal("simulator saturated")
@@ -65,11 +65,7 @@ func TestHotspotModelTracksSimulator(t *testing.T) {
 		for p := 0; p < topology.QuarcPorts; p++ {
 			id := rt.Graph().Ejection(node, p)
 			model += m.Lambda(id)
-			for _, cs := range res.Detail.Channels {
-				if cs.ID == id {
-					sim += cs.Rate
-				}
-			}
+			sim += grants.rate(id)
 		}
 		return
 	}

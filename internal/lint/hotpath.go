@@ -68,7 +68,6 @@ func defaultHotpaths() map[string][]string {
 			"Network.scheduleGeneration",
 			"Network.spanDone",
 			"Network.spanStart",
-			"Network.trace",
 		},
 	}
 }

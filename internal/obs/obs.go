@@ -89,9 +89,11 @@ func NewCollector(sink Sink, batch int) *Collector {
 	return &Collector{sink: sink, batch: make([]Record, 0, batch)}
 }
 
-// Func implements wormhole.Hook.
+// Func implements wormhole.Hook. It records the five positions with a
+// Kind and ignores the rest, so a collector attached everywhere records
+// exactly those.
 func (c *Collector) Func(h wormhole.HookCtx) {
-	if c.err != nil {
+	if c.err != nil || Kind(h.Pos) > KindQueue {
 		return
 	}
 	c.batch = append(c.batch, Record{

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"quarc/internal/routing"
 	"quarc/internal/stats"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
@@ -79,6 +80,8 @@ func TestStreamingFoldMatchesCanonicalSort(t *testing.T) {
 		name string
 		spec traffic.Spec
 		cfg  Config
+		// detail attaches the detail subscriber, which reads the fold.
+		detail bool
 		// check asserts what makes the case the case.
 		check func(Result, *sampleRecorder) bool
 	}
@@ -101,12 +104,11 @@ func TestStreamingFoldMatchesCanonicalSort(t *testing.T) {
 			cases = append(cases, tc{name: name, spec: spec, cfg: cfg})
 		}
 	}
-	detail, drain, priority := window, window, window
-	detail.Detail = true
+	drain, priority := window, window
 	drain.Drain = true
 	priority.MulticastPriority = true
 	cases = append(cases,
-		tc{name: "detail", spec: base, cfg: detail},
+		tc{name: "detail", spec: base, cfg: window, detail: true},
 		tc{name: "drain", spec: base, cfg: drain},
 		tc{name: "multicast-priority", spec: base, cfg: priority},
 		tc{name: "saturation-stop", spec: traffic.Spec{Rate: 0.03, MulticastFrac: 0.1, Set: set},
@@ -129,6 +131,14 @@ func TestStreamingFoldMatchesCanonicalSort(t *testing.T) {
 		rec := &sampleRecorder{from: c.cfg.Warmup, to: c.cfg.Warmup + c.cfg.Measure,
 			gen: map[int64]float64{}, src: map[int64]topology.NodeID{}}
 		nw.Attach(rec, HookWormInjected, HookWormEjected)
+		if c.detail {
+			routes, err := routing.NewTable(rt, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := NewInstrumentation(routes, c.cfg)
+			nw.Attach(ins, ins.Positions()...)
+		}
 		res := nw.Run()
 		if c.check != nil && !c.check(res, rec) {
 			t.Errorf("%s: the run is not the case it names (saturated %v, time %v, straddled %d)",

@@ -1,19 +1,18 @@
 package wormhole
 
-// The hook layer is the simulator's first-class instrumentation API: a
-// typed replacement for the implicit traffic.(Observer) extension the
-// trace recorder used to ride on. Hooks register at explicit positions
-// with Network.Attach and receive one HookCtx value per event; the
-// registrations live in per-position flat slices guarded by a bitmask,
-// so the disabled path costs one uint8 test per site — the hot-path
-// functions stay //quarc:hotpath-clean at 0 allocs/op with the layer
-// compiled in (pinned by the bench gates and the no-op-hook alloc
+// The hook layer is the simulator's one observation path: traces, the
+// detail breakdown, metrics and workload recording are all subscribers.
+// Hooks register at explicit positions with Network.Attach and receive
+// one HookCtx value per event; the registrations live in per-position
+// flat slices guarded by a bitmask, so the disabled path costs one uint8
+// test per site — the hot-path functions stay //quarc:hotpath-clean at 0
+// allocs/op with the layer compiled in (pinned by the no-op-hook alloc
 // tests).
 //
 // Hooks observe; they must not mutate the network. A pure recording
 // hook leaves the Result bitwise-identical to an unhooked run (pinned
-// by TestHookedRunBitwiseIdentical): every HookCtx is passed by value
-// and carries only times, identifiers and counts.
+// by noc's TestMetricsDoNotPerturbResult): every HookCtx is passed by
+// value and carries only times, identifiers and counts.
 
 import "quarc/internal/topology"
 
@@ -38,18 +37,19 @@ const (
 	HookChannelReleased
 	// HookQueueChanged fires when a channel's wait queue grows (a worm
 	// blocked) or shrinks (a queued worm was granted), with the new
-	// occupancy.
+	// occupancy. Only the occupancy tells the two apart.
 	HookQueueChanged
+	// HookBranchDone fires when one branch of a message absorbs its last
+	// flit, before the message's HookWormEjected.
+	HookBranchDone
+	// HookSampleFolded fires once per measured completion as the
+	// latency estimators fold it: in the canonical (completion,
+	// generation, source) order, with Time the completion time and
+	// Latency exactly the value folded into the Result.
+	HookSampleFolded
 
 	numHookPos
 )
-
-// hookPositions enumerates every position, for Attach's attach-at-all
-// default.
-var hookPositions = [...]HookPos{
-	HookWormInjected, HookWormEjected, HookChannelGranted,
-	HookChannelReleased, HookQueueChanged,
-}
 
 // String names the position for logs and recorder output.
 func (p HookPos) String() string {
@@ -64,6 +64,10 @@ func (p HookPos) String() string {
 		return "channel-released"
 	case HookQueueChanged:
 		return "queue-changed"
+	case HookBranchDone:
+		return "branch-done"
+	case HookSampleFolded:
+		return "sample-folded"
 	}
 	return "unknown"
 }
@@ -82,12 +86,16 @@ type HookCtx struct {
 	// Channel is the channel involved (grant/release/queue positions;
 	// topology.None elsewhere).
 	Channel topology.ChannelID
+	// Branch is the index of the message's branch the worm involved
+	// carries (grant/release/queue/branch-done positions; -1 at the
+	// message-level positions).
+	Branch int
 	// Msg is the id of the message involved.
 	Msg int64
 	// Multicast marks the message as a multicast.
 	Multicast bool
-	// Latency is the message's end-to-end latency (HookWormEjected
-	// only).
+	// Latency is the message's end-to-end latency (HookWormEjected and
+	// HookSampleFolded only).
 	Latency float64
 	// Occupancy is the channel queue length after the change
 	// (HookQueueChanged only).
@@ -108,7 +116,9 @@ type Hook interface {
 // network is pristine and starts with no hooks.
 func (nw *Network) Attach(h Hook, at ...HookPos) {
 	if len(at) == 0 {
-		at = hookPositions[:]
+		for p := range numHookPos {
+			at = append(at, p)
+		}
 	}
 	for _, p := range at {
 		if p >= numHookPos {

@@ -1,8 +1,10 @@
 package wormhole
 
 import (
+	"cmp"
 	"testing"
 
+	"quarc/internal/stats"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
 )
@@ -212,3 +214,102 @@ func TestChannelGrantReleaseAlternate(t *testing.T) {
 type hookFunc func(HookCtx)
 
 func (f hookFunc) Func(c HookCtx) { f(c) }
+
+// TestBranchDoneFiresPerBranch pins HookBranchDone: every branch of every
+// message (each branch index its worms were granted channels under)
+// completes exactly once, and before the message's HookWormEjected.
+func TestBranchDoneFiresPerBranch(t *testing.T) {
+	rt := quarcRouter(t, 16)
+	for _, fine := range []bool{false, true} {
+		w, err := traffic.NewWorkload(rt, traffic.Spec{Rate: 0.002, MulticastFrac: 0.1, Set: rt.BroadcastSet()}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := New(rt.Graph(), w, Config{MsgLen: 16, Warmup: 500, Measure: 5000, NoCoalesce: fine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		granted := map[int64]map[int]bool{}
+		done := map[int64]map[int]int{}
+		ejected := map[int64]bool{}
+		multiBranch := 0
+		nw.Attach(hookFunc(func(c HookCtx) {
+			switch c.Pos {
+			case HookChannelGranted:
+				if granted[c.Msg] == nil {
+					granted[c.Msg] = map[int]bool{}
+				}
+				granted[c.Msg][c.Branch] = true
+			case HookBranchDone:
+				if ejected[c.Msg] {
+					t.Fatalf("noCoalesce=%v: msg %d branch %d done after its ejection", fine, c.Msg, c.Branch)
+				}
+				if done[c.Msg] == nil {
+					done[c.Msg] = map[int]int{}
+				}
+				done[c.Msg][c.Branch]++
+			case HookWormEjected:
+				ejected[c.Msg] = true
+				if len(done[c.Msg]) != len(granted[c.Msg]) {
+					t.Fatalf("noCoalesce=%v: msg %d ejected after %d of %d branches", fine, c.Msg, len(done[c.Msg]), len(granted[c.Msg]))
+				}
+				if len(done[c.Msg]) > 1 {
+					multiBranch++
+				}
+			}
+		}), HookChannelGranted, HookBranchDone, HookWormEjected)
+		nw.Run()
+		if len(ejected) == 0 || multiBranch == 0 {
+			t.Fatalf("noCoalesce=%v: %d messages ejected, %d of them multi-branch: the check was vacuous", fine, len(ejected), multiBranch)
+		}
+		for msg, branches := range done {
+			for b, n := range branches {
+				if n != 1 || !granted[msg][b] {
+					t.Errorf("noCoalesce=%v: msg %d branch %d done %d times (granted %v)", fine, msg, b, n, granted[msg][b])
+				}
+			}
+		}
+	}
+}
+
+// TestSampleFoldedIsTheFold pins HookSampleFolded: it fires once per
+// measured completion, in the canonical (completion, generation, source)
+// order, and its Latency values refolded into fresh estimators reproduce
+// the Result's bit for bit.
+func TestSampleFoldedIsTheFold(t *testing.T) {
+	nw, _, _ := hookTestNetwork(t)
+	gen := map[int64]float64{}
+	src := map[int64]topology.NodeID{}
+	var folded []HookCtx
+	nw.Attach(hookFunc(func(c HookCtx) {
+		if c.Pos == HookWormInjected {
+			gen[c.Msg], src[c.Msg] = c.Time, c.Node
+			return
+		}
+		folded = append(folded, c)
+	}), HookWormInjected, HookSampleFolded)
+	res := nw.Run()
+	if int64(len(folded)) != res.Completed || res.Completed == 0 {
+		t.Fatalf("HookSampleFolded fired %d times, the run completed %d", len(folded), res.Completed)
+	}
+	var uni, mc stats.Running
+	for i, c := range folded {
+		if c.Latency != c.Time-gen[c.Msg] {
+			t.Fatalf("fold %d: latency %v, want completion %v - generation %v", i, c.Latency, c.Time, gen[c.Msg])
+		}
+		if i > 0 {
+			p := folded[i-1]
+			if k := cmp.Or(cmp.Compare(p.Time, c.Time), cmp.Compare(gen[p.Msg], gen[c.Msg]), cmp.Compare(src[p.Msg], src[c.Msg])); k >= 0 {
+				t.Fatalf("folds %d and %d out of (completion, generation, source) order: %+v then %+v", i-1, i, p, c)
+			}
+		}
+		if c.Multicast {
+			mc.Add(c.Latency)
+		} else {
+			uni.Add(c.Latency)
+		}
+	}
+	if uni != res.Unicast || mc != res.Multicast {
+		t.Errorf("refolded estimators %v / %v, the run's %v / %v", uni, mc, res.Unicast, res.Multicast)
+	}
+}

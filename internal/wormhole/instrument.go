@@ -5,32 +5,19 @@ import (
 	"sort"
 	"strings"
 
+	"quarc/internal/routing"
 	"quarc/internal/stats"
 	"quarc/internal/topology"
 )
 
-// ChannelStats is the per-channel measurement exported after a run, used
-// to cross-validate the analytical model's flow enumeration: the measured
-// arrival rate of every channel must match the model's λ, and the measured
-// mean holding time its x̄.
-type ChannelStats struct {
-	ID topology.ChannelID
-	// Grants is the number of worms granted the channel during the
-	// measurement window.
-	Grants int64
-	// Rate is Grants divided by the window length (messages/cycle).
-	Rate float64
-	// Utilization is the fraction of the window the channel was held.
-	Utilization float64
-	// MeanHold is the mean holding time per grant (cycles); NaN if the
-	// channel was never granted.
-	MeanHold float64
-}
-
-// Instrumentation holds the optional fine-grained measurements. Enable
-// with Config.Detail; all fields are valid after Run.
+// Instrumentation is a hook subscriber breaking a run's measured latencies
+// down: unicasts by injection port and by header depth, and a latency
+// histogram per class. It reads the network's canonical fold
+// (HookSampleFolded), so every estimator folds in the order the Result's
+// do. Attach it at Positions.
 type Instrumentation struct {
-	// PerPortUnicast breaks unicast latency down by injection port.
+	// PerPortUnicast breaks unicast latency down by injection port: the
+	// route's logical port, which a one-port router still distinguishes.
 	PerPortUnicast map[int]*stats.Running
 	// PerDistanceUnicast breaks unicast latency down by header pipeline
 	// depth (path channel count - 1), validating the model's D term.
@@ -38,72 +25,119 @@ type Instrumentation struct {
 	// UnicastHist and MulticastHist are latency histograms.
 	UnicastHist   *stats.Histogram
 	MulticastHist *stats.Histogram
-	// Channels is the per-channel measurement table.
-	Channels []ChannelStats
+
+	routes *routing.Table
+	g      *topology.Graph
+	// from and to bound the measured generation window, as Run does:
+	// only unicasts generated in [from, to) are ever folded.
+	from, to float64
+	// inFlight joins each measured unicast's injection (its source) to
+	// its ejection grant (its destination) and its fold.
+	inFlight map[int64]unicastRoute
 }
 
-// newInstrumentation sizes the histograms from the message length: the
-// interesting range is a few multiples of the zero-load latency.
-func newInstrumentation(msgLen int) *Instrumentation {
-	hi := float64(40 * msgLen)
+// unicastRoute is a measured unicast's source, then its route's port and
+// depth once the ejection grant names the destination.
+type unicastRoute struct {
+	src         topology.NodeID
+	port, depth int
+}
+
+// NewInstrumentation returns a detail subscriber for a run of cfg whose
+// unicasts follow routes. The histograms span a few multiples of the
+// zero-load latency.
+func NewInstrumentation(routes *routing.Table, cfg Config) *Instrumentation {
+	hi := float64(40 * cfg.MsgLen)
 	return &Instrumentation{
 		PerPortUnicast:     make(map[int]*stats.Running),
 		PerDistanceUnicast: make(map[int]*stats.Running),
 		UnicastHist:        stats.NewHistogram(0, hi, 200),
 		MulticastHist:      stats.NewHistogram(0, hi, 200),
+		routes:             routes,
+		g:                  routes.Graph(),
+		from:               cfg.Warmup,
+		to:                 cfg.Warmup + cfg.Measure,
+		inFlight:           make(map[int64]unicastRoute),
 	}
 }
 
-func (ins *Instrumentation) recordUnicast(port, depth int, lat float64) {
-	r, ok := ins.PerPortUnicast[port]
-	if !ok {
+// Positions lists the hook positions the subscriber reads.
+func (*Instrumentation) Positions() []HookPos {
+	return []HookPos{HookWormInjected, HookChannelGranted, HookSampleFolded}
+}
+
+// Func implements Hook.
+func (ins *Instrumentation) Func(c HookCtx) {
+	switch c.Pos {
+	case HookWormInjected:
+		if !c.Multicast && c.Time >= ins.from && c.Time < ins.to {
+			ins.inFlight[c.Msg] = unicastRoute{src: c.Node}
+		}
+	case HookChannelGranted:
+		ch := ins.g.Channel(c.Channel)
+		if c.Multicast || ch.Kind != topology.Ejection {
+			return
+		}
+		if r, ok := ins.inFlight[c.Msg]; ok {
+			// The port is the route's, not the injection channel's: a
+			// one-port router injects every route on channel 0.
+			b := ins.routes.Unicast(r.src, ch.Src)[0]
+			r.port, r.depth = b.Port, len(b.Path)-1
+			ins.inFlight[c.Msg] = r
+		}
+	case HookSampleFolded:
+		if c.Multicast {
+			ins.MulticastHist.Add(c.Latency)
+			return
+		}
+		r, ok := ins.inFlight[c.Msg]
+		if !ok {
+			panic("wormhole: detail folded a unicast it never saw injected")
+		}
+		delete(ins.inFlight, c.Msg)
+		addTo(ins.PerPortUnicast, r.port, c.Latency)
+		addTo(ins.PerDistanceUnicast, r.depth, c.Latency)
+		ins.UnicastHist.Add(c.Latency)
+	}
+}
+
+// addTo folds lat into by's estimator for key, creating it on first use.
+func addTo(by map[int]*stats.Running, key int, lat float64) {
+	r := by[key]
+	if r == nil {
 		r = &stats.Running{}
-		ins.PerPortUnicast[port] = r
+		by[key] = r
 	}
 	r.Add(lat)
-	r, ok = ins.PerDistanceUnicast[depth]
-	if !ok {
-		r = &stats.Running{}
-		ins.PerDistanceUnicast[depth] = r
-	}
-	r.Add(lat)
-	ins.UnicastHist.Add(lat)
 }
 
 // Summary renders the instrumentation as a fixed-width report.
 func (ins *Instrumentation) Summary() string {
 	var b strings.Builder
-	if len(ins.PerPortUnicast) > 0 {
-		fmt.Fprintf(&b, "unicast latency by injection port:\n")
-		ports := make([]int, 0, len(ins.PerPortUnicast))
-		for p := range ins.PerPortUnicast {
-			ports = append(ports, p)
+	breakdown := func(title, row string, by map[int]*stats.Running) {
+		if len(by) == 0 {
+			return
 		}
-		sort.Ints(ports)
-		for _, p := range ports {
-			r := ins.PerPortUnicast[p]
-			fmt.Fprintf(&b, "  port %d: mean %.2f (n=%d)\n", p, r.Mean(), r.N())
+		b.WriteString(title)
+		keys := make([]int, 0, len(by))
+		for k := range by {
+			keys = append(keys, k)
 		}
-	}
-	if len(ins.PerDistanceUnicast) > 0 {
-		fmt.Fprintf(&b, "unicast latency by header depth:\n")
-		depths := make([]int, 0, len(ins.PerDistanceUnicast))
-		for d := range ins.PerDistanceUnicast {
-			depths = append(depths, d)
-		}
-		sort.Ints(depths)
-		for _, d := range depths {
-			r := ins.PerDistanceUnicast[d]
-			fmt.Fprintf(&b, "  depth %2d: mean %.2f (n=%d)\n", d, r.Mean(), r.N())
+		sort.Ints(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, row, k, by[k].Mean(), by[k].N())
 		}
 	}
-	if ins.UnicastHist.Count() > 0 {
-		fmt.Fprintf(&b, "unicast latency percentiles: p50=%.1f p90=%.1f p99=%.1f\n",
-			ins.UnicastHist.Percentile(50), ins.UnicastHist.Percentile(90), ins.UnicastHist.Percentile(99))
-	}
-	if ins.MulticastHist.Count() > 0 {
-		fmt.Fprintf(&b, "multicast latency percentiles: p50=%.1f p90=%.1f p99=%.1f\n",
-			ins.MulticastHist.Percentile(50), ins.MulticastHist.Percentile(90), ins.MulticastHist.Percentile(99))
+	breakdown("unicast latency by injection port:\n", "  port %d: mean %.2f (n=%d)\n", ins.PerPortUnicast)
+	breakdown("unicast latency by header depth:\n", "  depth %2d: mean %.2f (n=%d)\n", ins.PerDistanceUnicast)
+	for _, h := range []struct {
+		class string
+		hist  *stats.Histogram
+	}{{"unicast", ins.UnicastHist}, {"multicast", ins.MulticastHist}} {
+		if h.hist.Count() > 0 {
+			fmt.Fprintf(&b, "%s latency percentiles: p50=%.1f p90=%.1f p99=%.1f\n",
+				h.class, h.hist.Percentile(50), h.hist.Percentile(90), h.hist.Percentile(99))
+		}
 	}
 	return b.String()
 }

@@ -13,8 +13,8 @@ import (
 // FuzzNetworkVsHeap is the scheduler's end-to-end oracle: one workload
 // simulated on a network as New builds it — the heap with the fixed-delay
 // lanes — and on one whose engine has its lanes undeclared, the heap
-// holding every event, must give bitwise-identical Results, traces
-// included, across Quarc and mesh sizes, loads up to saturation, message
+// holding every event, must give bitwise-identical Results and traces
+// across Quarc and mesh sizes, loads up to saturation, message
 // lengths 2–40, coalescing on and off, multicast priority and drain.
 func FuzzNetworkVsHeap(f *testing.F) {
 	f.Add(false, uint8(2), 0.15, uint8(30), false, false, false, uint64(1)) // quarc-16, 32 flits, mid load
@@ -52,9 +52,12 @@ func FuzzNetworkVsHeap(f *testing.F) {
 		// every statistic alone (a release and a request swapped at one
 		// instant still grant at that instant) shows up as a blocked step.
 		cfg := Config{MsgLen: 2 + int(msgLen)%39, Warmup: 300, Measure: 3000, SatQueue: 40,
-			NoCoalesce: noCoalesce, MulticastPriority: priority, Drain: drain,
-			TraceEnabled: true, TraceNode: topology.NodeID(seed % uint64(rt.Graph().Nodes()))}
-		run := func(lanes bool) Result {
+			NoCoalesce: noCoalesce, MulticastPriority: priority, Drain: drain}
+		type run struct {
+			Result
+			trace []TraceEvent
+		}
+		simulate := func(lanes bool) run {
 			w, err := traffic.NewWorkload(rt, spec, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -66,9 +69,11 @@ func FuzzNetworkVsHeap(f *testing.F) {
 			if !lanes {
 				nw.eng.DeclareLanes()
 			}
-			return nw.Run()
+			tr := NewTrace(rt.Graph(), topology.NodeID(seed%uint64(rt.Graph().Nodes())), DefaultTraceLimit)
+			nw.Attach(tr, tr.Positions()...)
+			return run{nw.Run(), tr.Events}
 		}
-		laned, heap := run(true), run(false)
+		laned, heap := simulate(true), simulate(false)
 		if !reflect.DeepEqual(laned, heap) {
 			t.Fatalf("%s, rate %v, %+v: the Result with lanes %+v differs from the lane-less heap's %+v",
 				rt.Graph().Name(), spec.Rate, cfg, laned, heap)

@@ -76,7 +76,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 			return false
 		}
 		nw.eng.RunAll()
-		if err := nw.LeakCheck(); err != nil {
+		if err := nw.leakCheck(); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}

@@ -31,17 +31,16 @@ func (s *oneAt) Next(node topology.NodeID) ([]routing.Branch, bool) {
 }
 
 // TestWindowBoundaryGrantExcluded pins the half-open measurement window
-// [measureStart, windowEnd): a grant exactly at windowEnd used to bump
-// c.grants while busySpan clamped its occupancy to zero, skewing
-// ChannelStats.Rate and MeanHold. Grant counting, generation accounting
-// and busySpan now share the same boundary convention.
+// [measureStart, windowEnd): generation accounting and busySpan share one
+// boundary convention, so a message generated exactly at windowEnd counts
+// nowhere and a grant at windowEnd adds no occupancy.
 func TestWindowBoundaryGrantExcluded(t *testing.T) {
 	rt := quarcRouter(t, 16)
 	path, err := rt.UnicastPath(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MsgLen: 8, Warmup: 10, Measure: 90, Detail: true} // windowEnd = 100
+	cfg := Config{MsgLen: 8, Warmup: 10, Measure: 90} // windowEnd = 100
 
 	run := func(at float64) Result {
 		src := &oneAt{node: 0, at: at,
@@ -53,42 +52,25 @@ func TestWindowBoundaryGrantExcluded(t *testing.T) {
 		return nw.Run()
 	}
 
-	totalGrants := func(res Result) int64 {
-		var n int64
-		for _, cs := range res.Detail.Channels {
-			n += cs.Grants
-		}
-		return n
-	}
-
 	// Generated exactly at windowEnd: outside the half-open window. The
-	// injection grant at t=100 must count nowhere.
+	// injection grant at t=100 adds no occupancy.
 	out := run(100)
 	if out.Generated != 0 {
 		t.Errorf("message generated at windowEnd counted: Generated = %d, want 0", out.Generated)
 	}
-	if n := totalGrants(out); n != 0 {
-		t.Errorf("grants at t=windowEnd counted: total grants = %d, want 0", n)
+	if out.MaxUtil != 0 {
+		t.Errorf("a grant at t=windowEnd adds occupancy: MaxUtil = %v, want 0", out.MaxUtil)
 	}
 
-	// Generated one cycle earlier: inside the window. Exactly one grant
-	// (the injection at t=99) lands inside; the next hop's grant at t=100
-	// is on the boundary and excluded. Its in-window occupancy is the one
-	// remaining cycle, so MeanHold must be exactly 1.
+	// Generated one cycle earlier: inside the window. The injection
+	// channel, granted at t=99, is held for the one remaining cycle of the
+	// 90-cycle window; the next hop's grant at t=100 adds nothing.
 	in := run(99)
 	if in.Generated != 1 {
 		t.Errorf("message generated inside the window: Generated = %d, want 1", in.Generated)
 	}
-	if n := totalGrants(in); n != 1 {
-		t.Errorf("total in-window grants = %d, want 1", n)
-	}
-	for _, cs := range in.Detail.Channels {
-		if cs.Grants == 1 && cs.MeanHold != 1.0 {
-			t.Errorf("channel %d MeanHold = %v, want exactly 1 (occupancy clipped at windowEnd)", cs.ID, cs.MeanHold)
-		}
-		if cs.Grants == 0 && !math.IsNaN(cs.MeanHold) {
-			t.Errorf("channel %d with no grants has MeanHold %v, want NaN", cs.ID, cs.MeanHold)
-		}
+	if want := 1.0 / 90; in.MaxUtil != want {
+		t.Errorf("MaxUtil = %v, want exactly %v (occupancy clipped at windowEnd)", in.MaxUtil, want)
 	}
 }
 
@@ -128,7 +110,7 @@ func TestMeasurementWindowStartsAtWarmup(t *testing.T) {
 	// the warmup phase at all.
 	src := &oneAt{node: 0, at: 2000,
 		branches: []routing.Branch{{Path: path, Targets: []topology.NodeID{2}}}}
-	nw, err := New(rt.Graph(), src, Config{MsgLen: 8, Warmup: 1000, Measure: 2000, Detail: true})
+	nw, err := New(rt.Graph(), src, Config{MsgLen: 8, Warmup: 1000, Measure: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +123,8 @@ func TestMeasurementWindowStartsAtWarmup(t *testing.T) {
 	// starting exactly at Warmup its length is exactly Measure and the
 	// utilization exactly 8/2000; with the old bug the window was [0,
 	// 3000) and the figure came out 8/3000.
-	want := 8.0 / 2000.0
-	var maxUtil float64
-	for _, cs := range res.Detail.Channels {
-		if cs.Utilization > maxUtil {
-			maxUtil = cs.Utilization
-		}
-	}
-	if maxUtil != want {
-		t.Errorf("peak channel utilization = %v, want exactly %v (window must be [Warmup, Warmup+Measure))", maxUtil, want)
+	if want := 8.0 / 2000.0; res.MaxUtil != want {
+		t.Errorf("peak channel utilization = %v, want exactly %v (window must be [Warmup, Warmup+Measure))", res.MaxUtil, want)
 	}
 }
 
@@ -205,12 +180,11 @@ func TestResetReproducesFreshRun(t *testing.T) {
 		seed   uint64
 		rate   float64
 		msgLen int
-		detail bool
 		drain  bool
 	}
 	points := []point{
 		{seed: 1, rate: 0.002, msgLen: 32},
-		{seed: 99, rate: 0.004, msgLen: 16, detail: true},
+		{seed: 99, rate: 0.004, msgLen: 16},
 		{seed: 7, rate: 0.003, msgLen: 32, drain: true},
 		{seed: 1, rate: 0.002, msgLen: 32}, // exact repeat of the first point
 	}
@@ -224,8 +198,7 @@ func TestResetReproducesFreshRun(t *testing.T) {
 		var reused *Network
 		for i, p := range points {
 			spec := traffic.Spec{Rate: p.rate, MulticastFrac: 0.05, Set: set}
-			cfg := Config{MsgLen: p.msgLen, Warmup: 1000, Measure: 10000,
-				Detail: p.detail, Drain: p.drain}
+			cfg := Config{MsgLen: p.msgLen, Warmup: 1000, Measure: 10000, Drain: p.drain}
 			want := freshRun(t, rt, spec, p.seed, cfg)
 			w, err := traffic.NewWorkload(rt, spec, p.seed)
 			if err != nil {
@@ -256,8 +229,7 @@ func TestResetReproducesFreshRun(t *testing.T) {
 		var reused *Network
 		for i, p := range points {
 			spec := traffic.Spec{Rate: p.rate, MulticastFrac: 0.05, Set: set}
-			cfg := Config{MsgLen: p.msgLen, Warmup: 1000, Measure: 10000,
-				Detail: p.detail, Drain: p.drain}
+			cfg := Config{MsgLen: p.msgLen, Warmup: 1000, Measure: 10000, Drain: p.drain}
 			want := freshRun(t, rt, spec, p.seed, cfg)
 			w, err := traffic.NewWorkload(rt, spec, p.seed)
 			if err != nil {

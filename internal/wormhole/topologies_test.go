@@ -32,7 +32,7 @@ func runOn(t *testing.T, rt routing.Router, set routing.MulticastSet, alpha, rat
 			rt.Graph().Name(), res.Generated-res.Completed, res.Generated)
 	}
 	nw.eng.RunAll()
-	if err := nw.LeakCheck(); err != nil {
+	if err := nw.leakCheck(); err != nil {
 		t.Fatalf("%s: %v", rt.Graph().Name(), err)
 	}
 	if res.Unicast.N() == 0 {

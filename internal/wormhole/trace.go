@@ -7,10 +7,71 @@ import (
 	"quarc/internal/topology"
 )
 
+// DefaultTraceLimit is the trace cap for callers that name none.
+const DefaultTraceLimit = 10000
+
+// Trace is a hook subscriber recording the life of one node's messages —
+// generation, every channel grant and block, and each branch's completion
+// — up to a cap. Traces make the wormhole pipeline inspectable: the
+// broadcast example prints one to show the four branches racing. Attach
+// it at Positions.
+type Trace struct {
+	// Events holds the recorded steps in emission order.
+	Events []TraceEvent
+	node   topology.NodeID
+	limit  int
+	// traced holds the node's messages in flight. queued holds every
+	// channel's wait-queue length: a HookQueueChanged that grows it is a
+	// block, one that shrinks it a dequeue.
+	traced map[int64]bool
+	queued []int
+}
+
+// NewTrace returns a trace of node's messages on a network over g,
+// capped at limit events.
+func NewTrace(g *topology.Graph, node topology.NodeID, limit int) *Trace {
+	return &Trace{node: node, limit: limit, traced: map[int64]bool{}, queued: make([]int, g.NumChannels())}
+}
+
+// Positions lists the hook positions the trace reads.
+func (*Trace) Positions() []HookPos {
+	return []HookPos{HookWormInjected, HookChannelGranted, HookQueueChanged, HookBranchDone, HookWormEjected}
+}
+
+// Func implements Hook.
+func (tr *Trace) Func(c HookCtx) {
+	if len(tr.Events) >= tr.limit {
+		return
+	}
+	switch c.Pos {
+	case HookWormInjected:
+		if c.Node == tr.node {
+			tr.traced[c.Msg] = true
+			tr.add(c, TraceGenerate)
+		}
+	case HookChannelGranted:
+		tr.add(c, TraceGrant)
+	case HookQueueChanged:
+		grew := c.Occupancy > tr.queued[c.Channel]
+		tr.queued[c.Channel] = c.Occupancy
+		if grew {
+			tr.add(c, TraceBlocked)
+		}
+	case HookBranchDone:
+		tr.add(c, TraceComplete)
+	case HookWormEjected:
+		delete(tr.traced, c.Msg)
+	}
+}
+
+func (tr *Trace) add(c HookCtx, kind TraceKind) {
+	if tr.traced[c.Msg] {
+		tr.Events = append(tr.Events, TraceEvent{Time: c.Time, Msg: c.Msg, Branch: c.Branch, Kind: kind, Channel: c.Channel})
+	}
+}
+
 // TraceEvent is one step in the life of a traced message: generation, a
-// channel grant or block, and completion. Traces make the wormhole
-// pipeline inspectable — the broadcast example prints one to show the
-// four branches racing.
+// channel grant or block, and completion.
 type TraceEvent struct {
 	Time    float64
 	Msg     int64
@@ -56,23 +117,4 @@ func FormatTrace(g *topology.Graph, events []TraceEvent) string {
 		fmt.Fprintf(&b, "t=%9.2f msg=%d branch=%d %-9s%s\n", e.Time, e.Msg, e.Branch, e.Kind, ch)
 	}
 	return b.String()
-}
-
-// LeakCheck verifies that the network is empty: no channel held, no worm
-// queued. Valid after a drained run at sub-saturation load; a non-nil
-// error indicates a simulator bug (a leaked channel hold) or an
-// incomplete drain.
-func (nw *Network) LeakCheck() error {
-	for i := range nw.channels {
-		c := &nw.channels[i]
-		if c.holder != nil {
-			return fmt.Errorf("wormhole: channel %v still held after drain",
-				nw.g.Channel(topology.ChannelID(i)))
-		}
-		if len(c.queue) != 0 {
-			return fmt.Errorf("wormhole: channel %v still has %d queued worms after drain",
-				nw.g.Channel(topology.ChannelID(i)), len(c.queue))
-		}
-	}
-	return nil
 }

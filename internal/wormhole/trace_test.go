@@ -1,12 +1,22 @@
 package wormhole
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
 )
+
+// runTraced runs nw with a trace of node's messages attached and returns
+// the recorded events.
+func runTraced(nw *Network, node topology.NodeID, limit int) []TraceEvent {
+	tr := NewTrace(nw.g, node, limit)
+	nw.Attach(tr, tr.Positions()...)
+	nw.Run()
+	return tr.Events
+}
 
 func TestTraceRecordsMessageLifecycle(t *testing.T) {
 	rt := quarcRouter(t, 16)
@@ -18,22 +28,19 @@ func TestTraceRecordsMessageLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := New(rt.Graph(), w, Config{
-		MsgLen: 16, Warmup: 0, Measure: 20000,
-		TraceEnabled: true, TraceNode: 3,
-	})
+	nw, err := New(rt.Graph(), w, Config{MsgLen: 16, Warmup: 0, Measure: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run()
-	if len(res.Trace) == 0 {
+	trace := runTraced(nw, 3, DefaultTraceLimit)
+	if len(trace) == 0 {
 		t.Fatal("no trace events recorded")
 	}
 
 	// Each traced message: one generate, then for each branch a sequence
 	// of grants (possibly with blocks) and one complete.
 	perMsg := map[int64][]TraceEvent{}
-	for _, e := range res.Trace {
+	for _, e := range trace {
 		perMsg[e.Msg] = append(perMsg[e.Msg], e)
 	}
 	checked := 0
@@ -72,7 +79,7 @@ func TestTraceRecordsMessageLifecycle(t *testing.T) {
 		t.Fatal("no fully traced messages to check")
 	}
 
-	out := FormatTrace(rt.Graph(), res.Trace[:10])
+	out := FormatTrace(rt.Graph(), trace[:10])
 	if !strings.Contains(out, "generate") || !strings.Contains(out, "grant") {
 		t.Errorf("trace format incomplete:\n%s", out)
 	}
@@ -84,35 +91,30 @@ func TestTraceOnlyTracesConfiguredNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := New(rt.Graph(), w, Config{
-		MsgLen: 16, Warmup: 0, Measure: 10000,
-		TraceEnabled: true, TraceNode: 5,
-	})
+	nw, err := New(rt.Graph(), w, Config{MsgLen: 16, Warmup: 0, Measure: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run()
-	// Every traced grant of an injection channel must be at node 5.
-	for _, e := range res.Trace {
-		if e.Kind != TraceGrant {
-			continue
-		}
-		c := rt.Graph().Channel(e.Channel)
-		if c.Kind == topology.Injection && c.Src != 5 {
-			t.Fatalf("traced injection grant at node %d, want 5", c.Src)
-		}
-	}
-	// Indirect check: disabling tracing produces no events.
-	w2, _ := traffic.NewWorkload(rt, traffic.Spec{Rate: 0.002}, 4)
-	nw2, err := New(rt.Graph(), w2, Config{MsgLen: 16, Warmup: 0, Measure: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2 := nw2.Run(); len(res2.Trace) != 0 {
-		t.Fatalf("tracing disabled but %d events recorded", len(res2.Trace))
-	}
-	if len(res.Trace) == 0 {
+	trace := runTraced(nw, 5, DefaultTraceLimit)
+	if len(trace) == 0 {
 		t.Fatal("tracing enabled but no events recorded")
+	}
+	// Every traced message starts with its generation, and every traced
+	// grant of an injection channel is at node 5.
+	generated := map[int64]bool{}
+	for _, e := range trace {
+		switch e.Kind {
+		case TraceGenerate:
+			generated[e.Msg] = true
+		case TraceGrant:
+			c := rt.Graph().Channel(e.Channel)
+			if c.Kind == topology.Injection && c.Src != 5 {
+				t.Fatalf("traced injection grant at node %d, want 5", c.Src)
+			}
+		}
+		if !generated[e.Msg] {
+			t.Fatalf("traced %v of msg %d, which node 5 never generated", e.Kind, e.Msg)
+		}
 	}
 }
 
@@ -122,16 +124,12 @@ func TestTraceLimitRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := New(rt.Graph(), w, Config{
-		MsgLen: 16, Warmup: 0, Measure: 50000,
-		TraceEnabled: true, TraceNode: 0, TraceLimit: 25,
-	})
+	nw, err := New(rt.Graph(), w, Config{MsgLen: 16, Warmup: 0, Measure: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run()
-	if len(res.Trace) != 25 {
-		t.Fatalf("trace length %d, want capped at 25", len(res.Trace))
+	if trace := runTraced(nw, 0, 25); len(trace) != 25 {
+		t.Fatalf("trace length %d, want capped at 25", len(trace))
 	}
 }
 
@@ -156,7 +154,7 @@ func TestLeakCheckAfterDrain(t *testing.T) {
 	// After the drain, only unmeasured stragglers could remain; run the
 	// engine dry and the network must be completely empty.
 	nw.eng.RunAll()
-	if err := nw.LeakCheck(); err != nil {
+	if err := nw.leakCheck(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,4 +170,23 @@ func TestTraceKindStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
 		}
 	}
+}
+
+// leakCheck verifies that the network is empty: no channel held, no worm
+// queued. Valid after a drained run at sub-saturation load; a non-nil
+// error indicates a simulator bug (a leaked channel hold) or an
+// incomplete drain.
+func (nw *Network) leakCheck() error {
+	for i := range nw.channels {
+		c := &nw.channels[i]
+		if c.holder != nil {
+			return fmt.Errorf("wormhole: channel %v still held after drain",
+				nw.g.Channel(topology.ChannelID(i)))
+		}
+		if len(c.queue) != 0 {
+			return fmt.Errorf("wormhole: channel %v still has %d queued worms after drain",
+				nw.g.Channel(topology.ChannelID(i)), len(c.queue))
+		}
+	}
+	return nil
 }

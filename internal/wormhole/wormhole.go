@@ -1,6 +1,6 @@
 // Package wormhole is a discrete-event simulator of wormhole-switched
-// direct networks with multi-port routers. It replaces the OMNET++
-// flit-level simulator the paper used for validation.
+// direct networks. It replaces the OMNET++ flit-level simulator the paper
+// used for validation.
 //
 // # Fidelity
 //
@@ -22,11 +22,15 @@
 //     exact for any message length (see Network.grant).
 //
 // Multicast streams follow the Quarc absorb-and-forward semantics: one
-// independent worm per injection port (no synchronization between ports),
+// independent worm per branch (no synchronization between branches),
 // intermediate targets clone the flits at the ingress multiplexer without
 // extra arbitration, and the branch terminates at its last target. The
 // multicast message latency is the absorption time of the last flit at the
 // last destination over all branches, matching the paper's definition.
+//
+// The network computes a Result and nothing else: every other observation
+// (traces, latency breakdowns, metrics, workload recording) is a Hook
+// subscriber attached with Network.Attach.
 package wormhole
 
 import (
@@ -65,9 +69,6 @@ type Observer interface {
 	Injected(node topology.NodeID, t float64, multicast bool)
 }
 
-// DefaultTraceLimit is the event cap of a trace that names none.
-const DefaultTraceLimit = 10000
-
 // Config controls a simulation run.
 type Config struct {
 	// MsgLen is the message length in flits (at least 2). The paper
@@ -82,22 +83,11 @@ type Config struct {
 	// SatQueue is the per-injection-channel backlog at which the run is
 	// declared saturated and stopped early (default 1000).
 	SatQueue int
-	// Detail enables fine-grained instrumentation (per-port and
-	// per-distance latency breakdowns, histograms, per-channel rates).
-	Detail bool
 	// Drain lets messages generated inside the measurement window finish
 	// after the window closes (generation stops, the network empties, up
 	// to one extra window of simulated time). This removes the censoring
 	// bias against long-latency messages near the window end.
 	Drain bool
-	// TraceNode selects the node whose messages are traced when
-	// TraceEnabled is set.
-	TraceNode topology.NodeID
-	// TraceEnabled turns on per-event tracing of TraceNode's messages.
-	TraceEnabled bool
-	// TraceLimit caps the number of recorded events (zero selects
-	// DefaultTraceLimit).
-	TraceLimit int
 	// MulticastPriority changes channel arbitration from pure FIFO to
 	// multicast-first: when a channel is released, waiting multicast
 	// worms are granted before unicast worms (FIFO within each class).
@@ -137,11 +127,6 @@ type Result struct {
 	// MaxUtil is the highest channel utilization observed during the
 	// measurement window.
 	MaxUtil float64
-	// Detail holds the fine-grained measurements; nil unless
-	// Config.Detail was set.
-	Detail *Instrumentation
-	// Trace holds the traced events; empty unless Config.TraceEnabled.
-	Trace []TraceEvent
 }
 
 type channel struct {
@@ -149,7 +134,6 @@ type channel struct {
 	queue     []*worm
 	grantTime float64
 	busy      float64
-	grants    int64
 	// spanRelease and spanSeq are the precomputed logical release time of
 	// the channel and the reserved event sequence number of that release
 	// while the holder is in span (coalesced-drain) mode; meaningful only
@@ -159,8 +143,8 @@ type channel struct {
 }
 
 type message struct {
-	// id is the observable message number hooks and traces print (the
-	// nextMsgID count of the run); idx is the message's fixed position in
+	// id is the observable message number hooks report (the nextMsgID
+	// count of the run); idx is the message's fixed position in
 	// Network.msgs, which events address it by.
 	id        int64
 	idx       int32
@@ -169,11 +153,6 @@ type message struct {
 	pending   int32
 	lastDone  float64
 	measured  bool
-	traced    bool
-	// port and depth describe a unicast's route for the per-port and
-	// per-distance breakdowns (unused for multicasts).
-	port  int
-	depth int
 	// src is the injecting node, kept for the canonical sample fold's
 	// tie-break key (see addSample).
 	src topology.NodeID
@@ -188,12 +167,9 @@ type message struct {
 // instead would move the low bits of every recorded estimate.
 type latSample struct {
 	t, gen    float64
+	msg       int64 // the message id HookSampleFolded reports
 	src       topology.NodeID
 	multicast bool
-	// port and depth carry the unicast breakdown coordinates for Detail
-	// runs (zero otherwise).
-	port  int
-	depth int
 }
 
 type worm struct {
@@ -301,9 +277,7 @@ func (nw *Network) Handle(e *sim.Engine, ev sim.Event) {
 	case evRelease:
 		nw.release(topology.ChannelID(ev.Arg), t)
 	case evComplete:
-		msg := nw.msgs[ev.Ref]
-		nw.trace(msg, int(ev.Arg), TraceComplete, topology.None, t)
-		nw.complete(msg, t)
+		nw.complete(nw.msgs[ev.Ref], int(ev.Arg), t)
 	case evAdvance:
 		// Fused micro-events of a stretched worm: the tail vacated the
 		// channel msgLen positions behind the header in the previous
@@ -385,25 +359,6 @@ func (nw *Network) growMessages() {
 	}
 }
 
-// trace appends a trace event if tracing is active and under the cap.
-//
-//quarc:hotpath
-func (nw *Network) trace(msg *message, branch int, kind TraceKind, ch topology.ChannelID, t float64) {
-	if !msg.traced {
-		return
-	}
-	limit := nw.cfg.TraceLimit
-	if limit <= 0 {
-		limit = DefaultTraceLimit
-	}
-	if len(nw.res.Trace) >= limit {
-		return
-	}
-	nw.res.Trace = append(nw.res.Trace, TraceEvent{
-		Time: t, Msg: msg.id, Branch: branch, Kind: kind, Channel: ch,
-	})
-}
-
 // checkConfig validates cfg and fills in its defaults.
 func checkConfig(cfg *Config) error {
 	if cfg.MsgLen < 2 {
@@ -469,7 +424,6 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 		c.queue = c.queue[:0]
 		c.grantTime = 0
 		c.busy = 0
-		c.grants = 0
 		c.spanRelease = 0
 	}
 	nw.res = Result{}
@@ -507,9 +461,6 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 func (nw *Network) Run() Result {
 	nw.res.UnicastBM = stats.NewBatchMeans(200)
 	nw.res.MulticastBM = stats.NewBatchMeans(50)
-	if nw.cfg.Detail {
-		nw.res.Detail = newInstrumentation(nw.cfg.MsgLen)
-	}
 	for node := 0; node < nw.g.Nodes(); node++ {
 		nw.scheduleGeneration(topology.NodeID(node), 0)
 	}
@@ -550,7 +501,6 @@ func (nw *Network) beginMeasurement() {
 	for i := range nw.channels {
 		c := &nw.channels[i]
 		c.busy = 0
-		c.grants = 0
 		if c.holder != nil {
 			c.grantTime = nw.measureStart // count only in-window occupancy
 		}
@@ -604,9 +554,10 @@ func (nw *Network) addSample(s latSample) {
 	nw.samples[i] = s
 }
 
-// foldSamples feeds the tie group to the latency estimators in order and
-// empties it. Order only matters to the rounding of the running sums and
-// the batch-means boundaries, which the canonical order pins.
+// foldSamples feeds the tie group to the latency estimators in order,
+// announces each sample at HookSampleFolded, and empties the group. Order
+// only matters to the rounding of the running sums and the batch-means
+// boundaries, which the canonical order pins.
 //
 //quarc:hotpath
 func (nw *Network) foldSamples() {
@@ -615,15 +566,12 @@ func (nw *Network) foldSamples() {
 		if s.multicast {
 			nw.res.Multicast.Add(lat)
 			nw.res.MulticastBM.Add(lat)
-			if nw.res.Detail != nil {
-				nw.res.Detail.MulticastHist.Add(lat)
-			}
 		} else {
 			nw.res.Unicast.Add(lat)
 			nw.res.UnicastBM.Add(lat)
-			if nw.res.Detail != nil {
-				nw.res.Detail.recordUnicast(s.port, s.depth, lat)
-			}
+		}
+		if nw.hookMask&(1<<HookSampleFolded) != 0 {
+			nw.fire(HookCtx{Pos: HookSampleFolded, Time: s.t, Node: -1, Channel: topology.None, Branch: -1, Msg: s.msg, Multicast: s.multicast, Latency: lat})
 		}
 	}
 	nw.samples = nw.samples[:0]
@@ -649,17 +597,6 @@ func (nw *Network) finish() {
 		}
 		if u := busy / window; u > nw.res.MaxUtil {
 			nw.res.MaxUtil = u
-		}
-		if nw.res.Detail != nil {
-			cs := ChannelStats{ID: topology.ChannelID(i), Grants: c.grants}
-			cs.Rate = float64(c.grants) / window
-			cs.Utilization = busy / window
-			if c.grants > 0 {
-				cs.MeanHold = busy / float64(c.grants)
-			} else {
-				cs.MeanHold = math.NaN()
-			}
-			nw.res.Detail.Channels = append(nw.res.Detail.Channels, cs)
 		}
 	}
 	if nw.res.Generated > 0 && float64(nw.res.Completed) < 0.9*float64(nw.res.Generated) {
@@ -700,18 +637,12 @@ func (nw *Network) generate(node topology.NodeID, t float64) {
 	msg.multicast = multicast
 	msg.pending = int32(len(branches))
 	msg.measured = measured
-	msg.traced = nw.cfg.TraceEnabled && node == nw.cfg.TraceNode
-	if !multicast {
-		msg.port = branches[0].Port
-		msg.depth = len(branches[0].Path) - 1
-	}
 	if measured {
 		nw.res.Generated++
 		nw.pendingMeasured++
 	}
-	nw.trace(msg, -1, TraceGenerate, topology.None, t)
 	if nw.hookMask&(1<<HookWormInjected) != 0 {
-		nw.fire(HookCtx{Pos: HookWormInjected, Time: t, Node: node, Channel: topology.None, Msg: msg.id, Multicast: multicast})
+		nw.fire(HookCtx{Pos: HookWormInjected, Time: t, Node: node, Channel: topology.None, Branch: -1, Msg: msg.id, Multicast: multicast})
 	}
 	for i := range branches {
 		nw.request(nw.getWorm(msg, i, branches[i].Path), t)
@@ -742,10 +673,9 @@ func (nw *Network) request(w *worm, t float64) {
 		// exact fine-grained arbitration for the worms queuing behind it.
 		nw.eng.ScheduleSeq(c.spanRelease, c.spanSeq, sim.Event{Kind: evRelease, Arg: int32(id)})
 	}
-	nw.trace(w.msg, w.branch, TraceBlocked, id, t)
 	c.queue = append(c.queue, w)
 	if nw.hookMask&(1<<HookQueueChanged) != 0 {
-		nw.fire(HookCtx{Pos: HookQueueChanged, Time: t, Node: -1, Channel: id, Msg: w.msg.id, Multicast: w.msg.multicast, Occupancy: len(c.queue)})
+		nw.fire(HookCtx{Pos: HookQueueChanged, Time: t, Node: -1, Channel: id, Branch: w.branch, Msg: w.msg.id, Multicast: w.msg.multicast, Occupancy: len(c.queue)})
 	}
 	if nw.g.Channel(id).Kind == topology.Injection && len(c.queue) > nw.cfg.SatQueue {
 		nw.res.Saturated = true
@@ -774,15 +704,8 @@ func (nw *Network) grant(w *worm, id topology.ChannelID, t float64) {
 	c.holder = w
 	c.grantTime = t
 	w.held++
-	// Half-open window: a grant exactly at windowEnd contributes no
-	// in-window occupancy (busySpan clamps it to zero), so it must not
-	// count either — otherwise ChannelStats.Rate and MeanHold skew.
-	if nw.measuring && t < nw.windowEnd {
-		c.grants++
-	}
-	nw.trace(w.msg, w.branch, TraceGrant, id, t)
 	if nw.hookMask&(1<<HookChannelGranted) != 0 {
-		nw.fire(HookCtx{Pos: HookChannelGranted, Time: t, Node: -1, Channel: id, Msg: w.msg.id, Multicast: w.msg.multicast})
+		nw.fire(HookCtx{Pos: HookChannelGranted, Time: t, Node: -1, Channel: id, Branch: w.branch, Msg: w.msg.id, Multicast: w.msg.multicast})
 	}
 	j := w.hop // index of the channel just granted
 	w.hop++
@@ -877,7 +800,7 @@ func (nw *Network) releaseSpanned(id topology.ChannelID, c *channel) {
 		// Time is the logical release time the fine-grained simulator
 		// would have fired at, not the (later) moment the deferred
 		// release is applied.
-		nw.fire(HookCtx{Pos: HookChannelReleased, Time: c.spanRelease, Node: -1, Channel: id, Msg: h.msg.id, Multicast: h.msg.multicast})
+		nw.fire(HookCtx{Pos: HookChannelReleased, Time: c.spanRelease, Node: -1, Channel: id, Branch: h.branch, Msg: h.msg.id, Multicast: h.msg.multicast})
 	}
 	c.holder = nil
 	h.held--
@@ -906,8 +829,7 @@ func (nw *Network) spanDone(w *worm, t float64) {
 		nw.releaseSpanned(w.path[i], c)
 	}
 	w.spanning = false
-	nw.trace(w.msg, w.branch, TraceComplete, topology.None, t)
-	nw.complete(w.msg, t)
+	nw.complete(w.msg, w.branch, t)
 	if w.held == 0 {
 		nw.putWorm(w)
 	}
@@ -942,7 +864,7 @@ func (nw *Network) release(id topology.ChannelID, t float64) {
 		c.busy += nw.busySpan(c.grantTime, t)
 	}
 	if nw.hookMask&(1<<HookChannelReleased) != 0 {
-		nw.fire(HookCtx{Pos: HookChannelReleased, Time: t, Node: -1, Channel: id, Msg: h.msg.id, Multicast: h.msg.multicast})
+		nw.fire(HookCtx{Pos: HookChannelReleased, Time: t, Node: -1, Channel: id, Branch: h.branch, Msg: h.msg.id, Multicast: h.msg.multicast})
 	}
 	c.holder = nil
 	h.held--
@@ -966,14 +888,19 @@ func (nw *Network) release(id topology.ChannelID, t float64) {
 		copy(c.queue[next:], c.queue[next+1:])
 		c.queue = c.queue[:len(c.queue)-1]
 		if nw.hookMask&(1<<HookQueueChanged) != 0 {
-			nw.fire(HookCtx{Pos: HookQueueChanged, Time: t, Node: -1, Channel: id, Msg: w.msg.id, Multicast: w.msg.multicast, Occupancy: len(c.queue)})
+			nw.fire(HookCtx{Pos: HookQueueChanged, Time: t, Node: -1, Channel: id, Branch: w.branch, Msg: w.msg.id, Multicast: w.msg.multicast, Occupancy: len(c.queue)})
 		}
 		nw.grant(w, id, t)
 	}
 }
 
+// complete ends one branch of msg: its last flit was absorbed at t.
+//
 //quarc:hotpath
-func (nw *Network) complete(msg *message, t float64) {
+func (nw *Network) complete(msg *message, branch int, t float64) {
+	if nw.hookMask&(1<<HookBranchDone) != 0 {
+		nw.fire(HookCtx{Pos: HookBranchDone, Time: t, Node: -1, Channel: topology.None, Branch: branch, Msg: msg.id, Multicast: msg.multicast})
+	}
 	msg.pending--
 	if t > msg.lastDone {
 		msg.lastDone = t
@@ -982,16 +909,13 @@ func (nw *Network) complete(msg *message, t float64) {
 		return
 	}
 	if nw.hookMask&(1<<HookWormEjected) != 0 {
-		nw.fire(HookCtx{Pos: HookWormEjected, Time: t, Node: -1, Channel: topology.None, Msg: msg.id, Multicast: msg.multicast, Latency: msg.lastDone - msg.gen})
+		nw.fire(HookCtx{Pos: HookWormEjected, Time: t, Node: -1, Channel: topology.None, Branch: -1, Msg: msg.id, Multicast: msg.multicast, Latency: msg.lastDone - msg.gen})
 	}
 	if nw.measuring && msg.measured {
 		nw.res.Completed++
 		nw.pendingMeasured--
 		// Folded when its tie group closes, in canonical order.
-		nw.addSample(latSample{
-			t: msg.lastDone, gen: msg.gen, src: msg.src,
-			multicast: msg.multicast, port: msg.port, depth: msg.depth,
-		})
+		nw.addSample(latSample{t: msg.lastDone, gen: msg.gen, msg: msg.id, src: msg.src, multicast: msg.multicast})
 		if nw.draining && nw.pendingMeasured <= 0 {
 			nw.eng.Stop()
 		}

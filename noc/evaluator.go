@@ -181,11 +181,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		Warmup:            s.cfg.Warmup,
 		Measure:           s.cfg.Measure,
 		SatQueue:          s.cfg.SatQueue,
-		Detail:            s.cfg.Detail,
 		Drain:             s.cfg.Drain,
-		TraceEnabled:      s.cfg.TraceLimit > 0,
-		TraceNode:         topology.NodeID(s.cfg.TraceNode),
-		TraceLimit:        s.cfg.TraceLimit,
 		MulticastPriority: s.cfg.MulticastPriority,
 	}
 	// Trace capture and replay bypass the pool: both need their own
@@ -212,9 +208,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		// The recorder stamps absolute injection times through the hook
-		// API (the explicit registration that replaced the implicit
-		// traffic.(Observer) resolution).
+		// The recorder stamps absolute injection times.
 		nw.Attach(wormhole.ObserverHook(recorder), wormhole.HookWormInjected)
 	case pool != nil && pool.nw != nil && pool.rt == s.router:
 		if err := pool.wl.Reset(s.trafficSpec(), seed); err != nil {
@@ -237,12 +231,23 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 			pool.nw, pool.wl, pool.rt = nw, w, s.router
 		}
 	}
-	// Metrics recording: a batched collector drains every hook position
-	// into an in-memory sink (teed into the scenario's extra sink, if
-	// any), aggregated into Result.Series after the run. A pure
-	// recording attachment — the Result is bitwise-identical to an
-	// unhooked run, and a pooled network drops its hooks on Reset, so
-	// reuse stays clean.
+	// Every observation is a hook subscriber: the trace, the detail
+	// breakdown and the metrics collector, which drains every hook
+	// position into an in-memory sink (teed into the scenario's extra
+	// sink, if any), aggregated into Result.Series after the run. They
+	// only record — the Result is bitwise-identical to an unhooked run —
+	// and a pooled network drops its hooks on Reset, so reuse stays
+	// clean.
+	var trace *wormhole.Trace
+	if s.cfg.TraceLimit > 0 {
+		trace = wormhole.NewTrace(s.router.Graph(), topology.NodeID(s.cfg.TraceNode), s.cfg.TraceLimit)
+		nw.Attach(trace, trace.Positions()...)
+	}
+	var detail *wormhole.Instrumentation
+	if s.cfg.Detail {
+		detail = wormhole.NewInstrumentation(s.router, cfg)
+		nw.Attach(detail, detail.Positions()...)
+	}
 	var metricsSink *obs.MemorySink
 	var metricsColl *obs.Collector
 	if s.cfg.MetricsBuckets > 0 {
@@ -278,11 +283,11 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		Events:      r.Events,
 		MaxUtil:     r.MaxUtil,
 	}
-	if r.Detail != nil {
-		res.DetailSummary = r.Detail.Summary()
+	if detail != nil {
+		res.DetailSummary = detail.Summary()
 	}
-	if len(r.Trace) > 0 {
-		res.TraceText = wormhole.FormatTrace(s.router.Graph(), r.Trace)
+	if trace != nil && len(trace.Events) > 0 {
+		res.TraceText = wormhole.FormatTrace(s.router.Graph(), trace.Events)
 	}
 	if metricsColl != nil {
 		if err := metricsColl.Flush(); err != nil {

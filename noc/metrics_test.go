@@ -8,8 +8,9 @@ import (
 )
 
 // TestMetricsDoNotPerturbResult is the differential pin behind the
-// whole observability pipeline: attaching the recording hook must not
-// change the simulation by one bit. The hook fires on the same event
+// whole observability pipeline: attaching the recording hook, the
+// detail subscriber and a trace must not change the simulation by one
+// bit. The hook fires on the same event
 // stream the statistics are folded from, so any divergence means the
 // instrumentation has leaked into the schedule.
 func TestMetricsDoNotPerturbResult(t *testing.T) {
@@ -37,7 +38,7 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			hooked, err := NewScenario(append(c.opts[:len(c.opts):len(c.opts)], Metrics(50))...)
+			hooked, err := NewScenario(append(c.opts[:len(c.opts):len(c.opts)], Metrics(50), Detail(true), Trace(3, 200))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,8 +46,8 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Series == nil {
-				t.Fatal("metrics evaluation produced no series")
+			if rec.Series == nil || rec.DetailSummary == "" || rec.TraceText == "" {
+				t.Fatal("the hooked evaluation is missing its series, detail or trace")
 			}
 			if rec.Series.Buckets != 50 {
 				t.Errorf("series buckets = %d, want 50", rec.Series.Buckets)
@@ -61,9 +62,9 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 				t.Error("series shows no channel activity at all")
 			}
 
-			// Strip the series: everything else must be bitwise-identical
-			// to the unhooked run.
-			rec.Series = nil
+			// Strip the observations: everything else must be
+			// bitwise-identical to the unhooked run.
+			rec.Series, rec.DetailSummary, rec.TraceText = nil, "", ""
 			got, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)

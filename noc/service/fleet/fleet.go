@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -201,42 +200,9 @@ func (d *Dispatcher) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, ser
 }
 
 // Sweep evaluates the spec across the rate grid, fanning the points out
-// as independent jobs under the concurrency bound. Validation matches
-// service.Evaluator.Sweep exactly.
+// as independent jobs under the concurrency bound (service.Sweep).
 func (d *Dispatcher) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error) {
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("%w: a sweep needs at least one rate", noc.ErrInvalidSpec)
-	}
-	if len(rates) > service.MaxSweepPoints {
-		return nil, fmt.Errorf("%w: %d sweep points exceed the %d-point bound", noc.ErrInvalidSpec, len(rates), service.MaxSweepPoints)
-	}
-	for _, r := range rates {
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-			return nil, fmt.Errorf("%w: invalid sweep rate %v", noc.ErrInvalidSpec, r)
-		}
-	}
-	results := make([]noc.Result, len(rates))
-	errs := make([]error, len(rates))
-	sem := make(chan struct{}, d.cfg.Concurrency)
-	var wg sync.WaitGroup
-	for i, r := range rates {
-		pt := sp
-		pt.Rate = r
-		wg.Add(1)
-		go func(i int, pt noc.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], _, errs[i] = d.Evaluate(ctx, pt)
-		}(i, pt)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fleet: sweep point rate=%g: %w", rates[i], err)
-		}
-	}
-	return results, nil
+	return service.Sweep(ctx, sp, rates, d.cfg.Concurrency, d.Evaluate)
 }
 
 // Trace serves a /v1/trace query: forwarded to the peer that computed
@@ -368,7 +334,7 @@ func (d *Dispatcher) dispatch(ctx context.Context, sp noc.Spec) (service.Respons
 	if err != nil {
 		return service.Response{}, fmt.Errorf("fleet: encoding spec: %w", err)
 	}
-	fp := service.FingerprintOf(body)
+	fp := noc.FingerprintOf(body)
 	var lastErr error
 	for attempt := 1; attempt <= d.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {

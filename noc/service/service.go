@@ -446,6 +446,15 @@ func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Sour
 // content-addressed job per rate, so repeated and overlapping sweeps
 // deduplicate point-wise. Results are returned in rate order.
 func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error) {
+	return Sweep(ctx, sp, rates, 0, e.Evaluate)
+}
+
+// Sweep is the one sweep fan-out of the serving stack: it validates the
+// rate grid, then evaluates sp at each rate as an independent job through
+// evaluate, at most limit at once (no bound when limit <= 0), and returns
+// the results in rate order or the first failing point's error.
+func Sweep(ctx context.Context, sp noc.Spec, rates []float64, limit int,
+	evaluate func(context.Context, noc.Spec) (noc.Result, Source, error)) ([]noc.Result, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("%w: a sweep needs at least one rate", noc.ErrInvalidSpec)
 	}
@@ -457,8 +466,12 @@ func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]
 			return nil, fmt.Errorf("%w: invalid sweep rate %v", noc.ErrInvalidSpec, r)
 		}
 	}
+	if limit <= 0 {
+		limit = len(rates)
+	}
 	results := make([]noc.Result, len(rates))
 	errs := make([]error, len(rates))
+	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for i, r := range rates {
 		pt := sp
@@ -466,7 +479,9 @@ func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]
 		wg.Add(1)
 		go func(i int, pt noc.Spec) {
 			defer wg.Done()
-			results[i], _, errs[i] = e.Evaluate(ctx, pt)
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			results[i], _, errs[i] = evaluate(ctx, pt)
 		}(i, pt)
 	}
 	wg.Wait()
@@ -497,7 +512,7 @@ func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 	}
 	var live *flight
 	for key, f := range e.flights {
-		if FingerprintOf(key) == fp {
+		if noc.FingerprintOf(key) == fp {
 			live = f
 			break
 		}
@@ -512,7 +527,7 @@ func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 	}
 	if e.cfg.Store != nil {
 		for _, key := range e.cfg.Store.Keys() {
-			if FingerprintOf(key) != fp {
+			if noc.FingerprintOf(key) != fp {
 				continue
 			}
 			if res, ok := e.cfg.Store.Get(key); ok {
@@ -535,23 +550,6 @@ func traceResponse(ent *entry, src Source) (Response, error) {
 		return Response{}, fmt.Errorf("%w: the result has no recorded series (evaluate with \"metrics\": true)", ErrNotFound)
 	}
 	return ent.response(src), nil
-}
-
-// FingerprintOf is the FNV-1a content address of a canonical spec
-// encoding (a cache key, or noc.Spec.CanonicalJSON's bytes) — by
-// construction identical to noc.Spec.Fingerprint() of the spec it
-// encodes, without canonicalizing and marshalling it again.
-func FingerprintOf[K string | []byte](key K) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
 }
 
 // wait blocks until the flight resolves, the caller's context expires or
@@ -587,7 +585,7 @@ func (e *Evaluator) wait(ctx context.Context, f *flight) (*entry, error) {
 func (e *Evaluator) resolve(j job, res noc.Result, err error) {
 	var ent *entry
 	if err == nil {
-		ent, err = newEntry(FingerprintOf(j.key), res)
+		ent, err = newEntry(noc.FingerprintOf(j.key), res)
 	}
 	if err == nil && j.persist && e.cfg.Store != nil {
 		if perr := e.cfg.Store.Put(j.key, res); perr != nil {

@@ -389,16 +389,19 @@ func (sp Spec) CanonicalJSON() ([]byte, error) {
 	return c.AppendJSON(make([]byte, 0, 512+24*(len(c.High)+len(c.Low)+len(c.SpatialNodes)+len(c.SpatialWeights))))
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv1a(data []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= fnvPrime64
+// FingerprintOf is the FNV-1a (64-bit) hash behind Fingerprint. Over a
+// canonical spec encoding (CanonicalJSON's bytes, or a serving layer's
+// cache key holding them) it is that spec's content address, computed
+// without canonicalizing and encoding the spec again.
+func FingerprintOf[K string | []byte](key K) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
 	}
 	return h
 }
@@ -415,7 +418,7 @@ func (sp Spec) Fingerprint() uint64 {
 	if err != nil {
 		b = []byte("noc:unencodable-spec:" + err.Error())
 	}
-	return fnv1a(b)
+	return FingerprintOf(b)
 }
 
 // Structural returns the sub-spec that determines the routed topology,

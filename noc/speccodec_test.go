@@ -42,7 +42,7 @@ func fingerprintJSON(sp Spec) uint64 {
 	if err != nil {
 		b = []byte("noc:unencodable-spec:" + err.Error())
 	}
-	return fnv1a(b)
+	return FingerprintOf(b)
 }
 
 // serveHotShapes are the eight network shapes of the benchmark's

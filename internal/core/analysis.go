@@ -8,21 +8,22 @@ import (
 )
 
 // MeanDistance returns the average unicast hop count (network link
-// crossings) over all ordered source/destination pairs, computed by path
-// enumeration over the router. This is the D̄ entering the zero-load
-// latency D̄ + 1 + msg (the +1 is the injection-channel crossing).
+// crossings) over all ordered source/destination pairs, read from the
+// router's route table. This is the D̄ entering the zero-load latency
+// D̄ + 1 + msg (the +1 is the injection-channel crossing).
 func MeanDistance(rt routing.Router) (float64, error) {
-	n := rt.Graph().Nodes()
+	routes, err := routing.NewTable(rt, routing.MulticastSet{})
+	if err != nil {
+		return 0, err
+	}
+	n := routes.Graph().Nodes()
 	var sum float64
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			p, err := rt.UnicastPath(topology.NodeID(src), topology.NodeID(dst))
-			if err != nil {
-				return 0, err
-			}
+			p := routes.Unicast(topology.NodeID(src), topology.NodeID(dst))[0].Path
 			sum += float64(len(p) - 2) // exclude injection and ejection
 		}
 	}

@@ -96,7 +96,7 @@ func TestQuarcZeroLoadBroadcastClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		branches, err := rt.MulticastBranches(0, rt.BroadcastSet())
+		branches, err := routing.MulticastBranches(rt, 0, rt.BroadcastSet())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestSpidergonZeroLoadBroadcastClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branches, err := rt.MulticastBranches(0, rt.BroadcastSet())
+	branches, err := routing.MulticastBranches(rt, 0, rt.BroadcastSet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,6 +216,12 @@ func NewModel(in Input) (*Model, error) {
 		}
 	}
 	alpha := in.Spec.MulticastFrac
+	// Every route comes from the router's table (the router itself, when
+	// it already is the table for the spec's set).
+	routes, err := routing.NewTable(in.Router, in.Spec.Set)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 
 	// Transitions are numbered as first met and renumbered in key order
 	// below. Routes that carry no traffic only look their turns up.
@@ -260,7 +266,7 @@ func NewModel(in Input) (*Model, error) {
 			if in.Spec.Silent(topology.NodeID(src)) {
 				continue
 			}
-			branches, err := in.Router.MulticastBranches(topology.NodeID(src), in.Spec.Set)
+			branches, err := routes.MulticastBranches(topology.NodeID(src), in.Spec.Set)
 			if err != nil {
 				return nil, fmt.Errorf("core: multicast branches at %d: %w", src, err)
 			}
@@ -287,11 +293,7 @@ func NewModel(in Input) (*Model, error) {
 			if p == 0 {
 				continue
 			}
-			path, err := in.Router.UnicastPath(topology.NodeID(src), topology.NodeID(dst))
-			if err != nil {
-				return nil, fmt.Errorf("core: unicast path %d->%d: %w", src, dst, err)
-			}
-			f := store(path, alpha < 1)
+			f := store(routes.Unicast(topology.NodeID(src), topology.NodeID(dst))[0].Path, alpha < 1)
 			f.p = p
 			m.unicast = append(m.unicast, f)
 		}

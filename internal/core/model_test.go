@@ -113,7 +113,7 @@ func TestModelChannelRatesConservation(t *testing.T) {
 			eject += m.Lambda(c.ID)
 		}
 	}
-	branches, err := rt.MulticastBranches(0, set)
+	branches, err := routing.MulticastBranches(rt, 0, set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"quarc/internal/routing"
 	"quarc/internal/topology"
 )
 
@@ -140,7 +141,7 @@ func checkAgainstReference(t testing.TB, tp batteryTopo, m, ref *Model, rate flo
 				m.Lambda(id), m.Service(id), m.Wait(id), ref.Lambda(id), ref.Service(id), ref.Wait(id))
 		}
 	}
-	branches, err := tp.rt.MulticastBranches(3, tp.set)
+	branches, err := routing.MulticastBranches(tp.rt, 3, tp.set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestAccessorsReportLatestSolve(t *testing.T) {
 					m.Lambda(id), m.Service(id), m.Wait(id), fresh.Lambda(id), fresh.Service(id), fresh.Wait(id))
 			}
 		}
-		for _, b := range must(tp.rt.MulticastBranches(3, tp.set)) {
+		for _, b := range must(routing.MulticastBranches(tp.rt, 3, tp.set)) {
 			if got, want := m.PathWait(b.Path), fresh.PathWait(b.Path); got != want || !(got > 0) {
 				t.Errorf("%s: PathWait = %v on the re-solved model, %v on a fresh one", tp.name, got, want)
 			}
@@ -241,7 +241,7 @@ func TestSubnormalRateSolvesLikeFresh(t *testing.T) {
 			if !samePrediction(got, want) || math.IsNaN(got.UnicastLatency) || math.IsNaN(got.MulticastLatency) {
 				t.Fatalf("%s/%s: re-solve %+v, fresh %+v", tp.name, pattern, got, want)
 			}
-			for _, b := range must(tp.rt.MulticastBranches(3, tp.set)) {
+			for _, b := range must(routing.MulticastBranches(tp.rt, 3, tp.set)) {
 				if g, w := m.PathWait(b.Path), fresh.PathWait(b.Path); math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("%s/%s: PathWait %v on the re-solved model, %v on a fresh one", tp.name, pattern, g, w)
 				}

@@ -34,17 +34,17 @@ func pairNetwork(t *testing.T) pairRouter {
 
 func (r pairRouter) Graph() *topology.Graph { return r.g }
 
-func (r pairRouter) UnicastPath(src, dst topology.NodeID) (routing.Path, error) {
+func (r pairRouter) AppendUnicastPath(buf routing.Path, src, dst topology.NodeID) (routing.Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("pair: self path %d", src)
 	}
-	return routing.Path{r.g.Injection(src, 0), r.g.LinkFrom(src, 0, 0), r.g.Ejection(dst, 0)}, nil
+	return append(buf, r.g.Injection(src, 0), r.g.LinkFrom(src, 0, 0), r.g.Ejection(dst, 0)), nil
 }
 
 func (r pairRouter) UnicastPort(src, dst topology.NodeID) (int, error) { return 0, nil }
 
-func (r pairRouter) MulticastBranches(topology.NodeID, routing.MulticastSet) ([]routing.Branch, error) {
-	return nil, fmt.Errorf("pair: no multicast")
+func (r pairRouter) AppendMulticastBranches(*routing.Arena, topology.NodeID, routing.MulticastSet) error {
+	return fmt.Errorf("pair: no multicast")
 }
 
 // TestPairNetworkHandComputation pins the model to a full hand

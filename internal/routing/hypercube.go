@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quarc/internal/topology"
 )
@@ -38,9 +39,9 @@ func (rt *HypercubeRouter) UnicastPort(src, dst topology.NodeID) (int, error) {
 	return 0, fmt.Errorf("routing: unreachable destination %d", dst)
 }
 
-// UnicastPath returns the e-cube channel path from src to dst, flipping
-// differing address bits from lowest to highest dimension.
-func (rt *HypercubeRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
+// AppendUnicastPath appends the e-cube channel path from src to dst,
+// flipping differing address bits from lowest to highest dimension.
+func (rt *HypercubeRouter) AppendUnicastPath(buf Path, src, dst topology.NodeID) (Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: self destination %d", src)
 	}
@@ -49,46 +50,51 @@ func (rt *HypercubeRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := Path{g.Injection(src, port)}
+	buf = append(buf, g.Injection(src, port))
 	cur := src
 	lastDim := port
 	for d := 0; d < rt.h.Dims(); d++ {
 		if (cur^dst)&(1<<uint(d)) != 0 {
-			path = append(path, g.LinkFrom(cur, d, 0))
+			if buf, err = appendLink(buf, g, cur, d, 0); err != nil {
+				return nil, err
+			}
 			cur ^= 1 << uint(d)
 			lastDim = d
 		}
 	}
-	path = append(path, g.Ejection(dst, lastDim))
-	return path, nil
+	return append(buf, g.Ejection(dst, lastDim)), nil
 }
 
-// MulticastBranches expands a relative destination set into unicast
-// fan-out. The set uses a single bitstring (port 0): bit k-1 selects the
-// node src XOR k, so the same relative set works from every source
-// (hypercubes are vertex-symmetric under XOR translation).
-func (rt *HypercubeRouter) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
+// AppendMulticastBranches expands a relative destination set into
+// unicast fan-out. The set uses a single bitstring (port 0): bit k-1
+// selects the node src XOR k, so the same relative set works from every
+// source (hypercubes are vertex-symmetric under XOR translation).
+func (rt *HypercubeRouter) AppendMulticastBranches(a *Arena, src topology.NodeID, set MulticastSet) error {
 	if len(set.Bits) != 1 {
-		return nil, fmt.Errorf("routing: hypercube multicast set must have 1 port, got %d", len(set.Bits))
+		return fmt.Errorf("routing: hypercube multicast set must have 1 port, got %d", len(set.Bits))
+	}
+	if set.Bits[0] == 0 {
+		return fmt.Errorf("routing: empty multicast set")
 	}
 	n := rt.h.Nodes()
-	var branches []Branch
-	for _, k := range set.Hops(0) {
+	for b := set.Bits[0]; b != 0; b &= b - 1 {
+		k := bits.TrailingZeros64(b) + 1
 		if k >= n {
-			return nil, fmt.Errorf("routing: XOR offset %d out of range (N=%d)", k, n)
+			return fmt.Errorf("routing: XOR offset %d out of range (N=%d)", k, n)
 		}
 		dst := src ^ topology.NodeID(k)
-		path, err := rt.UnicastPath(src, dst)
+		port, err := rt.UnicastPort(src, dst)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		port, _ := rt.UnicastPort(src, dst)
-		branches = append(branches, Branch{Port: port, Path: path, Targets: []topology.NodeID{dst}})
+		lo, tlo := len(a.Paths), len(a.Targets)
+		if a.Paths, err = rt.AppendUnicastPath(a.Paths, src, dst); err != nil {
+			return err
+		}
+		a.Targets = append(a.Targets, dst)
+		a.add(port, lo, tlo)
 	}
-	if len(branches) == 0 {
-		return nil, fmt.Errorf("routing: empty multicast set")
-	}
-	return branches, nil
+	return nil
 }
 
 var _ Router = (*HypercubeRouter)(nil)

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quarc/internal/topology"
 )
@@ -63,15 +64,15 @@ func (rt *MeshRouter) UnicastPort(src, dst topology.NodeID) (int, error) {
 	return class, nil
 }
 
-// UnicastPath returns the XY channel path from src to dst. On a torus the
-// route switches to the wrapped VC plane after crossing a ring's dateline
-// (the wrap link), which keeps dimension-order routing deadlock-free.
-func (rt *MeshRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
+// AppendUnicastPath appends the XY channel path from src to dst. On a
+// torus the route switches to the wrapped VC plane after crossing a
+// ring's dateline (the wrap link), which keeps dimension-order routing
+// deadlock-free.
+func (rt *MeshRouter) AppendUnicastPath(buf Path, src, dst topology.NodeID) (Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: self destination %d", src)
 	}
 	m := rt.m
-	g := m.Graph
 	sx, sy := m.XY(src)
 	dx, dy := m.XY(dst)
 
@@ -79,127 +80,125 @@ func (rt *MeshRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := Path{g.Injection(src, port)}
-	lastClass := port
-
-	walk := func(fixed int, from, to, size int, plusClass, minusClass int, isX bool) error {
-		class, hops := rt.steps(from, to, size, plusClass, minusClass)
-		vc := topology.MeshVCUnicast
-		cur := from
-		for i := 0; i < hops; i++ {
-			var node topology.NodeID
-			if isX {
-				node = m.ID(cur, fixed)
-			} else {
-				node = m.ID(fixed, cur)
-			}
-			id := g.LinkFrom(node, class, vc)
-			if id == topology.None {
-				return fmt.Errorf("routing: missing link at node %d class %d vc %d", node, class, vc)
-			}
-			path = append(path, id)
-			if class == plusClass {
-				cur++
-				if cur == size { // crossed the wrap link: switch planes
-					cur = 0
-					vc = topology.TorusVCUnicastWrapped
-				}
-			} else {
-				cur--
-				if cur < 0 {
-					cur = size - 1
-					vc = topology.TorusVCUnicastWrapped
-				}
-			}
-			lastClass = class
-		}
-		return nil
-	}
-
-	if err := walk(sy, sx, dx, m.W(), topology.XPlus, topology.XMinus, true); err != nil {
+	buf = append(buf, m.Graph.Injection(src, port))
+	if buf, err = rt.appendWalk(buf, sy, sx, dx, true); err != nil {
 		return nil, err
 	}
-	if err := walk(dx, sy, dy, m.H(), topology.YPlus, topology.YMinus, false); err != nil {
+	if buf, err = rt.appendWalk(buf, dx, sy, dy, false); err != nil {
 		return nil, err
 	}
-	path = append(path, g.Ejection(dst, lastClass))
-	return path, nil
+	// The worm ejects through the port its last link arrived on.
+	return append(buf, m.Graph.Ejection(dst, m.Graph.Channel(buf[len(buf)-1]).Class)), nil
 }
 
-// Mesh multicast set semantics: Bits[0] ("high path") bit k-1 selects the
-// node k positions ahead of the source on the Hamilton path; Bits[1]
-// ("low path") bit k-1 selects the node k positions behind. Ports 2 and 3
-// must be empty. Positions beyond the path ends are skipped (the mesh is
-// not vertex-symmetric), so border sources may serve fewer targets.
-func (rt *MeshRouter) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
+// appendWalk appends one dimension's leg of an XY route: along the row
+// fixed (isX) or the column fixed, from coordinate from to coordinate to.
+func (rt *MeshRouter) appendWalk(buf Path, fixed, from, to int, isX bool) (Path, error) {
+	m := rt.m
+	size, plusClass, minusClass := m.W(), topology.XPlus, topology.XMinus
+	if !isX {
+		size, plusClass, minusClass = m.H(), topology.YPlus, topology.YMinus
+	}
+	class, hops := rt.steps(from, to, size, plusClass, minusClass)
+	vc := topology.MeshVCUnicast
+	cur := from
+	var err error
+	for i := 0; i < hops; i++ {
+		node := m.ID(cur, fixed)
+		if !isX {
+			node = m.ID(fixed, cur)
+		}
+		if buf, err = appendLink(buf, m.Graph, node, class, vc); err != nil {
+			return nil, err
+		}
+		if class == plusClass {
+			cur++
+			if cur == size { // crossed the wrap link: switch planes
+				cur = 0
+				vc = topology.TorusVCUnicastWrapped
+			}
+		} else {
+			cur--
+			if cur < 0 {
+				cur = size - 1
+				vc = topology.TorusVCUnicastWrapped
+			}
+		}
+	}
+	return buf, nil
+}
+
+// AppendMulticastBranches expands a mesh multicast set. Bits[0] ("high
+// path") bit k-1 selects the node k positions ahead of the source on the
+// Hamilton path; Bits[1] ("low path") bit k-1 selects the node k
+// positions behind. Ports 2 and 3 must be empty. Positions beyond the
+// path ends are skipped (the mesh is not vertex-symmetric), so border
+// sources may serve fewer targets.
+func (rt *MeshRouter) AppendMulticastBranches(a *Arena, src topology.NodeID, set MulticastSet) error {
 	if len(set.Bits) != topology.MeshPorts {
-		return nil, fmt.Errorf("routing: mesh multicast set must have %d ports, got %d",
+		return fmt.Errorf("routing: mesh multicast set must have %d ports, got %d",
 			topology.MeshPorts, len(set.Bits))
 	}
 	if set.Bits[2] != 0 || set.Bits[3] != 0 {
-		return nil, fmt.Errorf("routing: mesh multicast uses ports 0 (high) and 1 (low) only")
+		return fmt.Errorf("routing: mesh multicast uses ports 0 (high) and 1 (low) only")
 	}
 	m := rt.m
 	n := m.Nodes()
 	base := m.HamiltonIndex(src)
-	var branches []Branch
+	branches := len(a.Branches)
 	for dir := 0; dir < 2; dir++ {
-		sign := 1
-		if dir == 1 {
-			sign = -1
-		}
-		var targets []topology.NodeID
+		sign := 1 - 2*dir
+		tlo := len(a.Targets)
 		last := 0
-		for _, k := range set.Hops(dir) {
+		for b := set.Bits[dir]; b != 0; b &= b - 1 {
+			k := bits.TrailingZeros64(b) + 1
 			idx := base + sign*k
 			if idx < 0 || idx >= n {
 				continue // clipped at the path end
 			}
-			targets = append(targets, m.HamiltonNode(idx))
+			a.Targets = append(a.Targets, m.HamiltonNode(idx))
 			last = k
 		}
-		if len(targets) == 0 {
+		if last == 0 {
 			continue
 		}
-		path, err := rt.hamiltonPath(src, sign, last)
-		if err != nil {
-			return nil, err
+		lo := len(a.Paths)
+		var err error
+		if a.Paths, err = rt.appendHamilton(a.Paths, src, sign, last); err != nil {
+			return err
 		}
-		branches = append(branches, Branch{Port: int(rt.Graph().Channel(path[0]).Class), Path: path, Targets: targets})
+		a.add(int(m.Graph.Channel(a.Paths[lo]).Class), lo, tlo)
 	}
-	if len(branches) == 0 {
-		return nil, fmt.Errorf("routing: multicast set has no reachable targets from node %d", src)
+	if len(a.Branches) == branches {
+		return fmt.Errorf("routing: multicast set has no reachable targets from node %d", src)
 	}
-	return branches, nil
+	return nil
 }
 
-// hamiltonPath builds the multicast-plane channel path from src along the
-// Hamilton path (sign = +1 high, -1 low) for the given number of steps.
-func (rt *MeshRouter) hamiltonPath(src topology.NodeID, sign, steps int) (Path, error) {
+// appendHamilton appends the multicast-plane channel path from src along
+// the Hamilton path (sign = +1 high, -1 low) for the given number of
+// steps (>= 1). The injection port is the first link's direction.
+func (rt *MeshRouter) appendHamilton(buf Path, src topology.NodeID, sign, steps int) (Path, error) {
 	m := rt.m
 	g := m.Graph
 	base := m.HamiltonIndex(src)
 	cur := src
-	var links []topology.ChannelID
+	class := 0
 	for i := 1; i <= steps; i++ {
 		next := m.HamiltonNode(base + sign*i)
-		class, err := rt.neighborClass(cur, next)
-		if err != nil {
+		var err error
+		if class, err = rt.neighborClass(cur, next); err != nil {
 			return nil, err
 		}
-		id := g.LinkFrom(cur, class, topology.MeshVCMulticast)
-		if id == topology.None {
-			return nil, fmt.Errorf("routing: missing multicast link %d->%d", cur, next)
+		if i == 1 {
+			buf = append(buf, g.Injection(src, class))
 		}
-		links = append(links, id)
+		if buf, err = appendLink(buf, g, cur, class, topology.MeshVCMulticast); err != nil {
+			return nil, err
+		}
 		cur = next
 	}
-	injPort := int(g.Channel(links[0]).Class)
-	path := Path{g.Injection(src, injPort)}
-	path = append(path, links...)
-	lastClass := int(g.Channel(links[len(links)-1]).Class)
-	path = append(path, g.Ejection(cur, lastClass))
-	return path, nil
+	return append(buf, g.Ejection(cur, class)), nil
 }
 
 // neighborClass returns the direction class of the link from a to its

@@ -30,12 +30,12 @@ func TestMeshUnicastAllPairs(t *testing.T) {
 		for src := topology.NodeID(0); int(src) < 16; src++ {
 			for dst := topology.NodeID(0); int(dst) < 16; dst++ {
 				if src == dst {
-					if _, err := rt.UnicastPath(src, dst); err == nil {
+					if _, err := rt.AppendUnicastPath(nil, src, dst); err == nil {
 						t.Fatal("self path accepted")
 					}
 					continue
 				}
-				p, err := rt.UnicastPath(src, dst)
+				p, err := rt.AppendUnicastPath(nil, src, dst)
 				if err != nil {
 					t.Fatalf("wrap=%v path %d->%d: %v", wrap, src, dst, err)
 				}
@@ -53,7 +53,7 @@ func TestMeshXYOrder(t *testing.T) {
 	rt := meshRouter(t, 4, 4, false)
 	g := rt.Graph()
 	// (0,0) -> (2,3): X+ twice then Y+ three times.
-	p, err := rt.UnicastPath(rt.Mesh().ID(0, 0), rt.Mesh().ID(2, 3))
+	p, err := rt.AppendUnicastPath(nil, rt.Mesh().ID(0, 0), rt.Mesh().ID(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMeshXYOrder(t *testing.T) {
 func TestMeshUnicastUsesUnicastPlane(t *testing.T) {
 	rt := meshRouter(t, 4, 4, false)
 	g := rt.Graph()
-	p, _ := rt.UnicastPath(0, 15)
+	p, _ := rt.AppendUnicastPath(nil, 0, 15)
 	for _, id := range p[1 : len(p)-1] {
 		if c := g.Channel(id); c.VC != topology.MeshVCUnicast {
 			t.Fatalf("unicast link on VC %d, want %d", c.VC, topology.MeshVCUnicast)
@@ -88,7 +88,7 @@ func TestTorusDatelineVC(t *testing.T) {
 	g := rt.Graph()
 	m := rt.Mesh()
 	// (3,0) -> (1,0) wraps: links at x=3 (wrap link, VC0) then x=0 (VC1).
-	p, err := rt.UnicastPath(m.ID(3, 0), m.ID(1, 0))
+	p, err := rt.AppendUnicastPath(nil, m.ID(3, 0), m.ID(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMeshMulticastBranches(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rt.Mesh().ID(1, 1) // Hamilton index 6 (row 1 is reversed)
-	branches, err := rt.MulticastBranches(src, set)
+	branches, err := MulticastBranches(rt, src, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMeshMulticastClipsAtPathEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branches, err := rt.MulticastBranches(0, set)
+	branches, err := MulticastBranches(rt, 0, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMeshMulticastClipsAtPathEnds(t *testing.T) {
 	}
 	// A set with no reachable targets errors.
 	loSet, _ := rt.HighLowSet(nil, []int{5})
-	if _, err := rt.MulticastBranches(0, loSet); err == nil {
+	if _, err := MulticastBranches(rt, 0, loSet); err == nil {
 		t.Error("low-path targets from Hamilton start accepted")
 	}
 }
@@ -165,10 +165,10 @@ func TestMeshMulticastClipsAtPathEnds(t *testing.T) {
 func TestMeshMulticastRejectsBadSets(t *testing.T) {
 	rt := meshRouter(t, 4, 4, false)
 	bad := NewMulticastSet(topology.MeshPorts).Add(2, 1)
-	if _, err := rt.MulticastBranches(0, bad); err == nil {
+	if _, err := MulticastBranches(rt, 0, bad); err == nil {
 		t.Error("set using port 2 accepted")
 	}
-	if _, err := rt.MulticastBranches(0, NewMulticastSet(1)); err == nil {
+	if _, err := MulticastBranches(rt, 0, NewMulticastSet(1)); err == nil {
 		t.Error("wrong port count accepted")
 	}
 	if _, err := rt.HighLowSet([]int{0}, nil); err == nil {
@@ -190,7 +190,7 @@ func TestHypercubeUnicastAllPairs(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			p, err := rt.UnicastPath(src, dst)
+			p, err := rt.AppendUnicastPath(nil, src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestHypercubeUnicastAllPairs(t *testing.T) {
 func TestHypercubeECubeOrder(t *testing.T) {
 	h, _ := topology.NewHypercube(4)
 	rt := NewHypercubeRouter(h)
-	p, err := rt.UnicastPath(0, 0b1011)
+	p, err := rt.AppendUnicastPath(nil, 0, 0b1011)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestHypercubeFanoutMulticast(t *testing.T) {
 	h, _ := topology.NewHypercube(3)
 	rt := NewHypercubeRouter(h)
 	set := NewMulticastSet(1).Add(0, 1).Add(0, 6) // XOR offsets 1 and 6
-	branches, err := rt.MulticastBranches(5, set)
+	branches, err := MulticastBranches(rt, 5, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestHypercubeFanoutMulticast(t *testing.T) {
 	if !got[5^1] || !got[5^6] {
 		t.Fatalf("fanout targets wrong: %v", got)
 	}
-	if _, err := rt.MulticastBranches(0, NewMulticastSet(1)); err == nil {
+	if _, err := MulticastBranches(rt, 0, NewMulticastSet(1)); err == nil {
 		t.Error("empty set accepted")
 	}
 }
@@ -262,7 +262,7 @@ func TestSpidergonUnicastAllPairs(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			p, err := rt.UnicastPath(src, dst)
+			p, err := rt.AppendUnicastPath(nil, src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestSpidergonCrossFirst(t *testing.T) {
 	s, _ := topology.NewSpidergon(16)
 	rt := NewSpidergonRouter(s)
 	// 0 -> 6 is beyond a quarter: must cross first.
-	p, err := rt.UnicastPath(0, 6)
+	p, err := rt.AppendUnicastPath(nil, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSpidergonCrossFirst(t *testing.T) {
 func TestSpidergonBroadcastIsNMinus1Unicasts(t *testing.T) {
 	s, _ := topology.NewSpidergon(16)
 	rt := NewSpidergonRouter(s)
-	branches, err := rt.MulticastBranches(3, rt.BroadcastSet())
+	branches, err := MulticastBranches(rt, 3, rt.BroadcastSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestOnePortQuarcRouting(t *testing.T) {
 	// All unicast paths inject and eject through port 0, but still follow
 	// the quadrant routes.
 	for _, dst := range []topology.NodeID{3, 6, 10, 14} {
-		p, err := rt.UnicastPath(0, dst)
+		p, err := rt.AppendUnicastPath(nil, 0, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestOnePortQuarcRouting(t *testing.T) {
 		}
 	}
 	// Broadcast branches all share the single injection channel.
-	branches, err := rt.MulticastBranches(0, rt.BroadcastSet())
+	branches, err := MulticastBranches(rt, 0, rt.BroadcastSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +360,11 @@ func TestMeshPathsShortestProperty(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		pm, err := rtm.UnicastPath(src, dst)
+		pm, err := rtm.AppendUnicastPath(nil, src, dst)
 		if err != nil {
 			return false
 		}
-		pt, err := rtt.UnicastPath(src, dst)
+		pt, err := rtt.AppendUnicastPath(nil, src, dst)
 		if err != nil {
 			return false
 		}
@@ -396,7 +396,7 @@ func TestSpidergonSetBuilders(t *testing.T) {
 	if rnd.Size() != 5 {
 		t.Fatalf("random set size = %d, want 5", rnd.Size())
 	}
-	branches, err := rt.MulticastBranches(2, rnd)
+	branches, err := MulticastBranches(rt, 2, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

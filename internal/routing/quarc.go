@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quarc/internal/topology"
 )
@@ -32,92 +33,60 @@ func (rt *QuarcRouter) UnicastPort(src, dst topology.NodeID) (int, error) {
 	return rt.q.PortFor(src, dst)
 }
 
-// UnicastPath returns the full channel path of a unicast src -> dst.
-func (rt *QuarcRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
-	port, err := rt.q.PortFor(src, dst)
+// AppendUnicastPath appends the full channel path of a unicast src -> dst.
+func (rt *QuarcRouter) AppendUnicastPath(buf Path, src, dst topology.NodeID) (Path, error) {
+	port, hop, err := rt.q.BranchHopOf(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	_, hop, err := rt.q.BranchHopOf(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return rt.branchPath(src, port, hop)
+	return rt.appendBranch(buf, src, port, hop)
 }
 
-// branchPath builds the channel path from src along the given port's
+// appendBranch appends the channel path from src along the given port's
 // stream up to branch-hop distance lastHop (>= 1), ending with the
 // ejection channel at the node reached there.
-func (rt *QuarcRouter) branchPath(src topology.NodeID, port, lastHop int) (Path, error) {
+func (rt *QuarcRouter) appendBranch(buf Path, src topology.NodeID, port, lastHop int) (Path, error) {
 	q := rt.q
 	g := q.Graph
 	n := topology.NodeID(q.Nodes())
-	half := n / 2
+	opp := (src + n/2) % n
 	// One-port routers funnel every quadrant through the single PE port.
 	injPort := port
 	if g.Ports() == 1 {
 		injPort = 0
 	}
-	path := Path{g.Injection(src, injPort)}
-
-	appendRim := func(start topology.NodeID, hops int, class int) error {
-		cur := start
-		for i := 0; i < hops; i++ {
-			var vc int
-			var next topology.NodeID
-			if class == topology.RimPlus {
-				vc = q.RimPlusVC(start, cur)
-				next = (cur + 1) % n
-			} else {
-				vc = q.RimMinusVC(start, cur)
-				next = (cur - 1 + n) % n
-			}
-			id := g.LinkFrom(cur, class, vc)
-			if id == topology.None {
-				return fmt.Errorf("routing: missing rim link at node %d class %d vc %d", cur, class, vc)
-			}
-			path = append(path, id)
-			cur = next
-		}
-		return nil
-	}
+	buf = append(buf, g.Injection(src, injPort))
 
 	var ejectPort int
+	var err error
 	switch port {
 	case topology.PortL:
-		if err := appendRim(src, lastHop, topology.RimPlus); err != nil {
-			return nil, err
-		}
+		buf, err = appendRim(buf, g, src, lastHop, topology.RimPlus)
 		ejectPort = topology.RimPlus
 	case topology.PortR:
-		if err := appendRim(src, lastHop, topology.RimMinus); err != nil {
-			return nil, err
-		}
+		buf, err = appendRim(buf, g, src, lastHop, topology.RimMinus)
 		ejectPort = topology.RimMinus
 	case topology.PortCL:
-		path = append(path, g.LinkFrom(src, topology.CrossL, 0))
-		opp := (src + half) % n
-		if err := appendRim(opp, lastHop-1, topology.RimMinus); err != nil {
-			return nil, err
+		if buf, err = appendLink(buf, g, src, topology.CrossL, 0); err == nil {
+			buf, err = appendRim(buf, g, opp, lastHop-1, topology.RimMinus)
 		}
+		ejectPort = topology.RimMinus
 		if lastHop == 1 {
 			ejectPort = topology.CrossL
-		} else {
-			ejectPort = topology.RimMinus
 		}
 	case topology.PortCR:
-		path = append(path, g.LinkFrom(src, topology.CrossR, 0))
-		opp := (src + half) % n
-		if err := appendRim(opp, lastHop-1, topology.RimPlus); err != nil {
-			return nil, err
+		if buf, err = appendLink(buf, g, src, topology.CrossR, 0); err == nil {
+			buf, err = appendRim(buf, g, opp, lastHop-1, topology.RimPlus)
 		}
+		ejectPort = topology.RimPlus
 		if lastHop == 1 {
 			ejectPort = topology.CrossR
-		} else {
-			ejectPort = topology.RimPlus
 		}
 	default:
 		return nil, fmt.Errorf("routing: invalid quarc port %d", port)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	end, err := q.BranchNode(src, port, lastHop)
@@ -127,49 +96,71 @@ func (rt *QuarcRouter) branchPath(src topology.NodeID, port, lastHop int) (Path,
 	if g.Ports() == 1 {
 		ejectPort = 0
 	}
-	path = append(path, g.Ejection(end, ejectPort))
-	return path, nil
+	return append(buf, g.Ejection(end, ejectPort)), nil
 }
 
-// MulticastBranches expands a relative multicast set into one branch per
-// active port. Branch paths end at the last target of the port, matching
-// the Quarc header format where the destination address is the last node
-// to be visited and the bitstring selects the absorbing nodes.
-func (rt *QuarcRouter) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
+// appendRim appends hops rim links of the given class (RimPlus or
+// RimMinus) walked from start, each on the virtual channel the dateline
+// rule assigns. The Quarc and the Spidergon share the rim.
+func appendRim(buf Path, g *topology.Graph, start topology.NodeID, hops, class int) (Path, error) {
+	n := topology.NodeID(g.Nodes())
+	cur := start
+	var err error
+	for i := 0; i < hops; i++ {
+		var vc int
+		var next topology.NodeID
+		if class == topology.RimPlus {
+			vc, next = topology.RimPlusVC(start, cur), (cur+1)%n
+		} else {
+			vc, next = topology.RimMinusVC(start, cur), (cur-1+n)%n
+		}
+		if buf, err = appendLink(buf, g, cur, class, vc); err != nil {
+			return nil, err
+		}
+		cur = next
+	}
+	return buf, nil
+}
+
+// AppendMulticastBranches expands a relative multicast set into one
+// branch per active port. Branch paths end at the last target of the
+// port, matching the Quarc header format where the destination address
+// is the last node to be visited and the bitstring selects the
+// absorbing nodes.
+func (rt *QuarcRouter) AppendMulticastBranches(a *Arena, src topology.NodeID, set MulticastSet) error {
 	if len(set.Bits) != topology.QuarcPorts {
-		return nil, fmt.Errorf("routing: quarc multicast set must have %d ports, got %d",
+		return fmt.Errorf("routing: quarc multicast set must have %d ports, got %d",
 			topology.QuarcPorts, len(set.Bits))
 	}
-	var branches []Branch
 	for port := 0; port < topology.QuarcPorts; port++ {
 		last := set.LastHop(port)
 		if last == 0 {
 			continue
 		}
 		lo, hi := rt.q.BranchHopRange(port)
-		if first := set.Hops(port)[0]; first < lo {
-			return nil, fmt.Errorf("routing: port %s target at hop %d below minimum %d",
+		if first := bits.TrailingZeros64(set.Bits[port]) + 1; first < lo {
+			return fmt.Errorf("routing: port %s target at hop %d below minimum %d",
 				topology.QuarcPortName(port), first, lo)
 		}
 		if last > hi {
-			return nil, fmt.Errorf("routing: port %s target at hop %d beyond quadrant end %d",
+			return fmt.Errorf("routing: port %s target at hop %d beyond quadrant end %d",
 				topology.QuarcPortName(port), last, hi)
 		}
-		path, err := rt.branchPath(src, port, last)
-		if err != nil {
-			return nil, err
+		plo, tlo := len(a.Paths), len(a.Targets)
+		var err error
+		if a.Paths, err = rt.appendBranch(a.Paths, src, port, last); err != nil {
+			return err
 		}
-		var targets []topology.NodeID
-		for _, hop := range set.Hops(port) {
-			node, err := rt.q.BranchNode(src, port, hop)
+		for b := set.Bits[port]; b != 0; b &= b - 1 {
+			node, err := rt.q.BranchNode(src, port, bits.TrailingZeros64(b)+1)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			targets = append(targets, node)
+			a.Targets = append(a.Targets, node)
 		}
-		branches = append(branches, Branch{Port: port, Path: path, Targets: targets})
+		a.add(port, plo, tlo)
 	}
-	return branches, nil
+	return nil
 }
 
 // BroadcastSet returns the multicast set that covers every node of the

@@ -55,12 +55,12 @@ func TestUnicastPathsAllPairs(t *testing.T) {
 		for src := topology.NodeID(0); int(src) < n; src++ {
 			for dst := topology.NodeID(0); int(dst) < n; dst++ {
 				if src == dst {
-					if _, err := rt.UnicastPath(src, dst); err == nil {
+					if _, err := rt.AppendUnicastPath(nil, src, dst); err == nil {
 						t.Fatalf("self-path %d accepted", src)
 					}
 					continue
 				}
-				p, err := rt.UnicastPath(src, dst)
+				p, err := rt.AppendUnicastPath(nil, src, dst)
 				if err != nil {
 					t.Fatalf("UnicastPath(%d,%d): %v", src, dst, err)
 				}
@@ -101,7 +101,7 @@ func TestCrossPathsUseCrossLinkFirst(t *testing.T) {
 	rt := mustRouter(t, 16)
 	g := rt.Graph()
 	// 0 -> 6 is cross-left: inj, crossL, rim-, rim-, eject.
-	p, err := rt.UnicastPath(0, 6)
+	p, err := rt.AppendUnicastPath(nil, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCrossPathsUseCrossLinkFirst(t *testing.T) {
 		}
 	}
 	// 0 -> 10 is cross-right: inj, crossR, rim+, rim+, eject.
-	p, err = rt.UnicastPath(0, 10)
+	p, err = rt.AppendUnicastPath(nil, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +133,15 @@ func TestEjectionPortMatchesArrivalDirection(t *testing.T) {
 	g := rt.Graph()
 	eject := func(p Path) topology.Channel { return g.Channel(p[len(p)-1]) }
 
-	p, _ := rt.UnicastPath(0, 3) // L quadrant, arrives on rim+
+	p, _ := rt.AppendUnicastPath(nil, 0, 3) // L quadrant, arrives on rim+
 	if c := eject(p); c.Class != topology.RimPlus {
 		t.Errorf("L arrival ejection port = %d, want rim+", c.Class)
 	}
-	p, _ = rt.UnicastPath(0, 13) // R quadrant, arrives on rim-
+	p, _ = rt.AppendUnicastPath(nil, 0, 13) // R quadrant, arrives on rim-
 	if c := eject(p); c.Class != topology.RimMinus {
 		t.Errorf("R arrival ejection port = %d, want rim-", c.Class)
 	}
-	p, _ = rt.UnicastPath(0, 8) // opposite node, arrives on crossL
+	p, _ = rt.AppendUnicastPath(nil, 0, 8) // opposite node, arrives on crossL
 	if c := eject(p); c.Class != topology.CrossL {
 		t.Errorf("cross arrival ejection port = %d, want crossL", c.Class)
 	}
@@ -151,7 +151,7 @@ func TestVCDatelineOnWrappedPaths(t *testing.T) {
 	rt := mustRouter(t, 16)
 	g := rt.Graph()
 	// 14 -> 2 travels rim+ 14,15,0,1: links at 14,15 on VC0, links at 0,1 on VC1.
-	p, err := rt.UnicastPath(14, 2)
+	p, err := rt.AppendUnicastPath(nil, 14, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestBroadcastSetMatchesFig3(t *testing.T) {
 	if set.Size() != 15 {
 		t.Fatalf("broadcast set covers %d nodes, want 15", set.Size())
 	}
-	branches, err := rt.MulticastBranches(0, set)
+	branches, err := MulticastBranches(rt, 0, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMulticastBranchPathsEndAtLastTarget(t *testing.T) {
 	set := NewMulticastSet(topology.QuarcPorts)
 	set = set.Add(topology.PortL, 2).Add(topology.PortL, 5)
 	set = set.Add(topology.PortCR, 3)
-	branches, err := rt.MulticastBranches(7, set)
+	branches, err := MulticastBranches(rt, 7, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,16 +245,16 @@ func TestMulticastRejectsInvalidHops(t *testing.T) {
 	rt := mustRouter(t, 16)
 	// Hop beyond the quadrant.
 	bad := NewMulticastSet(topology.QuarcPorts).Add(topology.PortL, 5)
-	if _, err := rt.MulticastBranches(0, bad); err == nil {
+	if _, err := MulticastBranches(rt, 0, bad); err == nil {
 		t.Error("accepted L target beyond quadrant")
 	}
 	// CR hop 1 is the opposite node, which belongs to the CL quadrant.
 	bad = NewMulticastSet(topology.QuarcPorts).Add(topology.PortCR, 1)
-	if _, err := rt.MulticastBranches(0, bad); err == nil {
+	if _, err := MulticastBranches(rt, 0, bad); err == nil {
 		t.Error("accepted CR target at hop 1")
 	}
 	// Wrong port count.
-	if _, err := rt.MulticastBranches(0, NewMulticastSet(2)); err == nil {
+	if _, err := MulticastBranches(rt, 0, NewMulticastSet(2)); err == nil {
 		t.Error("accepted set with wrong port count")
 	}
 }
@@ -266,7 +266,7 @@ func TestSetFromNodesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branches, err := rt.MulticastBranches(0, set)
+	branches, err := MulticastBranches(rt, 0, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,6 @@ func TestMulticastSetHelpers(t *testing.T) {
 	}
 	if got := s.LastHop(1); got != 0 {
 		t.Errorf("LastHop(1) = %d, want 0", got)
-	}
-	if hops := s.Hops(0); len(hops) != 2 || hops[0] != 1 || hops[1] != 3 {
-		t.Errorf("Hops(0) = %v, want [1 3]", hops)
 	}
 	if s.Size() != 3 {
 		t.Errorf("Size = %d, want 3", s.Size())
@@ -336,7 +333,7 @@ func TestBroadcastPropertyAllSizes(t *testing.T) {
 		n := sizes[int(seed)%len(sizes)]
 		rt := mustRouter(t, n)
 		src := topology.NodeID(int(seed) % n)
-		branches, err := rt.MulticastBranches(src, rt.BroadcastSet())
+		branches, err := MulticastBranches(rt, src, rt.BroadcastSet())
 		if err != nil {
 			return false
 		}

@@ -10,6 +10,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"quarc/internal/topology"
@@ -39,17 +40,21 @@ type Branch struct {
 
 // Unicaster produces deterministic unicast routes.
 type Unicaster interface {
-	// UnicastPath returns the channel path from src to dst (src != dst).
-	UnicastPath(src, dst topology.NodeID) (Path, error)
+	// AppendUnicastPath appends the channel path from src to dst
+	// (src != dst) to buf and returns the extended slice, in the manner of
+	// strconv.AppendInt. It never retains buf; on error it returns nil.
+	AppendUnicastPath(buf Path, src, dst topology.NodeID) (Path, error)
 	// UnicastPort returns the injection port a unicast src->dst takes.
 	UnicastPort(src, dst topology.NodeID) (int, error)
 }
 
 // Multicaster produces the per-port branches of a multicast operation.
 type Multicaster interface {
-	// MulticastBranches returns one branch per injection port that has at
-	// least one target in the given relative destination set.
-	MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error)
+	// AppendMulticastBranches appends to a one branch per injection port
+	// that has at least one target in the given relative destination
+	// set, writing the branches' paths and targets into a as well. It
+	// never retains a; on error a holds a partial answer to discard.
+	AppendMulticastBranches(a *Arena, src topology.NodeID, set MulticastSet) error
 }
 
 // Router combines unicast and multicast routing over one topology.
@@ -58,6 +63,43 @@ type Router interface {
 	Multicaster
 	// Graph returns the channel graph the router routes over.
 	Graph() *topology.Graph
+}
+
+// Arena is append-only route storage: branches, and the channel paths
+// and target lists they hold. Each branch's Path and Targets are capped
+// spans of Paths and Targets, and a span is never rewritten, so a
+// branch stays valid however the arena grows after it.
+type Arena struct {
+	Branches []Branch
+	Paths    Path
+	Targets  []topology.NodeID
+}
+
+// add appends the branch through port whose path and targets are what
+// the arena gained since Paths held lo channels and Targets tlo nodes.
+func (a *Arena) add(port, lo, tlo int) {
+	p, t := len(a.Paths), len(a.Targets)
+	a.Branches = append(a.Branches, Branch{Port: port, Path: a.Paths[lo:p:p], Targets: a.Targets[tlo:t:t]})
+}
+
+// MulticastBranches returns src's branches for set, built into an arena
+// of their own.
+func MulticastBranches(m Multicaster, src topology.NodeID, set MulticastSet) ([]Branch, error) {
+	var a Arena
+	if err := m.AppendMulticastBranches(&a, src, set); err != nil {
+		return nil, err
+	}
+	return a.Branches, nil
+}
+
+// appendLink appends the link leaving node with the given class and vc.
+// Every router family treats a missing link the same way: as an error.
+func appendLink(buf Path, g *topology.Graph, node topology.NodeID, class, vc int) (Path, error) {
+	id := g.LinkFrom(node, class, vc)
+	if id == topology.None {
+		return nil, fmt.Errorf("routing: missing link at node %d class %d vc %d", node, class, vc)
+	}
+	return append(buf, id), nil
 }
 
 // MulticastSet is a relative multicast destination set expressed exactly as
@@ -91,30 +133,7 @@ func (s MulticastSet) Has(port, hop int) bool {
 
 // LastHop returns the largest marked hop distance on port, or 0 if the
 // port has no targets.
-func (s MulticastSet) LastHop(port int) int {
-	b := s.Bits[port]
-	last := 0
-	for hop := 1; b != 0; hop++ {
-		if b&1 != 0 {
-			last = hop
-		}
-		b >>= 1
-	}
-	return last
-}
-
-// Hops returns the marked hop distances on port in increasing order.
-func (s MulticastSet) Hops(port int) []int {
-	var hops []int
-	b := s.Bits[port]
-	for hop := 1; b != 0; hop++ {
-		if b&1 != 0 {
-			hops = append(hops, hop)
-		}
-		b >>= 1
-	}
-	return hops
-}
+func (s MulticastSet) LastHop(port int) int { return bits.Len64(s.Bits[port]) }
 
 // Size returns the total number of targets across all ports.
 func (s MulticastSet) Size() int {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"quarc/internal/topology"
@@ -39,80 +40,70 @@ func (rt *SpidergonRouter) UnicastPort(src, dst topology.NodeID) (int, error) {
 	return 0, nil
 }
 
-// UnicastPath returns the Across-First channel path from src to dst.
-func (rt *SpidergonRouter) UnicastPath(src, dst topology.NodeID) (Path, error) {
+// AppendUnicastPath appends the Across-First channel path from src to
+// dst.
+func (rt *SpidergonRouter) AppendUnicastPath(buf Path, src, dst topology.NodeID) (Path, error) {
 	s := rt.s
 	g := s.Graph
 	if src == dst {
 		return nil, fmt.Errorf("routing: self destination %d", src)
 	}
-	n := topology.NodeID(s.Nodes())
+	n := s.Nodes()
 	r := s.Rel(src, dst)
-	quarter := s.Nodes() / 4
-	path := Path{g.Injection(src, 0)}
+	quarter := n / 4
+	buf = append(buf, g.Injection(src, 0))
 
-	appendRim := func(start topology.NodeID, hops int, class int) {
-		cur := start
-		for i := 0; i < hops; i++ {
-			var vc int
-			var next topology.NodeID
-			if class == topology.RimPlus {
-				vc = s.RimPlusVC(start, cur)
-				next = (cur + 1) % n
-			} else {
-				vc = s.RimMinusVC(start, cur)
-				next = (cur - 1 + n) % n
-			}
-			path = append(path, g.LinkFrom(cur, class, vc))
-			cur = next
-		}
-	}
-
+	var err error
 	switch {
 	case r <= quarter:
-		appendRim(src, r, topology.RimPlus)
-	case s.Nodes()-r <= quarter:
-		appendRim(src, s.Nodes()-r, topology.RimMinus)
+		buf, err = appendRim(buf, g, src, r, topology.RimPlus)
+	case n-r <= quarter:
+		buf, err = appendRim(buf, g, src, n-r, topology.RimMinus)
 	default:
-		path = append(path, g.LinkFrom(src, topology.CrossL, 0))
-		opp := (src + n/2) % n
-		rem := s.Rel(opp, dst)
-		if rem == 0 {
-			// Destination is the opposite node itself.
-		} else if rem <= s.Nodes()/2 {
-			appendRim(opp, rem, topology.RimPlus)
-		} else {
-			appendRim(opp, s.Nodes()-rem, topology.RimMinus)
-		}
-	}
-	path = append(path, g.Ejection(dst, 0))
-	return path, nil
-}
-
-// MulticastBranches expands the relative destination set into consecutive
-// unicasts. The set uses a single bitstring (port 0): bit k-1 selects the
-// node at relative position k clockwise from the source.
-func (rt *SpidergonRouter) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
-	if len(set.Bits) != 1 {
-		return nil, fmt.Errorf("routing: spidergon multicast set must have 1 port, got %d", len(set.Bits))
-	}
-	n := topology.NodeID(rt.s.Nodes())
-	var branches []Branch
-	for _, k := range set.Hops(0) {
-		if k >= rt.s.Nodes() {
-			return nil, fmt.Errorf("routing: relative position %d out of range", k)
-		}
-		dst := (src + topology.NodeID(k)) % n
-		path, err := rt.UnicastPath(src, dst)
-		if err != nil {
+		if buf, err = appendLink(buf, g, src, topology.CrossL, 0); err != nil {
 			return nil, err
 		}
-		branches = append(branches, Branch{Port: 0, Path: path, Targets: []topology.NodeID{dst}})
+		// The rest is a rim walk from the opposite node, empty when the
+		// destination is the opposite node itself.
+		opp := (src + topology.NodeID(n/2)) % topology.NodeID(n)
+		if rem := s.Rel(opp, dst); rem <= n/2 {
+			buf, err = appendRim(buf, g, opp, rem, topology.RimPlus)
+		} else {
+			buf, err = appendRim(buf, g, opp, n-rem, topology.RimMinus)
+		}
 	}
-	if len(branches) == 0 {
-		return nil, fmt.Errorf("routing: empty multicast set")
+	if err != nil {
+		return nil, err
 	}
-	return branches, nil
+	return append(buf, g.Ejection(dst, 0)), nil
+}
+
+// AppendMulticastBranches expands the relative destination set into
+// consecutive unicasts. The set uses a single bitstring (port 0): bit k-1
+// selects the node at relative position k clockwise from the source.
+func (rt *SpidergonRouter) AppendMulticastBranches(a *Arena, src topology.NodeID, set MulticastSet) error {
+	if len(set.Bits) != 1 {
+		return fmt.Errorf("routing: spidergon multicast set must have 1 port, got %d", len(set.Bits))
+	}
+	if set.Bits[0] == 0 {
+		return fmt.Errorf("routing: empty multicast set")
+	}
+	n := rt.s.Nodes()
+	for b := set.Bits[0]; b != 0; b &= b - 1 {
+		k := bits.TrailingZeros64(b) + 1
+		if k >= n {
+			return fmt.Errorf("routing: relative position %d out of range", k)
+		}
+		dst := (src + topology.NodeID(k)) % topology.NodeID(n)
+		lo, tlo := len(a.Paths), len(a.Targets)
+		var err error
+		if a.Paths, err = rt.AppendUnicastPath(a.Paths, src, dst); err != nil {
+			return err
+		}
+		a.Targets = append(a.Targets, dst)
+		a.add(0, lo, tlo)
+	}
+	return nil
 }
 
 // BroadcastSet returns the set covering every node: relative positions

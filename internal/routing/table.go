@@ -14,6 +14,11 @@ import (
 // table is read-only after NewTable: any number of goroutines share it
 // without a lock, and its routes live exactly as long as its holders.
 //
+// Each half's paths lie end to end in one arena, its targets in another,
+// and every stored path and target list is a capped span of them. The
+// tables NewTable derives for other sets share the unicast half; each
+// set's branches have their own arenas, so no table pins another set's.
+//
 // Returned paths, targets and branch slices are the table's own storage
 // and must not be modified. They are capped at their length, so a
 // caller's append copies instead of clobbering a neighbouring route.
@@ -22,7 +27,8 @@ type Table struct {
 	n    int
 	uni  []Branch // uni[src*n+dst]: the route src -> dst; zero if src == dst
 	set  MulticastSet
-	mc   [][]Branch // mc[src]: src's branches for set; nil if set is empty or rejected
+	mc   []Branch // every source's branches for set, source by source
+	mcOf []int    // mc[mcOf[src]:mcOf[src+1]] are src's; nil if set is empty or rejected
 }
 
 // NewTable enumerates r's routes. Given a *Table, it returns that table
@@ -39,44 +45,85 @@ func NewTable(r Router, set MulticastSet) (*Table, error) {
 	case ok:
 		t = &Table{base: t.base, n: t.n, uni: t.uni}
 	default:
-		n := r.Graph().Nodes()
-		t = &Table{base: r, n: n, uni: make([]Branch, n*n)}
-		targets := make([]topology.NodeID, n*n)
-		for i := range t.uni {
-			src, dst := topology.NodeID(i/n), topology.NodeID(i%n)
-			if src == dst {
-				continue
-			}
-			path, err := r.UnicastPath(src, dst)
-			if err != nil {
-				return nil, fmt.Errorf("routing: unicast path %d->%d: %w", src, dst, err)
-			}
-			port, err := r.UnicastPort(src, dst)
-			if err != nil {
-				return nil, fmt.Errorf("routing: unicast port %d->%d: %w", src, dst, err)
-			}
-			targets[i] = dst
-			t.uni[i] = Branch{Port: port, Path: slices.Clip(path), Targets: targets[i : i+1 : i+1]}
+		t = &Table{base: r, n: r.Graph().Nodes()}
+		if err := t.enumerateUnicast(); err != nil {
+			return nil, err
 		}
 	}
-	if set.Empty() {
-		return t, nil
+	if !set.Empty() {
+		t.set = MulticastSet{Bits: slices.Clone(set.Bits)} // Add mutates in place
+		t.enumerateMulticast()
 	}
-	t.set = MulticastSet{Bits: slices.Clone(set.Bits)} // Add mutates in place
-	mc := make([][]Branch, t.n)
-	for src := range mc {
-		branches, err := t.base.MulticastBranches(topology.NodeID(src), set)
-		if err != nil {
-			return t, nil // rejected: leave mc nil
-		}
-		mc[src] = slices.Clip(slices.Clone(branches))
-		for i := range mc[src] {
-			b := &mc[src][i]
-			b.Path, b.Targets = slices.Clip(b.Path), slices.Clip(b.Targets)
-		}
-	}
-	t.mc = mc
 	return t, nil
+}
+
+// enumerateUnicast appends every route src -> dst to one arena, row by
+// row. A route visits each node at most once, so the first row fits in
+// (n-1)(n+1) channels; the arena then grows once, to n times that row:
+// sources route much alike, and exactly alike in a vertex-symmetric
+// network.
+func (t *Table) enumerateUnicast() error {
+	n := t.n
+	t.uni = make([]Branch, n*n)
+	paths := make(Path, 0, (n-1)*(n+1))
+	targets := make([]topology.NodeID, 0, n*(n-1))
+	for i := range t.uni {
+		src, dst := topology.NodeID(i/n), topology.NodeID(i%n)
+		if i == n {
+			paths = slices.Grow(paths, (n-1)*len(paths))
+		}
+		if src == dst {
+			continue
+		}
+		port, err := t.base.UnicastPort(src, dst)
+		if err != nil {
+			return fmt.Errorf("routing: unicast port %d->%d: %w", src, dst, err)
+		}
+		lo := len(paths)
+		if paths, err = t.base.AppendUnicastPath(paths, src, dst); err != nil {
+			return fmt.Errorf("routing: unicast path %d->%d: %w", src, dst, err)
+		}
+		targets = append(targets, dst)
+		t.uni[i] = Branch{Port: port, Path: paths[lo:], Targets: targets[len(targets)-1:]}
+	}
+	rebind(t.uni, paths, targets)
+	return nil
+}
+
+// enumerateMulticast appends every source's branches for the table's set
+// to one arena, sized after source 0 like the unicast one. A set the base
+// router rejects at any source leaves the table without branches.
+func (t *Table) enumerateMulticast() {
+	var a Arena
+	mcOf := make([]int, t.n+1)
+	for src := 0; src < t.n; src++ {
+		if err := t.base.AppendMulticastBranches(&a, topology.NodeID(src), t.set); err != nil {
+			return
+		}
+		mcOf[src+1] = len(a.Branches)
+		if src == 0 {
+			rest := t.n - 1
+			a.Branches = slices.Grow(a.Branches, rest*len(a.Branches))
+			a.Paths = slices.Grow(a.Paths, rest*len(a.Paths))
+			a.Targets = slices.Grow(a.Targets, rest*len(a.Targets))
+		}
+	}
+	rebind(a.Branches, a.Paths, a.Targets)
+	t.mc, t.mcOf = a.Branches, mcOf
+}
+
+// rebind points each branch's path and targets at its span of the
+// finished arenas. Spans are cut in branch order from append-only
+// arenas, so running lengths locate them; a span cut before its arena
+// last grew would otherwise pin the old backing array.
+func rebind(bs []Branch, paths Path, targets []topology.NodeID) {
+	for i := range bs {
+		b := &bs[i]
+		if k, m := len(b.Path), len(b.Targets); k > 0 {
+			b.Path, paths = paths[:k:k], paths[k:]
+			b.Targets, targets = targets[:m:m], targets[m:]
+		}
+	}
 }
 
 // Graph returns the base router's channel graph.
@@ -91,12 +138,13 @@ func (t *Table) unicast(src, dst topology.NodeID) *Branch {
 	return &t.uni[int(src)*t.n+int(dst)]
 }
 
-// UnicastPath returns the stored route; other pairs go to the base router.
-func (t *Table) UnicastPath(src, dst topology.NodeID) (Path, error) {
+// AppendUnicastPath appends the stored route; other pairs go to the base
+// router.
+func (t *Table) AppendUnicastPath(buf Path, src, dst topology.NodeID) (Path, error) {
 	if b := t.unicast(src, dst); b != nil {
-		return b.Path, nil
+		return append(buf, b.Path...), nil
 	}
-	return t.base.UnicastPath(src, dst)
+	return t.base.AppendUnicastPath(buf, src, dst)
 }
 
 // UnicastPort returns the stored route's port; other pairs go to the base
@@ -108,13 +156,19 @@ func (t *Table) UnicastPort(src, dst topology.NodeID) (int, error) {
 	return t.base.UnicastPort(src, dst)
 }
 
-// MulticastBranches returns the stored branches for the table's set; other
-// sets, and a set the base router rejected, go to the base router.
+// MulticastBranches returns the stored branches for the table's set;
+// other sets, and a set the base router rejected, go to the base router.
 func (t *Table) MulticastBranches(src topology.NodeID, set MulticastSet) ([]Branch, error) {
-	if t.mc != nil && uint(src) < uint(t.n) && set.Equal(t.set) {
-		return t.mc[src], nil
+	if t.mcOf != nil && uint(src) < uint(t.n) && set.Equal(t.set) {
+		return t.Multicast(src), nil
 	}
-	return t.base.MulticastBranches(src, set)
+	return MulticastBranches(t.base, src, set)
+}
+
+// AppendMulticastBranches has the base router build src's branches into
+// a; read stored branches with MulticastBranches or Multicast.
+func (t *Table) AppendMulticastBranches(a *Arena, src topology.NodeID, set MulticastSet) error {
+	return t.base.AppendMulticastBranches(a, src, set)
 }
 
 // Unicast returns the route src -> dst (src != dst, both in range) as a
@@ -127,10 +181,11 @@ func (t *Table) Unicast(src, dst topology.NodeID) []Branch {
 // Multicast returns src's branches for the table's set, nil when the
 // table holds none.
 func (t *Table) Multicast(src topology.NodeID) []Branch {
-	if t.mc == nil {
+	if t.mcOf == nil {
 		return nil
 	}
-	return t.mc[src]
+	lo, hi := t.mcOf[src], t.mcOf[src+1]
+	return t.mc[lo:hi:hi]
 }
 
 var _ Router = (*Table)(nil)

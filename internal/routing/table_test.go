@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quarc/internal/topology"
@@ -126,8 +127,8 @@ func TestTableMatchesRouter(t *testing.T) {
 			}
 			for src := topology.NodeID(0); int(src) < n; src++ {
 				for dst := topology.NodeID(0); int(dst) < n; dst++ {
-					gp, gerr := tab.UnicastPath(src, dst)
-					wp, werr := c.rt.UnicastPath(src, dst)
+					gp, gerr := tab.AppendUnicastPath(nil, src, dst)
+					wp, werr := c.rt.AppendUnicastPath(nil, src, dst)
 					sameAnswer(t, "UnicastPath", gp, wp, gerr, werr)
 					gport, gerr := tab.UnicastPort(src, dst)
 					wport, werr := c.rt.UnicastPort(src, dst)
@@ -168,13 +169,13 @@ func TestTableMatchesRouter(t *testing.T) {
 				// clipped at a path end) leaves the table without branches.
 				rejected := false
 				for src := topology.NodeID(0); int(src) < n; src++ {
-					if _, err := c.rt.MulticastBranches(src, set); err != nil {
+					if _, err := MulticastBranches(c.rt, src, set); err != nil {
 						rejected = true
 					}
 				}
 				for src := topology.NodeID(0); int(src) < n; src++ {
 					got, gerr := st.MulticastBranches(src, set)
-					want, werr := c.rt.MulticastBranches(src, set)
+					want, werr := MulticastBranches(c.rt, src, set)
 					sameAnswer(t, "MulticastBranches", got, want, gerr, werr)
 					other, oerr := prev.MulticastBranches(src, set) // a table for another set
 					sameAnswer(t, "MulticastBranches of another set", other, want, oerr, werr)
@@ -214,11 +215,157 @@ func TestTableFallsThroughOnRejectedSet(t *testing.T) {
 		t.Fatal("a rejected set left branches in the table")
 	}
 	_, gerr := tab.MulticastBranches(3, bad)
-	_, werr := rt.MulticastBranches(3, bad)
+	_, werr := MulticastBranches(rt, 3, bad)
 	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 		t.Fatalf("table error %v, router error %v", gerr, werr)
 	}
 	if again, _ := NewTable(tab, bad); again != tab {
 		t.Fatal("the same rejected set built a new table")
+	}
+}
+
+// TestNewTableAllocs pins the arena build: NewTable allocates the same
+// small number of times at two sizes of every router family, with and
+// without a multicast set of the same shape, so no allocation is made
+// per route, per branch or per source.
+func TestNewTableAllocs(t *testing.T) {
+	quarc := func(n int) (Router, MulticastSet) {
+		rt := mustRouter(t, n)
+		set, err := rt.LocalizedSet(topology.PortCR, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, set
+	}
+	spidergon := func(n int) (Router, MulticastSet) {
+		s, err := topology.NewSpidergon(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSpidergonRouter(s), NewMulticastSet(1).Add(0, 1).Add(0, 2).Add(0, 4)
+	}
+	mesh := func(build func(w, h int) (*topology.Mesh, error)) func(int) (Router, MulticastSet) {
+		return func(w int) (Router, MulticastSet) {
+			m, err := build(w, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := NewMeshRouter(m)
+			set, err := rt.HighLowSet([]int{1, 3}, []int{2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt, set
+		}
+	}
+	hypercube := func(dims int) (Router, MulticastSet) {
+		h, err := topology.NewHypercube(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewHypercubeRouter(h), NewMulticastSet(1).Add(0, 1).Add(0, 6)
+	}
+	for _, c := range []struct {
+		name         string
+		build        func(int) (Router, MulticastSet)
+		small, large int
+	}{
+		{"quarc", quarc, 16, 64},
+		{"spidergon", spidergon, 16, 64},
+		{"mesh", mesh(topology.NewMesh), 4, 8},
+		{"torus", mesh(topology.NewTorus), 4, 8},
+		{"hypercube", hypercube, 4, 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, multicast := range []bool{false, true} {
+				var allocs [2]float64
+				for i, size := range []int{c.small, c.large} {
+					rt, set := c.build(size)
+					if !multicast {
+						set = MulticastSet{}
+					}
+					allocs[i] = testing.AllocsPerRun(20, func() {
+						tab, err := NewTable(rt, set)
+						if err != nil || (multicast && tab.Multicast(1) == nil) {
+							t.Fatalf("NewTable: %v (multicast half built: %v)", err, tab != nil && tab.Multicast(1) != nil)
+						}
+					})
+				}
+				if allocs[0] != allocs[1] || allocs[0] > 24 {
+					t.Errorf("multicast=%v: NewTable allocates %v times at size %d and %v at %d, want one small constant",
+						multicast, allocs[0], c.small, allocs[1], c.large)
+				}
+			}
+		})
+	}
+}
+
+// TestMissingLinkIsAnError pins the one missing-link rule: over a graph
+// stripped of its links, every family's unicast and multicast builders
+// fail instead of writing topology.None into a path.
+func TestMissingLinkIsAnError(t *testing.T) {
+	bare := func(g *topology.Graph) *topology.Graph {
+		b := topology.NewGraph(g.Name(), g.Nodes(), g.Ports())
+		for node := topology.NodeID(0); int(node) < g.Nodes(); node++ {
+			for p := 0; p < g.Ports(); p++ {
+				b.AddInjection(node, p)
+				b.AddEjection(node, p)
+			}
+		}
+		return b
+	}
+	q, err := topology.NewQuarc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := topology.NewSpidergon(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := topology.NewMesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := topology.NewHypercube(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Graph, sg.Graph, m.Graph, h.Graph = bare(q.Graph), bare(sg.Graph), bare(m.Graph), bare(h.Graph)
+	for _, c := range []struct {
+		rt  Router
+		set MulticastSet
+	}{
+		{NewQuarcRouter(q), NewMulticastSet(topology.QuarcPorts).Add(topology.PortCL, 2)},
+		{NewSpidergonRouter(sg), NewMulticastSet(1).Add(0, 1)},
+		{NewMeshRouter(m), NewMulticastSet(topology.MeshPorts).Add(0, 1)},
+		{NewHypercubeRouter(h), NewMulticastSet(1).Add(0, 1)},
+	} {
+		name := c.rt.Graph().Name()
+		if p, err := c.rt.AppendUnicastPath(nil, 0, 1); err == nil || !strings.Contains(err.Error(), "missing link") {
+			t.Errorf("%s: unicast over missing links returned %v, %v", name, p, err)
+		}
+		if bs, err := MulticastBranches(c.rt, 0, c.set); err == nil || !strings.Contains(err.Error(), "missing link") {
+			t.Errorf("%s: multicast over missing links returned %v, %v", name, bs, err)
+		}
+	}
+}
+
+// BenchmarkNewTable measures a quarc table's unicast build, the n² routes
+// every scenario enumerates once.
+func BenchmarkNewTable(b *testing.B) {
+	for _, n := range []int{64, 512} {
+		q, err := topology.NewQuarc(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt := NewQuarcRouter(q)
+		b.Run(fmt.Sprintf("quarc-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewTable(rt, MulticastSet{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -75,12 +75,6 @@ func (c Channel) String() string {
 	}
 }
 
-type linkKey struct {
-	src   NodeID
-	class int
-	vc    int
-}
-
 // Graph is a concrete network: a set of channels with lookup indices. Build
 // one with NewGraph and the Add* methods; afterwards treat it as read-only.
 type Graph struct {
@@ -90,7 +84,7 @@ type Graph struct {
 	channels []Channel
 	inj      [][]ChannelID // [node][port]
 	ej       [][]ChannelID // [node][port]
-	links    map[linkKey]ChannelID
+	out      [][]ChannelID // [node]: the links leaving node, in creation order
 }
 
 // NewGraph creates an empty graph for n nodes with the given number of
@@ -105,7 +99,7 @@ func NewGraph(name string, n, ports int) *Graph {
 		ports: ports,
 		inj:   make([][]ChannelID, n),
 		ej:    make([][]ChannelID, n),
-		links: make(map[linkKey]ChannelID),
+		out:   make([][]ChannelID, n),
 	}
 	for i := range g.inj {
 		g.inj[i] = make([]ChannelID, ports)
@@ -166,12 +160,11 @@ func (g *Graph) AddEjection(node NodeID, port int) ChannelID {
 // and virtual-channel index. A node may have at most one outgoing link per
 // (class, vc) pair.
 func (g *Graph) AddLink(src, dst NodeID, class, vc int) ChannelID {
-	k := linkKey{src: src, class: class, vc: vc}
-	if _, dup := g.links[k]; dup {
+	if g.LinkFrom(src, class, vc) != None {
 		panic(fmt.Sprintf("topology: duplicate link src=%d class=%d vc=%d", src, class, vc))
 	}
 	id := g.add(Channel{Kind: Link, Src: src, Dst: dst, Class: class, VC: vc})
-	g.links[k] = id
+	g.out[src] = append(g.out[src], id)
 	return id
 }
 
@@ -182,10 +175,13 @@ func (g *Graph) Injection(node NodeID, port int) ChannelID { return g.inj[node][
 func (g *Graph) Ejection(node NodeID, port int) ChannelID { return g.ej[node][port] }
 
 // LinkFrom returns the link leaving node with the given class and vc, or
-// None if absent.
+// None if absent. A router has a handful of output links, so a linear
+// scan of the node's list beats hashing the key.
 func (g *Graph) LinkFrom(node NodeID, class, vc int) ChannelID {
-	if id, ok := g.links[linkKey{src: node, class: class, vc: vc}]; ok {
-		return id
+	for _, id := range g.out[node] {
+		if c := &g.channels[id]; c.Class == class && c.VC == vc {
+			return id
+		}
 	}
 	return None
 }

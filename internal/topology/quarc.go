@@ -218,7 +218,8 @@ func (q *Quarc) BranchHopOf(src, dst NodeID) (port, hop int, err error) {
 // RimPlusVC returns the virtual channel a worm that started its rim +1
 // journey at node start must use on the rim+ link leaving node linkSrc.
 // Worms use VC0 until they cross the dateline link (N-1 -> 0), then VC1.
-func (q *Quarc) RimPlusVC(start, linkSrc NodeID) int {
+// The Quarc and the Spidergon share this rule.
+func RimPlusVC(start, linkSrc NodeID) int {
 	if linkSrc < start {
 		return 1 // wrapped past node 0
 	}
@@ -227,7 +228,7 @@ func (q *Quarc) RimPlusVC(start, linkSrc NodeID) int {
 
 // RimMinusVC is the analogous rule for the rim -1 direction, whose
 // dateline is the link 0 -> N-1.
-func (q *Quarc) RimMinusVC(start, linkSrc NodeID) int {
+func RimMinusVC(start, linkSrc NodeID) int {
 	if linkSrc > start {
 		return 1 // wrapped past node 0 going downwards
 	}

@@ -180,20 +180,19 @@ func TestQuarcDistRelSymmetryProperties(t *testing.T) {
 }
 
 func TestQuarcVCAssignment(t *testing.T) {
-	q := mustQuarc(t, 16)
 	// A rim+ journey that does not wrap stays on VC0.
-	if vc := q.RimPlusVC(3, 5); vc != 0 {
+	if vc := RimPlusVC(3, 5); vc != 0 {
 		t.Errorf("non-wrapping rim+ VC = %d, want 0", vc)
 	}
 	// After wrapping past node 0 the worm switches to VC1.
-	if vc := q.RimPlusVC(14, 1); vc != 1 {
+	if vc := RimPlusVC(14, 1); vc != 1 {
 		t.Errorf("wrapped rim+ VC = %d, want 1", vc)
 	}
 	// Rim- journeys wrap in the other direction.
-	if vc := q.RimMinusVC(3, 1); vc != 0 {
+	if vc := RimMinusVC(3, 1); vc != 0 {
 		t.Errorf("non-wrapping rim- VC = %d, want 0", vc)
 	}
-	if vc := q.RimMinusVC(1, 15); vc != 1 {
+	if vc := RimMinusVC(1, 15); vc != 1 {
 		t.Errorf("wrapped rim- VC = %d, want 1", vc)
 	}
 }
@@ -247,14 +246,55 @@ func TestGraphDuplicateLinkPanics(t *testing.T) {
 	g.AddLink(0, 1, 0, 0)
 }
 
+// TestGraphLinkFromLookup pins the per-node link lists: on every family's
+// graph, LinkFrom finds each link by its source, class and VC, and
+// answers None for every (class, vc) pair a node has no link for.
 func TestGraphLinkFromLookup(t *testing.T) {
-	g := NewGraph("lk", 2, 1)
-	id := g.AddLink(0, 1, 3, 1)
-	if got := g.LinkFrom(0, 3, 1); got != id {
-		t.Fatalf("LinkFrom = %d, want %d", got, id)
+	pair := NewGraph("lk", 2, 1)
+	pair.AddLink(0, 1, 3, 1)
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := g.LinkFrom(1, 3, 1); got != None {
-		t.Fatalf("missing link lookup = %d, want None", got)
+	one, err := NewQuarcOnePort(16)
+	check(err)
+	sg, err := NewSpidergon(16)
+	check(err)
+	mesh, err := NewMesh(4, 3)
+	check(err)
+	torus, err := NewTorus(4, 4)
+	check(err)
+	cube, err := NewHypercube(4)
+	check(err)
+	graphs := []*Graph{pair, mustQuarc(t, 16).Graph, one.Graph, sg.Graph, mesh.Graph, torus.Graph, cube.Graph}
+	type key struct {
+		src       NodeID
+		class, vc int
+	}
+	for _, g := range graphs {
+		links := map[key]ChannelID{}
+		maxClass, maxVC := 0, 0
+		for _, c := range g.Channels() {
+			if c.Kind != Link {
+				continue
+			}
+			links[key{c.Src, c.Class, c.VC}] = c.ID
+			maxClass, maxVC = max(maxClass, c.Class), max(maxVC, c.VC)
+			if got := g.LinkFrom(c.Src, c.Class, c.VC); got != c.ID {
+				t.Fatalf("%s: LinkFrom(%d, %d, %d) = %d, want %v", g.Name(), c.Src, c.Class, c.VC, got, c)
+			}
+		}
+		for node := NodeID(0); int(node) < g.Nodes(); node++ {
+			for class := 0; class <= maxClass+1; class++ {
+				for vc := 0; vc <= maxVC+1; vc++ {
+					if _, ok := links[key{node, class, vc}]; !ok && g.LinkFrom(node, class, vc) != None {
+						t.Fatalf("%s: LinkFrom(%d, %d, %d) = %d for an absent link", g.Name(), node, class, vc, g.LinkFrom(node, class, vc))
+					}
+				}
+			}
+		}
 	}
 }
 

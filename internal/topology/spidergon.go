@@ -82,20 +82,3 @@ func (s *Spidergon) Diameter() int {
 	}
 	return max
 }
-
-// RimPlusVC and RimMinusVC are the dateline rules, identical to the
-// Quarc's (both inherit them from the Spidergon design).
-func (s *Spidergon) RimPlusVC(start, linkSrc NodeID) int {
-	if linkSrc < start {
-		return 1
-	}
-	return 0
-}
-
-// RimMinusVC is the dateline rule for the counter-clockwise direction.
-func (s *Spidergon) RimMinusVC(start, linkSrc NodeID) int {
-	if linkSrc > start {
-		return 1
-	}
-	return 0
-}

@@ -94,7 +94,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 // header follows msgLen cycles behind the first).
 func TestShortMessagesExactPipeline(t *testing.T) {
 	rt := quarcRouter(t, 32) // diameter 8 > msgLen 4
-	path, err := rt.UnicastPath(0, 8)
+	path, err := rt.AppendUnicastPath(nil, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func (s *oneAt) Next(node topology.NodeID) ([]routing.Branch, bool) {
 // nowhere and a grant at windowEnd adds no occupancy.
 func TestWindowBoundaryGrantExcluded(t *testing.T) {
 	rt := quarcRouter(t, 16)
-	path, err := rt.UnicastPath(0, 2)
+	path, err := rt.AppendUnicastPath(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestWindowBoundaryGrantExcluded(t *testing.T) {
 // to [Warmup, Warmup+Measure) and must be measured.
 func TestWindowBoundaryGenerationAtWarmupIncluded(t *testing.T) {
 	rt := quarcRouter(t, 16)
-	path, err := rt.UnicastPath(0, 2)
+	path, err := rt.AppendUnicastPath(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWindowBoundaryGenerationAtWarmupIncluded(t *testing.T) {
 // event (or at 0) instead of at Warmup, silently stretching the window.
 func TestMeasurementWindowStartsAtWarmup(t *testing.T) {
 	rt := quarcRouter(t, 16)
-	path, err := rt.UnicastPath(0, 2)
+	path, err := rt.AppendUnicastPath(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

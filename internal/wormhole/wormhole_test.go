@@ -41,7 +41,7 @@ func TestZeroLoadUnicastLatencyIsExact(t *testing.T) {
 	rt := quarcRouter(t, 16)
 	msgLen := 20
 	for _, dst := range []topology.NodeID{1, 4, 5, 8, 9, 11, 12, 15} {
-		path, err := rt.UnicastPath(0, dst)
+		path, err := rt.AppendUnicastPath(nil, 0, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestZeroLoadUnicastLatencyIsExact(t *testing.T) {
 func TestZeroLoadBroadcastLatency(t *testing.T) {
 	rt := quarcRouter(t, 16)
 	msgLen := 20
-	branches, err := rt.MulticastBranches(0, rt.BroadcastSet())
+	branches, err := routing.MulticastBranches(rt, 0, rt.BroadcastSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func (s *twoShot) Next(node topology.NodeID) ([]routing.Branch, bool) {
 func TestFIFOBlockingAtInjection(t *testing.T) {
 	rt := quarcRouter(t, 16)
 	msgLen := 10
-	path, err := rt.UnicastPath(0, 2)
+	path, err := rt.AppendUnicastPath(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

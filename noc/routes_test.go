@@ -17,9 +17,9 @@ type countingRouter struct {
 	calls *atomic.Int64
 }
 
-func (r *countingRouter) UnicastPath(src, dst topology.NodeID) (routing.Path, error) {
+func (r *countingRouter) AppendUnicastPath(buf routing.Path, src, dst topology.NodeID) (routing.Path, error) {
 	r.calls.Add(1)
-	return r.QuarcRouter.UnicastPath(src, dst)
+	return r.QuarcRouter.AppendUnicastPath(buf, src, dst)
 }
 
 // addCountingTopology adds a quarc-n topology routed by a counting

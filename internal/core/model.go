@@ -117,19 +117,20 @@ type transition struct {
 	scale float64
 }
 
-// hop is one channel of a stored route and the transition that entered
-// it: -1 at the injection channel, and on turns no flow takes (unicast
+// noTurn is the turn rank of a hop entered over no transition: the
+// injection channel, and turns no traffic-carrying flow takes (unicast
 // routes at α = 1 carry no traffic; they are kept for Eq. 7 only).
-type hop struct {
-	ch topology.ChannelID
-	tr int32
-}
+const noTurn = 0xff
 
-// flow is one stored route, hops[lo:hi], and for unicast pairs the
-// probability p that a unicast of its source takes it.
+// flow is one route: the route table's own path and, for unicast pairs,
+// the probability p that a unicast of its source takes it. Unless
+// turns[turn+i] is noTurn, hop i entered its channel over transition
+// trans[channels[path[i-1]].trLo+turns[turn+i]]: the byte is the turn's
+// rank in the previous channel's sorted run.
 type flow struct {
-	lo, hi int32
-	p      float64
+	path routing.Path
+	p    float64
+	turn int
 }
 
 // Model is the assembled analytical model of one configuration: every
@@ -146,7 +147,8 @@ type Model struct {
 	// transitions in list order and float addition is not associative, so
 	// the order is fixed rather than inherited from map iteration.
 	trans []transition
-	hops  []hop
+	// turns holds every flow's turn ranks, one byte per hop.
+	turns []uint8
 	// unicast holds every source/destination pair with p > 0, in
 	// (src, dst) order; mcast the multicast branches, source by source,
 	// with mcastOf[src]..mcastOf[src+1] delimiting a source's (nil when
@@ -217,41 +219,50 @@ func NewModel(in Input) (*Model, error) {
 	}
 	alpha := in.Spec.MulticastFrac
 	// Every route comes from the router's table (the router itself, when
-	// it already is the table for the spec's set).
+	// it already is the table for the spec's set), and every flow keeps
+	// the table's own path.
 	routes, err := routing.NewTable(in.Router, in.Spec.Set)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// Transitions are numbered as first met and renumbered in key order
-	// below. Routes that carry no traffic only look their turns up.
-	index := map[uint64]int32{}
-	var keys []uint64
+	// A route turns from a channel into a link leaving the node it enters
+	// or into one of that node's ejection channels, so a channel has at
+	// most width successors; a turn rank must also stay below noTurn.
+	// succ[id*width:][:trHi] are the ones carrying routes take, as first
+	// met; trHi counts them until they are numbered.
+	degree := make([]int32, n)
+	for _, c := range g.Channels() {
+		if c.Kind == topology.Link {
+			degree[c.Src]++
+		}
+	}
+	width := min(g.Ports()+int(slices.Max(degree)), noTurn-1)
+	succ := make([]topology.ChannelID, len(m.channels)*width)
 	// rows[id] is 1 while building if a carrying route crosses channel id;
 	// the list of row indices is compacted into it at the end.
 	rows := make([]int32, len(m.channels))
-	store := func(path routing.Path, carries bool) flow {
-		f := flow{lo: int32(len(m.hops))}
-		for i, id := range path {
-			if carries {
-				rows[id] = 1
+	nturns, ntrans, full := 0, 0, topology.None
+	add := func(path routing.Path, carries bool) flow {
+		f := flow{path: path, turn: nturns}
+		nturns += len(path)
+		for i := 0; carries && i < len(path); i++ {
+			id := path[i]
+			rows[id] = 1
+			if i == 0 {
+				continue
 			}
-			tr := int32(-1)
-			if i > 0 {
-				key := uint64(path[i-1])<<32 | uint64(id)
-				t, ok := index[key]
-				switch {
-				case ok:
-					tr = t
-				case carries:
-					tr = int32(len(keys))
-					index[key] = tr
-					keys = append(keys, key)
-				}
+			from, c := path[i-1], &m.channels[path[i-1]]
+			switch {
+			case slices.Contains(succ[int(from)*width:][:c.trHi], id):
+			case int(c.trHi) == width:
+				full = from
+			default:
+				succ[int(from)*width+int(c.trHi)] = id
+				c.trHi++
+				ntrans++
 			}
-			m.hops = append(m.hops, hop{ch: id, tr: tr})
 		}
-		f.hi = int32(len(m.hops))
 		return f
 	}
 
@@ -271,7 +282,7 @@ func NewModel(in Input) (*Model, error) {
 				return nil, fmt.Errorf("core: multicast branches at %d: %w", src, err)
 			}
 			for _, b := range branches {
-				m.mcast = append(m.mcast, store(b.Path, true))
+				m.mcast = append(m.mcast, add(b.Path, true))
 			}
 			m.mcastOf[src+1] = int32(len(m.mcast))
 			maxBranches = max(maxBranches, len(branches))
@@ -285,7 +296,6 @@ func NewModel(in Input) (*Model, error) {
 	// traffic), one O(n) row per source. At α = 1 they carry nothing, but
 	// Eq. 7 still averages over their routes.
 	probs := make([]float64, n)
-	mcastHops := len(m.hops)
 	for src := 0; src < n; src++ {
 		in.Spec.UnicastProbRow(n, topology.NodeID(src), probs)
 		for dst := 0; dst < n; dst++ {
@@ -293,32 +303,42 @@ func NewModel(in Input) (*Model, error) {
 			if p == 0 {
 				continue
 			}
-			f := store(routes.Unicast(topology.NodeID(src), topology.NodeID(dst))[0].Path, alpha < 1)
+			f := add(routes.Unicast(topology.NodeID(src), topology.NodeID(dst))[0].Path, alpha < 1)
 			f.p = p
 			m.unicast = append(m.unicast, f)
 		}
 		if src == 0 {
 			// Sources route much alike: reserve the first one's share for each.
-			m.hops = slices.Grow(m.hops, (n-1)*(len(m.hops)-mcastHops))
 			m.unicast = slices.Grow(m.unicast, (n-1)*len(m.unicast))
 		}
 	}
-
-	slices.Sort(keys) // index still maps each key to its first-met number
-	renumber := make([]int32, len(keys))
-	m.trans = make([]transition, len(keys))
-	for t, key := range keys {
-		renumber[index[key]] = int32(t)
-		m.trans[t].to = topology.ChannelID(key & 0xffffffff)
-		c := &m.channels[key>>32]
-		if c.trHi == 0 {
-			c.trLo = int32(t)
-		}
-		c.trHi = int32(t + 1)
+	if full != topology.None {
+		return nil, fmt.Errorf("core: routes turn from channel %d into more than %d channels", full, width)
 	}
-	for i := range m.hops {
-		if h := &m.hops[i]; h.tr >= 0 {
-			h.tr = renumber[h.tr]
+
+	// Number the transitions channel by channel, each channel's successors
+	// in id order: trans is sorted by (from, to).
+	m.trans = make([]transition, 0, ntrans)
+	for id := range m.channels {
+		c := &m.channels[id]
+		s := succ[id*width:][:c.trHi]
+		slices.Sort(s)
+		c.trLo = int32(len(m.trans))
+		for _, to := range s {
+			m.trans = append(m.trans, transition{to: to})
+		}
+		c.trHi = int32(len(m.trans))
+	}
+	// Rank every hop's turn within its previous channel's run. A turn no
+	// carrying route takes has index -1, which converts to noTurn.
+	m.turns = make([]uint8, nturns)
+	for _, flows := range [2][]flow{m.mcast, m.unicast} {
+		for _, f := range flows {
+			m.turns[f.turn] = noTurn
+			for i := 1; i < len(f.path); i++ {
+				from, c := f.path[i-1], &m.channels[f.path[i-1]]
+				m.turns[f.turn+i] = uint8(slices.Index(succ[int(from)*width:][:c.trHi-c.trLo], f.path[i]))
+			}
 		}
 	}
 	// Compact in place: the write index never passes the read index.
@@ -415,11 +435,15 @@ func (m *Model) load(lam float64) {
 //
 //quarc:hotpath
 func (m *Model) addFlow(f flow, rate float64) {
-	for _, h := range m.hops[f.lo:f.hi] {
-		m.channels[h.ch].lambda += rate
-		if h.tr >= 0 {
-			m.trans[h.tr].rate += rate
+	turns := m.turns[f.turn:][:len(f.path)]
+	var from *channelState
+	for i, id := range f.path {
+		c := &m.channels[id]
+		c.lambda += rate
+		if t := turns[i]; t != noTurn {
+			m.trans[from.trLo+int32(t)].rate += rate
 		}
+		from = c
 	}
 }
 
@@ -428,6 +452,19 @@ func (m *Model) addFlow(f flow, rate float64) {
 // every time, and computes the unicast (Eq. 7) and multicast (Eqs. 13-16)
 // latencies: the result is bit-for-bit that of a model built at the rate.
 func (m *Model) SolveAt(rate float64) (Prediction, error) {
+	pred, err := m.verdict(rate)
+	if err != nil || pred.Saturated {
+		return pred, err
+	}
+	pred.UnicastLatency = m.unicastLatency()
+	pred.MulticastLatency, err = m.multicastLatency(rate)
+	return pred, err
+}
+
+// verdict is SolveAt without the latency sums: the fixed point, the
+// saturation verdict and, when stable, the final waits and the error that
+// a permutation silencing every node makes.
+func (m *Model) verdict(rate float64) (Prediction, error) {
 	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return Prediction{}, fmt.Errorf("core: invalid rate %v", rate)
 	}
@@ -462,10 +499,7 @@ func (m *Model) SolveAt(rate float64) (Prediction, error) {
 	if m.active == 0 {
 		return pred, fmt.Errorf("core: the permutation silences every node")
 	}
-	pred.UnicastLatency = m.unicastLatency()
-	var err error
-	pred.MulticastLatency, err = m.multicastLatency(rate)
-	return pred, err
+	return pred, nil
 }
 
 // fixedPoint runs the service-time fixed point of Eq. 6, with the P-K wait
@@ -593,10 +627,17 @@ func (m *Model) hopWait(ch topology.ChannelID, tr int32) float64 {
 	return c.wait * m.trans[tr].scale
 }
 
-func (m *Model) hopsWait(hops []hop) float64 {
+// flowWait sums the hopWaits of f's hops from hop first on.
+//
+//quarc:hotpath
+func (m *Model) flowWait(f flow, first int) float64 {
 	var total float64
-	for _, h := range hops {
-		total += m.hopWait(h.ch, h.tr)
+	for i := first; i < len(f.path); i++ {
+		tr := int32(-1)
+		if t := m.turns[f.turn+i]; t != noTurn {
+			tr = m.channels[f.path[i-1]].trLo + int32(t)
+		}
+		total += m.hopWait(f.path[i], tr)
 	}
 	return total
 }
@@ -627,7 +668,7 @@ func (m *Model) unicastLatency() float64 {
 		// pipeline depth (the simulator's zero-load latency is exactly
 		// D + msg). Weight each pair by the probability a message takes it,
 		// so the average is over messages, as the simulator measures it.
-		sum += f.p * (m.hopsWait(m.hops[f.lo:f.hi]) + float64(m.in.MsgLen) + float64(f.hi-f.lo-1))
+		sum += f.p * (m.flowWait(f, 0) + float64(m.in.MsgLen) + float64(len(f.path)-1))
 	}
 	return sum / float64(m.active)
 }
@@ -636,6 +677,9 @@ func (m *Model) multicastLatency(rate float64) (float64, error) {
 	if m.mcastOf == nil || rate == 0 {
 		return math.NaN(), nil // no multicast traffic
 	}
+	if err := m.missingBranches(); err != nil {
+		return 0, err
+	}
 	serialized := m.g.Ports() == 1
 	var sum float64
 	for src := 0; src < m.g.Nodes(); src++ {
@@ -643,23 +687,31 @@ func (m *Model) multicastLatency(rate float64) (float64, error) {
 			continue
 		}
 		branches := m.mcast[m.mcastOf[src]:m.mcastOf[src+1]]
-		if len(branches) == 0 {
-			return 0, fmt.Errorf("core: node %d has no multicast branches", src)
-		}
 		if serialized && len(branches) > 1 {
 			sum += m.serializedMulticastNode(branches)
 			continue
 		}
 		waits := m.waits[:len(branches)]
-		maxD := int32(0)
+		maxD := 0
 		for i, b := range branches {
-			waits[i] = m.hopsWait(m.hops[b.lo:b.hi])
-			maxD = max(maxD, b.hi-b.lo-1)
+			waits[i] = m.flowWait(b, 0)
+			maxD = max(maxD, len(b.path)-1)
 		}
 		// Eqs. 13-14: last-of-m exponential wait + msg + max hops.
 		sum += multicastWait(waits, m.rates, &m.memo) + float64(m.in.MsgLen) + float64(maxD)
 	}
 	return sum / float64(m.active), nil
+}
+
+// missingBranches reports the first generating source without multicast
+// branches, which the multicast latency cannot average over.
+func (m *Model) missingBranches() error {
+	for src := 0; m.mcastOf != nil && src < m.g.Nodes(); src++ {
+		if m.mcastOf[src] == m.mcastOf[src+1] && !m.in.Spec.Silent(topology.NodeID(src)) {
+			return fmt.Errorf("core: node %d has no multicast branches", src)
+		}
+	}
+	return nil
 }
 
 // serializedMulticastNode models multicast on a one-port router, which is
@@ -673,12 +725,12 @@ func (m *Model) multicastLatency(rate float64) (float64, error) {
 // load this reduces to (k-1)·msg + msg + D exactly, matching the
 // simulator. This extension is what the one-port ablation exercises.
 func (m *Model) serializedMulticastNode(branches []flow) float64 {
-	inj := &m.channels[m.hops[branches[0].lo].ch]
+	inj := &m.channels[branches[0].path[0]]
 	msg := float64(m.in.MsgLen)
 	worst := 0.0
 	for k, b := range branches {
-		tail := m.hopsWait(m.hops[b.lo+1 : b.hi])
-		lat := inj.wait + float64(k)*inj.service + tail + msg + float64(b.hi-b.lo-1)
+		tail := m.flowWait(b, 1)
+		lat := inj.wait + float64(k)*inj.service + tail + msg + float64(len(b.path)-1)
 		if lat > worst {
 			worst = lat
 		}
@@ -700,7 +752,12 @@ func (m *Model) SaturationRate(tol float64) (float64, error) {
 		if mid == lo || mid == hi {
 			break // no float lies strictly between lo and hi
 		}
-		pred, err := m.SolveAt(mid)
+		// Only the verdict matters, and a stable one fails where SolveAt's
+		// latency sums would.
+		pred, err := m.verdict(mid)
+		if err == nil && !pred.Saturated {
+			err = m.missingBranches()
+		}
 		if err != nil {
 			return 0, err
 		}

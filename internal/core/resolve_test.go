@@ -223,6 +223,43 @@ func TestSaturationRateTolerance(t *testing.T) {
 	}
 }
 
+// branchlessRouter is the pair network with a multicast set that no
+// source has branches for.
+type branchlessRouter struct{ pairRouter }
+
+func (branchlessRouter) AppendMulticastBranches(*routing.Arena, topology.NodeID, routing.MulticastSet) error {
+	return nil
+}
+
+// SaturationRate reads only the verdict of each solve, yet fails at the
+// first stable one with the error SolveAt gives there: a permutation that
+// silences every node, and a source without multicast branches.
+func TestSaturationRateStructuralErrors(t *testing.T) {
+	identity := make([]topology.NodeID, 16)
+	for i := range identity {
+		identity[i] = topology.NodeID(i)
+	}
+	for _, c := range []struct {
+		name string
+		in   Input
+		want string
+	}{
+		{"silent", Input{Router: quarcRouter(t, 16), Spec: traffic.Spec{Perm: identity}, MsgLen: 32},
+			"core: the permutation silences every node"},
+		{"branchless", Input{Router: branchlessRouter{pairNetwork(t)}, MsgLen: 32,
+			Spec: traffic.Spec{MulticastFrac: 0.05, Set: routing.NewMulticastSet(1).Add(0, 1)}},
+			"core: node 0 has no multicast branches"},
+	} {
+		m := must(NewModel(c.in))
+		if _, err := m.SolveAt(1e-4); err == nil || err.Error() != c.want {
+			t.Errorf("%s: SolveAt error %v, want %q", c.name, err, c.want)
+		}
+		if sat, err := m.SaturationRate(1e-3); err == nil || err.Error() != c.want || sat != 0 {
+			t.Errorf("%s: SaturationRate %v, error %v; want 0, %q", c.name, sat, err, c.want)
+		}
+	}
+}
+
 // At the smallest subnormal rate a source's per-destination shares round
 // to 0 on some routes, so some transitions stay unloaded and some channels
 // carry nothing. A solve there is finite and, like any other, independent

@@ -21,6 +21,7 @@ func defaultHotpaths() map[string][]string {
 		"quarc/internal/core": {
 			"Model.addFlow",
 			"Model.fixedPoint",
+			"Model.flowWait",
 			"Model.load",
 			"waitOf",
 		},

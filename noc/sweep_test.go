@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -350,21 +351,35 @@ func TestRunSeriesTable(t *testing.T) {
 
 // TestSweepBuildsModelOnce pins the build-once property: one model per
 // (sweep, message length) serves the saturation bisection and every
-// point, so a Model-only sweep's allocations do not grow with its points
-// by anything like a model build per point. Eight more points must cost
-// less than one build; a build per point costs eight.
+// point, so a Model-only sweep's allocated bytes do not grow with its
+// points by anything like a model build per point. Eight more points must
+// cost less than one build; a build per point costs eight. Bytes, not
+// allocation counts: a build allocates only a few dozen times, fewer than
+// eight points' results do.
 func TestSweepBuildsModelOnce(t *testing.T) {
 	s, err := NewScenario(Quarc(64), Alpha(0.05), LocalizedDests(PortL, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := testing.AllocsPerRun(3, func() {
+	// allocated is the heap f allocates, averaged over three runs after a
+	// warm-up run, as testing.AllocsPerRun counts.
+	allocated := func(f func()) uint64 {
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 3 {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 3
+	}
+	build := allocated(func() {
 		if _, err := buildModel(s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	sweep := func(points int) float64 {
-		return testing.AllocsPerRun(3, func() {
+	sweep := func(points int) uint64 {
+		return allocated(func() {
 			res, err := Sweep(s, SweepOptions{Points: points, Workers: 1, Evaluators: []Evaluator{Model{}}})
 			if err != nil || len(res.Points) != points {
 				t.Fatalf("sweep: %d points, err %v", len(res.Points), err)
@@ -372,7 +387,7 @@ func TestSweepBuildsModelOnce(t *testing.T) {
 		})
 	}
 	small, large := sweep(8), sweep(16)
-	if large-small >= build {
-		t.Errorf("a 16-point model sweep allocates %v times, an 8-point one %v, a model build %v: the sweep builds per point", large, small, build)
+	if large > small && large-small >= build {
+		t.Errorf("a 16-point model sweep allocates %d B, an 8-point one %d B, a model build %d B: the sweep builds per point", large, small, build)
 	}
 }

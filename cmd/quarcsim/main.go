@@ -8,7 +8,9 @@
 //
 // The scenario can also be loaded from a declarative Spec JSON document
 // — the same format the quarcd daemon serves — in which case the
-// scenario-shaping flags must stay unset:
+// scenario-shaping flags must stay unset. A spec that names the model
+// evaluator ("evaluator": "model") is answered by the analytical model,
+// as quarcd answers it:
 //
 //	quarcsim -spec scenario.json -json
 package main
@@ -50,11 +52,10 @@ func main() {
 	burst := flag.Float64("burst", 8, "onoff arrivals: mean burst length in messages")
 	duty := flag.Float64("duty", 0.5, "onoff arrivals: duty cycle in (0,1]")
 	perm := flag.String("perm", "", "spatial pattern for unicast destinations: transpose, bit-reversal, bit-complement, shuffle, tornado (default uniform)")
-	record := flag.String("record", "", "record the run's workload trace to this file")
-	recordJSONL := flag.Bool("record-jsonl", false, "write the -record trace as JSONL instead of the compact binary format")
+	record := flag.String("record", "", "record the run's workload trace to this file (JSONL when it ends in .jsonl, else the compact binary format)")
 	replay := flag.String("replay", "", "replay a workload trace from this file instead of generating traffic")
 	specPath := flag.String("spec", "", "load the scenario from a declarative Spec JSON file (the quarcd wire format); scenario flags may not be combined with it")
-	jsonOut := flag.Bool("json", false, "print the simulator Result as JSON instead of the human-readable report")
+	jsonOut := flag.Bool("json", false, "print the Result as JSON instead of the human-readable report")
 	metrics := flag.Int("metrics", 0, "record a time series with this many buckets (Result JSON gains \"series\"; 0 disables)")
 	obsPath := flag.String("obs", "", "append the raw observability record stream to this file (CRC-framed log; implies -metrics)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file (read it with go tool pprof)")
@@ -65,10 +66,9 @@ func main() {
 		sp       noc.Spec
 		err      error
 		captured *noc.TraceWorkload
-		// recordAs persists a captured trace after the run: path plus
-		// encoding ("" means no recording was requested).
+		// recordPath persists a captured trace after the run ("" means no
+		// recording was requested); a .jsonl suffix selects JSONL.
 		recordPath string
-		recordJSON bool
 		replaying  string
 	)
 	if *specPath != "" {
@@ -96,6 +96,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if *compare && sp.Evaluator == "model" {
+			log.Fatal("-compare runs the model next to the simulator, but the spec already names the model evaluator")
+		}
 		if sp.Record != "" {
 			// Fail on an unwritable path before the simulation runs.
 			f, err := os.Create(sp.Record)
@@ -104,7 +107,6 @@ func main() {
 			}
 			f.Close()
 			recordPath = sp.Record
-			recordJSON = strings.HasSuffix(sp.Record, ".jsonl")
 		}
 		replaying = sp.Replay
 		if *obsPath != "" && !sp.Metrics {
@@ -142,7 +144,7 @@ func main() {
 				log.Fatal(err)
 			}
 			f.Close()
-			recordPath, recordJSON = *record, *recordJSONL
+			recordPath = *record
 			captured = &noc.TraceWorkload{}
 			opts = append(opts, noc.Record(captured))
 		}
@@ -212,7 +214,11 @@ func main() {
 			}
 		}
 	}
-	res, err := noc.Simulator{}.Evaluate(s)
+	var ev noc.Evaluator = noc.Simulator{}
+	if sp.Evaluator == "model" {
+		ev = noc.Model{}
+	}
+	res, err := ev.Evaluate(s)
 	stopProfile()
 	if err != nil {
 		log.Fatal(err)
@@ -231,7 +237,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var werr error
-		if recordJSON {
+		if strings.HasSuffix(recordPath, ".jsonl") {
 			werr = captured.WriteJSONL(f)
 		} else {
 			werr = captured.WriteBinary(f)
@@ -263,6 +269,10 @@ func main() {
 	} else {
 		fmt.Printf("configuration: N=%d msg=%d flits rate=%g alpha=%g arrival=%s spatial=%s set={%s}\n",
 			s.Nodes(), s.MsgLen(), s.Rate(), s.Alpha(), s.ArrivalName(), s.SpatialName(), s.SetString())
+	}
+	if res.Evaluator == "model" {
+		printModel(s, res, nil)
+		return
 	}
 	fmt.Printf("simulated:     %.0f cycles, %d events, %d/%d messages completed/generated\n",
 		res.Time, res.Events, res.Completed, res.Generated)
@@ -301,18 +311,28 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if pred.Saturated {
-			fmt.Println("model:         SATURATED at this rate")
-			return
-		}
-		fmt.Printf("model:         unicast %.3f cycles (rel err %.2f%%)",
-			pred.Unicast, 100*noc.RelErr(pred.Unicast, res.Unicast))
-		if s.Alpha() > 0 {
-			fmt.Printf(", multicast %.3f cycles (rel err %.2f%%)",
-				pred.Multicast, 100*noc.RelErr(pred.Multicast, res.Multicast))
-		}
-		fmt.Println()
+		printModel(s, pred, &res)
 	}
+}
+
+// printModel prints a model Result's latencies, each with its relative
+// error against the simulator's when sim is non-nil.
+func printModel(s *noc.Scenario, pred noc.Result, sim *noc.Result) {
+	if pred.Saturated {
+		fmt.Println("model:         SATURATED at this rate")
+		return
+	}
+	fmt.Printf("model:         unicast %.3f cycles", pred.Unicast)
+	if sim != nil {
+		fmt.Printf(" (rel err %.2f%%)", 100*noc.RelErr(pred.Unicast, sim.Unicast))
+	}
+	if s.Alpha() > 0 {
+		fmt.Printf(", multicast %.3f cycles", pred.Multicast)
+		if sim != nil {
+			fmt.Printf(" (rel err %.2f%%)", 100*noc.RelErr(pred.Multicast, sim.Multicast))
+		}
+	}
+	fmt.Println()
 }
 
 // summarizeSeries condenses a recorded time series into one human line:

@@ -1,12 +1,74 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
 )
+
+// MG1Wait returns the Pollaczek-Khinchine mean waiting time of an M/G/1
+// queue with arrival rate lambda, mean service time xbar and service-time
+// standard deviation sigma:
+//
+//	W = λ·x̄²·(1 + σ²/x̄²) / (2(1-λx̄)) = λ·E[x²] / (2(1-ρ))
+//
+// Note: the paper's Eq. 3 prints the numerator as λρ, which is
+// dimensionally inconsistent (see DESIGN.md §2); this is the standard P-K
+// formula from the paper's cited source (Kleinrock vol. I). It returns +Inf
+// when the queue is unstable (ρ >= 1).
+func MG1Wait(lambda, xbar, sigma float64) float64 {
+	if lambda < 0 || xbar < 0 {
+		panic(fmt.Sprintf("core: negative M/G/1 parameters λ=%v x̄=%v", lambda, xbar))
+	}
+	if lambda == 0 || xbar == 0 {
+		return 0
+	}
+	rho := lambda * xbar
+	if rho >= 1 {
+		return math.Inf(1)
+	}
+	ex2 := xbar*xbar + sigma*sigma
+	return lambda * ex2 / (2 * (1 - rho))
+}
+
+// MG1WaitPaperEq3 evaluates Eq. 3 exactly as printed in the paper,
+//
+//	W = λρ·(1 + σ²/x̄²) / (2(1-λx̄))
+//
+// whose numerator λρ = λ²x̄ differs from the standard Pollaczek-Khinchine
+// numerator λ·x̄² by a factor λ/x̄. Since ρ = λx̄ < 1 in the stable region,
+// the printed formula underestimates waits by roughly x̄/λ ≫ 1. It is kept
+// only so the reproduction can demonstrate the discrepancy empirically
+// (see the WaitFormula option and DESIGN.md §2); the model defaults to the
+// standard form, which is what the paper's cited source gives.
+func MG1WaitPaperEq3(lambda, xbar, sigma float64) float64 {
+	if lambda < 0 || xbar < 0 {
+		panic(fmt.Sprintf("core: negative M/G/1 parameters λ=%v x̄=%v", lambda, xbar))
+	}
+	if lambda == 0 || xbar == 0 {
+		return 0
+	}
+	rho := lambda * xbar
+	if rho >= 1 {
+		return math.Inf(1)
+	}
+	cv := 1 + sigma*sigma/(xbar*xbar)
+	return lambda * rho * cv / (2 * (1 - rho))
+}
+
+// ServiceSigma returns the paper's service-time standard deviation
+// heuristic σ = x̄ − msg (Eq. 5): the variable part of a channel's holding
+// time is its excess over the bare message drain time.
+func ServiceSigma(xbar, msgLen float64) float64 {
+	s := xbar - msgLen
+	if s < 0 {
+		return 0
+	}
+	return s
+}
 
 // TestPaperEq3LiteralUnderestimates demonstrates the typo documented in
 // DESIGN.md §2: evaluating Eq. 3 exactly as printed (numerator λρ instead

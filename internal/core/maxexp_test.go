@@ -1,11 +1,78 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
+
+// MaxExpRecursive computes the expected time of the last event among m
+// independent exponential random variables with the given rates, using the
+// paper's recursion (Eq. 12):
+//
+//	E[max(S)] = 1/Σμ + Σ_i (μ_i/Σμ)·E[max(S \ {i})]
+//
+// which follows from the memoryless property and the fact that the minimum
+// of independent exponentials is exponential (Eqs. 9-11). Subset results
+// are memoized over bitmasks, so the cost is O(2^m · m); rates must number
+// at most 30. Non-positive rates panic: they indicate a caller bug (a
+// deterministic-zero branch must be filtered out first, see MulticastWait).
+func MaxExpRecursive(rates []float64) float64 {
+	var memo []float64
+	return maxExp(rates, &memo)
+}
+
+// MaxExpClosedForm computes the same expectation with the
+// inclusion-exclusion identity
+//
+//	E[max] = Σ_{∅≠T⊆S} (−1)^{|T|+1} / Σ_{i∈T} μ_i
+//
+// It exists as an independent cross-check of the recursion (the two must
+// agree to floating-point accuracy; this is property-tested).
+func MaxExpClosedForm(rates []float64) float64 {
+	m := len(rates)
+	if m == 0 {
+		return 0
+	}
+	if m > 30 {
+		panic(fmt.Sprintf("core: MaxExpClosedForm with %d rates", m))
+	}
+	for _, r := range rates {
+		if !(r > 0) {
+			panic(fmt.Sprintf("core: non-positive exponential rate %v", r))
+		}
+	}
+	var e float64
+	for mask := 1; mask < 1<<uint(m); mask++ {
+		var sum float64
+		bits := 0
+		for i := 0; i < m; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				sum += rates[i]
+				bits++
+			}
+		}
+		if bits%2 == 1 {
+			e += 1 / sum
+		} else {
+			e -= 1 / sum
+		}
+	}
+	return e
+}
+
+// MulticastWait implements Eq. 13: the expected waiting time of the last
+// of m independent multicast streams, where waits[c] is the expected total
+// header waiting time ΣW along branch c's path. Each wait is mapped to an
+// exponential with rate μ_c = 1/ΣW (Eq. 8). Branches with (near-)zero
+// expected wait are deterministic at 0 and cannot be the last event unless
+// all are zero, so they are filtered before the combination.
+func MulticastWait(waits []float64) float64 {
+	var memo []float64
+	return multicastWait(waits, make([]float64, 0, len(waits)), &memo)
+}
 
 func TestMaxExpSingle(t *testing.T) {
 	// One exponential: E[max] = 1/μ.
@@ -227,12 +294,6 @@ func TestServiceSigma(t *testing.T) {
 	// transient undershoot anyway.
 	if got := ServiceSigma(10, 16); got != 0 {
 		t.Errorf("σ clamp = %v, want 0", got)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	if got := Utilization(0.01, 20); got != 0.2 {
-		t.Errorf("ρ = %v, want 0.2", got)
 	}
 }
 

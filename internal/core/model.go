@@ -1,3 +1,13 @@
+// Package core implements the paper's analytical performance model for
+// unicast and multicast communication in wormhole-routed networks with
+// asynchronous multi-port routers (Moadeli & Vanderbauwhede, IPDPS 2009).
+//
+// The model views the network as a network of M/G/1 queues (one per
+// channel), propagates wormhole blocking from the destination back to the
+// source through a service-time recurrence (Eq. 6), sums per-link header
+// waiting times along each path (Eq. 7), and combines the per-port waits of
+// a multicast with the expected maximum of independent exponential random
+// variables (Eqs. 8-13).
 package core
 
 import (
@@ -354,9 +364,6 @@ func NewModel(in Input) (*Model, error) {
 	return m, nil
 }
 
-// Input returns the model's input with the defaults filled in.
-func (m *Model) Input() Input { return m.in }
-
 // Clone returns a copy that solves independently of m, for use on another
 // goroutine: the per-solve state is copied, the route structure (read-only
 // once built) is shared.
@@ -373,12 +380,6 @@ func (m *Model) Clone() *Model {
 // Lambda returns the modeled arrival rate at a channel: at the input's
 // rate once built, then at the latest solve's.
 func (m *Model) Lambda(id topology.ChannelID) float64 { return m.channels[id].lambda }
-
-// Service returns the fixed-point mean holding time of a channel.
-func (m *Model) Service(id topology.ChannelID) float64 { return m.channels[id].service }
-
-// Wait returns the fixed-point M/G/1 mean waiting time of a channel.
-func (m *Model) Wait(id topology.ChannelID) float64 { return m.channels[id].wait }
 
 // Solve evaluates the model at the input's generation rate.
 func (m *Model) Solve() (Prediction, error) { return m.SolveAt(m.in.Spec.Rate) }
@@ -587,7 +588,7 @@ func (m *Model) fixedPoint() (iter int, converged, saturated bool) {
 var posInf = math.Inf(1)
 
 // waitOf is a channel's M/G/1 wait under the configured formula (eq3
-// selects PaperEq3Literal): ServiceSigma, then MG1Wait or
+// selects PaperEq3Literal): the tests' ServiceSigma, then MG1Wait or
 // MG1WaitPaperEq3, open-coded with the same expressions in the same
 // operand order. Their argument checks cannot fire here: λ ≥ 0, x̄ > 0
 // (every route ends at an ejection channel, so a row's x̄ sums positive

@@ -136,9 +136,9 @@ func checkAgainstReference(t testing.TB, tp batteryTopo, m, ref *Model, rate flo
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for id := topology.ChannelID(0); int(id) < len(m.channels); id++ {
-		if !same(m.Lambda(id), ref.Lambda(id)) || !same(m.Service(id), ref.Service(id)) || !same(m.Wait(id), ref.Wait(id)) {
+		if !same(m.Lambda(id), ref.Lambda(id)) || !same(m.channels[id].service, ref.channels[id].service) || !same(m.channels[id].wait, ref.channels[id].wait) {
 			t.Fatalf("%s rate %v channel %d: kernel (λ=%v x̄=%v W=%v), reference (λ=%v x̄=%v W=%v)", name, rate, id,
-				m.Lambda(id), m.Service(id), m.Wait(id), ref.Lambda(id), ref.Service(id), ref.Wait(id))
+				m.Lambda(id), m.channels[id].service, m.channels[id].wait, ref.Lambda(id), ref.channels[id].service, ref.channels[id].wait)
 		}
 	}
 	branches, err := routing.MulticastBranches(tp.rt, 3, tp.set)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,6 +11,79 @@ import (
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
 )
+
+// ClassStats aggregates the fixed-point quantities of all channels sharing
+// one (kind, class) pair — e.g. all rim+ VC0 links, all injection port-L
+// channels. Under the paper's symmetric workloads every channel of a class
+// carries the same load, so the aggregate is also the per-channel view.
+type ClassStats struct {
+	Kind  topology.ChannelKind
+	Class int
+	VC    int
+	// Count is the number of channels in the class.
+	Count int
+	// Lambda, Service, Wait and Rho are per-channel means over the class.
+	Lambda  float64
+	Service float64
+	Wait    float64
+	Rho     float64
+}
+
+// ClassReport returns the per-class fixed-point table, sorted by kind,
+// class, VC. Valid after Solve.
+func (m *Model) ClassReport() []ClassStats {
+	type key struct {
+		kind  topology.ChannelKind
+		class int
+		vc    int
+	}
+	acc := map[key]*ClassStats{}
+	for i := range m.channels {
+		c := m.g.Channel(topology.ChannelID(i))
+		k := key{kind: c.Kind, class: c.Class, vc: c.VC}
+		st, ok := acc[k]
+		if !ok {
+			st = &ClassStats{Kind: c.Kind, Class: c.Class, VC: c.VC}
+			acc[k] = st
+		}
+		st.Count++
+		st.Lambda += m.channels[i].lambda
+		st.Service += m.channels[i].service
+		st.Wait += m.channels[i].wait
+		st.Rho += m.channels[i].lambda * m.channels[i].service
+	}
+	out := make([]ClassStats, 0, len(acc))
+	for _, st := range acc {
+		n := float64(st.Count)
+		st.Lambda /= n
+		st.Service /= n
+		st.Wait /= n
+		st.Rho /= n
+		out = append(out, *st)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Kind != out[j].Kind {
+			return out[i].Kind < out[j].Kind
+		}
+		if out[i].Class != out[j].Class {
+			return out[i].Class < out[j].Class
+		}
+		return out[i].VC < out[j].VC
+	})
+	return out
+}
+
+// FormatClassReport renders the class report as a fixed-width table.
+func FormatClassReport(report []ClassStats) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-6s %-6s %-3s %-6s %12s %12s %12s %8s\n",
+		"kind", "class", "vc", "count", "lambda", "service", "wait", "rho")
+	for _, st := range report {
+		fmt.Fprintf(&b, "%-6s %-6d %-3d %-6d %12.6g %12.4f %12.4f %8.4f\n",
+			st.Kind, st.Class, st.VC, st.Count, st.Lambda, st.Service, st.Wait, st.Rho)
+	}
+	return b.String()
+}
 
 func TestClassReportStructure(t *testing.T) {
 	rt := quarcRouter(t, 16)

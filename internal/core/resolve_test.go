@@ -129,9 +129,9 @@ func TestAccessorsReportLatestSolve(t *testing.T) {
 		fresh := must(NewModel(in))
 		must(fresh.Solve())
 		for id := topology.ChannelID(0); int(id) < tp.rt.Graph().NumChannels(); id++ {
-			if m.Lambda(id) != fresh.Lambda(id) || m.Service(id) != fresh.Service(id) || m.Wait(id) != fresh.Wait(id) {
+			if m.Lambda(id) != fresh.Lambda(id) || m.channels[id].service != fresh.channels[id].service || m.channels[id].wait != fresh.channels[id].wait {
 				t.Fatalf("%s channel %d: re-solved (λ=%v x̄=%v W=%v), fresh (λ=%v x̄=%v W=%v)", tp.name, id,
-					m.Lambda(id), m.Service(id), m.Wait(id), fresh.Lambda(id), fresh.Service(id), fresh.Wait(id))
+					m.Lambda(id), m.channels[id].service, m.channels[id].wait, fresh.Lambda(id), fresh.channels[id].service, fresh.channels[id].wait)
 			}
 		}
 		for _, b := range must(routing.MulticastBranches(tp.rt, 3, tp.set)) {
@@ -311,7 +311,7 @@ var benchSink Prediction
 // BenchmarkModelBuild and BenchmarkModelResolve are the two halves of a
 // one-shot Predict: the rate-independent build and one solve.
 func BenchmarkModelBuild(b *testing.B) {
-	in := simMidModel(b).Input()
+	in := simMidModel(b).in
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

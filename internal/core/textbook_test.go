@@ -79,13 +79,13 @@ func TestPairNetworkHandComputation(t *testing.T) {
 	g := rt.Graph()
 	// Services: all msg.
 	for _, id := range []topology.ChannelID{g.Injection(0, 0), g.LinkFrom(0, 0, 0), g.Ejection(1, 0)} {
-		if got := m.Service(id); math.Abs(got-msg) > 1e-9 {
+		if got := m.channels[id].service; math.Abs(got-msg) > 1e-9 {
 			t.Errorf("channel %v service = %v, want %v", g.Channel(id), got, msg)
 		}
 	}
 	// Hand P-K wait at the injection channel.
 	wantW := lambda * msg * msg / (2 * (1 - lambda*msg))
-	if got := m.Wait(g.Injection(0, 0)); math.Abs(got-wantW) > 1e-9 {
+	if got := m.channels[g.Injection(0, 0)].wait; math.Abs(got-wantW) > 1e-9 {
 		t.Errorf("injection wait = %v, want %v", got, wantW)
 	}
 	// Path latency: W_inj + msg + depth (the link and ejection waits are

@@ -190,13 +190,6 @@ type Report struct {
 	Timing []CheckerTiming
 }
 
-// Run executes every checker over every package and returns the
-// surviving findings sorted by position. Findings on a line carrying a
-// matching //quarclint:ignore directive are dropped.
-func Run(pkgs []*Package, cfg Config) []Diagnostic {
-	return RunReport(pkgs, cfg).Diagnostics
-}
-
 // RunReport executes the configured checkers (all of them when
 // cfg.Checkers is empty) over every package and returns the diagnostics
 // together with per-checker timing.

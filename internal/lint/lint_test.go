@@ -12,6 +12,13 @@ import (
 	"testing"
 )
 
+// Run executes every checker over every package and returns the
+// surviving findings sorted by position. Findings on a line carrying a
+// matching //quarclint:ignore directive are dropped.
+func Run(pkgs []*Package, cfg Config) []Diagnostic {
+	return RunReport(pkgs, cfg).Diagnostics
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current checker output")
 
 // loadCorpus loads the quarclint.example fixture module under

@@ -21,9 +21,6 @@ func NewHypercubeRouter(h *topology.Hypercube) *HypercubeRouter { return &Hyperc
 // Graph returns the underlying channel graph.
 func (rt *HypercubeRouter) Graph() *topology.Graph { return rt.h.Graph }
 
-// Hypercube returns the underlying topology.
-func (rt *HypercubeRouter) Hypercube() *topology.Hypercube { return rt.h }
-
 // UnicastPort returns the first dimension the e-cube route corrects: the
 // lowest set bit of src XOR dst.
 func (rt *HypercubeRouter) UnicastPort(src, dst topology.NodeID) (int, error) {

@@ -177,19 +177,4 @@ func (rt *QuarcRouter) BroadcastSet() MulticastSet {
 	return set
 }
 
-// SetFromNodes converts an absolute destination node list (relative to
-// src) into the per-port bitstring representation. Destinations equal to
-// src are rejected.
-func (rt *QuarcRouter) SetFromNodes(src topology.NodeID, dests []topology.NodeID) (MulticastSet, error) {
-	set := NewMulticastSet(topology.QuarcPorts)
-	for _, d := range dests {
-		port, hop, err := rt.q.BranchHopOf(src, d)
-		if err != nil {
-			return set, err
-		}
-		set = set.Add(port, hop)
-	}
-	return set, nil
-}
-
 var _ Router = (*QuarcRouter)(nil)

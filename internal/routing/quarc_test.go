@@ -259,40 +259,10 @@ func TestMulticastRejectsInvalidHops(t *testing.T) {
 	}
 }
 
-func TestSetFromNodesRoundTrip(t *testing.T) {
-	rt := mustRouter(t, 16)
-	dests := []topology.NodeID{2, 6, 9, 14}
-	set, err := rt.SetFromNodes(0, dests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	branches, err := MulticastBranches(rt, 0, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[topology.NodeID]bool{}
-	for _, b := range branches {
-		for _, n := range b.Targets {
-			got[n] = true
-		}
-	}
-	if len(got) != len(dests) {
-		t.Fatalf("round trip covers %d nodes, want %d", len(got), len(dests))
-	}
-	for _, d := range dests {
-		if !got[d] {
-			t.Errorf("destination %d lost in round trip", d)
-		}
-	}
-	if _, err := rt.SetFromNodes(3, []topology.NodeID{3}); err == nil {
-		t.Error("SetFromNodes accepted the source as destination")
-	}
-}
-
 func TestMulticastSetHelpers(t *testing.T) {
 	s := NewMulticastSet(4).Add(0, 1).Add(0, 3).Add(2, 2)
-	if !s.Has(0, 1) || !s.Has(0, 3) || s.Has(0, 2) {
-		t.Error("Has gave wrong membership")
+	if s.Bits[0] != 0b101 || s.Bits[2] != 0b10 {
+		t.Errorf("Add gave wrong membership: %b", s.Bits)
 	}
 	if got := s.LastHop(0); got != 3 {
 		t.Errorf("LastHop(0) = %d, want 3", got)
@@ -305,9 +275,6 @@ func TestMulticastSetHelpers(t *testing.T) {
 	}
 	if s.Empty() {
 		t.Error("non-empty set reported Empty")
-	}
-	if ports := s.ActivePorts(); len(ports) != 2 || ports[0] != 0 || ports[1] != 2 {
-		t.Errorf("ActivePorts = %v, want [0 2]", ports)
 	}
 	if NewMulticastSet(4).Size() != 0 || !NewMulticastSet(4).Empty() {
 		t.Error("fresh set must be empty")

@@ -21,10 +21,6 @@ import (
 // destination.
 type Path []topology.ChannelID
 
-// Hops returns the number of channel crossings (pipeline depth) of the
-// header along the path.
-func (p Path) Hops() int { return len(p) }
-
 // Branch is one stream of a multicast operation: the worm a source injects
 // into one port. Intermediate Targets absorb-and-forward the stream; the
 // last target is the stream's endpoint (the header's destination address).
@@ -125,12 +121,6 @@ func (s MulticastSet) Add(port, hop int) MulticastSet {
 	return s
 }
 
-// Has reports whether the node at branch-hop distance hop on port is a
-// target.
-func (s MulticastSet) Has(port, hop int) bool {
-	return s.Bits[port]&(1<<uint(hop-1)) != 0
-}
-
 // LastHop returns the largest marked hop distance on port, or 0 if the
 // port has no targets.
 func (s MulticastSet) LastHop(port int) int { return bits.Len64(s.Bits[port]) }
@@ -151,17 +141,6 @@ func (s MulticastSet) Empty() bool { return s.Size() == 0 }
 
 // Equal reports whether both sets mark exactly the same targets.
 func (s MulticastSet) Equal(o MulticastSet) bool { return slices.Equal(s.Bits, o.Bits) }
-
-// ActivePorts returns the ports that have at least one target.
-func (s MulticastSet) ActivePorts() []int {
-	var ports []int
-	for p, b := range s.Bits {
-		if b != 0 {
-			ports = append(ports, p)
-		}
-	}
-	return ports
-}
 
 // String renders the set with the paper's L/LO/RO/R labels when it has four
 // ports, and generic port labels otherwise.

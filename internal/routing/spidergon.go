@@ -29,9 +29,6 @@ func NewSpidergonRouter(s *topology.Spidergon) *SpidergonRouter { return &Spider
 // Graph returns the underlying channel graph.
 func (rt *SpidergonRouter) Graph() *topology.Graph { return rt.s.Graph }
 
-// Spidergon returns the underlying topology.
-func (rt *SpidergonRouter) Spidergon() *topology.Spidergon { return rt.s }
-
 // UnicastPort returns 0: the Spidergon router is one-port.
 func (rt *SpidergonRouter) UnicastPort(src, dst topology.NodeID) (int, error) {
 	if src == dst {

@@ -6,11 +6,7 @@
 // if several goroutines feed the same estimator.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Running accumulates a sample mean and variance using Welford's
 // numerically stable online algorithm. The zero value is ready to use.
@@ -82,36 +78,6 @@ func (r Running) Max() float64 {
 // Reset discards all recorded observations.
 func (r *Running) Reset() { *r = Running{} }
 
-// Merge folds the observations summarized by other into r, as if every
-// observation added to other had been added to r.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	n1, n2 := float64(r.n), float64(other.n)
-	d := other.mean - r.mean
-	tot := n1 + n2
-	r.m2 += other.m2 + d*d*n1*n2/tot
-	r.mean += d * n2 / tot
-	r.n += other.n
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-}
-
-// String summarizes the estimator for logs.
-func (r Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
-		r.n, r.Mean(), r.Std(), r.Min(), r.Max())
-}
-
 // Replicates combines the point estimates of independent simulation
 // replications into a grand mean and a confidence half-width. Each
 // replication contributes one observation (its own mean), which is IID
@@ -134,12 +100,6 @@ func (r *Replicates) Add(x float64) {
 	}
 	r.runs.Add(x)
 }
-
-// N returns the number of replications with a usable estimate.
-func (r *Replicates) N() int64 { return r.runs.N() }
-
-// Skipped returns the number of NaN replications.
-func (r *Replicates) Skipped() int64 { return r.skipped }
 
 // Mean returns the grand mean over replications, or NaN if none
 // contributed.
@@ -183,9 +143,6 @@ func (b *BatchMeans) Add(x float64) {
 	}
 }
 
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int { return len(b.batches) }
-
 // Mean returns the grand mean over completed batches, or NaN if no batch
 // has completed.
 func (b *BatchMeans) Mean() float64 {
@@ -218,7 +175,7 @@ func (b *BatchMeans) HalfWidth(z float64) float64 {
 }
 
 // Histogram counts observations in uniform bins over [lo, hi); samples
-// outside the range are tallied in Under/Over.
+// outside the range are tallied separately.
 type Histogram struct {
 	lo, hi float64
 	width  float64
@@ -256,18 +213,6 @@ func (h *Histogram) Add(x float64) {
 // Count returns the total number of observations including out-of-range.
 func (h *Histogram) Count() int64 { return h.total }
 
-// Under and Over return the out-of-range tallies.
-func (h *Histogram) Under() int64 { return h.under }
-
-// Over returns the number of observations at or above the upper bound.
-func (h *Histogram) Over() int64 { return h.over }
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
 // Quantile returns an approximate q-quantile (0 <= q <= 1) assuming
 // observations are uniform within a bin. Out-of-range mass is treated as
 // sitting at the bounds.
@@ -299,43 +244,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Percentile is shorthand for Quantile(p/100).
 func (h *Histogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
-
-// Quantiles computes an exact set of quantiles from a finite sample by
-// sorting a copy of the data. Convenient for tests and small experiment
-// outputs; qs must each be in [0,1].
-func Quantiles(data []float64, qs ...float64) []float64 {
-	if len(data) == 0 {
-		out := make([]float64, len(qs))
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	s := append([]float64(nil), data...)
-	sort.Float64s(s)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if q <= 0 {
-			out[i] = s[0]
-			continue
-		}
-		if q >= 1 {
-			out[i] = s[len(s)-1]
-			continue
-		}
-		// Linear interpolation between closest ranks.
-		pos := q * float64(len(s)-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		if lo == hi {
-			out[i] = s[lo]
-		} else {
-			f := pos - float64(lo)
-			out[i] = s[lo]*(1-f) + s[hi]*f
-		}
-	}
-	return out
-}
 
 // RelErr returns |a-b| / max(|b|, eps): the relative error of a against
 // reference b, guarded against division by tiny references.

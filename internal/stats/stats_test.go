@@ -3,9 +3,47 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Quantiles computes an exact set of quantiles from a finite sample by
+// sorting a copy of the data. Convenient for tests and small experiment
+// outputs; qs must each be in [0,1].
+func Quantiles(data []float64, qs ...float64) []float64 {
+	if len(data) == 0 {
+		out := make([]float64, len(qs))
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
+	}
+	s := append([]float64(nil), data...)
+	sort.Float64s(s)
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		if q <= 0 {
+			out[i] = s[0]
+			continue
+		}
+		if q >= 1 {
+			out[i] = s[len(s)-1]
+			continue
+		}
+		// Linear interpolation between closest ranks.
+		pos := q * float64(len(s)-1)
+		lo := int(math.Floor(pos))
+		hi := int(math.Ceil(pos))
+		if lo == hi {
+			out[i] = s[lo]
+		} else {
+			f := pos - float64(lo)
+			out[i] = s[lo]*(1-f) + s[hi]*f
+		}
+	}
+	return out
+}
 
 func almostEq(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
@@ -29,7 +67,7 @@ func TestRunningSingle(t *testing.T) {
 	var r Running
 	r.Add(42)
 	if r.Mean() != 42 || r.Min() != 42 || r.Max() != 42 {
-		t.Fatalf("single-sample stats wrong: %v", r.String())
+		t.Fatalf("single-sample stats wrong: %+v", r)
 	}
 	if !math.IsNaN(r.Var()) {
 		t.Fatalf("variance of one sample must be NaN, got %v", r.Var())
@@ -63,68 +101,13 @@ func TestRunningReset(t *testing.T) {
 	}
 }
 
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		var all, left, right Running
-		for _, x := range a {
-			// Bound the magnitude to keep the tolerance meaningful.
-			x = math.Mod(x, 1e6)
-			if math.IsNaN(x) {
-				x = 0
-			}
-			all.Add(x)
-			left.Add(x)
-		}
-		for _, x := range b {
-			x = math.Mod(x, 1e6)
-			if math.IsNaN(x) {
-				x = 0
-			}
-			all.Add(x)
-			right.Add(x)
-		}
-		left.Merge(&right)
-		if all.N() != left.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		if !almostEq(all.Mean(), left.Mean(), 1e-9) {
-			return false
-		}
-		if all.N() >= 2 && !almostEq(all.Var(), left.Var(), 1e-6) {
-			return false
-		}
-		return almostEq(all.Min(), left.Min(), 0) && almostEq(all.Max(), left.Max(), 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunningMergeIntoEmpty(t *testing.T) {
-	var a, b Running
-	b.Add(3)
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 2 || a.Mean() != 4 {
-		t.Fatalf("merge into empty failed: %v", a.String())
-	}
-	var c Running
-	a.Merge(&c) // merging empty is a no-op
-	if a.N() != 2 {
-		t.Fatalf("merging empty changed estimator: %v", a.String())
-	}
-}
-
 func TestBatchMeansBasic(t *testing.T) {
 	b := NewBatchMeans(10)
 	for i := 0; i < 100; i++ {
 		b.Add(float64(i % 10)) // each batch has mean 4.5
 	}
-	if b.Batches() != 10 {
-		t.Fatalf("batches = %d, want 10", b.Batches())
+	if len(b.batches) != 10 {
+		t.Fatalf("batches = %d, want 10", len(b.batches))
 	}
 	if got := b.Mean(); got != 4.5 {
 		t.Fatalf("grand mean = %v, want 4.5", got)
@@ -158,8 +141,8 @@ func TestBatchMeansNeedsTwoBatches(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		b.Add(1)
 	}
-	if b.Batches() != 1 {
-		t.Fatalf("batches = %d, want 1", b.Batches())
+	if len(b.batches) != 1 {
+		t.Fatalf("batches = %d, want 1", len(b.batches))
 	}
 	if !math.IsNaN(b.HalfWidth(1.96)) {
 		t.Fatal("half-width with one batch must be NaN")
@@ -186,12 +169,12 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Count() != 13 {
 		t.Fatalf("count = %d, want 13", h.Count())
 	}
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Under(), h.Over())
+	if h.under != 1 || h.over != 2 {
+		t.Fatalf("under/over = %d/%d, want 1/2", h.under, h.over)
 	}
 	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
+		if h.bins[i] != 1 {
+			t.Fatalf("bin %d = %d, want 1", i, h.bins[i])
 		}
 	}
 }
@@ -296,8 +279,8 @@ func TestReplicates(t *testing.T) {
 		r.Add(x)
 	}
 	r.Add(math.NaN())
-	if r.N() != 3 || r.Skipped() != 1 {
-		t.Fatalf("N=%d skipped=%d, want 3 and 1", r.N(), r.Skipped())
+	if r.runs.N() != 3 || r.skipped != 1 {
+		t.Fatalf("N=%d skipped=%d, want 3 and 1", r.runs.N(), r.skipped)
 	}
 	if got := r.Mean(); got != 12 {
 		t.Fatalf("mean = %v, want 12", got)

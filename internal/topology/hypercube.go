@@ -50,6 +50,3 @@ func (h *Hypercube) Dist(src, dst NodeID) int {
 	}
 	return d
 }
-
-// Diameter returns the network diameter (= dims).
-func (h *Hypercube) Diameter() int { return h.dims }

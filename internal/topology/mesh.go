@@ -131,14 +131,6 @@ func (m *Mesh) ringDist(a, b, size int) int {
 	return d
 }
 
-// Diameter returns the unicast diameter.
-func (m *Mesh) Diameter() int {
-	if m.wrap {
-		return m.w/2 + m.h/2
-	}
-	return m.w - 1 + m.h - 1
-}
-
 // HamiltonIndex returns a node's position on the snake-order Hamilton
 // path used by dual-path multicast: even rows left-to-right, odd rows
 // right-to-left, so consecutive indices are mesh neighbours.

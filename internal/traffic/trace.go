@@ -217,14 +217,6 @@ func NewReplayer(router routing.Router, set routing.MulticastSet, tr *Trace) (*R
 	return &Replayer{tr: tr, routes: routes, gi: make([]int, n), mi: make([]int, n)}, nil
 }
 
-// Rewind resets the replay cursors so the same trace can be replayed
-// again (e.g. across the points of a sweep).
-func (p *Replayer) Rewind() {
-	for i := range p.gi {
-		p.gi[i], p.mi[i] = 0, 0
-	}
-}
-
 // Interarrival implements the simulator's Traffic interface.
 func (p *Replayer) Interarrival(node topology.NodeID) float64 {
 	gaps := p.tr.Gaps[node]

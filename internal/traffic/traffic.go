@@ -161,50 +161,14 @@ func (s Spec) Silent(src topology.NodeID) bool {
 	return s.Perm != nil && s.Perm[src] == src
 }
 
-// UnicastProb returns the probability that a unicast generated at src is
-// destined for dst under this spec (zero for dst == src). The analytical
-// model enumerates flows with exactly these probabilities, so model and
-// simulator always describe the same traffic.
-func (s Spec) UnicastProb(n int, src, dst topology.NodeID) float64 {
-	if src == dst {
-		return 0
-	}
-	if s.Perm != nil {
-		if s.Perm[src] == dst {
-			return 1
-		}
-		return 0
-	}
-	if s.Weights != nil {
-		row := s.Weights[src]
-		sum := 0.0
-		for d, w := range row {
-			if topology.NodeID(d) != src {
-				sum += w
-			}
-		}
-		if sum <= 0 {
-			return 0
-		}
-		return row[dst] / sum
-	}
-	uniform := 1.0 / float64(n-1)
-	if s.HotspotFrac == 0 || src == s.HotspotNode {
-		return uniform
-	}
-	p := (1 - s.HotspotFrac) * uniform
-	if dst == s.HotspotNode {
-		p += s.HotspotFrac
-	}
-	return p
-}
-
-// UnicastProbRow fills out[dst] with UnicastProb(n, src, dst) for every
+// UnicastProbRow fills out[dst] with the probability that a unicast
+// generated at src is destined for dst (zero for dst == src), for every
 // destination in O(n): the weight-matrix row sum is computed once per
 // source instead of once per (src, dst) pair, which keeps the analytical
 // model's flow enumeration at O(n²) under weighted destinations. out
-// must have length n. Every entry is bitwise-identical to the per-pair
-// UnicastProb.
+// must have length n. The analytical model enumerates flows with exactly
+// these probabilities, so model and simulator describe the same traffic.
+// Every entry is bitwise-identical to the tests' per-pair UnicastProb.
 func (s Spec) UnicastProbRow(n int, src topology.NodeID, out []float64) {
 	for i := range out {
 		out[i] = 0

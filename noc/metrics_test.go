@@ -2,6 +2,7 @@ package noc
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"quarc/internal/obs"
@@ -128,5 +129,48 @@ func TestMetricsParallelismDeterministic(t *testing.T) {
 	}
 	if sink.Len() == 0 {
 		t.Error("shared sink saw no records")
+	}
+}
+
+// TestObsFileRebuildsSeries pins the documented offline rebuild: a run
+// streamed to an observability log through MetricsSink folds back, via
+// ReadObsFile and AggregateObs, into exactly the series the Result
+// carries.
+func TestObsFileRebuildsSeries(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "run.obs")
+	sink, err := CreateObsFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScenario(Quarc(16), MsgLen(32), Rate(0.003), Alpha(0.05),
+		LocalizedDests(PortL, 4), Seed(11), Warmup(1000), Measure(8000),
+		Metrics(100), MetricsSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Simulator{}.Evaluate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadObsFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("the log holds no records")
+	}
+	got, err := json.Marshal(AggregateObs(recs, s.Channels(), 100, res.Time))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res.Series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("rebuilt series differs from Result.Series:\n got:  %.300s\n want: %.300s", got, want)
 	}
 }

@@ -65,8 +65,8 @@ func TestRegistryRoundTrip(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if s.TopologyName() != c.name {
-			t.Errorf("%s: TopologyName() = %q", c.name, s.TopologyName())
+		if s.cfg.Topology != c.name {
+			t.Errorf("%s: TopologyName() = %q", c.name, s.cfg.Topology)
 		}
 		if s.Nodes() != c.nodes {
 			t.Errorf("%s: Nodes() = %d, want %d", c.name, s.Nodes(), c.nodes)

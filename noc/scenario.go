@@ -626,12 +626,6 @@ func (s *Scenario) trafficSpec() traffic.Spec {
 	}
 }
 
-// TopologyName returns the scenario's topology name.
-func (s *Scenario) TopologyName() string { return s.cfg.Topology }
-
-// PatternName returns the scenario's traffic-pattern name.
-func (s *Scenario) PatternName() string { return s.cfg.Pattern }
-
 // ArrivalName returns the scenario's arrival-process name
 // ("poisson" when defaulted).
 func (s *Scenario) ArrivalName() string { return s.cfg.Arrival }

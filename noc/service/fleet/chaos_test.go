@@ -133,8 +133,7 @@ func TestChaosBitwise(t *testing.T) {
 						sc.name, r, got, want[r])
 				}
 			}
-			c := d.Counters()
-			t.Logf("%s: %+v", sc.name, c)
+			t.Logf("%s: %s", sc.name, counters(d))
 
 			if sc.storeRules == nil {
 				return

@@ -75,23 +75,6 @@ type Config struct {
 	Seed uint64
 }
 
-// Counters snapshots the dispatcher's fleet-level activity. All fields
-// are lifetime totals.
-type Counters struct {
-	// Dispatched counts jobs answered by a peer.
-	Dispatched uint64 `json:"dispatched"`
-	// Retries counts re-dispatches after a retryable peer failure.
-	Retries uint64 `json:"retries"`
-	// Hedges counts hedged second dispatches; HedgeWins counts the ones
-	// that answered first.
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
-	// Fallbacks counts jobs degraded to local evaluation.
-	Fallbacks uint64 `json:"fallbacks"`
-	// BreakerOpens counts breaker open transitions across all peers.
-	BreakerOpens uint64 `json:"breaker_opens"`
-}
-
 // Dispatcher fans evaluations out to peers and implements
 // service.Backend (plus service.PeerReporter), so quarcd serves it
 // exactly like a local evaluator.
@@ -103,6 +86,10 @@ type Dispatcher struct {
 	next   atomic.Uint64
 	jitter *jitterSource
 
+	// Lifetime totals: jobs answered by a peer, re-dispatches after a
+	// retryable peer failure, hedged second dispatches and the ones that
+	// answered first, jobs degraded to local evaluation, and breaker
+	// open transitions across all peers.
 	dispatched   atomic.Uint64
 	retries      atomic.Uint64
 	hedges       atomic.Uint64
@@ -297,18 +284,6 @@ func (d *Dispatcher) Stats() service.Stats { return d.local.Stats() }
 
 // Healthz delegates to the local evaluator's state.
 func (d *Dispatcher) Healthz() service.HealthState { return d.local.Healthz() }
-
-// Counters snapshots the fleet-level activity totals.
-func (d *Dispatcher) Counters() Counters {
-	return Counters{
-		Dispatched:   d.dispatched.Load(),
-		Retries:      d.retries.Load(),
-		Hedges:       d.hedges.Load(),
-		HedgeWins:    d.hedgeWins.Load(),
-		Fallbacks:    d.fallbacks.Load(),
-		BreakerOpens: d.breakerOpens.Load(),
-	}
-}
 
 // PeerHealth implements service.PeerReporter: one breaker snapshot per
 // configured peer, in configuration order.

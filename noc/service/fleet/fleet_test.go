@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -89,9 +90,8 @@ func TestSweepAcrossPeers(t *testing.T) {
 			t.Errorf("rate %g: fleet result differs from direct:\n %s\n %s", r, got, want)
 		}
 	}
-	c := d.Counters()
-	if c.Dispatched != uint64(len(rates)) || c.Fallbacks != 0 {
-		t.Errorf("counters = %+v, want %d dispatched and no fallbacks", c, len(rates))
+	if d.dispatched.Load() != uint64(len(rates)) || d.fallbacks.Load() != 0 {
+		t.Errorf("counters = %s, want %d dispatched and no fallbacks", counters(d), len(rates))
 	}
 	if e1.Stats().Evaluations == 0 || e2.Stats().Evaluations == 0 {
 		t.Errorf("sweep did not split: peer evaluations %d and %d",
@@ -139,9 +139,8 @@ func TestRetryAfterTransientFailure(t *testing.T) {
 	if got, want := resultJSON(t, res), directJSON(t, sp); got != want {
 		t.Errorf("retried result differs from direct:\n %s\n %s", got, want)
 	}
-	c := d.Counters()
-	if c.Retries != 2 || c.Dispatched != 1 || c.Fallbacks != 0 {
-		t.Errorf("counters = %+v, want 2 retries, 1 dispatched", c)
+	if d.retries.Load() != 2 || d.dispatched.Load() != 1 || d.fallbacks.Load() != 0 {
+		t.Errorf("counters = %s, want 2 retries, 1 dispatched", counters(d))
 	}
 	if inj.Fired("peer.rpc") != 2 {
 		t.Errorf("injector fired %d faults, want 2", inj.Fired("peer.rpc"))
@@ -182,9 +181,8 @@ func TestHedgedDispatch(t *testing.T) {
 	if got, want := resultJSON(t, res), directJSON(t, sp); got != want {
 		t.Errorf("hedged result differs from direct:\n %s\n %s", got, want)
 	}
-	c := d.Counters()
-	if c.Hedges != 1 || c.HedgeWins != 1 {
-		t.Errorf("counters = %+v, want 1 hedge and 1 hedge win", c)
+	if d.hedges.Load() != 1 || d.hedgeWins.Load() != 1 {
+		t.Errorf("counters = %s, want 1 hedge and 1 hedge win", counters(d))
 	}
 }
 
@@ -212,12 +210,11 @@ func TestLocalFallback(t *testing.T) {
 	if got, want := resultJSON(t, res), directJSON(t, sp); got != want {
 		t.Errorf("fallback result differs from direct:\n %s\n %s", got, want)
 	}
-	c := d.Counters()
-	if c.Fallbacks != 1 || c.Dispatched != 0 {
-		t.Errorf("counters = %+v, want 1 fallback, 0 dispatched", c)
+	if d.fallbacks.Load() != 1 || d.dispatched.Load() != 0 {
+		t.Errorf("counters = %s, want 1 fallback, 0 dispatched", counters(d))
 	}
-	if c.BreakerOpens != 1 {
-		t.Errorf("breaker opens = %d, want 1 after %d consecutive failures", c.BreakerOpens, 2)
+	if d.breakerOpens.Load() != 1 {
+		t.Errorf("breaker opens = %d, want 1 after %d consecutive failures", d.breakerOpens.Load(), 2)
 	}
 	if ph := d.PeerHealth(); ph[0].State != stateOpen {
 		t.Errorf("dead peer state = %s, want open", ph[0].State)
@@ -237,12 +234,11 @@ func TestNonRetryable4xx(t *testing.T) {
 	if !errors.Is(err, service.ErrTraceSpec) {
 		t.Errorf("trace spec error = %v, want ErrTraceSpec", err)
 	}
-	c := d.Counters()
-	if c.Retries != 0 {
-		t.Errorf("a 400 was retried: %+v", c)
+	if d.retries.Load() != 0 {
+		t.Errorf("a 400 was retried: %s", counters(d))
 	}
-	if c.Fallbacks != 1 {
-		t.Errorf("counters = %+v, want the 400 to degrade to local for the typed error", c)
+	if d.fallbacks.Load() != 1 {
+		t.Errorf("counters = %s, want the 400 to degrade to local for the typed error", counters(d))
 	}
 	// The breaker does not punish the peer for refusing a bad spec... but
 	// the failure is still counted in the lifetime total.
@@ -344,8 +340,8 @@ func TestNoPeersDegradesToLocal(t *testing.T) {
 	if got, want := resultJSON(t, res), directJSON(t, sp); got != want {
 		t.Errorf("result differs from direct")
 	}
-	if c := d.Counters(); c.Fallbacks != 0 {
-		t.Errorf("an empty fleet counted a fallback: %+v", c)
+	if d.fallbacks.Load() != 0 {
+		t.Errorf("an empty fleet counted a fallback: %s", counters(d))
 	}
 	if hs := d.Healthz(); hs.Status != service.StatusOK {
 		t.Errorf("healthz = %+v", hs)
@@ -387,4 +383,11 @@ func TestBackoffShape(t *testing.T) {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v)", i+1, ba, step/2, step)
 		}
 	}
+}
+
+// counters renders the dispatcher's lifetime totals for failure messages.
+func counters(d *Dispatcher) string {
+	return fmt.Sprintf("dispatched=%d retries=%d hedges=%d hedge_wins=%d fallbacks=%d breaker_opens=%d",
+		d.dispatched.Load(), d.retries.Load(), d.hedges.Load(), d.hedgeWins.Load(),
+		d.fallbacks.Load(), d.breakerOpens.Load())
 }

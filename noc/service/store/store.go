@@ -120,9 +120,6 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()

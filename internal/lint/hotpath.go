@@ -54,8 +54,10 @@ func defaultHotpaths() map[string][]string {
 			"Network.addSample",
 			"Network.busySpan",
 			"Network.complete",
+			"Network.cut",
 			"Network.fire",
 			"Network.flushSpans",
+			"Network.fly",
 			"Network.foldSamples",
 			"Network.generate",
 			"Network.getMessage",

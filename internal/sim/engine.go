@@ -30,6 +30,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind tags an event. Kind values are defined by the Handler's owner (the
@@ -136,9 +137,11 @@ const maxRetainedEvents = 1 << 15
 // Engine is a discrete-event scheduler. The zero value is ready to use and
 // has no lanes.
 type Engine struct {
-	now  float64
-	seq  uint64
-	heap eventHeap
+	now float64
+	// seq is the last sequence number handed out and cur the one of the
+	// event being dispatched (see NowSeq).
+	seq, cur uint64
+	heap     eventHeap
 	// lanes are the fixed-delay FIFOs in front of the heap (see lane and
 	// DeclareLanes); an undeclared lane refuses every event.
 	lanes   [2]lane
@@ -159,6 +162,7 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
+	e.cur = 0
 	e.fired = 0
 	e.stopped = false
 	if cap(e.heap) > maxRetainedEvents {
@@ -177,6 +181,23 @@ func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() float64 { return e.now }
+
+// NowSeq returns the sequence number of the event being dispatched (of
+// the last one dispatched, between events): with Now, the key of the
+// dispatching event. An event-coalescing layer compares it with the
+// sequence numbers it reserved to tell whether a deferred micro-event at
+// this instant has already happened.
+func (e *Engine) NowSeq() uint64 { return e.cur }
+
+// Reserve grows the heap's storage to hold at least n pending events
+// without reallocating, for callers that know their standing population
+// (the wormhole simulator's generation timers and in-flight header
+// events).
+func (e *Engine) Reserve(n int) {
+	if n > len(e.heap) {
+		e.heap = slices.Grow(e.heap, n-len(e.heap))
+	}
+}
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -345,7 +366,7 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 		// another item into p's slot, and a handler scheduling into the
 		// ring may overwrite it.
 		ev := Event{Kind: p.kind, Arg: p.arg, Ref: p.ref}
-		e.now = p.t
+		e.now, e.cur = p.t, p.seq
 		if src != nil {
 			src.head++
 		} else {

@@ -245,6 +245,57 @@ func TestFiredCounter(t *testing.T) {
 	}
 }
 
+// TestNowSeq pins the dispatching event's key: NowSeq is the sequence
+// number it was filed under, whether Schedule numbered it or it went into
+// a slot reserved earlier, lane or heap alike.
+func TestNowSeq(t *testing.T) {
+	e := New()
+	e.DeclareLanes(1)
+	var got []uint64
+	record := func(e *Engine) { got = append(got, e.NowSeq()) }
+	reserved := e.ReserveSeq(2) // 1, 2
+	at(e, 1, record)            // 3
+	c := e.handler.(*calls)
+	c.fns = append(c.fns, record)
+	e.ScheduleSeq(1, reserved+1, Event{Ref: int32(len(c.fns) - 1)})
+	at(e, 0, func(e *Engine) { // 4, then 5 on lane 0
+		record(e)
+		at(e, 1, record)
+	})
+	e.RunAll()
+	if want := []uint64{4, 2, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("NowSeq in dispatch order %v, want %v", got, want)
+	}
+	e.Reset()
+	if e.NowSeq() != 0 {
+		t.Fatalf("NowSeq after Reset = %d, want 0", e.NowSeq())
+	}
+}
+
+// TestReserveSizesTheHeap pins Reserve: the heap then takes that many
+// events without growing, and a smaller request never shrinks it.
+func TestReserveSizesTheHeap(t *testing.T) {
+	e := New()
+	e.Reserve(64)
+	if cap(e.heap) < 64 {
+		t.Fatalf("heap capacity %d after Reserve(64)", cap(e.heap))
+	}
+	e.SetHandler(&calls{fns: []func(*Engine){func(*Engine) {}}})
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 64; i++ {
+			e.Schedule(e.Now()+float64(64-i), Event{Arg: int32(i)})
+		}
+		e.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a reserved heap allocates %v times", allocs)
+	}
+	e.Reserve(8) // never shrinks
+	if cap(e.heap) < 64 {
+		t.Fatalf("Reserve(8) shrank the heap to %d", cap(e.heap))
+	}
+}
+
 func TestReset(t *testing.T) {
 	e := New()
 	fired := 0

@@ -252,9 +252,9 @@ func TestResetShrinksOverGrownStorage(t *testing.T) {
 	}
 }
 
-// FuzzCalendarVsHeap fuzzes an engine with lanes against one without over
+// FuzzLanesVsHeap fuzzes an engine with lanes against one without over
 // encoded operation sequences.
-func FuzzCalendarVsHeap(f *testing.F) {
+func FuzzLanesVsHeap(f *testing.F) {
 	// Seed corpus: each byte drives one operation (see below). The seeds
 	// cover steady pushes, same-instant bursts, pushes with partial drains,
 	// far-future outliers, boundary-jitter times and bursts ping-ponging
@@ -424,7 +424,7 @@ func (r *reentrant) react(e *Engine) {
 	}
 }
 
-// FuzzEngineReentrant is FuzzCalendarVsHeap with the scheduling moved
+// FuzzEngineReentrant is FuzzLanesVsHeap with the scheduling moved
 // inside Handle, where a record could be read after the structure it
 // waited in moved on: the engines with and without lanes must dispatch
 // identical (t, Kind, Arg, Ref) sequences and agree on Pending() after

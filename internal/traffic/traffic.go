@@ -276,6 +276,19 @@ func routeTable(router routing.Router, set routing.MulticastSet) (*routing.Table
 // Spec returns the workload specification.
 func (w *Workload) Spec() Spec { return w.spec }
 
+// ContinuousArrivals reports whether the arrival process draws its gaps
+// from a continuous distribution ("poisson", "onoff"), so that almost
+// surely no two messages are generated a whole number of cycles apart. "bernoulli" and
+// "periodic" put injections on a shared lattice. The wormhole simulator's
+// header flights rely on this (DESIGN.md §10).
+func (w *Workload) ContinuousArrivals() bool {
+	switch w.proc.(type) {
+	case poissonArrival, onoffArrival:
+		return true
+	}
+	return false
+}
+
 // Reset re-derives the workload in place for a new spec and seed over the
 // same routes. The route table is kept whenever it already holds the
 // spec's destination set (or the spec generates no multicasts); a new set

@@ -106,6 +106,9 @@ func TestCoalescingMatchesFineGrained(t *testing.T) {
 		rate   float64
 		alpha  float64
 		drain  bool
+		// priority selects MulticastPriority, and onoff bursty arrivals.
+		priority, onoff bool
+		seeds           []uint64
 	}
 	q16, err := topology.NewQuarc(16)
 	if err != nil {
@@ -136,6 +139,21 @@ func TestCoalescingMatchesFineGrained(t *testing.T) {
 		{name: "mesh4x4", rt: mrt,
 			set:    func() (routing.MulticastSet, error) { return mrt.HighLowSet([]int{1, 3}, []int{2}) },
 			msgLen: 16, rate: 0.004, alpha: 0.05, drain: true},
+		// A request meeting a deferred release at its own instant, when the
+		// release's reserved slot comes after the request's, must queue
+		// and be granted by the release, as the fine-grained run does:
+		// granted at once, its next steps take earlier sequence numbers,
+		// and under multicast priority a multicast queuing in between
+		// loses the channel. Each of these three runs caught that.
+		{name: "quarc16-priority", rt: qrt,
+			set:    func() (routing.MulticastSet, error) { return qrt.LocalizedSet(topology.PortL, 4) },
+			msgLen: 4, rate: 0.047, alpha: 0.1, priority: true, onoff: true, seeds: []uint64{2}},
+		{name: "mesh4x4-priority", rt: mrt,
+			set:    func() (routing.MulticastSet, error) { return mrt.HighLowSet([]int{1, 3}, []int{2}) },
+			msgLen: 4, rate: 0.0966, alpha: 0.1, priority: true, seeds: []uint64{4}},
+		{name: "mesh4x4-2flit-onoff", rt: mrt,
+			set:    func() (routing.MulticastSet, error) { return mrt.HighLowSet([]int{1, 3}, []int{2}) },
+			msgLen: 2, rate: 0.096, alpha: 0.3, onoff: true, seeds: []uint64{2}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,9 +161,16 @@ func TestCoalescingMatchesFineGrained(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, seed := range []uint64{1, 7, 99} {
+			seeds := c.seeds
+			if seeds == nil {
+				seeds = []uint64{1, 7, 99}
+			}
+			for _, seed := range seeds {
 				spec := traffic.Spec{Rate: c.rate, MulticastFrac: c.alpha, Set: set}
-				cfg := Config{MsgLen: c.msgLen, Warmup: 1000, Measure: 10000, Drain: c.drain}
+				if c.onoff {
+					spec.Arrival, spec.BurstLen, spec.DutyCycle = "onoff", 8, 0.25
+				}
+				cfg := Config{MsgLen: c.msgLen, Warmup: 1000, Measure: 10000, Drain: c.drain, MulticastPriority: c.priority}
 				co, fi, coStream, fiStream := runPair(t, c.rt, spec, seed, cfg)
 				sameResult(t, c.name+"/coalesced-vs-fine", co, fi)
 				coStream, fiStream = canonicalStream(coStream), canonicalStream(fiStream)

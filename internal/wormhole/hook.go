@@ -113,7 +113,8 @@ type Hook interface {
 // none are named). Registration is additive and ordered: hooks at one
 // position fire in attach order. Attach is not safe concurrently with
 // Run; attach before running, and re-attach after Reset — a reset
-// network is pristine and starts with no hooks.
+// network is pristine and starts with no hooks. An attached hook turns
+// header flights off (DESIGN.md §10), so hooks see every header step.
 func (nw *Network) Attach(h Hook, at ...HookPos) {
 	if len(at) == 0 {
 		for p := range numHookPos {

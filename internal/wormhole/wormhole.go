@@ -95,10 +95,11 @@ type Config struct {
 	// connection-oriented NoC multicast (the paper's reference [4]); the
 	// paper's own validation uses pure FIFO, the default.
 	MulticastPriority bool
-	// NoCoalesce disables worm-level event coalescing, forcing one event
-	// per flit-step as in the pre-coalescing simulator. Coalescing is
-	// semantically exact (see DESIGN.md §10), so this knob exists for
-	// differential tests and performance comparisons, not for fidelity.
+	// NoCoalesce disables worm-level event coalescing (span drains, fused
+	// advances and header flights), forcing one event per flit-step as in
+	// the pre-coalescing simulator. Coalescing is semantically exact (see
+	// DESIGN.md §10), so this knob exists for differential tests and
+	// performance comparisons, not for fidelity.
 	NoCoalesce bool
 }
 
@@ -192,6 +193,17 @@ type worm struct {
 	// channel. A spanning worm is referenced by its pending evSpanDone and
 	// must not return to the pool before that event fires.
 	spanning bool
+	// fresh marks a worm whose header runs on its own message's time base:
+	// the message has one branch, arrivals are continuous, no hook is
+	// attached and the worm was never granted from a queue. Only a fresh
+	// worm flies (see fly).
+	fresh bool
+	// flight numbers the worm's latest header flight and flightEnd is the
+	// time of that flight's evFlight event, which carries the number: a cut
+	// replaces the pending event by a new one, and the replaced one is
+	// recognised by its stale number when it fires.
+	flight    int32
+	flightEnd float64
 }
 
 // Typed event kinds dispatched by Network.Handle. Keeping the hot path on
@@ -204,6 +216,7 @@ const (
 	evComplete                     // Ref = message, Arg = completing branch
 	evAdvance                      // Ref = worm: fused tail-release + header-request
 	evSpanDone                     // Ref = worm finishing a coalesced drain
+	evFlight                       // Ref = worm ending a header flight, Arg = its flight number
 )
 
 // slabSize is how many worms or messages one pool miss allocates: a fresh
@@ -239,8 +252,19 @@ type Network struct {
 	nextMsgID       int64
 	// coalesced counts micro-events absorbed into coalesced events (span
 	// drains, fused advances, lazily applied releases), so Result.Events
-	// can report flit-level-equivalent event counts.
+	// can report flit-level-equivalent event counts. A header flight adds
+	// each claim as it makes it and a cut takes back the claims it gives
+	// up; skipped counts the replaced evFlight events that fired, which
+	// finish takes out of the engine's count (see fly and cut).
 	coalesced uint64
+	skipped   uint64
+	// canFly enables header flights: coalescing is on and the traffic
+	// source's arrivals are continuous. flights counts the flights launched
+	// and ties the requests that met a claim at its claim time, which
+	// continuous arrivals make impossible (the tests pin both).
+	canFly  bool
+	flights uint64
+	ties    uint64
 	// samples is the open tie group: the measured completions sharing one
 	// completion time, in canonical order until folded (see addSample).
 	samples []latSample
@@ -290,6 +314,13 @@ func (nw *Network) Handle(e *sim.Engine, ev sim.Event) {
 		nw.request(w, t)
 	case evSpanDone:
 		nw.spanDone(nw.worms[ev.Ref], t)
+	case evFlight:
+		w := nw.worms[ev.Ref]
+		if ev.Arg != w.flight {
+			nw.skipped++ // replaced by a cut
+			return
+		}
+		nw.request(w, t)
 	default:
 		panic(fmt.Sprintf("wormhole: unknown event kind %d", ev.Kind))
 	}
@@ -374,6 +405,14 @@ func checkConfig(cfg *Config) error {
 	return nil
 }
 
+// continuousArrivals reports whether traffic declares continuous arrival
+// times (see traffic.Workload.ContinuousArrivals); a source that does not
+// say is assumed to put injections on a lattice.
+func continuousArrivals(traffic Traffic) bool {
+	c, ok := traffic.(interface{ ContinuousArrivals() bool })
+	return ok && c.ContinuousArrivals()
+}
+
 // New creates a simulator over the given channel graph and traffic source.
 func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 	if err := checkConfig(&cfg); err != nil {
@@ -385,8 +424,12 @@ func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
 		cfg:      cfg,
 		eng:      sim.New(),
 		channels: make([]channel, g.NumChannels()),
+		canFly:   !cfg.NoCoalesce && continuousArrivals(traffic),
 	}
 	nw.eng.SetHandler(nw)
+	// The heap holds about one generation timer per node and one flight end
+	// per worm in flight; sized up front, a fresh network does not regrow it.
+	nw.eng.Reserve(2 * g.Nodes())
 	// Almost every event lands a fixed delay after the one that schedules
 	// it: a header step one cycle on (evRequest, evAdvance) or a span drain
 	// one message length on (evSpanDone). Those two delays get the engine's
@@ -413,6 +456,7 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.traffic = traffic
 	nw.detachHooks()
 	nw.cfg = cfg
+	nw.canFly = !cfg.NoCoalesce && continuousArrivals(traffic)
 	nw.eng.Reset()
 	nw.eng.DeclareLanes(1, float64(cfg.MsgLen))
 	for i := range nw.channels {
@@ -435,6 +479,9 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 	nw.pendingMeasured = 0
 	nw.nextMsgID = 0
 	nw.coalesced = 0
+	nw.skipped = 0
+	nw.flights = 0
+	nw.ties = 0
 	nw.samples = nw.samples[:0]
 	// Objects in flight when the last run stopped were referenced only by
 	// the events and queues just discarded: rebuild both free lists from
@@ -501,8 +548,10 @@ func (nw *Network) beginMeasurement() {
 	for i := range nw.channels {
 		c := &nw.channels[i]
 		c.busy = 0
-		if c.holder != nil {
-			c.grantTime = nw.measureStart // count only in-window occupancy
+		// Count only in-window occupancy; a flight's claim for a later time
+		// keeps its grant time.
+		if c.holder != nil && c.grantTime < nw.measureStart {
+			c.grantTime = nw.measureStart
 		}
 	}
 }
@@ -584,7 +633,7 @@ func (nw *Network) finish() {
 	// must be applied so the utilization accounting below sees their true
 	// release times (their evSpanDone may lie beyond the horizon).
 	nw.flushSpans(nw.res.Time)
-	nw.res.Events = nw.eng.Fired() + nw.coalesced
+	nw.res.Events = nw.eng.Fired() - nw.skipped + nw.coalesced
 	window := math.Min(nw.res.Time, nw.windowEnd) - nw.measureStart
 	if window <= 0 {
 		window = 1
@@ -593,6 +642,11 @@ func (nw *Network) finish() {
 		c := &nw.channels[i]
 		busy := c.busy
 		if c.holder != nil {
+			if c.grantTime > nw.res.Time {
+				// A flight's claim its header has not reached: that hop
+				// lies after the run (and busySpan counts nothing for it).
+				nw.res.Events--
+			}
 			busy += nw.busySpan(c.grantTime, nw.res.Time)
 		}
 		if u := busy / window; u > nw.res.MaxUtil {
@@ -637,6 +691,7 @@ func (nw *Network) generate(node topology.NodeID, t float64) {
 	msg.multicast = multicast
 	msg.pending = int32(len(branches))
 	msg.measured = measured
+	fresh := nw.canFly && len(branches) == 1 && nw.hookMask == 0
 	if measured {
 		nw.res.Generated++
 		nw.pendingMeasured++
@@ -645,7 +700,9 @@ func (nw *Network) generate(node topology.NodeID, t float64) {
 		nw.fire(HookCtx{Pos: HookWormInjected, Time: t, Node: node, Channel: topology.None, Branch: -1, Msg: msg.id, Multicast: multicast})
 	}
 	for i := range branches {
-		nw.request(nw.getWorm(msg, i, branches[i].Path), t)
+		w := nw.getWorm(msg, i, branches[i].Path)
+		w.fresh = fresh
+		nw.request(w, t)
 	}
 }
 
@@ -659,18 +716,35 @@ func (nw *Network) request(w *worm, t float64) {
 		nw.grant(w, id, t)
 		return
 	}
-	if h := c.holder; h.spanning && len(c.queue) == 0 {
-		if c.spanRelease <= t {
+	h := c.holder
+	if c.grantTime > t {
+		// A flight claimed the channel for a later time: its header has not
+		// reached it yet, so it is free now. Cut the flight there.
+		nw.cut(h, id)
+		nw.grant(w, id, t)
+		return
+	}
+	if c.grantTime == t && h.flightEnd > t {
+		// The holder's flight claimed the channel for this very instant,
+		// a same-instant order no flight can settle (DESIGN.md §10).
+		nw.ties++
+	}
+	if h.spanning && len(c.queue) == 0 {
+		if c.spanRelease < t || (c.spanRelease == t && c.spanSeq < nw.eng.NowSeq()) {
 			// The holder's tail logically vacated this channel at
-			// spanRelease; the release was deferred because nobody needed
-			// the channel until now. Apply it, then grant.
+			// spanRelease, before this request's key; the release was
+			// deferred because nobody needed the channel until now. Apply
+			// it, then grant.
 			nw.releaseSpanned(id, c)
 			nw.grant(w, id, t)
 			return
 		}
-		// Genuinely still held: de-coalesce this channel by materializing
-		// its release event — in its reserved sequence slot, restoring
-		// exact fine-grained arbitration for the worms queuing behind it.
+		// Still held at this request's key — later, or at this instant in
+		// a later sequence slot: de-coalesce this channel by materializing
+		// its release event in its reserved slot, restoring exact
+		// fine-grained arbitration for the worms queuing behind it (the
+		// release then grants this request later in the instant, as the
+		// fine-grained run does).
 		nw.eng.ScheduleSeq(c.spanRelease, c.spanSeq, sim.Event{Kind: evRelease, Arg: int32(id)})
 	}
 	c.queue = append(c.queue, w)
@@ -746,7 +820,73 @@ func (nw *Network) grant(w *worm, id topology.ChannelID, t float64) {
 			return
 		}
 	}
+	if w.fresh {
+		nw.fly(w, t)
+		return
+	}
 	nw.eng.Schedule(t+1, sim.Event{Kind: evRequest, Ref: w.id})
+}
+
+// fly launches a header flight (DESIGN.md §10, "Header flights") for the
+// fresh worm w, just granted a channel at t: instead of one request event
+// per hop, w claims each free channel ahead at the time its header would
+// reach it — holder w, grant time t+1, t+2, … — and one evFlight requests
+// the first channel it could not claim, at the time the header reaches it.
+// Claims stop before a held or claimed channel, before the ejection
+// channel and before the first index whose grant releases the tail's
+// channel (msgLen−1): the flown hops only ever grant a free channel, with
+// no release, hook or queue involved. A request that meets a claim before
+// its time cuts the flight (see cut). Each claim counts as the request
+// event it replaces.
+//
+//quarc:hotpath
+func (nw *Network) fly(w *worm, t float64) {
+	last := min(len(w.path), nw.cfg.MsgLen) - 2
+	at := t + 1
+	i := w.hop
+	for ; i <= last; i++ {
+		c := &nw.channels[w.path[i]]
+		if c.holder != nil {
+			break
+		}
+		c.holder = w
+		c.grantTime = at
+		at++
+	}
+	n := i - w.hop
+	if n == 0 {
+		nw.eng.Schedule(at, sim.Event{Kind: evRequest, Ref: w.id})
+		return
+	}
+	w.hop = i
+	w.held += n
+	nw.coalesced += uint64(n)
+	nw.flights++
+	w.flight++
+	w.flightEnd = at
+	nw.eng.Schedule(at, sim.Event{Kind: evFlight, Arg: w.flight, Ref: w.id})
+}
+
+// cut ends w's flight at channel id, which another worm requests before
+// w's claim time: w gives up its claims from id on, and a new evFlight
+// requests id at that claim time, replacing the pending one (which Handle
+// skips and finish does not count).
+//
+//quarc:hotpath
+func (nw *Network) cut(w *worm, id topology.ChannelID) {
+	for {
+		w.hop--
+		w.held--
+		nw.coalesced--
+		c := w.path[w.hop]
+		nw.channels[c].holder = nil
+		if c == id {
+			break
+		}
+	}
+	w.flight++
+	w.flightEnd = nw.channels[id].grantTime
+	nw.eng.Schedule(w.flightEnd, sim.Event{Kind: evFlight, Arg: w.flight, Ref: w.id})
 }
 
 // spanStart begins a coalesced drain at the worm's ejection grant (time
@@ -890,6 +1030,7 @@ func (nw *Network) release(id topology.ChannelID, t float64) {
 		if nw.hookMask&(1<<HookQueueChanged) != 0 {
 			nw.fire(HookCtx{Pos: HookQueueChanged, Time: t, Node: -1, Channel: id, Branch: w.branch, Msg: w.msg.id, Multicast: w.msg.multicast, Occupancy: len(c.queue)})
 		}
+		w.fresh = false // it takes over the releaser's time base
 		nw.grant(w, id, t)
 	}
 }

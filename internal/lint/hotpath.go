@@ -10,12 +10,13 @@ import (
 // steady-state event loop guarded by TestSteadyStateEventLoopAllocFree
 // and TestSteadyStateAllocFreeAllArrivals (internal/wormhole), the
 // workload draw guarded by TestArrivalAndDestAllocFree
-// (internal/traffic), the scheduler operations under them, and the
-// analytical model's fixed-point kernel guarded by
-// TestResolveDoesNotAllocate (internal/core). Adding a
-// function here requires the matching alloc guard; annotating a function
-// not listed here is itself a diagnostic, so directive placement and the
-// bench list can never drift apart.
+// (internal/traffic), the scheduler operations under them (the heap, the
+// lanes and the timer slots, also guarded on their own by
+// TestWarmLoopDoesNotAllocate in internal/sim), and the analytical
+// model's fixed-point kernel guarded by TestResolveDoesNotAllocate
+// (internal/core). Adding a function here requires the matching alloc
+// guard; annotating a function not listed here is itself a diagnostic,
+// so directive placement and the bench list can never drift apart.
 func defaultHotpaths() map[string][]string {
 	return map[string][]string{
 		"quarc/internal/core": {
@@ -37,6 +38,10 @@ func defaultHotpaths() map[string][]string {
 			"keyLess",
 			"lane.front",
 			"lane.place",
+			"slotTree.front",
+			"slotTree.place",
+			"slotTree.pop",
+			"slotTree.replay",
 		},
 		"quarc/internal/traffic": {
 			"Workload.Interarrival",

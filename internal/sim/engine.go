@@ -18,13 +18,18 @@
 // # Scheduler
 //
 // The pending-event set is a binary min-heap fronted by up to two
-// fixed-delay lanes (DeclareLanes): FIFOs for events filed a constant
-// delay after the clock, which arrive already sorted and never reach the
-// heap. A lane refuses any key that would order before its tail, so the
-// dispatch order is a pure function of the (time, sequence) keys whichever
-// structure holds an event: lanes show only in the throughput. An engine
-// without lanes, its heap holding every event, is the oracle the lanes are
-// differential-tested against.
+// fixed-delay lanes (DeclareLanes) and a set of timer slots
+// (DeclareTimers). A lane is a FIFO for events filed a constant delay
+// after the clock, which arrive already sorted and never reach the heap.
+// The timer slots hold at most one pending event each, for a kind whose
+// events are self-rearming timers keyed by Arg (one generation timer per
+// network node), in a winner tree that a fire and its reschedule update
+// with one leaf-to-root replay. A lane refuses any key that would order
+// before its tail and an occupied slot refuses any event, so the dispatch
+// order is a pure function of the (time, sequence) keys whichever
+// structure holds an event: lanes and slots show only in the throughput.
+// An engine without either, its heap holding every event, is the oracle
+// they are differential-tested against.
 package sim
 
 import (
@@ -53,13 +58,15 @@ type Handler interface {
 	Handle(e *Engine, ev Event)
 }
 
-// item is one pending event as the heap and the lanes store it: 32 bytes,
-// two to a cache line, no pointers.
+// item is one pending event as the heap, the lanes and the timer slots
+// store it: 32 bytes, two to a cache line, no pointers. win fills what
+// would be padding; only the slot tree uses it (see slotTree).
 type item struct {
 	t        float64
 	seq      uint64
 	kind     Kind
 	arg, ref int32
+	win      int32
 }
 
 // keyLess reports whether key (t, seq) orders before b's.
@@ -135,7 +142,7 @@ func (h *eventHeap) pop() {
 const maxRetainedEvents = 1 << 15
 
 // Engine is a discrete-event scheduler. The zero value is ready to use and
-// has no lanes.
+// has no lanes and no timer slots.
 type Engine struct {
 	now float64
 	// seq is the last sequence number handed out and cur the one of the
@@ -144,21 +151,26 @@ type Engine struct {
 	heap     eventHeap
 	// lanes are the fixed-delay FIFOs in front of the heap (see lane and
 	// DeclareLanes); an undeclared lane refuses every event.
-	lanes   [2]lane
+	lanes [2]lane
+	// timers are the one-event slots beside them (see slotTree and
+	// DeclareTimers); undeclared, they refuse every event.
+	timers  slotTree
 	handler Handler
 	stopped bool
 	fired   uint64
 }
 
-// New returns an empty engine at time zero, with no lanes.
+// New returns an empty engine at time zero, with no lanes and no timer
+// slots.
 func New() *Engine { return &Engine{} }
 
 // Reset returns the engine to its zero state — time zero, no pending
-// events, counters cleared and no lanes declared (re-issue DeclareLanes
-// after it) — while keeping the allocated event storage and the handler,
-// so one engine can be reused across the points of a sweep without
-// reallocating. Storage grossly over-grown by a past run (a heap or a ring
-// beyond maxRetainedEvents) is released instead of retained.
+// events, counters cleared and no lanes or timer slots declared (re-issue
+// DeclareLanes and DeclareTimers after it) — while keeping the allocated
+// event storage and the handler, so one engine can be reused across the
+// points of a sweep without reallocating. Storage grossly over-grown by a
+// past run (a heap, a ring or a slot tree beyond maxRetainedEvents) is
+// released instead of retained.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -173,6 +185,7 @@ func (e *Engine) Reset() {
 	for k := range e.lanes {
 		e.lanes[k].clear()
 	}
+	e.timers.clear()
 }
 
 // SetHandler installs the event dispatcher. Scheduling an event on an
@@ -191,8 +204,7 @@ func (e *Engine) NowSeq() uint64 { return e.cur }
 
 // Reserve grows the heap's storage to hold at least n pending events
 // without reallocating, for callers that know their standing population
-// (the wormhole simulator's generation timers and in-flight header
-// events).
+// (the wormhole simulator's in-flight header events).
 func (e *Engine) Reserve(n int) {
 	if n > len(e.heap) {
 		e.heap = slices.Grow(e.heap, n-len(e.heap))
@@ -203,7 +215,9 @@ func (e *Engine) Reserve(n int) {
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.heap) + e.lanes[0].len() + e.lanes[1].len() }
+func (e *Engine) Pending() int {
+	return len(e.heap) + e.lanes[0].len() + e.lanes[1].len() + e.timers.count
+}
 
 // Lanes reports the declared fixed-delay lanes — each one's delay and the
 // events it has served since it was declared, zero for an undeclared lane
@@ -215,6 +229,33 @@ func (e *Engine) Lanes() (delays [2]float64, served [2]uint64) {
 		}
 	}
 	return delays, served
+}
+
+// Timers reports the declared timer slots — how many, and the events they
+// have served since they were declared, both zero when none are — for
+// tests and out-of-band reporting. Like Lanes, it only ever describes
+// speed.
+func (e *Engine) Timers() (n int, served uint64) {
+	return int(e.timers.n), e.timers.served
+}
+
+// DeclareTimers gives the engine n timer slots for events of kind k: each
+// slot holds at most one pending event, and an event of kind k with
+// 0 <= Arg < n is filed into slot Arg, where the next event due among
+// all the slots is found by a winner tree and never sifts through the
+// heap. Declare them for a kind whose events are self-rearming timers,
+// one pending per Arg — the wormhole simulator's generation timers, one
+// per node. Any kind is safe: an occupied slot refuses an event, which
+// then goes to the heap, so dispatch order stays a pure function of the
+// (time, sequence) keys. DeclareTimers(0, 0) leaves the engine without
+// slots. The slot storage is allocated here, or kept from before Reset.
+// An engine with pending events ignores the call; Reset undeclares the
+// slots.
+func (e *Engine) DeclareTimers(k Kind, n int) {
+	if e.Pending() > 0 {
+		return
+	}
+	e.timers.declare(k, n)
 }
 
 // Schedule schedules ev to fire at absolute time t. Scheduling in the past
@@ -289,17 +330,25 @@ func (e *Engine) refuse(t float64) {
 	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 }
 
-// put files a checked event under (t, seq): into the lane whose delay it
-// lands at, if that lane takes the key, and otherwise into the heap.
-// Either way the record is written where it will wait: place returns the
-// ring slot with the key set and the remaining fields are stored straight
-// into it, and push writes the record into the hole its sift leaves.
+// put files a checked event under (t, seq): into its timer slot, if the
+// event is of the slots' kind and the slot takes it; else into the lane
+// whose delay it lands at, if that lane takes the key; and otherwise into
+// the heap. Either way the record is written where it will wait: place
+// returns the slot with the key set and the remaining fields are stored
+// straight into it, and push writes the record into the hole its sift
+// leaves.
 // (Building the item first and copying it in is measurably slower —
 // narrow field stores followed by a wide load of the same bytes defeat
 // store forwarding.)
 //
 //quarc:hotpath
 func (e *Engine) put(t float64, seq uint64, ev Event) {
+	if ev.Kind == e.timers.kind && uint32(ev.Arg) < e.timers.n {
+		if p := e.timers.place(ev.Arg, t, seq); p != nil {
+			p.kind, p.arg, p.ref = ev.Kind, ev.Arg, ev.Ref
+			return
+		}
+	}
 	if l := e.laneFor(t); l != nil {
 		if p := l.place(t, seq); p != nil {
 			p.kind, p.arg, p.ref = ev.Kind, ev.Arg, ev.Ref
@@ -346,9 +395,9 @@ func (e *Engine) RunBefore(horizon float64) float64 { return e.run(horizon, fals
 func (e *Engine) run(horizon float64, inclusive bool) float64 {
 	e.stopped = false
 	for !e.stopped {
-		// The earliest event is the heap's root or a lane's front, each
-		// read where it waits; only the winner, and only inside the
-		// window, is removed.
+		// The earliest event is the heap's root, a lane's front or the
+		// slots' winner, each read where it waits; only the earliest,
+		// and only inside the window, is removed.
 		var p *item
 		if len(e.heap) > 0 {
 			p = &e.heap[0]
@@ -359,6 +408,10 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 				p, src = f, &e.lanes[k]
 			}
 		}
+		slot := false
+		if f := e.timers.front(); f != nil && (p == nil || keyLess(f.t, f.seq, p)) {
+			p, src, slot = f, nil, true
+		}
 		if p == nil || beyond(p.t, horizon, inclusive) {
 			break
 		}
@@ -367,9 +420,12 @@ func (e *Engine) run(horizon float64, inclusive bool) float64 {
 		// ring may overwrite it.
 		ev := Event{Kind: p.kind, Arg: p.arg, Ref: p.ref}
 		e.now, e.cur = p.t, p.seq
-		if src != nil {
+		switch {
+		case src != nil:
 			src.head++
-		} else {
+		case slot:
+			e.timers.pop()
+		default:
 			e.heap.pop()
 		}
 		e.fired++

@@ -522,47 +522,62 @@ func chains(e *Engine, n int) *Engine {
 
 // TestWarmLoopDoesNotAllocate pins the package doc's claim: once the
 // storage has grown to the run's shape, scheduling and firing events
-// allocates nothing, on an engine with a lane and on one without.
+// allocates nothing, on an engine with a lane, on one whose timer slots
+// take every chain (each event re-arms the slot it just fired from), and
+// on one with neither.
 func TestWarmLoopDoesNotAllocate(t *testing.T) {
-	laned := New()
+	laned, timed := New(), New()
 	laned.DeclareLanes(1)
-	for _, e := range []*Engine{chains(laned, 64), chains(New(), 64)} {
+	timed.DeclareTimers(1, 64)
+	for _, e := range []*Engine{chains(laned, 64), chains(timed, 64), chains(New(), 64)} {
 		delays, _ := e.Lanes()
+		slots, _ := e.Timers()
 		e.Run(1 << 14) // a million events: the storage has settled
 		fired := e.Fired()
 		if allocs := testing.AllocsPerRun(10, func() { e.Run(e.Now() + 1024) }); allocs != 0 {
-			t.Errorf("lanes %v: a warm Run of 64k events allocates %v times, want 0", delays, allocs)
+			t.Errorf("lanes %v, %d slots: a warm Run of 64k events allocates %v times, want 0", delays, slots, allocs)
 		}
 		if e.Fired()-fired != 11*64*1024 {
-			t.Errorf("lanes %v: fired %d events in the measured runs, want %d", delays, e.Fired()-fired, 11*64*1024)
+			t.Errorf("lanes %v, %d slots: fired %d events in the measured runs, want %d", delays, slots, e.Fired()-fired, 11*64*1024)
 		}
 	}
 	if _, served := laned.Lanes(); served[0] == 0 {
 		t.Error("the lane served no event: the check is vacuous")
 	}
+	if _, served := timed.Timers(); served != timed.Fired() {
+		t.Errorf("the slots served %d of the %d events, want all", served, timed.Fired())
+	}
 }
 
 // TestResetKeepsLargePopulationStorage pins pooled storage at a large
-// population: 5 000 parked timers feeding +1 and +32 chains, as many as a
-// quarc-2048 network parks at two per node. After Reset and the lanes
-// declared again, an identical run allocates nothing: the heap and the
-// rings the first run grew are kept, each under maxRetainedEvents.
+// population: 5 000 parked timers feeding +1 and +32 chains, more than a
+// quarc-2048 network parks, on an engine whose heap holds the timers and
+// on one whose timer slots do. After Reset and the lanes and slots
+// declared again, an identical run allocates nothing: the heap, the rings
+// and the slot tree the first run grew are kept, each under
+// maxRetainedEvents.
 func TestResetKeepsLargePopulationStorage(t *testing.T) {
-	e := New()
-	p := newParked(5000, 32)
-	run := func() {
-		e.Reset()
-		e.DeclareLanes(1, 32)
-		p.start(e)
-		e.Run(3000)
-	}
-	run()
-	fired := e.Fired()
-	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
-		t.Errorf("a reset run of 5 000 parked timers allocates %v times, want 0", allocs)
-	}
-	if _, served := e.Lanes(); e.Fired() != fired || served[0] == 0 || served[1] == 0 {
-		t.Errorf("runs fired %d then %d events, lanes served %v: want equal runs on both lanes", fired, e.Fired(), served)
+	const n = 5000
+	for _, slots := range []int{0, n} {
+		e := New()
+		p := newParked(n, 32)
+		run := func() {
+			e.Reset()
+			e.DeclareLanes(1, 32)
+			e.DeclareTimers(kindTimer, slots)
+			p.start(e)
+			e.Run(3000)
+		}
+		run()
+		fired := e.Fired()
+		if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+			t.Errorf("%d slots: a reset run of 5 000 parked timers allocates %v times, want 0", slots, allocs)
+		}
+		_, served := e.Lanes()
+		if _, timed := e.Timers(); e.Fired() != fired || served[0] == 0 || served[1] == 0 || (timed == 0) != (slots == 0) {
+			t.Errorf("%d slots: runs fired %d then %d events, lanes served %v, slots %d: want equal runs on both lanes, and on the slots when declared",
+				slots, fired, e.Fired(), served, timed)
+		}
 	}
 }
 
@@ -579,15 +594,25 @@ func BenchmarkEngineChains(b *testing.B) {
 }
 
 // BenchmarkEngineParked is the wormhole's scheduler load at two network
-// sizes: N parked exponential timers on the heap, one firing per cycle,
-// each starting a +1 chain and a +32 drain on the lanes. An op is one
-// event.
+// sizes: N parked exponential timers, one firing per cycle, each starting
+// a +1 chain and a +32 drain on the lanes. The timers wait on the heap,
+// or in N timer slots in the timers sub-cases. An op is one event.
 func BenchmarkEngineParked(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		n     int
+		slots bool
+	}{{64, false}, {1024, false}, {64, true}, {1024, true}} {
+		name := fmt.Sprintf("N=%d", c.n)
+		if c.slots {
+			name = "timers/" + name
+		}
+		b.Run(name, func(b *testing.B) {
 			e := New()
 			e.DeclareLanes(1, 32)
-			newParked(n, 32).start(e)
+			if c.slots {
+				e.DeclareTimers(kindTimer, c.n)
+			}
+			newParked(c.n, 32).start(e)
 			e.Run(1 << 16) // many mean park times: the storage has settled
 			fired := e.Fired()
 			b.ReportAllocs()

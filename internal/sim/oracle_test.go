@@ -24,13 +24,13 @@ type keyOrder struct {
 // schedule schedules ev at t on e and files its key.
 func (o *keyOrder) schedule(e *Engine, t float64, ev Event) {
 	e.Schedule(t, ev)
-	o.file(item{t, e.seq, ev.Kind, ev.Arg, ev.Ref})
+	o.file(item{t: t, seq: e.seq, kind: ev.Kind, arg: ev.Arg, ref: ev.Ref})
 }
 
 // scheduleSeq is schedule under a sequence number from ReserveSeq.
 func (o *keyOrder) scheduleSeq(e *Engine, t float64, seq uint64, ev Event) {
 	e.ScheduleSeq(t, seq, ev)
-	o.file(item{t, seq, ev.Kind, ev.Arg, ev.Ref})
+	o.file(item{t: t, seq: seq, kind: ev.Kind, arg: ev.Arg, ref: ev.Ref})
 }
 
 func (o *keyOrder) file(it item) {
@@ -78,6 +78,7 @@ func (o *keyOrder) check(t *testing.T, name string, fired uint64) {
 type sink struct {
 	times   []float64
 	args    []int32
+	refs    []int32
 	order   *keyOrder
 	refused int
 }
@@ -85,6 +86,7 @@ type sink struct {
 func (s *sink) Handle(e *Engine, ev Event) {
 	s.times = append(s.times, e.Now())
 	s.args = append(s.args, ev.Arg)
+	s.refs = append(s.refs, ev.Ref)
 	if s.order != nil {
 		s.order.fired(e, ev)
 	}
@@ -136,32 +138,35 @@ func drive(e *Engine, seed uint64) *sink {
 	return s
 }
 
-// TestCalendarMatchesHeapOracle is the scheduler's differential property
-// test: an engine with fixed-delay lanes must dispatch in exactly the
-// order of an engine without them, whose heap holds every event, and on
-// both every dispatch must be the minimum of the test's own sorted list
-// of pending keys. The schedules: random ones with same-time bursts,
-// far-future horizons and events scheduled from inside events (lanes at
-// 0 and 1); the simulator-shaped ones, steady bimodal and light -> heavy
-// -> light, with Run horizons cutting their bursts (lanes at 1 and 32);
-// and chains the lanes serve (at least half the pops) interleaved with
-// reserved keys they must refuse (lanes at 1 and laneL).
-func TestCalendarMatchesHeapOracle(t *testing.T) {
+// TestLanesMatchHeapOracle is the scheduler's differential property
+// test: an engine with fixed-delay lanes and timer slots must dispatch in
+// exactly the order of an engine without them, whose heap holds every
+// event, and on both every dispatch must be the minimum of the test's own
+// sorted list of pending keys. The schedules: random ones with same-time
+// bursts, far-future horizons and events scheduled from inside events
+// (lanes at 0 and 1, no slots); the simulator-shaped ones, steady bimodal
+// and light -> heavy -> light, with Run horizons cutting their bursts
+// (lanes at 1 and 32, a slot per parked timer); and chains the lanes
+// serve (at least half the pops) interleaved with reserved keys they must
+// refuse (lanes at 1 and laneL, a slot per timer).
+func TestLanesMatchHeapOracle(t *testing.T) {
 	for _, sched := range []struct {
-		name  string
-		seeds uint64
-		lanes []float64
-		drive func(e *Engine, seed uint64) *sink
+		name   string
+		seeds  uint64
+		lanes  []float64
+		timers int
+		drive  func(e *Engine, seed uint64) *sink
 	}{
-		{"random", 50, []float64{0, 1}, drive},
-		{"bimodal", 10, []float64{1, 32}, driveBimodal},
-		{"rate-step", 10, []float64{1, 32}, driveRateStep},
-		{"lanes", 10, []float64{1, laneL}, driveLanes},
+		{"random", 50, []float64{0, 1}, 0, drive},
+		{"bimodal", 10, []float64{1, 32}, 64, driveBimodal},
+		{"rate-step", 10, []float64{1, 32}, 64, driveRateStep},
+		{"lanes", 10, []float64{1, laneL}, 64, driveLanes},
 	} {
 		for seed := uint64(1); seed <= sched.seeds; seed++ {
 			name := fmt.Sprintf("%s seed %d", sched.name, seed)
 			e, oracle := New(), New()
 			e.DeclareLanes(sched.lanes...)
+			e.DeclareTimers(kindTimer, sched.timers)
 			lanes, heap := sched.drive(e, seed), sched.drive(oracle, seed)
 			lanes.order.check(t, name+" with lanes", e.Fired())
 			heap.order.check(t, name+" without lanes", oracle.Fired())
@@ -170,6 +175,9 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 			if share == 0 || sched.name == "lanes" && (share < 0.5 || lanes.refused == 0) {
 				t.Fatalf("%s: vacuous lane drive: lanes %v served %.2f of the pops, %d keys refused",
 					name, sched.lanes, share, lanes.refused)
+			}
+			if _, timed := e.Timers(); (timed == 0) != (sched.timers == 0) {
+				t.Fatalf("%s: %d slots served %d events", name, sched.timers, timed)
 			}
 			if len(lanes.times) != len(heap.times) {
 				t.Fatalf("%s: the engine with lanes fired %d events, without %d", name, len(lanes.times), len(heap.times))
@@ -184,30 +192,47 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// TestCalendarSameInstantFlood pins the degenerate distribution: a huge
-// same-time burst must stay FIFO, on the heap and on a lane whose delay
-// it lands at, which grows its ring to take all of it.
-func TestCalendarSameInstantFlood(t *testing.T) {
-	const n = 50000
-	for _, lanes := range [][]float64{nil, {42}} {
+// TestSameInstantFlood pins the degenerate distribution: a huge
+// same-time burst must stay FIFO, on the heap, on a lane whose delay it
+// lands at, which grows its ring to take all of it, and split between
+// 1 024 timer slots, which take the first event of each Arg, and the heap,
+// which takes the rest (there the burst's Args repeat every 2 048). Every
+// event carries its position as Ref, so any swap shows.
+func TestSameInstantFlood(t *testing.T) {
+	const n, slots = 50000, 1024
+	for _, c := range []struct {
+		lanes  []float64
+		timers int
+	}{{nil, 0}, {[]float64{42}, 0}, {nil, slots}} {
 		e := New()
-		e.DeclareLanes(lanes...)
+		e.DeclareLanes(c.lanes...)
+		e.DeclareTimers(1, c.timers)
 		s := &sink{}
 		e.SetHandler(s)
+		arg := func(i int) int32 {
+			if c.timers > 0 {
+				return int32(i % (2 * c.timers))
+			}
+			return int32(i)
+		}
 		for i := 0; i < n; i++ {
-			e.Schedule(42, Event{Kind: 1, Arg: int32(i)})
+			e.Schedule(42, Event{Kind: 1, Arg: arg(i), Ref: int32(i)})
 		}
 		e.RunAll()
 		if len(s.args) != n {
-			t.Fatalf("lanes %v: fired %d, want %d", lanes, len(s.args), n)
+			t.Fatalf("lanes %v, %d slots: fired %d, want %d", c.lanes, c.timers, len(s.args), n)
 		}
-		for i, a := range s.args {
-			if a != int32(i) {
-				t.Fatalf("lanes %v: same-instant burst not FIFO at %d: got arg %d", lanes, i, a)
+		for i := range s.args {
+			if s.refs[i] != int32(i) || s.args[i] != arg(i) {
+				t.Fatalf("lanes %v, %d slots: same-instant burst not FIFO at %d: got ref %d, arg %d",
+					c.lanes, c.timers, i, s.refs[i], s.args[i])
 			}
 		}
-		if _, served := e.Lanes(); lanes != nil && served[0] != n {
+		if _, served := e.Lanes(); c.lanes != nil && served[0] != n {
 			t.Fatalf("the lane served %d of the %d events", served[0], n)
+		}
+		if _, served := e.Timers(); served != uint64(c.timers) {
+			t.Fatalf("%d slots served %d of the events, want one each", c.timers, served)
 		}
 	}
 }
@@ -250,10 +275,32 @@ func TestResetShrinksOverGrownStorage(t *testing.T) {
 	if &e2.lanes[0].ring[0] != ring {
 		t.Error("DeclareLanes after Reset allocated a ring instead of reusing the kept one")
 	}
+
+	// The same for the timer slots: Reset undeclares them and drops an
+	// over-grown tree, and DeclareTimers takes a kept one.
+	e3 := New()
+	e3.DeclareTimers(1, 4*maxRetainedEvents)
+	e3.Reset()
+	if n, _ := e3.Timers(); n != 0 || cap(e3.timers.nodes) != 0 {
+		t.Errorf("Reset leaves %d slots declared and retains %d slot nodes, want none", n, cap(e3.timers.nodes))
+	}
+	e3.DeclareTimers(1, 100)
+	nodes := &e3.timers.nodes[0]
+	e3.Reset()
+	e3.DeclareTimers(1, 50)
+	if &e3.timers.nodes[0] != nodes {
+		t.Error("DeclareTimers after Reset allocated a slot tree instead of reusing the kept one")
+	}
 }
 
-// FuzzLanesVsHeap fuzzes an engine with lanes against one without over
-// encoded operation sequences.
+// kindSlot is the fuzzers' timer kind, declared with slotsN slots.
+const (
+	kindSlot Kind = 255
+	slotsN        = 4
+)
+
+// FuzzLanesVsHeap fuzzes an engine with lanes and timer slots against
+// one without over encoded operation sequences.
 func FuzzLanesVsHeap(f *testing.F) {
 	// Seed corpus: each byte drives one operation (see below). The seeds
 	// cover steady pushes, same-instant bursts, pushes with partial drains,
@@ -274,15 +321,21 @@ func FuzzLanesVsHeap(f *testing.F) {
 	// fills the now+7 lane's ring and grows it.
 	f.Add([]byte{4, 4, 4, 200, 4, 1, 4, 200, 250, 4})
 	f.Add(bytes.Repeat([]byte{4, 0, 4, 3, 200}, 60))
+	// Timer slots: ties across them at a burst's and a lane's instant,
+	// keys into occupied slots, which refuse them, and slots refilled
+	// after drains.
+	f.Add([]byte{5, 1, 5, 4, 200, 5, 5, 250, 5})
+	f.Add(bytes.Repeat([]byte{5, 4, 1, 200, 2, 5, 3}, 40))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		// One engine declares lanes for 1 and 7, the other none; Pending
-		// is recorded after every op.
-		run := func(lanes ...float64) (*sink, []int) {
+		// One engine declares lanes for 1 and 7 and slotsN timer slots,
+		// the other neither; Pending is recorded after every op.
+		run := func(timers int, lanes ...float64) (*sink, []int) {
 			e := New()
 			e.DeclareLanes(lanes...)
+			e.DeclareTimers(kindSlot, timers)
 			s := &sink{}
 			e.SetHandler(s)
 			var pending []int
@@ -315,6 +368,15 @@ func FuzzLanesVsHeap(f *testing.F) {
 					e.ScheduleSeq(e.Now()+1, seq, Event{Kind: 1, Arg: id + 2})
 					e.ScheduleSeq(e.Now()+7, seq+1, Event{Kind: 1, Arg: id + 3})
 					id += 4
+				case op == 5: // the slots: one timer each at the burst's instant, one into a full slot, two outside them
+					for j := int32(0); j < slotsN; j++ {
+						e.Schedule(e.Now()+7, Event{Kind: kindSlot, Arg: j, Ref: id})
+						id++
+					}
+					e.Schedule(e.Now()+2, Event{Kind: kindSlot, Arg: 0, Ref: id})
+					e.Schedule(e.Now()+1, Event{Kind: kindSlot, Arg: slotsN, Ref: id + 1})
+					e.Schedule(e.Now()+3, Event{Kind: kindSlot, Arg: -1, Ref: id + 2})
+					id += 3
 				default: // op as a pseudo-random near time
 					e.Schedule(e.Now()+float64(op)*1.5, Event{Kind: 1, Arg: id})
 					id++
@@ -324,18 +386,18 @@ func FuzzLanesVsHeap(f *testing.F) {
 			e.RunAll()
 			return s, pending
 		}
-		lanes, lanesPending := run(1, 7)
-		heap, heapPending := run()
+		lanes, lanesPending := run(slotsN, 1, 7)
+		heap, heapPending := run(0)
 		if slices.Compare(lanesPending, heapPending) != 0 {
-			t.Fatalf("Pending diverged: with lanes %v, without %v", lanesPending, heapPending)
+			t.Fatalf("Pending diverged: with lanes and slots %v, without %v", lanesPending, heapPending)
 		}
 		if len(lanes.times) != len(heap.times) {
-			t.Fatalf("the engine with lanes fired %d, without %d", len(lanes.times), len(heap.times))
+			t.Fatalf("the engine with lanes and slots fired %d, without %d", len(lanes.times), len(heap.times))
 		}
 		for i := range lanes.times {
-			if lanes.times[i] != heap.times[i] || lanes.args[i] != heap.args[i] {
-				t.Fatalf("dispatch %d diverged: with lanes (t=%v, arg=%d), without (t=%v, arg=%d)",
-					i, lanes.times[i], lanes.args[i], heap.times[i], heap.args[i])
+			if lanes.times[i] != heap.times[i] || lanes.args[i] != heap.args[i] || lanes.refs[i] != heap.refs[i] {
+				t.Fatalf("dispatch %d diverged: with lanes and slots (t=%v, arg=%d, ref=%d), without (t=%v, arg=%d, ref=%d)",
+					i, lanes.times[i], lanes.args[i], lanes.refs[i], heap.times[i], heap.args[i], heap.refs[i])
 			}
 		}
 	})
@@ -343,10 +405,12 @@ func FuzzLanesVsHeap(f *testing.F) {
 
 // reentrant is a handler that schedules from inside Handle, driven by a
 // cyclic op tape: the engine reads an event where it waits — the heap's
-// root or a ring slot — and removes it before dispatch, and the handler
-// then schedules into the very structure it came from. Every event
-// carries a distinct (Kind, Arg, Ref), so a record read after it was
-// overwritten shows up in the log.
+// root, a ring slot or a timer slot — and removes it before dispatch, and
+// the handler then schedules into the very structure it came from; a
+// timer re-arms itself in the slot it just fired from. Every event
+// carries a distinct (Kind, Arg, Ref) — a timer's Arg is its slot, its
+// Ref distinct — so a record read after it was overwritten shows up in
+// the log.
 type reentrant struct {
 	ops     []byte
 	cursor  int
@@ -376,8 +440,33 @@ func (r *reentrant) schedule(e *Engine, t float64, seq uint64) {
 	}
 }
 
+// timers is react's slot op: two timers tied one cycle on, beside the
+// lane step there, in slots a and a+1, then one into slot a half a cycle
+// on, which the occupied slot refuses.
+func (r *reentrant) timers(e *Engine, a int32) {
+	if r.budget < 3 {
+		return
+	}
+	r.timer(e, e.Now()+1, a)
+	r.timer(e, e.Now()+1, (a+1)%slotsN)
+	r.timer(e, e.Now()+0.5, a)
+	r.budget -= 3
+}
+
+// timer files the next event at t as a timer for slot.
+func (r *reentrant) timer(e *Engine, t float64, slot int32) {
+	id := r.next
+	r.next++
+	e.Schedule(t, Event{Kind: kindSlot, Arg: slot, Ref: -id * 7})
+}
+
 func (r *reentrant) Handle(e *Engine, ev Event) {
 	r.log = append(r.log, fired{e.Now(), ev.Kind, ev.Arg, ev.Ref})
+	if ev.Kind == kindSlot && r.budget > 0 {
+		// Re-arm in the slot just vacated, before the op's own events.
+		r.timer(e, e.Now()+float64(1+r.next%3), ev.Arg)
+		r.budget--
+	}
 	r.react(e)
 }
 
@@ -391,6 +480,10 @@ func (r *reentrant) react(e *Engine) {
 	r.cursor++
 	defer func() { r.pending = append(r.pending, e.Pending()) }()
 	n, at := 0, func(int) float64 { return e.Now() }
+	if op >= 250 { // the timer slots, from a byte range of their own
+		r.timers(e, int32(op-250)%slotsN)
+		return
+	}
 	switch op % 6 {
 	case 0: // same instant
 		n = 1 + int(op>>4)%3
@@ -426,9 +519,9 @@ func (r *reentrant) react(e *Engine) {
 
 // FuzzEngineReentrant is FuzzLanesVsHeap with the scheduling moved
 // inside Handle, where a record could be read after the structure it
-// waited in moved on: the engines with and without lanes must dispatch
-// identical (t, Kind, Arg, Ref) sequences and agree on Pending() after
-// every op.
+// waited in moved on: the engines with and without lanes and slots must
+// dispatch identical (t, Kind, Arg, Ref) sequences and agree on Pending()
+// after every op.
 func FuzzEngineReentrant(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1})                       // floods only
 	f.Add([]byte{0, 1, 2, 3, 4, 5})                 // one of each
@@ -437,14 +530,18 @@ func FuzzEngineReentrant(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{4, 0, 4, 2, 1}, 40))  // a long mixed tape
 	f.Add([]byte{5, 5, 4, 5, 0, 5})                 // lane chains with refused keys
 	f.Add(bytes.Repeat([]byte{5, 4, 1, 5, 3}, 30))  // lanes beside floods and far timers
+	f.Add([]byte{250, 22, 251, 4, 38, 0, 253})      // timer slots: ties, refusals, re-arms
+	f.Add(bytes.Repeat([]byte{252, 5, 1, 54, 3, 4}, 30))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		// One engine declares lanes for 1 and 3, the other none.
-		run := func(lanes ...float64) ([]fired, []int) {
+		// One engine declares lanes for 1 and 3 and slotsN timer slots,
+		// the other neither.
+		run := func(timers int, lanes ...float64) ([]fired, []int) {
 			e := New()
 			e.DeclareLanes(lanes...)
+			e.DeclareTimers(kindSlot, timers)
 			r := &reentrant{ops: ops, budget: 6000}
 			e.SetHandler(r)
 			for i := 0; i < 8; i++ {
@@ -456,17 +553,17 @@ func FuzzEngineReentrant(f *testing.F) {
 			e.RunAll()
 			return r.log, r.pending
 		}
-		lanes, lanesPending := run(1, 3)
-		heap, heapPending := run()
+		lanes, lanesPending := run(slotsN, 1, 3)
+		heap, heapPending := run(0)
 		if slices.Compare(lanesPending, heapPending) != 0 {
-			t.Fatalf("Pending diverged: with lanes %v, without %v", lanesPending, heapPending)
+			t.Fatalf("Pending diverged: with lanes and slots %v, without %v", lanesPending, heapPending)
 		}
 		if len(lanes) != len(heap) {
-			t.Fatalf("the engine with lanes fired %d, without %d", len(lanes), len(heap))
+			t.Fatalf("the engine with lanes and slots fired %d, without %d", len(lanes), len(heap))
 		}
 		for i := range lanes {
 			if lanes[i] != heap[i] {
-				t.Fatalf("dispatch %d diverged: with lanes %+v, without %+v", i, lanes[i], heap[i])
+				t.Fatalf("dispatch %d diverged: with lanes and slots %+v, without %+v", i, lanes[i], heap[i])
 			}
 		}
 	})

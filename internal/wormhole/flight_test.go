@@ -196,6 +196,51 @@ func TestFlightsHalveSimMidEvents(t *testing.T) {
 	}
 }
 
+// TestTimersServeGenerations pins where the sim-mid shape's events wait
+// (TestFlightsHalveSimMidEvents's run, seed 7): the timer slots serve
+// every generation timer, 31,613, and the heap is left the 36,125 flight
+// ends and contended releases — 67,738 with the slots undeclared, whose
+// run must give the same Result.
+func TestTimersServeGenerations(t *testing.T) {
+	rt := quarcRouter(t, 64)
+	set, err := rt.LocalizedSet(topology.PortL, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := traffic.Spec{Rate: 0.40 * modelSaturation(t, rt, set, 0.05, 32), MulticastFrac: 0.05, Set: set}
+	cfg := Config{MsgLen: 32, Warmup: 20000, Measure: 700000}
+	run := func(slots bool) (r Result, fired, timed, heaped uint64) {
+		w, err := traffic.NewWorkload(rt, spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := New(rt.Graph(), w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slots {
+			nw.eng.DeclareTimers(0, 0)
+		}
+		r = nw.Run()
+		_, laned := nw.eng.Lanes()
+		_, timed = nw.eng.Timers()
+		fired = nw.eng.Fired()
+		return r, fired, timed, fired - laned[0] - laned[1] - timed
+	}
+	r, fired, timed, heaped := run(true)
+	if r.Events != 699250 || fired != 138096 || timed != 31613 || heaped != 36125 {
+		t.Errorf("Result.Events %d, fired %d, slots served %d, heap served %d: want 699250, 138096, 31613 and 36125",
+			r.Events, fired, timed, heaped)
+	}
+	ref, fired, timed, heaped := run(false)
+	if !reflect.DeepEqual(r, ref) {
+		t.Errorf("the Result with timer slots %+v differs from the one without %+v", r, ref)
+	}
+	if fired != 138096 || timed != 0 || heaped != 67738 {
+		t.Errorf("without timer slots: fired %d, slots served %d, heap served %d: want 138096, 0 and 67738", fired, timed, heaped)
+	}
+}
+
 // TestFlightsAllocFree is the 0-allocs/op guard of fly and cut: a warm
 // event loop at a load where flights launch and get cut does not
 // allocate.

@@ -12,10 +12,11 @@ import (
 
 // FuzzNetworkVsHeap is the scheduler's end-to-end oracle: one workload
 // simulated on a network as New builds it — the heap with the fixed-delay
-// lanes — and on one whose engine has its lanes undeclared, the heap
-// holding every event, must give bitwise-identical Results and traces
-// across Quarc and mesh sizes, loads up to saturation, message
-// lengths 2–40, coalescing on and off, multicast priority and drain.
+// lanes and the generation timer slots — and on one whose engine has its
+// lanes and slots undeclared, the heap holding every event, must give
+// bitwise-identical Results and traces across Quarc and mesh sizes, loads
+// up to saturation, message lengths 2–40, coalescing on and off,
+// multicast priority and drain.
 func FuzzNetworkVsHeap(f *testing.F) {
 	f.Add(false, uint8(2), 0.15, uint8(30), false, false, false, uint64(1)) // quarc-16, 32 flits, mid load
 	f.Add(false, uint8(0), 0.9, uint8(6), true, false, true, uint64(2))     // quarc-8, 8 flits, fine-grained, drain
@@ -68,6 +69,7 @@ func FuzzNetworkVsHeap(f *testing.F) {
 			}
 			if !lanes {
 				nw.eng.DeclareLanes()
+				nw.eng.DeclareTimers(0, 0)
 			}
 			tr := NewTrace(rt.Graph(), topology.NodeID(seed%uint64(rt.Graph().Nodes())), DefaultTraceLimit)
 			nw.Attach(tr, tr.Positions()...)
@@ -75,7 +77,7 @@ func FuzzNetworkVsHeap(f *testing.F) {
 		}
 		laned, heap := simulate(true), simulate(false)
 		if !reflect.DeepEqual(laned, heap) {
-			t.Fatalf("%s, rate %v, %+v: the Result with lanes %+v differs from the lane-less heap's %+v",
+			t.Fatalf("%s, rate %v, %+v: the Result with lanes and slots %+v differs from the heap-only one's %+v",
 				rt.Graph().Name(), spec.Rate, cfg, laned, heap)
 		}
 	})

@@ -377,10 +377,11 @@ func TestPooledReuseAllocBound(t *testing.T) {
 // load, the knee, a saturated run with another message length — ends on
 // the scheduler state a fresh network ends on, so a pooled simulator's
 // speed is a function of the scenario it runs and not of its history.
-// The state is the fixed-delay lanes: their delays and the events each
-// served. The 16-flit priming must leave the 32-flit run draining through
-// a 32-cycle lane — a stale 16-cycle one would be correct but slow, so
-// nothing else would notice.
+// The state is the fixed-delay lanes and the timer slots: the lanes'
+// delays, the slot count and the events each served. The 16-flit
+// priming must leave the 32-flit run draining through a 32-cycle lane —
+// a stale 16-cycle one would be correct but slow, so nothing else would
+// notice.
 func TestPooledGeometryForgetsPriming(t *testing.T) {
 	rt := quarcRouter(t, 64)
 	set, err := rt.LocalizedSet(topology.PortL, 8)
@@ -392,10 +393,13 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 	type geometry struct {
 		delays [2]float64
 		served [2]uint64
+		slots  int
+		timed  uint64
 	}
 	read := func(nw *Network) geometry {
 		d, s := nw.eng.Lanes()
-		return geometry{d, s}
+		n, timed := nw.eng.Timers()
+		return geometry{d, s, n, timed}
 	}
 	w, err := traffic.NewWorkload(rt, mid, 9)
 	if err != nil {
@@ -408,8 +412,9 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 	start := read(fresh) // the declared lanes: a function of the message length
 	fresh.Run()
 	want := read(fresh)
-	if want.delays != [2]float64{1, 32} || want.served[1] == 0 {
-		t.Fatalf("the reference run has lanes %v serving %v: want 1 and 32, the drain lane in use", want.delays, want.served)
+	if want.delays != [2]float64{1, 32} || want.served[1] == 0 || want.slots != 64 || want.timed == 0 {
+		t.Fatalf("the reference run has lanes %v serving %v and %d slots serving %d: want 1 and 32, the drain lane in use, and a slot per node in use",
+			want.delays, want.served, want.slots, want.timed)
 	}
 
 	for i, prime := range []struct {
@@ -433,7 +438,7 @@ func TestPooledGeometryForgetsPriming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := read(nw); got != start {
-			t.Errorf("priming %d: Reset leaves %+v, a fresh network starts at %+v (the lanes were not re-declared)", i, got, start)
+			t.Errorf("priming %d: Reset leaves %+v, a fresh network starts at %+v (the lanes or slots were not re-declared)", i, got, start)
 		}
 		nw.Run()
 		if got := read(nw); got != want {

@@ -46,7 +46,6 @@ func main() {
 	if *quick {
 		effort = noc.QuickEffort()
 	}
-	opts := []noc.Option{noc.SimEffort(effort)}
 
 	run := func(name string) bool { return *which == "all" || *which == name }
 
@@ -54,7 +53,7 @@ func main() {
 		fmt.Printf("== all-port vs one-port Quarc (N=%d, M=%d, alpha=%.0f%% broadcast) ==\n",
 			*n, *msg, *alpha*100)
 		series, err := noc.OnePortAblation(*n, *msg, *alpha,
-			[]float64{0.001, 0.002, 0.004}, opts...)
+			[]float64{0.001, 0.002, 0.004}, effort)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +64,7 @@ func main() {
 	if run("spidergon") {
 		fmt.Printf("== Quarc broadcast vs Spidergon broadcast-by-unicast (N=%d, M=%d) ==\n", *n, *msg)
 		series, err := noc.SpidergonComparison(*n, *msg, *alpha,
-			[]float64{0.0005, 0.001}, opts...)
+			[]float64{0.0005, 0.001}, effort)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +75,7 @@ func main() {
 	if run("service") {
 		fmt.Printf("== Eq. 6 vs tail-release service recurrence (N=%d, M=%d, unicast) ==\n", *n, *msg)
 		points, err := noc.ServiceFormulaAblation(*n, *msg,
-			[]float64{0.002, 0.004, 0.006, 0.008}, opts...)
+			[]float64{0.002, 0.004, 0.006, 0.008}, effort)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +86,7 @@ func main() {
 	if run("mesh") {
 		fmt.Println("== model validity on mesh and torus (4x4, M=16) ==")
 		series, err := noc.MeshExtension(4, 4, 16, *alpha,
-			[]float64{0.002, 0.004, 0.008}, opts...)
+			[]float64{0.002, 0.004, 0.008}, effort)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func main() {
 		fmt.Printf("== workload diversity: arrival x spatial pattern (N=%d, M=%d, sim unicast latency) ==\n",
 			*n, *msg)
 		series, err := noc.WorkloadAblation(*n, *msg,
-			[]float64{0.002, 0.004, 0.006}, opts...)
+			[]float64{0.002, 0.004, 0.006}, effort)
 		if err != nil {
 			log.Fatal(err)
 		}

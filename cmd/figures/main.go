@@ -121,7 +121,7 @@ func main() {
 // the Quarc topology (Fig. 2a) and the broadcast pattern from node 0 in a
 // 16-node network (Fig. 3).
 func printStructuralFigures() {
-	s, err := noc.NewScenario(noc.Quarc(16), noc.Alpha(1), noc.Broadcast())
+	s, err := noc.Spec{Topology: "quarc", N: 16, Alpha: 1, Pattern: "broadcast"}.Scenario()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,8 @@
 // Command quarcmodel evaluates the paper's analytical model for one Quarc
 // configuration and prints the predicted unicast and multicast latencies.
+// It is the flag-driven, model-only entry point; its flags fill a Spec,
+// so quarcsim -spec with "evaluator":"model" answers the same question
+// from a document.
 //
 // Example:
 //
@@ -29,21 +32,23 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-port branch details")
 	flag.Parse()
 
-	opts := []noc.Option{
-		noc.Quarc(*n), noc.MsgLen(*msg), noc.Rate(*rate), noc.Alpha(*alpha),
-		noc.Detail(*verbose),
-	}
+	sp := noc.Spec{Topology: "quarc", N: *n, MsgLen: *msg, Rate: *rate, Alpha: *alpha, Detail: *verbose}
 	switch {
 	case *alpha == 0:
 		// no destination set needed
 	case *broadcast:
-		opts = append(opts, noc.Broadcast())
+		sp.Pattern = "broadcast"
 	case *random:
-		opts = append(opts, noc.RandomDests(*dests, *seed))
+		sp.Pattern, sp.Dests, sp.SetSeed = "random", *dests, *seed
 	default:
-		opts = append(opts, noc.LocalizedDests(noc.PortL, *dests))
+		sp.Pattern, sp.Dests, sp.Port = "localized", *dests, noc.PortL
 	}
-	s, err := noc.NewScenario(opts...)
+	s, err := sp.Scenario()
+	if err == nil {
+		// The wire form reads a zero as "use the default"; -n 0 and
+		// -msg 0 are refused instead.
+		s, err = s.With(noc.Quarc(*n), noc.MsgLen(*msg))
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 //
 //	quarcsim -n 64 -msg 32 -rate 0.001 -alpha 0.05 -dests 8 -random -compare
 //
-// The scenario can also be loaded from a declarative Spec JSON document
-// — the same format the quarcd daemon serves — in which case the
-// scenario-shaping flags must stay unset. A spec that names the model
+// The flags fill a declarative Spec. The scenario can instead be loaded
+// from a Spec JSON document — the format the quarcd daemon serves — in
+// which case the scenario-shaping flags must stay unset; both resolve
+// through the same path. A spec that names the model
 // evaluator ("evaluator": "model") is answered by the analytical model,
 // as quarcd answers it:
 //
@@ -27,6 +28,10 @@ import (
 
 	"quarc/noc"
 )
+
+// defaultTraceLimit is the simulator's own trace cap, which -trace-limit 0
+// selects.
+const defaultTraceLimit = 10000
 
 func main() {
 	log.SetFlags(0)
@@ -61,16 +66,8 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file (read it with go tool pprof)")
 	flag.Parse()
 
-	var (
-		s        *noc.Scenario
-		sp       noc.Spec
-		err      error
-		captured *noc.TraceWorkload
-		// recordPath persists a captured trace after the run ("" means no
-		// recording was requested); a .jsonl suffix selects JSONL.
-		recordPath string
-		replaying  string
-	)
+	// Flags and -spec fill one Spec, resolved by one path below.
+	var sp noc.Spec
 	if *specPath != "" {
 		// The spec document is the single source of truth; a scenario
 		// flag alongside it would silently lose to one of the two, so
@@ -92,99 +89,70 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sp, err = noc.ParseSpec(data)
-		if err != nil {
+		if sp, err = noc.ParseSpec(data); err != nil {
 			log.Fatal(err)
 		}
 		if *compare && sp.Evaluator == "model" {
 			log.Fatal("-compare runs the model next to the simulator, but the spec already names the model evaluator")
 		}
-		if sp.Record != "" {
-			// Fail on an unwritable path before the simulation runs.
-			f, err := os.Create(sp.Record)
-			if err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			recordPath = sp.Record
-		}
-		replaying = sp.Replay
-		if *obsPath != "" && !sp.Metrics {
-			// The raw stream needs the recording hooks attached; default
-			// bucketing appears in the Result as a bonus.
-			sp.Metrics = true
-		}
-		s, err = sp.Scenario()
-		if err != nil {
-			log.Fatal(err)
-		}
-		captured = s.Recording()
 	} else {
-		opts := []noc.Option{
-			noc.Quarc(*n), noc.MsgLen(*msg), noc.Rate(*rate), noc.Alpha(*alpha),
-			noc.Seed(*seed), noc.Warmup(*warmup), noc.Measure(*measure),
-			noc.Detail(*detail), noc.MulticastPriority(*priority),
+		sp = noc.Spec{
+			Topology: "quarc", N: *n, MsgLen: *msg, Rate: *rate, Alpha: *alpha,
+			Seed: *seed, Warmup: *warmup, Measure: *measure,
+			Detail: *detail, MulticastPriority: *priority,
+			Arrival: *arrival, Spatial: *perm,
+			Record: *record, Replay: *replay,
 		}
-		switch *arrival {
-		case "onoff":
-			opts = append(opts, noc.OnOff(*burst, *duty))
-		case "poisson":
-			// the default
-		default:
-			opts = append(opts, noc.Arrival(*arrival))
-		}
-		if *perm != "" {
-			opts = append(opts, noc.Permutation(*perm))
-		}
-		if *record != "" {
-			// Create the output up front so an unwritable path fails before
-			// the simulation runs, not after.
-			f, err := os.Create(*record)
-			if err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			recordPath = *record
-			captured = &noc.TraceWorkload{}
-			opts = append(opts, noc.Record(captured))
-		}
-		if *replay != "" {
-			f, err := os.Open(*replay)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tw, err := noc.ReadTraceWorkload(f)
-			f.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts = append(opts, noc.Replay(tw))
-			replaying = *replay
+		if *arrival == "onoff" {
+			sp.BurstLen, sp.DutyCycle = *burst, *duty
 		}
 		switch {
 		case *alpha == 0:
 			// no destination set needed
 		case *broadcast:
-			opts = append(opts, noc.Broadcast())
+			sp.Pattern = "broadcast"
 		case *random:
-			opts = append(opts, noc.RandomDests(*dests, *setSeed))
+			sp.Pattern, sp.Dests, sp.SetSeed = "random", *dests, *setSeed
 		default:
-			opts = append(opts, noc.LocalizedDests(noc.PortL, *dests))
+			sp.Pattern, sp.Dests, sp.Port = "localized", *dests, noc.PortL
 		}
 		if *trace >= 0 {
-			opts = append(opts, noc.Trace(*trace, *traceLimit))
-		}
-		if *obsPath != "" && *metrics == 0 {
-			*metrics = noc.DefaultMetricsBuckets
+			sp.TraceNode, sp.TraceLimit = *trace, *traceLimit
+			if *traceLimit == 0 {
+				sp.TraceLimit = defaultTraceLimit
+			}
 		}
 		if *metrics > 0 {
-			opts = append(opts, noc.Metrics(*metrics))
+			sp.Metrics, sp.MetricsBuckets = true, *metrics
 		}
-		s, err = noc.NewScenario(opts...)
+	}
+	if *obsPath != "" {
+		// The raw stream needs the recording hooks attached; default
+		// bucketing appears in the Result as a bonus.
+		sp.Metrics = true
+	}
+	if sp.Record != "" {
+		// Fail on an unwritable path before the simulation runs.
+		f, err := os.Create(sp.Record)
+		if err != nil {
+			log.Fatal(err)
+		}
+		f.Close()
+	}
+	s, err := sp.Scenario()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *specPath == "" {
+		// The wire form reads a zero as "use the default"; these flags
+		// mean what they say, so -warmup 0 is a cold start, -seed 0 is
+		// seed 0, and -n 0, -msg 0 or -measure 0 is refused.
+		s, err = s.With(noc.Quarc(*n), noc.MsgLen(*msg), noc.Seed(*seed), noc.Warmup(*warmup), noc.Measure(*measure))
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
+	captured := s.Recording()
 
 	var obsSink *noc.ObsFileSink
 	if *obsPath != "" {
@@ -231,13 +199,13 @@ func main() {
 			fmt.Printf("observability: raw record stream written to %s\n", *obsPath)
 		}
 	}
-	if captured != nil && recordPath != "" {
-		f, err := os.Create(recordPath)
+	if captured != nil {
+		f, err := os.Create(sp.Record)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var werr error
-		if strings.HasSuffix(recordPath, ".jsonl") {
+		if strings.HasSuffix(sp.Record, ".jsonl") {
 			werr = captured.WriteJSONL(f)
 		} else {
 			werr = captured.WriteBinary(f)
@@ -249,7 +217,7 @@ func main() {
 			log.Fatal(werr)
 		}
 		if !*jsonOut {
-			fmt.Printf("recorded:      %d messages to %s\n", captured.Messages(), recordPath)
+			fmt.Printf("recorded:      %d messages to %s\n", captured.Messages(), sp.Record)
 		}
 	}
 
@@ -261,11 +229,11 @@ func main() {
 		return
 	}
 
-	if replaying != "" {
+	if sp.Replay != "" {
 		// The generative knobs are ignored under replay; print the true
 		// workload provenance instead.
 		fmt.Printf("configuration: N=%d msg=%d flits workload=replay(%s) set={%s}\n",
-			s.Nodes(), s.MsgLen(), replaying, s.SetString())
+			s.Nodes(), s.MsgLen(), sp.Replay, s.SetString())
 	} else {
 		fmt.Printf("configuration: N=%d msg=%d flits rate=%g alpha=%g arrival=%s spatial=%s set={%s}\n",
 			s.Nodes(), s.MsgLen(), s.Rate(), s.Alpha(), s.ArrivalName(), s.SpatialName(), s.SetString())

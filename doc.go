@@ -4,13 +4,13 @@
 // wormhole-routed networks with asynchronous multi-port routers, validated
 // on the Quarc NoC against a discrete-event simulator.
 //
-// The public entry point is the noc package: a declarative Scenario built
-// from functional options drives both engines through a common Evaluator
-// interface, and closed, string-keyed tables of topologies and traffic
-// patterns keep scenarios declarative:
+// The public entry point is the noc package: a declarative Spec, whose
+// names index closed, string-keyed tables of topologies and traffic
+// patterns, resolves into a Scenario that drives both engines through a
+// common Evaluator interface:
 //
-//	s, _ := noc.NewScenario(noc.Quarc(64), noc.MsgLen(32),
-//		noc.Rate(0.001), noc.Alpha(0.05), noc.RandomDests(8, 1))
+//	s, _ := noc.Spec{Topology: "quarc", N: 64, MsgLen: 32, Rate: 0.001,
+//		Alpha: 0.05, Pattern: "random", Dests: 8, SetSeed: 1}.Scenario()
 //	pred, _ := noc.Model{}.Evaluate(s)
 //	meas, _ := noc.Simulator{}.Evaluate(s)
 //

@@ -327,7 +327,7 @@ func TestOnePortAblationShowsInjectionSerialization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	series, err := noc.OnePortAblation(16, 32, 0.05, []float64{0.002}, noc.SimEffort(tinySim()))
+	series, err := noc.OnePortAblation(16, 32, 0.05, []float64{0.002}, tinySim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSpidergonComparisonShowsTrueBroadcastWin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	series, err := noc.SpidergonComparison(16, 32, 0.05, []float64{0.0005}, noc.SimEffort(tinySim()))
+	series, err := noc.SpidergonComparison(16, 32, 0.05, []float64{0.0005}, tinySim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestMeshExtensionModelValidity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	series, err := noc.MeshExtension(4, 4, 16, 0.05, []float64{0.004}, noc.SimEffort(tinySim()))
+	series, err := noc.MeshExtension(4, 4, 16, 0.05, []float64{0.004}, tinySim())
 	if err != nil {
 		t.Fatal(err)
 	}

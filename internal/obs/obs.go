@@ -8,7 +8,7 @@
 //
 // The collector is single-goroutine (one per network, like the network
 // itself); sinks are safe for concurrent Append, so replications
-// running under Parallelism(k) can share one sink. Aggregation is a
+// running in parallel can share one sink. Aggregation is a
 // pure fold over the record stream in emission order, so a recorded
 // run's Series is deterministic.
 package obs
@@ -57,7 +57,7 @@ type Record struct {
 
 // A Sink receives record batches from collectors. Append must be safe
 // for concurrent use: one sink may serve many collectors (e.g. the
-// per-replication collectors of a Parallelism(k) run). The batch is
+// per-replication collectors of a parallel replicated run). The batch is
 // only valid for the duration of the call; a sink that retains records
 // must copy them.
 type Sink interface {

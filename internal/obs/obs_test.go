@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -330,4 +332,95 @@ func TestCollectorAttachedEverywhereRecordsFiveKinds(t *testing.T) {
 	if fired[wormhole.HookBranchDone] == 0 || fired[wormhole.HookSampleFolded] == 0 {
 		t.Errorf("the fold and branch positions never fired (%v): the check was vacuous", fired)
 	}
+}
+
+// hostileObsFrame is a frame header that claims 2^20 records and
+// carries none of them: a torn tail.
+var hostileObsFrame = []byte("QOB1\x00\x00\x10\x00\x00\x00\x00\x00")
+
+// allocatedBy reports the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFileAllocatesByInput pins ReadFile against a frame header that
+// claims more records than the file holds: it is read as the torn tail it
+// is, without allocating the claimed payload.
+func TestReadFileAllocatesByInput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.obs")
+	if err := os.WriteFile(path, hostileObsFrame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	var err error
+	if got := allocatedBy(func() { recs, err = ReadFile(path) }); got >= 1<<20 {
+		t.Errorf("a %d-byte frame header allocated %d bytes, want < 1 MiB", len(hostileObsFrame), got)
+	}
+	if err != nil || len(recs) != 0 {
+		t.Errorf("torn tail read as %d records, error %v; want none and no error", len(recs), err)
+	}
+}
+
+// FuzzReadObs drives ReadFile with arbitrary file contents: it must
+// never panic, must allocate within a fixed multiple of the file's size
+// plus a constant, and the records it accepts must write and read back
+// unchanged (compared through their bit-exact encoding).
+func FuzzReadObs(f *testing.F) {
+	f.Add(hostileObsFrame)
+	f.Add([]byte("QWTR\x01\x80\x80\x40\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte(`{"format":"quarc-trace","nodes":1048576}` + "\n"))
+	dir := f.TempDir()
+	written := filepath.Join(dir, "written.obs")
+	s, err := CreateFileSink(written)
+	if err != nil {
+		f.Fatal(err)
+	}
+	recs := testRecords(40)
+	if err := errors.Join(s.Append(recs[:15]), s.Append(recs[15:]), s.Close()); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(written)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	in, out := filepath.Join(dir, "in.obs"), filepath.Join(dir, "out.obs")
+	encoded := func(recs []Record) []byte {
+		b := make([]byte, len(recs)*recordSize)
+		for i := range recs {
+			encodeRecord(b[i*recordSize:], &recs[i])
+		}
+		return b
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var recs []Record
+		var err error
+		if got, limit := allocatedBy(func() { recs, err = ReadFile(in) }), 16*uint64(len(data))+1<<20; got > limit {
+			t.Fatalf("a %d-byte file allocated %d bytes, over %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		s, err := CreateFileSink(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(s.Append(recs), s.Close()); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFile(out)
+		if err != nil {
+			t.Fatalf("written records do not read back: %v", err)
+		}
+		if !bytes.Equal(encoded(back), encoded(recs)) {
+			t.Fatal("written records read back different")
+		}
+	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -171,6 +172,9 @@ func ReadFile(path string) ([]Record, error) {
 	defer f.Close()
 	br := bufio.NewReader(f)
 	var recs []Record
+	// The payload buffer grows as bytes arrive, so a header claiming more
+	// records than the file holds costs nothing before its torn tail.
+	var payload bytes.Buffer
 	for {
 		var head [12]byte
 		if _, err := io.ReadFull(br, head[:]); err == io.EOF {
@@ -185,11 +189,12 @@ func ReadFile(path string) ([]Record, error) {
 		if n == 0 || n > maxFrameRecords {
 			return nil, fmt.Errorf("obs: %s: frame record count %d out of range", path, n)
 		}
-		payload := make([]byte, int(n)*recordSize)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload.Reset()
+		if _, err := io.CopyN(&payload, br, int64(n)*recordSize); err != nil {
 			return recs, nil // torn tail payload
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(head[8:]) {
+		data := payload.Bytes()
+		if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(head[8:]) {
 			// A checksum failure at the very end is a torn tail; anywhere
 			// else the file is corrupt.
 			if _, err := br.Peek(1); err == io.EOF {
@@ -198,7 +203,7 @@ func ReadFile(path string) ([]Record, error) {
 			return nil, fmt.Errorf("obs: %s: frame checksum mismatch at record %d", path, len(recs))
 		}
 		for i := 0; i < int(n); i++ {
-			r := decodeRecord(payload[i*recordSize:])
+			r := decodeRecord(data[i*recordSize:])
 			// The file comes from outside the program: a kind no hook
 			// position produces would decode and then vanish in Aggregate.
 			if r.Kind > KindQueue {

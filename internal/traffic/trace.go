@@ -84,9 +84,12 @@ func (t *Trace) multicasts() bool {
 	return false
 }
 
-// maxTraceNodes bounds the node count a decoder will believe, so a
-// corrupted header cannot drive a huge (or panicking) allocation.
-const maxTraceNodes = 1 << 20
+// maxTraceNodes bounds the node count a decoder will believe: the
+// largest network a scenario Spec describes. A JSONL trace names a node
+// only on its records, so its header alone can claim any count; the
+// bound keeps the per-node stream table a decoder sizes from it under
+// 200 KB. Everything else a decoder holds grows with its input.
+const maxTraceNodes = 4096
 
 // validate checks structural invariants after decoding.
 func (t *Trace) validate() error {
@@ -108,6 +111,11 @@ func (t *Trace) validate() error {
 		for _, m := range msgs {
 			if !m.Multicast && (m.Dst < 0 || int(m.Dst) >= t.N || int(m.Dst) == node) {
 				return fmt.Errorf("traffic: trace node %d has invalid destination %d", node, m.Dst)
+			}
+			// NaN marks an unstamped message; an infinite stamp has no
+			// JSONL form.
+			if math.IsInf(m.Time, 0) {
+				return fmt.Errorf("traffic: trace node %d has invalid time stamp %v", node, m.Time)
 			}
 		}
 	}
@@ -383,7 +391,7 @@ func readBinaryTrace(br *bufio.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traffic: trace node %d gap count: %w", node, err)
 		}
-		gaps := make([]float64, 0, min(ng, 1<<16))
+		var gaps []float64
 		for i := uint64(0); i < ng; i++ {
 			g, err := readFloat()
 			if err != nil {
@@ -396,7 +404,7 @@ func readBinaryTrace(br *bufio.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traffic: trace node %d message count: %w", node, err)
 		}
-		msgs := make([]TraceMsg, 0, min(nm, 1<<16))
+		var msgs []TraceMsg
 		for i := uint64(0); i < nm; i++ {
 			flags, err := br.ReadByte()
 			if err != nil {

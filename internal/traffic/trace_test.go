@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"quarc/internal/routing"
@@ -13,7 +15,7 @@ import (
 // driveRecorder runs a recorder through an interleaved call pattern like
 // the simulator's (gap draw, later the matching message draw, across
 // nodes) and returns the captured trace.
-func driveRecorder(t *testing.T, spec Spec, draws int) *Trace {
+func driveRecorder(t testing.TB, spec Spec, draws int) *Trace {
 	t.Helper()
 	rt := quarcRouter(t, 16)
 	w, err := NewWorkload(rt, spec, 42)
@@ -255,4 +257,90 @@ func TestReplayerRejectsWrongTopologyAndSet(t *testing.T) {
 	if _, err := NewReplayer(rt, setA, tr); err != nil {
 		t.Errorf("matching replay rejected: %v", err)
 	}
+}
+
+// The hostile trace headers: each claims 2^20 nodes and carries none of
+// them.
+var (
+	// The binary magic, a uvarint node count of 2^20, a zero topology
+	// fingerprint, message length and set-word count: 18 bytes.
+	hostileBinaryTrace = []byte("QWTR\x01\x80\x80\x40\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")
+	hostileJSONLTrace  = []byte(`{"format":"quarc-trace","nodes":1048576}` + "\n")
+)
+
+// allocatedBy reports the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadTraceAllocatesByInput pins the decoders against headers that
+// claim more than the input holds: neither encoding sizes anything from
+// a node count past maxTraceNodes, and both refuse it.
+func TestReadTraceAllocatesByInput(t *testing.T) {
+	for name, data := range map[string][]byte{"binary": hostileBinaryTrace, "jsonl": hostileJSONLTrace} {
+		var err error
+		if got := allocatedBy(func() { _, err = ReadTrace(bytes.NewReader(data)) }); got >= 1<<20 {
+			t.Errorf("%s: a %d-byte header allocated %d bytes, want < 1 MiB", name, len(data), got)
+		}
+		if err == nil {
+			t.Errorf("%s: a trace of 2^20 nodes accepted", name)
+		}
+	}
+}
+
+// FuzzReadTrace drives ReadTrace with arbitrary bytes: it must never
+// panic, must allocate within a fixed multiple of its input plus a
+// constant, and whatever it accepts must read back to the same trace
+// from either encoding (compared through the bit-exact binary form).
+func FuzzReadTrace(f *testing.F) {
+	f.Add(hostileBinaryTrace)
+	f.Add(hostileJSONLTrace)
+	f.Add([]byte("QOB1\x00\x00\x10\x00\x00\x00\x00\x00"))
+	set, err := quarcRouter(f, 16).LocalizedSet(topology.PortL, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	recorded := driveRecorder(f, Spec{Rate: 0.01, MulticastFrac: 0.3, Set: set}, 20)
+	for _, write := range []func(*Trace, io.Writer) error{(*Trace).WriteBinary, (*Trace).WriteJSONL} {
+		var buf bytes.Buffer
+		if err := write(recorded, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr *Trace
+		var err error
+		if got, limit := allocatedBy(func() { tr, err = ReadTrace(bytes.NewReader(data)) }), 128*uint64(len(data))+1<<20; got > limit {
+			t.Fatalf("a %d-byte input allocated %d bytes, over %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var bin bytes.Buffer
+		if err := tr.WriteBinary(&bin); err != nil {
+			t.Fatal(err)
+		}
+		for _, write := range []func(*Trace, io.Writer) error{(*Trace).WriteBinary, (*Trace).WriteJSONL} {
+			var buf bytes.Buffer
+			if err := write(tr, &buf); err != nil {
+				t.Fatalf("an accepted trace does not re-encode: %v", err)
+			}
+			back, err := ReadTrace(&buf)
+			if err != nil {
+				t.Fatalf("a re-encoded trace does not read back: %v", err)
+			}
+			var again bytes.Buffer
+			if err := back.WriteBinary(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), bin.Bytes()) {
+				t.Fatal("a re-encoded trace reads back to a different trace")
+			}
+		}
+	})
 }

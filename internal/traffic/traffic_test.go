@@ -8,7 +8,7 @@ import (
 	"quarc/internal/topology"
 )
 
-func quarcRouter(t *testing.T, n int) *routing.QuarcRouter {
+func quarcRouter(t testing.TB, n int) *routing.QuarcRouter {
 	t.Helper()
 	q, err := topology.NewQuarc(n)
 	if err != nil {

@@ -50,32 +50,35 @@ func SeriesTable(series []Series) string {
 // with identical network links under a broadcast-heavy workload — the
 // design choice the paper's introduction motivates with Fig. 1 (multi-port
 // routers remove the injection serialization of collective operations).
-// Extra options (e.g. SimEffort) apply to both scenarios.
-func OnePortAblation(n, msgLen int, alpha float64, rates []float64, opts ...Option) ([]Series, error) {
-	return compare(rates, opts,
-		labelled{"all-port", []Option{Quarc(n), MsgLen(msgLen), Alpha(alpha), Broadcast()}},
-		labelled{"one-port", []Option{QuarcOnePort(n), MsgLen(msgLen), Alpha(alpha), Broadcast()}},
+// Both scenarios run at simulation effort e.
+func OnePortAblation(n, msgLen int, alpha float64, rates []float64, e Effort) ([]Series, error) {
+	return compare(rates, e,
+		labelled{"all-port", Spec{Topology: "quarc", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
+		labelled{"one-port", Spec{Topology: "quarc-oneport", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
 	)
 }
 
 // SpidergonComparison compares the Quarc's true hardware broadcast against
 // the Spidergon's broadcast-by-consecutive-unicasts at the same size,
 // message length and rates (paper Sec. 3.2).
-func SpidergonComparison(n, msgLen int, alpha float64, rates []float64, opts ...Option) ([]Series, error) {
-	return compare(rates, opts,
-		labelled{"quarc-broadcast", []Option{Quarc(n), MsgLen(msgLen), Alpha(alpha), Broadcast()}},
-		labelled{"spidergon-bcast-by-unicast", []Option{Spidergon(n), MsgLen(msgLen), Alpha(alpha), Broadcast()}},
+func SpidergonComparison(n, msgLen int, alpha float64, rates []float64, e Effort) ([]Series, error) {
+	return compare(rates, e,
+		labelled{"quarc-broadcast", Spec{Topology: "quarc", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
+		labelled{"spidergon-bcast-by-unicast", Spec{Topology: "spidergon", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
 	)
 }
 
 // MeshExtension checks the model's validity beyond the Quarc — the paper's
 // stated future work — by comparing model and simulation on an all-port
 // mesh and torus with Hamilton-path multicast.
-func MeshExtension(w, h, msgLen int, alpha float64, rates []float64, opts ...Option) ([]Series, error) {
-	set := HighLowDests([]int{2, 4}, []int{1, 3})
-	return compare(rates, opts,
-		labelled{fmt.Sprintf("mesh-%dx%d", w, h), []Option{Mesh(w, h), MsgLen(msgLen), Alpha(alpha), set}},
-		labelled{fmt.Sprintf("torus-%dx%d", w, h), []Option{Torus(w, h), MsgLen(msgLen), Alpha(alpha), set}},
+func MeshExtension(w, h, msgLen int, alpha float64, rates []float64, e Effort) ([]Series, error) {
+	net := func(topology string) Spec {
+		return Spec{Topology: topology, W: w, H: h, MsgLen: msgLen, Alpha: alpha,
+			Pattern: "highlow", High: []int{2, 4}, Low: []int{1, 3}}
+	}
+	return compare(rates, e,
+		labelled{fmt.Sprintf("mesh-%dx%d", w, h), net("mesh")},
+		labelled{fmt.Sprintf("torus-%dx%d", w, h), net("torus")},
 	)
 }
 
@@ -86,20 +89,20 @@ func MeshExtension(w, h, msgLen int, alpha float64, rates []float64, opts ...Opt
 // analytical model's M/G/1 machinery assumes Poisson arrivals and
 // rejects the others by design — and makes visible how much congestion
 // smooth Poisson/uniform injection hides at equal average rates.
-func WorkloadAblation(n, msgLen int, rates []float64, opts ...Option) ([]Series, error) {
+func WorkloadAblation(n, msgLen int, rates []float64, e Effort) ([]Series, error) {
 	variants := []labelled{
-		{"poisson/uniform", nil},
-		{"bernoulli/uniform", []Option{Arrival("bernoulli")}},
-		{"onoff(8,0.25)/uniform", []Option{OnOff(8, 0.25)}},
-		{"periodic/uniform", []Option{Arrival("periodic")}},
-		{"poisson/transpose", []Option{Permutation("transpose")}},
-		{"poisson/tornado", []Option{Permutation("tornado")}},
-		{"onoff(8,0.25)/tornado", []Option{OnOff(8, 0.25), Permutation("tornado")}},
+		{"poisson/uniform", Spec{}},
+		{"bernoulli/uniform", Spec{Arrival: "bernoulli"}},
+		{"onoff(8,0.25)/uniform", Spec{Arrival: "onoff", BurstLen: 8, DutyCycle: 0.25}},
+		{"periodic/uniform", Spec{Arrival: "periodic"}},
+		{"poisson/transpose", Spec{Spatial: "transpose"}},
+		{"poisson/tornado", Spec{Spatial: "tornado"}},
+		{"onoff(8,0.25)/tornado", Spec{Arrival: "onoff", BurstLen: 8, DutyCycle: 0.25, Spatial: "tornado"}},
 	}
 	var out []Series
 	for _, v := range variants {
-		all := append([]Option{Quarc(n), MsgLen(msgLen)}, opts...)
-		s, err := NewScenario(append(all, v.opts...)...)
+		v.sp.Topology, v.sp.N, v.sp.MsgLen = "quarc", n, msgLen
+		s, err := e.scenario(v.sp, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -140,13 +143,13 @@ func SimSeriesTable(series []Series) string {
 
 type labelled struct {
 	label string
-	opts  []Option
+	sp    Spec
 }
 
-func compare(rates []float64, extra []Option, configs ...labelled) ([]Series, error) {
+func compare(rates []float64, e Effort, configs ...labelled) ([]Series, error) {
 	var out []Series
 	for _, c := range configs {
-		s, err := NewScenario(append(c.opts, extra...)...)
+		s, err := e.scenario(c.sp, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -174,12 +177,14 @@ type ServicePoint struct {
 // that models the physical channel holding time exactly. Eq. 6 is
 // conservative: it predicts higher utilization and saturates earlier; the
 // ablation quantifies by how much against the simulator.
-func ServiceFormulaAblation(n, msgLen int, rates []float64, opts ...Option) ([]ServicePoint, error) {
-	base, err := NewScenario(append([]Option{Quarc(n), MsgLen(msgLen)}, opts...)...)
+func ServiceFormulaAblation(n, msgLen int, rates []float64, e Effort) ([]ServicePoint, error) {
+	sp := Spec{Topology: "quarc", N: n, MsgLen: msgLen}
+	base, err := e.scenario(sp, 0)
 	if err != nil {
 		return nil, err
 	}
-	tailBase, err := base.With(ModelService(TailRelease))
+	sp.Service = "tail"
+	tailBase, err := sp.ScenarioWith(base)
 	if err != nil {
 		return nil, err
 	}

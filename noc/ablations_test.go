@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-var quickAblation = SimEffort(Effort{Warmup: 500, Measure: 4000, Seed: 9})
+var quickAblation = Effort{Warmup: 500, Measure: 4000, Seed: 9}
 
 // TestOnePortAblationQuick drives the one-port study at one rate: the
 // one-port router must serialize broadcast injections, so its multicast
@@ -114,29 +114,29 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-// TestScenarioOptionSurface exercises the remaining thin options so the
+// TestScenarioOptionSurface exercises the remaining thin Spec knobs so the
 // public surface stays under test: every named topology resolves and the
 // simulator knobs apply without error.
 func TestScenarioOptionSurface(t *testing.T) {
-	s, err := NewScenario(
-		Hypercube(3), MsgLen(8), Rate(0.001),
-		ModelDamping(0.4), ModelMaxIter(500), ModelTol(1e-8),
-		SatQueue(100), Drain(true), MulticastPriority(true),
-		Trace(0, 16),
-	)
+	s, err := Spec{
+		Topology: "hypercube", Dims: 3, MsgLen: 8, Rate: 0.001,
+		Damping: 0.4, MaxIter: 500, Tol: 1e-8,
+		SatQueue: 100, Drain: true, MulticastPriority: true,
+		TraceNode: 0, TraceLimit: 16,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Nodes() != 8 {
 		t.Errorf("hypercube(3) has %d nodes, want 8", s.Nodes())
 	}
-	if _, err := NewScenario(Torus(4, 4), Rate(0.001)); err != nil {
+	if _, err := (Spec{Topology: "torus", W: 4, H: 4, Rate: 0.001}).Scenario(); err != nil {
 		t.Errorf("torus: %v", err)
 	}
-	if _, err := NewScenario(QuarcOnePort(8), Rate(0.001)); err != nil {
+	if _, err := (Spec{Topology: "quarc-oneport", N: 8, Rate: 0.001}).Scenario(); err != nil {
 		t.Errorf("quarc-oneport: %v", err)
 	}
-	if _, err := NewScenario(Spidergon(8), Rate(0.001)); err != nil {
+	if _, err := (Spec{Topology: "spidergon", N: 8, Rate: 0.001}).Scenario(); err != nil {
 		t.Errorf("spidergon: %v", err)
 	}
 	e := DefaultEffort()

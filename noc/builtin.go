@@ -10,7 +10,7 @@ import (
 	"quarc/internal/traffic"
 )
 
-// Quarc port indices, re-exported for LocalizedDests. The four injection
+// Quarc port indices, re-exported for a Spec's Port. The four injection
 // ports of the all-port Quarc router serve one quadrant each; the paper
 // labels them L, LO, RO and R.
 const (

@@ -3,17 +3,17 @@
 // M/G/1 wormhole model and the discrete-event wormhole simulator, and both
 // return the same Result type.
 //
-// A scenario is assembled from functional options over closed,
-// string-keyed tables of topologies, traffic patterns, spatial patterns
-// and arrival processes:
+// A scenario is stated as a Spec, whose names index closed, string-keyed
+// tables of topologies, traffic patterns, spatial patterns and arrival
+// processes:
 //
-//	s, err := noc.NewScenario(
-//		noc.Quarc(64),
-//		noc.MsgLen(32),
-//		noc.Rate(0.001),
-//		noc.Alpha(0.05),
-//		noc.RandomDests(8, 1),
-//	)
+//	s, err := noc.Spec{
+//		Topology: "quarc", N: 64,
+//		MsgLen:   32,
+//		Rate:     0.001,
+//		Alpha:    0.05,
+//		Pattern:  "random", Dests: 8, SetSeed: 1,
+//	}.Scenario()
 //	pred, err := noc.Model{}.Evaluate(s)     // paper Eqs. 3-16
 //	meas, err := noc.Simulator{}.Evaluate(s) // discrete-event simulation
 //
@@ -31,9 +31,11 @@
 // Spatials() and Arrivals() enumerate what is available; adding a
 // topology or pattern is one table entry in builtin.go.
 //
-// Spec is the fully declarative, JSON-able form of a scenario: every
-// builtin option has a Spec field, Spec.Scenario compiles it, and the
-// canonical encoding's FNV-1a Fingerprint content-addresses its Result —
+// Spec is the one input: the same struct is a Go literal, a quarcsim
+// -spec document and a quarcd request body. Spec.Scenario compiles it;
+// Scenario.With adds the process-local attachments that have no wire
+// form (Record, Replay, MetricsSink). The canonical encoding's FNV-1a
+// Fingerprint content-addresses its Result —
 // the key the noc/service layer (and the quarcd daemon) cache and
 // deduplicate evaluations under. ParseSpec is the strict entry point for
 // untrusted documents.

@@ -28,7 +28,7 @@ func TestSentinelChains(t *testing.T) {
 		{
 			"option validation",
 			func(t *testing.T) error {
-				_, err := NewScenario(Quarc(16), Replications(0))
+				_, err := Spec{N: 16, MsgLen: 1}.Scenario()
 				return err
 			},
 			ErrInvalidOption,
@@ -59,7 +59,7 @@ func TestSentinelChains(t *testing.T) {
 		{
 			"model inapplicability",
 			func(t *testing.T) error {
-				s, err := NewScenario(Quarc(16), Rate(0.002), OnOff(8, 0.5))
+				s, err := Spec{N: 16, Rate: 0.002, Arrival: "onoff", BurstLen: 8, DutyCycle: 0.5}.Scenario()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestSentinelChains(t *testing.T) {
 // underlying core.ErrNonPoisson, so callers can degrade gracefully while
 // diagnostics keep the root cause.
 func TestModelInapplicableKeepsCause(t *testing.T) {
-	s, err := NewScenario(Quarc(16), Rate(0.002), OnOff(8, 0.5))
+	s, err := Spec{N: 16, Rate: 0.002, Arrival: "onoff", BurstLen: 8, DutyCycle: 0.5}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func solveModel(s *Scenario, m *core.Model) (Result, error) {
 }
 
 // modelInput assembles the analytical model's input from the scenario:
-// its workload and the model options.
+// its workload and the model knobs.
 func modelInput(s *Scenario) core.Input {
 	return core.Input{
 		Router:         s.router,
@@ -97,7 +97,7 @@ func modelInput(s *Scenario) core.Input {
 // solves at any rate; workloads the model declines by design come back as
 // ErrModelInapplicable.
 func buildModel(s *Scenario) (*core.Model, error) {
-	// A Record option is simulator-only but harmless here (the model
+	// A recording is simulator-only but harmless here (the model
 	// generates no messages to capture); only a trace-driven workload has
 	// no analytical description.
 	if s.cfg.replay != nil {
@@ -117,8 +117,8 @@ type Simulator struct{}
 // Name implements Evaluator.
 func (Simulator) Name() string { return "simulator" }
 
-// Evaluate implements Evaluator. With Replications(n > 1) it fans the
-// replications out over Parallelism(k) workers and aggregates their
+// Evaluate implements Evaluator. With Spec.Replications n > 1 it fans the
+// replications out over Spec.Parallelism workers and aggregates their
 // results (see replication.go); otherwise it runs the scenario once.
 func (Simulator) Evaluate(s *Scenario) (Result, error) { return simulateReplicated(s, nil) }
 

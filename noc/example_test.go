@@ -11,20 +11,23 @@ import (
 // One scenario drives both engines: the paper's analytical model
 // (Eqs. 3-16) and the wormhole simulator evaluate the same Quarc, and
 // both return a Result.
-func ExampleNewScenario() {
+func ExampleSpec_Scenario() {
 	// A 32-node Quarc with its all-port router, Poisson sources at 0.002
 	// messages/cycle/node, 5% of messages multicast to four nodes on the
 	// left rim, 32-flit messages.
-	s, err := noc.NewScenario(
-		noc.Quarc(32),
-		noc.MsgLen(32),
-		noc.Rate(0.002),
-		noc.Alpha(0.05),
-		noc.LocalizedDests(noc.PortL, 4),
-		noc.Seed(2024),
-		noc.Warmup(10000),
-		noc.Measure(100000),
-	)
+	s, err := noc.Spec{
+		Topology: "quarc",
+		N:        32,
+		MsgLen:   32,
+		Rate:     0.002,
+		Alpha:    0.05,
+		Pattern:  "localized",
+		Port:     noc.PortL,
+		Dests:    4,
+		Seed:     2024,
+		Warmup:   10000,
+		Measure:  100000,
+	}.Scenario()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,19 +50,20 @@ func ExampleNewScenario() {
 	// simulated 6318 messages
 }
 
-// A run recorded into a TraceWorkload, written out and read back,
-// replays to the same Result: every injection time and destination
+// A run recorded into a TraceWorkload (attached With Record), written out
+// and read back, replays to the same Result: every injection time and destination
 // comes from the trace instead of the generators.
 func ExampleTraceWorkload() {
-	base, err := noc.NewScenario(
-		noc.Quarc(16),
-		noc.MsgLen(16),
-		noc.Rate(0.004),
-		noc.Permutation("tornado"),
-		noc.Seed(7),
-		noc.Warmup(5000),
-		noc.Measure(50000),
-	)
+	base, err := noc.Spec{
+		Topology: "quarc",
+		N:        16,
+		MsgLen:   16,
+		Rate:     0.004,
+		Spatial:  "tornado",
+		Seed:     7,
+		Warmup:   5000,
+		Measure:  50000,
+	}.Scenario()
 	if err != nil {
 		log.Fatal(err)
 	}

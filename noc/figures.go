@@ -75,17 +75,20 @@ func PanelByID(id string) (Panel, error) {
 
 // panelSetStream is the PCG stream the figure panels draw their random
 // destination sets from ("selected randomly by the authors at the
-// beginning of the simulation"); RandomDests draws from stream 0.
+// beginning of the simulation"); a Spec's "random" pattern draws from
+// stream 0. The stream has no wire form.
 const panelSetStream = 0x5e7
 
 // scenario is the panel as a Scenario at the given simulation effort; a
 // Sweep of it is the panel's graph.
 func (p Panel) scenario(e Effort) (*Scenario, error) {
-	dests := LocalizedDests(p.LocalPort, p.SetSize)
-	if p.Random {
-		dests = Pattern("random", PatternConfig{K: p.SetSize, Seed: p.SetSeed, stream: panelSetStream})
+	sp := Spec{Topology: "quarc", N: p.N, MsgLen: p.MsgLen, Alpha: p.Alpha,
+		Pattern: "localized", Dests: p.SetSize, Port: p.LocalPort}
+	if !p.Random {
+		return e.scenario(sp, 0)
 	}
-	return NewScenario(Quarc(p.N), MsgLen(p.MsgLen), Alpha(p.Alpha), dests, SimEffort(e))
+	sp.Pattern, sp.SetSeed = "random", p.SetSeed
+	return e.scenario(sp, panelSetStream)
 }
 
 // regime names the panel's destination regime.
@@ -433,13 +436,15 @@ func SaturationStudy(sizes, msgs []int, alphas []float64, setSize int) ([]SatRow
 	var rows []SatRow
 	for _, n := range sizes {
 		k := min(setSize, n/4)
-		base, err := NewScenario(Quarc(n), LocalizedDests(PortL, k))
+		sp := Spec{Topology: "quarc", N: n, Pattern: "localized", Port: PortL, Dests: k}
+		base, err := sp.Scenario()
 		if err != nil {
 			return nil, err
 		}
 		for _, msg := range msgs {
 			for _, alpha := range alphas {
-				s, err := base.With(MsgLen(msg), Alpha(alpha))
+				sp.MsgLen, sp.Alpha = msg, alpha
+				s, err := sp.ScenarioWith(base)
 				if err != nil {
 					return nil, err
 				}

@@ -107,11 +107,11 @@ func TestGoldenQuarc16RandomDests(t *testing.T) {
 		setSeed   = 61
 		simSeed   = 7
 	)
-	s, err := NewScenario(
-		Quarc(n), MsgLen(msgLen), Rate(rate), Alpha(alpha),
-		RandomDests(dests, setSeed),
-		Seed(simSeed), Warmup(2000), Measure(20000),
-	)
+	s, err := Spec{
+		Topology: "quarc", N: n, MsgLen: msgLen, Rate: rate, Alpha: alpha,
+		Pattern: "random", Dests: dests, SetSeed: setSeed,
+		Seed: simSeed, Warmup: 2000, Measure: 20000,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestGoldenMesh4x4(t *testing.T) {
 		seed   = 31
 	)
 	high, low := []int{1, 3}, []int{2}
-	s, err := NewScenario(
-		Mesh(w, h), MsgLen(msgLen), Rate(rate), Alpha(alpha),
-		HighLowDests(high, low),
-		Seed(seed), Warmup(2000), Measure(20000),
-	)
+	s, err := Spec{
+		Topology: "mesh", W: w, H: h, MsgLen: msgLen, Rate: rate, Alpha: alpha,
+		Pattern: "highlow", High: high, Low: low,
+		Seed: seed, Warmup: 2000, Measure: 20000,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestGoldenMesh4x4(t *testing.T) {
 	}
 }
 
-// TestGoldenModelVariants pins the model-knob plumbing: the scenario's
-// ModelService/ModelWait options must select the same code paths as the
-// core input fields.
+// TestGoldenModelVariants pins the model-knob plumbing: the Spec's
+// Service/Wait names must select the same code paths as the core input
+// fields.
 func TestGoldenModelVariants(t *testing.T) {
-	s, err := NewScenario(Quarc(16), MsgLen(32), Rate(0.006))
+	s, err := Spec{N: 16, MsgLen: 32, Rate: 0.006}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestGoldenModelVariants(t *testing.T) {
 	rt := routing.NewQuarcRouter(q)
 	spec := traffic.Spec{Rate: 0.006}
 
-	sTail, err := s.With(ModelService(TailRelease))
+	sTail, err := Spec{N: 16, MsgLen: 32, Rate: 0.006, Service: "tail"}.ScenarioWith(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestGoldenModelVariants(t *testing.T) {
 	}
 	eq(t, "tail-release unicast", got.Unicast, want.UnicastLatency)
 
-	sEq3, err := s.With(ModelWait(PaperEq3Literal))
+	sEq3, err := Spec{N: 16, MsgLen: 32, Rate: 0.006, Wait: "eq3"}.ScenarioWith(s)
 	if err != nil {
 		t.Fatal(err)
 	}

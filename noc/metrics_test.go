@@ -17,20 +17,20 @@ import (
 func TestMetricsDoNotPerturbResult(t *testing.T) {
 	cases := []struct {
 		name string
-		opts []Option
+		sp   Spec
 	}{
-		{"quarc-16", []Option{
-			Quarc(16), MsgLen(32), Rate(0.003), Alpha(0.05),
-			LocalizedDests(PortL, 4), Seed(11), Warmup(1000), Measure(8000),
+		{"quarc-16", Spec{
+			Topology: "quarc", N: 16, MsgLen: 32, Rate: 0.003, Alpha: 0.05,
+			Pattern: "localized", Port: PortL, Dests: 4, Seed: 11, Warmup: 1000, Measure: 8000,
 		}},
-		{"mesh-4x4", []Option{
-			Mesh(4, 4), MsgLen(16), Rate(0.004),
-			Seed(11), Warmup(1000), Measure(8000),
+		{"mesh-4x4", Spec{
+			Topology: "mesh", W: 4, H: 4, MsgLen: 16, Rate: 0.004,
+			Seed: 11, Warmup: 1000, Measure: 8000,
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			plain, err := NewScenario(c.opts...)
+			plain, err := c.sp.Scenario()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,9 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			hooked, err := NewScenario(append(c.opts[:len(c.opts):len(c.opts)], Metrics(50), Detail(true), Trace(3, 200))...)
+			sp := c.sp
+			sp.Metrics, sp.MetricsBuckets, sp.Detail, sp.TraceNode, sp.TraceLimit = true, 50, true, 3, 200
+			hooked, err := sp.Scenario()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,23 +84,21 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 }
 
 // TestMetricsParallelismDeterministic pins two contracts at once: the
-// combined series is bitwise-identical for every Parallelism(k) (the
+// combined series is bitwise-identical for every Parallelism k (the
 // per-replication series fold in replication order), and a shared
 // MetricsSink is safe under concurrent replications (run under -race
 // in CI).
 func TestMetricsParallelismDeterministic(t *testing.T) {
-	base := []Option{
-		Quarc(16), MsgLen(16), Rate(0.002), Alpha(0.05),
-		LocalizedDests(PortL, 4), Seed(3), Warmup(500), Measure(4000),
-		Metrics(25), Replications(4),
-	}
 	run := func(k int, sink Sink) Result {
 		t.Helper()
-		opts := append(base[:len(base):len(base)], Parallelism(k))
-		if sink != nil {
-			opts = append(opts, MetricsSink(sink))
+		s, err := Spec{
+			Topology: "quarc", N: 16, MsgLen: 16, Rate: 0.002, Alpha: 0.05,
+			Pattern: "localized", Port: PortL, Dests: 4, Seed: 3, Warmup: 500, Measure: 4000,
+			Metrics: true, MetricsBuckets: 25, Replications: 4, Parallelism: k,
+		}.Scenario()
+		if err == nil && sink != nil {
+			s, err = s.With(MetricsSink(sink))
 		}
-		s, err := NewScenario(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +142,14 @@ func TestObsFileRebuildsSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScenario(Quarc(16), MsgLen(32), Rate(0.003), Alpha(0.05),
-		LocalizedDests(PortL, 4), Seed(11), Warmup(1000), Measure(8000),
-		Metrics(100), MetricsSink(sink))
+	s, err := Spec{
+		Topology: "quarc", N: 16, MsgLen: 32, Rate: 0.003, Alpha: 0.05,
+		Pattern: "localized", Port: PortL, Dests: 4, Seed: 11, Warmup: 1000, Measure: 8000,
+		Metrics: true, MetricsBuckets: 100,
+	}.Scenario()
+	if err == nil {
+		s, err = s.With(MetricsSink(sink))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package noc
 
 import "quarc/internal/obs"
 
-// The public face of the observability pipeline (internal/obs): the
-// Metrics option attaches a batched recording hook to the simulator,
+// The public face of the observability pipeline (internal/obs): a
+// Spec's Metrics field attaches a batched recording hook to the simulator,
 // Result.Series carries the aggregated time series, and MetricsSink
 // streams the raw records into a caller-supplied sink. The types are
 // aliases so callers and the internal recorder share one definition.

@@ -49,18 +49,19 @@ func TestRegistryNames(t *testing.T) {
 func TestRegistryRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   TopologyConfig
+		sp    Spec
 		nodes int
 	}{
-		{"quarc", TopologyConfig{N: 16}, 16},
-		{"quarc-oneport", TopologyConfig{N: 16}, 16},
-		{"spidergon", TopologyConfig{N: 16}, 16},
-		{"mesh", TopologyConfig{W: 4, H: 4}, 16},
-		{"torus", TopologyConfig{W: 4, H: 4}, 16},
-		{"hypercube", TopologyConfig{Dims: 4}, 16},
+		{"quarc", Spec{N: 16}, 16},
+		{"quarc-oneport", Spec{N: 16}, 16},
+		{"spidergon", Spec{N: 16}, 16},
+		{"mesh", Spec{W: 4, H: 4}, 16},
+		{"torus", Spec{W: 4, H: 4}, 16},
+		{"hypercube", Spec{Dims: 4}, 16},
 	}
 	for _, c := range cases {
-		s, err := NewScenario(Topology(c.name, c.cfg), Rate(0.001))
+		c.sp.Topology, c.sp.Rate = c.name, 0.001
+		s, err := c.sp.Scenario()
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -78,7 +79,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 func TestRegistryUnknownNames(t *testing.T) {
-	_, err := NewScenario(Topology("ring", TopologyConfig{N: 8}))
+	_, err := Spec{Topology: "ring", N: 8}.Scenario()
 	if err == nil || !strings.Contains(err.Error(), `unknown topology "ring"`) {
 		t.Errorf("unknown topology error = %v", err)
 	}
@@ -93,7 +94,7 @@ func TestRegistryUnknownNames(t *testing.T) {
 		t.Errorf("unknown router error = %v", err)
 	}
 
-	_, err = NewScenario(Quarc(16), Pattern("bitcomp", PatternConfig{}))
+	_, err = Spec{N: 16, Pattern: "bitcomp"}.Scenario()
 	if err == nil || !strings.Contains(err.Error(), `unknown traffic pattern "bitcomp"`) {
 		t.Errorf("unknown pattern error = %v", err)
 	}
@@ -101,11 +102,11 @@ func TestRegistryUnknownNames(t *testing.T) {
 
 func TestPatternTopologyMismatch(t *testing.T) {
 	// Hamilton-path offsets only exist on mesh/torus.
-	if _, err := NewScenario(Quarc(16), Alpha(0.05), HighLowDests([]int{1}, nil)); err == nil {
+	if _, err := (Spec{N: 16, Alpha: 0.05, Pattern: "highlow", High: []int{1}}).Scenario(); err == nil {
 		t.Error("highlow pattern on quarc should fail")
 	}
 	// Rim-localized sets only exist on quarc/spidergon.
-	if _, err := NewScenario(Mesh(4, 4), Alpha(0.05), LocalizedDests(0, 3)); err == nil {
+	if _, err := (Spec{Topology: "mesh", W: 4, H: 4, Alpha: 0.05, Pattern: "localized", Port: 0, Dests: 3}).Scenario(); err == nil {
 		t.Error("localized pattern on mesh should fail")
 	}
 }

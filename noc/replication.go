@@ -35,7 +35,7 @@ func repSeed(base uint64, rep int) uint64 {
 }
 
 // simulateReplicated runs the scenario's configured replications and
-// aggregates them. Replications fan out over Parallelism(k) workers, each
+// aggregates them. Replications fan out over Spec.Parallelism workers, each
 // with its own pooled network reused across the replications it runs (the
 // same Reset path a sweep worker uses); results are aggregated in
 // replication order, so the outcome is bitwise-identical for every k.

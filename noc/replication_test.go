@@ -13,13 +13,16 @@ import (
 // prints all NaNs alike.
 func same(a, b any) bool { return fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b) }
 
-func repScenario(t *testing.T, opts ...Option) *Scenario {
+// repScenario is the replication tests' scenario with the given
+// Replications and Parallelism.
+func repScenario(t *testing.T, reps, parallelism int) *Scenario {
 	t.Helper()
-	base := []Option{
-		Quarc(16), MsgLen(16), Rate(0.003), Alpha(0.05), LocalizedDests(PortL, 3),
-		Seed(77), Warmup(500), Measure(5000),
-	}
-	s, err := NewScenario(append(base, opts...)...)
+	s, err := Spec{
+		Topology: "quarc", N: 16, MsgLen: 16, Rate: 0.003, Alpha: 0.05,
+		Pattern: "localized", Port: PortL, Dests: 3,
+		Seed: 77, Warmup: 500, Measure: 5000,
+		Replications: reps, Parallelism: parallelism,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func repScenario(t *testing.T, opts ...Option) *Scenario {
 // the numbers.
 func TestReplicationsDeterministicAcrossParallelism(t *testing.T) {
 	run := func(k int) Result {
-		s := repScenario(t, Replications(6), Parallelism(k))
+		s := repScenario(t, 6, k)
 		r, err := Simulator{}.Evaluate(s)
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +61,11 @@ func TestReplicationsDeterministicAcrossParallelism(t *testing.T) {
 // TestSingleReplicationMatchesPlainRun pins backward compatibility:
 // Replications(1) is bitwise-identical to not using the option at all.
 func TestSingleReplicationMatchesPlainRun(t *testing.T) {
-	plain, err := Simulator{}.Evaluate(repScenario(t))
+	plain, err := Simulator{}.Evaluate(repScenario(t, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Simulator{}.Evaluate(repScenario(t, Replications(1), Parallelism(4)))
+	one, err := Simulator{}.Evaluate(repScenario(t, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestSingleReplicationMatchesPlainRun(t *testing.T) {
 // vary the runs (otherwise the CI would collapse to zero and the
 // aggregate would be a lie).
 func TestReplicationsUseDistinctSeeds(t *testing.T) {
-	s := repScenario(t, Replications(4), Parallelism(1))
+	s := repScenario(t, 4, 1)
 	r, err := Simulator{}.Evaluate(s)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +103,7 @@ func TestReplicationsUseDistinctSeeds(t *testing.T) {
 // per point, and simulator results must carry the aggregation.
 func TestSweepWithReplicationsDeterministicAcrossWorkers(t *testing.T) {
 	sweep := func(workers int) SweepResult {
-		s := repScenario(t, Replications(3))
+		s := repScenario(t, 3, 0)
 		out, err := Sweep(s, SweepOptions{Rates: []float64{0.001, 0.003}, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -134,11 +137,11 @@ func TestSweepWithReplicationsDeterministicAcrossWorkers(t *testing.T) {
 // is bitwise-identical to a Replications(1) sweep — the job restructure
 // must not have moved any seed.
 func TestSweepWithoutReplicationsUnchanged(t *testing.T) {
-	plain, err := Sweep(repScenario(t), SweepOptions{Rates: []float64{0.002}, Workers: 2})
+	plain, err := Sweep(repScenario(t, 0, 0), SweepOptions{Rates: []float64{0.002}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Sweep(repScenario(t, Replications(1)), SweepOptions{Rates: []float64{0.002}, Workers: 2})
+	one, err := Sweep(repScenario(t, 1, 0), SweepOptions{Rates: []float64{0.002}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

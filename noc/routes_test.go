@@ -52,15 +52,17 @@ func TestScenarioEnumeratesRoutesOnce(t *testing.T) {
 	var calls atomic.Int64
 	addCountingTopology(t, "test-counting", &calls, func(*countingRouter) {})
 	const n = 16
-	s, err := NewScenario(Topology("test-counting", TopologyConfig{N: n}), Pattern("test-counting", PatternConfig{Port: PortL, K: 3}),
-		Alpha(0.05), MsgLen(16), Rate(0.002), Warmup(500), Measure(3000))
+	sp := Spec{Topology: "test-counting", N: n, Pattern: "test-counting", Port: PortL, Dests: 3,
+		Alpha: 0.05, MsgLen: 16, Rate: 0.002, Warmup: 500, Measure: 3000}
+	s, err := sp.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := (Model{}).Evaluate(s); err != nil {
 		t.Fatal(err)
 	}
-	reps, err := s.With(Replications(3), Parallelism(2), Rate(0.003))
+	sp.Replications, sp.Parallelism, sp.Rate = 3, 2, 0.003
+	reps, err := sp.ScenarioWith(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +87,8 @@ func TestRoutesDieWithScenario(t *testing.T) {
 		runtime.SetFinalizer(r, func(*countingRouter) { collected.Store(true) })
 	})
 	func() {
-		s, err := NewScenario(Topology("test-finalized", TopologyConfig{N: 16}), Pattern("test-finalized", PatternConfig{Port: PortL, K: 3}),
-			Alpha(0.05), MsgLen(16), Rate(0.002), Warmup(500), Measure(3000))
+		s, err := Spec{Topology: "test-finalized", N: 16, Pattern: "test-finalized", Port: PortL, Dests: 3,
+			Alpha: 0.05, MsgLen: 16, Rate: 0.002, Warmup: 500, Measure: 3000}.Scenario()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"quarc/internal/routing"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
-	"quarc/internal/wormhole"
 )
 
 // Sentinel errors for scenario construction. Build-time validation wraps
@@ -21,42 +20,15 @@ var (
 	// ErrOptionConflict marks option combinations that contradict each
 	// other (e.g. Record together with Replay).
 	ErrOptionConflict = errors.New("noc: conflicting scenario options")
-	// ErrInvalidOption marks out-of-range or nonsensical option values
-	// (e.g. a zero measurement window, replications < 1).
+	// ErrInvalidOption marks out-of-range or nonsensical values (e.g. a
+	// zero measurement window, a topology size its builder refuses).
 	ErrInvalidOption = errors.New("noc: invalid scenario option")
-)
-
-// WaitFormula selects the M/G/1 waiting-time formula of the analytical
-// model (see DESIGN.md §2).
-type WaitFormula int
-
-const (
-	// PKStandard is the standard Pollaczek-Khinchine mean wait, the
-	// default and the form that reproduces the simulator.
-	PKStandard WaitFormula = iota
-	// PaperEq3Literal evaluates the paper's Eq. 3 exactly as printed; it
-	// exists to demonstrate the printed formula cannot reproduce the
-	// paper's own figures.
-	PaperEq3Literal
-)
-
-// ServiceFormula selects the channel service-time recurrence of the
-// analytical model (see DESIGN.md §3).
-type ServiceFormula int
-
-const (
-	// PaperEq6 is the paper's recurrence (one extra cycle per downstream
-	// hop), the default.
-	PaperEq6 ServiceFormula = iota
-	// TailRelease drops the per-hop cycle, modelling the physical channel
-	// holding time exactly.
-	TailRelease
 )
 
 // config is what a Scenario is resolved from: a materialized Spec — every
 // default filled in, so a zero field means zero and not, as on the wire,
 // "use the default" — plus the process-local attachments that have no
-// wire form. Options write it; Spec.Scenario canonicalizes into it.
+// wire form. Spec.Scenario canonicalizes into it; options write it.
 type config struct {
 	Spec
 	record, replay *TraceWorkload // Record / Replay option values
@@ -76,13 +48,15 @@ func (c *config) apply(opts []Option) error {
 	return nil
 }
 
-// Option mutates a scenario configuration. Options are applied in order;
+// Option mutates a scenario configuration: one of the process-local
+// attachments (Record, Replay, MetricsSink) or one of the few Spec fields
+// the benchmark harness sets directly. Options are applied in order;
 // later options override earlier ones.
 type Option func(*config) error
 
 // Scenario is one fully resolved evaluation configuration: a routed
-// topology, a workload and the engine knobs. Build it with NewScenario and
-// hand it to any Evaluator; the same Scenario value drives the analytical
+// topology, a workload and the engine knobs. Build it from a Spec with
+// Spec.Scenario and hand it to any Evaluator; the same Scenario value drives the analytical
 // model and the discrete-event simulator, so both sides always see exactly
 // the same configuration.
 type Scenario struct {
@@ -94,220 +68,58 @@ type Scenario struct {
 	dest   traffic.Dest
 }
 
-// Topology options.
+// The options below are the Spec fields the frozen benchmark harness
+// still sets one at a time (DESIGN.md §13): everything else is stated as
+// a Spec. They take their values literally — Warmup(0) is a cold start
+// and Seed(0) is seed 0, where the wire form reads a zero as the default.
 
 // Quarc selects the Quarc NoC with n nodes (multiple of 4, at least 8) and
 // its all-port BRCP router.
-func Quarc(n int) Option { return Topology("quarc", TopologyConfig{N: n}) }
-
-// QuarcOnePort selects the one-port Quarc variant (identical links, a
-// single injection/ejection port) — the ablation baseline.
-func QuarcOnePort(n int) Option { return Topology("quarc-oneport", TopologyConfig{N: n}) }
-
-// Spidergon selects the Spidergon NoC with n nodes.
-func Spidergon(n int) Option { return Topology("spidergon", TopologyConfig{N: n}) }
-
-// Mesh selects a w x h mesh with XY unicast routing and dual-path Hamilton
-// multicast.
-func Mesh(w, h int) Option { return Topology("mesh", TopologyConfig{W: w, H: h}) }
-
-// Torus selects a w x h torus.
-func Torus(w, h int) Option { return Topology("torus", TopologyConfig{W: w, H: h}) }
-
-// Hypercube selects a hypercube with the given number of dimensions.
-func Hypercube(dims int) Option { return Topology("hypercube", TopologyConfig{Dims: dims}) }
-
-// Topology selects a topology by name — the declarative form the named
-// options above reduce to. The router follows the topology: each family
-// has exactly one.
-func Topology(name string, c TopologyConfig) Option {
-	return func(cfg *config) error {
-		cfg.Router = ""
-		cfg.Topology, cfg.N, cfg.W, cfg.H, cfg.Dims = name, c.N, c.W, c.H, c.Dims
+func Quarc(n int) Option {
+	return func(c *config) error {
+		c.Topology, c.N, c.W, c.H, c.Dims, c.Router = "quarc", n, 0, 0, 0, ""
 		return nil
 	}
 }
 
-// Workload options.
-
 // MsgLen sets the message length in flits (at least 2; default 32).
 func MsgLen(flits int) Option {
-	return func(cfg *config) error {
-		cfg.MsgLen = flits
+	return func(c *config) error {
+		c.MsgLen = flits
 		return nil
 	}
 }
 
 // Rate sets the per-node Poisson message generation rate (messages/cycle).
 func Rate(rate float64) Option {
-	return func(cfg *config) error {
-		cfg.Rate = rate
+	return func(c *config) error {
+		c.Rate = rate
 		return nil
 	}
 }
 
 // Alpha sets the multicast fraction of generated messages.
 func Alpha(alpha float64) Option {
-	return func(cfg *config) error {
-		cfg.Alpha = alpha
+	return func(c *config) error {
+		c.Alpha = alpha
 		return nil
 	}
-}
-
-// Hotspot skews unicast destinations: with probability frac a unicast goes
-// to node instead of a uniform destination. For several hotspots with
-// individual weights use HotspotDests.
-func Hotspot(frac float64, node int) Option {
-	return func(cfg *config) error {
-		cfg.HotspotFrac = frac
-		cfg.HotspotNode = node
-		return nil
-	}
-}
-
-// Arrival-process options (when a node injects).
-
-// Arrival selects an arrival process by name: "poisson" (the
-// default), "bernoulli" (per-cycle coin flips, arrivals on the cycle
-// grid), "onoff" (bursts — configure with OnOff) or "periodic"
-// (deterministic spacing with a random per-node phase). All processes
-// offer the same long-run Rate; they differ in how the load clumps.
-func Arrival(name string) Option {
-	return func(cfg *config) error {
-		cfg.Arrival = name
-		return nil
-	}
-}
-
-// OnOff selects the bursty on/off arrival process: bursts of
-// geometrically many messages (mean burstLen >= 1) injected at
-// Rate/duty, separated by off-periods sized so the long-run rate stays
-// Rate. duty in (0,1]; smaller values concentrate the same offered load
-// into sharper bursts.
-func OnOff(burstLen, duty float64) Option {
-	return func(cfg *config) error {
-		cfg.Arrival = "onoff"
-		cfg.BurstLen = burstLen
-		cfg.DutyCycle = duty
-		return nil
-	}
-}
-
-// Spatial-pattern options (where a unicast goes).
-
-// Permutation selects a spatial pattern by name: "transpose",
-// "bit-reversal", "bit-complement", "shuffle" or "tornado" (or "uniform",
-// the default). Each source then sends all its unicasts to one fixed
-// destination; a source the permutation maps to itself falls silent, the
-// standard convention. Multicasts (Alpha > 0) still follow the multicast
-// destination set.
-func Permutation(name string) Option { return Spatial(name, SpatialConfig{}) }
-
-// HotspotDests is the weight-matrix hotspot pattern: fraction frac of
-// every source's unicasts is split over the given nodes proportionally to
-// weights (nil means equally), the rest is uniform. The single-hotspot
-// Hotspot option is the special case of one node.
-func HotspotDests(frac float64, nodes []int, weights []float64) Option {
-	return Spatial("hotspot", SpatialConfig{Frac: frac, Nodes: nodes, Weights: weights})
-}
-
-// Spatial selects a spatial (unicast-destination) pattern by
-// name — the declarative form Permutation and HotspotDests reduce to.
-func Spatial(name string, c SpatialConfig) Option {
-	return func(cfg *config) error {
-		cfg.Spatial, cfg.SpatialFrac = name, c.Frac
-		cfg.SpatialNodes, cfg.SpatialWeights = c.Nodes, c.Weights
-		return nil
-	}
-}
-
-// Traffic-pattern options.
-
-// RandomDests selects k multicast destinations uniformly at random
-// (reproducibly, from seed) — the paper's Figure 6 regime.
-func RandomDests(k int, seed uint64) Option {
-	return Pattern("random", PatternConfig{K: k, Seed: seed})
 }
 
 // LocalizedDests puts all k multicast destinations on one rim/port — the
 // paper's Figure 7 regime. Quarc ports are PortL, PortCL, PortCR, PortR.
 func LocalizedDests(port, k int) Option {
-	return Pattern("localized", PatternConfig{Port: port, K: k})
-}
-
-// Broadcast targets every node in the network.
-func Broadcast() Option { return Pattern("broadcast", PatternConfig{}) }
-
-// HighLowDests selects Hamilton-path offsets for mesh/torus multicast:
-// high lists forward offsets, low backward ones.
-func HighLowDests(high, low []int) Option {
-	return Pattern("highlow", PatternConfig{High: high, Low: low})
-}
-
-// Pattern selects a traffic pattern by name — the declarative
-// form the named options above reduce to.
-func Pattern(name string, c PatternConfig) Option {
-	return func(cfg *config) error {
-		cfg.Pattern, cfg.Dests, cfg.Port, cfg.SetSeed = name, c.K, c.Port, c.Seed
-		cfg.High, cfg.Low, cfg.stream = c.High, c.Low, c.stream
+	return func(c *config) error {
+		c.Pattern, c.Dests, c.Port, c.SetSeed = "localized", k, port, 0
+		c.High, c.Low, c.stream = nil, nil, 0
 		return nil
 	}
 }
-
-// Analytical-model options.
-
-// ModelDamping sets the fixed-point damping factor in (0,1].
-func ModelDamping(d float64) Option {
-	return func(cfg *config) error {
-		cfg.Damping = d
-		return nil
-	}
-}
-
-// ModelMaxIter bounds the fixed-point iterations.
-func ModelMaxIter(n int) Option {
-	return func(cfg *config) error {
-		cfg.MaxIter = n
-		return nil
-	}
-}
-
-// ModelTol sets the fixed-point convergence tolerance.
-func ModelTol(tol float64) Option {
-	return func(cfg *config) error {
-		cfg.Tol = tol
-		return nil
-	}
-}
-
-// ModelWait selects the M/G/1 waiting-time formula.
-func ModelWait(f WaitFormula) Option {
-	return func(cfg *config) error {
-		if f < 0 || int(f) >= len(waitNames) {
-			return fmt.Errorf("%w: unknown wait formula %d", ErrInvalidOption, f)
-		}
-		cfg.Wait = waitNames[f]
-		return nil
-	}
-}
-
-// ModelService selects the service-time recurrence.
-func ModelService(f ServiceFormula) Option {
-	return func(cfg *config) error {
-		if f < 0 || int(f) >= len(serviceNames) {
-			return fmt.Errorf("%w: unknown service formula %d", ErrInvalidOption, f)
-		}
-		cfg.Service = serviceNames[f]
-		return nil
-	}
-}
-
-// Simulator options.
 
 // Seed sets the simulation seed (default 1).
 func Seed(seed uint64) Option {
-	return func(cfg *config) error {
-		cfg.Seed = seed
+	return func(c *config) error {
+		c.Seed = seed
 		return nil
 	}
 }
@@ -315,134 +127,36 @@ func Seed(seed uint64) Option {
 // Warmup sets the number of cycles simulated before statistics are
 // collected (default 10000).
 func Warmup(cycles float64) Option {
-	return func(cfg *config) error {
-		cfg.Warmup = cycles
+	return func(c *config) error {
+		c.Warmup = cycles
 		return nil
 	}
 }
 
 // Measure sets the measurement window in cycles (default 100000).
 func Measure(cycles float64) Option {
-	return func(cfg *config) error {
-		cfg.Measure = cycles
+	return func(c *config) error {
+		c.Measure = cycles
 		return nil
 	}
 }
 
-// SatQueue sets the injection backlog at which a run is declared
-// saturated.
-func SatQueue(n int) Option {
-	return func(cfg *config) error {
-		cfg.SatQueue = n
-		return nil
-	}
-}
-
-// Drain lets messages generated inside the measurement window finish after
-// it closes, removing the censoring bias against long-latency messages.
-func Drain(on bool) Option {
-	return func(cfg *config) error {
-		cfg.Drain = on
-		return nil
-	}
-}
-
-// Detail enables fine-grained output: the simulator's per-port and
-// per-distance breakdowns, and the model's per-branch waits.
-func Detail(on bool) Option {
-	return func(cfg *config) error {
-		cfg.Detail = on
-		return nil
-	}
-}
-
-// MulticastPriority switches channel arbitration from pure FIFO to
-// multicast-first.
-func MulticastPriority(on bool) Option {
-	return func(cfg *config) error {
-		cfg.MulticastPriority = on
-		return nil
-	}
-}
-
-// Trace records the simulator events of messages generated at node,
-// capped at limit events (0 selects the simulator's default cap).
-func Trace(node, limit int) Option {
-	return func(cfg *config) error {
-		if limit == 0 {
-			limit = wormhole.DefaultTraceLimit
-		}
-		cfg.TraceNode, cfg.TraceLimit = node, limit
-		return nil
-	}
-}
-
-// DefaultMetricsBuckets is the Series resolution Metrics selects when
-// the caller does not size it explicitly (via the Spec codec's
-// canonical form, which materializes the default).
+// DefaultMetricsBuckets is the Series resolution a Spec with Metrics set
+// and MetricsBuckets zero selects.
 const DefaultMetricsBuckets = 100
 
 // MaxMetricsBuckets bounds the Series resolution a scenario accepts.
 const MaxMetricsBuckets = 4096
 
-// Metrics enables the observability recorder: the simulator attaches a
-// batched recording hook at every hook position and aggregates the
-// records into Result.Series — per-channel utilization, injection/
-// ejection counts, per-worm latency and queue-occupancy series over
-// buckets equal time buckets of the run. Recording is purely
-// observational: the Result's measurements are bitwise-identical to a
-// run without it. The analytical model ignores this option (its result
-// has no time axis). Buckets in [1, MaxMetricsBuckets].
-func Metrics(buckets int) Option {
-	return func(cfg *config) error {
-		if buckets < 1 || buckets > MaxMetricsBuckets {
-			return fmt.Errorf("%w: metrics buckets %d outside [1, %d]", ErrInvalidOption, buckets, MaxMetricsBuckets)
-		}
-		cfg.Metrics, cfg.MetricsBuckets = true, buckets
-		return nil
-	}
-}
-
 // MetricsSink additionally streams the raw observability records into
-// s while Metrics is enabled — e.g. an obs WAL file sink for offline
-// inspection (quarcsim -obs). The sink must be safe for concurrent
-// Append when the scenario runs Replications(n > 1): every replication
-// shares it. Not part of the declarative Spec surface (sinks are
-// process-local, like trace record/replay targets).
+// s while the Spec's Metrics is enabled — e.g. an obs WAL file sink for
+// offline inspection (quarcsim -obs). The sink must be safe for
+// concurrent Append when the scenario runs more than one replication:
+// every replication shares it. Not part of the declarative Spec (sinks
+// are process-local, like trace record/replay targets).
 func MetricsSink(s Sink) Option {
-	return func(cfg *config) error {
-		cfg.metricsSink = s
-		return nil
-	}
-}
-
-// Replications sets the number of independent seeded replications the
-// simulator runs per evaluation (default 1). Each replication r derives
-// its seed deterministically from the scenario seed (replication 0 uses
-// the scenario seed itself, so Replications(1) is bitwise-identical to
-// the single-run path). Their per-run means are aggregated into one
-// Result — mean latencies with across-replication confidence intervals,
-// summed counts — by the independent-replications method. The analytical
-// model ignores this option (it is deterministic).
-func Replications(n int) Option {
-	return func(cfg *config) error {
-		if n < 1 {
-			return fmt.Errorf("%w: replications %d < 1", ErrInvalidOption, n)
-		}
-		cfg.Replications = n
-		return nil
-	}
-}
-
-// Parallelism bounds the worker goroutines used to run replications of a
-// single Evaluate call (default, and any k <= 0: GOMAXPROCS). The
-// aggregated Result is bitwise-identical for every k — replication
-// results are combined in replication order, not completion order. Inside
-// a Sweep the option is advisory only: the sweep schedules every
-// (point, replication) pair on its own shared worker pool.
-func Parallelism(k int) Option {
-	return func(cfg *config) error {
-		cfg.Parallelism = k
+	return func(c *config) error {
+		c.metricsSink = s
 		return nil
 	}
 }
@@ -462,20 +176,22 @@ func DefaultEffort() Effort { return Effort{Warmup: 20000, Measure: 200000, Seed
 // QuickEffort is a cheaper setting for tests and exploratory runs.
 func QuickEffort() Effort { return Effort{Warmup: 5000, Measure: 40000, Seed: 0xC0FFEE} }
 
-// SimEffort applies an effort preset as an option.
-func SimEffort(e Effort) Option {
-	return func(cfg *config) error {
-		cfg.Warmup = e.Warmup
-		cfg.Measure = e.Measure
-		cfg.Seed = e.Seed
-		return nil
+// scenario resolves sp at effort e, drawing a "random" destination set
+// from PCG stream stream. The effort is taken literally, as the Warmup,
+// Measure and Seed options take it.
+func (e Effort) scenario(sp Spec, stream uint64) (*Scenario, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
 	}
+	cfg := config{Spec: sp.materialized(), stream: stream}
+	cfg.Warmup, cfg.Measure, cfg.Seed = e.Warmup, e.Measure, e.Seed
+	return resolve(cfg)
 }
 
-// NewScenario resolves a declarative configuration into a runnable
-// scenario: it applies the options to the default Spec, builds the
-// routed topology from the topology table and materializes the
-// multicast destination set.
+// NewScenario applies the options to the default Spec and resolves the
+// result, as Spec.Scenario resolves a document: it builds the routed
+// topology from the topology table and materializes the multicast
+// destination set.
 func NewScenario(opts ...Option) (*Scenario, error) {
 	cfg := config{Spec: Spec{}.Canonical()}
 	if err := cfg.apply(opts); err != nil {
@@ -485,8 +201,9 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 }
 
 // With derives a new scenario from an existing one with extra options
-// applied — the cheap way to fork a base configuration across rates,
-// message lengths or model variants.
+// applied — the cheap way to fork a base configuration across rates or
+// message lengths, or to attach a recorder, replayer or sink. A changed
+// Spec forks through Spec.ScenarioWith.
 func (s *Scenario) With(opts ...Option) (*Scenario, error) {
 	// The copy shares the routed topology, destination set and spatial
 	// pattern (all read-only after construction); it stands as long as
@@ -572,25 +289,17 @@ func (s *Scenario) validate() error {
 	if s.cfg.Warmup < 0 || math.IsNaN(s.cfg.Warmup) || math.IsInf(s.cfg.Warmup, 0) {
 		return fmt.Errorf("%w: warmup %v must be a non-negative number of cycles", ErrInvalidOption, s.cfg.Warmup)
 	}
-	if s.cfg.SatQueue < 0 {
-		return fmt.Errorf("%w: saturation queue threshold %d < 0", ErrInvalidOption, s.cfg.SatQueue)
-	}
-	if s.cfg.TraceLimit != 0 {
-		if n := s.router.Graph().Nodes(); s.cfg.TraceNode < 0 || s.cfg.TraceNode >= n {
-			return fmt.Errorf("%w: trace node %d outside the %d-node network", ErrInvalidOption, s.cfg.TraceNode, n)
-		}
-		if s.cfg.TraceLimit < 0 {
-			return fmt.Errorf("%w: trace limit %d < 0", ErrInvalidOption, s.cfg.TraceLimit)
-		}
+	if n := s.router.Graph().Nodes(); s.cfg.TraceLimit > 0 && s.cfg.TraceNode >= n {
+		return fmt.Errorf("%w: trace node %d outside the %d-node network", ErrInvalidOption, s.cfg.TraceNode, n)
 	}
 	if s.cfg.metricsSink != nil && !s.cfg.Metrics {
-		return fmt.Errorf("%w: MetricsSink without Metrics(buckets) would record nothing", ErrOptionConflict)
+		return fmt.Errorf("%w: MetricsSink without Metrics would record nothing", ErrOptionConflict)
 	}
 	if s.cfg.record != nil && s.cfg.replay != nil {
 		return fmt.Errorf("%w: a scenario cannot both record and replay a trace", ErrOptionConflict)
 	}
 	if (s.cfg.record != nil || s.cfg.replay != nil) && s.cfg.Replications > 1 {
-		return fmt.Errorf("%w: trace record/replay requires Replications(1), got %d", ErrOptionConflict, s.cfg.Replications)
+		return fmt.Errorf("%w: trace record/replay requires one replication, got %d", ErrOptionConflict, s.cfg.Replications)
 	}
 	if s.cfg.replay != nil {
 		if s.cfg.replay.Empty() {

@@ -43,7 +43,7 @@ func TestBranchesRequireSet(t *testing.T) {
 		t.Error("Branches on an empty destination set should fail")
 	}
 
-	b, err := NewScenario(Quarc(16), Alpha(1), Broadcast())
+	b, err := Spec{N: 16, Alpha: 1, Pattern: "broadcast"}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,7 @@ func TestBranchesRequireSet(t *testing.T) {
 }
 
 func TestModelDetailBranchWaits(t *testing.T) {
-	s, err := NewScenario(Quarc(16), MsgLen(16), Rate(0.002), Alpha(0.1),
-		Broadcast(), Detail(true))
+	s, err := Spec{N: 16, MsgLen: 16, Rate: 0.002, Alpha: 0.1, Pattern: "broadcast", Detail: true}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,47 +6,58 @@ import (
 )
 
 // TestScenarioValidationSentinels pins the build-time rejection of
-// conflicting or nonsensical option combinations: each case must fail
-// with the documented sentinel, not silently misbehave.
+// conflicting or nonsensical scenarios: each case must fail with the
+// documented sentinel, not silently misbehave. A case states its scenario
+// as a Spec, or as options where the value is one the wire form reads as
+// the default (a zero window) or an attachment.
 func TestScenarioValidationSentinels(t *testing.T) {
 	cases := []struct {
 		name string
-		opts []Option
-		want error
+		sp   Spec
+		opts []Option // when set, NewScenario(opts...) instead of sp
+		want error    // nil: the scenario builds
 	}{
-		{"record with replay", []Option{Quarc(16), Record(&TraceWorkload{}), Replay(&TraceWorkload{})}, ErrOptionConflict},
-		{"record with replications", []Option{Quarc(16), Record(&TraceWorkload{}), Replications(3)}, ErrOptionConflict},
-		{"replications below one", []Option{Quarc(16), Replications(0)}, ErrInvalidOption},
-		{"negative replications", []Option{Quarc(16), Replications(-4)}, ErrInvalidOption},
-		{"zero measure window", []Option{Quarc(16), Measure(0)}, ErrInvalidOption},
-		{"negative measure window", []Option{Quarc(16), Measure(-10)}, ErrInvalidOption},
-		{"negative warmup", []Option{Quarc(16), Warmup(-1)}, ErrInvalidOption},
-		{"negative saturation queue", []Option{Quarc(16), SatQueue(-1)}, ErrInvalidOption},
-		{"message too short", []Option{Quarc(16), MsgLen(1)}, ErrInvalidOption},
-		{"trace node out of range", []Option{Quarc(16), Trace(99, 10)}, ErrInvalidOption},
-		{"negative trace node", []Option{Quarc(16), Trace(-1, 10)}, ErrInvalidOption},
-		{"negative trace limit", []Option{Quarc(16), Trace(0, -1)}, ErrInvalidOption},
-		{"negative rate", []Option{Quarc(16), Rate(-0.1)}, ErrInvalidOption},
-		{"wait formula out of range", []Option{Quarc(16), ModelWait(WaitFormula(2))}, ErrInvalidOption},
-		{"service formula out of range", []Option{Quarc(16), ModelService(ServiceFormula(-1))}, ErrInvalidOption},
-		{"unknown topology", []Option{Topology("ring", TopologyConfig{N: 16})}, ErrInvalidOption},
-		{"mesh without size", []Option{Topology("mesh", TopologyConfig{})}, ErrInvalidOption},
-		{"quarc size not multiple of 4", []Option{Quarc(10)}, ErrInvalidOption},
-		{"dests beyond the rim", []Option{Quarc(16), LocalizedDests(PortL, 12)}, ErrInvalidOption},
+		{"record with replay", Spec{}, []Option{Quarc(16), Record(&TraceWorkload{}), Replay(&TraceWorkload{})}, ErrOptionConflict},
+		{"record with replications", Spec{N: 16, Record: "unused.qwtr", Replications: 3}, nil, ErrOptionConflict},
+		// On the wire a zero is the default: one replication.
+		{"replications below one", Spec{N: 16, Replications: 0}, nil, nil},
+		{"negative replications", Spec{N: 16, Replications: -4}, nil, ErrInvalidSpec},
+		{"zero measure window", Spec{}, []Option{Quarc(16), Measure(0)}, ErrInvalidOption},
+		{"negative measure window", Spec{}, []Option{Quarc(16), Measure(-10)}, ErrInvalidOption},
+		{"negative warmup", Spec{}, []Option{Quarc(16), Warmup(-1)}, ErrInvalidOption},
+		{"negative saturation queue", Spec{N: 16, SatQueue: -1}, nil, ErrInvalidSpec},
+		{"message too short", Spec{N: 16, MsgLen: 1}, nil, ErrInvalidOption},
+		{"trace node out of range", Spec{N: 16, TraceNode: 99, TraceLimit: 10}, nil, ErrInvalidOption},
+		{"negative trace node", Spec{N: 16, TraceNode: -1, TraceLimit: 10}, nil, ErrInvalidSpec},
+		{"negative trace limit", Spec{N: 16, TraceNode: 0, TraceLimit: -1}, nil, ErrInvalidSpec},
+		{"negative rate", Spec{}, []Option{Quarc(16), Rate(-0.1)}, ErrInvalidOption},
+		{"wait formula out of range", Spec{N: 16, Wait: "eq9"}, nil, ErrInvalidSpec},
+		{"service formula out of range", Spec{N: 16, Service: "eq5"}, nil, ErrInvalidSpec},
+		{"unknown topology", Spec{Topology: "ring", N: 16}, nil, ErrInvalidOption},
+		{"mesh without size", Spec{Topology: "mesh"}, nil, ErrInvalidOption},
+		{"quarc size not multiple of 4", Spec{N: 10}, nil, ErrInvalidOption},
+		{"dests beyond the rim", Spec{N: 16, Pattern: "localized", Port: PortL, Dests: 12}, nil, ErrInvalidOption},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewScenario(tc.opts...)
-			if err == nil {
-				t.Fatal("scenario built")
+			var err error
+			if tc.opts != nil {
+				_, err = NewScenario(tc.opts...)
+			} else {
+				_, err = tc.sp.Scenario()
 			}
-			if !errors.Is(err, tc.want) {
+			switch {
+			case tc.want == nil && err != nil:
+				t.Fatalf("scenario refused: %v", err)
+			case tc.want != nil && err == nil:
+				t.Fatal("scenario built")
+			case !errors.Is(err, tc.want):
 				t.Fatalf("error %v does not wrap %v", err, tc.want)
 			}
 		})
 	}
-	// No option names a router: it follows the topology. A spec that
-	// names one anyway must name the topology's own.
+	// The router follows the topology. A spec that names one anyway must
+	// name the topology's own.
 	for name, doc := range map[string]string{
 		"unknown router":              `{"router":"xy"}`,
 		"router of another topology":  `{"topology":"mesh","w":4,"h":4,"router":"quarc"}`,
@@ -67,7 +78,7 @@ func TestScenarioValidationSentinels(t *testing.T) {
 // TestScenarioValidationAppliesToWith ensures With re-validates: a
 // well-formed scenario cannot be forked into an ill-formed one.
 func TestScenarioValidationAppliesToWith(t *testing.T) {
-	s, err := NewScenario(Quarc(16), Rate(0.002))
+	s, err := Spec{N: 16, Rate: 0.002}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,16 @@ import (
 	"math"
 	"os"
 	"slices"
+
+	"quarc/internal/core"
 )
 
 // Spec is the declarative, JSON-able description of a scenario, and the
-// one representation a Scenario is resolved from: every builtin Option
-// assigns Spec fields (TestEveryOptionHasASpecField), and a JSON document
-// on the quarcsim command line or the quarcd wire decodes into the same
-// struct. The two spellings are pinned bitwise-equivalent by
-// TestSpecMatchesOptions.
+// one way to state one: Go callers write it as a literal, and a JSON
+// document on the quarcsim command line or the quarcd wire decodes into
+// the same struct. Spec.Scenario resolves it; the process-local
+// attachments with no wire form (Record, Replay, MetricsSink) go on with
+// Scenario.With.
 //
 // On the wire a zero field selects the default (quarc-16, msglen 32,
 // poisson arrivals, uniform unicasts, seed 1, warmup 10000, measure
@@ -23,9 +25,9 @@ import (
 // the content address under which noc/service caches Results. Inside a
 // Scenario the spec is stored materialized, where zero means zero.
 type Spec struct {
-	// Topology and router (Topology option; the router follows the
-	// topology, and a document may only name the topology's own). N
-	// sizes quarc and spidergon rings, W/H size meshes and tori, Dims
+	// Topology and router (the router follows the topology, and a
+	// document may only name the topology's own). N sizes quarc,
+	// quarc-oneport and spidergon rings, W/H size meshes and tori, Dims
 	// sizes hypercubes.
 	Topology string `json:"topology,omitempty"`
 	N        int    `json:"n,omitempty"`
@@ -34,9 +36,11 @@ type Spec struct {
 	Dims     int    `json:"dims,omitempty"`
 	Router   string `json:"router,omitempty"`
 
-	// Multicast traffic pattern (Pattern and the named wrappers). Dests
-	// is PatternConfig.K; SetSeed seeds the "random" pattern; Port picks
-	// the rim for "localized"; High/Low are the "highlow" offsets.
+	// Multicast traffic pattern: "none" (the default), "broadcast",
+	// "random" (Dests destinations drawn from SetSeed — the paper's
+	// Figure 6 regime), "localized" (Dests destinations on rim Port —
+	// Figure 7) or "highlow" (mesh/torus Hamilton-path offsets High and
+	// Low). Dests is PatternConfig.K.
 	Pattern string `json:"pattern,omitempty"`
 	Dests   int    `json:"dests,omitempty"`
 	Port    int    `json:"port,omitempty"`
@@ -44,41 +48,59 @@ type Spec struct {
 	High    []int  `json:"high,omitempty"`
 	Low     []int  `json:"low,omitempty"`
 
-	// Workload (MsgLen, Rate, Alpha, Hotspot options).
+	// Workload: message length in flits (at least 2), per-node message
+	// generation rate (messages/cycle) and multicast fraction. With
+	// probability HotspotFrac a unicast goes to HotspotNode instead of
+	// its spatial destination.
 	MsgLen      int     `json:"msglen,omitempty"`
 	Rate        float64 `json:"rate,omitempty"`
 	Alpha       float64 `json:"alpha,omitempty"`
 	HotspotFrac float64 `json:"hotspot_frac,omitempty"`
 	HotspotNode int     `json:"hotspot_node,omitempty"`
 
-	// Arrival process (Arrival, OnOff options). BurstLen and DutyCycle
-	// are read only by "onoff".
+	// Arrival process: "poisson" (the default), "bernoulli" (per-cycle
+	// coin flips), "periodic" (deterministic spacing, random per-node
+	// phase) or "onoff" (bursts of geometrically many messages, mean
+	// BurstLen >= 1, injected at Rate/DutyCycle so the long-run rate stays
+	// Rate). All offer the same long-run Rate.
 	Arrival   string  `json:"arrival,omitempty"`
 	BurstLen  float64 `json:"burst_len,omitempty"`
 	DutyCycle float64 `json:"duty_cycle,omitempty"`
 
-	// Spatial unicast-destination pattern (Spatial, Permutation,
-	// HotspotDests options). The Spatial* fields parameterize "hotspot".
+	// Spatial unicast-destination pattern: "uniform" (the default), a
+	// permutation ("transpose", "bit-reversal", "bit-complement",
+	// "shuffle", "tornado"; a source mapped to itself falls silent), or
+	// "hotspot", which splits SpatialFrac of every source's unicasts over
+	// SpatialNodes in proportion to SpatialWeights (nil means equally).
 	Spatial        string    `json:"spatial,omitempty"`
 	SpatialFrac    float64   `json:"spatial_frac,omitempty"`
 	SpatialNodes   []int     `json:"spatial_nodes,omitempty"`
 	SpatialWeights []float64 `json:"spatial_weights,omitempty"`
 
-	// Analytical-model knobs (ModelDamping, ModelMaxIter, ModelTol,
-	// ModelWait, ModelService options). Wait is "pk" or "eq3"; Service is
-	// "eq6" or "tail".
+	// Analytical-model knobs: the fixed point's damping in (0,1],
+	// iteration bound and tolerance; the M/G/1 wait, "pk" (standard
+	// Pollaczek-Khinchine, the default) or "eq3" (the paper's Eq. 3 as
+	// printed); and the service recurrence, "eq6" (the paper's, the
+	// default) or "tail" (tail release, no per-hop cycle).
 	Damping float64 `json:"damping,omitempty"`
 	MaxIter int     `json:"max_iter,omitempty"`
 	Tol     float64 `json:"tol,omitempty"`
 	Wait    string  `json:"wait,omitempty"`
 	Service string  `json:"service,omitempty"`
 
-	// Simulator knobs (Seed, Warmup, Measure, SatQueue, Drain, Detail,
-	// MulticastPriority, Trace, Replications, Parallelism options). A
-	// zero Seed/Warmup/Measure selects the default (1 / 10000 / 100000);
-	// TraceLimit > 0 enables tracing of TraceNode's messages.
-	// Parallelism is execution advice, not content: it never changes the
-	// Result, so Canonical clears it and it does not enter the
+	// Simulator knobs. A zero Seed/Warmup/Measure selects the default
+	// (1 / 10000 / 100000). SatQueue is the injection backlog that
+	// declares a run saturated; Drain lets messages generated inside the
+	// window finish after it closes; Detail adds the simulator's per-port
+	// and per-distance breakdowns and the model's per-branch waits;
+	// MulticastPriority makes channel arbitration multicast-first instead
+	// of FIFO; TraceLimit > 0 traces up to that many events of TraceNode's
+	// messages. Replications > 1 runs that many independently seeded
+	// replications (replication 0 uses Seed itself) and aggregates them
+	// into one Result with across-replication confidence intervals.
+	// Parallelism bounds the goroutines running them (<= 0: GOMAXPROCS);
+	// it is execution advice, not content: the Result is bitwise the same
+	// for every value, so Canonical clears it and it does not enter the
 	// Fingerprint.
 	Seed              uint64  `json:"seed,omitempty"`
 	Warmup            float64 `json:"warmup,omitempty"`
@@ -97,11 +119,13 @@ type Spec struct {
 	// the Fingerprint.
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
 
-	// Metrics enables time-series recording (the Metrics option):
-	// Result.Series carries MetricsBuckets buckets of per-channel
-	// utilization, injection/ejection counts and latency sums. A zero
-	// MetricsBuckets under Metrics selects DefaultMetricsBuckets. Sinks
-	// (MetricsSink) are process-local and have no Spec form.
+	// Metrics enables time-series recording: the simulator attaches a
+	// batched recording hook and Result.Series carries MetricsBuckets
+	// buckets of per-channel utilization, injection/ejection counts,
+	// latency sums and queue-occupancy maxima. Recording only observes:
+	// the other Result fields are bitwise those of a run without it. A
+	// zero MetricsBuckets under Metrics selects DefaultMetricsBuckets.
+	// Sinks (MetricsSink) are process-local and have no Spec form.
 	Metrics        bool `json:"metrics,omitempty"`
 	MetricsBuckets int  `json:"metrics_buckets,omitempty"`
 
@@ -367,8 +391,8 @@ func (sp *Spec) fillNames() {
 	orDefault(&sp.Pattern, "none")
 	orDefault(&sp.Arrival, "poisson")
 	orDefault(&sp.Spatial, "uniform")
-	orDefault(&sp.Wait, waitNames[PKStandard])
-	orDefault(&sp.Service, serviceNames[PaperEq6])
+	orDefault(&sp.Wait, waitNames[core.PKStandard])
+	orDefault(&sp.Service, serviceNames[core.PaperEq6])
 	orDefault(&sp.Evaluator, "simulator")
 }
 
@@ -455,10 +479,10 @@ func sameStructure(a, b *config) bool {
 		slices.Equal(a.SpatialNodes, b.SpatialNodes) && slices.Equal(a.SpatialWeights, b.SpatialWeights)
 }
 
-// The wire names of the model formulas, indexed by the option enums.
+// The wire names of the model formulas, indexed by core's enums.
 var (
-	waitNames    = [...]string{PKStandard: "pk", PaperEq3Literal: "eq3"}
-	serviceNames = [...]string{PaperEq6: "eq6", TailRelease: "tail"}
+	waitNames    = [...]string{core.PKStandard: "pk", core.PaperEq3Literal: "eq3"}
+	serviceNames = [...]string{core.PaperEq6: "eq6", core.TailRelease: "tail"}
 )
 
 // materialized is the form a Scenario stores: Canonical, with the
@@ -471,11 +495,10 @@ func (sp Spec) materialized() Spec {
 	return c
 }
 
-// Scenario compiles the spec into a runnable Scenario — NewScenario for a
-// document instead of an option list. A Replay path is read from the
-// local filesystem; a Record path attaches a capture buffer retrievable
-// with Scenario.Recording after the evaluation (the caller persists it,
-// as quarcsim -spec does).
+// Scenario compiles the spec into a runnable Scenario. A Replay path is
+// read from the local filesystem; a Record path attaches a capture buffer
+// retrievable with Scenario.Recording after the evaluation (the caller
+// persists it, as quarcsim does).
 func (sp Spec) Scenario() (*Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -527,13 +550,14 @@ func (sp Spec) ScenarioWith(base *Scenario) (*Scenario, error) {
 // Spec returns the scenario's configuration in declarative, canonical
 // form — the inverse of Spec.Scenario up to canonicalization. Runtime
 // trace attachments (Record/Replay) have no file-path representation and
-// are omitted. Two legal-but-extreme option values lie outside the
-// codec's image, because the wire format reads their zero values as "use
-// the default": a scenario built with Warmup(0) or Seed(0) reports the
-// defaults (10000, 1) here and cannot be expressed as a Spec.
+// are omitted. Two legal-but-extreme values lie outside the codec's
+// image, because the wire format reads their zero values as "use the
+// default": a scenario forked with Warmup(0) or Seed(0) (or resolved at
+// such an Effort) reports the defaults (10000, 1) here and cannot be
+// expressed as a Spec.
 func (s *Scenario) Spec() Spec { return s.cfg.Spec.Canonical() }
 
-// Recording returns the trace capture buffer a Record option (or a
-// spec's Record path) attached to the scenario, nil otherwise. After a
+// Recording returns the trace capture buffer a spec's Record path (or a
+// Record option) attached to the scenario, nil otherwise. After a
 // Simulator evaluation it holds the run's full workload trace.
 func (s *Scenario) Recording() *TraceWorkload { return s.cfg.record }

@@ -21,14 +21,16 @@ func resultJSON(t *testing.T, r Result) string {
 	return string(b)
 }
 
-// TestSpecMatchesOptions is the cross-construction property test: over a
-// matrix of builtin topology x arrival x spatial, a Spec-built scenario
-// and its hand-written functional-options twin must produce
-// bitwise-identical Results from the simulator (and from the model where
-// it applies).
+// TestSpecMatchesOptions is the cross-construction property test for the
+// options the benchmark harness still sets one at a time: over a matrix
+// of builtin topology x arrival x spatial, a Spec-built scenario and its
+// twin — the Spec without those fields, forked With the options — must
+// produce bitwise-identical Results from the simulator (and from the
+// model where it applies).
 func TestSpecMatchesOptions(t *testing.T) {
 	type topoCase struct {
 		name string
+		base Spec // what the options do not state
 		opts []Option
 		sp   Spec
 	}
@@ -40,29 +42,25 @@ func TestSpecMatchesOptions(t *testing.T) {
 		},
 		{
 			name: "mesh4x4-highlow",
-			opts: []Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})},
+			base: Spec{Topology: "mesh", W: 4, H: 4, Pattern: "highlow", High: []int{1, 3}, Low: []int{2}},
 			sp:   Spec{Topology: "mesh", W: 4, H: 4, Pattern: "highlow", High: []int{1, 3}, Low: []int{2}},
 		},
 	}
-	type arrCase struct {
+	arrivals := []struct {
 		name string
-		opts []Option
 		mod  func(*Spec)
+	}{
+		{name: "poisson", mod: func(*Spec) {}},
+		{name: "onoff", mod: func(sp *Spec) { sp.Arrival = "onoff"; sp.BurstLen = 4; sp.DutyCycle = 0.5 }},
+		{name: "periodic", mod: func(sp *Spec) { sp.Arrival = "periodic" }},
 	}
-	arrivals := []arrCase{
-		{name: "poisson", opts: nil, mod: func(*Spec) {}},
-		{name: "onoff", opts: []Option{OnOff(4, 0.5)}, mod: func(sp *Spec) { sp.Arrival = "onoff"; sp.BurstLen = 4; sp.DutyCycle = 0.5 }},
-		{name: "periodic", opts: []Option{Arrival("periodic")}, mod: func(sp *Spec) { sp.Arrival = "periodic" }},
-	}
-	type spatCase struct {
+	spatials := []struct {
 		name string
-		opts []Option
 		mod  func(*Spec)
-	}
-	spatials := []spatCase{
-		{name: "uniform", opts: nil, mod: func(*Spec) {}},
-		{name: "transpose", opts: []Option{Permutation("transpose")}, mod: func(sp *Spec) { sp.Spatial = "transpose" }},
-		{name: "tornado", opts: []Option{Permutation("tornado")}, mod: func(sp *Spec) { sp.Spatial = "tornado" }},
+	}{
+		{name: "uniform", mod: func(*Spec) {}},
+		{name: "transpose", mod: func(sp *Spec) { sp.Spatial = "transpose" }},
+		{name: "tornado", mod: func(sp *Spec) { sp.Spatial = "tornado" }},
 	}
 
 	common := []Option{MsgLen(16), Rate(0.004), Alpha(0.05), Seed(9), Warmup(1000), Measure(8000)}
@@ -70,9 +68,14 @@ func TestSpecMatchesOptions(t *testing.T) {
 		for _, ac := range arrivals {
 			for _, sc := range spatials {
 				t.Run(tc.name+"/"+ac.name+"/"+sc.name, func(t *testing.T) {
-					opts := append(append(append(append([]Option{}, tc.opts...), common...), ac.opts...), sc.opts...)
-					byOpts, err := NewScenario(opts...)
+					base := tc.base
+					ac.mod(&base)
+					sc.mod(&base)
+					byOpts, err := base.Scenario()
 					if err != nil {
+						t.Fatal(err)
+					}
+					if byOpts, err = byOpts.With(append(append([]Option{}, tc.opts...), common...)...); err != nil {
 						t.Fatal(err)
 					}
 					sp := tc.sp
@@ -162,16 +165,15 @@ func TestSpecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Scenario -> Spec -> Scenario: Trace(node, 0) means the simulator's
-	// default cap, and the spec must say so — a trace_limit of 0 on the
-	// wire means "no tracing".
-	traced, err := NewScenario(Quarc(16), Rate(0.003), Warmup(500), Measure(5000), Trace(2, 0))
+	// Scenario -> Spec -> Scenario: a traced scenario reports its trace
+	// knobs and resolves back to the same run.
+	traced, err := Spec{N: 16, Rate: 0.003, Warmup: 500, Measure: 5000, TraceNode: 2, TraceLimit: 10000}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := traced.Spec()
 	if sp.TraceNode != 2 || sp.TraceLimit != 10000 {
-		t.Errorf("Trace(2, 0) reports trace_node %d, trace_limit %d; want 2, 10000", sp.TraceNode, sp.TraceLimit)
+		t.Errorf("traced scenario reports trace_node %d, trace_limit %d; want 2, 10000", sp.TraceNode, sp.TraceLimit)
 	}
 	back, err := sp.Scenario()
 	if err != nil {
@@ -186,7 +188,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want.TraceText == "" || resultJSON(t, got) != resultJSON(t, want) {
-		t.Errorf("Trace(2, 0) does not survive Spec(): %d trace bytes before, %d after", len(want.TraceText), len(got.TraceText))
+		t.Errorf("the trace does not survive Spec(): %d trace bytes before, %d after", len(want.TraceText), len(got.TraceText))
 	}
 }
 
@@ -279,28 +281,32 @@ func TestScenarioWithSharesStructure(t *testing.T) {
 	}
 
 	// With shares on the same predicate: naming a default explicitly is
-	// not a structural change.
+	// not a structural change, and ScenarioWith agrees.
 	plain, err := NewScenario(Quarc(16), LocalizedDests(PortL, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opt := range map[string]Option{
-		"Arrival(poisson)": Arrival("poisson"),
-		"Spatial(uniform)": Spatial("uniform", SpatialConfig{}),
-		"Quarc(16)":        Quarc(16),
+	if fork, err := plain.With(Quarc(16), Rate(0.002)); err != nil {
+		t.Fatal(err)
+	} else if fork.router != plain.router {
+		t.Error("With(Quarc(16)) rebuilt the routed topology")
+	}
+	for name, sp := range map[string]Spec{
+		"arrival poisson": {Pattern: "localized", Dests: 4, Arrival: "poisson", Rate: 0.002},
+		"spatial uniform": {Pattern: "localized", Dests: 4, Spatial: "uniform", Rate: 0.002},
 	} {
-		fork, err := plain.With(opt, Rate(0.002))
+		fork, err := sp.ScenarioWith(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fork.router != plain.router {
-			t.Errorf("With(%s) rebuilt the routed topology", name)
+			t.Errorf("%s rebuilt the routed topology", name)
 		}
 	}
-	if fork, err := plain.With(Spidergon(16)); err != nil {
+	if fork, err := plain.With(Quarc(32)); err != nil {
 		t.Fatal(err)
-	} else if fork.router == plain.router || fork.Spec().Router != "spidergon" {
-		t.Errorf("With(Spidergon(16)) kept the quarc router (%s)", fork.Spec().Router)
+	} else if fork.router == plain.router || fork.Nodes() != 32 {
+		t.Errorf("With(Quarc(32)) kept the 16-node router (%d nodes)", fork.Nodes())
 	}
 }
 
@@ -358,92 +364,6 @@ func TestStructuralPredicateMatchesStructural(t *testing.T) {
 		if got := !sameStructure(&mod, &base); got != structural {
 			t.Errorf("field %s: sameStructure sees a change = %v, Structural = %v", rt.Field(i).Name, got, structural)
 		}
-	}
-}
-
-// TestEveryOptionHasASpecField walks Spec's JSON keys and requires, for
-// each, an option that writes it — so a field added to Spec without an
-// option (or an option that stores its value anywhere else) fails here.
-// Evaluator, the trace paths, the router (it follows the topology) and
-// the no-op intra_parallelism are wire-only: no option produces them.
-func TestEveryOptionHasASpecField(t *testing.T) {
-	table := map[string]struct {
-		opts []Option
-		want any
-	}{
-		"topology":        {[]Option{Spidergon(16)}, "spidergon"},
-		"n":               {[]Option{Quarc(32)}, 32},
-		"w":               {[]Option{Mesh(4, 2)}, 4},
-		"h":               {[]Option{Mesh(4, 2)}, 2},
-		"dims":            {[]Option{Hypercube(3)}, 3},
-		"pattern":         {[]Option{Broadcast()}, "broadcast"},
-		"dests":           {[]Option{LocalizedDests(PortR, 3)}, 3},
-		"port":            {[]Option{LocalizedDests(PortR, 3)}, PortR},
-		"set_seed":        {[]Option{RandomDests(3, 7)}, uint64(7)},
-		"high":            {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{1, 3}},
-		"low":             {[]Option{Mesh(4, 4), HighLowDests([]int{1, 3}, []int{2})}, []int{2}},
-		"msglen":          {[]Option{MsgLen(8)}, 8},
-		"rate":            {[]Option{Rate(0.002)}, 0.002},
-		"alpha":           {[]Option{Broadcast(), Alpha(0.1)}, 0.1},
-		"hotspot_frac":    {[]Option{Hotspot(0.2, 3)}, 0.2},
-		"hotspot_node":    {[]Option{Hotspot(0.2, 3)}, 3},
-		"arrival":         {[]Option{Arrival("periodic")}, "periodic"},
-		"burst_len":       {[]Option{OnOff(4, 0.5)}, 4.0},
-		"duty_cycle":      {[]Option{OnOff(4, 0.5)}, 0.5},
-		"spatial":         {[]Option{Permutation("tornado")}, "tornado"},
-		"spatial_frac":    {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, 0.3},
-		"spatial_nodes":   {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []int{0, 5}},
-		"spatial_weights": {[]Option{HotspotDests(0.3, []int{0, 5}, []float64{1, 2})}, []float64{1, 2}},
-		"damping":         {[]Option{ModelDamping(0.5)}, 0.5},
-		"max_iter":        {[]Option{ModelMaxIter(50)}, 50},
-		"tol":             {[]Option{ModelTol(1e-6)}, 1e-6},
-		"wait":            {[]Option{ModelWait(PaperEq3Literal)}, "eq3"},
-		"service":         {[]Option{ModelService(TailRelease)}, "tail"},
-		"seed":            {[]Option{Seed(9)}, uint64(9)},
-		"warmup":          {[]Option{Warmup(500)}, 500.0},
-		"measure":         {[]Option{Measure(5000)}, 5000.0},
-		"sat_queue":       {[]Option{SatQueue(64)}, 64},
-		"drain":           {[]Option{Drain(true)}, true},
-		"detail":          {[]Option{Detail(true)}, true},
-		"mc_priority":     {[]Option{MulticastPriority(true)}, true},
-		"trace_node":      {[]Option{Trace(2, 8)}, 2},
-		"trace_limit":     {[]Option{Trace(2, 8)}, 8},
-		"replications":    {[]Option{Replications(3)}, 3},
-		"parallelism":     {[]Option{Parallelism(2)}, 2},
-		"metrics":         {[]Option{Metrics(16)}, true},
-		"metrics_buckets": {[]Option{Metrics(16)}, 16},
-	}
-	wireOnly := map[string]bool{"evaluator": true, "record": true, "replay": true,
-		"router": true, "intra_parallelism": true}
-	rt := reflect.TypeOf(Spec{})
-	for i := 0; i < rt.NumField(); i++ {
-		key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
-		tc, ok := table[key]
-		if !ok {
-			if !wireOnly[key] {
-				t.Errorf("Spec.%s (%q) has no option in the table", rt.Field(i).Name, key)
-			}
-			continue
-		}
-		s, err := NewScenario(tc.opts...)
-		if err != nil {
-			t.Errorf("%s: %v", key, err)
-			continue
-		}
-		// Execution advice is stored but canonicalized out of Spec().
-		got, advice := s.Spec(), key == "parallelism"
-		if advice {
-			if v := reflect.ValueOf(got).Field(i); !v.IsZero() {
-				t.Errorf("%s: Spec() reports %v, want it canonicalized away", key, v)
-			}
-			got = s.cfg.Spec
-		}
-		if v := reflect.ValueOf(got).Field(i).Interface(); !reflect.DeepEqual(v, tc.want) {
-			t.Errorf("%s: option stored %#v, want %#v", key, v, tc.want)
-		}
-	}
-	if len(table)+len(wireOnly) != rt.NumField() {
-		t.Errorf("table has %d entries + %d wire-only keys for %d Spec fields", len(table), len(wireOnly), rt.NumField())
 	}
 }
 

@@ -65,7 +65,7 @@ type SweepResult struct {
 
 // SaturationRate bisects for the highest generation rate at which the
 // analytical model is stable for the scenario — its spatial pattern and
-// model options included — within relative tolerance 1e-3. The paper's
+// model knobs included — within relative tolerance 1e-3. The paper's
 // figures scale their rate grids to this boundary. The arrival process is
 // left out, so scenarios the model itself declines (onoff, bernoulli, ...)
 // still get a grid for simulator-only sweeps.
@@ -81,8 +81,8 @@ func SaturationRate(s *Scenario) (float64, error) {
 
 // Sweep evaluates the scenario across a rate (and optionally message-size)
 // grid with a bounded worker pool, running every evaluator at every point.
-// When the scenario carries Replications(n), every (point, replication)
-// pair becomes one job on the same shared pool — replications of one
+// When the scenario's Spec asks for Replications n > 1, every (point,
+// replication) pair becomes one job on the same shared pool — replications of one
 // point and different points interleave freely across workers — and each
 // point's replications are aggregated in replication order, so results
 // are deterministic for any worker count. It generalizes the figure-panel

@@ -285,16 +285,22 @@ func TestSaturationRate(t *testing.T) {
 	}
 }
 
-// The bisection sees the scenario's spatial pattern and model options, so
+// The bisection sees the scenario's spatial pattern and model knobs, so
 // an auto grid never runs past the scenario's own stability boundary — it
 // used to be scaled to the uniform workload's, leaving half of a hotspot
 // sweep at +Inf.
 func TestSaturationRateFollowsScenario(t *testing.T) {
-	uniform, err := NewScenario(Quarc(16), MsgLen(32), Alpha(0.05), LocalizedDests(PortL, 3))
+	sp := Spec{N: 16, MsgLen: 32, Alpha: 0.05, Pattern: "localized", Port: PortL, Dests: 3}
+	uniform, err := sp.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := uniform.With(Hotspot(0.5, 3))
+	fork := func(edit func(*Spec)) (*Scenario, error) {
+		forked := sp
+		edit(&forked)
+		return forked.ScenarioWith(uniform)
+	}
+	hot, err := fork(func(sp *Spec) { sp.HotspotFrac, sp.HotspotNode = 0.5, 3 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +320,8 @@ func TestSaturationRateFollowsScenario(t *testing.T) {
 	if !(sw.SatRate < uniSat) {
 		t.Errorf("hotspot saturation rate %v not below the uniform one %v", sw.SatRate, uniSat)
 	}
-	// A model option moves the boundary too: tail release saturates later.
-	tail, err := uniform.With(ModelService(TailRelease))
+	// A model knob moves the boundary too: tail release saturates later.
+	tail, err := fork(func(sp *Spec) { sp.Service = "tail" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +330,7 @@ func TestSaturationRateFollowsScenario(t *testing.T) {
 	}
 	// The arrival process stays out of it: the model declines onoff
 	// scenarios, yet their simulator-only sweeps need a grid.
-	bursty, err := uniform.With(OnOff(8, 0.25))
+	bursty, err := fork(func(sp *Spec) { sp.Arrival, sp.BurstLen, sp.DutyCycle = "onoff", 8, 0.25 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +340,7 @@ func TestSaturationRateFollowsScenario(t *testing.T) {
 }
 
 func TestRunSeriesTable(t *testing.T) {
-	s, err := NewScenario(Quarc(16), MsgLen(16), Alpha(0.05), Broadcast(),
-		Warmup(500), Measure(5000))
+	s, err := Spec{N: 16, MsgLen: 16, Alpha: 0.05, Pattern: "broadcast", Warmup: 500, Measure: 5000}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

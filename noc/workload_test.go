@@ -10,7 +10,7 @@ import (
 // The pre-PR goldens: results of the seed configurations captured on the
 // commit before the workload-diversity subsystem landed. The default
 // workload (poisson arrivals, uniform destinations) and its explicit
-// Arrival("poisson")/Permutation("uniform") spelling must reproduce these
+// "poisson"/"uniform" spelling must reproduce these
 // numbers bitwise — the registries are a pure refactor of the default
 // path.
 const (
@@ -31,14 +31,14 @@ const (
 	goldenMesh4x4Events    = 15181
 )
 
-func quarc16Golden(t *testing.T, extra ...Option) Result {
+func quarc16Golden(t *testing.T, arrival, spatial string) Result {
 	t.Helper()
-	opts := []Option{
-		Quarc(16), MsgLen(32), Rate(0.002), Alpha(0.05),
-		LocalizedDests(PortL, 4),
-		Seed(2024), Warmup(2000), Measure(20000),
-	}
-	s, err := NewScenario(append(opts, extra...)...)
+	s, err := Spec{
+		Topology: "quarc", N: 16, MsgLen: 32, Rate: 0.002, Alpha: 0.05,
+		Pattern: "localized", Port: PortL, Dests: 4,
+		Seed: 2024, Warmup: 2000, Measure: 20000,
+		Arrival: arrival, Spatial: spatial,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func quarc16Golden(t *testing.T, extra ...Option) Result {
 	return r
 }
 
-func mesh4x4Golden(t *testing.T, extra ...Option) Result {
+func mesh4x4Golden(t *testing.T, arrival, spatial string) Result {
 	t.Helper()
-	opts := []Option{
-		Mesh(4, 4), MsgLen(16), Rate(0.004), Alpha(0.05),
-		HighLowDests([]int{1, 3}, []int{2}),
-		Seed(31), Warmup(2000), Measure(20000),
-	}
-	s, err := NewScenario(append(opts, extra...)...)
+	s, err := Spec{
+		Topology: "mesh", W: 4, H: 4, MsgLen: 16, Rate: 0.004, Alpha: 0.05,
+		Pattern: "highlow", High: []int{1, 3}, Low: []int{2},
+		Seed: 31, Warmup: 2000, Measure: 20000,
+		Arrival: arrival, Spatial: spatial,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +87,18 @@ func checkGolden(t *testing.T, label string, r Result,
 // arrival/spatial registries, reproduce the pre-PR results bitwise on
 // both seed topologies.
 func TestPoissonPinnedToPrePRGoldens(t *testing.T) {
-	variants := [][]Option{
-		nil, // the default path
-		{Arrival("poisson")},
-		{Permutation("uniform")},
-		{Arrival("poisson"), Permutation("uniform")},
+	variants := [][2]string{
+		{"", ""}, // the default path
+		{"poisson", ""},
+		{"", "uniform"},
+		{"poisson", "uniform"},
 	}
-	for i, extra := range variants {
-		r := quarc16Golden(t, extra...)
+	for i, v := range variants {
+		r := quarc16Golden(t, v[0], v[1])
 		checkGolden(t, "quarc16", r,
 			goldenQuarc16Unicast, goldenQuarc16Multicast, goldenQuarc16CI, goldenQuarc16MaxUtil,
 			goldenQuarc16Generated, goldenQuarc16Completed, goldenQuarc16Events)
-		m := mesh4x4Golden(t, extra...)
+		m := mesh4x4Golden(t, v[0], v[1])
 		checkGolden(t, "mesh4x4", m,
 			goldenMesh4x4Unicast, goldenMesh4x4Multicast, goldenMesh4x4CI, goldenMesh4x4MaxUtil,
 			goldenMesh4x4Generated, goldenMesh4x4Completed, goldenMesh4x4Events)
@@ -127,12 +127,12 @@ func resultsEqual(a, b Result) bool {
 // replays to the exact same Result, directly and after a round trip
 // through both serialization formats.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	base, err := NewScenario(
-		Quarc(16), MsgLen(16), Rate(0.003), Alpha(0.1),
-		LocalizedDests(PortL, 3),
-		OnOff(6, 0.3),
-		Seed(99), Warmup(1000), Measure(10000),
-	)
+	base, err := Spec{
+		Topology: "quarc", N: 16, MsgLen: 16, Rate: 0.003, Alpha: 0.1,
+		Pattern: "localized", Port: PortL, Dests: 3,
+		Arrival: "onoff", BurstLen: 6, DutyCycle: 0.3,
+		Seed: 99, Warmup: 1000, Measure: 10000,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,9 @@ func TestRecordReplayValidation(t *testing.T) {
 	if _, err := NewScenario(Quarc(16), Rate(0.002), Record(trace), Replay(trace)); err == nil {
 		t.Error("record+replay on one scenario accepted")
 	}
-	if _, err := NewScenario(Quarc(16), Rate(0.002), Record(trace), Replications(4)); err == nil {
+	if reps, err := (Spec{N: 16, Rate: 0.002, Replications: 4}).Scenario(); err != nil {
+		t.Fatal(err)
+	} else if _, err := reps.With(Record(trace)); err == nil {
 		t.Error("recording with replications accepted")
 	}
 	if _, err := NewScenario(Quarc(16), Rate(0.002), Record(nil)); err == nil {
@@ -225,7 +227,9 @@ func TestRecordReplayValidation(t *testing.T) {
 	if _, err := NewScenario(Quarc(32), Rate(0.003), Replay(trace)); err == nil {
 		t.Error("16-node trace accepted on a 32-node network")
 	}
-	if _, err := NewScenario(Mesh(4, 4), Rate(0.003), Replay(trace)); err == nil {
+	if mesh, err := (Spec{Topology: "mesh", W: 4, H: 4, Rate: 0.003}).Scenario(); err != nil {
+		t.Fatal(err)
+	} else if _, err := mesh.With(Replay(trace)); err == nil {
 		t.Error("quarc-16 trace accepted on a 16-node mesh (channel fingerprint)")
 	}
 	if _, err := NewScenario(Quarc(16), Rate(0.003), MsgLen(8), Replay(trace)); err == nil {
@@ -266,29 +270,32 @@ func TestPermutationBuilders(t *testing.T) {
 		}
 		return out
 	}
+	mesh, quarc := Spec{Topology: "mesh", W: 4, H: 4}, Spec{Topology: "quarc", N: 16}
 	cases := []struct {
 		name string
-		opts []Option
+		net  Spec
 		src  int
 		want int
 	}{
 		// mesh-4x4 transpose: node 6 = (2,1) -> (1,2) = node 9.
-		{"transpose", []Option{Mesh(4, 4), Permutation("transpose")}, 6, 9},
+		{"transpose", mesh, 6, 9},
 		// quarc-16 bit transpose: 0b0001 -> swap halves -> 0b0100.
-		{"transpose", []Option{Quarc(16), Permutation("transpose")}, 1, 4},
+		{"transpose", quarc, 1, 4},
 		// bit-reversal on 16 nodes: 0b0001 -> 0b1000.
-		{"bit-reversal", []Option{Quarc(16), Permutation("bit-reversal")}, 1, 8},
+		{"bit-reversal", quarc, 1, 8},
 		// bit-complement: 0b0011 -> 0b1100.
-		{"bit-complement", []Option{Quarc(16), Permutation("bit-complement")}, 3, 12},
+		{"bit-complement", quarc, 3, 12},
 		// shuffle: rotate left, 0b0101 -> 0b1010.
-		{"shuffle", []Option{Quarc(16), Permutation("shuffle")}, 5, 10},
+		{"shuffle", quarc, 5, 10},
 		// ring tornado on 16: src + 7.
-		{"tornado", []Option{Quarc(16), Permutation("tornado")}, 2, 9},
+		{"tornado", quarc, 2, 9},
 		// mesh tornado on 4x4: (0,0) -> (1,1) = node 5.
-		{"tornado", []Option{Mesh(4, 4), Permutation("tornado")}, 0, 5},
+		{"tornado", mesh, 0, 5},
 	}
 	for _, c := range cases {
-		s, err := NewScenario(append(c.opts, Rate(0.001), MsgLen(8))...)
+		sp := c.net
+		sp.Spatial, sp.Rate, sp.MsgLen = c.name, 0.001, 8
+		s, err := sp.Scenario()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -305,20 +312,21 @@ func TestPermutationBuilders(t *testing.T) {
 func TestSpatialBuilderErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		opts []Option
+		sp   Spec
 	}{
-		{"transpose non-square", []Option{Mesh(4, 2), Permutation("transpose")}},
-		{"bit-reversal non-pow2", []Option{Quarc(12), Permutation("bit-reversal")}},
-		{"shuffle non-pow2", []Option{Spidergon(12), Permutation("shuffle")}},
-		{"unknown spatial", []Option{Quarc(16), Permutation("spiral")}},
-		{"hotspot no nodes", []Option{Quarc(16), HotspotDests(0.5, nil, nil)}},
-		{"hotspot bad frac", []Option{Quarc(16), HotspotDests(1.5, []int{1}, nil)}},
-		{"hotspot out of range", []Option{Quarc(16), HotspotDests(0.5, []int{40}, nil)}},
-		{"hotspot weight mismatch", []Option{Quarc(16), HotspotDests(0.5, []int{1, 2}, []float64{1})}},
-		{"hotspot bad weight", []Option{Quarc(16), HotspotDests(0.5, []int{1, 2}, []float64{1, -3})}},
+		{"transpose non-square", Spec{Topology: "mesh", W: 4, H: 2, Spatial: "transpose"}},
+		{"bit-reversal non-pow2", Spec{Topology: "quarc", N: 12, Spatial: "bit-reversal"}},
+		{"shuffle non-pow2", Spec{Topology: "spidergon", N: 12, Spatial: "shuffle"}},
+		{"unknown spatial", Spec{N: 16, Spatial: "spiral"}},
+		{"hotspot no nodes", Spec{N: 16, Spatial: "hotspot", SpatialFrac: 0.5}},
+		{"hotspot bad frac", Spec{N: 16, Spatial: "hotspot", SpatialFrac: 1.5, SpatialNodes: []int{1}}},
+		{"hotspot out of range", Spec{N: 16, Spatial: "hotspot", SpatialFrac: 0.5, SpatialNodes: []int{40}}},
+		{"hotspot weight mismatch", Spec{N: 16, Spatial: "hotspot", SpatialFrac: 0.5, SpatialNodes: []int{1, 2}, SpatialWeights: []float64{1}}},
+		{"hotspot bad weight", Spec{N: 16, Spatial: "hotspot", SpatialFrac: 0.5, SpatialNodes: []int{1, 2}, SpatialWeights: []float64{1, -3}}},
 	}
 	for _, c := range cases {
-		if _, err := NewScenario(append(c.opts, Rate(0.001))...); err == nil {
+		c.sp.Rate = 0.001
+		if _, err := c.sp.Scenario(); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -326,14 +334,14 @@ func TestSpatialBuilderErrors(t *testing.T) {
 
 // TestHotspotDestsMatchesSingleHotspot pins the generalization: the
 // weight-matrix hotspot with one node describes the same distribution as
-// the classic single-hotspot option, so the analytical model produces
+// the classic single-hotspot knobs, so the analytical model produces
 // (numerically) the same prediction for both.
 func TestHotspotDestsMatchesSingleHotspot(t *testing.T) {
-	classic, err := NewScenario(Quarc(16), MsgLen(16), Rate(0.002), Hotspot(0.3, 5))
+	classic, err := Spec{N: 16, MsgLen: 16, Rate: 0.002, HotspotFrac: 0.3, HotspotNode: 5}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := NewScenario(Quarc(16), MsgLen(16), Rate(0.002), HotspotDests(0.3, []int{5}, nil))
+	matrix, err := Spec{N: 16, MsgLen: 16, Rate: 0.002, Spatial: "hotspot", SpatialFrac: 0.3, SpatialNodes: []int{5}}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +362,7 @@ func TestHotspotDestsMatchesSingleHotspot(t *testing.T) {
 // processes that break its Poisson assumption rather than silently
 // answering.
 func TestModelRejectsNonPoisson(t *testing.T) {
-	s, err := NewScenario(Quarc(16), Rate(0.002), OnOff(8, 0.5))
+	s, err := Spec{N: 16, Rate: 0.002, Arrival: "onoff", BurstLen: 8, DutyCycle: 0.5}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +385,11 @@ func TestModelRejectsNonPoisson(t *testing.T) {
 // exact: the deterministic flows must line up with what the simulator
 // measures.
 func TestModelSimAgreeOnPermutation(t *testing.T) {
-	s, err := NewScenario(
-		Mesh(4, 4), MsgLen(8), Rate(0.0005),
-		Permutation("transpose"),
-		Seed(5), Warmup(2000), Measure(40000),
-	)
+	s, err := Spec{
+		Topology: "mesh", W: 4, H: 4, MsgLen: 8, Rate: 0.0005,
+		Spatial: "transpose",
+		Seed:    5, Warmup: 2000, Measure: 40000,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +415,10 @@ func TestModelSimAgreeOnPermutation(t *testing.T) {
 // per-node arrival state and permutation destinations, so any worker
 // count produces bitwise-identical sweeps.
 func TestSweepBitwiseStableWithNewWorkloads(t *testing.T) {
-	s, err := NewScenario(
-		Quarc(16), MsgLen(8), OnOff(4, 0.5), Permutation("tornado"),
-		Seed(3), Warmup(500), Measure(5000),
-	)
+	s, err := Spec{
+		Topology: "quarc", N: 16, MsgLen: 8, Arrival: "onoff", BurstLen: 4, DutyCycle: 0.5, Spatial: "tornado",
+		Seed: 3, Warmup: 500, Measure: 5000,
+	}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +457,7 @@ func TestRegistriesListNewFamilies(t *testing.T) {
 			t.Errorf("Spatials() = %v, missing %q", sp, want)
 		}
 	}
-	if _, err := NewScenario(Quarc(16), Rate(0.001), Arrival("fractal")); err == nil {
+	if _, err := (Spec{N: 16, Rate: 0.001, Arrival: "fractal"}).Scenario(); err == nil {
 		t.Error("unknown arrival process accepted")
 	}
 }

@@ -42,7 +42,7 @@ func maxExp(rates []float64, memo *[]float64) float64 {
 		x := 1 / sum
 		for i := 0; i < m; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				x += rates[i] / sum * e[mask&^(1<<uint(i))]
+				x += float64(rates[i] / sum * e[mask&^(1<<uint(i))])
 			}
 		}
 		e[mask] = x

@@ -400,12 +400,12 @@ func (m *Model) load(lam float64) {
 	alpha := m.in.Spec.MulticastFrac
 	if lam > 0 && alpha < 1 {
 		for _, f := range m.unicast {
-			m.addFlow(f, lam*(1-alpha)*f.p)
+			m.addFlow(f, float64(lam*(1-alpha)*f.p))
 		}
 	}
 	if lam > 0 && alpha > 0 {
 		for _, f := range m.mcast {
-			m.addFlow(f, lam*alpha)
+			m.addFlow(f, float64(lam*alpha))
 		}
 	}
 	// The quotients of Eq. 6 do not change over the fixed point. A loaded
@@ -562,9 +562,9 @@ func (m *Model) fixedPoint() (iter int, converged, saturated bool) {
 			var x float64
 			for _, tr := range trans[c.trLo:c.trHi] {
 				b := &chans[tr.to]
-				x += tr.p * (tr.scale*b.wait + b.service + hop)
+				x += float64(tr.p * (float64(tr.scale*b.wait) + b.service + hop))
 			}
-			nx := c.service + damping*(x-c.service)
+			nx := c.service + float64(damping*(x-c.service))
 			if maxDelta < tol {
 				scale := c.service // math.Max(1, x̄), which does not inline
 				if scale < 1 {
@@ -596,7 +596,7 @@ var posInf = math.Inf(1)
 //
 //quarc:hotpath
 func waitOf(lambda, xbar, msg float64, eq3 bool) float64 {
-	rho := lambda * xbar
+	rho := float64(lambda * xbar)
 	if rho >= 1 {
 		return posInf
 	}
@@ -608,7 +608,7 @@ func waitOf(lambda, xbar, msg float64, eq3 bool) float64 {
 		cv := 1 + sigma*sigma/(xbar*xbar)
 		return lambda * rho * cv / (2 * (1 - rho))
 	}
-	ex2 := xbar*xbar + sigma*sigma
+	ex2 := float64(xbar*xbar) + float64(sigma*sigma)
 	return lambda * ex2 / (2 * (1 - rho))
 }
 
@@ -669,7 +669,7 @@ func (m *Model) unicastLatency() float64 {
 		// pipeline depth (the simulator's zero-load latency is exactly
 		// D + msg). Weight each pair by the probability a message takes it,
 		// so the average is over messages, as the simulator measures it.
-		sum += f.p * (m.flowWait(f, 0) + float64(m.in.MsgLen) + float64(len(f.path)-1))
+		sum += float64(f.p * (m.flowWait(f, 0) + float64(m.in.MsgLen) + float64(len(f.path)-1)))
 	}
 	return sum / float64(m.active)
 }
@@ -731,7 +731,7 @@ func (m *Model) serializedMulticastNode(branches []flow) float64 {
 	worst := 0.0
 	for k, b := range branches {
 		tail := m.flowWait(b, 1)
-		lat := inj.wait + float64(k)*inj.service + tail + msg + float64(len(b.path)-1)
+		lat := inj.wait + float64(float64(k)*inj.service) + tail + msg + float64(len(b.path)-1)
 		if lat > worst {
 			worst = lat
 		}

@@ -167,7 +167,7 @@ func Combine(list []*Series) *Series {
 			continue
 		}
 		out.Reps += s.Reps
-		out.BucketWidth += s.BucketWidth * float64(s.Reps)
+		out.BucketWidth += float64(s.BucketWidth * float64(s.Reps))
 		for b := 0; b < first.Buckets; b++ {
 			out.Injected[b] += s.Injected[b]
 			out.Ejected[b] += s.Ejected[b]
@@ -183,7 +183,7 @@ func Combine(list []*Series) *Series {
 			src, dst := s.ChannelUtil[ch], out.ChannelUtil[ch]
 			w := float64(s.Reps)
 			for b := range src {
-				dst[b] += src[b] * w
+				dst[b] += float64(src[b] * w)
 			}
 		}
 	}

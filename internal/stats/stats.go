@@ -33,7 +33,7 @@ func (r *Running) Add(x float64) {
 	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.m2 += float64(d * (x - r.mean))
 }
 
 // N returns the number of observations recorded so far.
@@ -168,7 +168,7 @@ func (b *BatchMeans) HalfWidth(z float64) float64 {
 	var ss float64
 	for _, m := range b.batches {
 		d := m - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	sd := math.Sqrt(ss / float64(k-1))
 	return z * sd / math.Sqrt(float64(k))
@@ -226,7 +226,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.hi
 	}
-	target := q * float64(h.total)
+	target := float64(q * float64(h.total))
 	cum := float64(h.under)
 	if cum >= target {
 		return h.lo
@@ -235,7 +235,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		next := cum + float64(c)
 		if next >= target && c > 0 {
 			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
+			return h.lo + float64((float64(i)+frac)*h.width)
 		}
 		cum = next
 	}

@@ -146,7 +146,7 @@ func (onoffArrival) Gap(s *Spec, rng *rand.Rand, st *ArrivalState) float64 {
 	// exactly 1/Rate.
 	st.BurstLeft = int(geometric(rng, 1/s.BurstLen)) - 1
 	offMean := s.BurstLen * (1 - s.DutyCycle) / s.Rate
-	return rng.ExpFloat64()*offMean + rng.ExpFloat64()/lamOn
+	return float64(rng.ExpFloat64()*offMean) + rng.ExpFloat64()/lamOn
 }
 
 // periodicArrival injects deterministically every 1/Rate cycles after a

@@ -206,7 +206,7 @@ func (s Spec) UnicastProbRow(n int, src topology.NodeID, out []float64) {
 			out[dst] = uniform
 			continue
 		}
-		p := (1 - s.HotspotFrac) * uniform
+		p := float64((1 - s.HotspotFrac) * uniform)
 		if topology.NodeID(dst) == s.HotspotNode {
 			p += s.HotspotFrac
 		}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"quarc/internal/core"
 )
 
 // TestPanelCatalog pins the figure-panel plumbing: the catalog is
@@ -170,5 +173,67 @@ func TestWriteFiguresJSONEncodesNonFiniteAsNull(t *testing.T) {
 	}
 	if pt := decoded[0].Points[0]; pt.ModelUnicast != nil || pt.SimUnicast != nil || pt.SimUnicastCI != nil {
 		t.Errorf("non-finite values not encoded as null: %s", buf.String())
+	}
+}
+
+// TestModelMonotoneInRate pins the shape SaturationRate's bisection
+// assumes, on every figure panel: across 100 rates up to 1.2× the
+// saturation rate, the model's verdict is one stable→saturated step, at
+// SaturationRate itself and below it every point is stable and has
+// converged, from 1.002× it every point is saturated, and unicast and
+// multicast latency never fall as the rate rises. The N=128 panels take
+// most of the time and are skipped under -short.
+func TestModelMonotoneInRate(t *testing.T) {
+	for _, p := range FigurePanels() {
+		t.Run(p.ID, func(t *testing.T) {
+			if testing.Short() && p.N >= 128 {
+				t.Skip("N=128 panel skipped under -short")
+			}
+			s, err := p.scenario(QuickEffort())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sat, err := SaturationRate(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := modelInput(s)
+			in.Spec.Arrival = ""
+			m, err := core.NewModel(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const points = 100
+			rates := []float64{sat, 1.002 * sat}
+			for i := 1; i <= points; i++ {
+				rates = append(rates, 1.2*sat*float64(i)/points)
+			}
+			slices.Sort(rates)
+			var prev core.Prediction
+			saturated := false
+			for _, r := range rates {
+				pred, err := m.SolveAt(r)
+				if err != nil {
+					t.Fatalf("rate %g: %v", r, err)
+				}
+				switch {
+				case r <= sat && pred.Saturated:
+					t.Fatalf("rate %g (≤ saturation %g) is saturated", r, sat)
+				case r >= 1.002*sat && !pred.Saturated:
+					t.Fatalf("rate %g (≥ 1.002 × saturation %g) is stable", r, sat)
+				case saturated && !pred.Saturated:
+					t.Fatalf("rate %g is stable after a lower rate saturated", r)
+				case !pred.Saturated && !pred.Converged:
+					t.Fatalf("rate %g: stable but the fixed point did not converge", r)
+				case !pred.Saturated && (pred.UnicastLatency < prev.UnicastLatency || pred.MulticastLatency < prev.MulticastLatency):
+					t.Fatalf("rate %g: latency fell to %g/%g from %g/%g", r,
+						pred.UnicastLatency, pred.MulticastLatency, prev.UnicastLatency, prev.MulticastLatency)
+				}
+				saturated = pred.Saturated
+				if !saturated {
+					prev = pred
+				}
+			}
+		})
 	}
 }

@@ -4,8 +4,8 @@ import "container/list"
 
 // lruCache is a plain LRU over string keys. It is not concurrency-safe;
 // the Evaluator guards it with its own mutex. Keys are full canonical
-// spec encodings, not fingerprints, so hash collisions on hostile input
-// cannot alias two different specs onto one entry.
+// spec keys (noc.Spec.AppendKey), not fingerprints, so hash collisions on
+// hostile input cannot alias two different specs onto one entry.
 type lruCache[V any] struct {
 	max int
 	ll  *list.List // front = most recently used

@@ -36,7 +36,7 @@ func (d *Dispatcher) backoff(attempt int) time.Duration {
 	if b > d.cfg.MaxBackoff {
 		b = d.cfg.MaxBackoff
 	}
-	return time.Duration(float64(b) * (0.5 + 0.5*d.jitter.float64()))
+	return time.Duration(float64(b) * (0.5 + float64(0.5*d.jitter.float64())))
 }
 
 // sleepCtx waits out d or the context, whichever ends first.

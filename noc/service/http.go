@@ -197,8 +197,14 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
-		sp, ok := decodeSpec(w, r)
-		if !ok {
+		body, err := readBody(w, r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		sp, err := noc.ParseSpec(body)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
 		ctx, cancel := hc.requestCtx(r)
@@ -208,7 +214,7 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 			writeRequestError(w, r, ctx, err)
 			return
 		}
-		writeResponse(w, resp)
+		writeResponse(w, &resp)
 	})
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
 		body, err := readBody(w, r)
@@ -273,7 +279,7 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 		// The body is the full Result — the very bytes /v1/evaluate
 		// served for this spec, series included — so offline recorder
 		// output diffs against it bitwise.
-		writeResponse(w, resp)
+		writeResponse(w, &resp)
 	})
 	mux.HandleFunc("GET /dashboard", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -317,22 +323,6 @@ func (hc HandlerConfig) requestCtx(r *http.Request) (context.Context, context.Ca
 		return r.Context(), func() {}
 	}
 	return context.WithTimeout(r.Context(), hc.RequestTimeout)
-}
-
-// decodeSpec reads and strictly parses the request body as a Spec,
-// writing the error response itself on failure.
-func decodeSpec(w http.ResponseWriter, r *http.Request) (noc.Spec, bool) {
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return noc.Spec{}, false
-	}
-	sp, err := noc.ParseSpec(body)
-	if err != nil {
-		writeError(w, err)
-		return noc.Spec{}, false
-	}
-	return sp, true
 }
 
 // readBody reads one request document, bounded by maxRequestBody, into
@@ -395,18 +385,48 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Code: code})
 }
 
+// Header values shared by every response that carries them. Each
+// slice has cap == len, so an Add to a response's header copies it
+// instead of writing into it.
+var (
+	jsonContentType = []string{"application/json"}
+	sourceHeaders   = [...][]string{
+		{string(SourceComputed)}, {string(SourceCache)}, {string(SourceCoalesced)},
+		{string(SourceStore)}, {string(SourceFleet)},
+	}
+)
+
 // writeResponse serves an evaluate or trace Response: the three headers
-// and the body the Response already carries. The header values share one
-// backing array, each capped to its own element so a later Add cannot
-// reach its neighbour, and are assigned under their canonical keys.
-func writeResponse(w http.ResponseWriter, resp Response) {
-	vals := []string{"application/json", hex16(resp.Fingerprint), string(resp.Source)}
+// and the body the Response already carries. The header values are
+// shared, not built per request: the content type and the source are
+// package values, and the fingerprint is its entry's prebuilt one.
+func writeResponse(w http.ResponseWriter, resp *Response) {
 	h := w.Header()
-	h["Content-Type"] = vals[0:1:1]
-	h[HeaderFingerprint] = vals[1:2:2]
-	h[HeaderSource] = vals[2:3:3]
+	h["Content-Type"] = jsonContentType
+	h[HeaderFingerprint] = resp.fingerprintHeader()
+	h[HeaderSource] = sourceHeader(resp.Source)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(resp.Body) // a failed write is a gone client; there is nobody left to tell
+}
+
+// fingerprintHeader is the X-Quarc-Fingerprint value: the entry's own,
+// formatted afresh only for a Response without an entry or one whose
+// Fingerprint was changed after it was served.
+func (resp *Response) fingerprintHeader() []string {
+	if resp.ent != nil && resp.ent.fp == resp.Fingerprint {
+		return resp.ent.fpHeader
+	}
+	return []string{hex16(resp.Fingerprint)}
+}
+
+// sourceHeader is the X-Quarc-Source value of src.
+func sourceHeader(src Source) []string {
+	for _, v := range sourceHeaders {
+		if v[0] == string(src) {
+			return v
+		}
+	}
+	return []string{string(src)}
 }
 
 // hex16 formats a content address the way the wire carries it: sixteen

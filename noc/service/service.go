@@ -174,6 +174,10 @@ type Response struct {
 	Body        []byte
 	Fingerprint uint64
 	Source      Source
+
+	// ent is the entry the response was served from, whose prebuilt
+	// header value the handler writes while Fingerprint still names it.
+	ent *entry
 }
 
 // NewResponse encodes res into the Response served under content
@@ -188,13 +192,16 @@ func NewResponse(res noc.Result, fp uint64, src Source) (Response, error) {
 }
 
 // entry is one cached evaluation, immutable once built: the Result, its
-// encoded response document and the fingerprint of its key. It is built
-// exactly once, where the Result is born (newEntry), and shared by the
-// LRU, the flight that produced it and every Response served from it.
+// encoded response document, the fingerprint of its spec and that
+// fingerprint's X-Quarc-Fingerprint value (cap == len, so a handler that
+// appends to it copies it). It is built exactly once, where the Result is
+// born (newEntry), and shared by the LRU, the flight that produced it and
+// every Response served from it.
 type entry struct {
-	res  noc.Result
-	body []byte
-	fp   uint64
+	res      noc.Result
+	body     []byte
+	fp       uint64
+	fpHeader []string
 }
 
 func newEntry(fp uint64, res noc.Result) (*entry, error) {
@@ -202,7 +209,7 @@ func newEntry(fp uint64, res noc.Result) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &entry{res: res, body: body, fp: fp}, nil
+	return &entry{res: res, body: body, fp: fp, fpHeader: []string{hex16(fp)}}, nil
 }
 
 // encodeResult is the one Result encoder of the serving stack: the
@@ -219,24 +226,28 @@ func encodeResult(res noc.Result) ([]byte, error) {
 }
 
 func (ent *entry) response(src Source) Response {
-	return Response{Result: ent.res, Body: ent.body, Fingerprint: ent.fp, Source: src}
+	return Response{Result: ent.res, Body: ent.body, Fingerprint: ent.fp, Source: src, ent: ent}
 }
 
-// flight is one in-progress evaluation; waiters block on done.
+// flight is one in-progress evaluation of the spec whose fingerprint is
+// fp; waiters block on done.
 type flight struct {
 	done chan struct{}
+	fp   uint64
 	ent  *entry
 	err  error
 }
 
-// job is one queued evaluation of a canonical spec. persist marks
-// results the durable store has not seen yet (computed, as opposed to
-// read back from it).
+// job is one queued evaluation of a canonical spec. key is the spec's
+// in-memory key (noc.Spec.AppendKey), under which the flight and the
+// result are filed; doc is its canonical JSON, the durable store's key.
+// persist marks results the durable store has not seen yet (computed, as
+// opposed to read back from it).
 type job struct {
-	key     string
-	sp      noc.Spec
-	f       *flight
-	persist bool
+	key, doc string
+	sp       noc.Spec
+	f        *flight
+	persist  bool
 }
 
 // Evaluator is the engine-resident serving core. It is safe for
@@ -341,11 +352,10 @@ func (e *Evaluator) Healthz() HealthState {
 	return HealthState{Status: StatusOK}
 }
 
-// Serve answers one spec: from the cache when its canonical encoding
-// was evaluated before, by joining an identical in-flight evaluation, or
-// by scheduling a fresh evaluation on the worker pool. Response.Source
-// says which; whichever it is, the same spec is answered with the same
-// bytes.
+// Serve answers one spec: from the cache when its canonical form was
+// evaluated before, by joining an identical in-flight evaluation, or by
+// scheduling a fresh evaluation on the worker pool. Response.Source says
+// which; whichever it is, the same spec is answered with the same bytes.
 func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	if err := sp.Validate(); err != nil {
 		return Response{}, err
@@ -353,24 +363,22 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	if sp.Record != "" || sp.Replay != "" {
 		return Response{}, ErrTraceSpec
 	}
-	// Canonicalize once: the encoding is the cache key, and the canonical
-	// spec itself is what a worker compiles.
+	// Canonicalize once: the canonical spec's binary key names it in the
+	// tables (DESIGN.md §13, "In-memory keys"), and the canonical spec
+	// itself is what a worker compiles.
 	canon := sp.Canonical()
-	var kb [512]byte
-	cjson, err := canon.AppendJSON(kb[:0])
-	if err != nil {
-		return Response{}, fmt.Errorf("service: encoding spec: %w", err)
-	}
+	var kb [256]byte
+	key := canon.AppendKey(kb[:0])
 
-	// Both lookups go by the encoded bytes, on the stack for any
-	// ordinary spec; only a miss pays for the string key the tables keep.
+	// Both lookups go by the key's bytes, on the stack for any ordinary
+	// spec; only a miss pays for the strings the tables keep.
 	e.mu.Lock()
-	if ent, ok := e.results.get(cjson); ok {
+	if ent, ok := e.results.get(key); ok {
 		e.mu.Unlock()
 		e.hits.Add(1)
 		return ent.response(SourceCache), nil
 	}
-	if f, ok := e.flights[string(cjson)]; ok {
+	if f, ok := e.flights[string(key)]; ok {
 		e.mu.Unlock()
 		e.coalesced.Add(1)
 		ent, err := e.wait(ctx, f)
@@ -387,9 +395,16 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 		}
 		return ent.response(SourceCoalesced), nil
 	}
-	key := string(cjson)
-	f := &flight{done: make(chan struct{})}
-	e.flights[key] = f
+	// A miss. The canonical JSON names the result outside this process:
+	// hashed, it is the fingerprint; as is, the durable store's key.
+	var db [512]byte
+	doc, err := canon.AppendJSON(db[:0])
+	if err != nil {
+		e.mu.Unlock()
+		return Response{}, fmt.Errorf("service: encoding spec: %w", err)
+	}
+	j := job{key: string(key), doc: string(doc), f: &flight{done: make(chan struct{}), fp: noc.FingerprintOf(doc)}}
+	e.flights[j.key] = j.f
 	e.mu.Unlock()
 
 	// Durable layer: a warm restart finds the result on disk. The
@@ -397,13 +412,13 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	// coalesce onto one disk read exactly as they do onto one
 	// evaluation; resolve() encodes the hit and promotes it into the LRU.
 	if e.cfg.Store != nil {
-		if res, ok := e.cfg.Store.Get(key); ok {
+		if res, ok := e.cfg.Store.Get(j.doc); ok {
 			e.storeHits.Add(1)
-			e.resolve(job{key: key, f: f}, res, nil)
-			if f.err != nil {
-				return Response{}, f.err
+			e.resolve(j, res, nil)
+			if j.f.err != nil {
+				return Response{}, j.f.err
 			}
-			return f.ent.response(SourceStore), nil
+			return j.f.ent.response(SourceStore), nil
 		}
 	}
 	e.misses.Add(1)
@@ -413,8 +428,9 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	// concurrency bound (the aggregate is bitwise-independent of that
 	// choice).
 	canon.Parallelism = 1
+	j.sp, j.persist = canon, true
 	select {
-	case e.jobs <- job{key: key, sp: canon, f: f, persist: true}:
+	case e.jobs <- j:
 	case <-ctx.Done():
 		err := ctx.Err()
 		if cap(e.jobs) > 0 && len(e.jobs) >= cap(e.jobs) {
@@ -423,13 +439,13 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 			// typed error lets clients (and fleet peers) retry elsewhere.
 			err = fmt.Errorf("%w (%v)", ErrQueueSaturated, ctx.Err()) //quarclint:ignore errdiscipline the context error must NOT join the chain: overload classifies as queue_saturated, not as the caller's timeout
 		}
-		e.resolve(job{key: key, f: f}, noc.Result{}, err)
+		e.resolve(j, noc.Result{}, err)
 		return Response{}, err
 	case <-e.done:
-		e.resolve(job{key: key, f: f}, noc.Result{}, ErrClosed)
+		e.resolve(j, noc.Result{}, ErrClosed)
 		return Response{}, ErrClosed
 	}
-	ent, err := e.wait(ctx, f)
+	ent, err := e.wait(ctx, j.f)
 	if err != nil {
 		return Response{}, err
 	}
@@ -497,12 +513,11 @@ func Sweep(ctx context.Context, sp noc.Spec, rates []float64, limit int,
 // evaluation by content address: the response whose spec fingerprint is
 // fp, searched through the LRU cache, the in-flight table (a live
 // evaluation resolves the query when it completes) and the durable
-// store. Every cached entry carries its fingerprint, so the cache scan
-// compares integers under the mutex and allocates nothing; the
-// in-flight table (at most Workers + QueueDepth keys) and the store's
-// key list are hashed per query — the fingerprint is the FNV-1a hash of
-// the canonical spec encoding, the same address noc.Spec.Fingerprint
-// computes, so no side index is needed. A result evaluated without
+// store. Every cached entry and every flight carries its fingerprint, so
+// the cache and in-flight scans compare integers under the mutex and
+// allocate nothing; the store's key list is hashed per query — the
+// fingerprint is the FNV-1a hash of the canonical spec encoding, the same
+// address noc.Spec.Fingerprint computes, so no side index is needed. A result evaluated without
 // Metrics resolves to ErrNotFound: the daemon never recomputes on a GET.
 func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 	e.mu.Lock()
@@ -511,8 +526,8 @@ func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 		return traceResponse(ent, SourceCache)
 	}
 	var live *flight
-	for key, f := range e.flights {
-		if noc.FingerprintOf(key) == fp {
+	for _, f := range e.flights {
+		if f.fp == fp {
 			live = f
 			break
 		}
@@ -579,16 +594,17 @@ func (e *Evaluator) wait(ctx context.Context, f *flight) (*entry, error) {
 // requesting goroutine for a store read-back — and an encode failure
 // fails the flight like any evaluation error, so nothing unencodable is
 // cached, persisted or answered 200. Freshly computed results are
-// persisted to the durable store before the flight resolves, so a result
+// persisted to the durable store (under the job's canonical JSON) before
+// the flight resolves, so a result
 // is on disk by the time any client has seen it; a persistence failure
 // only degrades durability (counted, response unaffected).
 func (e *Evaluator) resolve(j job, res noc.Result, err error) {
 	var ent *entry
 	if err == nil {
-		ent, err = newEntry(noc.FingerprintOf(j.key), res)
+		ent, err = newEntry(j.f.fp, res)
 	}
 	if err == nil && j.persist && e.cfg.Store != nil {
-		if perr := e.cfg.Store.Put(j.key, res); perr != nil {
+		if perr := e.cfg.Store.Put(j.doc, res); perr != nil {
 			e.storeErrors.Add(1)
 		}
 	}
@@ -647,23 +663,20 @@ func (e *Evaluator) evaluateSpec(sp noc.Spec, sim noc.Evaluator) (noc.Result, er
 // equivalent, so this is a benign inefficiency, not a correctness issue.
 func (e *Evaluator) baseFor(sp noc.Spec) (*noc.Scenario, error) {
 	st := sp.Structural()
-	var kb [512]byte
-	cjson, err := st.AppendJSON(kb[:0])
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding structural spec: %w", err)
-	}
+	var kb [256]byte
+	key := st.AppendKey(kb[:0])
 	e.mu.Lock()
-	base, ok := e.bases.get(cjson)
+	base, ok := e.bases.get(key)
 	e.mu.Unlock()
 	if ok {
 		return base, nil
 	}
-	base, err = st.Scenario()
+	base, err := st.Scenario()
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.bases.add(string(cjson), base)
+	e.bases.add(string(key), base)
 	e.mu.Unlock()
 	return base, nil
 }

@@ -306,7 +306,7 @@ func ParseSpec(data []byte) (Spec, error) {
 // canonicalize identically, which is what makes Fingerprint a content
 // address.
 func (sp Spec) Canonical() Spec {
-	c := sp
+	c := &sp // the receiver is the caller's copy already
 	c.High = slices.Clone(c.High)
 	c.Low = slices.Clone(c.Low)
 	c.SpatialNodes = slices.Clone(c.SpatialNodes)
@@ -376,7 +376,7 @@ func (sp Spec) Canonical() Spec {
 	}
 	c.Parallelism = 0
 	c.IntraParallelism = 0
-	return c
+	return sp
 }
 
 // fillNames materializes the default of every name left empty: the one
@@ -548,13 +548,19 @@ func (sp Spec) ScenarioWith(base *Scenario) (*Scenario, error) {
 }
 
 // Spec returns the scenario's configuration in declarative, canonical
-// form — the inverse of Spec.Scenario up to canonicalization. Runtime
+// form — the inverse of Spec.Scenario up to canonicalization, with two
+// gaps where the scenario holds what the wire format cannot say. Runtime
 // trace attachments (Record/Replay) have no file-path representation and
-// are omitted. Two legal-but-extreme values lie outside the codec's
-// image, because the wire format reads their zero values as "use the
-// default": a scenario forked with Warmup(0) or Seed(0) (or resolved at
-// such an Effort) reports the defaults (10000, 1) here and cannot be
-// expressed as a Spec.
+// are omitted.
+//
+//   - Warmup and seed 0: the wire format reads a zero as "use the
+//     default", so a scenario forked with Warmup(0) or Seed(0) (or
+//     resolved at such an Effort) reports the defaults (10000, 1) here.
+//   - The Fig. 6 panels: their "random" destination sets are drawn from
+//     PCG stream panelSetStream (0x5e7), which has no wire form, while a
+//     Spec's "random" pattern draws from stream 0. For such a panel's
+//     scenario s, s.Spec().Scenario() draws a different destination set
+//     than s ran.
 func (s *Scenario) Spec() Spec { return s.cfg.Spec.Canonical() }
 
 // Recording returns the trace capture buffer a spec's Record path (or a

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,14 +12,17 @@ import (
 	"unicode/utf8"
 )
 
-// The spec codec: ParseSpec's scanner and Spec.AppendJSON, written for
-// Spec's closed key set so that neither direction reflects, with
-// encoding/json's verdicts, values and bytes exactly (DESIGN.md §13,
-// "Spec codec"; FuzzSpecCodecMatchesJSON holds both directions to it).
+// The spec codec: ParseSpec's scanner, Spec.AppendJSON and the in-memory
+// key Spec.AppendKey, written for Spec's closed key set so that none of
+// them reflects or builds a per-call field table. The scanner and
+// AppendJSON match encoding/json's verdicts, values and bytes exactly
+// (DESIGN.md §13, "Spec codec"; FuzzSpecCodecMatchesJSON holds both
+// directions to it), and AppendKey is equal for two canonical specs
+// exactly when their canonical JSON is (FuzzSpecKeyMatchesCanonical).
 
-// specKeys are the JSON keys of Spec's fields in declaration order, and
-// Spec.fields the fields they name (TestSpecCodecFieldTable holds both
-// to the struct tags).
+// specKeys are the JSON keys of Spec's fields in declaration order: the
+// order of the scanner's key switch and of Spec.encode's walk
+// (TestSpecCodecFieldTable holds all three to the struct tags).
 var specKeys = [...]string{
 	"topology", "n", "w", "h", "dims", "router",
 	"pattern", "dests", "port", "set_seed", "high", "low",
@@ -31,36 +35,27 @@ var specKeys = [...]string{
 	"metrics", "metrics_buckets", "evaluator", "record", "replay",
 }
 
-// specKeyIndex finds a key spelled exactly; fieldFor falls back to
-// case-insensitive matching.
-var specKeyIndex = func() map[string]int {
-	m := make(map[string]int, len(specKeys))
-	for i, k := range specKeys {
-		m[k] = i
+// specNames is the closed vocabulary a spec's names are drawn from
+// (topologies, routers, patterns, arrivals, spatials, the model formulas
+// and the evaluators), each mapped to its own string: a decoded name is
+// stored as that string instead of a fresh copy. It is built once, at
+// init, and only read after.
+var specNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, names := range [][]string{
+		Topologies(), Routers(), Patterns(), Arrivals(), Spatials(),
+		waitNames[:], serviceNames[:], {"simulator", "model"},
+	} {
+		for _, name := range names {
+			m[name] = name
+		}
 	}
 	return m
 }()
 
-func (sp *Spec) fields() [len(specKeys)]any {
-	return [...]any{
-		&sp.Topology, &sp.N, &sp.W, &sp.H, &sp.Dims, &sp.Router,
-		&sp.Pattern, &sp.Dests, &sp.Port, &sp.SetSeed, &sp.High, &sp.Low,
-		&sp.MsgLen, &sp.Rate, &sp.Alpha, &sp.HotspotFrac, &sp.HotspotNode,
-		&sp.Arrival, &sp.BurstLen, &sp.DutyCycle,
-		&sp.Spatial, &sp.SpatialFrac, &sp.SpatialNodes, &sp.SpatialWeights,
-		&sp.Damping, &sp.MaxIter, &sp.Tol, &sp.Wait, &sp.Service,
-		&sp.Seed, &sp.Warmup, &sp.Measure, &sp.SatQueue, &sp.Drain, &sp.Detail, &sp.MulticastPriority,
-		&sp.TraceNode, &sp.TraceLimit, &sp.Replications, &sp.Parallelism, &sp.IntraParallelism,
-		&sp.Metrics, &sp.MetricsBuckets, &sp.Evaluator, &sp.Record, &sp.Replay,
-	}
-}
-
-// fieldFor is encoding/json's key match: the exact spelling, else the
-// one key equal under Unicode case folding (so "ſeed" sets Seed), else -1.
-func fieldFor(key []byte) int {
-	if i, ok := specKeyIndex[string(key)]; ok {
-		return i
-	}
+// foldKey is encoding/json's fallback key match: the index of the one key
+// equal to key under Unicode case folding (so "ſeed" names seed), or -1.
+func foldKey(key []byte) int {
 	s := string(key)
 	for i, k := range specKeys {
 		if strings.EqualFold(s, k) {
@@ -85,11 +80,10 @@ func (sp *Spec) decodeJSON(data []byte) error {
 	d := specDecoder{data: data}
 	d.space()
 	if !d.literal("null") {
-		if !d.literal("{") {
+		if !d.next('{') {
 			return d.fail(d.off, "a spec is a JSON object")
 		}
-		f := sp.fields()
-		if err := d.members(&f); err != nil {
+		if err := d.members(sp); err != nil {
 			return err
 		}
 	}
@@ -122,6 +116,15 @@ func (d *specDecoder) peek() byte {
 	return 0
 }
 
+// next consumes c if it is the next byte.
+func (d *specDecoder) next(c byte) bool {
+	if d.peek() == c {
+		d.off++
+		return true
+	}
+	return false
+}
+
 func (d *specDecoder) literal(lit string) bool {
 	if len(d.data)-d.off >= len(lit) && string(d.data[d.off:d.off+len(lit)]) == lit {
 		d.off += len(lit)
@@ -130,10 +133,11 @@ func (d *specDecoder) literal(lit string) bool {
 	return false
 }
 
-// members scans an object's members up to and including its '}'.
-func (d *specDecoder) members(f *[len(specKeys)]any) error {
+// members scans an object's members up to and including its '}'. An
+// unknown key is rejected before a missing ':' after it is.
+func (d *specDecoder) members(sp *Spec) error {
 	d.space()
-	if d.literal("}") {
+	if d.next('}') {
 		return nil
 	}
 	for {
@@ -147,23 +151,22 @@ func (d *specDecoder) members(f *[len(specKeys)]any) error {
 			return err
 		}
 		d.key = key
-		i := fieldFor(key)
-		if i < 0 {
-			return d.fail(start, "unknown field")
-		}
 		d.space()
-		if !d.literal(":") {
+		if !d.next(':') {
+			if foldKey(key) < 0 {
+				return d.fail(start, "unknown field")
+			}
 			return d.fail(d.off, "expected ':' after the key")
 		}
 		d.space()
-		if err := d.value(f[i]); err != nil {
+		if err := d.member(sp, key, start); err != nil {
 			return err
 		}
 		d.space()
 		switch {
-		case d.literal(","):
+		case d.next(','):
 			d.space()
-		case d.literal("}"):
+		case d.next('}'):
 			d.key = nil
 			return nil
 		default:
@@ -172,73 +175,203 @@ func (d *specDecoder) members(f *[len(specKeys)]any) error {
 	}
 }
 
-// value scans one value into the field p points to. null leaves a
-// scalar as it is and sets a slice to nil.
-func (d *specDecoder) value(p any) error {
-	start := d.off
+// member scans the value at d.off into the field key names: the exact
+// spelling through the switch, else the key equal to it under case
+// folding, as encoding/json matches. start is the key's offset, where
+// an unknown key is reported.
+func (d *specDecoder) member(sp *Spec, key []byte, start int) error {
+	switch string(key) {
+	case "topology":
+		return d.text(&sp.Topology)
+	case "n":
+		return d.integer(&sp.N)
+	case "w":
+		return d.integer(&sp.W)
+	case "h":
+		return d.integer(&sp.H)
+	case "dims":
+		return d.integer(&sp.Dims)
+	case "router":
+		return d.text(&sp.Router)
+	case "pattern":
+		return d.text(&sp.Pattern)
+	case "dests":
+		return d.integer(&sp.Dests)
+	case "port":
+		return d.integer(&sp.Port)
+	case "set_seed":
+		return d.unsigned(&sp.SetSeed)
+	case "high":
+		return decodeList(d, &sp.High)
+	case "low":
+		return decodeList(d, &sp.Low)
+	case "msglen":
+		return d.integer(&sp.MsgLen)
+	case "rate":
+		return d.real(&sp.Rate)
+	case "alpha":
+		return d.real(&sp.Alpha)
+	case "hotspot_frac":
+		return d.real(&sp.HotspotFrac)
+	case "hotspot_node":
+		return d.integer(&sp.HotspotNode)
+	case "arrival":
+		return d.text(&sp.Arrival)
+	case "burst_len":
+		return d.real(&sp.BurstLen)
+	case "duty_cycle":
+		return d.real(&sp.DutyCycle)
+	case "spatial":
+		return d.text(&sp.Spatial)
+	case "spatial_frac":
+		return d.real(&sp.SpatialFrac)
+	case "spatial_nodes":
+		return decodeList(d, &sp.SpatialNodes)
+	case "spatial_weights":
+		return decodeList(d, &sp.SpatialWeights)
+	case "damping":
+		return d.real(&sp.Damping)
+	case "max_iter":
+		return d.integer(&sp.MaxIter)
+	case "tol":
+		return d.real(&sp.Tol)
+	case "wait":
+		return d.text(&sp.Wait)
+	case "service":
+		return d.text(&sp.Service)
+	case "seed":
+		return d.unsigned(&sp.Seed)
+	case "warmup":
+		return d.real(&sp.Warmup)
+	case "measure":
+		return d.real(&sp.Measure)
+	case "sat_queue":
+		return d.integer(&sp.SatQueue)
+	case "drain":
+		return d.flag(&sp.Drain)
+	case "detail":
+		return d.flag(&sp.Detail)
+	case "mc_priority":
+		return d.flag(&sp.MulticastPriority)
+	case "trace_node":
+		return d.integer(&sp.TraceNode)
+	case "trace_limit":
+		return d.integer(&sp.TraceLimit)
+	case "replications":
+		return d.integer(&sp.Replications)
+	case "parallelism":
+		return d.integer(&sp.Parallelism)
+	case "intra_parallelism":
+		return d.integer(&sp.IntraParallelism)
+	case "metrics":
+		return d.flag(&sp.Metrics)
+	case "metrics_buckets":
+		return d.integer(&sp.MetricsBuckets)
+	case "evaluator":
+		return d.text(&sp.Evaluator)
+	case "record":
+		return d.text(&sp.Record)
+	case "replay":
+		return d.text(&sp.Replay)
+	}
+	if i := foldKey(key); i >= 0 {
+		return d.member(sp, []byte(specKeys[i]), start)
+	}
+	return d.fail(start, "unknown field")
+}
+
+// The value scanners: each reads one value at d.off into the field p
+// points to. null leaves a scalar as it is (and sets a slice to nil).
+
+// text scans a string. A name of the closed vocabulary is stored as
+// specNames' own string, so decoding it allocates nothing.
+func (d *specDecoder) text(p *string) error {
 	if d.literal("null") {
-		switch p := p.(type) {
-		case *[]int:
-			*p = nil
-		case *[]float64:
-			*p = nil
-		}
 		return nil
 	}
-	var want string // what the field takes, for a rejection
-	var tok []byte  // a number token, parsed by the strconv call encoding/json makes
-	var err error
-	switch p := p.(type) {
-	case *string:
-		want = "a string"
-		if d.peek() == '"' {
-			s, err := d.str()
-			*p = string(s)
-			return err
-		}
-	case *bool:
-		want = "true or false"
-		if d.literal("true") || d.literal("false") {
-			*p = d.data[start] == 't'
-			return nil
-		}
-	case *int:
-		want = "an integer"
-		if tok = d.number(); tok != nil {
-			var n int64
-			n, err = strconv.ParseInt(string(tok), 10, strconv.IntSize)
-			*p = int(n)
-		}
-	case *uint64:
-		want = "an unsigned integer"
-		if tok = d.number(); tok != nil {
-			*p, err = strconv.ParseUint(string(tok), 10, 64)
-		}
-	case *float64:
-		want = "a float64"
-		if tok = d.number(); tok != nil {
-			*p, err = strconv.ParseFloat(string(tok), 64)
-		}
-	case *[]int:
-		want = "an array of integers"
-		if d.peek() == '[' {
-			return decodeList(d, p)
-		}
-	case *[]float64:
-		want = "an array of numbers"
-		if d.peek() == '[' {
-			return decodeList(d, p)
-		}
+	if d.peek() != '"' {
+		return d.fail(d.off, "expected a string")
 	}
+	s, err := d.str()
+	if err != nil {
+		return err
+	}
+	if name, ok := specNames[string(s)]; ok {
+		*p = name
+	} else {
+		*p = string(s)
+	}
+	return nil
+}
+
+func (d *specDecoder) flag(p *bool) error {
+	switch {
+	case d.literal("null"):
+	case d.literal("true"):
+		*p = true
+	case d.literal("false"):
+		*p = false
+	default:
+		return d.fail(d.off, "expected true or false")
+	}
+	return nil
+}
+
+// integer, unsigned and real parse a number token with the strconv call
+// encoding/json makes for the field's type.
+func (d *specDecoder) integer(p *int) error {
+	start := d.off
+	if d.literal("null") {
+		return nil
+	}
+	tok := d.number()
+	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	if err != nil {
+		return d.numberError(start, tok, err, "an integer")
+	}
+	*p = int(n)
+	return nil
+}
+
+func (d *specDecoder) unsigned(p *uint64) error {
+	start := d.off
+	if d.literal("null") {
+		return nil
+	}
+	tok := d.number()
+	n, err := strconv.ParseUint(string(tok), 10, 64)
+	if err != nil {
+		return d.numberError(start, tok, err, "an unsigned integer")
+	}
+	*p = n
+	return nil
+}
+
+func (d *specDecoder) real(p *float64) error {
+	start := d.off
+	if d.literal("null") {
+		return nil
+	}
+	tok := d.number()
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return d.numberError(start, tok, err, "a float64")
+	}
+	*p = f
+	return nil
+}
+
+// numberError is a number scanner's rejection of the token at start
+// (nil when there is none), whose parse failed with err: no number there,
+// one out of range, or one not of the field's type (want).
+func (d *specDecoder) numberError(start int, tok []byte, err error, want string) error {
 	switch {
 	case tok == nil:
 		return d.fail(start, "expected %s", want)
 	case errors.Is(err, strconv.ErrRange):
 		return d.fail(start, "%s is out of range for %s", tok, want)
-	case err != nil:
-		return d.fail(start, "%s is not %s", tok, want)
 	}
-	return nil
+	return d.fail(start, "%s is not %s", tok, want)
 }
 
 // number scans a token of the JSON number grammar and returns it, or
@@ -252,13 +385,13 @@ func (d *specDecoder) number() []byte {
 		}
 		return d.off > n
 	}
-	d.literal("-")
-	ok := d.literal("0") || digits()
-	if ok && d.literal(".") {
+	d.next('-')
+	ok := d.next('0') || digits()
+	if ok && d.next('.') {
 		ok = digits()
 	}
-	if ok && (d.literal("e") || d.literal("E")) {
-		_ = d.literal("+") || d.literal("-")
+	if ok && (d.next('e') || d.next('E')) {
+		_ = d.next('+') || d.next('-')
 		ok = digits()
 	}
 	if !ok {
@@ -301,13 +434,23 @@ func (d *specDecoder) str() ([]byte, error) {
 // decodeList scans the array at d.off into *dst the way encoding/json
 // fills a slice: over the existing storage (a null element keeps what is
 // there), grown as needed, truncated to the elements read, and []
-// becomes a fresh empty slice. The storage is grown once, to one more
-// element than the commas before the first ']' (exact for any array the
-// decode accepts).
+// becomes a fresh empty slice; null sets *dst to nil. The storage is
+// grown once, to one more element than the commas before the first ']'
+// (exact for any array the decode accepts).
 func decodeList[T int | float64](d *specDecoder, dst *[]T) error {
-	d.off++
+	want := "an array of integers"
+	if _, ok := any(dst).(*[]float64); ok {
+		want = "an array of numbers"
+	}
+	if d.literal("null") {
+		*dst = nil
+		return nil
+	}
+	if !d.next('[') {
+		return d.fail(d.off, "expected %s", want)
+	}
 	d.space()
-	if d.literal("]") {
+	if d.next(']') {
 		*dst = []T{}
 		return nil
 	}
@@ -327,14 +470,21 @@ func decodeList[T int | float64](d *specDecoder, dst *[]T) error {
 		default:
 			s = append(s, 0)
 		}
-		if err := d.value(&s[i]); err != nil {
+		var err error
+		switch p := any(&s[i]).(type) {
+		case *int:
+			err = d.integer(p)
+		case *float64:
+			err = d.real(p)
+		}
+		if err != nil {
 			return err
 		}
 		d.space()
 		switch {
-		case d.literal(","):
+		case d.next(','):
 			d.space()
-		case d.literal("]"):
+		case d.next(']'):
 			*dst = s[:i+1]
 			return nil
 		default:
@@ -348,69 +498,183 @@ func decodeList[T int | float64](d *specDecoder, dst *[]T) error {
 // omitted, -0 omitted too), without reflecting. A non-finite float is
 // json.Marshal's error, returned with a nil slice as json.Marshal does.
 func (sp Spec) AppendJSON(dst []byte) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, '{')
-	key := func(i int) []byte {
-		if len(dst) > start+1 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '"')
-		dst = append(dst, specKeys[i]...)
-		return append(dst, '"', ':')
+	b, err := sp.encode(append(dst, '{'), len(dst), false)
+	if err != nil {
+		return nil, err
 	}
-	var err error
-	for i, field := range sp.fields() {
-		switch v := field.(type) {
-		case *string:
-			if *v != "" {
-				dst = appendJSONString(key(i), *v)
-			}
-		case *int:
-			if *v != 0 {
-				dst = strconv.AppendInt(key(i), int64(*v), 10)
-			}
-		case *uint64:
-			if *v != 0 {
-				dst = strconv.AppendUint(key(i), *v, 10)
-			}
-		case *bool:
-			if *v {
-				dst = append(key(i), "true"...)
-			}
-		case *float64:
-			if *v != 0 {
-				dst, err = appendJSONFloat(key(i), *v)
-			}
-		case *[]int:
-			if len(*v) > 0 {
-				dst, err = appendJSONList(key(i), *v, func(b []byte, x int) ([]byte, error) {
-					return strconv.AppendInt(b, int64(x), 10), nil
-				})
-			}
-		case *[]float64:
-			if len(*v) > 0 {
-				dst, err = appendJSONList(key(i), *v, appendJSONFloat)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return append(dst, '}'), nil
+	return append(b, '}'), nil
 }
 
-func appendJSONList[T int | float64](dst []byte, xs []T, elem func([]byte, T) ([]byte, error)) ([]byte, error) {
-	dst = append(dst, '[')
-	for i, x := range xs {
-		if i > 0 {
-			dst = append(dst, ',')
+// AppendKey appends the spec's in-memory key to dst: a compact binary
+// image of its fields, equal for two canonical specs exactly when their
+// CanonicalJSON is (for any spec ParseSpec returns). It names a Result
+// inside one process, as noc/service's tables do, and is no wire or disk
+// format: CanonicalJSON and Fingerprint are the content address.
+//
+// The image is AppendJSON's walk with the same omissions (an empty
+// field, a ±0 scalar): per field, its index in declaration order, then
+// its value raw — an integer as a varint, a float as its IEEE bits, a
+// string or a list as a length and its bytes or elements.
+func (sp *Spec) AppendKey(dst []byte) []byte {
+	b, _ := sp.encode(dst, 0, true)
+	return b
+}
+
+// encode walks the spec's fields in declaration order and appends each
+// non-empty one to b: as a JSON member of the object opened at b[start],
+// or (key) as an AppendKey record. The error is the first float JSON
+// cannot encode.
+func (sp *Spec) encode(b []byte, start int, key bool) ([]byte, error) {
+	field := 0
+	var err error
+	// open starts the record of the field the walk is at when that field
+	// is set, and moves the walk on either way.
+	open := func(set bool) bool {
+		i := field
+		field++
+		switch {
+		case !set:
+		case key:
+			b = append(b, byte(i))
+		default:
+			if len(b) > start+1 {
+				b = append(b, ',')
+			}
+			b = append(b, '"')
+			b = append(b, specKeys[i]...)
+			b = append(b, '"', ':')
 		}
-		var err error
-		if dst, err = elem(dst, x); err != nil {
-			return dst, err
+		return set
+	}
+	// float writes one float: its bits (a list's -0 kept apart from 0,
+	// as JSON's "-0" is) or its JSON number.
+	float := func(f float64) {
+		if key {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+			return
+		}
+		var ferr error
+		if b, ferr = appendJSONFloat(b, f); err == nil {
+			err = ferr
 		}
 	}
-	return append(dst, ']'), nil
+	text := func(s string) {
+		switch {
+		case !open(s != ""):
+		case key:
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		default:
+			b = appendJSONString(b, s)
+		}
+	}
+	integer := func(v int) {
+		switch {
+		case !open(v != 0):
+		case key:
+			b = binary.AppendVarint(b, int64(v))
+		default:
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	unsigned := func(v uint64) {
+		switch {
+		case !open(v != 0):
+		case key:
+			b = binary.AppendUvarint(b, v)
+		default:
+			b = strconv.AppendUint(b, v, 10)
+		}
+	}
+	flag := func(v bool) {
+		if open(v) && !key {
+			b = append(b, "true"...)
+		}
+	}
+	real := func(f float64) {
+		if open(f != 0) {
+			float(f)
+		}
+	}
+	// list writes a list's length or brackets around its elements.
+	list := func(n int, elem func(i int)) {
+		if !open(n > 0) {
+			return
+		}
+		if key {
+			b = binary.AppendUvarint(b, uint64(n))
+			for i := 0; i < n; i++ {
+				elem(i)
+			}
+			return
+		}
+		b = append(b, '[')
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			elem(i)
+		}
+		b = append(b, ']')
+	}
+	ints := func(xs []int) {
+		list(len(xs), func(i int) {
+			if key {
+				b = binary.AppendVarint(b, int64(xs[i]))
+			} else {
+				b = strconv.AppendInt(b, int64(xs[i]), 10)
+			}
+		})
+	}
+	reals := func(xs []float64) { list(len(xs), func(i int) { float(xs[i]) }) }
+
+	text(sp.Topology)
+	integer(sp.N)
+	integer(sp.W)
+	integer(sp.H)
+	integer(sp.Dims)
+	text(sp.Router)
+	text(sp.Pattern)
+	integer(sp.Dests)
+	integer(sp.Port)
+	unsigned(sp.SetSeed)
+	ints(sp.High)
+	ints(sp.Low)
+	integer(sp.MsgLen)
+	real(sp.Rate)
+	real(sp.Alpha)
+	real(sp.HotspotFrac)
+	integer(sp.HotspotNode)
+	text(sp.Arrival)
+	real(sp.BurstLen)
+	real(sp.DutyCycle)
+	text(sp.Spatial)
+	real(sp.SpatialFrac)
+	ints(sp.SpatialNodes)
+	reals(sp.SpatialWeights)
+	real(sp.Damping)
+	integer(sp.MaxIter)
+	real(sp.Tol)
+	text(sp.Wait)
+	text(sp.Service)
+	unsigned(sp.Seed)
+	real(sp.Warmup)
+	real(sp.Measure)
+	integer(sp.SatQueue)
+	flag(sp.Drain)
+	flag(sp.Detail)
+	flag(sp.MulticastPriority)
+	integer(sp.TraceNode)
+	integer(sp.TraceLimit)
+	integer(sp.Replications)
+	integer(sp.Parallelism)
+	integer(sp.IntraParallelism)
+	flag(sp.Metrics)
+	integer(sp.MetricsBuckets)
+	text(sp.Evaluator)
+	text(sp.Record)
+	text(sp.Replay)
+	return b, err
 }
 
 // appendJSONFloat is encoding/json's float64 form, ES6 number to string:

@@ -196,22 +196,92 @@ func FuzzSpecCodecMatchesJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkSpecCodec(t, data) })
 }
 
-// TestSpecCodecFieldTable holds the codec's key list and field pointers
-// to Spec's declaration: every field, in order, under its json tag.
-func TestSpecCodecFieldTable(t *testing.T) {
-	var sp Spec
-	rv := reflect.ValueOf(&sp).Elem()
-	fields := sp.fields()
-	if rv.NumField() != len(specKeys) {
-		t.Fatalf("Spec has %d fields, the codec knows %d", rv.NumField(), len(specKeys))
+// FuzzSpecKeyMatchesCanonical holds the in-memory key to the content
+// address it stands in for: for two documents that parse, the canonical
+// specs' AppendKey images are equal exactly when their CanonicalJSON is.
+// It is seeded with the serve-hot shapes and with pairs that differ only
+// in spelling (±0, an empty list against null, case-folded keys, an
+// explicit default) or only in a value JSON keeps apart (a list's -0).
+func FuzzSpecKeyMatchesCanonical(f *testing.F) {
+	pairs := [][2]string{
+		{`{"rate":0.002}`, `{"rate":-0,"rate":0.002}`},
+		{`{"alpha":0}`, `{"alpha":-0}`},
+		{`{"pattern":"highlow","high":[1]}`, `{"pattern":"highlow","high":[1],"low":[]}`},
+		{`{"pattern":"highlow","high":[]}`, `{"pattern":"highlow","high":null}`},
+		{`{"spatial":"hotspot","spatial_weights":[0]}`, `{"spatial":"hotspot","spatial_weights":[-0]}`},
+		{`{"Seed":7,"N":16,"TOPOLOGY":"quarc"}`, `{"seed":7,"n":16}`},
+		{`{"ſeed":7}`, `{"seed":7}`},
+		{`{"arrival":"poisson","evaluator":"simulator"}`, `{}`},
+		{`{"topology":"qu\u0061rc"}`, `{"topology":"quarc"}`},
 	}
-	for i := 0; i < rv.NumField(); i++ {
-		sf := rv.Type().Field(i)
+	for i, s := range serveHotShapes {
+		pairs = append(pairs, [2]string{s, s}, [2]string{s, serveHotShapes[(i+1)%len(serveHotShapes)]})
+	}
+	for _, p := range pairs {
+		f.Add([]byte(p[0]), []byte(p[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		spa, erra := ParseSpec(a)
+		spb, errb := ParseSpec(b)
+		if erra != nil || errb != nil {
+			return
+		}
+		ca, cb := spa.Canonical(), spb.Canonical()
+		ja, erra := ca.AppendJSON(nil)
+		jb, errb := cb.AppendJSON(nil)
+		if erra != nil || errb != nil {
+			t.Fatalf("a parsed spec does not encode: %v, %v", erra, errb)
+		}
+		ka, kb := ca.AppendKey(nil), cb.AppendKey(nil)
+		if bytes.Equal(ka, kb) != bytes.Equal(ja, jb) {
+			t.Fatalf("%q and %q: keys equal %v, canonical JSON equal %v:\n% x\n% x\n%s\n%s",
+				a, b, bytes.Equal(ka, kb), bytes.Equal(ja, jb), ka, kb, ja, jb)
+		}
+	})
+}
+
+// TestSpecCodecFieldTable holds the codec's key list, its key switch and
+// its encode walk to Spec's declaration: every field, in order, under its
+// json tag. Each field set alone encodes as exactly its own member and
+// its own key record, and decodes back into itself.
+func TestSpecCodecFieldTable(t *testing.T) {
+	rt := reflect.TypeOf(Spec{})
+	if rt.NumField() != len(specKeys) {
+		t.Fatalf("Spec has %d fields, the codec knows %d", rt.NumField(), len(specKeys))
+	}
+	for i := 0; i < rt.NumField(); i++ {
+		sf := rt.Field(i)
 		if tag := sf.Tag.Get("json"); tag != specKeys[i]+",omitempty" {
 			t.Errorf("field %s: tag %q, the codec reads key %q", sf.Name, tag, specKeys[i])
 		}
-		if fields[i] != rv.Field(i).Addr().Interface() {
-			t.Errorf("fields()[%d] does not point at %s", i, sf.Name)
+		var sp Spec
+		switch f := reflect.ValueOf(&sp).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int:
+			f.SetInt(3)
+		case reflect.Uint64:
+			f.SetUint(3)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		}
+		doc, err := sp.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prefix := `{"` + specKeys[i] + `":`; !bytes.HasPrefix(doc, []byte(prefix)) || bytes.Count(doc, []byte(`":`)) != 1 {
+			t.Errorf("%s alone encodes as %s, want one member %s...", sf.Name, doc, prefix)
+		}
+		if key := sp.AppendKey(nil); len(key) == 0 || key[0] != byte(i) {
+			t.Errorf("%s alone keys as % x, want a record tagged %d", sf.Name, key, i)
+		}
+		var got Spec
+		if err := got.decodeJSON(doc); err != nil || !reflect.DeepEqual(got, sp) {
+			t.Errorf("%s: %s decodes to %#v, %v", sf.Name, doc, got, err)
 		}
 	}
 }
@@ -352,9 +422,10 @@ func TestSpecCodecRejections(t *testing.T) {
 }
 
 // TestSpecCodecAllocs pins the codec's allocation budget on the serve-hot
-// shapes: encoding a canonical spec into a large enough buffer allocates
-// nothing, nor does Fingerprint; CanonicalJSON allocates its one buffer;
-// ParseSpec allocates at most once per non-empty string or slice field.
+// shapes: encoding a canonical spec, as JSON or as a key, into a large
+// enough buffer allocates nothing, nor does Fingerprint; CanonicalJSON
+// allocates its one buffer; ParseSpec allocates at most once per
+// non-empty slice field, never for a name of the closed vocabulary.
 func TestSpecCodecAllocs(t *testing.T) {
 	docs := append(serveHotShapes[:len(serveHotShapes):len(serveHotShapes)],
 		`{"topology":"mesh","w":4,"h":4,"pattern":"highlow","high":[1,3,5],"low":[2],"spatial":"hotspot","spatial_nodes":[0,5],"spatial_weights":[0.25,0.75,1]}`)
@@ -375,29 +446,21 @@ func TestSpecCodecAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { _, _ = c.CanonicalJSON() }); a != float64(1+c.refFields()) {
 			t.Errorf("%s: CanonicalJSON allocates %.0f times, want one buffer and Canonical's list clones", doc, a)
 		}
-		budget := sp.refFields() + sp.stringFields()
+		if a := testing.AllocsPerRun(100, func() { buf = c.AppendKey(buf[:0]) }); a != 0 {
+			t.Errorf("%s: AppendKey into a 512-byte buffer allocates %.0f times", doc, a)
+		}
+		budget := sp.refFields()
 		if a := testing.AllocsPerRun(100, func() { _, _ = ParseSpec(data) }); a > float64(budget) {
 			t.Errorf("%s: ParseSpec allocates %.0f times, want <= %d", doc, a, budget)
 		}
 	}
 }
 
-// refFields and stringFields count the spec's non-empty slice and string
-// fields.
+// refFields counts the spec's non-empty slice fields.
 func (sp Spec) refFields() int {
 	n := 0
 	for _, l := range []int{len(sp.High), len(sp.Low), len(sp.SpatialNodes), len(sp.SpatialWeights)} {
 		if l > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func (sp Spec) stringFields() int {
-	n := 0
-	for _, f := range sp.fields() {
-		if s, ok := f.(*string); ok && *s != "" {
 			n++
 		}
 	}
@@ -430,5 +493,21 @@ func BenchmarkAppendJSON(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf, _ = specs[i%len(specs)].AppendJSON(buf[:0])
+	}
+}
+
+func BenchmarkAppendKey(b *testing.B) {
+	specs := make([]Spec, len(serveHotShapes))
+	for i, s := range serveHotShapes {
+		sp, err := ParseSpec([]byte(s))
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs[i] = sp.Canonical()
+	}
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = specs[i%len(specs)].AppendKey(buf[:0])
 	}
 }

@@ -154,7 +154,7 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 				step = (0.95 - 0.10) / float64(points-1)
 			}
 			for i := range rates {
-				frac := 0.10 + step*float64(i)
+				frac := 0.10 + float64(step*float64(i))
 				if points == 1 {
 					frac = 0.50
 				}

@@ -229,17 +229,19 @@ func main() {
 		return
 	}
 
+	// The report states what ran: the scenario's Spec, defaults filled in.
+	ran := s.Spec()
 	if sp.Replay != "" {
 		// The generative knobs are ignored under replay; print the true
 		// workload provenance instead.
 		fmt.Printf("configuration: N=%d msg=%d flits workload=replay(%s) set={%s}\n",
-			s.Nodes(), s.MsgLen(), sp.Replay, s.SetString())
+			s.Nodes(), ran.MsgLen, sp.Replay, s.SetString())
 	} else {
 		fmt.Printf("configuration: N=%d msg=%d flits rate=%g alpha=%g arrival=%s spatial=%s set={%s}\n",
-			s.Nodes(), s.MsgLen(), s.Rate(), s.Alpha(), s.ArrivalName(), s.SpatialName(), s.SetString())
+			s.Nodes(), ran.MsgLen, ran.Rate, ran.Alpha, ran.Arrival, ran.Spatial, s.SetString())
 	}
 	if res.Evaluator == "model" {
-		printModel(s, res, nil)
+		printModel(ran.Alpha, res, nil)
 		return
 	}
 	fmt.Printf("simulated:     %.0f cycles, %d events, %d/%d messages completed/generated\n",
@@ -250,7 +252,7 @@ func main() {
 	}
 	fmt.Printf("unicast:       %.3f ± %.3f cycles (95%% CI, %d messages)\n",
 		res.Unicast, res.UnicastCI, res.UnicastN)
-	if s.Alpha() > 0 && res.MulticastN > 0 {
+	if ran.Alpha > 0 && res.MulticastN > 0 {
 		fmt.Printf("multicast:     %.3f ± %.3f cycles (95%% CI, %d messages)\n",
 			res.Multicast, res.MulticastCI, res.MulticastN)
 	}
@@ -279,13 +281,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		printModel(s, pred, &res)
+		printModel(ran.Alpha, pred, &res)
 	}
 }
 
-// printModel prints a model Result's latencies, each with its relative
-// error against the simulator's when sim is non-nil.
-func printModel(s *noc.Scenario, pred noc.Result, sim *noc.Result) {
+// printModel prints a model Result's latencies, the multicast one when
+// the multicast fraction alpha is positive, each with its relative error
+// against the simulator's when sim is non-nil.
+func printModel(alpha float64, pred noc.Result, sim *noc.Result) {
 	if pred.Saturated {
 		fmt.Println("model:         SATURATED at this rate")
 		return
@@ -294,7 +297,7 @@ func printModel(s *noc.Scenario, pred noc.Result, sim *noc.Result) {
 	if sim != nil {
 		fmt.Printf(" (rel err %.2f%%)", 100*noc.RelErr(pred.Unicast, sim.Unicast))
 	}
-	if s.Alpha() > 0 {
+	if alpha > 0 {
 		fmt.Printf(", multicast %.3f cycles", pred.Multicast)
 		if sim != nil {
 			fmt.Printf(" (rel err %.2f%%)", 100*noc.RelErr(pred.Multicast, sim.Multicast))

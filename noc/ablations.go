@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -13,15 +14,6 @@ type Series struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// RunSeries evaluates Model and Simulator on the scenario for each rate.
-func RunSeries(label string, s *Scenario, rates []float64) (Series, error) {
-	sw, err := Sweep(s, SweepOptions{Rates: rates, Workers: 1})
-	if err != nil {
-		return Series{}, err
-	}
-	return Series{Label: label, Points: sw.Points}, nil
-}
-
 // SeriesTable renders one or more series side by side.
 func SeriesTable(series []Series) string {
 	var b strings.Builder
@@ -30,8 +22,7 @@ func SeriesTable(series []Series) string {
 		fmt.Fprintf(&b, "  %-10s %12s %12s %12s %12s %5s\n",
 			"rate", "model-uni", "sim-uni", "model-mc", "sim-mc", "sat")
 		for _, p := range s.Points {
-			model, _ := p.Get("model")
-			sim, _ := p.Get("simulator")
+			model, sim := curves(p)
 			sat := ""
 			if model.Saturated {
 				sat += "M"
@@ -52,9 +43,9 @@ func SeriesTable(series []Series) string {
 // routers remove the injection serialization of collective operations).
 // Both scenarios run at simulation effort e.
 func OnePortAblation(n, msgLen int, alpha float64, rates []float64, e Effort) ([]Series, error) {
-	return compare(rates, e,
-		labelled{"all-port", Spec{Topology: "quarc", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
-		labelled{"one-port", Spec{Topology: "quarc-oneport", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
+	return compare(rates, e, nil,
+		labelled{"all-port", broadcastSpec("quarc", n, msgLen, alpha)},
+		labelled{"one-port", broadcastSpec("quarc-oneport", n, msgLen, alpha)},
 	)
 }
 
@@ -62,24 +53,33 @@ func OnePortAblation(n, msgLen int, alpha float64, rates []float64, e Effort) ([
 // the Spidergon's broadcast-by-consecutive-unicasts at the same size,
 // message length and rates (paper Sec. 3.2).
 func SpidergonComparison(n, msgLen int, alpha float64, rates []float64, e Effort) ([]Series, error) {
-	return compare(rates, e,
-		labelled{"quarc-broadcast", Spec{Topology: "quarc", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
-		labelled{"spidergon-bcast-by-unicast", Spec{Topology: "spidergon", N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}},
+	return compare(rates, e, nil,
+		labelled{"quarc-broadcast", broadcastSpec("quarc", n, msgLen, alpha)},
+		labelled{"spidergon-bcast-by-unicast", broadcastSpec("spidergon", n, msgLen, alpha)},
 	)
+}
+
+// broadcastSpec is the broadcast-heavy workload of the one-port and
+// Spidergon studies on an n-node ring topology.
+func broadcastSpec(topology string, n, msgLen int, alpha float64) Spec {
+	return Spec{Topology: topology, N: n, MsgLen: msgLen, Alpha: alpha, Pattern: "broadcast"}
 }
 
 // MeshExtension checks the model's validity beyond the Quarc — the paper's
 // stated future work — by comparing model and simulation on an all-port
 // mesh and torus with Hamilton-path multicast.
 func MeshExtension(w, h, msgLen int, alpha float64, rates []float64, e Effort) ([]Series, error) {
-	net := func(topology string) Spec {
-		return Spec{Topology: topology, W: w, H: h, MsgLen: msgLen, Alpha: alpha,
-			Pattern: "highlow", High: []int{2, 4}, Low: []int{1, 3}}
-	}
-	return compare(rates, e,
-		labelled{fmt.Sprintf("mesh-%dx%d", w, h), net("mesh")},
-		labelled{fmt.Sprintf("torus-%dx%d", w, h), net("torus")},
+	return compare(rates, e, nil,
+		labelled{fmt.Sprintf("mesh-%dx%d", w, h), hamiltonSpec("mesh", w, h, msgLen, alpha)},
+		labelled{fmt.Sprintf("torus-%dx%d", w, h), hamiltonSpec("torus", w, h, msgLen, alpha)},
 	)
+}
+
+// hamiltonSpec is the mesh study's workload: Hamilton-path multicast on a
+// w x h grid topology.
+func hamiltonSpec(topology string, w, h, msgLen int, alpha float64) Spec {
+	return Spec{Topology: topology, W: w, H: h, MsgLen: msgLen, Alpha: alpha,
+		Pattern: "highlow", High: []int{2, 4}, Low: []int{1, 3}}
 }
 
 // WorkloadAblation sweeps the same offered load through the
@@ -90,29 +90,23 @@ func MeshExtension(w, h, msgLen int, alpha float64, rates []float64, e Effort) (
 // rejects the others by design — and makes visible how much congestion
 // smooth Poisson/uniform injection hides at equal average rates.
 func WorkloadAblation(n, msgLen int, rates []float64, e Effort) ([]Series, error) {
-	variants := []labelled{
-		{"poisson/uniform", Spec{}},
-		{"bernoulli/uniform", Spec{Arrival: "bernoulli"}},
-		{"onoff(8,0.25)/uniform", Spec{Arrival: "onoff", BurstLen: 8, DutyCycle: 0.25}},
-		{"periodic/uniform", Spec{Arrival: "periodic"}},
-		{"poisson/transpose", Spec{Spatial: "transpose"}},
-		{"poisson/tornado", Spec{Spatial: "tornado"}},
-		{"onoff(8,0.25)/tornado", Spec{Arrival: "onoff", BurstLen: 8, DutyCycle: 0.25, Spatial: "tornado"}},
+	variants := slices.Clone(workloadVariants)
+	for i := range variants {
+		variants[i].sp.Topology, variants[i].sp.N, variants[i].sp.MsgLen = "quarc", n, msgLen
 	}
-	var out []Series
-	for _, v := range variants {
-		v.sp.Topology, v.sp.N, v.sp.MsgLen = "quarc", n, msgLen
-		s, err := e.scenario(v.sp, 0)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := Sweep(s, SweepOptions{Rates: rates, Evaluators: []Evaluator{Simulator{}}})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Series{Label: v.label, Points: sw.Points})
-	}
-	return out, nil
+	return compare(rates, e, []Evaluator{Simulator{}}, variants...)
+}
+
+// workloadVariants are the arrival and spatial patterns WorkloadAblation
+// compares, without the topology and message length.
+var workloadVariants = []labelled{
+	{"poisson/uniform", Spec{}},
+	{"bernoulli/uniform", Spec{Arrival: "bernoulli"}},
+	{"onoff(8,0.25)/uniform", Spec{Arrival: "onoff", BurstLen: 8, DutyCycle: 0.25}},
+	{"periodic/uniform", Spec{Arrival: "periodic"}},
+	{"poisson/transpose", Spec{Spatial: "transpose"}},
+	{"poisson/tornado", Spec{Spatial: "tornado"}},
+	{"onoff(8,0.25)/tornado", Spec{Arrival: "onoff", BurstLen: 8, DutyCycle: 0.25, Spatial: "tornado"}},
 }
 
 // SimSeriesTable renders simulator-only series (e.g. WorkloadAblation's)
@@ -146,18 +140,21 @@ type labelled struct {
 	sp    Spec
 }
 
-func compare(rates []float64, e Effort, configs ...labelled) ([]Series, error) {
-	var out []Series
-	for _, c := range configs {
+// compare resolves each labelled spec at effort e and sweeps it over the
+// rates with the evaluators (nil: Model and Simulator): every ablation
+// study is one or two calls.
+func compare(rates []float64, e Effort, evals []Evaluator, specs ...labelled) ([]Series, error) {
+	out := make([]Series, 0, len(specs))
+	for _, c := range specs {
 		s, err := e.scenario(c.sp, 0)
 		if err != nil {
 			return nil, err
 		}
-		series, err := RunSeries(c.label, s, rates)
+		sw, err := Sweep(s, SweepOptions{Rates: rates, Evaluators: evals})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, series)
+		out = append(out, Series{Label: c.label, Points: sw.Points})
 	}
 	return out, nil
 }
@@ -178,49 +175,30 @@ type ServicePoint struct {
 // conservative: it predicts higher utilization and saturates earlier; the
 // ablation quantifies by how much against the simulator.
 func ServiceFormulaAblation(n, msgLen int, rates []float64, e Effort) ([]ServicePoint, error) {
+	if len(rates) == 0 {
+		return nil, nil // an auto grid would differ between the variants
+	}
 	sp := Spec{Topology: "quarc", N: n, MsgLen: msgLen}
-	base, err := e.scenario(sp, 0)
+	eq6, err := compare(rates, e, nil, labelled{"eq6", sp})
 	if err != nil {
 		return nil, err
 	}
 	sp.Service = "tail"
-	tailBase, err := sp.ScenarioWith(base)
+	tail, err := compare(rates, e, []Evaluator{Model{}}, labelled{"tail", sp})
 	if err != nil {
 		return nil, err
 	}
-	eq6Model, err := buildModel(base)
-	if err != nil {
-		return nil, err
-	}
-	tailModel, err := buildModel(tailBase)
-	if err != nil {
-		return nil, err
-	}
-	var out []ServicePoint
-	for _, rate := range rates {
-		s, err := base.With(Rate(rate))
-		if err != nil {
-			return nil, err
-		}
-		eq6, err := eq6Model.SolveAt(rate)
-		if err != nil {
-			return nil, err
-		}
-		tail, err := tailModel.SolveAt(rate)
-		if err != nil {
-			return nil, err
-		}
-		sim, err := Simulator{}.Evaluate(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ServicePoint{
-			Rate:         rate,
-			Eq6Unicast:   eq6.UnicastLatency,
-			TailUnicast:  tail.UnicastLatency,
+	out := make([]ServicePoint, len(rates))
+	for i, p := range eq6[0].Points {
+		model, sim := curves(p)
+		tailModel, _ := tail[0].Points[i].Get("model")
+		out[i] = ServicePoint{
+			Rate:         p.Rate,
+			Eq6Unicast:   model.Unicast,
+			TailUnicast:  tailModel.Unicast,
 			SimUnicast:   sim.Unicast,
-			Eq6Saturated: eq6.Saturated,
-		})
+			Eq6Saturated: model.Saturated,
+		}
 	}
 	return out, nil
 }

@@ -23,22 +23,22 @@ const (
 // topologies is the closed topology table: each family with the one
 // router that routes it.
 var topologies = map[string]topologyDef{
-	"quarc": {"quarc", func(c TopologyConfig) (routing.Router, error) {
+	"quarc": {"quarc", func(c *config) (routing.Router, error) {
 		return routedBy(routing.NewQuarcRouter)(topology.NewQuarc(c.N))
 	}},
-	"quarc-oneport": {"quarc", func(c TopologyConfig) (routing.Router, error) {
+	"quarc-oneport": {"quarc", func(c *config) (routing.Router, error) {
 		return routedBy(routing.NewQuarcRouter)(topology.NewQuarcOnePort(c.N))
 	}},
-	"spidergon": {"spidergon", func(c TopologyConfig) (routing.Router, error) {
+	"spidergon": {"spidergon", func(c *config) (routing.Router, error) {
 		return routedBy(routing.NewSpidergonRouter)(topology.NewSpidergon(c.N))
 	}},
-	"mesh": {"mesh", func(c TopologyConfig) (routing.Router, error) {
+	"mesh": {"mesh", func(c *config) (routing.Router, error) {
 		return routedBy(routing.NewMeshRouter)(topology.NewMesh(c.W, c.H))
 	}},
-	"torus": {"mesh", func(c TopologyConfig) (routing.Router, error) {
+	"torus": {"mesh", func(c *config) (routing.Router, error) {
 		return routedBy(routing.NewMeshRouter)(topology.NewTorus(c.W, c.H))
 	}},
-	"hypercube": {"hypercube", func(c TopologyConfig) (routing.Router, error) {
+	"hypercube": {"hypercube", func(c *config) (routing.Router, error) {
 		return routedBy(routing.NewHypercubeRouter)(topology.NewHypercube(c.Dims))
 	}},
 }
@@ -55,30 +55,30 @@ func routedBy[T any, R routing.Router](newRouter func(T) R) func(T, error) (rout
 }
 
 // patterns is the closed multicast traffic-pattern table.
-var patterns = map[string]func(routing.Router, PatternConfig) (routing.MulticastSet, error){
-	"none": func(rt routing.Router, c PatternConfig) (routing.MulticastSet, error) {
+var patterns = map[string]func(routing.Router, *config) (routing.MulticastSet, error){
+	"none": func(rt routing.Router, c *config) (routing.MulticastSet, error) {
 		return routing.NewMulticastSet(rt.Graph().Ports()), nil
 	},
-	"random": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
-		rng := rand.New(rand.NewPCG(c.Seed, c.stream))
+	"random": func(router routing.Router, c *config) (routing.MulticastSet, error) {
+		rng := rand.New(rand.NewPCG(c.SetSeed, c.stream))
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
-			return rt.RandomSet(rng, c.K)
+			return rt.RandomSet(rng, c.Dests)
 		case *routing.SpidergonRouter:
-			return rt.RandomSet(rng, c.K)
+			return rt.RandomSet(rng, c.Dests)
 		}
 		return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"random\" not supported on %T", router)
 	},
-	"localized": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
+	"localized": func(router routing.Router, c *config) (routing.MulticastSet, error) {
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
-			return rt.LocalizedSet(c.Port, c.K)
+			return rt.LocalizedSet(c.Port, c.Dests)
 		case *routing.SpidergonRouter:
-			return rt.LocalizedSet(c.K)
+			return rt.LocalizedSet(c.Dests)
 		}
 		return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"localized\" not supported on %T", router)
 	},
-	"broadcast": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
+	"broadcast": func(router routing.Router, c *config) (routing.MulticastSet, error) {
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
 			return rt.BroadcastSet(), nil
@@ -87,7 +87,7 @@ var patterns = map[string]func(routing.Router, PatternConfig) (routing.Multicast
 		}
 		return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"broadcast\" not supported on %T", router)
 	},
-	"highlow": func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
+	"highlow": func(router routing.Router, c *config) (routing.MulticastSet, error) {
 		rt, ok := router.(*routing.MeshRouter)
 		if !ok {
 			return routing.MulticastSet{}, fmt.Errorf("noc: pattern \"highlow\" not supported on %T", router)
@@ -101,11 +101,11 @@ var patterns = map[string]func(routing.Router, PatternConfig) (routing.Multicast
 // hotspot. The bit-wise permutations interpret node indices as
 // log2(n)-bit words; transpose and tornado use mesh coordinates when the
 // topology is a mesh or torus and fall back to the index forms otherwise.
-var spatials = map[string]func(routing.Router, SpatialConfig) (traffic.Dest, error){
-	"uniform": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+var spatials = map[string]func(routing.Router, *config) (traffic.Dest, error){
+	"uniform": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		return traffic.Dest{}, nil
 	},
-	"transpose": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+	"transpose": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		if m, ok := meshOf(rt); ok {
 			if m.W() != m.H() {
 				return traffic.Dest{}, fmt.Errorf("noc: transpose needs a square mesh, got %dx%d", m.W(), m.H())
@@ -123,7 +123,7 @@ var spatials = map[string]func(routing.Router, SpatialConfig) (traffic.Dest, err
 			return src>>half | lo<<half
 		}, true)
 	},
-	"bit-reversal": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+	"bit-reversal": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		return bitPerm(rt, "bit-reversal", func(src, bits int) int {
 			out := 0
 			for i := 0; i < bits; i++ {
@@ -132,17 +132,17 @@ var spatials = map[string]func(routing.Router, SpatialConfig) (traffic.Dest, err
 			return out
 		}, false)
 	},
-	"bit-complement": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+	"bit-complement": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		return bitPerm(rt, "bit-complement", func(src, bits int) int {
 			return ^src & (1<<bits - 1)
 		}, false)
 	},
-	"shuffle": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+	"shuffle": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		return bitPerm(rt, "shuffle", func(src, bits int) int {
 			return (src<<1 | src>>(bits-1)) & (1<<bits - 1)
 		}, false)
 	},
-	"tornado": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+	"tornado": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		if m, ok := meshOf(rt); ok {
 			// Per-dimension half-way shift: (x, y) -> (x + ⌈W/2⌉-1, y + ⌈H/2⌉-1).
 			dx, dy := (m.W()+1)/2-1, (m.H()+1)/2-1
@@ -156,7 +156,7 @@ var spatials = map[string]func(routing.Router, SpatialConfig) (traffic.Dest, err
 		shift := (n+1)/2 - 1
 		return permDest(n, func(src int) int { return (src + shift) % n }), nil
 	},
-	"hotspot": func(rt routing.Router, c SpatialConfig) (traffic.Dest, error) {
+	"hotspot": func(rt routing.Router, c *config) (traffic.Dest, error) {
 		return hotspotDest(rt.Graph().Nodes(), c)
 	},
 }
@@ -198,28 +198,28 @@ func bitPerm(rt routing.Router, name string, f func(src, bits int) int, evenBits
 }
 
 // hotspotDest builds the weight-matrix form of hotspot traffic: each
-// source sends fraction Frac of its unicasts to the hotspots (split by
-// their weights) and spreads the rest uniformly. A source that is itself
-// a hotspot redistributes its own share over the remaining hotspots, or
-// falls back to uniform when it is the only one — matching the classic
-// single-hotspot convention.
-func hotspotDest(n int, c SpatialConfig) (traffic.Dest, error) {
-	if c.Frac <= 0 || c.Frac > 1 || math.IsNaN(c.Frac) {
-		return traffic.Dest{}, fmt.Errorf("noc: hotspot fraction %v out of (0,1]", c.Frac)
+// source sends fraction SpatialFrac of its unicasts to the SpatialNodes
+// (split by SpatialWeights) and spreads the rest uniformly. A source that
+// is itself a hotspot redistributes its own share over the remaining
+// hotspots, or falls back to uniform when it is the only one — matching
+// the classic single-hotspot convention.
+func hotspotDest(n int, c *config) (traffic.Dest, error) {
+	if c.SpatialFrac <= 0 || c.SpatialFrac > 1 || math.IsNaN(c.SpatialFrac) {
+		return traffic.Dest{}, fmt.Errorf("noc: hotspot fraction %v out of (0,1]", c.SpatialFrac)
 	}
-	if len(c.Nodes) == 0 {
+	if len(c.SpatialNodes) == 0 {
 		return traffic.Dest{}, fmt.Errorf("noc: hotspot pattern needs at least one node")
 	}
-	if len(c.Weights) != 0 && len(c.Weights) != len(c.Nodes) {
-		return traffic.Dest{}, fmt.Errorf("noc: %d hotspot weights for %d nodes", len(c.Weights), len(c.Nodes))
+	if len(c.SpatialWeights) != 0 && len(c.SpatialWeights) != len(c.SpatialNodes) {
+		return traffic.Dest{}, fmt.Errorf("noc: %d hotspot weights for %d nodes", len(c.SpatialWeights), len(c.SpatialNodes))
 	}
 	weight := func(i int) float64 {
-		if len(c.Weights) == 0 { // absent on the wire decodes as nil or empty
+		if len(c.SpatialWeights) == 0 { // absent on the wire decodes as nil or empty
 			return 1
 		}
-		return c.Weights[i]
+		return c.SpatialWeights[i]
 	}
-	for i, node := range c.Nodes {
+	for i, node := range c.SpatialNodes {
 		if node < 0 || node >= n {
 			return traffic.Dest{}, fmt.Errorf("noc: hotspot node %d outside the %d-node network", node, n)
 		}
@@ -231,12 +231,12 @@ func hotspotDest(n int, c SpatialConfig) (traffic.Dest, error) {
 	for src := 0; src < n; src++ {
 		row := make([]float64, n)
 		sw := 0.0
-		for i, node := range c.Nodes {
+		for i, node := range c.SpatialNodes {
 			if node != src {
 				sw += weight(i)
 			}
 		}
-		uniform := (1 - c.Frac) / float64(n-1)
+		uniform := (1 - c.SpatialFrac) / float64(n-1)
 		if sw == 0 {
 			// The source is the only hotspot: pure uniform row.
 			uniform = 1 / float64(n-1)
@@ -247,9 +247,9 @@ func hotspotDest(n int, c SpatialConfig) (traffic.Dest, error) {
 			}
 		}
 		if sw > 0 {
-			for i, node := range c.Nodes {
+			for i, node := range c.SpatialNodes {
 				if node != src {
-					row[node] += c.Frac * weight(i) / sw
+					row[node] += c.SpatialFrac * weight(i) / sw
 				}
 			}
 		}

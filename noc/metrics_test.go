@@ -167,7 +167,7 @@ func TestObsFileRebuildsSeries(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("the log holds no records")
 	}
-	got, err := json.Marshal(AggregateObs(recs, s.Channels(), 100, res.Time))
+	got, err := json.Marshal(AggregateObs(recs, s.router.Graph().NumChannels(), 100, res.Time))
 	if err != nil {
 		t.Fatal(err)
 	}

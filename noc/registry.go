@@ -8,47 +8,12 @@ import (
 	"quarc/internal/traffic"
 )
 
-// TopologyConfig parameterizes a topology builder. Each builder reads only
-// the fields its family needs: N for quarc/spidergon, W and H for
-// mesh/torus, Dims for hypercube.
-type TopologyConfig struct {
-	N    int // node count (quarc, spidergon)
-	W, H int // grid dimensions (mesh, torus)
-	Dims int // dimensions (hypercube)
-}
-
-// PatternConfig parameterizes a traffic-pattern builder. Each builder reads
-// only the fields its pattern needs: K and Seed for "random", Port and K
-// for "localized", High and Low for "highlow".
-type PatternConfig struct {
-	K         int    // number of multicast destinations
-	Port      int    // rim/port for localized sets
-	Seed      uint64 // RNG seed for random sets
-	High, Low []int  // Hamilton-path offsets for mesh/torus multicast
-	// stream selects the PCG stream "random" draws from; zero outside
-	// the figure panels.
-	stream uint64
-}
-
-// SpatialConfig parameterizes a spatial (unicast-destination) pattern
-// builder. The permutation families ignore it; "hotspot" reads all three
-// fields.
-type SpatialConfig struct {
-	// Frac is the fraction of unicast traffic directed at the hotspots.
-	Frac float64
-	// Nodes lists the hotspot nodes.
-	Nodes []int
-	// Weights gives the hotspots' relative weights (none means equal);
-	// must be index-aligned with Nodes when set.
-	Weights []float64
-}
-
 // topologyDef is one row of the closed topology table: the name of the
 // one router that routes the family, and a builder that makes the
-// topology and wraps it in that router.
+// topology the configuration sizes and wraps it in that router.
 type topologyDef struct {
 	router string
-	build  func(TopologyConfig) (routing.Router, error)
+	build  func(*config) (routing.Router, error)
 }
 
 // Topologies returns the topology names, sorted.

@@ -27,7 +27,7 @@ func (r *countingRouter) AppendUnicastPath(buf routing.Path, src, dst topology.N
 // under the given name until the test ends. newRouter runs on every
 // router the builder makes.
 func addCountingTopology(t *testing.T, name string, calls *atomic.Int64, newRouter func(*countingRouter)) {
-	topologies[name] = topologyDef{router: "quarc", build: func(c TopologyConfig) (routing.Router, error) {
+	topologies[name] = topologyDef{router: "quarc", build: func(c *config) (routing.Router, error) {
 		q, err := topology.NewQuarc(c.N)
 		if err != nil {
 			return nil, err
@@ -36,8 +36,8 @@ func addCountingTopology(t *testing.T, name string, calls *atomic.Int64, newRout
 		newRouter(r)
 		return r, nil
 	}}
-	patterns[name] = func(router routing.Router, c PatternConfig) (routing.MulticastSet, error) {
-		return router.(*countingRouter).LocalizedSet(c.Port, c.K)
+	patterns[name] = func(router routing.Router, c *config) (routing.MulticastSet, error) {
+		return router.(*countingRouter).LocalizedSet(c.Port, c.Dests)
 	}
 	t.Cleanup(func() {
 		delete(topologies, name)

@@ -33,7 +33,7 @@ type config struct {
 	Spec
 	record, replay *TraceWorkload // Record / Replay option values
 	metricsSink    obs.Sink       // MetricsSink tee for the raw record stream
-	stream         uint64         // PatternConfig.stream (figure panels)
+	stream         uint64         // PCG stream of the "random" pattern (figure panels)
 }
 
 // apply runs the options in order, then fills the table names an
@@ -235,34 +235,31 @@ func resolve(cfg config) (*Scenario, error) {
 	// configuration mistakes like any other option error; they wrap the
 	// sentinel so callers — the quarcd error mapping in particular — can
 	// classify them without string matching.
-	router, err := topo.build(TopologyConfig{N: cfg.N, W: cfg.W, H: cfg.H, Dims: cfg.Dims})
+	s := &Scenario{cfg: cfg}
+	router, err := topo.build(&s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 	if cfg.Router != topo.router {
 		return nil, fmt.Errorf("%w: noc: a %s topology is routed by the %s router, not %s", ErrInvalidOption, cfg.Topology, topo.router, cfg.Router)
 	}
-	set, err := buildPattern(router, PatternConfig{
-		K: cfg.Dests, Port: cfg.Port, Seed: cfg.SetSeed, High: cfg.High, Low: cfg.Low, stream: cfg.stream})
-	if err != nil {
+	if s.set, err = buildPattern(router, &s.cfg); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 	buildSpatial, err := lookup(spatials, "spatial pattern", cfg.Spatial)
 	if err != nil {
 		return nil, err
 	}
-	dest, err := buildSpatial(router, SpatialConfig{Frac: cfg.SpatialFrac, Nodes: cfg.SpatialNodes, Weights: cfg.SpatialWeights})
-	if err != nil {
+	if s.dest, err = buildSpatial(router, &s.cfg); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 
 	// The builders above see the concrete router (some type-assert it);
 	// everything downstream reads the scenario's one route table.
-	table, err := routing.NewTable(router, set)
-	if err != nil {
+	if s.router, err = routing.NewTable(router, s.set); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
-	return (&Scenario{cfg: cfg, router: table, set: set, dest: dest}).checked()
+	return s.checked()
 }
 
 // checked returns s once validate accepts it; every path that makes a
@@ -335,28 +332,8 @@ func (s *Scenario) trafficSpec() traffic.Spec {
 	}
 }
 
-// ArrivalName returns the scenario's arrival-process name
-// ("poisson" when defaulted).
-func (s *Scenario) ArrivalName() string { return s.cfg.Arrival }
-
-// SpatialName returns the scenario's spatial-pattern name
-// ("uniform" when defaulted).
-func (s *Scenario) SpatialName() string { return s.cfg.Spatial }
-
 // Nodes returns the network size.
 func (s *Scenario) Nodes() int { return s.router.Graph().Nodes() }
-
-// Channels returns the number of unidirectional channels in the network.
-func (s *Scenario) Channels() int { return s.router.Graph().NumChannels() }
-
-// MsgLen returns the message length in flits.
-func (s *Scenario) MsgLen() int { return s.cfg.MsgLen }
-
-// Rate returns the per-node message generation rate.
-func (s *Scenario) Rate() float64 { return s.cfg.Rate }
-
-// Alpha returns the multicast fraction.
-func (s *Scenario) Alpha() float64 { return s.cfg.Alpha }
 
 // SetString renders the multicast destination set in the paper's per-port
 // bitstring notation.

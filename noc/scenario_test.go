@@ -26,11 +26,11 @@ func TestWithValidatesFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok.Rate() != 0.002 || ok.Nodes() != 16 {
-		t.Errorf("fork: rate=%v nodes=%d", ok.Rate(), ok.Nodes())
+	if ok.Spec().Rate != 0.002 || ok.Nodes() != 16 {
+		t.Errorf("fork: rate=%v nodes=%d", ok.Spec().Rate, ok.Nodes())
 	}
-	if s.Rate() != 0.001 {
-		t.Errorf("fork mutated the base scenario: rate=%v", s.Rate())
+	if s.Spec().Rate != 0.001 {
+		t.Errorf("fork mutated the base scenario: rate=%v", s.Spec().Rate)
 	}
 }
 

@@ -40,7 +40,7 @@ type Spec struct {
 	// "random" (Dests destinations drawn from SetSeed — the paper's
 	// Figure 6 regime), "localized" (Dests destinations on rim Port —
 	// Figure 7) or "highlow" (mesh/torus Hamilton-path offsets High and
-	// Low). Dests is PatternConfig.K.
+	// Low).
 	Pattern string `json:"pattern,omitempty"`
 	Dests   int    `json:"dests,omitempty"`
 	Port    int    `json:"port,omitempty"`

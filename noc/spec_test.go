@@ -443,3 +443,68 @@ func TestSpecScenarioRejectsUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecInverse is the simulation-free part of the gate for ROADMAP
+// item 20 (a Spec that states every run): for every figure panel and
+// every ablation spec, at both efforts, resolving the scenario's reported
+// Spec again must give the same Spec and the same destination set. The
+// Fig. 6 panels are the known gap: they draw their random sets from PCG
+// stream 0x5e7 (panelSetStream), which has no wire form, so their sets
+// alone differ. Closing the gap makes this test fail on purpose: the
+// Fig. 6 panels then join the others.
+func TestSpecInverse(t *testing.T) {
+	type named struct {
+		name string
+		s    *Scenario
+	}
+	var cases []named
+	for _, e := range []Effort{QuickEffort(), DefaultEffort()} {
+		for _, p := range FigurePanels() {
+			s, err := p.scenario(e)
+			if err != nil {
+				t.Fatalf("%s: %v", p.ID, err)
+			}
+			cases = append(cases, named{p.ID, s})
+		}
+		// The studies as cmd/ablations runs them.
+		ablations := []labelled{
+			{"all-port", broadcastSpec("quarc", 16, 32, 0.05)},
+			{"one-port", broadcastSpec("quarc-oneport", 16, 32, 0.05)},
+			{"spidergon", broadcastSpec("spidergon", 16, 32, 0.05)},
+			{"service-eq6", Spec{Topology: "quarc", N: 16, MsgLen: 32}},
+			{"service-tail", Spec{Topology: "quarc", N: 16, MsgLen: 32, Service: "tail"}},
+			{"mesh", hamiltonSpec("mesh", 4, 4, 16, 0.05)},
+			{"torus", hamiltonSpec("torus", 4, 4, 16, 0.05)},
+		}
+		for _, v := range workloadVariants {
+			v.sp.Topology, v.sp.N, v.sp.MsgLen = "quarc", 16, 32
+			ablations = append(ablations, v)
+		}
+		for _, c := range ablations {
+			s, err := e.scenario(c.sp, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			cases = append(cases, named{c.label, s})
+		}
+	}
+	if len(cases) != 2*(8+14) {
+		t.Fatalf("%d cases, want 44: 8 panels and 14 ablation specs at two efforts", len(cases))
+	}
+	for _, c := range cases {
+		again, err := c.s.Spec().Scenario()
+		if err != nil {
+			t.Fatalf("%s: resolving its Spec: %v", c.name, err)
+		}
+		if got, want := again.Spec(), c.s.Spec(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: re-resolved Spec differs:\n got %+v\nwant %+v", c.name, got, want)
+		}
+		got, want := again.SetString(), c.s.SetString()
+		switch fig6 := strings.HasPrefix(c.name, "fig6-"); {
+		case fig6 && got == want:
+			t.Errorf("%s: its Spec now resolves the destination set the panel ran (%s): the PCG stream 0x5e7 gap of ROADMAP item 20 is closed, so assert equality for Fig. 6 too", c.name, want)
+		case !fig6 && got != want:
+			t.Errorf("%s: re-resolved destination set {%s}, ran {%s}", c.name, got, want)
+		}
+	}
+}

@@ -19,10 +19,6 @@ type SweepOptions struct {
 	// Points is the auto-grid size (default 8; ignored when Rates is
 	// set).
 	Points int
-	// MsgLens optionally sweeps message sizes as well; the default is the
-	// scenario's message length. The sweep covers the cross product
-	// MsgLens x rates.
-	MsgLens []int
 	// Workers bounds the concurrent evaluations; <= 0 selects
 	// GOMAXPROCS. Results are deterministic regardless of worker count.
 	Workers int
@@ -31,10 +27,9 @@ type SweepOptions struct {
 	Evaluators []Evaluator
 }
 
-// SweepPoint is one (message length, rate) sample of a sweep, holding one
-// result per evaluator in the order they were given.
+// SweepPoint is one rate sample of a sweep, holding one result per
+// evaluator in the order they were given.
 type SweepPoint struct {
-	MsgLen  int      `json:"msglen"`
 	Rate    float64  `json:"rate"`
 	Results []Result `json:"results"`
 }
@@ -55,11 +50,9 @@ type SweepResult struct {
 	Topology string `json:"topology"`
 	Set      string `json:"multicast_set"`
 	// SatRate is the model's saturation rate the auto grid was scaled
-	// to: the scenario's own message length when it is part of the
-	// sweep, otherwise the first swept length. Zero when the sweep used
-	// explicit rates.
+	// to; zero when the sweep used explicit rates.
 	SatRate float64 `json:"model_saturation_rate,omitempty"`
-	// Points are ordered by (MsgLen, Rate) in the input order.
+	// Points are ordered by rate in the input order.
 	Points []SweepPoint `json:"points"`
 }
 
@@ -79,8 +72,8 @@ func SaturationRate(s *Scenario) (float64, error) {
 	return m.SaturationRate(1e-3)
 }
 
-// Sweep evaluates the scenario across a rate (and optionally message-size)
-// grid with a bounded worker pool, running every evaluator at every point.
+// Sweep evaluates the scenario across a rate grid with a bounded worker
+// pool, running every evaluator at every point.
 // When the scenario's Spec asks for Replications n > 1, every (point,
 // replication) pair becomes one job on the same shared pool — replications of one
 // point and different points interleave freely across workers — and each
@@ -106,66 +99,49 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	if len(evals) == 0 {
 		evals = []Evaluator{Model{}, Simulator{}}
 	}
-	msgLens := o.MsgLens
-	if len(msgLens) == 0 {
-		msgLens = []int{s.cfg.MsgLen}
-	}
-	reps := s.cfg.Replications
-	if reps < 1 {
-		reps = 1
-	}
+	reps := max(s.cfg.Replications, 1)
 
 	out := SweepResult{Topology: s.cfg.Topology, Set: s.SetString()}
 
-	// Build the point grid. With explicit rates the grid is the plain
-	// cross product; otherwise each message length gets its own grid
-	// scaled to its saturation rate. A length's analytical model is
-	// built once, here, and serves the bisection and every point.
-	useModel := slices.ContainsFunc(evals, func(ev Evaluator) bool { _, ok := ev.(Model); return ok })
-	models := sweepModels{}
-	type pointSpec struct {
-		msgLen int
-		rate   float64
+	// The points differ in rate alone, which a built analytical model
+	// re-solves: one model, built here, serves the auto grid's
+	// bisection and every point.
+	var model sweepModel
+	rates := o.Rates
+	if len(rates) == 0 || slices.ContainsFunc(evals, func(ev Evaluator) bool { _, ok := ev.(Model); return ok }) {
+		model.m, model.err = buildModel(s)
 	}
-	var specs []pointSpec
-	for _, msgLen := range msgLens {
-		sm, err := s.With(MsgLen(msgLen))
-		rates := o.Rates
-		if len(rates) == 0 {
-			if err != nil {
-				return SweepResult{}, err
-			}
-			sat, err := models.saturationRate(sm)
-			if err != nil {
-				return SweepResult{}, err
-			}
-			if msgLen == s.cfg.MsgLen || out.SatRate == 0 {
-				out.SatRate = sat
-			}
-			points := o.Points
-			if points <= 0 {
-				points = 8
-			}
-			rates = make([]float64, points)
-			// Sample 10%..95% of the model's stable region; a single
-			// point lands mid-region.
-			step := 0.0
-			if points > 1 {
-				step = (0.95 - 0.10) / float64(points-1)
-			}
-			for i := range rates {
-				frac := 0.10 + float64(step*float64(i))
-				if points == 1 {
-					frac = 0.50
-				}
-				rates[i] = sat * frac
-			}
-		} else if err == nil && useModel {
-			// A length that does not resolve is reported by its points.
-			models.of(sm)
+	if len(rates) == 0 {
+		// A scenario the model declines still gets a grid, from a model
+		// of its own.
+		var sat float64
+		var err error
+		if model.err == nil {
+			sat, err = model.m.SaturationRate(1e-3)
+		} else {
+			sat, err = SaturationRate(s)
 		}
-		for _, rate := range rates {
-			specs = append(specs, pointSpec{msgLen: msgLen, rate: rate})
+		if err != nil {
+			return SweepResult{}, err
+		}
+		out.SatRate = sat
+		points := o.Points
+		if points <= 0 {
+			points = 8
+		}
+		rates = make([]float64, points)
+		// Sample 10%..95% of the model's stable region; a single
+		// point lands mid-region.
+		step := 0.0
+		if points > 1 {
+			step = (0.95 - 0.10) / float64(points-1)
+		}
+		for i := range rates {
+			frac := 0.10 + float64(step*float64(i))
+			if points == 1 {
+				frac = 0.50
+			}
+			rates[i] = sat * frac
 		}
 	}
 
@@ -175,14 +151,14 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	type job struct {
 		point, rep int
 	}
-	jobs := make([]job, 0, len(specs)*reps)
-	for p := range specs {
+	jobs := make([]job, 0, len(rates)*reps)
+	for p := range rates {
 		for r := 0; r < reps; r++ {
 			jobs = append(jobs, job{point: p, rep: r})
 		}
 	}
 	// raw[point][eval][rep] holds every run's result before aggregation.
-	raw := make([][][]Result, len(specs))
+	raw := make([][][]Result, len(rates))
 	for p := range raw {
 		raw[p] = make([][]Result, len(evals))
 		for e := range evals {
@@ -215,7 +191,7 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 		// Each worker gets its own evaluator instances so stateful
 		// evaluators (Simulator's reusable network, Model's solve state)
 		// never race.
-		evs := workerEvaluators(evals, models)
+		evs := workerEvaluators(evals, model)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -224,7 +200,7 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 					continue
 				}
 				j := jobs[i]
-				errs[i] = runJob(s, specs[j.point].msgLen, specs[j.point].rate, j.rep, evs, raw[j.point])
+				errs[i] = runJob(s, rates[j.point], j.rep, evs, raw[j.point])
 				if errs[i] != nil {
 					failed.Store(true)
 				}
@@ -236,14 +212,13 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	for i, err := range errs {
 		if err != nil {
 			j := jobs[i]
-			return SweepResult{}, fmt.Errorf("noc: sweep point (msglen=%d, rate=%g, rep=%d): %w",
-				specs[j.point].msgLen, specs[j.point].rate, j.rep, err)
+			return SweepResult{}, fmt.Errorf("noc: sweep point (rate=%g, rep=%d): %w", rates[j.point], j.rep, err)
 		}
 	}
 
-	points := make([]SweepPoint, len(specs))
-	for p, spec := range specs {
-		pt := SweepPoint{MsgLen: spec.msgLen, Rate: spec.rate}
+	points := make([]SweepPoint, len(rates))
+	for p, rate := range rates {
+		pt := SweepPoint{Rate: rate}
 		for e, ev := range evals {
 			if _, ok := ev.(replicator); ok && reps > 1 {
 				pt.Results = append(pt.Results, aggregateReplications(raw[p][e]))
@@ -260,13 +235,13 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 // runJob evaluates one (point, replication) job into dst[eval][rep]. A
 // panicking evaluator must not kill the process (and with it the whole
 // sweep): surface it as the job's error instead.
-func runJob(s *Scenario, msgLen int, rate float64, rep int, evals []Evaluator, dst [][]Result) (err error) {
+func runJob(s *Scenario, rate float64, rep int, evals []Evaluator, dst [][]Result) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("evaluator panicked: %v", r)
 		}
 	}()
-	sp, err := s.With(MsgLen(msgLen), Rate(rate))
+	sp, err := s.With(Rate(rate))
 	if err != nil {
 		return err
 	}
@@ -299,14 +274,18 @@ type workerForker interface {
 }
 
 // workerEvaluators returns the evaluator list for one worker goroutine,
-// forking the evaluators that carry per-worker state; Model becomes a
-// sweepModel over the worker's own copies of the sweep's models.
-func workerEvaluators(evals []Evaluator, models sweepModels) []Evaluator {
+// forking the evaluators that carry per-worker state; Model becomes the
+// sweep's model with the worker's own clone of it, since a solve mutates
+// its model.
+func workerEvaluators(evals []Evaluator, model sweepModel) []Evaluator {
 	out := make([]Evaluator, len(evals))
 	for i, ev := range evals {
 		switch ev := ev.(type) {
 		case Model:
-			out[i] = sweepModel{models: models.clone()}
+			if model.m != nil {
+				model.m = model.m.Clone()
+			}
+			out[i] = model
 		case workerForker:
 			out[i] = ev.forkWorker()
 		default:
@@ -316,63 +295,20 @@ func workerEvaluators(evals []Evaluator, models sweepModels) []Evaluator {
 	return out
 }
 
-// sweepModels holds the analytical model of each message length of one
-// Sweep call, or the error that building it returned. The points of a
-// length differ in rate alone, which a built model re-solves.
-type sweepModels map[int]builtModel
-
-type builtModel struct {
+// sweepModel is Model as one Sweep worker runs it: it solves the sweep's
+// one model, or returns the error building it returned, at the point's
+// rate — bit for bit what Model{}.Evaluate computes on a model built for
+// the point.
+type sweepModel struct {
+	Model
 	m   *core.Model
 	err error
 }
 
-// of returns the model of the scenario's message length, building it on
-// first use.
-func (ms sweepModels) of(s *Scenario) builtModel {
-	bm, ok := ms[s.cfg.MsgLen]
-	if !ok {
-		bm.m, bm.err = buildModel(s)
-		ms[s.cfg.MsgLen] = bm
-	}
-	return bm
-}
-
-// saturationRate is SaturationRate on the scenario's model in ms. A
-// scenario the model declines still gets a grid, from a model of its own.
-func (ms sweepModels) saturationRate(s *Scenario) (float64, error) {
-	bm := ms.of(s)
-	if bm.err != nil {
-		return SaturationRate(s)
-	}
-	return bm.m.SaturationRate(1e-3)
-}
-
-// clone copies the models for another goroutine: a solve mutates its
-// model.
-func (ms sweepModels) clone() sweepModels {
-	out := make(sweepModels, len(ms))
-	for msgLen, bm := range ms {
-		if bm.m != nil {
-			bm.m = bm.m.Clone()
-		}
-		out[msgLen] = bm
-	}
-	return out
-}
-
-// sweepModel is Model as one Sweep worker runs it: it solves the sweep's
-// model of the point's message length at the point's rate, bit for bit
-// what Model{}.Evaluate computes on a model built for the point.
-type sweepModel struct {
-	Model
-	models sweepModels
-}
-
 // Evaluate implements Evaluator.
 func (w sweepModel) Evaluate(s *Scenario) (Result, error) {
-	bm := w.models.of(s)
-	if bm.err != nil {
-		return Result{}, bm.err
+	if w.err != nil {
+		return Result{}, w.err
 	}
-	return solveModel(s, bm.m)
+	return solveModel(s, w.m)
 }

@@ -58,7 +58,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := SweepOptions{Rates: []float64{0.001, 0.003}, MsgLens: []int{16, 32}}
+	o := SweepOptions{Rates: []float64{0.001, 0.002, 0.003, 0.004}}
 	o.Workers = 1
 	seq, err := Sweep(s, o)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Error("sweep results differ between 1 and 4 workers")
 	}
 	if len(seq.Points) != 4 {
-		t.Fatalf("rate x size cross product: got %d points, want 4", len(seq.Points))
+		t.Fatalf("got %d points, want 4", len(seq.Points))
 	}
 }
 
@@ -149,7 +149,7 @@ func (f *faultyEvaluator) Evaluate(s *Scenario) (Result, error) {
 	f.mu.Lock()
 	f.evals++
 	f.mu.Unlock()
-	if s.Rate() == f.badRate {
+	if s.cfg.Rate == f.badRate {
 		if f.doPanic {
 			panic("faulty evaluator exploded")
 		}
@@ -344,10 +344,11 @@ func TestRunSeriesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := RunSeries("bcast", s, []float64{0.001})
+	sw, err := Sweep(s, SweepOptions{Rates: []float64{0.001}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := Series{Label: "bcast", Points: sw.Points}
 	out := SeriesTable([]Series{series})
 	if out == "" || len(series.Points) != 1 {
 		t.Fatalf("series table empty or wrong points: %q", out)
@@ -355,8 +356,7 @@ func TestRunSeriesTable(t *testing.T) {
 }
 
 // TestSweepBuildsModelOnce pins the build-once property: one model per
-// (sweep, message length) serves the saturation bisection and every
-// point, so a Model-only sweep's allocated bytes do not grow with its
+// sweep serves the saturation bisection and every point, so a Model-only sweep's allocated bytes do not grow with its
 // points by anything like a model build per point. Eight more points must
 // cost less than one build; a build per point costs eight. Bytes, not
 // allocation counts: a build allocates only a few dozen times, fewer than

@@ -302,8 +302,8 @@ func TestPermutationBuilders(t *testing.T) {
 		if got := permOf(t, s)[c.src]; got != c.want {
 			t.Errorf("%s: perm[%d] = %d, want %d", c.name, c.src, got, c.want)
 		}
-		if s.SpatialName() != c.name {
-			t.Errorf("SpatialName() = %q, want %q", s.SpatialName(), c.name)
+		if got := s.Spec().Spatial; got != c.name {
+			t.Errorf("Spec().Spatial = %q, want %q", got, c.name)
 		}
 	}
 }

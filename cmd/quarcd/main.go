@@ -17,8 +17,7 @@
 // in its Result ("series": per-channel utilization, injections,
 // ejections, latency sums, queue occupancy), which /v1/trace re-serves
 // by the spec's fingerprint — from the cache, the durable store, or an
-// evaluation still in flight. In a fleet, trace queries are forwarded
-// to the peer that computed the point.
+// evaluation still in flight.
 //
 // Example:
 //
@@ -28,14 +27,6 @@
 // With -store, results are persisted to a durable on-disk store keyed
 // by the spec's content address: a restarted daemon serves previously
 // computed specs warm, bitwise-identical, without re-simulating.
-//
-// With -peers, this daemon fronts a fleet: sweeps fan per-rate jobs out
-// to the peer daemons with retries, hedging and per-peer circuit
-// breakers, degrading to local evaluation when no peer can serve:
-//
-//	quarcd -addr :8081 &
-//	quarcd -addr :8082 &
-//	quarcd -addr :8080 -peers http://localhost:8081,http://localhost:8082
 //
 // The same JSON documents drive quarcsim -spec, so a scenario debugged
 // on the command line is served unchanged.
@@ -50,12 +41,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"quarc/noc/service"
-	"quarc/noc/service/fleet"
 	"quarc/noc/service/store"
 )
 
@@ -69,9 +58,7 @@ func main() {
 	scenarios := flag.Int("scenarios", 64, "compiled base-scenario cache entries")
 	queue := flag.Int("queue", 0, "pending-job queue depth (0: 4x workers)")
 	storeDir := flag.String("store", "", "durable result store directory (empty: memory only)")
-	peers := flag.String("peers", "", "comma-separated peer quarcd URLs to fan jobs out to")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-evaluation server deadline, answered with 504 (0: none)")
-	peerTimeout := flag.Duration("peer-timeout", 30*time.Second, "per-job peer call deadline")
 	readTimeout := flag.Duration("read-timeout", time.Minute, "connection read deadline")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Minute, "connection write deadline")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle deadline")
@@ -94,27 +81,6 @@ func main() {
 	}
 	ev := service.New(cfg)
 
-	var backend service.Backend = ev
-	if *peers != "" {
-		var urls []string
-		for _, u := range strings.Split(*peers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		d, err := fleet.New(fleet.Config{
-			Peers:          urls,
-			Local:          ev,
-			RequestTimeout: *peerTimeout,
-			HedgeAfter:     *peerTimeout / 4,
-		})
-		if err != nil {
-			log.Fatalf("fleet: %v", err)
-		}
-		backend = d
-		log.Printf("fleet dispatch to %d peers: %s", len(urls), strings.Join(urls, ", "))
-	}
-
 	// An explicit listener (rather than ListenAndServe) pins down the
 	// bound address, so ":0" works for tests and the log line names the
 	// real port.
@@ -123,7 +89,7 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	srv := &http.Server{
-		Handler:           service.NewHandlerConfig(backend, service.HandlerConfig{RequestTimeout: *requestTimeout}),
+		Handler:           service.NewHandlerConfig(ev, service.HandlerConfig{RequestTimeout: *requestTimeout}),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
@@ -143,9 +109,9 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: report degraded on healthz so fleet breakers
-	// and load balancers rotate away, stop accepting, drain in-flight
-	// requests within the deadline, then stop the evaluation pool.
+	// Graceful shutdown: report degraded on healthz so load balancers
+	// rotate away, stop accepting, drain in-flight requests within the
+	// deadline, then stop the evaluation pool.
 	ev.SetDraining(true)
 	log.Printf("shutting down (draining up to %s)", *drainTimeout)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

@@ -133,20 +133,6 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func getHealth(t *testing.T, base string) service.Health {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h service.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
 // countEntries counts durable result files in a store directory.
 func countEntries(t *testing.T, dir string) int {
 	t.Helper()
@@ -264,63 +250,5 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 	if err := d2.cmd.Wait(); err != nil {
 		t.Errorf("graceful shutdown exit: %v", err)
-	}
-}
-
-// TestFleetQuickstart is the README fleet scenario end to end: two
-// worker daemons, one front with -peers, a sweep through the front
-// splits across the workers and answers bitwise-identical to direct
-// evaluation.
-func TestFleetQuickstart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real daemons")
-	}
-	w1 := startDaemon(t, "-workers", "2")
-	w2 := startDaemon(t, "-workers", "2")
-	front := startDaemon(t, "-workers", "2", "-peers", w1.url+","+w2.url)
-
-	sp := e2eSpec()
-	rates := []float64{0.001, 0.002, 0.003, 0.004, 0.005, 0.006}
-	resp, body := postJSON(t, front.url+"/v1/sweep", service.SweepRequest{Spec: sp, Rates: rates})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d (%s)", resp.StatusCode, body)
-	}
-	var sr service.SweepResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Points) != len(rates) {
-		t.Fatalf("got %d points for %d rates", len(sr.Points), len(rates))
-	}
-	for i, r := range rates {
-		pt := sp
-		pt.Rate = r
-		got, err := json.Marshal(sr.Points[i].Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != directJSON(t, pt) {
-			t.Errorf("rate %g: fleet sweep differs from direct", r)
-		}
-	}
-
-	// The work actually split: both workers evaluated, and the front's
-	// healthz reports two closed breakers and zero local evaluations.
-	for i, w := range []*daemon{w1, w2} {
-		if h := getHealth(t, w.url); h.Stats.Evaluations == 0 {
-			t.Errorf("worker %d evaluated nothing", i+1)
-		}
-	}
-	h := getHealth(t, front.url)
-	if len(h.Peers) != 2 {
-		t.Fatalf("front healthz reports %d peers, want 2", len(h.Peers))
-	}
-	for _, p := range h.Peers {
-		if p.State != "closed" || p.Successes == 0 {
-			t.Errorf("front peer %s health = %+v", p.URL, p)
-		}
-	}
-	if h.Stats.Evaluations != 0 {
-		t.Errorf("front evaluated %d jobs locally; the fleet should have served all of them", h.Stats.Evaluations)
 	}
 }

@@ -1,19 +1,17 @@
 // Package faultinject is a seeded, deterministic fault injector for the
-// serving stack's storage and transport seams. A test (or a chaos CI
-// job) hands the store and the fleet transport one Injector configured
-// with rules — "fail the first two peer calls", "corrupt 40% of store
-// writes", "delay every third response" — and the injected faults play
-// out identically on every run with the same seed: each injection point
-// draws from its own PCG stream derived from (seed, point), so the
-// decision at call #k of a point is a pure function of the seed, never
-// of goroutine interleaving at other points.
+// durable store's read and write seams. A test hands the store one
+// Injector configured with rules — "fail the first read", "corrupt 40%
+// of writes" — and the injected faults play out identically on every run
+// with the same seed: each injection point draws from its own PCG stream
+// derived from (seed, point), so the decision at call #k of a point is a
+// pure function of the seed, never of goroutine interleaving at other
+// points.
 //
 // The package fabricates failures only; it never changes what a correct
-// component computes. The chaos suites in noc/service/store and
-// noc/service/fleet use it to prove the serving stack's core guarantee:
-// under injected errors, latency, torn writes, corruption and truncated
-// responses, a served Result is either bitwise-identical to the cold
-// evaluation or an explicit error — never silently wrong.
+// component computes. The noc/service/store tests use it to prove the
+// store's guarantee: under injected errors, torn writes and corruption,
+// a read is either the Result that was written or a miss — never
+// silently wrong.
 package faultinject
 
 import (
@@ -22,7 +20,6 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"sync"
-	"time"
 )
 
 // ErrInjected marks every failure this package fabricates. Match with
@@ -37,16 +34,12 @@ const (
 	KindNone Kind = iota
 	// KindError fails the operation outright with ErrInjected.
 	KindError
-	// KindLatency delays the operation by the rule's Latency.
-	KindLatency
 	// KindShortWrite truncates a write-path payload, simulating a torn
 	// write (crash mid-write, full disk) that a checksum must catch.
 	KindShortWrite
 	// KindCorrupt flips a byte of a write-path payload, simulating
 	// on-media corruption.
 	KindCorrupt
-	// KindPartial truncates a transport response body mid-document.
-	KindPartial
 )
 
 // String names the kind for messages and test output.
@@ -56,14 +49,10 @@ func (k Kind) String() string {
 		return "none"
 	case KindError:
 		return "error"
-	case KindLatency:
-		return "latency"
 	case KindShortWrite:
 		return "short-write"
 	case KindCorrupt:
 		return "corrupt"
-	case KindPartial:
-		return "partial-response"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -74,7 +63,7 @@ func (k Kind) String() string {
 // rule fires with probability Prob (Prob <= 0 or >= 1 means always).
 // The first armed rule that fires wins the call.
 type Rule struct {
-	// Point names the seam, e.g. "store.put" or "peer".
+	// Point names the seam, e.g. "store.put".
 	Point string
 	// Kind is the failure mode to inject.
 	Kind Kind
@@ -86,14 +75,6 @@ type Rule struct {
 	// After skips the first After calls at the point before the rule
 	// becomes eligible.
 	After int
-	// Latency is the injected delay for KindLatency.
-	Latency time.Duration
-}
-
-// Decision is the outcome of one Decide call.
-type Decision struct {
-	Kind    Kind
-	Latency time.Duration
 }
 
 // pointState is one injection point's deterministic stream: a call
@@ -129,9 +110,9 @@ func New(seed uint64, rules ...Rule) *Injector {
 
 // Decide consumes one call at point and returns the fault to apply, if
 // any. Safe for concurrent use; nil receivers always decide KindNone.
-func (in *Injector) Decide(point string) Decision {
+func (in *Injector) Decide(point string) Kind {
 	if in == nil {
-		return Decision{}
+		return KindNone
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -159,9 +140,9 @@ func (in *Injector) Decide(point string) Decision {
 		}
 		st.fired[ri]++
 		in.total[point]++
-		return Decision{Kind: r.Kind, Latency: r.Latency}
+		return r.Kind
 	}
-	return Decision{}
+	return KindNone
 }
 
 // Fired reports how many faults have fired at point so far.
@@ -174,30 +155,21 @@ func (in *Injector) Fired(point string) int {
 	return in.total[point]
 }
 
-// Err is the decision helper for error-only seams: it sleeps out an
-// injected latency and turns every other fault kind into an ErrInjected
-// failure. Nil receivers return nil.
+// Err is the decision helper for error-only seams: it turns every fault
+// kind into an ErrInjected failure. Nil receivers return nil.
 func (in *Injector) Err(point string) error {
-	d := in.Decide(point)
-	switch d.Kind {
-	case KindNone:
-		return nil
-	case KindLatency:
-		time.Sleep(d.Latency)
-		return nil
-	default:
-		return fmt.Errorf("%w: %s at %s", ErrInjected, d.Kind, point)
+	if k := in.Decide(point); k != KindNone {
+		return fmt.Errorf("%w: %s at %s", ErrInjected, k, point)
 	}
+	return nil
 }
 
 // Mangle applies a write-path fault to one encoded record: KindError
 // fails the write cleanly, KindShortWrite truncates the payload to half
 // (a torn write the caller will persist), KindCorrupt flips the middle
-// byte, KindLatency sleeps. The damaged payload is a copy; the input is
-// never modified.
+// byte. The damaged payload is a copy; the input is never modified.
 func (in *Injector) Mangle(point string, data []byte) ([]byte, error) {
-	d := in.Decide(point)
-	switch d.Kind {
+	switch in.Decide(point) {
 	case KindError:
 		return nil, fmt.Errorf("%w: error at %s", ErrInjected, point)
 	case KindShortWrite:
@@ -208,8 +180,6 @@ func (in *Injector) Mangle(point string, data []byte) ([]byte, error) {
 			damaged[len(damaged)/2] ^= 0xff
 		}
 		return damaged, nil
-	case KindLatency:
-		time.Sleep(d.Latency)
 	}
 	return data, nil
 }

@@ -3,19 +3,15 @@ package faultinject
 import (
 	"bytes"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestNilInjectorIsInert pins the production path: a nil injector never
 // injects and never panics.
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if d := in.Decide("p"); d.Kind != KindNone {
-		t.Errorf("nil Decide = %+v, want none", d)
+	if k := in.Decide("p"); k != KindNone {
+		t.Errorf("nil Decide = %v, want none", k)
 	}
 	if err := in.Err("p"); err != nil {
 		t.Errorf("nil Err = %v", err)
@@ -45,7 +41,7 @@ func TestDeterministicSequence(t *testing.T) {
 			if interleave {
 				in.Decide("b") // unrelated point must not disturb "a"
 			}
-			out = append(out, in.Decide("a").Kind)
+			out = append(out, in.Decide("a"))
 		}
 		return out
 	}
@@ -64,7 +60,7 @@ func TestDeterministicSequence(t *testing.T) {
 	if fired < 50 || fired > 150 {
 		t.Errorf("prob 0.5 fired %d/200 times", fired)
 	}
-	if in := New(7, rules...); in.Decide("a") == (Decision{}) && in.Fired("a") != 0 {
+	if in := New(7, rules...); in.Decide("a") == KindNone && in.Fired("a") != 0 {
 		t.Errorf("Fired counts a non-firing call")
 	}
 }
@@ -76,7 +72,7 @@ func TestFirstAndAfter(t *testing.T) {
 	in := New(1, Rule{Point: "p", Kind: KindError, First: 2, After: 1})
 	want := []Kind{KindNone, KindError, KindError, KindNone, KindNone}
 	for i, w := range want {
-		if got := in.Decide("p").Kind; got != w {
+		if got := in.Decide("p"); got != w {
 			t.Errorf("call %d = %v, want %v", i, got, w)
 		}
 	}
@@ -91,22 +87,23 @@ func TestRulePrecedence(t *testing.T) {
 		Rule{Point: "p", Kind: KindError, First: 1},
 		Rule{Point: "p", Kind: KindCorrupt},
 	)
-	if got := in.Decide("p").Kind; got != KindError {
+	if got := in.Decide("p"); got != KindError {
 		t.Errorf("call 0 = %v, want error", got)
 	}
-	if got := in.Decide("p").Kind; got != KindCorrupt {
+	if got := in.Decide("p"); got != KindCorrupt {
 		t.Errorf("call 1 = %v, want corrupt (first rule exhausted)", got)
 	}
 }
 
-// TestErrHelper pins the error-seam helper's mapping.
+// TestErrHelper pins the error-seam helper's mapping: every fault kind,
+// a write-path one included, fails the call with ErrInjected.
 func TestErrHelper(t *testing.T) {
 	in := New(1,
-		Rule{Point: "p", Kind: KindLatency, Latency: time.Millisecond, First: 1},
+		Rule{Point: "p", Kind: KindCorrupt, First: 1},
 		Rule{Point: "p", Kind: KindError, First: 1},
 	)
-	if err := in.Err("p"); err != nil {
-		t.Errorf("latency call: %v", err)
+	if err := in.Err("p"); !errors.Is(err, ErrInjected) {
+		t.Errorf("corrupt call = %v, want ErrInjected", err)
 	}
 	if err := in.Err("p"); !errors.Is(err, ErrInjected) {
 		t.Errorf("error call = %v, want ErrInjected", err)
@@ -143,66 +140,5 @@ func TestMangle(t *testing.T) {
 	}
 	if out, err := in.Mangle("p", data); err != nil || !bytes.Equal(out, data) {
 		t.Errorf("clean call = %q, %v", out, err)
-	}
-}
-
-// TestTransport drives each transport fault through a real HTTP
-// round trip.
-func TestTransport(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok":true,"padding":"0123456789"}`)
-	}))
-	defer srv.Close()
-
-	get := func(in *Injector) (string, error) {
-		client := &http.Client{Transport: &Transport{Point: "peer", Inj: in}}
-		resp, err := client.Get(srv.URL)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return string(body), err
-	}
-
-	full, err := get(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := get(New(1, Rule{Point: "peer", Kind: KindError})); !errors.Is(err, ErrInjected) {
-		t.Errorf("error injection: %v, want ErrInjected", err)
-	}
-
-	if body, err := get(New(1, Rule{Point: "peer", Kind: KindPartial})); err != nil {
-		t.Errorf("partial injection: %v", err)
-	} else if len(body) != len(full)/2 {
-		t.Errorf("partial body %d bytes, want %d", len(body), len(full)/2)
-	}
-
-	start := time.Now()
-	if body, err := get(New(1, Rule{Point: "peer", Kind: KindLatency, Latency: 30 * time.Millisecond})); err != nil || body != full {
-		t.Errorf("latency injection: %q, %v", body, err)
-	} else if d := time.Since(start); d < 30*time.Millisecond {
-		t.Errorf("latency injection took %v, want >= 30ms", d)
-	}
-}
-
-// TestTransportLatencyHonorsContext pins that an injected delay aborts
-// when the request context does — the seam hedging relies on.
-func TestTransportLatencyHonorsContext(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer srv.Close()
-	client := &http.Client{
-		Transport: &Transport{Point: "peer", Inj: New(1, Rule{Point: "peer", Kind: KindLatency, Latency: time.Minute})},
-		Timeout:   20 * time.Millisecond,
-	}
-	start := time.Now()
-	_, err := client.Get(srv.URL)
-	if err == nil {
-		t.Fatal("delayed request succeeded, want context error")
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("cancelation took %v", d)
 	}
 }

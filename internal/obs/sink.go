@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -159,11 +160,12 @@ func (s *FileSink) Close() error {
 	return err
 }
 
-// ReadFile decodes a FileSink file. A torn tail frame (short read or
-// CRC mismatch at the end of the file) is tolerated — the records of
-// the complete frames before it are returned, as in WAL recovery — but
-// corruption before the tail is an error, and so is a record whose kind
-// names no hook position.
+// ReadFile decodes a FileSink file. A torn tail frame (the file ends
+// inside it, or its CRC fails at the end of the file) is tolerated — the
+// records of the complete frames before it are returned, as in WAL
+// recovery — but corruption before the tail is an error, and so are a
+// record whose kind names no hook position and a read that fails for any
+// reason other than the end of the file.
 func ReadFile(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -177,10 +179,10 @@ func ReadFile(path string) ([]Record, error) {
 	var payload bytes.Buffer
 	for {
 		var head [12]byte
-		if _, err := io.ReadFull(br, head[:]); err == io.EOF {
-			return recs, nil
+		if _, err := io.ReadFull(br, head[:]); err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			return recs, nil // the end, or a torn tail header
 		} else if err != nil {
-			return recs, nil // torn tail header
+			return nil, fmt.Errorf("obs: %s: %w", path, err)
 		}
 		if string(head[:4]) != frameMagic {
 			return nil, fmt.Errorf("obs: %s: bad frame magic at record %d", path, len(recs))
@@ -190,8 +192,10 @@ func ReadFile(path string) ([]Record, error) {
 			return nil, fmt.Errorf("obs: %s: frame record count %d out of range", path, n)
 		}
 		payload.Reset()
-		if _, err := io.CopyN(&payload, br, int64(n)*recordSize); err != nil {
+		if _, err := io.CopyN(&payload, br, int64(n)*recordSize); err == io.EOF {
 			return recs, nil // torn tail payload
+		} else if err != nil {
+			return nil, fmt.Errorf("obs: %s: %w", path, err)
 		}
 		data := payload.Bytes()
 		if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(head[8:]) {

@@ -132,6 +132,15 @@ func TestMetricsParallelismDeterministic(t *testing.T) {
 	}
 }
 
+// TestReadObsFileReportsReadErrors pins that only the end of the file is
+// a torn tail: a path that cannot be read as a log (a directory) is an
+// error, not an empty record stream.
+func TestReadObsFileReportsReadErrors(t *testing.T) {
+	if recs, err := ReadObsFile(t.TempDir()); err == nil {
+		t.Errorf("ReadObsFile(directory) = %d records, nil error", len(recs))
+	}
+}
+
 // TestObsFileRebuildsSeries pins the documented offline rebuild: a run
 // streamed to an observability log through MetricsSink folds back, via
 // ReadObsFile and AggregateObs, into exactly the series the Result

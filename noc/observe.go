@@ -37,7 +37,7 @@ func CreateObsFile(path string) (*ObsFileSink, error) { return obs.CreateFileSin
 
 // ReadObsFile decodes an ObsFileSink log. A torn tail frame (from a
 // crash mid-write) is dropped silently, as in WAL recovery; corruption
-// anywhere else is an error.
+// anywhere else is an error, and so is a failed read.
 func ReadObsFile(path string) ([]ObsRecord, error) { return obs.ReadFile(path) }
 
 // AggregateObs folds a raw record stream into a TimeSeries — the same

@@ -37,9 +37,9 @@ const (
 	HeaderSource = "X-Quarc-Source"
 )
 
-// Backend is what the HTTP handler serves: the local Evaluator, or a
-// fleet.Dispatcher fanning jobs out to peer daemons. Implementations
-// must be safe for concurrent use.
+// Backend is what the HTTP handler serves: the Evaluator, or a scripted
+// fake in the handler tests. Implementations must be safe for concurrent
+// use.
 type Backend interface {
 	// Serve answers one spec; see Evaluator.Serve. The handler writes
 	// Response.Body as is and never modifies it.
@@ -47,33 +47,12 @@ type Backend interface {
 	// Sweep evaluates the spec across a rate grid; see Evaluator.Sweep.
 	Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error)
 	// Trace serves the response (with its recorded time series) of a
-	// previous evaluation by content address; see Evaluator.Trace. A
-	// fleet dispatcher forwards the query to the peer that computed the
-	// point before falling back to its local evaluator.
+	// previous evaluation by content address; see Evaluator.Trace.
 	Trace(ctx context.Context, fp uint64) (Response, error)
 	// Stats snapshots the serving counters.
 	Stats() Stats
 	// Healthz reports current serviceability.
 	Healthz() HealthState
-}
-
-// PeerReporter is the optional Backend extension a fleet dispatcher
-// implements; when present, /v1/healthz includes the per-peer circuit
-// breaker states.
-type PeerReporter interface {
-	PeerHealth() []PeerHealth
-}
-
-// PeerHealth is one peer's circuit-breaker snapshot in the healthz
-// response.
-type PeerHealth struct {
-	URL string `json:"url"`
-	// State is "closed" (serving) or "open" (failed out, awaiting a
-	// healthz probe).
-	State string `json:"state"`
-	// Failures and Successes are lifetime call counts.
-	Failures  uint64 `json:"failures"`
-	Successes uint64 `json:"successes"`
 }
 
 // HandlerConfig tunes NewHandlerConfig.
@@ -116,20 +95,17 @@ type Registry struct {
 
 // Health is the GET /v1/healthz response body. Status "ok" is served
 // with 200; anything else (draining, saturated queue) with 503 so load
-// balancers and fleet circuit breakers take the box out of rotation
-// while it still answers.
+// balancers take the box out of rotation while it still answers.
 type Health struct {
-	Status        string       `json:"status"`
-	Reason        string       `json:"reason,omitempty"`
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	Stats         Stats        `json:"stats"`
-	Peers         []PeerHealth `json:"peers,omitempty"`
+	Status        string  `json:"status"`
+	Reason        string  `json:"reason,omitempty"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Stats         Stats   `json:"stats"`
 }
 
 // Machine-readable error codes, carried in every non-2xx response so
-// clients (the fleet dispatcher above all) classify failures without
-// parsing English. The human-readable message may change freely; the
-// code set is API.
+// clients classify failures without parsing English. The human-readable
+// message may change freely; the code set is API.
 const (
 	// CodeInvalidSpec marks client mistakes: malformed documents,
 	// out-of-range fields, unservable option combinations. Never retry.
@@ -298,20 +274,16 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		hs := b.Healthz()
-		h := Health{
-			Status:        hs.Status,
-			Reason:        hs.Reason,
-			UptimeSeconds: time.Since(start).Seconds(),
-			Stats:         b.Stats(),
-		}
-		if pr, ok := b.(PeerReporter); ok {
-			h.Peers = pr.PeerHealth()
-		}
 		status := http.StatusOK
 		if hs.Status != StatusOK {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, h)
+		writeJSON(w, status, Health{
+			Status:        hs.Status,
+			Reason:        hs.Reason,
+			UptimeSeconds: time.Since(start).Seconds(),
+			Stats:         b.Stats(),
+		})
 	})
 	return mux
 }

@@ -18,7 +18,6 @@ type fakeBackend struct {
 	eval   func(ctx context.Context, sp noc.Spec) (noc.Result, Source, error)
 	trace  func(ctx context.Context, fp uint64) (Response, error)
 	health HealthState
-	peers  []PeerHealth
 }
 
 func (f *fakeBackend) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
@@ -26,7 +25,11 @@ func (f *fakeBackend) Serve(ctx context.Context, sp noc.Spec) (Response, error) 
 	if err != nil {
 		return Response{}, err
 	}
-	return NewResponse(res, sp.Fingerprint(), src)
+	ent, err := newEntry(sp.Fingerprint(), res)
+	if err != nil {
+		return Response{}, err
+	}
+	return ent.response(src), nil
 }
 
 func (f *fakeBackend) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error) {
@@ -48,9 +51,8 @@ func (f *fakeBackend) Trace(ctx context.Context, fp uint64) (Response, error) {
 	return Response{}, ErrNotFound
 }
 
-func (f *fakeBackend) Stats() Stats             { return Stats{} }
-func (f *fakeBackend) Healthz() HealthState     { return f.health }
-func (f *fakeBackend) PeerHealth() []PeerHealth { return f.peers }
+func (f *fakeBackend) Stats() Stats         { return Stats{} }
+func (f *fakeBackend) Healthz() HealthState { return f.health }
 
 // blockingBackend evaluates by waiting out the context — the shape of a
 // stuck or overlong evaluation.
@@ -122,23 +124,6 @@ func TestHTTPHealthzDegraded(t *testing.T) {
 	e.SetDraining(false)
 	if resp, _ := getHealth(t, srv.URL); resp.StatusCode != http.StatusOK {
 		t.Errorf("recovered status = %d", resp.StatusCode)
-	}
-}
-
-// TestHTTPHealthzPeers pins the fleet extension: a Backend that also
-// implements PeerReporter gets its breaker states into the healthz
-// body.
-func TestHTTPHealthzPeers(t *testing.T) {
-	b := blockingBackend()
-	b.peers = []PeerHealth{{URL: "http://peer-1:8080", State: "open", Failures: 3}}
-	srv := httptest.NewServer(NewHandler(b))
-	defer srv.Close()
-	resp, h := getHealth(t, srv.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("status = %d", resp.StatusCode)
-	}
-	if len(h.Peers) != 1 || h.Peers[0].State != "open" || h.Peers[0].Failures != 3 {
-		t.Errorf("peers = %+v", h.Peers)
 	}
 }
 

@@ -60,8 +60,7 @@ var (
 	ErrUnencodable = errors.New("service: result is not encodable")
 )
 
-// MaxSweepPoints bounds one sweep request's rate grid, here and in the
-// fleet dispatcher that fans sweeps out.
+// MaxSweepPoints bounds one sweep request's rate grid.
 const MaxSweepPoints = 1024
 
 // Config sizes an Evaluator. The zero value selects the defaults.
@@ -112,8 +111,8 @@ const (
 	// SourceStore means the Result was read from the durable on-disk
 	// store (a warm restart).
 	SourceStore Source = "store"
-	// SourceFleet means a fleet dispatcher obtained the Result from a
-	// peer quarcd rather than the local pool.
+	// SourceFleet means the Result came from a peer quarcd, through the
+	// noc/service/fleet shim; a daemon never answers with it.
 	SourceFleet Source = "fleet"
 )
 
@@ -156,8 +155,7 @@ const (
 )
 
 // HealthState is a backend's serviceability verdict, served by
-// GET /v1/healthz and consumed by load balancers and the fleet's
-// per-peer circuit breakers.
+// GET /v1/healthz and consumed by load balancers.
 type HealthState struct {
 	Status string `json:"status"`
 	Reason string `json:"reason,omitempty"`
@@ -178,17 +176,6 @@ type Response struct {
 	// ent is the entry the response was served from, whose prebuilt
 	// header value the handler writes while Fingerprint still names it.
 	ent *entry
-}
-
-// NewResponse encodes res into the Response served under content
-// address fp. It is how a backend that obtains Results elsewhere (the
-// fleet dispatcher) produces the same document an Evaluator serves.
-func NewResponse(res noc.Result, fp uint64, src Source) (Response, error) {
-	ent, err := newEntry(fp, res)
-	if err != nil {
-		return Response{}, err
-	}
-	return ent.response(src), nil
 }
 
 // entry is one cached evaluation, immutable once built: the Result, its
@@ -335,7 +322,7 @@ func (e *Evaluator) Stats() Stats {
 
 // SetDraining flips the drain flag Healthz reports: a draining
 // evaluator still serves, but advertises itself degraded so load
-// balancers and fleet circuit breakers stop routing new work to it.
+// balancers stop routing new work to it.
 // quarcd sets it on SIGTERM before starting the graceful shutdown.
 func (e *Evaluator) SetDraining(v bool) { e.draining.Store(v) }
 
@@ -436,7 +423,7 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 		if cap(e.jobs) > 0 && len(e.jobs) >= cap(e.jobs) {
 			// The context expired while the pending buffer was full: the
 			// request died of overload, not of its own deadline, and the
-			// typed error lets clients (and fleet peers) retry elsewhere.
+			// typed error lets clients retry elsewhere.
 			err = fmt.Errorf("%w (%v)", ErrQueueSaturated, ctx.Err()) //quarclint:ignore errdiscipline the context error must NOT join the chain: overload classifies as queue_saturated, not as the caller's timeout
 		}
 		e.resolve(j, noc.Result{}, err)
@@ -460,17 +447,9 @@ func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Sour
 
 // Sweep evaluates the spec across a rate grid on the shared pool — one
 // content-addressed job per rate, so repeated and overlapping sweeps
-// deduplicate point-wise. Results are returned in rate order.
+// deduplicate point-wise. It validates the grid first and returns the
+// results in rate order, or the first failing point's error.
 func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error) {
-	return Sweep(ctx, sp, rates, 0, e.Evaluate)
-}
-
-// Sweep is the one sweep fan-out of the serving stack: it validates the
-// rate grid, then evaluates sp at each rate as an independent job through
-// evaluate, at most limit at once (no bound when limit <= 0), and returns
-// the results in rate order or the first failing point's error.
-func Sweep(ctx context.Context, sp noc.Spec, rates []float64, limit int,
-	evaluate func(context.Context, noc.Spec) (noc.Result, Source, error)) ([]noc.Result, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("%w: a sweep needs at least one rate", noc.ErrInvalidSpec)
 	}
@@ -482,12 +461,8 @@ func Sweep(ctx context.Context, sp noc.Spec, rates []float64, limit int,
 			return nil, fmt.Errorf("%w: invalid sweep rate %v", noc.ErrInvalidSpec, r)
 		}
 	}
-	if limit <= 0 {
-		limit = len(rates)
-	}
 	results := make([]noc.Result, len(rates))
 	errs := make([]error, len(rates))
-	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for i, r := range rates {
 		pt := sp
@@ -495,9 +470,7 @@ func Sweep(ctx context.Context, sp noc.Spec, rates []float64, limit int,
 		wg.Add(1)
 		go func(i int, pt noc.Spec) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], _, errs[i] = evaluate(ctx, pt)
+			results[i], _, errs[i] = e.Evaluate(ctx, pt)
 		}(i, pt)
 	}
 	wg.Wait()

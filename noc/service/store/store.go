@@ -22,8 +22,10 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -148,7 +150,8 @@ func (s *Store) Keys() []string {
 // Get returns the stored Result for key. The entry is re-read and
 // re-validated from disk on every call, so corruption that happened
 // after Open is still caught here: a damaged entry is quarantined and
-// reported as a miss, never served.
+// reported as a miss, never served. A read that fails is a miss that
+// quarantines nothing; a file gone from under the store is forgotten.
 func (s *Store) Get(key string) (noc.Result, bool) {
 	s.mu.Lock()
 	name, ok := s.index[key]
@@ -162,6 +165,14 @@ func (s *Store) Get(key string) (noc.Result, bool) {
 		return noc.Result{}, false
 	}
 	gotKey, val, err := s.readEntry(name)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		// The read failed (EMFILE under load, say): that says nothing
+		// about the bytes on disk, unless there are none.
+		if errors.Is(err, fs.ErrNotExist) {
+			s.forget(key, name)
+		}
+		return noc.Result{}, false
+	}
 	if err != nil || gotKey != key {
 		s.drop(key, name)
 		return noc.Result{}, false
@@ -244,22 +255,28 @@ func (s *Store) fileFor(key string) string {
 	}
 }
 
-// readEntry reads and validates one entry file.
+// readEntry reads and validates one entry file. A validation failure
+// is ErrCorrupt; a failed read is not.
 func (s *Store) readEntry(name string) (key string, val []byte, err error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
-		return "", nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return "", nil, fmt.Errorf("store: reading %s: %w", name, err)
 	}
 	return decodeEntry(data)
 }
 
 // drop quarantines a failed entry and forgets its index mapping.
 func (s *Store) drop(key, name string) {
+	s.forget(key, name)
+	s.quarantine(name)
+}
+
+// forget removes an entry's index mapping.
+func (s *Store) forget(key, name string) {
 	s.mu.Lock()
 	delete(s.index, key)
 	delete(s.names, name)
 	s.mu.Unlock()
-	s.quarantine(name)
 }
 
 // quarantine moves a bad file into the quarantine directory (removing

@@ -207,6 +207,26 @@ func TestGetQuarantinesLiveCorruption(t *testing.T) {
 	}
 }
 
+// TestGetMissesOnReadError pins that a read failure is not corruption:
+// an entry file removed from under the store is a miss, quarantines
+// nothing and leaves the index.
+func TestGetMissesOnReadError(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, Config{Dir: dir})
+	if err := s.Put("key", testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, entryFiles(t, dir)[0])); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("key"); ok {
+		t.Fatal("a removed entry was served")
+	}
+	if s.Quarantined() != 0 || s.Len() != 0 {
+		t.Errorf("quarantined=%d len=%d, want 0, 0", s.Quarantined(), s.Len())
+	}
+}
+
 // TestCollisionProbing pins the fingerprint-collision path: when a
 // key's fingerprint file name is already claimed by a different key,
 // Put probes to a suffixed name and both keys stay independently

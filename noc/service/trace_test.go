@@ -156,8 +156,8 @@ func TestHTTPTraceFromStore(t *testing.T) {
 	}
 }
 
-// TestErrorCodes pins the error-to-code classification table the fleet
-// dispatcher's retry logic reads.
+// TestErrorCodes pins the error-to-code classification table clients
+// read from every non-2xx envelope.
 func TestErrorCodes(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -146,11 +146,7 @@ type labelled struct {
 func compare(rates []float64, e Effort, evals []Evaluator, specs ...labelled) ([]Series, error) {
 	out := make([]Series, 0, len(specs))
 	for _, c := range specs {
-		s, err := e.scenario(c.sp, 0)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := Sweep(s, SweepOptions{Rates: rates, Evaluators: evals})
+		sw, err := e.sweep(c.sp, SweepOptions{Rates: rates, Evaluators: evals})
 		if err != nil {
 			return nil, err
 		}

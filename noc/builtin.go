@@ -60,7 +60,7 @@ var patterns = map[string]func(routing.Router, *config) (routing.MulticastSet, e
 		return routing.NewMulticastSet(rt.Graph().Ports()), nil
 	},
 	"random": func(router routing.Router, c *config) (routing.MulticastSet, error) {
-		rng := rand.New(rand.NewPCG(c.SetSeed, c.stream))
+		rng := rand.New(rand.NewPCG(c.SetSeed, c.SetStream))
 		switch rt := router.(type) {
 		case *routing.QuarcRouter:
 			return rt.RandomSet(rng, c.Dests)

@@ -73,22 +73,17 @@ func PanelByID(id string) (Panel, error) {
 	return Panel{}, fmt.Errorf("noc: unknown panel %q", id)
 }
 
-// panelSetStream is the PCG stream the figure panels draw their random
-// destination sets from ("selected randomly by the authors at the
-// beginning of the simulation"); a Spec's "random" pattern draws from
-// stream 0. The stream has no wire form.
-const panelSetStream = 0x5e7
-
-// scenario is the panel as a Scenario at the given simulation effort; a
-// Sweep of it is the panel's graph.
-func (p Panel) scenario(e Effort) (*Scenario, error) {
+// spec is the panel as a Spec, without its effort and rates. A Fig. 6
+// panel draws its random destination set from PCG stream 0x5e7, the set
+// "selected randomly by the authors at the beginning of the simulation";
+// a document states the same draw as "set_stream":1511.
+func (p Panel) spec() Spec {
 	sp := Spec{Topology: "quarc", N: p.N, MsgLen: p.MsgLen, Alpha: p.Alpha,
 		Pattern: "localized", Dests: p.SetSize, Port: p.LocalPort}
-	if !p.Random {
-		return e.scenario(sp, 0)
+	if p.Random {
+		sp.Pattern, sp.SetSeed, sp.SetStream = "random", p.SetSeed, 0x5e7
 	}
-	sp.Pattern, sp.SetSeed = "random", p.SetSeed
-	return e.scenario(sp, panelSetStream)
+	return sp
 }
 
 // regime names the panel's destination regime.
@@ -121,14 +116,11 @@ func (r PanelResult) SatRate() float64 { return r.sweep.SatRate }
 func RunFigurePanels(panels []Panel, e Effort, workers int) ([]PanelResult, error) {
 	out := make([]PanelResult, len(panels))
 	for i, p := range panels {
-		s, err := p.scenario(e)
-		if err == nil {
-			out[i].panel = p
-			out[i].sweep, err = Sweep(s, SweepOptions{Points: p.Points, Workers: workers})
-		}
+		sw, err := e.sweep(p.spec(), SweepOptions{Points: p.Points, Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("noc: panel %s: %w", p.ID, err)
 		}
+		out[i] = PanelResult{panel: p, sweep: sw}
 	}
 	return out, nil
 }

@@ -35,6 +35,50 @@ func TestPanelCatalog(t *testing.T) {
 	}
 }
 
+// TestFig6PanelPointFromTheWire resolves one point of each Fig. 6 panel
+// from its canonical JSON document, the form quarcd and quarcsim -spec
+// read, and holds the simulator's Result to the panel sweep's at that
+// rate: the document's set_stream states the panel's destination draw.
+func TestFig6PanelPointFromTheWire(t *testing.T) {
+	e := Effort{Warmup: 500, Measure: 4000, Seed: 11}
+	for _, p := range Fig6Panels() {
+		p.Points = 2
+		res, err := RunFigurePanels([]Panel{p}, e, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := res[0].sweep.Points[1]
+		want, _ := pt.Get("simulator")
+		sp := atEffort(p.spec(), e)
+		sp.Rate = pt.Rate
+		doc, err := sp.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(doc, []byte(`"set_stream":1511`)) {
+			t.Errorf("%s: document %s does not state the panel's stream", p.ID, doc)
+		}
+		wire, err := ParseSpec(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", p.ID, err)
+		}
+		s, err := wire.Scenario()
+		if err != nil {
+			t.Fatalf("%s: %v", p.ID, err)
+		}
+		if got := s.SetString(); got != res[0].sweep.Set {
+			t.Errorf("%s: the document draws {%s}, the panel ran {%s}", p.ID, got, res[0].sweep.Set)
+		}
+		got, err := Simulator{}.Evaluate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got, want) {
+			t.Errorf("%s at rate %v: from the wire\n%+v\nin the panel\n%+v", p.ID, pt.Rate, got, want)
+		}
+	}
+}
+
 // TestRunFigurePanelsQuick drives one tiny custom panel end to end
 // through the public figure API: run, ASCII plot, CSV, JSON, summary.
 func TestRunFigurePanelsQuick(t *testing.T) {
@@ -189,7 +233,7 @@ func TestModelMonotoneInRate(t *testing.T) {
 			if testing.Short() && p.N >= 128 {
 				t.Skip("N=128 panel skipped under -short")
 			}
-			s, err := p.scenario(QuickEffort())
+			s, err := p.spec().Scenario()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,6 +60,7 @@ var specFuzzSeeds = []string{
 	`{}`,
 	`{"topology":"quarc","n":16,"rate":0.002,"alpha":0.05,"pattern":"localized","dests":4}`,
 	`{"topology":"mesh","w":4,"h":4,"pattern":"highlow","high":[1,3],"low":[2],"arrival":"onoff","burst_len":8,"duty_cycle":0.5}`,
+	`{"topology":"quarc","n":16,"pattern":"random","dests":5,"set_seed":61,"set_stream":1511,"alpha":0.05}`,
 	`{"n":1000000000}`,
 	`{"topology":"mesh","w":100000,"h":100000}`,
 	`{"topology":"hypercube","dims":64}`,

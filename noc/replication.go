@@ -37,8 +37,9 @@ func repSeed(base uint64, rep int) uint64 {
 // simulateReplicated runs the scenario's configured replications and
 // aggregates them. Replications fan out over Spec.Parallelism workers, each
 // with its own pooled network reused across the replications it runs (the
-// same Reset path a sweep worker uses); results are aggregated in
-// replication order, so the outcome is bitwise-identical for every k.
+// same Reset path a sweep worker uses; worker 0 runs on the caller's pool);
+// results are aggregated in replication order, so the outcome is
+// bitwise-identical for every k.
 func simulateReplicated(s *Scenario, pool *networkPool) (Result, error) {
 	n := s.cfg.Replications
 	if n <= 1 {
@@ -48,39 +49,29 @@ func simulateReplicated(s *Scenario, pool *networkPool) (Result, error) {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
 	}
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	results := make([]Result, n)
 	errs := make([]error, n)
-	if k == 1 {
-		// Serial: reuse the caller's pool (or one local pool) across all
-		// replications.
-		if pool == nil {
-			pool = &networkPool{}
-		}
-		for rep := 0; rep < n; rep++ {
-			results[rep], errs[rep] = simulate(s, pool, repSeed(s.cfg.Seed, rep))
-		}
-	} else {
-		ch := make(chan int, n)
-		for rep := 0; rep < n; rep++ {
-			ch <- rep
-		}
-		close(ch)
-		var wg sync.WaitGroup
-		for w := 0; w < k; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var p networkPool // per-worker: reused across its replications
-				for rep := range ch {
-					results[rep], errs[rep] = simulate(s, &p, repSeed(s.cfg.Seed, rep))
-				}
-			}()
-		}
-		wg.Wait()
+	ch := make(chan int, n)
+	for rep := 0; rep < n; rep++ {
+		ch <- rep
 	}
+	close(ch)
+	var wg sync.WaitGroup
+	for w := 0; w < k; w++ {
+		p := pool // worker 0 reuses the caller's pool, if any
+		if w > 0 || p == nil {
+			p = &networkPool{} // reused across the worker's replications
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range ch {
+				results[rep], errs[rep] = simulate(s, p, repSeed(s.cfg.Seed, rep))
+			}
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return Result{}, err

@@ -32,20 +32,29 @@ func repScenario(t *testing.T, reps, parallelism int) *Scenario {
 // TestReplicationsDeterministicAcrossParallelism pins the replication
 // satellite: Replications(n) must produce the identical aggregated Result
 // for Parallelism(1) and Parallelism(8) — scheduling must never leak into
-// the numbers.
+// the numbers. A pooled simulator, whose pool the first worker runs on,
+// gives the same bits at every k and again on its warm pool.
 func TestReplicationsDeterministicAcrossParallelism(t *testing.T) {
-	run := func(k int) Result {
+	run := func(ev Evaluator, k int) Result {
 		s := repScenario(t, 6, k)
-		r, err := Simulator{}.Evaluate(s)
+		r, err := ev.Evaluate(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	serial := run(1)
-	parallel := run(8)
+	serial := run(Simulator{}, 1)
+	parallel := run(Simulator{}, 8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("aggregated results differ between k=1 and k=8:\n%+v\nvs\n%+v", serial, parallel)
+	}
+	for _, k := range []int{1, 2, 8} {
+		ev := NewPooledSimulator()
+		for call := 1; call <= 2; call++ {
+			if got := run(ev, k); !reflect.DeepEqual(got, serial) {
+				t.Errorf("pooled simulator, k=%d, call %d:\n%+v\nwant the stateless\n%+v", k, call, got, serial)
+			}
+		}
 	}
 	if serial.Replications != 6 {
 		t.Fatalf("Replications = %d, want 6", serial.Replications)

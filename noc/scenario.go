@@ -33,7 +33,6 @@ type config struct {
 	Spec
 	record, replay *TraceWorkload // Record / Replay option values
 	metricsSink    obs.Sink       // MetricsSink tee for the raw record stream
-	stream         uint64         // PCG stream of the "random" pattern (figure panels)
 }
 
 // apply runs the options in order, then fills the table names an
@@ -111,7 +110,7 @@ func Alpha(alpha float64) Option {
 func LocalizedDests(port, k int) Option {
 	return func(c *config) error {
 		c.Pattern, c.Dests, c.Port, c.SetSeed = "localized", k, port, 0
-		c.High, c.Low, c.stream = nil, nil, 0
+		c.SetStream, c.High, c.Low = 0, nil, nil
 		return nil
 	}
 }
@@ -162,7 +161,9 @@ func MetricsSink(s Sink) Option {
 }
 
 // Effort bundles the simulation effort knobs (warmup, measurement window,
-// seed) so presets can be passed around as one value.
+// seed) so presets can be passed around as one value. The figure panels
+// and ablation studies write it into their Specs, so a zero field selects
+// the Spec default, as on the wire.
 type Effort struct {
 	Warmup  float64
 	Measure float64
@@ -176,16 +177,16 @@ func DefaultEffort() Effort { return Effort{Warmup: 20000, Measure: 200000, Seed
 // QuickEffort is a cheaper setting for tests and exploratory runs.
 func QuickEffort() Effort { return Effort{Warmup: 5000, Measure: 40000, Seed: 0xC0FFEE} }
 
-// scenario resolves sp at effort e, drawing a "random" destination set
-// from PCG stream stream. The effort is taken literally, as the Warmup,
-// Measure and Seed options take it.
-func (e Effort) scenario(sp Spec, stream uint64) (*Scenario, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
+// sweep writes the effort into sp, resolves it through Spec.Scenario and
+// sweeps it: the one resolve path of every figure panel and ablation
+// study.
+func (e Effort) sweep(sp Spec, o SweepOptions) (SweepResult, error) {
+	sp.Warmup, sp.Measure, sp.Seed = e.Warmup, e.Measure, e.Seed
+	s, err := sp.Scenario()
+	if err != nil {
+		return SweepResult{}, err
 	}
-	cfg := config{Spec: sp.materialized(), stream: stream}
-	cfg.Warmup, cfg.Measure, cfg.Seed = e.Warmup, e.Measure, e.Seed
-	return resolve(cfg)
+	return Sweep(s, o)
 }
 
 // NewScenario applies the options to the default Spec and resolves the

@@ -75,7 +75,8 @@ type Store struct {
 }
 
 // Open scans cfg.Dir, deletes tmp debris from interrupted writes,
-// quarantines every entry that fails validation, and indexes the rest.
+// quarantines every entry that fails validation, leaves in place every
+// file it cannot read, and indexes the rest.
 // The directory (and its quarantine/ subdirectory) is created if
 // missing.
 func Open(cfg Config) (*Store, error) {
@@ -104,19 +105,21 @@ func Open(cfg Config) (*Store, error) {
 			os.Remove(filepath.Join(cfg.Dir, name))
 		case strings.HasSuffix(name, entryExt):
 			key, _, err := s.readEntry(name)
-			if err != nil {
+			_, dup := s.index[key]
+			switch {
+			case err != nil && !errors.Is(err, ErrCorrupt):
+				// The read failed (EISDIR, EMFILE): that says nothing
+				// about the bytes, so the file stays, unindexed, for
+				// the next Open to retry.
+			case err != nil || dup:
+				// A damaged entry, or a second live file claiming one
+				// key (e.g. debris from a former collision chain): keep
+				// the first, quarantine the rest.
 				s.quarantine(name)
-				continue
+			default:
+				s.index[key] = name
+				s.names[name] = key
 			}
-			if _, dup := s.index[key]; dup {
-				// Two live files claiming one key (e.g. debris from a
-				// former collision chain): keep the first, quarantine
-				// the rest.
-				s.quarantine(name)
-				continue
-			}
-			s.index[key] = name
-			s.names[name] = key
 		}
 	}
 	return s, nil

@@ -227,6 +227,32 @@ func TestGetMissesOnReadError(t *testing.T) {
 	}
 }
 
+// TestOpenLeavesUnreadableEntries pins Open's read-error path: an entry
+// name that cannot be read (a symlink to a directory reads EISDIR, a
+// dangling one ENOENT) says nothing about any stored bytes, so it is
+// neither quarantined nor indexed, and stays for the next Open.
+func TestOpenLeavesUnreadableEntries(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"dir" + entryExt, "dangling" + entryExt}
+	if err := os.Symlink(t.TempDir(), filepath.Join(dir, names[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "gone"), filepath.Join(dir, names[1])); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		s := open(t, Config{Dir: dir})
+		if s.Quarantined() != 0 || s.Len() != 0 {
+			t.Errorf("quarantined=%d len=%d, want 0, 0", s.Quarantined(), s.Len())
+		}
+		for _, name := range names {
+			if _, err := os.Lstat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
 // TestCollisionProbing pins the fingerprint-collision path: when a
 // key's fingerprint file name is already claimed by a different key,
 // Put probes to a suffixed name and both keys stay independently

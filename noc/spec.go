@@ -37,16 +37,17 @@ type Spec struct {
 	Router   string `json:"router,omitempty"`
 
 	// Multicast traffic pattern: "none" (the default), "broadcast",
-	// "random" (Dests destinations drawn from SetSeed — the paper's
-	// Figure 6 regime), "localized" (Dests destinations on rim Port —
-	// Figure 7) or "highlow" (mesh/torus Hamilton-path offsets High and
-	// Low).
-	Pattern string `json:"pattern,omitempty"`
-	Dests   int    `json:"dests,omitempty"`
-	Port    int    `json:"port,omitempty"`
-	SetSeed uint64 `json:"set_seed,omitempty"`
-	High    []int  `json:"high,omitempty"`
-	Low     []int  `json:"low,omitempty"`
+	// "random" (Dests destinations drawn from PCG(SetSeed, SetStream) —
+	// the paper's Figure 6 regime; its panels draw from stream 0x5e7),
+	// "localized" (Dests destinations on rim Port — Figure 7) or
+	// "highlow" (mesh/torus Hamilton-path offsets High and Low).
+	Pattern   string `json:"pattern,omitempty"`
+	Dests     int    `json:"dests,omitempty"`
+	Port      int    `json:"port,omitempty"`
+	SetSeed   uint64 `json:"set_seed,omitempty"`
+	SetStream uint64 `json:"set_stream,omitempty"`
+	High      []int  `json:"high,omitempty"`
+	Low       []int  `json:"low,omitempty"`
 
 	// Workload: message length in flits (at least 2), per-node message
 	// generation rate (messages/cycle) and multicast fraction. With
@@ -330,13 +331,13 @@ func (sp Spec) Canonical() Spec {
 	}
 	switch c.Pattern {
 	case "none", "broadcast":
-		c.Dests, c.Port, c.SetSeed, c.High, c.Low = 0, 0, 0, nil, nil
+		c.Dests, c.Port, c.SetSeed, c.SetStream, c.High, c.Low = 0, 0, 0, 0, nil, nil
 	case "random":
 		c.Port, c.High, c.Low = 0, nil, nil
 	case "localized":
-		c.SetSeed, c.High, c.Low = 0, nil, nil
+		c.SetSeed, c.SetStream, c.High, c.Low = 0, 0, nil, nil
 	case "highlow":
-		c.Dests, c.Port, c.SetSeed = 0, 0, 0
+		c.Dests, c.Port, c.SetSeed, c.SetStream = 0, 0, 0, 0
 	}
 	if c.MsgLen == 0 {
 		c.MsgLen = 32
@@ -458,7 +459,7 @@ func pickStructural(c Spec) Spec {
 	return Spec{
 		Topology: c.Topology, N: c.N, W: c.W, H: c.H, Dims: c.Dims,
 		Router:  c.Router,
-		Pattern: c.Pattern, Dests: c.Dests, Port: c.Port, SetSeed: c.SetSeed,
+		Pattern: c.Pattern, Dests: c.Dests, Port: c.Port, SetSeed: c.SetSeed, SetStream: c.SetStream,
 		High: c.High, Low: c.Low,
 		Spatial: c.Spatial, SpatialFrac: c.SpatialFrac,
 		SpatialNodes: c.SpatialNodes, SpatialWeights: c.SpatialWeights,
@@ -466,15 +467,16 @@ func pickStructural(c Spec) Spec {
 }
 
 // sameStructure is Structural equality over two materialized
-// configurations, field by field (plus the pattern stream, which has no
-// wire form): the one predicate that lets With and ScenarioWith share a
-// base's routed topology. TestStructuralPredicateMatchesStructural keeps
-// its field list in step with Structural's.
+// configurations, field by field: the one predicate that lets With and
+// ScenarioWith share a base's routed topology.
+// TestStructuralPredicateMatchesStructural keeps its field list in step
+// with Structural's.
 func sameStructure(a, b *config) bool {
 	return a.Topology == b.Topology && a.N == b.N && a.W == b.W && a.H == b.H && a.Dims == b.Dims &&
 		a.Router == b.Router &&
-		a.Pattern == b.Pattern && a.Dests == b.Dests && a.Port == b.Port && a.SetSeed == b.SetSeed &&
-		slices.Equal(a.High, b.High) && slices.Equal(a.Low, b.Low) && a.stream == b.stream &&
+		a.Pattern == b.Pattern && a.Dests == b.Dests && a.Port == b.Port &&
+		a.SetSeed == b.SetSeed && a.SetStream == b.SetStream &&
+		slices.Equal(a.High, b.High) && slices.Equal(a.Low, b.Low) &&
 		a.Spatial == b.Spatial && a.SpatialFrac == b.SpatialFrac &&
 		slices.Equal(a.SpatialNodes, b.SpatialNodes) && slices.Equal(a.SpatialWeights, b.SpatialWeights)
 }
@@ -548,19 +550,12 @@ func (sp Spec) ScenarioWith(base *Scenario) (*Scenario, error) {
 }
 
 // Spec returns the scenario's configuration in declarative, canonical
-// form — the inverse of Spec.Scenario up to canonicalization, with two
-// gaps where the scenario holds what the wire format cannot say. Runtime
+// form — the inverse of Spec.Scenario up to canonicalization. Runtime
 // trace attachments (Record/Replay) have no file-path representation and
-// are omitted.
-//
-//   - Warmup and seed 0: the wire format reads a zero as "use the
-//     default", so a scenario forked with Warmup(0) or Seed(0) (or
-//     resolved at such an Effort) reports the defaults (10000, 1) here.
-//   - The Fig. 6 panels: their "random" destination sets are drawn from
-//     PCG stream panelSetStream (0x5e7), which has no wire form, while a
-//     Spec's "random" pattern draws from stream 0. For such a panel's
-//     scenario s, s.Spec().Scenario() draws a different destination set
-//     than s ran.
+// are omitted. One gap remains where the scenario holds what the wire
+// format cannot say: it reads a zero Warmup or Seed as "use the default",
+// so a scenario forked with Warmup(0) or Seed(0) reports the defaults
+// (10000, 1) here.
 func (s *Scenario) Spec() Spec { return s.cfg.Spec.Canonical() }
 
 // Recording returns the trace capture buffer a spec's Record path (or a

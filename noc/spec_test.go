@@ -364,6 +364,9 @@ func TestStructuralPredicateMatchesStructural(t *testing.T) {
 		if got := !sameStructure(&mod, &base); got != structural {
 			t.Errorf("field %s: sameStructure sees a change = %v, Structural = %v", rt.Field(i).Name, got, structural)
 		}
+		if rt.Field(i).Name == "SetStream" && !structural {
+			t.Error("SetStream is not structural: two draws of one random pattern would share a base scenario")
+		}
 	}
 }
 
@@ -444,14 +447,19 @@ func TestSpecScenarioRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// atEffort is sp with the effort written into it, as Effort.sweep
+// writes it.
+func atEffort(sp Spec, e Effort) Spec {
+	sp.Warmup, sp.Measure, sp.Seed = e.Warmup, e.Measure, e.Seed
+	return sp
+}
+
 // TestSpecInverse is the simulation-free part of the gate for ROADMAP
 // item 20 (a Spec that states every run): for every figure panel and
 // every ablation spec, at both efforts, resolving the scenario's reported
 // Spec again must give the same Spec and the same destination set. The
-// Fig. 6 panels are the known gap: they draw their random sets from PCG
-// stream 0x5e7 (panelSetStream), which has no wire form, so their sets
-// alone differ. Closing the gap makes this test fail on purpose: the
-// Fig. 6 panels then join the others.
+// Fig. 6 panels are among them: their draw from PCG stream 0x5e7 is the
+// Spec's SetStream.
 func TestSpecInverse(t *testing.T) {
 	type named struct {
 		name string
@@ -460,7 +468,7 @@ func TestSpecInverse(t *testing.T) {
 	var cases []named
 	for _, e := range []Effort{QuickEffort(), DefaultEffort()} {
 		for _, p := range FigurePanels() {
-			s, err := p.scenario(e)
+			s, err := atEffort(p.spec(), e).Scenario()
 			if err != nil {
 				t.Fatalf("%s: %v", p.ID, err)
 			}
@@ -481,7 +489,7 @@ func TestSpecInverse(t *testing.T) {
 			ablations = append(ablations, v)
 		}
 		for _, c := range ablations {
-			s, err := e.scenario(c.sp, 0)
+			s, err := atEffort(c.sp, e).Scenario()
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)
 			}
@@ -499,11 +507,7 @@ func TestSpecInverse(t *testing.T) {
 		if got, want := again.Spec(), c.s.Spec(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: re-resolved Spec differs:\n got %+v\nwant %+v", c.name, got, want)
 		}
-		got, want := again.SetString(), c.s.SetString()
-		switch fig6 := strings.HasPrefix(c.name, "fig6-"); {
-		case fig6 && got == want:
-			t.Errorf("%s: its Spec now resolves the destination set the panel ran (%s): the PCG stream 0x5e7 gap of ROADMAP item 20 is closed, so assert equality for Fig. 6 too", c.name, want)
-		case !fig6 && got != want:
+		if got, want := again.SetString(), c.s.SetString(); got != want {
 			t.Errorf("%s: re-resolved destination set {%s}, ran {%s}", c.name, got, want)
 		}
 	}

@@ -25,7 +25,7 @@ import (
 // (TestSpecCodecFieldTable holds all three to the struct tags).
 var specKeys = [...]string{
 	"topology", "n", "w", "h", "dims", "router",
-	"pattern", "dests", "port", "set_seed", "high", "low",
+	"pattern", "dests", "port", "set_seed", "set_stream", "high", "low",
 	"msglen", "rate", "alpha", "hotspot_frac", "hotspot_node",
 	"arrival", "burst_len", "duty_cycle",
 	"spatial", "spatial_frac", "spatial_nodes", "spatial_weights",
@@ -201,6 +201,8 @@ func (d *specDecoder) member(sp *Spec, key []byte, start int) error {
 		return d.integer(&sp.Port)
 	case "set_seed":
 		return d.unsigned(&sp.SetSeed)
+	case "set_stream":
+		return d.unsigned(&sp.SetStream)
 	case "high":
 		return decodeList(d, &sp.High)
 	case "low":
@@ -638,6 +640,7 @@ func (sp *Spec) encode(b []byte, start int, key bool) ([]byte, error) {
 	integer(sp.Dests)
 	integer(sp.Port)
 	unsigned(sp.SetSeed)
+	unsigned(sp.SetStream)
 	ints(sp.High)
 	ints(sp.Low)
 	integer(sp.MsgLen)

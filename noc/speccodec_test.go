@@ -213,6 +213,8 @@ func FuzzSpecKeyMatchesCanonical(f *testing.F) {
 		{`{"ſeed":7}`, `{"seed":7}`},
 		{`{"arrival":"poisson","evaluator":"simulator"}`, `{}`},
 		{`{"topology":"qu\u0061rc"}`, `{"topology":"quarc"}`},
+		{`{"pattern":"random","set_seed":61,"set_stream":1511}`, `{"pattern":"random","set_seed":61}`},
+		{`{"pattern":"localized","dests":3,"set_stream":1511}`, `{"pattern":"localized","dests":3}`},
 	}
 	for i, s := range serveHotShapes {
 		pairs = append(pairs, [2]string{s, s}, [2]string{s, serveHotShapes[(i+1)%len(serveHotShapes)]})

@@ -225,17 +225,17 @@ type Workload struct {
 	routes *routing.Table
 	n      int
 	rngs   []*rand.Rand
-	// srcs are the rngs' underlying PCG sources, kept so Reset can reseed
-	// in place (a rand.Rand holds no state beyond its source).
+	// srcs are the rngs' underlying PCG sources, kept so ResetOn can
+	// reseed in place (a rand.Rand holds no state beyond its source).
 	srcs []*rand.PCG
 	// proc is the resolved arrival process and arr its per-node states
-	// (reset to zero by Reset, so a reset workload replays bitwise).
+	// (reset to zero by ResetOn, so a reset workload replays bitwise).
 	proc ArrivalProcess
 	arr  []ArrivalState
 	// cdf holds per-source cumulative destination weights at index
 	// src*n+dst when spec.Weights is set (diagonal mass forced to zero),
 	// so weighted sampling is one Float64 draw plus a binary search —
-	// allocation-free.
+	// allocation-free. It is empty without weights.
 	cdf []float64
 }
 
@@ -243,15 +243,10 @@ type Workload struct {
 // independent RNG stream derived from seed, so runs are reproducible and
 // node processes are mutually independent. A router that already is a
 // routing.Table for the spec's set is used as is; any other is enumerated.
+// It is ResetOn on a zero Workload.
 func NewWorkload(router routing.Router, spec Spec, seed uint64) (*Workload, error) {
-	n := router.Graph().Nodes()
-	w := &Workload{n: n, rngs: make([]*rand.Rand, n), srcs: make([]*rand.PCG, n),
-		arr: make([]ArrivalState, n)}
-	for i := range w.srcs {
-		w.srcs[i] = new(rand.PCG)
-		w.rngs[i] = rand.New(w.srcs[i])
-	}
-	if err := w.reset(router, spec, seed); err != nil {
+	w := &Workload{}
+	if err := w.ResetOn(router, spec, seed); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -293,13 +288,20 @@ func (w *Workload) ContinuousArrivals() bool {
 // same routes. The route table is kept whenever it already holds the
 // spec's destination set (or the spec generates no multicasts); a new set
 // re-enumerates only the multicast branches. So resetting a workload
-// across the points of a sweep skips the O(n²) routing work. NewWorkload
-// runs the same reset, so a reset workload behaves bitwise-identically to
-// a fresh NewWorkload(router, spec, seed).
-func (w *Workload) Reset(spec Spec, seed uint64) error { return w.reset(w.routes, spec, seed) }
+// across the points of a sweep skips the O(n²) routing work. It is
+// ResetOn over the workload's own routes.
+func (w *Workload) Reset(spec Spec, seed uint64) error { return w.ResetOn(w.routes, spec, seed) }
 
-func (w *Workload) reset(router routing.Router, spec Spec, seed uint64) error {
-	if err := spec.ValidateFor(w.n); err != nil {
+// ResetOn re-derives the workload in place over router, for a spec and a
+// seed: the one construction path, which NewWorkload runs on a zero
+// Workload. The per-node RNG sources, arrival states and weight CDF are
+// regrown to router's node count reusing their storage (a node that stays
+// keeps its source, reseeded), so a workload behaves bitwise-identically
+// to a fresh NewWorkload(router, spec, seed) whatever it ran before. On
+// an error the workload is left as it was.
+func (w *Workload) ResetOn(router routing.Router, spec Spec, seed uint64) error {
+	n := router.Graph().Nodes()
+	if err := spec.ValidateFor(n); err != nil {
 		return err
 	}
 	var set routing.MulticastSet // routed only when multicasts are drawn
@@ -311,31 +313,54 @@ func (w *Workload) reset(router routing.Router, spec Spec, seed uint64) error {
 		return err
 	}
 	w.routes = routes
+	w.n = n
 	w.spec = spec
 	w.proc, _ = lookupArrival(spec.Arrival) // validated above
-	w.buildCDF(spec.Weights)
-	for i := 0; i < w.n; i++ {
-		w.srcs[i].Seed(seed, uint64(i)*0x9e3779b97f4a7c15+1)
+	w.srcs = regrow(w.srcs, n)
+	w.rngs = regrow(w.rngs, n)
+	w.arr = regrow(w.arr, n)
+	for i, src := range w.srcs {
+		if src == nil { // srcs and rngs grow together, so rngs[i] is nil too
+			src = new(rand.PCG)
+			w.srcs[i], w.rngs[i] = src, rand.New(src)
+		}
+		src.Seed(seed, uint64(i)*0x9e3779b97f4a7c15+1)
 		w.arr[i] = ArrivalState{}
 	}
+	w.buildCDF(spec.Weights)
 	return nil
 }
 
+// regrow returns s with length n, in place when its capacity allows
+// (elements past its length come back as they were left) and otherwise in
+// a new array of exactly n that keeps s's elements.
+func regrow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	t := make([]T, n)
+	copy(t, s)
+	return t
+}
+
 // buildCDF (re)derives the per-source cumulative destination weights
-// into the reused cdf buffer. It always rebuilds — an identity- or
-// value-based cache could serve a stale distribution if a caller
-// mutated the matrix in place between Resets, and the O(n²) fill is
-// trivial next to the simulation run a Reset precedes.
+// into the reused cdf buffer, and leaves it empty without weights. It
+// always rebuilds — an identity- or value-based cache could serve a stale
+// distribution if a caller mutated the matrix in place between Resets,
+// and the O(n²) fill is trivial next to the simulation run a Reset
+// precedes. A buffer beyond maxRetainedCDF cells that the spec does not
+// need is released, so a workload that once served a large weighted
+// network does not pin its matrix.
 func (w *Workload) buildCDF(weights [][]float64) {
-	if weights == nil {
+	cells := 0
+	if weights != nil {
+		cells = w.n * w.n
+	}
+	if cap(w.cdf) > max(cells, maxRetainedCDF) {
 		w.cdf = nil
-		return
 	}
-	if cap(w.cdf) < w.n*w.n {
-		w.cdf = make([]float64, w.n*w.n)
-	}
-	w.cdf = w.cdf[:w.n*w.n]
-	for src := 0; src < w.n; src++ {
+	w.cdf = regrow(w.cdf, cells)
+	for src := 0; src < w.n && cells > 0; src++ {
 		sum := 0.0
 		for dst := 0; dst < w.n; dst++ {
 			if dst != src {
@@ -345,6 +370,10 @@ func (w *Workload) buildCDF(weights [][]float64) {
 		}
 	}
 }
+
+// maxRetainedCDF caps the weight CDF cells a workload keeps across
+// ResetOn: a 256-node matrix, 512 KiB.
+const maxRetainedCDF = 1 << 16
 
 // checkHotspot rejects a hotspot destination outside the network: the
 // route table is indexed src*n+dst, so an out-of-range node would
@@ -382,7 +411,7 @@ func (w *Workload) Next(node topology.NodeID) ([]routing.Branch, bool) {
 	if w.spec.Perm != nil {
 		return w.routes.Unicast(node, w.spec.Perm[node]), false
 	}
-	if w.cdf != nil {
+	if len(w.cdf) > 0 {
 		return w.routes.Unicast(node, w.weightedDest(rng, node)), false
 	}
 	dst := w.uniformDest(rng, node)

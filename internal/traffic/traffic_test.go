@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"quarc/internal/routing"
@@ -255,6 +256,101 @@ func TestWorkloadResetMatchesFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sameDraws draws n gaps and messages at every node of two workloads and
+// fails at the first gap, multicast flag or route that differs.
+func sameDraws(t *testing.T, label string, got, want *Workload, n int) {
+	t.Helper()
+	for node := topology.NodeID(0); int(node) < want.n; node++ {
+		for i := 0; i < n; i++ {
+			if g, w := got.Interarrival(node), want.Interarrival(node); g != w {
+				t.Fatalf("%s node %d draw %d: gap %v != fresh %v", label, node, i, g, w)
+			}
+			gb, gm := got.Next(node)
+			wb, wm := want.Next(node)
+			if gm != wm || len(gb) != len(wb) {
+				t.Fatalf("%s node %d draw %d: branches (%d,%v) != fresh (%d,%v)", label, node, i, len(gb), gm, len(wb), wm)
+			}
+			for k := range gb {
+				if gb[k].Port != wb[k].Port || !slices.Equal(gb[k].Path, wb[k].Path) || !slices.Equal(gb[k].Targets, wb[k].Targets) {
+					t.Fatalf("%s node %d draw %d branch %d: route diverged", label, node, i, k)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkloadResetOnMatchesFresh pins the cross-graph reuse property:
+// one workload rebound with ResetOn across Quarc, mesh and hypercube
+// routers of 8 to 32 nodes — growing, shrinking, every arrival process,
+// weighted, hotspot and permutation destinations — draws exactly the
+// stream a fresh NewWorkload does; and a ResetOn that fails leaves the
+// workload drawing on as before.
+func TestWorkloadResetOnMatchesFresh(t *testing.T) {
+	q16, q32, q8 := quarcRouter(t, 16), quarcRouter(t, 32), quarcRouter(t, 8)
+	m, err := topology.NewMesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := routing.NewMeshRouter(m)
+	h, err := topology.NewHypercube(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube := routing.NewHypercubeRouter(h)
+	set16, err := q16.LocalizedSet(topology.PortL, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := func(n int) [][]float64 {
+		w := make([][]float64, n)
+		for src := range w {
+			w[src] = make([]float64, n)
+			for dst := range w[src] {
+				w[src][dst] = float64(1 + (src*7+dst*3)%5)
+			}
+		}
+		return w
+	}
+	shift := make([]topology.NodeID, 8)
+	for i := range shift {
+		shift[i] = topology.NodeID((i + 3) % 8)
+	}
+	steps := []struct {
+		name string
+		rt   routing.Router
+		spec Spec
+	}{
+		{"quarc-16 poisson", q16, Spec{Rate: 0.004, MulticastFrac: 0.1, Set: set16}},
+		{"mesh-4x4 weighted bernoulli", mesh, Spec{Rate: 0.004, Weights: weights(16), Arrival: "bernoulli"}},
+		{"quarc-32 hotspot onoff", q32, Spec{Rate: 0.003, HotspotFrac: 0.3, HotspotNode: 31, Arrival: "onoff", BurstLen: 4, DutyCycle: 0.5}},
+		{"quarc-8 permutation periodic", q8, Spec{Rate: 0.01, Perm: shift, Arrival: "periodic"}},
+		{"hypercube-8 weighted", cube, Spec{Rate: 0.002, Weights: weights(8)}},
+		{"quarc-16 broadcast", q16, Spec{Rate: 0.004, MulticastFrac: 0.2, Set: q16.BroadcastSet()}},
+	}
+	var reused *Workload
+	for i, st := range steps {
+		seed := uint64(i + 3)
+		fresh, err := NewWorkload(st.rt, st.spec, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if reused == nil {
+			reused, err = NewWorkload(st.rt, st.spec, seed)
+		} else {
+			err = reused.ResetOn(st.rt, st.spec, seed)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		sameDraws(t, st.name, reused, fresh, 50)
+		// A spec this router rejects fails without touching the workload.
+		if err := reused.ResetOn(q8, Spec{Rate: 0.001, HotspotFrac: 0.5, HotspotNode: 20}, 1); err == nil {
+			t.Fatalf("%s: ResetOn accepted hotspot node 20 on an 8-node network", st.name)
+		}
+		sameDraws(t, st.name+" after a failed ResetOn", reused, fresh, 50)
 	}
 }
 

@@ -131,7 +131,7 @@ func (nw *Network) Attach(h Hook, at ...HookPos) {
 }
 
 // detachHooks returns the network to its unhooked state, keeping the
-// per-position backing arrays for reuse. Reset calls it so a pooled
+// per-position backing arrays for reuse. ResetOn calls it so a pooled
 // network never leaks one run's hooks into the next.
 func (nw *Network) detachHooks() {
 	for i := range nw.hooks {

@@ -174,7 +174,8 @@ func sameResult(t *testing.T, label string, got, want Result) {
 // TestResetReproducesFreshRun is the reuse property test: one Network
 // driven through Reset across several workloads and configs must
 // reproduce, bitwise, what a freshly constructed Network produces — on
-// the paper's Quarc topology and on the mesh extension.
+// the paper's Quarc topology and on the mesh extension, and through
+// ResetOn from one topology to the next.
 func TestResetReproducesFreshRun(t *testing.T) {
 	type point struct {
 		seed   uint64
@@ -246,6 +247,170 @@ func TestResetReproducesFreshRun(t *testing.T) {
 			sameResult(t, fmtPoint("mesh", i, p.seed), reused.Run(), want)
 		}
 	})
+
+	t.Run("across-graphs", resetOnReproducesFreshRun)
+}
+
+// resetOnReproducesFreshRun is TestResetReproducesFreshRun's cross-graph
+// half: one Network and one Workload rebound with ResetOn through
+// quarc-16, mesh-4x4, quarc-32 and quarc-16 again — changing topology at
+// the same node count, growing and shrinking — and back up to quarc-32,
+// reproduce a fresh network's Result at every step, with drain,
+// NoCoalesce, multicast priority and a saturated run among the
+// configurations.
+func resetOnReproducesFreshRun(t *testing.T) {
+	m, err := topology.NewMesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mrt := routing.NewMeshRouter(m)
+	mset, err := mrt.HighLowSet([]int{1, 3}, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q16, q32 := quarcRouter(t, 16), quarcRouter(t, 32)
+	set16, err := q16.LocalizedSet(topology.PortL, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set32, err := q32.LocalizedSet(topology.PortR, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		rt   routing.Router
+		spec traffic.Spec
+		seed uint64
+		cfg  Config
+	}{
+		{"quarc-16", q16, traffic.Spec{Rate: 0.004, MulticastFrac: 0.05, Set: set16}, 1,
+			Config{MsgLen: 32, Warmup: 1000, Measure: 10000}},
+		{"mesh-4x4 drain", mrt, traffic.Spec{Rate: 0.006, MulticastFrac: 0.1, Set: mset}, 2,
+			Config{MsgLen: 8, Warmup: 1000, Measure: 10000, Drain: true}},
+		{"quarc-32 fine-grained", q32, traffic.Spec{Rate: 0.003, MulticastFrac: 0.1, Set: set32, Arrival: "bernoulli"}, 3,
+			Config{MsgLen: 16, Warmup: 1000, Measure: 10000, NoCoalesce: true}},
+		{"quarc-16 priority", q16, traffic.Spec{Rate: 0.005, MulticastFrac: 0.2, Set: set16}, 4,
+			Config{MsgLen: 16, Warmup: 1000, Measure: 10000, MulticastPriority: true}},
+		{"quarc-16 saturated", q16, traffic.Spec{Rate: 0.05, MulticastFrac: 0.05, Set: set16}, 5,
+			Config{MsgLen: 32, Warmup: 1000, Measure: 10000, SatQueue: 200}},
+		{"mesh-4x4 after saturation", mrt, traffic.Spec{Rate: 0.006, MulticastFrac: 0.1, Set: mset}, 2,
+			Config{MsgLen: 8, Warmup: 1000, Measure: 10000, Drain: true}},
+		{"quarc-32 regrown", q32, traffic.Spec{Rate: 0.003, MulticastFrac: 0.1, Set: set32}, 6,
+			Config{MsgLen: 16, Warmup: 1000, Measure: 10000}},
+	}
+	var nw *Network
+	var w *traffic.Workload
+	for _, st := range steps {
+		want := freshRun(t, st.rt, st.spec, st.seed, st.cfg)
+		if want.Completed == 0 || want.Saturated != (st.cfg.SatQueue != 0) {
+			t.Fatalf("%s: the fresh run completed %d messages, saturated %v: not the intended point", st.name, want.Completed, want.Saturated)
+		}
+		if nw == nil {
+			if w, err = traffic.NewWorkload(st.rt, st.spec, st.seed); err != nil {
+				t.Fatal(err)
+			}
+			nw, err = New(st.rt.Graph(), w, st.cfg)
+		} else {
+			if err := w.ResetOn(st.rt, st.spec, st.seed); err != nil {
+				t.Fatal(err)
+			}
+			err = nw.ResetOn(st.rt.Graph(), w, st.cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, st.name, nw.Run(), want)
+	}
+}
+
+// flood injects one message per cycle at node 0 over a fixed path, far
+// beyond what the path can carry: its injection queue grows until the
+// run is declared saturated.
+type flood struct{ branches []routing.Branch }
+
+func (f *flood) Interarrival(node topology.NodeID) float64 {
+	if node == 0 {
+		return 1
+	}
+	return math.Inf(1)
+}
+
+func (f *flood) Next(topology.NodeID) ([]routing.Branch, bool) { return f.branches, false }
+
+// ring is a synthetic unidirectional ring of n nodes: one injection, one
+// ejection and one link per node, 3n channels.
+func ring(n int) *topology.Graph {
+	g := topology.NewGraph("ring", n, 1)
+	for i := 0; i < n; i++ {
+		g.AddInjection(topology.NodeID(i), 0)
+		g.AddEjection(topology.NodeID(i), 0)
+		g.AddLink(topology.NodeID(i), topology.NodeID((i+1)%n), 0, 0)
+	}
+	return g
+}
+
+// TestResetOnBoundsRetention pins the retention caps a rebound network
+// applies on synthetic rings: a channel array beyond maxRetainedChannels
+// is released when the next graph needs less, one within it is kept, and
+// a wait queue a saturated run grew beyond maxRetainedQueue is released,
+// while the rebound network still reproduces a fresh one.
+func TestResetOnBoundsRetention(t *testing.T) {
+	silent := &oneAt{node: 0, at: math.Inf(1)}
+	cfg := Config{MsgLen: 32, Warmup: 0, Measure: 5000}
+	small := ring(4)
+	path := routing.Path{small.Injection(0, 0), small.LinkFrom(0, 0, 0), small.Ejection(1, 0)}
+	src := &flood{branches: []routing.Branch{{Path: path, Targets: []topology.NodeID{1}}}}
+
+	wide := ring(maxRetainedChannels) // 3 * maxRetainedChannels channels
+	nw, err := New(wide, silent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.ResetOn(small, src, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(nw.channels); c > maxRetainedChannels {
+		t.Errorf("rebound from %d channels onto %d, the network keeps %d: want at most %d",
+			wide.NumChannels(), small.NumChannels(), c, maxRetainedChannels)
+	}
+
+	within := ring(maxRetainedChannels / 3)
+	if err := nw.ResetOn(within, silent, cfg); err != nil {
+		t.Fatal(err)
+	}
+	kept := &nw.channels[0]
+	if err := nw.ResetOn(small, src, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if &nw.channels[0] != kept {
+		t.Errorf("rebound from %d channels onto %d, the network reallocated an array within the %d-channel cap",
+			within.NumChannels(), small.NumChannels(), maxRetainedChannels)
+	}
+
+	fresh, err := New(small, &flood{branches: src.branches}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Run()
+	got := nw.Run()
+	if !got.Saturated {
+		t.Fatal("the flood did not saturate")
+	}
+	sameResult(t, "flood after rebinding", got, want)
+	inj := small.Injection(0, 0)
+	if q := cap(nw.channels[inj].queue); q <= maxRetainedQueue {
+		t.Fatalf("the saturated run grew the injection queue to %d, want more than %d", q, maxRetainedQueue)
+	}
+	if err := nw.ResetOn(small, src, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := range nw.channels {
+		if q := cap(nw.channels[i].queue); q > maxRetainedQueue {
+			t.Errorf("channel %d keeps a %d-worm queue across ResetOn, want at most %d", i, q, maxRetainedQueue)
+		}
+	}
+	sameResult(t, "flood after the queue was released", nw.Run(), want)
 }
 
 func fmtPoint(topo string, i int, seed uint64) string {

@@ -229,8 +229,19 @@ const slabSize = 64
 // caps its event storage for the same reason).
 const maxRetainedObjects = 1 << 14
 
+// maxRetainedChannels caps the channel array a network keeps across
+// ResetOn onto a smaller graph, and maxRetainedQueue each channel's wait
+// queue. A worker that once ran a large network must not pin its channels
+// for every small one after it, nor a saturated run's backlog (up to
+// Config.SatQueue worms at an injection channel) for every run after that;
+// a run below saturation queues a few worms per channel.
+const (
+	maxRetainedChannels = 1 << 12
+	maxRetainedQueue    = 64
+)
+
 // Network is one simulation instance. Create with New, run with Run, and
-// reuse across runs with Reset.
+// reuse across runs with Reset, or with ResetOn across topologies.
 type Network struct {
 	g       *topology.Graph
 	traffic Traffic
@@ -413,74 +424,50 @@ func continuousArrivals(traffic Traffic) bool {
 	return ok && c.ContinuousArrivals()
 }
 
-// New creates a simulator over the given channel graph and traffic source.
+// New creates a simulator over the given channel graph and traffic source:
+// a zero network with a fresh engine, bound by ResetOn.
 func New(g *topology.Graph, traffic Traffic, cfg Config) (*Network, error) {
-	if err := checkConfig(&cfg); err != nil {
+	nw := &Network{eng: sim.New()}
+	nw.eng.SetHandler(nw)
+	if err := nw.ResetOn(g, traffic, cfg); err != nil {
 		return nil, err
 	}
-	nw := &Network{
-		g:        g,
-		traffic:  traffic,
-		cfg:      cfg,
-		eng:      sim.New(),
-		channels: make([]channel, g.NumChannels()),
-		canFly:   !cfg.NoCoalesce && continuousArrivals(traffic),
+	return nw, nil
+}
+
+// Reset is ResetOn over the network's own channel graph: a new traffic
+// source and configuration on the same topology, as across the points of
+// a sweep.
+func (nw *Network) Reset(traffic Traffic, cfg Config) error {
+	return nw.ResetOn(nw.g, traffic, cfg)
+}
+
+// ResetOn binds the network to a channel graph, a traffic source and a
+// configuration and returns it to its pre-Run state. It is the one
+// construction path: New binds a zero network, and a used one keeps the
+// engine's event storage, the channel array, the per-channel wait queues,
+// the tie-group buffer and every worm and message it ever allocated —
+// those in flight when the last run stopped included — whatever graph it
+// ran before. Storage a past run grossly over-grew is released instead:
+// worms and messages beyond maxRetainedObjects, a channel array beyond
+// maxRetainedChannels that g does not need, a wait queue beyond
+// maxRetainedQueue. A rebound network runs bitwise-identically to a
+// freshly constructed one (pool order, ring sizes and slab identity never
+// reach a Result), so one Network can serve every scenario a worker runs
+// without reallocating its hot-path state. Like a fresh network it starts
+// with no hooks attached — re-Attach after ResetOn to keep observing.
+func (nw *Network) ResetOn(g *topology.Graph, traffic Traffic, cfg Config) error {
+	if err := checkConfig(&cfg); err != nil {
+		return err
 	}
-	nw.eng.SetHandler(nw)
+	nw.detachHooks()
+	nw.eng.Reset()
 	// With the generation timers in their slots, the heap holds the flight
 	// ends of worms in flight and contended releases: at most 23 events in
 	// quarc-16 to quarc-256 runs up to 4x saturation, and about 1.6 per
 	// node with NoCoalesce, whose tail releases land there too. One per
 	// node, sized up front, and a fresh network rarely regrows it.
 	nw.eng.Reserve(g.Nodes())
-	nw.declareSchedule()
-	return nw, nil
-}
-
-// Reset rebinds the network to a new traffic source and configuration and
-// returns it to its pre-Run state over the same channel graph, reusing the
-// engine's event storage, the channel array, the per-channel wait queues,
-// the tie-group buffer and every worm and message it ever allocated —
-// those in flight when the last run stopped included, up to
-// maxRetainedObjects. A Reset network runs bitwise-identically to a
-// freshly constructed one, so one Network can serve every point of a
-// sweep without reallocating its hot-path state. Like a fresh network it
-// starts with no hooks attached — re-Attach after Reset to keep
-// observing.
-func (nw *Network) Reset(traffic Traffic, cfg Config) error {
-	if err := checkConfig(&cfg); err != nil {
-		return err
-	}
-	nw.traffic = traffic
-	nw.detachHooks()
-	nw.cfg = cfg
-	nw.canFly = !cfg.NoCoalesce && continuousArrivals(traffic)
-	nw.eng.Reset()
-	nw.declareSchedule()
-	for i := range nw.channels {
-		c := &nw.channels[i]
-		c.holder = nil
-		for j := range c.queue {
-			c.queue[j] = nil
-		}
-		c.queue = c.queue[:0]
-		c.grantTime = 0
-		c.busy = 0
-		c.spanRelease = 0
-	}
-	nw.res = Result{}
-	nw.measuring = false
-	nw.measureStart = 0
-	nw.windowEnd = 0
-	nw.stopped = false
-	nw.draining = false
-	nw.pendingMeasured = 0
-	nw.nextMsgID = 0
-	nw.coalesced = 0
-	nw.skipped = 0
-	nw.flights = 0
-	nw.ties = 0
-	nw.samples = nw.samples[:0]
 	// Objects in flight when the last run stopped were referenced only by
 	// the events and queues just discarded: rebuild both free lists from
 	// the index tables so nothing leaks. (Pool order is unobservable —
@@ -495,15 +482,53 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 		w.msg = nil
 		w.path = nil
 	}
-	nw.wormPool = append(nw.wormPool[:0], nw.worms...)
-	nw.msgPool = append(nw.msgPool[:0], nw.msgs...)
+	// Everything else a run leaves behind starts from zero.
+	*nw = Network{
+		g:        g,
+		traffic:  traffic,
+		hooks:    nw.hooks,
+		cfg:      cfg,
+		eng:      nw.eng,
+		channels: resetChannels(nw.channels, g.NumChannels()),
+		canFly:   !cfg.NoCoalesce && continuousArrivals(traffic),
+		samples:  nw.samples[:0],
+		worms:    nw.worms,
+		msgs:     nw.msgs,
+		wormPool: append(nw.wormPool[:0], nw.worms...),
+		msgPool:  append(nw.msgPool[:0], nw.msgs...),
+	}
+	nw.declareSchedule()
 	return nil
 }
 
+// resetChannels returns chs sized for n idle channels. Every channel the
+// last run used is idled first, those beyond n included, so a spare
+// channel's queue pins no worm; the array's capacity is kept unless it is
+// both beyond maxRetainedChannels and more than n needs, and a channel
+// that stays keeps its queue storage.
+func resetChannels(chs []channel, n int) []channel {
+	if cap(chs) > max(n, maxRetainedChannels) {
+		chs = nil
+	}
+	for i := range chs {
+		c := &chs[i]
+		q := c.queue[:cap(c.queue)]
+		if len(q) > maxRetainedQueue {
+			q = nil
+		}
+		clear(q) // a dequeue leaves its last slot's pointer behind the length
+		*c = channel{queue: q[:0]}
+	}
+	if n > cap(chs) {
+		chs = slices.Grow(chs, n-len(chs))
+	}
+	return chs[:n]
+}
+
 // declareSchedule gives the engine the structures the network's events
-// fall into, in New and again after every Reset. Almost every event lands
-// a fixed delay after the one that schedules it: a header step one cycle
-// on (evRequest, evAdvance) or a span drain one message length on
+// fall into, on every ResetOn. Almost every event lands a fixed delay
+// after the one that schedules it: a header step one cycle on
+// (evRequest, evAdvance) or a span drain one message length on
 // (evSpanDone); those two delays get the fixed-delay lanes. Each node
 // keeps exactly one generation timer pending, which re-arms itself when
 // it fires: evGenerate gets one timer slot per node. The heap keeps the

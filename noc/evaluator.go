@@ -7,7 +7,6 @@ import (
 
 	"quarc/internal/core"
 	"quarc/internal/obs"
-	"quarc/internal/routing"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
 	"quarc/internal/wormhole"
@@ -133,11 +132,10 @@ func (Simulator) evaluateRep(s *Scenario, rep int) (Result, error) {
 func (Simulator) forkWorker() Evaluator { return &pooledSimulator{} }
 
 // NewPooledSimulator returns a stateful Simulator that keeps one
-// wormhole network and workload alive across Evaluate calls, resetting
-// them in place whenever consecutive scenarios share their routed
-// topology (as Scenario.With and Spec.ScenarioWith forks do) — the same
-// reuse path a Sweep worker gets, exposed for long-lived serving layers
-// like noc/service. Results are bitwise-identical to the stateless
+// wormhole network and workload alive across Evaluate calls and rebinds
+// them in place to each scenario's routed topology, whatever its shape —
+// the same reuse path a Sweep worker gets, exposed for long-lived serving
+// layers like noc/service. Results are bitwise-identical to the stateless
 // Simulator. The returned evaluator is NOT safe for concurrent use: give
 // each worker goroutine its own instance.
 func NewPooledSimulator() Evaluator { return &pooledSimulator{} }
@@ -159,22 +157,20 @@ func (p *pooledSimulator) evaluateRep(s *Scenario, rep int) (Result, error) {
 	return simulate(s, &p.pool, repSeed(s.cfg.Seed, rep))
 }
 
-// networkPool caches one network plus one workload and the router they
-// were built over; both are only reused while the scenario resolves to
-// the same router object (Scenario.With shares it across the points of a
-// sweep), which implies the same channel graph.
+// networkPool caches one network plus one workload, built on first use
+// and rebound in place to every later scenario's router (see
+// wormhole.Network.ResetOn and traffic.Workload.ResetOn).
 type networkPool struct {
 	nw *wormhole.Network
 	wl *traffic.Workload
-	rt routing.Router
 }
 
 // simulate runs the wormhole simulator on the scenario under an explicit
 // seed (the scenario seed, or a replication-derived one). With a pool it
-// reuses the pooled network and workload via their Resets when the
-// router is unchanged — bitwise identical to a fresh build, but skipping
-// the per-point allocation and routing work — and caches what it builds
-// otherwise.
+// rebinds the pooled network and workload to the scenario — bitwise
+// identical to a fresh build, but skipping the per-run allocation (and,
+// on the same routes, the routing work) — or builds and keeps them on
+// first use.
 func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 	cfg := wormhole.Config{
 		MsgLen:            s.cfg.MsgLen,
@@ -210,11 +206,11 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		}
 		// The recorder stamps absolute injection times.
 		nw.Attach(wormhole.ObserverHook(recorder), wormhole.HookWormInjected)
-	case pool != nil && pool.nw != nil && pool.rt == s.router:
-		if err := pool.wl.Reset(s.trafficSpec(), seed); err != nil {
+	case pool != nil && pool.nw != nil:
+		if err := pool.wl.ResetOn(s.router, s.trafficSpec(), seed); err != nil {
 			return Result{}, err
 		}
-		if err := pool.nw.Reset(pool.wl, cfg); err != nil {
+		if err := pool.nw.ResetOn(s.router.Graph(), pool.wl, cfg); err != nil {
 			return Result{}, err
 		}
 		nw = pool.nw
@@ -228,7 +224,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 			return Result{}, err
 		}
 		if pool != nil {
-			pool.nw, pool.wl, pool.rt = nw, w, s.router
+			pool.nw, pool.wl = nw, w
 		}
 	}
 	// Every observation is a hook subscriber: the trace, the detail

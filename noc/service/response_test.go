@@ -111,6 +111,58 @@ func TestHTTPHitAllocs(t *testing.T) {
 	}
 }
 
+// TestColdServeAllocs pins the cold path's allocation budget the way the
+// benchmark's serve-cold workload drives it: one warm Evaluator and
+// handler, a full cache, and never-seen documents cycling the eight
+// serve-hot shapes, so every POST /v1/evaluate compiles against a cached
+// base scenario, runs a short simulation on the worker's pooled network,
+// encodes and evicts. The pooled network is rebound to each shape in
+// place, so what a request allocates is its spec, scenario, Result and
+// encoding: 24 allocations at the time of writing, against 111 while a
+// shape change rebuilt the network and workload.
+func TestColdServeAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector allocates on the worker hand-off (28-31 per request)")
+	}
+	const cacheSlots = 16
+	e := New(Config{Workers: 1, CacheEntries: cacheSlots})
+	defer e.Close()
+	c := newMemClient(t, NewHandler(e))
+	// never returns the k-th never-seen document: shape k mod 8 under a
+	// seed no earlier document used.
+	never := func(k int) []byte {
+		s := hotShapes[k%len(hotShapes)]
+		i := strings.Index(s, `"seed":`)
+		j := i + strings.IndexByte(s[i:], ',')
+		return []byte(s[:i] + `"seed":` + strconv.Itoa(1000+k) + s[j:])
+	}
+	const runs = 64
+	docs := make([][]byte, 2*cacheSlots+runs+1)
+	for k := range docs {
+		docs[k] = never(k)
+	}
+	next := 0
+	post := func() {
+		c.post(docs[next])
+		if c.code != http.StatusOK || c.hdr.Get(HeaderSource) != string(SourceComputed) {
+			t.Fatalf("%s: status %d, source %q: not computed", docs[next], c.code, c.hdr.Get(HeaderSource))
+		}
+		next++
+	}
+	for next < 2*cacheSlots { // every shape's base scenario and a full cache
+		post()
+	}
+	before := e.Stats()
+	allocs := testing.AllocsPerRun(runs, post)
+	after := e.Stats()
+	if d := after.Evictions - before.Evictions; d != runs+1 {
+		t.Fatalf("%d evictions over %d requests: the cache was not full", d, runs+1)
+	}
+	if allocs > 28 {
+		t.Errorf("%.1f allocations per never-seen POST /v1/evaluate, want <= 28", allocs)
+	}
+}
+
 // TestFingerprintOfKeyMatchesSpec pins that the fingerprint an entry
 // takes from its cache key is the spec's content address: for every
 // servable document of the FuzzSpecJSON seed corpus and the eight

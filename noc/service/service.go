@@ -9,9 +9,11 @@
 //   - identical specs in flight at the same time coalesce onto one
 //     evaluation (singleflight);
 //   - structurally identical specs (same topology/pattern/spatial
-//     sub-spec) share one compiled base scenario, so workers reuse
-//     routing tables and their pooled wormhole networks across requests,
-//     exactly like a noc.Sweep worker does across points.
+//     sub-spec) share one compiled base scenario, so workers reuse its
+//     routing tables across requests;
+//   - each worker keeps one pooled wormhole network and workload and
+//     rebinds them in place to every request's shape, exactly like a
+//     noc.Sweep worker does across points.
 //
 // With Config.Store set, a durable on-disk layer (noc/service/store)
 // sits behind the LRU: computed results are persisted write-through,
@@ -592,8 +594,8 @@ func (e *Evaluator) resolve(j job, res noc.Result, err error) {
 }
 
 // worker is one resident evaluation loop. Each worker owns a pooled
-// Simulator fork, so consecutive jobs that share a base scenario reuse
-// one wormhole network via its in-place Reset (the PR 2/3 hot path).
+// Simulator, so every job it runs, whatever its shape, reuses one
+// wormhole network and workload, rebound in place.
 func (e *Evaluator) worker() {
 	defer e.wg.Done()
 	sim := noc.NewPooledSimulator()

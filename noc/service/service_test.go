@@ -325,18 +325,38 @@ func BenchmarkEvaluateCacheHit(b *testing.B) {
 
 // BenchmarkEvaluateCold measures the full pipeline — compile against the
 // shared base, schedule, simulate — by giving every iteration a fresh
-// content address (the seed), which also exercises the workers' pooled
-// network reuse across requests.
+// content address (the seed). one-shape varies only the seed of one spec,
+// so the worker's pooled network always runs the shape it ran last;
+// eight-shapes cycles the eight serve-hot shapes, as the benchmark's
+// serve-cold workload does, so every request rebinds it to another one.
 func BenchmarkEvaluateCold(b *testing.B) {
-	e := New(Config{Workers: 1})
-	defer e.Close()
-	sp := testSpec()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.Seed = uint64(i + 1)
-		if _, src, err := e.Evaluate(context.Background(), sp); err != nil || src != SourceComputed {
-			b.Fatalf("src=%v err=%v", src, err)
+	shapes := make([]noc.Spec, len(hotShapes))
+	for k, doc := range hotShapes {
+		sp, err := noc.ParseSpec([]byte(doc))
+		if err != nil {
+			b.Fatal(err)
 		}
+		shapes[k] = sp
+	}
+	for _, bc := range []struct {
+		name   string
+		shapes []noc.Spec
+	}{
+		{"one-shape", []noc.Spec{testSpec()}},
+		{"eight-shapes", shapes},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := New(Config{Workers: 1})
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp := bc.shapes[i%len(bc.shapes)]
+				sp.Seed = uint64(i + 1)
+				if _, src, err := e.Evaluate(context.Background(), sp); err != nil || src != SourceComputed {
+					b.Fatalf("src=%v err=%v", src, err)
+				}
+			}
+		})
 	}
 }

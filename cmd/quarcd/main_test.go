@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -249,6 +251,145 @@ func TestRestartServesFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := d2.cmd.Wait(); err != nil {
+		t.Errorf("graceful shutdown exit: %v", err)
+	}
+}
+
+// buildTool compiles another command of this module into dir.
+func buildTool(t *testing.T, dir, name string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, "../"+name).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", name, err, out)
+	}
+	return bin
+}
+
+// TestDaemonMatchesCLI is the daemon-versus-CLI smoke over a real
+// socket: a computed response and then its cache hit (sources, one
+// 16-digit fingerprint, the JSON content type, the same bytes), each
+// answer byte-equal to quarcsim -spec -json for a simulator, a model and
+// a fig6-a document, fig6-a's destination set the one cmd/figures
+// runs, health, the registry, and a graceful SIGTERM.
+func TestDaemonMatchesCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon")
+	}
+	dir := t.TempDir()
+	quarcsim, figures := buildTool(t, dir, "quarcsim"), buildTool(t, dir, "figures")
+	d := startDaemon(t)
+
+	post := func(doc string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(d.url+"/v1/evaluate", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", doc, resp.StatusCode, buf.Bytes())
+		}
+		return resp, buf.Bytes()
+	}
+	cli := func(doc string, args ...string) []byte {
+		t.Helper()
+		spec := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(spec, []byte(doc+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(quarcsim, append([]string{"-spec", spec}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("quarcsim -spec %s %v: %v", doc, args, err)
+		}
+		return out
+	}
+	fingerprint := regexp.MustCompile(`^[0-9a-f]{16}$`)
+
+	const (
+		base  = `{"topology":"quarc","n":16,"msglen":32,"rate":0.002,"alpha":0.05,`
+		tail  = `"seed":42,"warmup":2000,"measure":20000`
+		sim   = base + `"pattern":"localized","dests":4,` + tail + `}`
+		model = base + `"pattern":"localized","dests":4,` + tail + `,"evaluator":"model"}`
+		fig6  = base + `"pattern":"random","dests":5,"set_seed":61,"set_stream":1511,` + tail + `}`
+	)
+	first, computed := post(sim)
+	second, cached := post(sim)
+	for _, c := range []struct {
+		resp *http.Response
+		src  service.Source
+	}{{first, service.SourceComputed}, {second, service.SourceCache}} {
+		if got := c.resp.Header.Get(service.HeaderSource); got != string(c.src) {
+			t.Errorf("%s = %q, want %q", service.HeaderSource, got, c.src)
+		}
+		if got := c.resp.Header.Get("Content-Type"); got != "application/json" {
+			t.Errorf("%s response: Content-Type %q", c.src, got)
+		}
+	}
+	fp1, fp2 := first.Header.Get(service.HeaderFingerprint), second.Header.Get(service.HeaderFingerprint)
+	if !fingerprint.MatchString(fp1) || fp1 != fp2 {
+		t.Errorf("fingerprints %q (computed) and %q (cache), want one 16-digit hex address", fp1, fp2)
+	}
+	if !bytes.Equal(computed, cached) {
+		t.Errorf("the cache hit's body differs from the computed one:\n%s\n%s", computed, cached)
+	}
+
+	for _, c := range []struct{ name, doc string }{{"simulator", sim}, {"model", model}, {"fig6-a", fig6}} {
+		_, served := post(c.doc)
+		if want := cli(c.doc, "-json"); !bytes.Equal(served, want) {
+			t.Errorf("%s: the daemon's body differs from quarcsim -spec -json:\n%s\n%s", c.name, served, want)
+		}
+		if c.name == "model" && !bytes.Contains(served, []byte(`"evaluator":"model"`)) {
+			t.Errorf("model: the body is not a model result: %s", served)
+		}
+	}
+
+	// fig6-a's set, stated by its PCG stream (0x5e7 = 1511), is the one
+	// cmd/figures draws for that panel.
+	out := filepath.Join(dir, "fig6")
+	if b, err := exec.Command(figures, "-quick", "-panel", "fig6-a", "-points", "2", "-out", out).CombinedOutput(); err != nil {
+		t.Fatalf("figures: %v\n%s", err, b)
+	}
+	raw, err := os.ReadFile(filepath.Join(out, "figures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var panels []struct {
+		MulticastSet string `json:"multicast_set"`
+	}
+	if err := json.Unmarshal(raw, &panels); err != nil || len(panels) == 0 || panels[0].MulticastSet == "" {
+		t.Fatalf("figures.json holds no multicast set (%v): %s", err, raw)
+	}
+	if want := "set={" + panels[0].MulticastSet + "}"; !bytes.Contains(cli(fig6), []byte(want)) {
+		t.Errorf("quarcsim's fig6-a report does not name cmd/figures' %s", want)
+	}
+
+	resp, err := http.Get(d.url + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz status %d, want 200", resp.StatusCode)
+	}
+	resp, err = http.Get(d.url + "/v1/registry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg service.Registry
+	err = json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	if err != nil || !slices.Contains(reg.Topologies, "quarc") {
+		t.Errorf("registry (%v) lists topologies %v, want quarc among them", err, reg.Topologies)
+	}
+
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
 		t.Errorf("graceful shutdown exit: %v", err)
 	}
 }

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -13,6 +15,8 @@ import (
 //   - a spec that parses always fingerprints, and its canonical encoding
 //     reparses to the same fingerprint (the content address is a fixed
 //     point);
+//   - the parsed spec keeps no reference to the document: overwriting
+//     the bytes it was parsed from changes nothing (checkParseKeepsNothing);
 //   - compiling a parsed spec to a Scenario may fail (unknown registry
 //     names, sizes the topology refuses) but never panics.
 //
@@ -23,6 +27,7 @@ func FuzzSpecJSON(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkParseKeepsNothing(t, data)
 		sp, err := ParseSpec(data)
 		if err != nil {
 			return // rejected is always acceptable; panicking is not
@@ -79,4 +84,49 @@ var specFuzzSeeds = []string{
 	`[1,2,3]`,
 	`"quarc"`,
 	`{`,
+}
+
+// checkParseKeepsNothing parses a private copy of data, overwrites every
+// byte of the copy and checks that the spec, or the error, still equals
+// a parse of data itself: ParseSpec keeps no reference to its input, so
+// a caller may reuse the buffer, as quarcd's handler reuses pooled
+// request bodies.
+func checkParseKeepsNothing(t *testing.T, data []byte) {
+	t.Helper()
+	in := bytes.Clone(data)
+	got, gotErr := ParseSpec(in)
+	for i := range in {
+		in[i] ^= 0xff
+	}
+	want, wantErr := ParseSpec(data)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%q: overwriting the parsed bytes changed the error: %v, want %v", data, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: overwriting the parsed bytes changed the spec:\n got  %#v\n want %#v", data, got, want)
+	}
+}
+
+// TestParseSpecKeepsNothing runs checkParseKeepsNothing over documents
+// whose values or rejections the decoder could have kept as slices of
+// the input: escaped and non-ASCII strings, names outside the
+// vocabulary, the record and replay paths, every list field, and
+// rejected documents.
+func TestParseSpecKeepsNothing(t *testing.T) {
+	for _, doc := range []string{
+		`{"topology":"qu\u0061rc","n":16,"pattern":"highlow","high":[1,3],"low":[2,5,7]}`,
+		`{"topology":"mesh","w":4,"h":4,"pattern":"highlow","high":[1],"low":[2],"spatial":"hotspot","spatial_frac":0.5,"spatial_nodes":[3,9],"spatial_weights":[0.25,0.75]}`,
+		`{"record":"runs/a.qwtr"}`,
+		`{"replay":"runs/tr\u00e9ce \"b\".jsonl"}`,
+		`{"Record":"café.qwtr","topology":"ring","router":"nope"}`,
+		`{"spatial_weights":[1e-3,2.5E2,-0,7],"spatial_nodes":[]}`,
+		`{"arrival":"onoff","burst_len":8,"duty_cycle":0.5,"wait":"eq3","service":"tail","evaluator":"model"}`,
+		`null`,
+		`{"topology":"qu\u0061rc","n":99999}`,
+		`{"record":"a","replay":"b"}`,
+		`{"spatial_nodes":[1,"x"]}`,
+		`{"bogus\u00e9":1}`,
+	} {
+		checkParseKeepsNothing(t, []byte(doc))
+	}
 }

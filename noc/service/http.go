@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"quarc/noc"
@@ -26,6 +29,14 @@ var dashboardHTML []byte
 // body is hostile or a client bug.
 const maxRequestBody = 1 << 20
 
+// maxPooledBody bounds a request-body buffer that goes back to the pool:
+// one grown by a large document is left to the collector, so the pool
+// only ever holds spec-sized buffers.
+const maxPooledBody = 64 << 10
+
+// evaluatePattern is the route the handler serves without asking its mux.
+const evaluatePattern = "POST /v1/evaluate"
+
 // Response headers identifying the served content and how it was
 // produced.
 const (
@@ -41,9 +52,11 @@ const (
 // fake in the handler tests. Implementations must be safe for concurrent
 // use.
 type Backend interface {
-	// Serve answers one spec; see Evaluator.Serve. The handler writes
-	// Response.Body as is and never modifies it.
-	Serve(ctx context.Context, sp noc.Spec) (Response, error)
+	// Serve answers one spec; see Evaluator.Serve. It must not keep sp
+	// past the call: the handler's spec lives only as long as its
+	// request. The handler writes Response.Body as is and never modifies
+	// it.
+	Serve(ctx context.Context, sp *noc.Spec) (Response, error)
 	// Sweep evaluates the spec across a rate grid; see Evaluator.Sweep.
 	Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error)
 	// Trace serves the response (with its recorded time series) of a
@@ -172,26 +185,8 @@ func NewHandler(b Backend) http.Handler {
 func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
-		body, err := readBody(w, r)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		sp, err := noc.ParseSpec(body)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		ctx, cancel := hc.requestCtx(r)
-		defer cancel()
-		resp, err := b.Serve(ctx, sp)
-		if err != nil {
-			writeRequestError(w, r, ctx, err)
-			return
-		}
-		writeResponse(w, &resp)
-	})
+	evaluate := evaluateHandler(b, hc)
+	mux.HandleFunc(evaluatePattern, evaluate)
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
 		body, err := readBody(w, r)
 		if err != nil {
@@ -200,14 +195,17 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 		}
 		// The embedded spec goes through the same strict ParseSpec as
 		// /v1/evaluate: a typo'd field must 400 here too, not silently
-		// sweep the default value.
+		// sweep the default value. The decoder copies what it keeps, so
+		// the body goes back to the pool once it returns.
 		var raw struct {
 			Spec  json.RawMessage `json:"spec"`
 			Rates []float64       `json:"rates"`
 		}
-		dec := json.NewDecoder(bytes.NewReader(body))
+		dec := json.NewDecoder(bytes.NewReader(*body))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&raw); err != nil {
+		err = dec.Decode(&raw)
+		releaseBody(body)
+		if err != nil {
 			writeError(w, fmt.Errorf("%w: %w", noc.ErrInvalidSpec, err))
 			return
 		}
@@ -285,7 +283,92 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 			Stats:         b.Stats(),
 		})
 	})
-	return mux
+	// Every request the mux would route to the evaluate handler goes
+	// there directly. A mux that does not route a plain POST /v1/evaluate
+	// there (GODEBUG=httpmuxgo121=1 reads patterns differently) routes
+	// everything itself.
+	probe := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/v1/evaluate"}}
+	if _, pattern := mux.Handler(probe); pattern != evaluatePattern {
+		return mux
+	}
+	return &handler{mux: mux, evaluate: evaluate}
+}
+
+// handler is the API: the evaluate route, dispatched without a pattern
+// search, and the mux for everything else.
+type handler struct {
+	mux      *http.ServeMux
+	evaluate http.HandlerFunc
+}
+
+func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if routesToEvaluate(r) {
+		h.evaluate(w, r)
+		return
+	}
+	h.mux.ServeHTTP(w, r)
+}
+
+// routesToEvaluate reports whether a ServeMux routes r to evaluatePattern
+// and nothing else: a POST whose escaped path is /v1/evaluate, or an
+// escaping of it that keeps its two segments (the mux matches segments
+// unescaped, and %2F would merge them). Any other spelling — a trailing
+// slash, a dot segment, a doubled slash — is the mux's to 404, 405 or
+// redirect.
+func routesToEvaluate(r *http.Request) bool {
+	return r.Method == http.MethodPost && r.URL.Path == "/v1/evaluate" && r.RequestURI != "*" &&
+		(r.URL.RawPath == "" || strings.Count(r.URL.EscapedPath(), "/") == 2)
+}
+
+// evaluateHandler serves POST /v1/evaluate. The body is read into a pooled
+// buffer, which goes back to the pool as soon as the spec is parsed out of
+// it, and the spec lives on the handler's stack. When the backend is an
+// Evaluator the spec goes on as ParseSpec's decoder left it, validated, to
+// be canonicalized in place: a hit validates once and copies no Spec.
+func evaluateHandler(b Backend, hc HandlerConfig) http.HandlerFunc {
+	if e, ok := b.(*Evaluator); ok {
+		return func(w http.ResponseWriter, r *http.Request) {
+			var sp noc.Spec
+			if err := parseBody(w, r, &sp); err != nil {
+				writeError(w, err)
+				return
+			}
+			ctx, cancel := hc.requestCtx(r)
+			defer cancel()
+			ent, src, err := e.serveParsed(ctx, &sp)
+			if err != nil {
+				writeRequestError(w, r, ctx, err)
+				return
+			}
+			writeBody(w, ent.fpHeader, src, ent.body)
+		}
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		var sp noc.Spec
+		if err := parseBody(w, r, &sp); err != nil {
+			writeError(w, err)
+			return
+		}
+		ctx, cancel := hc.requestCtx(r)
+		defer cancel()
+		resp, err := b.Serve(ctx, &sp)
+		if err != nil {
+			writeRequestError(w, r, ctx, err)
+			return
+		}
+		writeResponse(w, &resp)
+	}
+}
+
+// parseBody reads the request document and parses it into sp.
+func parseBody(w http.ResponseWriter, r *http.Request, sp *noc.Spec) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	err = sp.ParseJSON(*body)
+	releaseBody(body)
+	return err
 }
 
 // requestCtx derives the evaluation context: the request's own context,
@@ -297,29 +380,46 @@ func (hc HandlerConfig) requestCtx(r *http.Request) (context.Context, context.Ca
 	return context.WithTimeout(r.Context(), hc.RequestTimeout)
 }
 
-// readBody reads one request document, bounded by maxRequestBody, into
-// a buffer sized from the declared Content-Length (one spare byte lets
-// the final Read report EOF without growing it); an undeclared length
-// starts at io.ReadAll's 512 bytes.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	size := r.ContentLength
-	if size < 0 {
-		size = 511
+// bodies recycles request-body buffers (see readBody).
+var bodies sync.Pool
+
+// readBody reads one request document, bounded by maxRequestBody, into a
+// pooled buffer that grows with the bytes that arrive, from io.ReadAll's
+// 512: a declared Content-Length sizes nothing, so a client cannot make
+// the handler allocate for a body it does not send. The caller hands the
+// buffer back with releaseBody once nothing refers to its bytes.
+func readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
+	body, _ := bodies.Get().(*[]byte)
+	if body == nil {
+		body = new([]byte)
 	}
-	buf := make([]byte, 0, min(size, maxRequestBody)+1)
+	buf := (*body)[:0]
+	if cap(buf) == 0 {
+		buf = make([]byte, 0, 512)
+	}
 	rd := http.MaxBytesReader(w, r.Body, maxRequestBody)
 	for {
-		n, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: reading request: %w", noc.ErrInvalidSpec, err)
-		}
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		*body = buf
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			releaseBody(body)
+			return nil, fmt.Errorf("%w: reading request: %w", noc.ErrInvalidSpec, err)
+		}
+	}
+}
+
+// releaseBody returns a readBody buffer to the pool, unless it grew past
+// maxPooledBody.
+func releaseBody(body *[]byte) {
+	if cap(*body) <= maxPooledBody {
+		bodies.Put(body)
 	}
 }
 
@@ -373,12 +473,18 @@ var (
 // shared, not built per request: the content type and the source are
 // package values, and the fingerprint is its entry's prebuilt one.
 func writeResponse(w http.ResponseWriter, resp *Response) {
+	writeBody(w, resp.fingerprintHeader(), resp.Source, resp.Body)
+}
+
+// writeBody is writeResponse from its parts, which a hit takes straight
+// from its entry.
+func writeBody(w http.ResponseWriter, fpHeader []string, src Source, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	h[HeaderFingerprint] = resp.fingerprintHeader()
-	h[HeaderSource] = sourceHeader(resp.Source)
+	h[HeaderFingerprint] = fpHeader
+	h[HeaderSource] = sourceHeader(src)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(resp.Body) // a failed write is a gone client; there is nobody left to tell
+	_, _ = w.Write(body) // a failed write is a gone client; there is nobody left to tell
 }
 
 // fingerprintHeader is the X-Quarc-Fingerprint value: the entry's own,

@@ -20,8 +20,8 @@ type fakeBackend struct {
 	health HealthState
 }
 
-func (f *fakeBackend) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
-	res, src, err := f.eval(ctx, sp)
+func (f *fakeBackend) Serve(ctx context.Context, sp *noc.Spec) (Response, error) {
+	res, src, err := f.eval(ctx, *sp)
 	if err != nil {
 		return Response{}, err
 	}

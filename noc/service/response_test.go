@@ -86,13 +86,17 @@ func fuzzSpecCorpus(t *testing.T) [][]byte {
 
 // TestHTTPHitAllocs pins the hit path's allocation budget on every
 // serve-hot shape: a warm POST /v1/evaluate cache hit through NewHandler
-// allocates at most the body buffer and the http.MaxBytesReader. The
-// names decode to the vocabulary's own strings, the key is encoded on the
-// stack and the header values are shared (28 allocations before
-// responses were cached as bytes, 14 before the spec codec stopped
-// reflecting, 4 while the key was canonical JSON and the header values
-// were built per hit).
+// allocates nothing. The body is read into a pooled buffer, the spec is
+// parsed onto the handler's stack, the names decode to the vocabulary's
+// own strings, the key is encoded on the stack and the header values are
+// shared (28 allocations before responses were cached as bytes, 14 before
+// the spec codec stopped reflecting, 4 while the key was canonical JSON
+// and the header values were built per hit, 1 while the body buffer was
+// sized per request).
 func TestHTTPHitAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("under the race detector sync.Pool drops a random share of what is put back")
+	}
 	e := New(Config{Workers: 1})
 	defer e.Close()
 	c := newMemClient(t, NewHandler(e))
@@ -105,8 +109,8 @@ func TestHTTPHitAllocs(t *testing.T) {
 		if c.code != http.StatusOK || c.hdr.Get(HeaderSource) != string(SourceCache) {
 			t.Fatalf("%s: status %d, source %q: not a cache hit", s, c.code, c.hdr.Get(HeaderSource))
 		}
-		if allocs > 2 {
-			t.Errorf("%s: %.0f allocations per POST /v1/evaluate cache hit, want <= 2", s, allocs)
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per POST /v1/evaluate cache hit, want 0", s, allocs)
 		}
 	}
 }
@@ -118,8 +122,9 @@ func TestHTTPHitAllocs(t *testing.T) {
 // base scenario, runs a short simulation on the worker's pooled network,
 // encodes and evicts. The pooled network is rebound to each shape in
 // place, so what a request allocates is its spec, scenario, Result and
-// encoding: 24 allocations at the time of writing, against 111 while a
-// shape change rebuilt the network and workload.
+// encoding: 23 allocations at the time of writing, against 24 while the
+// body buffer was allocated per request and 111 while a shape change
+// rebuilt the network and workload.
 func TestColdServeAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector allocates on the worker hand-off (28-31 per request)")
@@ -284,7 +289,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Serve(context.Background(), sp)
+	first, err := e.Serve(context.Background(), &sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +314,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 		go func() { // library hits that keep the shared Body
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				resp, err := e.Serve(context.Background(), sp)
+				resp, err := e.Serve(context.Background(), &sp)
 				if err != nil || !bytes.Equal(resp.Body, want) {
 					t.Errorf("Serve: err %v, body equal %v", err, err == nil)
 					return
@@ -324,7 +329,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 		other := testSpec()
 		for i := 0; i < rounds; i++ {
 			other.Seed = uint64(1000 + i)
-			if _, err := e.Serve(context.Background(), other); err != nil {
+			if _, err := e.Serve(context.Background(), &other); err != nil {
 				t.Errorf("evicting request: %v", err)
 				return
 			}

@@ -345,27 +345,45 @@ func (e *Evaluator) Healthz() HealthState {
 // evaluated before, by joining an identical in-flight evaluation, or by
 // scheduling a fresh evaluation on the worker pool. Response.Source says
 // which; whichever it is, the same spec is answered with the same bytes.
-func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
+// The spec is validated and canonicalized into a copy of its own; sp is
+// neither changed nor kept.
+func (e *Evaluator) Serve(ctx context.Context, sp *noc.Spec) (Response, error) {
 	if err := sp.Validate(); err != nil {
 		return Response{}, err
 	}
-	if sp.Record != "" || sp.Replay != "" {
-		return Response{}, ErrTraceSpec
-	}
-	// Canonicalize once: the canonical spec's binary key names it in the
-	// tables (DESIGN.md §13, "In-memory keys"), and the canonical spec
-	// itself is what a worker compiles.
 	canon := sp.Canonical()
+	ent, src, err := e.serveCanonical(ctx, &canon)
+	if err != nil {
+		return Response{}, err
+	}
+	return ent.response(src), nil
+}
+
+// serveParsed is Serve for the handler's spec, which ParseSpec's decoder
+// has just validated and which the handler owns: it is canonicalized in
+// place, neither validated again nor copied, and not kept past the call.
+func (e *Evaluator) serveParsed(ctx context.Context, sp *noc.Spec) (*entry, Source, error) {
+	sp.Canonicalize()
+	return e.serveCanonical(ctx, sp)
+}
+
+// serveCanonical answers a validated canonical spec; a miss copies it into
+// its job, so canon is not kept past the call.
+func (e *Evaluator) serveCanonical(ctx context.Context, canon *noc.Spec) (*entry, Source, error) {
+	if canon.Record != "" || canon.Replay != "" {
+		return nil, "", ErrTraceSpec
+	}
+	// The canonical spec's binary key names it in the tables (DESIGN.md
+	// §13, "In-memory keys"). Both lookups go by the key's bytes, on the
+	// stack for any ordinary spec; only a miss pays for the strings the
+	// tables keep.
 	var kb [256]byte
 	key := canon.AppendKey(kb[:0])
-
-	// Both lookups go by the key's bytes, on the stack for any ordinary
-	// spec; only a miss pays for the strings the tables keep.
 	e.mu.Lock()
 	if ent, ok := e.results.get(key); ok {
 		e.mu.Unlock()
 		e.hits.Add(1)
-		return ent.response(SourceCache), nil
+		return ent, SourceCache, nil
 	}
 	if f, ok := e.flights[string(key)]; ok {
 		e.mu.Unlock()
@@ -378,11 +396,11 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 				// queue and failed the shared flight with its own context
 				// error; ours is still live, so take over with a fresh
 				// attempt instead of propagating a foreign cancellation.
-				return e.Serve(ctx, sp)
+				return e.serveCanonical(ctx, canon)
 			}
-			return Response{}, err
+			return nil, "", err
 		}
-		return ent.response(SourceCoalesced), nil
+		return ent, SourceCoalesced, nil
 	}
 	// A miss. The canonical JSON names the result outside this process:
 	// hashed, it is the fingerprint; as is, the durable store's key.
@@ -390,7 +408,7 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	doc, err := canon.AppendJSON(db[:0])
 	if err != nil {
 		e.mu.Unlock()
-		return Response{}, fmt.Errorf("service: encoding spec: %w", err)
+		return nil, "", fmt.Errorf("service: encoding spec: %w", err)
 	}
 	j := job{key: string(key), doc: string(doc), f: &flight{done: make(chan struct{}), fp: noc.FingerprintOf(doc)}}
 	e.flights[j.key] = j.f
@@ -405,9 +423,9 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 			e.storeHits.Add(1)
 			e.resolve(j, res, nil)
 			if j.f.err != nil {
-				return Response{}, j.f.err
+				return nil, "", j.f.err
 			}
-			return j.f.ent.response(SourceStore), nil
+			return j.f.ent, SourceStore, nil
 		}
 	}
 	e.misses.Add(1)
@@ -416,8 +434,8 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	// Replications run serially inside a job, so that Workers is the only
 	// concurrency bound (the aggregate is bitwise-independent of that
 	// choice).
-	canon.Parallelism = 1
-	j.sp, j.persist = canon, true
+	j.sp, j.persist = *canon, true
+	j.sp.Parallelism = 1
 	select {
 	case e.jobs <- j:
 	case <-ctx.Done():
@@ -429,21 +447,21 @@ func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 			err = fmt.Errorf("%w (%v)", ErrQueueSaturated, ctx.Err()) //quarclint:ignore errdiscipline the context error must NOT join the chain: overload classifies as queue_saturated, not as the caller's timeout
 		}
 		e.resolve(j, noc.Result{}, err)
-		return Response{}, err
+		return nil, "", err
 	case <-e.done:
 		e.resolve(j, noc.Result{}, ErrClosed)
-		return Response{}, ErrClosed
+		return nil, "", ErrClosed
 	}
 	ent, err := e.wait(ctx, j.f)
 	if err != nil {
-		return Response{}, err
+		return nil, "", err
 	}
-	return ent.response(SourceComputed), nil
+	return ent, SourceComputed, nil
 }
 
 // Evaluate is Serve for callers that want the Result alone.
 func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
-	resp, err := e.Serve(ctx, sp)
+	resp, err := e.Serve(ctx, &sp)
 	return resp.Result, resp.Source, err
 }
 

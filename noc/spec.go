@@ -172,7 +172,11 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // memory downstream. Names are only checked against closed enums (wait,
 // service, evaluator); table names are resolved — and rejected — when
 // the scenario is built.
-func (sp Spec) Validate() error {
+func (sp Spec) Validate() error { return sp.validate() }
+
+// validate is Validate through a pointer, so ParseJSON checks the spec
+// it decoded in place instead of copying it into Validate's receiver.
+func (sp *Spec) validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidSpec, fmt.Sprintf(format, args...))
 	}
@@ -286,16 +290,29 @@ func (sp Spec) Validate() error {
 // data and out-of-range values are all errors, never panics — making it
 // the safe entry point for untrusted documents (the quarcd wire, fuzzed
 // input). It accepts exactly what encoding/json accepts into a Spec, and
-// a rejection names the key and the byte offset (speccodec.go).
+// a rejection names the key and the byte offset (speccodec.go). The Spec
+// keeps no reference to data, so the caller may reuse the buffer.
 func ParseSpec(data []byte) (Spec, error) {
 	var sp Spec
-	if err := sp.decodeJSON(data); err != nil {
-		return Spec{}, err
-	}
-	if err := sp.Validate(); err != nil {
+	if err := sp.ParseJSON(data); err != nil {
 		return Spec{}, err
 	}
 	return sp, nil
+}
+
+// ParseJSON is ParseSpec into sp, for a caller that keeps the spec where
+// it is instead of copying it out: sp is reset, decoded from data and
+// validated, and reset again on any error.
+func (sp *Spec) ParseJSON(data []byte) error {
+	*sp = Spec{}
+	err := sp.decodeJSON(data)
+	if err == nil {
+		err = sp.validate()
+	}
+	if err != nil {
+		*sp = Spec{}
+	}
+	return err
 }
 
 // Canonical returns the spec in normal form: defaults are materialized
@@ -307,77 +324,84 @@ func ParseSpec(data []byte) (Spec, error) {
 // canonicalize identically, which is what makes Fingerprint a content
 // address.
 func (sp Spec) Canonical() Spec {
-	c := &sp // the receiver is the caller's copy already
-	c.High = slices.Clone(c.High)
-	c.Low = slices.Clone(c.Low)
-	c.SpatialNodes = slices.Clone(c.SpatialNodes)
-	c.SpatialWeights = slices.Clone(c.SpatialWeights)
-	c.fillNames()
+	sp.High = slices.Clone(sp.High) // the receiver is the caller's copy already
+	sp.Low = slices.Clone(sp.Low)
+	sp.SpatialNodes = slices.Clone(sp.SpatialNodes)
+	sp.SpatialWeights = slices.Clone(sp.SpatialWeights)
+	sp.Canonicalize()
+	return sp
+}
+
+// Canonicalize puts the spec into Canonical's normal form in place,
+// without the copies: for a caller that owns the spec, as the quarcd
+// handler owns the one it parsed. Its lists are kept or dropped, never
+// cloned, so a list it keeps is still shared with whoever shared it.
+func (sp *Spec) Canonicalize() {
+	sp.fillNames()
 	// Each topology family reads exactly one size field; clear the
 	// others so equivalent specs share a content address, and fill the
 	// ring default (quarc-16, the NewScenario default) when no size was
 	// given. Unknown topology names keep all fields — they fail at
 	// compile time anyway.
-	switch c.Topology {
+	switch sp.Topology {
 	case "quarc", "quarc-oneport", "spidergon":
-		if c.N == 0 {
-			c.N = 16
+		if sp.N == 0 {
+			sp.N = 16
 		}
-		c.W, c.H, c.Dims = 0, 0, 0
+		sp.W, sp.H, sp.Dims = 0, 0, 0
 	case "mesh", "torus":
-		c.N, c.Dims = 0, 0
+		sp.N, sp.Dims = 0, 0
 	case "hypercube":
-		c.N, c.W, c.H = 0, 0, 0
+		sp.N, sp.W, sp.H = 0, 0, 0
 	}
-	switch c.Pattern {
+	switch sp.Pattern {
 	case "none", "broadcast":
-		c.Dests, c.Port, c.SetSeed, c.SetStream, c.High, c.Low = 0, 0, 0, 0, nil, nil
+		sp.Dests, sp.Port, sp.SetSeed, sp.SetStream, sp.High, sp.Low = 0, 0, 0, 0, nil, nil
 	case "random":
-		c.Port, c.High, c.Low = 0, nil, nil
+		sp.Port, sp.High, sp.Low = 0, nil, nil
 	case "localized":
-		c.SetSeed, c.SetStream, c.High, c.Low = 0, 0, nil, nil
+		sp.SetSeed, sp.SetStream, sp.High, sp.Low = 0, 0, nil, nil
 	case "highlow":
-		c.Dests, c.Port, c.SetSeed, c.SetStream = 0, 0, 0, 0
+		sp.Dests, sp.Port, sp.SetSeed, sp.SetStream = 0, 0, 0, 0
 	}
-	if c.MsgLen == 0 {
-		c.MsgLen = 32
+	if sp.MsgLen == 0 {
+		sp.MsgLen = 32
 	}
-	if c.HotspotFrac == 0 {
-		c.HotspotNode = 0
+	if sp.HotspotFrac == 0 {
+		sp.HotspotNode = 0
 	}
-	if c.Arrival != "onoff" {
-		c.BurstLen, c.DutyCycle = 0, 0
+	if sp.Arrival != "onoff" {
+		sp.BurstLen, sp.DutyCycle = 0, 0
 	}
-	if c.Spatial != "hotspot" {
-		c.SpatialFrac, c.SpatialNodes, c.SpatialWeights = 0, nil, nil
+	if sp.Spatial != "hotspot" {
+		sp.SpatialFrac, sp.SpatialNodes, sp.SpatialWeights = 0, nil, nil
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if sp.Seed == 0 {
+		sp.Seed = 1
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 10000
+	if sp.Warmup == 0 {
+		sp.Warmup = 10000
 	}
-	if c.Measure == 0 {
-		c.Measure = 100000
+	if sp.Measure == 0 {
+		sp.Measure = 100000
 	}
-	if c.TraceLimit <= 0 {
-		c.TraceNode, c.TraceLimit = 0, 0
+	if sp.TraceLimit <= 0 {
+		sp.TraceNode, sp.TraceLimit = 0, 0
 	}
-	if c.Replications == 1 {
+	if sp.Replications == 1 {
 		// One replication is bitwise-identical to the plain single-run
 		// path, so the two spellings share a content address.
-		c.Replications = 0
+		sp.Replications = 0
 	}
-	if c.Metrics {
-		if c.MetricsBuckets == 0 {
-			c.MetricsBuckets = DefaultMetricsBuckets
+	if sp.Metrics {
+		if sp.MetricsBuckets == 0 {
+			sp.MetricsBuckets = DefaultMetricsBuckets
 		}
 	} else {
-		c.MetricsBuckets = 0
+		sp.MetricsBuckets = 0
 	}
-	c.Parallelism = 0
-	c.IntraParallelism = 0
-	return sp
+	sp.Parallelism = 0
+	sp.IntraParallelism = 0
 }
 
 // fillNames materializes the default of every name left empty: the one

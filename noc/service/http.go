@@ -52,11 +52,11 @@ const (
 // fake in the handler tests. Implementations must be safe for concurrent
 // use.
 type Backend interface {
-	// Serve answers one spec; see Evaluator.Serve. It must not keep sp
-	// past the call: the handler's spec lives only as long as its
-	// request. The handler writes Response.Body as is and never modifies
-	// it.
-	Serve(ctx context.Context, sp *noc.Spec) (Response, error)
+	// serveParsed answers one spec as ParseSpec left it, validated; see
+	// Evaluator.serveParsed. It may change sp but must not keep it: the
+	// handler reuses it once the call returns. The handler writes the
+	// entry's body as is and never modifies it.
+	serveParsed(ctx context.Context, sp *noc.Spec) (*entry, Source, error)
 	// Sweep evaluates the spec across a rate grid; see Evaluator.Sweep.
 	Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error)
 	// Trace serves the response (with its recorded time series) of a
@@ -316,48 +316,46 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // slash, a dot segment, a doubled slash — is the mux's to 404, 405 or
 // redirect.
 func routesToEvaluate(r *http.Request) bool {
-	return r.Method == http.MethodPost && r.URL.Path == "/v1/evaluate" && r.RequestURI != "*" &&
+	return r.Method == http.MethodPost && r.URL.Path == "/v1/evaluate" &&
 		(r.URL.RawPath == "" || strings.Count(r.URL.EscapedPath(), "/") == 2)
 }
 
+// specs recycles the evaluate route's specs: the handler hands its spec
+// to the backend through an interface, so it cannot live on the stack.
+var specs sync.Pool
+
 // evaluateHandler serves POST /v1/evaluate. The body is read into a pooled
 // buffer, which goes back to the pool as soon as the spec is parsed out of
-// it, and the spec lives on the handler's stack. When the backend is an
-// Evaluator the spec goes on as ParseSpec's decoder left it, validated, to
+// it into a pooled spec, which goes back once the response is written. The
+// spec goes to the backend as ParseSpec's decoder left it, validated, to
 // be canonicalized in place: a hit validates once and copies no Spec.
 func evaluateHandler(b Backend, hc HandlerConfig) http.HandlerFunc {
-	if e, ok := b.(*Evaluator); ok {
-		return func(w http.ResponseWriter, r *http.Request) {
-			var sp noc.Spec
-			if err := parseBody(w, r, &sp); err != nil {
-				writeError(w, err)
-				return
-			}
-			ctx, cancel := hc.requestCtx(r)
-			defer cancel()
-			ent, src, err := e.serveParsed(ctx, &sp)
-			if err != nil {
-				writeRequestError(w, r, ctx, err)
-				return
-			}
-			writeBody(w, ent.fpHeader, src, ent.body)
-		}
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		var sp noc.Spec
-		if err := parseBody(w, r, &sp); err != nil {
+		sp, _ := specs.Get().(*noc.Spec)
+		if sp == nil {
+			sp = new(noc.Spec)
+		}
+		defer releaseSpec(sp)
+		if err := parseBody(w, r, sp); err != nil {
 			writeError(w, err)
 			return
 		}
 		ctx, cancel := hc.requestCtx(r)
 		defer cancel()
-		resp, err := b.Serve(ctx, &sp)
+		ent, src, err := b.serveParsed(ctx, sp)
 		if err != nil {
 			writeRequestError(w, r, ctx, err)
 			return
 		}
-		writeResponse(w, &resp)
+		writeBody(w, ent.fpHeader, src, ent.body)
 	}
+}
+
+// releaseSpec returns an evaluate spec to the pool, cleared so the pool
+// keeps nothing of its request.
+func releaseSpec(sp *noc.Spec) {
+	*sp = noc.Spec{}
+	specs.Put(sp)
 }
 
 // parseBody reads the request document and parses it into sp.
@@ -468,16 +466,16 @@ var (
 	}
 )
 
-// writeResponse serves an evaluate or trace Response: the three headers
-// and the body the Response already carries. The header values are
-// shared, not built per request: the content type and the source are
-// package values, and the fingerprint is its entry's prebuilt one.
+// writeResponse serves a trace Response: the three headers and the body
+// the Response already carries. The header values are shared, not built
+// per request: the content type and the source are package values, and
+// the fingerprint is its entry's prebuilt one.
 func writeResponse(w http.ResponseWriter, resp *Response) {
 	writeBody(w, resp.fingerprintHeader(), resp.Source, resp.Body)
 }
 
-// writeBody is writeResponse from its parts, which a hit takes straight
-// from its entry.
+// writeBody is writeResponse from its parts, which the evaluate route
+// takes straight from its entry.
 func writeBody(w http.ResponseWriter, fpHeader []string, src Source, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType

@@ -20,16 +20,16 @@ type fakeBackend struct {
 	health HealthState
 }
 
-func (f *fakeBackend) Serve(ctx context.Context, sp *noc.Spec) (Response, error) {
+func (f *fakeBackend) serveParsed(ctx context.Context, sp *noc.Spec) (*entry, Source, error) {
 	res, src, err := f.eval(ctx, *sp)
 	if err != nil {
-		return Response{}, err
+		return nil, "", err
 	}
 	ent, err := newEntry(sp.Fingerprint(), res)
 	if err != nil {
-		return Response{}, err
+		return nil, "", err
 	}
-	return ent.response(src), nil
+	return ent, src, nil
 }
 
 func (f *fakeBackend) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error) {

@@ -87,8 +87,8 @@ func fuzzSpecCorpus(t *testing.T) [][]byte {
 // TestHTTPHitAllocs pins the hit path's allocation budget on every
 // serve-hot shape: a warm POST /v1/evaluate cache hit through NewHandler
 // allocates nothing. The body is read into a pooled buffer, the spec is
-// parsed onto the handler's stack, the names decode to the vocabulary's
-// own strings, the key is encoded on the stack and the header values are
+// parsed into a pooled spec, the names decode to the vocabulary's own
+// strings, the key is encoded on the stack and the header values are
 // shared (28 allocations before responses were cached as bytes, 14 before
 // the spec codec stopped reflecting, 4 while the key was canonical JSON
 // and the header values were built per hit, 1 while the body buffer was
@@ -289,7 +289,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Serve(context.Background(), &sp)
+	first, err := e.Serve(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 		go func() { // library hits that keep the shared Body
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				resp, err := e.Serve(context.Background(), &sp)
+				resp, err := e.Serve(context.Background(), sp)
 				if err != nil || !bytes.Equal(resp.Body, want) {
 					t.Errorf("Serve: err %v, body equal %v", err, err == nil)
 					return
@@ -329,7 +329,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 		other := testSpec()
 		for i := 0; i < rounds; i++ {
 			other.Seed = uint64(1000 + i)
-			if _, err := e.Serve(context.Background(), &other); err != nil {
+			if _, err := e.Serve(context.Background(), other); err != nil {
 				t.Errorf("evicting request: %v", err)
 				return
 			}

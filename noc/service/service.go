@@ -345,9 +345,7 @@ func (e *Evaluator) Healthz() HealthState {
 // evaluated before, by joining an identical in-flight evaluation, or by
 // scheduling a fresh evaluation on the worker pool. Response.Source says
 // which; whichever it is, the same spec is answered with the same bytes.
-// The spec is validated and canonicalized into a copy of its own; sp is
-// neither changed nor kept.
-func (e *Evaluator) Serve(ctx context.Context, sp *noc.Spec) (Response, error) {
+func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
 	if err := sp.Validate(); err != nil {
 		return Response{}, err
 	}
@@ -461,7 +459,7 @@ func (e *Evaluator) serveCanonical(ctx context.Context, canon *noc.Spec) (*entry
 
 // Evaluate is Serve for callers that want the Result alone.
 func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
-	resp, err := e.Serve(ctx, &sp)
+	resp, err := e.Serve(ctx, sp)
 	return resp.Result, resp.Source, err
 }
 

@@ -39,6 +39,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"syscall"
@@ -80,6 +81,15 @@ func main() {
 		log.Printf("store %s: %d durable results, %d quarantined", *storeDir, st.Len(), st.Quarantined())
 	}
 	ev := service.New(cfg)
+	handler := service.NewHandlerConfig(ev, service.HandlerConfig{RequestTimeout: *requestTimeout})
+	// The routes are method patterns ("GET /v1/healthz"), which the Go
+	// 1.21 mux that GODEBUG=httpmuxgo121=1 selects never matches: every
+	// route would answer 404. Ask the handler once before listening.
+	probe := httptest.NewRecorder()
+	handler.ServeHTTP(probe, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	if probe.Code == http.StatusNotFound {
+		log.Fatal("GET /v1/healthz answers 404 before listening: the HTTP mux routes nothing; unset GODEBUG=httpmuxgo121=1")
+	}
 
 	// An explicit listener (rather than ListenAndServe) pins down the
 	// bound address, so ":0" works for tests and the log line names the
@@ -89,7 +99,7 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	srv := &http.Server{
-		Handler:           service.NewHandlerConfig(ev, service.HandlerConfig{RequestTimeout: *requestTimeout}),
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,

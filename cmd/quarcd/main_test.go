@@ -255,6 +255,142 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesEvaluate is the observability smoke over a real
+// socket: a metrics evaluation answers with a 100-bucket series,
+// GET /v1/trace/{fp} re-serves the very bytes evaluate answered from the
+// cache under the same fingerprint, the series bytes equal those of
+// quarcsim -spec -json for the same document, the dashboard points at
+// the trace endpoint, and an unknown fingerprint answers not_found.
+func TestTraceMatchesEvaluate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon")
+	}
+	dir := t.TempDir()
+	quarcsim := buildTool(t, dir, "quarcsim")
+	d := startDaemon(t)
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(d.url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp, buf.Bytes()
+	}
+	var series struct {
+		Series json.RawMessage `json:"series"`
+	}
+	seriesOf := func(what string, body []byte) []byte {
+		t.Helper()
+		series.Series = nil
+		if err := json.Unmarshal(body, &series); err != nil || len(series.Series) == 0 {
+			t.Fatalf("%s carries no series (%v): %.200s", what, err, body)
+		}
+		return series.Series
+	}
+
+	const mspec = `{"topology":"quarc","n":16,"msglen":32,"rate":0.002,"alpha":0.05,"pattern":"localized","dests":4,"seed":42,"warmup":2000,"measure":20000,"metrics":true}`
+	resp, err := http.Post(d.url+"/v1/evaluate", "application/json", strings.NewReader(mspec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluated := buf.Bytes()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate status %d: %s", resp.StatusCode, evaluated)
+	}
+	var buckets struct {
+		Buckets int `json:"buckets"`
+	}
+	if err := json.Unmarshal(seriesOf("the evaluate body", evaluated), &buckets); err != nil || buckets.Buckets != 100 {
+		t.Errorf("series.buckets = %d (%v), want 100", buckets.Buckets, err)
+	}
+	fp := resp.Header.Get(service.HeaderFingerprint)
+	if fp == "" {
+		t.Fatal("evaluate answered without a fingerprint")
+	}
+
+	tresp, traced := get("/v1/trace/" + fp)
+	if tresp.StatusCode != http.StatusOK {
+		t.Fatalf("trace status %d: %s", tresp.StatusCode, traced)
+	}
+	if got := tresp.Header.Get(service.HeaderFingerprint); got != fp {
+		t.Errorf("trace fingerprint %q, want evaluate's %q", got, fp)
+	}
+	if got := tresp.Header.Get(service.HeaderSource); got != string(service.SourceCache) {
+		t.Errorf("trace %s = %q, want %q", service.HeaderSource, got, service.SourceCache)
+	}
+	if !bytes.Equal(traced, evaluated) {
+		t.Errorf("the trace body differs from the evaluate body:\n%s\n%s", traced, evaluated)
+	}
+
+	spec := filepath.Join(dir, "mspec.json")
+	if err := os.WriteFile(spec, []byte(mspec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := exec.Command(quarcsim, "-spec", spec, "-json").Output()
+	if err != nil {
+		t.Fatalf("quarcsim -spec -json: %v", err)
+	}
+	if got, want := seriesOf("the trace body", traced), seriesOf("quarcsim's Result", cli); !bytes.Equal(got, want) {
+		t.Errorf("the served series differs from quarcsim's:\n%.300s\n%.300s", got, want)
+	}
+
+	if resp, page := get("/dashboard"); resp.StatusCode != http.StatusOK || !bytes.Contains(page, []byte("/v1/trace/")) {
+		t.Errorf("dashboard (status %d) does not point at /v1/trace/", resp.StatusCode)
+	}
+	var envelope struct {
+		Code string `json:"code"`
+	}
+	if _, body := get("/v1/trace/00000000deadbeef"); json.Unmarshal(body, &envelope) != nil || envelope.Code != service.CodeNotFound {
+		t.Errorf("an unknown fingerprint answers %s, want code %q", body, service.CodeNotFound)
+	}
+}
+
+// TestRefusesMuxThatRoutesNothing pins the start-up probe: under
+// GODEBUG=httpmuxgo121=1 the mux matches none of the method patterns, so
+// quarcd must exit non-zero, naming the setting, instead of serving 404s.
+func TestRefusesMuxThatRoutesNothing(t *testing.T) {
+	bin, err := buildBinary()
+	if err != nil {
+		t.Fatalf("building quarcd: %v", err)
+	}
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), "GODEBUG=httpmuxgo121=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("starting quarcd: %v", err)
+	}
+	var out strings.Builder
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		out.WriteString(sc.Text() + "\n")
+		if strings.Contains(sc.Text(), "serving on") {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("quarcd listened under httpmuxgo121=1:\n%s", out.String())
+		}
+	}
+	if err := cmd.Wait(); err == nil {
+		t.Fatalf("quarcd exited 0 under httpmuxgo121=1:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "GODEBUG=httpmuxgo121=1") {
+		t.Errorf("the refusal does not name the setting:\n%s", out.String())
+	}
+}
+
 // buildTool compiles another command of this module into dir.
 func buildTool(t *testing.T, dir, name string) string {
 	t.Helper()

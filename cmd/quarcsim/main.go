@@ -62,7 +62,6 @@ func main() {
 	specPath := flag.String("spec", "", "load the scenario from a declarative Spec JSON file (the quarcd wire format); scenario flags may not be combined with it")
 	jsonOut := flag.Bool("json", false, "print the Result as JSON instead of the human-readable report")
 	metrics := flag.Int("metrics", 0, "record a time series with this many buckets (Result JSON gains \"series\"; 0 disables)")
-	obsPath := flag.String("obs", "", "append the raw observability record stream to this file (CRC-framed log; implies -metrics)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file (read it with go tool pprof)")
 	flag.Parse()
 
@@ -72,10 +71,9 @@ func main() {
 		// The spec document is the single source of truth; a scenario
 		// flag alongside it would silently lose to one of the two, so
 		// refuse the combination outright.
-		// -obs and -cpuprofile stay legal alongside -spec: both are
-		// process-local (a file on this machine), so they have no spec
-		// representation.
-		allowed := map[string]bool{"spec": true, "compare": true, "json": true, "obs": true, "cpuprofile": true}
+		// -cpuprofile stays legal alongside -spec: it is process-local
+		// (a file on this machine), so it has no spec representation.
+		allowed := map[string]bool{"spec": true, "compare": true, "json": true, "cpuprofile": true}
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			if !allowed[f.Name] {
@@ -126,11 +124,6 @@ func main() {
 			sp.Metrics, sp.MetricsBuckets = true, *metrics
 		}
 	}
-	if *obsPath != "" {
-		// The raw stream needs the recording hooks attached; default
-		// bucketing appears in the Result as a bonus.
-		sp.Metrics = true
-	}
 	if sp.Record != "" {
 		// Fail on an unwritable path before the simulation runs.
 		f, err := os.Create(sp.Record)
@@ -153,18 +146,6 @@ func main() {
 		}
 	}
 	captured := s.Recording()
-
-	var obsSink *noc.ObsFileSink
-	if *obsPath != "" {
-		obsSink, err = noc.CreateObsFile(*obsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s, err = s.With(noc.MetricsSink(obsSink))
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	stopProfile := func() {}
 	if *cpuProfile != "" {
@@ -190,14 +171,6 @@ func main() {
 	stopProfile()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if obsSink != nil {
-		if err := obsSink.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if !*jsonOut {
-			fmt.Printf("observability: raw record stream written to %s\n", *obsPath)
-		}
 	}
 	if captured != nil {
 		f, err := os.Create(sp.Record)
@@ -287,7 +260,9 @@ func main() {
 
 // printModel prints a model Result's latencies, the multicast one when
 // the multicast fraction alpha is positive, each with its relative error
-// against the simulator's when sim is non-nil.
+// against the simulator's when sim is non-nil. A Result that carries
+// branches (a model evaluated with Detail) adds its fixed point and the
+// per-port branch table from node 0.
 func printModel(alpha float64, pred noc.Result, sim *noc.Result) {
 	if pred.Saturated {
 		fmt.Println("model:         SATURATED at this rate")
@@ -304,6 +279,16 @@ func printModel(alpha float64, pred noc.Result, sim *noc.Result) {
 		}
 	}
 	fmt.Println()
+	if len(pred.Branches) == 0 {
+		return
+	}
+	fmt.Printf("fixed point:   iterations=%d converged=%v max channel utilization=%.4f\n",
+		pred.Iterations, pred.Converged, pred.MaxRho)
+	fmt.Println("branches from node 0:")
+	for _, b := range pred.Branches {
+		fmt.Printf("  port %-2s  hops=%-3d targets=%v  expected path wait=%.3f cycles\n",
+			b.PortName, b.Hops, b.Targets, b.Wait)
+	}
 }
 
 // summarizeSeries condenses a recorded time series into one human line:

@@ -2,12 +2,28 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"quarc/noc"
 )
+
+// buildQuarcsim compiles this command into a fresh temporary directory
+// and returns the binary's path.
+func buildQuarcsim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "quarcsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestFlagsMatchSpec pins quarcsim's one input path: the flags fill the
 // same Spec a -spec document decodes into, so each flag set and its
@@ -17,10 +33,7 @@ import (
 // trace file, so only its JSON and trace bytes are compared; the replay
 // case replays the flags' recording.
 func TestFlagsMatchSpec(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "quarcsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildQuarcsim(t)
 	dir := t.TempDir()
 	run := func(t *testing.T, args ...string) []byte {
 		t.Helper()
@@ -79,5 +92,54 @@ func TestFlagsMatchSpec(t *testing.T) {
 			}
 			same(t, "the report", run(t, c.flags...), run(t, docArgs...))
 		})
+	}
+}
+
+// TestCompareDetailPrintsBranches pins the model half of the -compare
+// -detail report: after the model line come the fixed point and a
+// "branches from node 0:" table with one line per entry of the model
+// Result's branches, each stating that entry's port, hops, targets and
+// path wait. The expected entries come from the model Result of the same
+// scenario (a "evaluator":"model","detail":true document under -json),
+// so the report cannot drift from the Result.
+func TestCompareDetailPrintsBranches(t *testing.T) {
+	bin := buildQuarcsim(t)
+	dir := t.TempDir()
+	doc := filepath.Join(dir, "model.json")
+	const spec = `{"topology":"quarc","n":16,"msglen":32,"rate":0.002,"alpha":0.05,"pattern":"random","dests":6,"set_seed":1,"detail":true,"evaluator":"model"}`
+	if err := os.WriteFile(doc, []byte(spec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-spec", doc, "-json").Output()
+	if err != nil {
+		t.Fatalf("quarcsim -spec -json: %v", err)
+	}
+	var model noc.Result
+	if err := json.Unmarshal(out, &model); err != nil {
+		t.Fatal(err)
+	}
+	if len(model.Branches) < 2 {
+		t.Fatalf("the model Result has %d branches, want several: %s", len(model.Branches), out)
+	}
+
+	report, err := exec.Command(bin, "-n", "16", "-msg", "32", "-rate", "0.002", "-alpha", "0.05",
+		"-dests", "6", "-random", "-warmup", "500", "-measure", "5000", "-compare", "-detail").Output()
+	if err != nil {
+		t.Fatalf("quarcsim -compare -detail: %v", err)
+	}
+	lines := strings.Split(string(report), "\n")
+	at := slices.Index(lines, "branches from node 0:")
+	if at < 1 {
+		t.Fatalf("the report has no branch table:\n%s", report)
+	}
+	want := []string{fmt.Sprintf("fixed point:   iterations=%d converged=%v max channel utilization=%.4f",
+		model.Iterations, model.Converged, model.MaxRho), lines[at]}
+	for _, b := range model.Branches {
+		want = append(want, fmt.Sprintf("  port %-2s  hops=%-3d targets=%v  expected path wait=%.3f cycles",
+			b.PortName, b.Hops, b.Targets, b.Wait))
+	}
+	want = append(want, "") // the table ends the report
+	if got := lines[at-1:]; !slices.Equal(got, want) {
+		t.Errorf("the branch report differs from the model Result:\n got: %q\nwant: %q", got, want)
 	}
 }

@@ -29,8 +29,8 @@
 //
 // The paper's evaluation — the panels of Figures 6 and 7 and the ablation
 // studies — is part of noc: a panel is a Scenario and its graph a Sweep.
-// Command-line entry points are cmd/quarcmodel, cmd/quarcsim, cmd/figures
-// and cmd/ablations; the Example functions of noc and noc/service are the
+// Command-line entry points are cmd/quarcsim, cmd/figures and
+// cmd/ablations; the Example functions of noc and noc/service are the
 // runnable walk-throughs, checked by go test. All of them consume only the
 // noc package. See EXPERIMENTS.md for recorded
 // paper-vs-measured results, DESIGN.md for the formula notes and

@@ -1,16 +1,13 @@
 // Package obs is the observability recorder behind the wormhole hook
-// API: a batched Collector implementing wormhole.Hook drains typed
-// Records through a bounded buffer into a pluggable Sink — in-memory
-// for tests and Result enrichment, or a WAL-style append-only flat
-// file (stdlib-only, no database/sql) for offline inspection — and an
-// aggregation step folds a run's records into the bucketed time Series
-// the noc Result and the quarcd /v1/trace endpoint serve.
+// API: a Collector implementing wormhole.Hook appends each firing as a
+// typed Record into a per-run MemorySink, and an aggregation step folds
+// the run's records into the bucketed time Series the noc Result and
+// the quarcd /v1/trace endpoint serve.
 //
-// The collector is single-goroutine (one per network, like the network
-// itself); sinks are safe for concurrent Append, so replications
-// running in parallel can share one sink. Aggregation is a
-// pure fold over the record stream in emission order, so a recorded
-// run's Series is deterministic.
+// A collector and its sink serve exactly one network, on that network's
+// goroutine; parallel replications each record into their own.
+// Aggregation is a pure fold over the record stream in emission order,
+// so a recorded run's Series is deterministic.
 package obs
 
 import (
@@ -34,8 +31,7 @@ const (
 	KindQueue Kind = Kind(wormhole.HookQueueChanged)
 )
 
-// Record is one recorded hook firing, flattened to plain scalars so it
-// encodes to a fixed-width binary frame.
+// Record is one recorded hook firing, flattened to plain scalars.
 type Record struct {
 	// Kind says which hook position produced the record.
 	Kind Kind
@@ -55,48 +51,41 @@ type Record struct {
 	Latency float64
 }
 
-// A Sink receives record batches from collectors. Append must be safe
-// for concurrent use: one sink may serve many collectors (e.g. the
-// per-replication collectors of a parallel replicated run). The batch is
-// only valid for the duration of the call; a sink that retains records
-// must copy them.
-type Sink interface {
-	Append(batch []Record) error
+// MemorySink holds one run's records in emission order. It belongs to
+// the collector that writes it and is not safe for concurrent use.
+type MemorySink struct {
+	recs []Record
 }
 
-// DefaultBatch is the collector's buffer size when none is given: big
-// enough to amortize sink calls, small enough to stay cache-resident.
-const DefaultBatch = 4096
+// NewMemorySink returns an empty in-memory sink.
+func NewMemorySink() *MemorySink { return &MemorySink{} }
 
-// Collector adapts the wormhole hook API to a Sink: each firing
-// becomes one Record in a bounded buffer, flushed to the sink whenever
-// it fills and finally by Flush. A collector serves exactly one
-// network (it is not safe for concurrent use); attach it with
-// Network.Attach. Sink errors are sticky: the first one stops further
-// recording and is reported by Flush.
+// Records returns the accumulated records (the live slice: read it
+// after the run, not while the collector still appends).
+func (m *MemorySink) Records() []Record { return m.recs }
+
+// Collector adapts the wormhole hook API to a MemorySink: each firing
+// of one of the five recorded positions appends one Record. A collector
+// serves exactly one network (it is not safe for concurrent use);
+// attach it with Network.Attach.
 type Collector struct {
-	sink  Sink
-	batch []Record
-	err   error
+	sink *MemorySink
 }
 
-// NewCollector returns a collector batching up to batch records
-// (DefaultBatch when batch <= 0) into sink.
-func NewCollector(sink Sink, batch int) *Collector {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	return &Collector{sink: sink, batch: make([]Record, 0, batch)}
+// NewCollector returns a collector appending into sink. The second
+// parameter is unused; it stays so existing callers keep compiling.
+func NewCollector(sink *MemorySink, _ int) *Collector {
+	return &Collector{sink: sink}
 }
 
 // Func implements wormhole.Hook. It records the five positions with a
 // Kind and ignores the rest, so a collector attached everywhere records
 // exactly those.
 func (c *Collector) Func(h wormhole.HookCtx) {
-	if c.err != nil || Kind(h.Pos) > KindQueue {
+	if Kind(h.Pos) > KindQueue {
 		return
 	}
-	c.batch = append(c.batch, Record{
+	c.sink.recs = append(c.sink.recs, Record{
 		Kind:      Kind(h.Pos),
 		Multicast: h.Multicast,
 		Node:      int32(h.Node),
@@ -106,26 +95,4 @@ func (c *Collector) Func(h wormhole.HookCtx) {
 		Time:      h.Time,
 		Latency:   h.Latency,
 	})
-	if len(c.batch) == cap(c.batch) {
-		c.flush()
-	}
-}
-
-func (c *Collector) flush() {
-	if len(c.batch) == 0 {
-		return
-	}
-	if err := c.sink.Append(c.batch); err != nil && c.err == nil {
-		c.err = err
-	}
-	c.batch = c.batch[:0]
-}
-
-// Flush drains the remaining buffered records to the sink and returns
-// the first sink error encountered over the collector's lifetime.
-func (c *Collector) Flush() error {
-	if c.err == nil {
-		c.flush()
-	}
-	return c.err
 }

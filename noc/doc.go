@@ -34,7 +34,7 @@
 // Spec is the one input: the same struct is a Go literal, a quarcsim
 // -spec document and a quarcd request body. Spec.Scenario compiles it;
 // Scenario.With adds the process-local attachments that have no wire
-// form (Record, Replay, MetricsSink). The canonical encoding's FNV-1a
+// form (Record, Replay). The canonical encoding's FNV-1a
 // Fingerprint content-addresses its Result —
 // the key the noc/service layer (and the quarcd daemon) cache and
 // deduplicate evaluations under. ParseSpec is the strict entry point for

@@ -228,12 +228,11 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		}
 	}
 	// Every observation is a hook subscriber: the trace, the detail
-	// breakdown and the metrics collector, which drains every hook
-	// position into an in-memory sink (teed into the scenario's extra
-	// sink, if any), aggregated into Result.Series after the run. They
-	// only record — the Result is bitwise-identical to an unhooked run —
-	// and a pooled network drops its hooks on Reset, so reuse stays
-	// clean.
+	// breakdown and the metrics collector, which appends every hook
+	// position into a per-run in-memory sink, aggregated into
+	// Result.Series after the run. They only record — the Result is
+	// bitwise-identical to an unhooked run — and a pooled network drops
+	// its hooks on Reset, so reuse stays clean.
 	var trace *wormhole.Trace
 	if s.cfg.TraceLimit > 0 {
 		trace = wormhole.NewTrace(s.router.Graph(), topology.NodeID(s.cfg.TraceNode), s.cfg.TraceLimit)
@@ -244,16 +243,10 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		detail = wormhole.NewInstrumentation(s.router, cfg)
 		nw.Attach(detail, detail.Positions()...)
 	}
-	var metricsSink *obs.MemorySink
-	var metricsColl *obs.Collector
+	var metrics *obs.MemorySink
 	if s.cfg.MetricsBuckets > 0 {
-		metricsSink = obs.NewMemorySink()
-		sink := obs.Sink(metricsSink)
-		if s.cfg.metricsSink != nil {
-			sink = obs.Tee(metricsSink, s.cfg.metricsSink)
-		}
-		metricsColl = obs.NewCollector(sink, 0)
-		nw.Attach(metricsColl)
+		metrics = obs.NewMemorySink()
+		nw.Attach(obs.NewCollector(metrics, 0))
 	}
 	r := nw.Run()
 	if recorder != nil {
@@ -285,11 +278,8 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 	if trace != nil && len(trace.Events) > 0 {
 		res.TraceText = wormhole.FormatTrace(s.router.Graph(), trace.Events)
 	}
-	if metricsColl != nil {
-		if err := metricsColl.Flush(); err != nil {
-			return Result{}, fmt.Errorf("noc: metrics sink: %w", err)
-		}
-		res.Series = obs.Aggregate(metricsSink.Records(),
+	if metrics != nil {
+		res.Series = obs.Aggregate(metrics.Records(),
 			s.router.Graph().NumChannels(), s.cfg.MetricsBuckets, r.Time)
 	}
 	return res, nil

@@ -2,10 +2,7 @@ package noc
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"testing"
-
-	"quarc/internal/obs"
 )
 
 // TestMetricsDoNotPerturbResult is the differential pin behind the
@@ -83,22 +80,17 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 	}
 }
 
-// TestMetricsParallelismDeterministic pins two contracts at once: the
-// combined series is bitwise-identical for every Parallelism k (the
-// per-replication series fold in replication order), and a shared
-// MetricsSink is safe under concurrent replications (run under -race
-// in CI).
+// TestMetricsParallelismDeterministic pins that the combined series is
+// bitwise-identical for every Parallelism k: the per-replication series
+// fold in replication order.
 func TestMetricsParallelismDeterministic(t *testing.T) {
-	run := func(k int, sink Sink) Result {
+	run := func(k int) Result {
 		t.Helper()
 		s, err := Spec{
 			Topology: "quarc", N: 16, MsgLen: 16, Rate: 0.002, Alpha: 0.05,
 			Pattern: "localized", Port: PortL, Dests: 4, Seed: 3, Warmup: 500, Measure: 4000,
 			Metrics: true, MetricsBuckets: 25, Replications: 4, Parallelism: k,
 		}.Scenario()
-		if err == nil && sink != nil {
-			s, err = s.With(MetricsSink(sink))
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,12 +101,11 @@ func TestMetricsParallelismDeterministic(t *testing.T) {
 		return res
 	}
 
-	serial := run(1, nil)
+	serial := run(1)
 	if serial.Series == nil || serial.Series.Reps != 4 {
 		t.Fatalf("serial series = %+v, want 4 combined replications", serial.Series)
 	}
-	sink := obs.NewMemorySink()
-	parallel := run(4, sink)
+	parallel := run(4)
 
 	got, err := json.Marshal(parallel)
 	if err != nil {
@@ -126,65 +117,5 @@ func TestMetricsParallelismDeterministic(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("Parallelism(4) result differs from Parallelism(1):\n %s\n %s", got, want)
-	}
-	if sink.Len() == 0 {
-		t.Error("shared sink saw no records")
-	}
-}
-
-// TestReadObsFileReportsReadErrors pins that only the end of the file is
-// a torn tail: a path that cannot be read as a log (a directory) is an
-// error, not an empty record stream.
-func TestReadObsFileReportsReadErrors(t *testing.T) {
-	if recs, err := ReadObsFile(t.TempDir()); err == nil {
-		t.Errorf("ReadObsFile(directory) = %d records, nil error", len(recs))
-	}
-}
-
-// TestObsFileRebuildsSeries pins the documented offline rebuild: a run
-// streamed to an observability log through MetricsSink folds back, via
-// ReadObsFile and AggregateObs, into exactly the series the Result
-// carries.
-func TestObsFileRebuildsSeries(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "run.obs")
-	sink, err := CreateObsFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Spec{
-		Topology: "quarc", N: 16, MsgLen: 32, Rate: 0.003, Alpha: 0.05,
-		Pattern: "localized", Port: PortL, Dests: 4, Seed: 11, Warmup: 1000, Measure: 8000,
-		Metrics: true, MetricsBuckets: 100,
-	}.Scenario()
-	if err == nil {
-		s, err = s.With(MetricsSink(sink))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulator{}.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadObsFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("the log holds no records")
-	}
-	got, err := json.Marshal(AggregateObs(recs, s.router.Graph().NumChannels(), 100, res.Time))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(res.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("rebuilt series differs from Result.Series:\n got:  %.300s\n want: %.300s", got, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 
-	"quarc/internal/obs"
 	"quarc/internal/routing"
 	"quarc/internal/topology"
 	"quarc/internal/traffic"
@@ -32,7 +31,6 @@ var (
 type config struct {
 	Spec
 	record, replay *TraceWorkload // Record / Replay option values
-	metricsSink    obs.Sink       // MetricsSink tee for the raw record stream
 }
 
 // apply runs the options in order, then fills the table names an
@@ -48,7 +46,7 @@ func (c *config) apply(opts []Option) error {
 }
 
 // Option mutates a scenario configuration: one of the process-local
-// attachments (Record, Replay, MetricsSink) or one of the few Spec fields
+// attachments (Record, Replay) or one of the few Spec fields
 // the benchmark harness sets directly. Options are applied in order;
 // later options override earlier ones.
 type Option func(*config) error
@@ -146,19 +144,6 @@ const DefaultMetricsBuckets = 100
 
 // MaxMetricsBuckets bounds the Series resolution a scenario accepts.
 const MaxMetricsBuckets = 4096
-
-// MetricsSink additionally streams the raw observability records into
-// s while the Spec's Metrics is enabled — e.g. an obs WAL file sink for
-// offline inspection (quarcsim -obs). The sink must be safe for
-// concurrent Append when the scenario runs more than one replication:
-// every replication shares it. Not part of the declarative Spec (sinks
-// are process-local, like trace record/replay targets).
-func MetricsSink(s Sink) Option {
-	return func(c *config) error {
-		c.metricsSink = s
-		return nil
-	}
-}
 
 // Effort bundles the simulation effort knobs (warmup, measurement window,
 // seed) so presets can be passed around as one value. The figure panels
@@ -289,9 +274,6 @@ func (s *Scenario) validate() error {
 	}
 	if n := s.router.Graph().Nodes(); s.cfg.TraceLimit > 0 && s.cfg.TraceNode >= n {
 		return fmt.Errorf("%w: trace node %d outside the %d-node network", ErrInvalidOption, s.cfg.TraceNode, n)
-	}
-	if s.cfg.metricsSink != nil && !s.cfg.Metrics {
-		return fmt.Errorf("%w: MetricsSink without Metrics would record nothing", ErrOptionConflict)
 	}
 	if s.cfg.record != nil && s.cfg.replay != nil {
 		return fmt.Errorf("%w: a scenario cannot both record and replay a trace", ErrOptionConflict)

@@ -14,7 +14,7 @@ import (
 // one way to state one: Go callers write it as a literal, and a JSON
 // document on the quarcsim command line or the quarcd wire decodes into
 // the same struct. Spec.Scenario resolves it; the process-local
-// attachments with no wire form (Record, Replay, MetricsSink) go on with
+// attachments with no wire form (Record, Replay) go on with
 // Scenario.With.
 //
 // On the wire a zero field selects the default (quarc-16, msglen 32,
@@ -121,12 +121,11 @@ type Spec struct {
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
 
 	// Metrics enables time-series recording: the simulator attaches a
-	// batched recording hook and Result.Series carries MetricsBuckets
+	// recording hook and Result.Series carries MetricsBuckets
 	// buckets of per-channel utilization, injection/ejection counts,
 	// latency sums and queue-occupancy maxima. Recording only observes:
 	// the other Result fields are bitwise those of a run without it. A
 	// zero MetricsBuckets under Metrics selects DefaultMetricsBuckets.
-	// Sinks (MetricsSink) are process-local and have no Spec form.
 	Metrics        bool `json:"metrics,omitempty"`
 	MetricsBuckets int  `json:"metrics_buckets,omitempty"`
 

@@ -20,6 +20,9 @@ import (
 	"quarc/noc/service"
 )
 
+// buildDir holds the binary buildBinary compiles; TestMain removes it.
+var buildDir string
+
 // buildBinary compiles the quarcd binary once per test run; the e2e
 // tests drive the real executable — real listener, real signals, real
 // process death — so the durability contract is pinned end to end.
@@ -28,6 +31,7 @@ var buildBinary = sync.OnceValues(func() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	buildDir = dir
 	bin := filepath.Join(dir, "quarcd")
 	cmd := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -35,6 +39,14 @@ var buildBinary = sync.OnceValues(func() (string, error) {
 	}
 	return bin, nil
 })
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
 
 // daemon is one spawned quarcd process.
 type daemon struct {
@@ -451,6 +463,9 @@ func TestDaemonMatchesCLI(t *testing.T) {
 		sim   = base + `"pattern":"localized","dests":4,` + tail + `}`
 		model = base + `"pattern":"localized","dests":4,` + tail + `,"evaluator":"model"}`
 		fig6  = base + `"pattern":"random","dests":5,"set_seed":61,"set_stream":1511,` + tail + `}`
+		// The trace text names links as "a->b", so the body carries an
+		// escaped '>' that both encoders must spell alike.
+		traced = base + `"pattern":"localized","dests":4,` + tail + `,"trace_limit":20}`
 	)
 	first, computed := post(sim)
 	second, cached := post(sim)
@@ -473,13 +488,16 @@ func TestDaemonMatchesCLI(t *testing.T) {
 		t.Errorf("the cache hit's body differs from the computed one:\n%s\n%s", computed, cached)
 	}
 
-	for _, c := range []struct{ name, doc string }{{"simulator", sim}, {"model", model}, {"fig6-a", fig6}} {
+	for _, c := range []struct{ name, doc string }{{"simulator", sim}, {"model", model}, {"fig6-a", fig6}, {"traced", traced}} {
 		_, served := post(c.doc)
 		if want := cli(c.doc, "-json"); !bytes.Equal(served, want) {
 			t.Errorf("%s: the daemon's body differs from quarcsim -spec -json:\n%s\n%s", c.name, served, want)
 		}
 		if c.name == "model" && !bytes.Contains(served, []byte(`"evaluator":"model"`)) {
 			t.Errorf("model: the body is not a model result: %s", served)
+		}
+		if c.name == "traced" && !bytes.Contains(served, []byte(`-\u003e`)) {
+			t.Errorf("traced: the body carries no escaped link arrow: %.300s", served)
 		}
 	}
 

@@ -57,7 +57,7 @@ func main() {
 	burst := flag.Float64("burst", 8, "onoff arrivals: mean burst length in messages")
 	duty := flag.Float64("duty", 0.5, "onoff arrivals: duty cycle in (0,1]")
 	perm := flag.String("perm", "", "spatial pattern for unicast destinations: transpose, bit-reversal, bit-complement, shuffle, tornado (default uniform)")
-	record := flag.String("record", "", "record the run's workload trace to this file (JSONL when it ends in .jsonl, else the compact binary format)")
+	record := flag.String("record", "", "record the run's workload trace to this file (the compact binary format -replay reads)")
 	replay := flag.String("replay", "", "replay a workload trace from this file instead of generating traffic")
 	specPath := flag.String("spec", "", "load the scenario from a declarative Spec JSON file (the quarcd wire format); scenario flags may not be combined with it")
 	jsonOut := flag.Bool("json", false, "print the Result as JSON instead of the human-readable report")
@@ -177,12 +177,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var werr error
-		if strings.HasSuffix(sp.Record, ".jsonl") {
-			werr = captured.WriteJSONL(f)
-		} else {
-			werr = captured.WriteBinary(f)
-		}
+		werr := captured.WriteBinary(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

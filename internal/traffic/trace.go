@@ -3,7 +3,7 @@ package traffic
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,9 +21,8 @@ import (
 // for exactly this reason (absolute times are sums of gaps, and storing
 // the sums would lose the bitwise guarantee on subtraction).
 //
-// Two interchangeable encodings exist: a compact binary format (magic
-// "QWTR") and a line-delimited JSON form for inspection and interop;
-// ReadTrace sniffs which one it is handed.
+// A trace has one encoding, a compact binary format (magic "QWTR"):
+// WriteBinary writes it and ReadTrace reads it.
 type Trace struct {
 	// N is the node count of the network the trace was captured on.
 	N int
@@ -84,11 +83,12 @@ func (t *Trace) multicasts() bool {
 	return false
 }
 
-// maxTraceNodes bounds the node count a decoder will believe: the
-// largest network a scenario Spec describes. A JSONL trace names a node
-// only on its records, so its header alone can claim any count; the
-// bound keeps the per-node stream table a decoder sizes from it under
-// 200 KB. Everything else a decoder holds grows with its input.
+// maxTraceNodes bounds the node count the decoder will believe: the
+// largest network a scenario Spec describes. The header claims the
+// count before any per-node stream is read, so it alone could claim
+// any number; the bound keeps the per-node stream table the decoder
+// sizes from it under 200 KB. Everything else the decoder holds grows
+// with its input.
 const maxTraceNodes = 4096
 
 // validate checks structural invariants after decoding.
@@ -112,8 +112,8 @@ func (t *Trace) validate() error {
 			if !m.Multicast && (m.Dst < 0 || int(m.Dst) >= t.N || int(m.Dst) == node) {
 				return fmt.Errorf("traffic: trace node %d has invalid destination %d", node, m.Dst)
 			}
-			// NaN marks an unstamped message; an infinite stamp has no
-			// JSONL form.
+			// NaN marks an unstamped message; an infinite stamp is no
+			// injection time.
 			if math.IsInf(m.Time, 0) {
 				return fmt.Errorf("traffic: trace node %d has invalid time stamp %v", node, m.Time)
 			}
@@ -438,117 +438,16 @@ func readBinaryTrace(br *bufio.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// traceLine is one line of the JSONL encoding: a header line carries the
-// node count; every other line is one gap or one message record.
-type traceLine struct {
-	Format  string   `json:"format,omitempty"` // "quarc-trace" on the header line
-	Nodes   int      `json:"nodes,omitempty"`
-	Topo    uint64   `json:"topo,omitempty"` // topology fingerprint
-	SetBits []uint64 `json:"set_bits,omitempty"`
-	MsgLen  int      `json:"msglen,omitempty"`
-
-	Node *int     `json:"node,omitempty"`
-	Gap  *float64 `json:"gap,omitempty"`
-	MC   bool     `json:"mc,omitempty"`
-	Dst  *int     `json:"dst,omitempty"`
-	Time *float64 `json:"time,omitempty"`
-}
-
-// WriteJSONL encodes the trace as line-delimited JSON: a header line,
-// then one line per gap or message, grouped per node in draw order. Gap
-// floats round-trip exactly (Go prints the shortest representation that
-// parses back to the same bits), so JSONL traces replay bitwise too.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(traceLine{Format: "quarc-trace", Nodes: t.N,
-		Topo: t.Topo, SetBits: t.SetBits, MsgLen: t.MsgLen}); err != nil {
-		return err
-	}
-	for node := 0; node < t.N; node++ {
-		for i := range t.Gaps[node] {
-			if err := enc.Encode(traceLine{Node: &node, Gap: &t.Gaps[node][i]}); err != nil {
-				return err
-			}
-		}
-		for i := range t.Msgs[node] {
-			m := &t.Msgs[node][i]
-			line := traceLine{Node: &node, MC: m.Multicast}
-			if !m.Multicast {
-				d := int(m.Dst)
-				line.Dst = &d
-			}
-			if !math.IsNaN(m.Time) {
-				line.Time = &m.Time
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// readJSONLTrace decodes the JSONL encoding (the caller has peeked but
-// not consumed the stream).
-func readJSONLTrace(br *bufio.Reader) (*Trace, error) {
-	dec := json.NewDecoder(br)
-	var head traceLine
-	if err := dec.Decode(&head); err != nil {
-		return nil, fmt.Errorf("traffic: trace JSONL header: %w", err)
-	}
-	if head.Format != "quarc-trace" || head.Nodes <= 0 {
-		return nil, fmt.Errorf("traffic: not a quarc-trace JSONL stream")
-	}
-	if head.Nodes > maxTraceNodes {
-		return nil, fmt.Errorf("traffic: trace node count %d out of range", head.Nodes)
-	}
-	t := &Trace{N: head.Nodes, Topo: head.Topo, SetBits: head.SetBits, MsgLen: head.MsgLen,
-		Gaps: make([][]float64, head.Nodes), Msgs: make([][]TraceMsg, head.Nodes)}
-	for {
-		var line traceLine
-		if err := dec.Decode(&line); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("traffic: trace JSONL record: %w", err)
-		}
-		if line.Node == nil || *line.Node < 0 || *line.Node >= t.N {
-			return nil, fmt.Errorf("traffic: trace JSONL record without a valid node")
-		}
-		node := *line.Node
-		if line.Gap != nil {
-			t.Gaps[node] = append(t.Gaps[node], *line.Gap)
-			continue
-		}
-		m := TraceMsg{Multicast: line.MC, Time: math.NaN()}
-		if !line.MC {
-			if line.Dst == nil {
-				return nil, fmt.Errorf("traffic: trace JSONL unicast record without a destination")
-			}
-			// Bound before the narrowing cast (see the binary decoder).
-			if *line.Dst < 0 || *line.Dst >= t.N {
-				return nil, fmt.Errorf("traffic: trace JSONL destination %d out of range", *line.Dst)
-			}
-			m.Dst = topology.NodeID(*line.Dst)
-		}
-		if line.Time != nil {
-			m.Time = *line.Time
-		}
-		t.Msgs[node] = append(t.Msgs[node], m)
-	}
-	if err := t.validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReadTrace decodes a trace in either encoding, sniffing the binary magic.
+// ReadTrace decodes a trace in the binary format; any input that does
+// not open with its "QWTR" header is an error.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(traceMagic))
-	if err == nil && [5]byte(head) == traceMagic {
-		br.Discard(len(traceMagic))
-		return readBinaryTrace(br)
+	var head [len(traceMagic)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, fmt.Errorf("traffic: trace header: %w", err)
 	}
-	return readJSONLTrace(br)
+	if head != traceMagic {
+		return nil, fmt.Errorf("traffic: not a trace: no %q v%d header", traceMagic[:4], traceMagic[4])
+	}
+	return readBinaryTrace(br)
 }

@@ -2,10 +2,10 @@ package traffic
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"quarc/internal/routing"
@@ -64,9 +64,8 @@ func traceEqual(a, b *Trace) bool {
 	return true
 }
 
-// TestTraceCodecRoundTrip pins both encodings: a trace survives a
-// binary and a JSONL round trip bit-for-bit (gaps carry exact float64
-// values in both).
+// TestTraceCodecRoundTrip pins the encoding: a trace survives a binary
+// round trip bit-for-bit (gaps carry exact float64 values).
 func TestTraceCodecRoundTrip(t *testing.T) {
 	set, err := quarcRouter(t, 16).LocalizedSet(topology.PortL, 3)
 	if err != nil {
@@ -88,34 +87,27 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	if !traceEqual(tr, fromBin) {
 		t.Fatal("binary round trip changed the trace")
 	}
-
-	var jsonl bytes.Buffer
-	if err := tr.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	fromJSONL, err := ReadTrace(&jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !traceEqual(tr, fromJSONL) {
-		t.Fatal("JSONL round trip changed the trace")
-	}
 }
 
 // TestTraceDecodeRejectsGarbage checks the decoder's fail-fast paths.
+// Input without the binary header, JSON included, is not a trace.
 func TestTraceDecodeRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"truncated magic":  {'Q', 'W'},
 		"bad magic":        []byte("QWTZ1234"),
-		"not jsonl":        []byte("hello world\n"),
-		"wrong jsonl head": []byte(`{"format":"other","nodes":4}` + "\n"),
+		"bad version":      []byte("QWTR\x02\x10"),
+		"text":             []byte("hello world\n"),
+		"json line":        jsonTraceLine,
 		"truncated binary": append([]byte{'Q', 'W', 'T', 'R', 1}, 16), // node count, then EOF mid-stream
 	}
 	for name, data := range cases {
 		if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: garbage accepted", name)
 		}
+	}
+	if _, err := ReadTrace(bytes.NewReader(jsonTraceLine)); err == nil || !strings.Contains(err.Error(), `"QWTR"`) {
+		t.Errorf("a JSON line: error %v does not name the missing QWTR header", err)
 	}
 	// A bad destination must fail validation on decode.
 	bad := &Trace{N: 4,
@@ -259,13 +251,14 @@ func TestReplayerRejectsWrongTopologyAndSet(t *testing.T) {
 	}
 }
 
-// The hostile trace headers: each claims 2^20 nodes and carries none of
-// them.
 var (
-	// The binary magic, a uvarint node count of 2^20, a zero topology
-	// fingerprint, message length and set-word count: 18 bytes.
+	// hostileBinaryTrace claims 2^20 nodes and carries none of them: the
+	// binary magic, a uvarint node count of 2^20, a zero topology
+	// fingerprint, message length and set-word count, 18 bytes.
 	hostileBinaryTrace = []byte("QWTR\x01\x80\x80\x40\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")
-	hostileJSONLTrace  = []byte(`{"format":"quarc-trace","nodes":1048576}` + "\n")
+	// jsonTraceLine is a JSON line shaped like a trace header. It is not
+	// a trace: the binary format is the only one.
+	jsonTraceLine = []byte(`{"format":"quarc-trace","nodes":4}` + "\n")
 )
 
 // allocatedBy reports the bytes f allocates.
@@ -277,41 +270,37 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestReadTraceAllocatesByInput pins the decoders against headers that
-// claim more than the input holds: neither encoding sizes anything from
-// a node count past maxTraceNodes, and both refuse it.
+// TestReadTraceAllocatesByInput pins the decoder against a header that
+// claims more than the input holds: it sizes nothing from a node count
+// past maxTraceNodes, and refuses it.
 func TestReadTraceAllocatesByInput(t *testing.T) {
-	for name, data := range map[string][]byte{"binary": hostileBinaryTrace, "jsonl": hostileJSONLTrace} {
-		var err error
-		if got := allocatedBy(func() { _, err = ReadTrace(bytes.NewReader(data)) }); got >= 1<<20 {
-			t.Errorf("%s: a %d-byte header allocated %d bytes, want < 1 MiB", name, len(data), got)
-		}
-		if err == nil {
-			t.Errorf("%s: a trace of 2^20 nodes accepted", name)
-		}
+	var err error
+	if got := allocatedBy(func() { _, err = ReadTrace(bytes.NewReader(hostileBinaryTrace)) }); got >= 1<<20 {
+		t.Errorf("a %d-byte header allocated %d bytes, want < 1 MiB", len(hostileBinaryTrace), got)
+	}
+	if err == nil {
+		t.Error("a trace of 2^20 nodes accepted")
 	}
 }
 
 // FuzzReadTrace drives ReadTrace with arbitrary bytes: it must never
 // panic, must allocate within a fixed multiple of its input plus a
-// constant, and whatever it accepts must read back to the same trace
-// from either encoding (compared through the bit-exact binary form).
+// constant, and whatever it accepts must re-encode to bytes that read
+// back to the same trace.
 func FuzzReadTrace(f *testing.F) {
 	f.Add(hostileBinaryTrace)
-	f.Add(hostileJSONLTrace)
+	f.Add(jsonTraceLine)
 	f.Add([]byte("QOB1\x00\x00\x10\x00\x00\x00\x00\x00"))
 	set, err := quarcRouter(f, 16).LocalizedSet(topology.PortL, 3)
 	if err != nil {
 		f.Fatal(err)
 	}
-	recorded := driveRecorder(f, Spec{Rate: 0.01, MulticastFrac: 0.3, Set: set}, 20)
-	for _, write := range []func(*Trace, io.Writer) error{(*Trace).WriteBinary, (*Trace).WriteJSONL} {
-		var buf bytes.Buffer
-		if err := write(recorded, &buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	var recorded bytes.Buffer
+	if err := driveRecorder(f, Spec{Rate: 0.01, MulticastFrac: 0.3, Set: set}, 20).WriteBinary(&recorded); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(recorded.Bytes())
+	f.Add(recorded.Bytes()[:recorded.Len()/2]) // a torn tail
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tr *Trace
 		var err error
@@ -323,24 +312,18 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		var bin bytes.Buffer
 		if err := tr.WriteBinary(&bin); err != nil {
+			t.Fatalf("an accepted trace does not re-encode: %v", err)
+		}
+		back, err := ReadTrace(bytes.NewReader(bin.Bytes()))
+		if err != nil {
+			t.Fatalf("a re-encoded trace does not read back: %v", err)
+		}
+		var again bytes.Buffer
+		if err := back.WriteBinary(&again); err != nil {
 			t.Fatal(err)
 		}
-		for _, write := range []func(*Trace, io.Writer) error{(*Trace).WriteBinary, (*Trace).WriteJSONL} {
-			var buf bytes.Buffer
-			if err := write(tr, &buf); err != nil {
-				t.Fatalf("an accepted trace does not re-encode: %v", err)
-			}
-			back, err := ReadTrace(&buf)
-			if err != nil {
-				t.Fatalf("a re-encoded trace does not read back: %v", err)
-			}
-			var again bytes.Buffer
-			if err := back.WriteBinary(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again.Bytes(), bin.Bytes()) {
-				t.Fatal("a re-encoded trace reads back to a different trace")
-			}
+		if !bytes.Equal(again.Bytes(), bin.Bytes()) {
+			t.Fatal("a re-encoded trace reads back to a different trace")
 		}
 	})
 }

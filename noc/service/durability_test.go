@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"quarc/internal/faultinject"
 	"quarc/noc"
 	"quarc/noc/service/store"
 )
@@ -127,13 +126,12 @@ func TestStoreCorruptRecompute(t *testing.T) {
 }
 
 // TestStorePutFailureDegradesGracefully pins best-effort persistence:
-// an injected write failure is counted, but the response still
-// succeeds with the computed result.
+// a write failure (the store directory removed after Open) is counted,
+// but the response still succeeds with the computed result.
 func TestStorePutFailureDegradesGracefully(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultinject.New(1, faultinject.Rule{Point: "store.put", Kind: faultinject.KindError, First: 1})
-	st, err := store.Open(store.Config{Dir: dir, Inject: inj})
-	if err != nil {
+	st := openStore(t, dir)
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
 	e := New(Config{Workers: 1, Store: st})

@@ -202,13 +202,10 @@ func newEntry(fp uint64, res noc.Result) (*entry, error) {
 }
 
 // encodeResult is the one Result encoder of the serving stack: the
-// response document of /v1/evaluate and /v1/trace, newline-terminated,
-// HTML characters unescaped.
+// response document of /v1/evaluate and /v1/trace, newline-terminated.
 func encodeResult(res noc.Result) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(res); err != nil {
+	if err := json.NewEncoder(&buf).Encode(res); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrUnencodable, err)
 	}
 	return buf.Bytes(), nil

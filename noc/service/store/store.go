@@ -12,9 +12,16 @@
 //     scan re-validate both, and anything that fails — torn writes,
 //     flipped bytes, foreign or truncated files — is moved to the
 //     quarantine/ subdirectory, never served, and recomputed upstream;
+//   - a read that fails before there are bytes to check (EISDIR,
+//     EMFILE) is a miss that quarantines nothing, since it says nothing
+//     about the file;
 //   - file names are the FNV-1a fingerprint of the key with collision
 //     probing, and the embedded key is authoritative, so two specs can
 //     never alias one entry.
+//
+// The tests make each of these faults on real files (a torn or flipped
+// entry, a directory where an entry should be), so the store has no
+// fault seam of its own.
 //
 // The store is safe for concurrent use. It deliberately holds no
 // package-level state; every mutable structure hangs off one *Store.
@@ -33,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"quarc/internal/faultinject"
 	"quarc/noc"
 )
 
@@ -46,26 +52,16 @@ const (
 	quarantineDir = "quarantine"
 )
 
-// Injection-point names for the faultinject seams.
-const (
-	pointGet = "store.get"
-	pointPut = "store.put"
-)
-
 // Config configures Open.
 type Config struct {
 	// Dir is the store directory; created if missing.
 	Dir string
-	// Inject, when non-nil, arms the deterministic fault injector on
-	// the read ("store.get") and write ("store.put") seams. Tests only.
-	Inject *faultinject.Injector
 }
 
 // Store is one open result store. All methods are safe for concurrent
 // use.
 type Store struct {
 	dir string
-	inj *faultinject.Injector
 
 	mu    sync.Mutex
 	index map[string]string // key -> entry file name
@@ -88,7 +84,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		dir:   cfg.Dir,
-		inj:   cfg.Inject,
 		index: make(map[string]string),
 		names: make(map[string]string),
 	}
@@ -162,11 +157,6 @@ func (s *Store) Get(key string) (noc.Result, bool) {
 	if !ok {
 		return noc.Result{}, false
 	}
-	if err := s.inj.Err(pointGet); err != nil {
-		// A transient read failure (injected here, an I/O error in
-		// life): the file may be fine, so miss without quarantining.
-		return noc.Result{}, false
-	}
 	gotKey, val, err := s.readEntry(name)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
 		// The read failed (EMFILE under load, say): that says nothing
@@ -196,12 +186,6 @@ func (s *Store) Put(key string, res noc.Result) error {
 		return fmt.Errorf("store: encoding result: %w", err)
 	}
 	data := encodeEntry(key, val)
-	// The injector models torn writes and on-media corruption: the
-	// damaged bytes go through the same atomic write path, and only the
-	// checksum stands between them and a future Get.
-	if data, err = s.inj.Mangle(pointPut, data); err != nil {
-		return fmt.Errorf("store: writing entry: %w", err)
-	}
 	name := s.fileFor(key)
 	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {

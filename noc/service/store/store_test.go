@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"quarc/internal/faultinject"
 	"quarc/noc"
 )
 
@@ -294,23 +293,33 @@ func TestCollisionProbing(t *testing.T) {
 	}
 }
 
-// TestInjectedWriteFaults drives the store.put seam: a clean injected
-// error fails Put; torn and corrupted writes succeed but the damaged
-// entry is quarantined at next read instead of served.
+// TestInjectedWriteFaults makes the store's fault paths happen on the
+// real filesystem. A torn or corrupted entry (the bytes a crash or a
+// bad disk leaves behind an atomic rename) is quarantined on the next
+// read instead of served. A publish that fails returns an error and
+// indexes nothing. A read that fails misses without quarantining or
+// forgetting the entry, which is served again once the file is back.
 func TestInjectedWriteFaults(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		kind faultinject.Kind
+		name   string
+		damage func([]byte) []byte
 	}{
-		{"short-write", faultinject.KindShortWrite},
-		{"corrupt", faultinject.KindCorrupt},
+		{"short-write", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"corrupt", func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			inj := faultinject.New(1, faultinject.Rule{Point: "store.put", Kind: tc.kind, First: 1})
-			s := open(t, Config{Dir: dir, Inject: inj})
+			s := open(t, Config{Dir: dir})
 			if err := s.Put("key", testResult()); err != nil {
-				t.Fatalf("damaged Put failed cleanly: %v", err)
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, entryFiles(t, dir)[0])
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
 			}
 			if _, ok := s.Get("key"); ok {
 				t.Fatal("damaged entry was served")
@@ -318,45 +327,65 @@ func TestInjectedWriteFaults(t *testing.T) {
 			if s.Quarantined() != 1 {
 				t.Errorf("quarantined = %d, want 1", s.Quarantined())
 			}
-			// The write path has healed (First: 1); the key is servable
-			// again.
+			// A fresh Put replaces the quarantined entry.
 			if err := s.Put("key", testResult()); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := s.Get("key"); !ok {
-				t.Error("healed Put not served")
+				t.Error("rewritten entry not served")
 			}
 		})
 	}
 
 	t.Run("error", func(t *testing.T) {
 		dir := t.TempDir()
-		inj := faultinject.New(1, faultinject.Rule{Point: "store.put", Kind: faultinject.KindError, First: 1})
-		s := open(t, Config{Dir: dir, Inject: inj})
-		if err := s.Put("key", testResult()); err == nil {
-			t.Fatal("injected write error did not surface")
+		s := open(t, Config{Dir: dir})
+		// A directory at the entry's name makes the rename fail.
+		if err := os.Mkdir(filepath.Join(dir, s.fileFor("key")), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if len(entryFiles(t, dir)) != 0 {
-			t.Error("failed Put left a visible entry")
+		if err := s.Put("key", testResult()); err == nil {
+			t.Fatal("a failed publish did not surface")
+		}
+		if s.Len() != 0 || len(entryFiles(t, dir)) != 0 {
+			t.Errorf("failed Put left Len=%d and entries %v", s.Len(), entryFiles(t, dir))
+		}
+		if _, ok := s.Get("key"); ok {
+			t.Error("a failed Put was served")
 		}
 	})
 
 	t.Run("get-error", func(t *testing.T) {
 		dir := t.TempDir()
-		inj := faultinject.New(1, faultinject.Rule{Point: "store.get", Kind: faultinject.KindError, First: 1})
-		s := open(t, Config{Dir: dir, Inject: inj})
+		s := open(t, Config{Dir: dir})
 		if err := s.Put("key", testResult()); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Get("key"); ok {
-			t.Fatal("injected read error did not miss")
+		path := filepath.Join(dir, entryFiles(t, dir)[0])
+		aside := filepath.Join(dir, "aside")
+		if err := os.Rename(path, aside); err != nil {
+			t.Fatal(err)
 		}
-		// A transient read failure must not quarantine a healthy file.
-		if s.Quarantined() != 0 {
-			t.Errorf("quarantined = %d, want 0", s.Quarantined())
+		// A directory in the entry's place: the read fails with EISDIR.
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get("key"); ok {
+			t.Fatal("a failed read was served")
+		}
+		// A read failure must neither quarantine nor forget a file that
+		// may be healthy.
+		if s.Quarantined() != 0 || s.Len() != 1 {
+			t.Errorf("quarantined=%d len=%d, want 0, 1", s.Quarantined(), s.Len())
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(aside, path); err != nil {
+			t.Fatal(err)
 		}
 		if _, ok := s.Get("key"); !ok {
-			t.Error("entry lost after transient read failure")
+			t.Error("entry lost after a failed read")
 		}
 	})
 }

@@ -11,11 +11,11 @@ import (
 // message the workload emitted during one simulator run. Capture one by
 // evaluating a scenario with Record, feed it back with Replay — the
 // replayed run is bitwise-identical to the recorded one on the same
-// scenario — and persist it with WriteBinary or WriteJSONL. Traces make
-// any live workload, including the stochastic arrival processes, a
-// reproducible artifact that can be shared, diffed and replayed against
-// design variants (e.g. the same trace under FIFO vs multicast-priority
-// arbitration).
+// scenario — and persist it with WriteBinary and ReadTraceWorkload, in
+// the one binary trace format. Traces make any live workload, including
+// the stochastic arrival processes, a reproducible artifact that can be
+// shared, diffed and replayed against design variants (e.g. the same
+// trace under FIFO vs multicast-priority arbitration).
 type TraceWorkload struct {
 	tr *traffic.Trace
 }
@@ -48,17 +48,8 @@ func (t *TraceWorkload) WriteBinary(w io.Writer) error {
 	return t.tr.WriteBinary(w)
 }
 
-// WriteJSONL writes the trace as line-delimited JSON (one record per
-// line; floats round-trip exactly, so JSONL traces replay bitwise too).
-func (t *TraceWorkload) WriteJSONL(w io.Writer) error {
-	if t.Empty() {
-		return fmt.Errorf("noc: writing an empty trace")
-	}
-	return t.tr.WriteJSONL(w)
-}
-
-// ReadTraceWorkload reads a trace in either encoding (the binary magic is
-// sniffed; anything else is parsed as JSONL).
+// ReadTraceWorkload reads a trace in the binary format WriteBinary
+// writes; any other input is an error.
 func ReadTraceWorkload(r io.Reader) (*TraceWorkload, error) {
 	tr, err := traffic.ReadTrace(r)
 	if err != nil {

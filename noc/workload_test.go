@@ -125,7 +125,7 @@ func resultsEqual(a, b Result) bool {
 // TestRecordReplayRoundTrip pins the trace subsystem end to end: a run
 // recorded under a bursty arrival process and a permutation pattern
 // replays to the exact same Result, directly and after a round trip
-// through both serialization formats.
+// through the binary trace format.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	base, err := Spec{
 		Topology: "quarc", N: 16, MsgLen: 16, Rate: 0.003, Alpha: 0.1,
@@ -164,32 +164,24 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatalf("direct replay diverged:\noriginal %+v\nreplayed %+v", orig, again)
 	}
 
-	for _, format := range []string{"binary", "jsonl"} {
-		var buf bytes.Buffer
-		var err error
-		if format == "binary" {
-			err = trace.WriteBinary(&buf)
-		} else {
-			err = trace.WriteJSONL(&buf)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadTraceWorkload(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		rs, err := base.With(Replay(loaded))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Simulator{}.Evaluate(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(orig, res) {
-			t.Fatalf("%s round-trip replay diverged:\noriginal %+v\nreplayed %+v", format, orig, res)
-		}
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadTraceWorkload(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := base.With(Replay(loaded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Simulator{}.Evaluate(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(orig, res) {
+		t.Fatalf("round-trip replay diverged:\noriginal %+v\nreplayed %+v", orig, res)
 	}
 }
 

@@ -302,8 +302,8 @@ func NewModel(in Input) (*Model, error) {
 	}
 
 	// Unicast flows: per-pair probabilities from the spec (uniform in the
-	// paper's setup; skewed under hotspot, permutation or weight-matrix
-	// traffic), one O(n) row per source. At α = 1 they carry nothing, but
+	// paper's setup; skewed under permutation or weight-matrix traffic,
+	// hotspots included), one O(n) row per source. At α = 1 they carry nothing, but
 	// Eq. 7 still averages over their routes.
 	probs := make([]float64, n)
 	for src := 0; src < n; src++ {

@@ -64,10 +64,33 @@ func batterySpatial(n int) map[string]traffic.Spec {
 	}
 	return map[string]traffic.Spec{
 		"uniform":     {},
-		"hotspot":     {HotspotFrac: 0.3, HotspotNode: 5},
+		"hotspot":     {Weights: hotspotWeights(n, 5, 0.3)},
 		"permutation": {Perm: perm},
 		"weights":     {Weights: w},
 	}
+}
+
+// hotspotWeights is the weight matrix of noc's "hotspot" spatial pattern
+// with one node: every other source sends frac of its unicasts to node
+// and spreads the rest uniformly, and node itself sends uniformly.
+func hotspotWeights(n, node int, frac float64) [][]float64 {
+	w := make([][]float64, n)
+	for src := range w {
+		w[src] = make([]float64, n)
+		uniform := (1 - frac) / float64(n-1)
+		if src == node {
+			uniform = 1 / float64(n-1)
+		}
+		for dst := range w[src] {
+			if dst != src {
+				w[src][dst] = uniform
+			}
+		}
+		if src != node {
+			w[src][node] += frac
+		}
+	}
+	return w
 }
 
 func samePrediction(a, b Prediction) bool {

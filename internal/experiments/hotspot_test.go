@@ -24,7 +24,7 @@ func TestHotspotModelTracksSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := routing.NewQuarcRouter(q)
-	spec := traffic.Spec{Rate: 0.003, HotspotFrac: 0.3, HotspotNode: 5}
+	spec := traffic.Spec{Rate: 0.003, Weights: hotspotWeights(16, 5, 0.3)}
 
 	pred, err := core.Predict(core.Input{Router: rt, Spec: spec, MsgLen: 24})
 	if err != nil {
@@ -96,7 +96,7 @@ func TestHotspotLowersSaturation(t *testing.T) {
 	}
 	m, err := core.NewModel(core.Input{
 		Router: rt,
-		Spec:   traffic.Spec{HotspotFrac: 0.4, HotspotNode: 0},
+		Spec:   traffic.Spec{Weights: hotspotWeights(16, 0, 0.4)},
 		MsgLen: 32,
 	})
 	if err != nil {
@@ -111,4 +111,27 @@ func TestHotspotLowersSaturation(t *testing.T) {
 	if !(hotspot < uniform && hotspot > uniform/8) {
 		t.Errorf("hotspot saturation rate %v, want within (%v, %v)", hotspot, uniform/8, uniform)
 	}
+}
+
+// hotspotWeights is the weight matrix of noc's "hotspot" spatial pattern
+// with one node: every other source sends frac of its unicasts to node
+// and spreads the rest uniformly, and node itself sends uniformly.
+func hotspotWeights(n, node int, frac float64) [][]float64 {
+	w := make([][]float64, n)
+	for src := range w {
+		w[src] = make([]float64, n)
+		uniform := (1 - frac) / float64(n-1)
+		if src == node {
+			uniform = 1 / float64(n-1)
+		}
+		for dst := range w[src] {
+			if dst != src {
+				w[src][dst] = uniform
+			}
+		}
+		if src != node {
+			w[src][node] += frac
+		}
+	}
+	return w
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // The arrival-process table decouples *when* a node injects from
-// *where* its messages go (the spatial side: uniform, hotspot, permutation
-// or weighted destinations — see Spec). Each process is a stateless
+// *where* its messages go (the spatial side: uniform, permutation or
+// weighted destinations, hotspots included — see Spec). Each process is a stateless
 // singleton that reads its parameters from the Spec on every draw and
 // keeps per-node mutable state in a caller-owned ArrivalState, so one
 // table value serves every node of every workload, Workload.Reset

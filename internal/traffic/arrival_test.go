@@ -361,8 +361,6 @@ func TestDestValidation(t *testing.T) {
 		{"empty row", Spec{Rate: 0.01, Weights: emptyRowW}, false},
 		{"ragged row", Spec{Rate: 0.01, Weights: raggedW}, false},
 		{"perm+weights", Spec{Rate: 0.01, Perm: goodPerm, Weights: uniformW()}, false},
-		{"perm+hotspot", Spec{Rate: 0.01, Perm: goodPerm, HotspotFrac: 0.5, HotspotNode: 3}, false},
-		{"weights+hotspot", Spec{Rate: 0.01, Weights: uniformW(), HotspotFrac: 0.5, HotspotNode: 3}, false},
 	}
 	for _, c := range cases {
 		_, err := NewWorkload(rt, c.spec, 1)
@@ -402,15 +400,30 @@ func (s Spec) UnicastProb(n int, src, dst topology.NodeID) float64 {
 		}
 		return row[dst] / sum
 	}
-	uniform := 1.0 / float64(n-1)
-	if s.HotspotFrac == 0 || src == s.HotspotNode {
-		return uniform
+	return 1.0 / float64(n-1)
+}
+
+// hotspotWeights is the weight matrix of noc's "hotspot" spatial pattern
+// with one node: every other source sends frac of its unicasts to node
+// and spreads the rest uniformly, and node itself sends uniformly.
+func hotspotWeights(n, node int, frac float64) [][]float64 {
+	w := make([][]float64, n)
+	for src := range w {
+		w[src] = make([]float64, n)
+		uniform := (1 - frac) / float64(n-1)
+		if src == node {
+			uniform = 1 / float64(n-1)
+		}
+		for dst := range w[src] {
+			if dst != src {
+				w[src][dst] = uniform
+			}
+		}
+		if src != node {
+			w[src][node] += frac
+		}
 	}
-	p := (1 - s.HotspotFrac) * uniform
-	if dst == s.HotspotNode {
-		p += s.HotspotFrac
-	}
-	return p
+	return w
 }
 
 // TestUnicastProbMatchesSelectors pins the model/simulator agreement:
@@ -474,7 +487,7 @@ func TestUnicastProbRowMatchesPerPair(t *testing.T) {
 	}
 	specs := map[string]Spec{
 		"uniform": {Rate: 0.01},
-		"hotspot": {Rate: 0.01, HotspotFrac: 0.3, HotspotNode: 5},
+		"hotspot": {Rate: 0.01, Weights: hotspotWeights(n, 5, 0.3)},
 		"perm":    {Rate: 0.01, Perm: perm},
 		"weights": {Rate: 0.01, Weights: weights},
 	}

@@ -27,13 +27,6 @@ type Spec struct {
 	MulticastFrac float64
 	// Set is the relative multicast destination set shared by all nodes.
 	Set routing.MulticastSet
-	// HotspotFrac skews unicast destinations: with this probability a
-	// unicast goes to HotspotNode instead of a uniform destination (the
-	// classic hotspot traffic pattern; 0 keeps the paper's uniform
-	// assumption). Sources equal to the hotspot fall back to uniform.
-	HotspotFrac float64
-	// HotspotNode is the hotspot destination.
-	HotspotNode topology.NodeID
 
 	// Arrival names the arrival process that paces injection (see
 	// Arrivals); empty selects "poisson", the paper's assumption.
@@ -51,13 +44,13 @@ type Spec struct {
 	// — transpose, bit-reversal, tornado, ...). A self-map silences the
 	// node entirely (it generates no traffic, unicast or multicast), the
 	// standard convention for permutation workloads. Mutually exclusive
-	// with Weights and HotspotFrac.
+	// with Weights.
 	Perm []topology.NodeID
 	// Weights, when non-nil, skews unicast destinations per source:
 	// Weights[src][dst] is the relative probability that a unicast from
 	// src targets dst (rows are normalized internally; the diagonal is
-	// ignored). This is the general weight-matrix form of hotspot
-	// traffic. Mutually exclusive with Perm and HotspotFrac.
+	// ignored). Hotspot traffic takes this form. Mutually exclusive
+	// with Perm.
 	Weights [][]float64
 }
 
@@ -82,9 +75,6 @@ func (s Spec) Validate() error {
 	if s.MulticastFrac > 0 && s.Set.Empty() {
 		return fmt.Errorf("traffic: multicast fraction %v with empty destination set", s.MulticastFrac)
 	}
-	if s.HotspotFrac < 0 || s.HotspotFrac > 1 || math.IsNaN(s.HotspotFrac) {
-		return fmt.Errorf("traffic: invalid hotspot fraction %v", s.HotspotFrac)
-	}
 	proc, err := lookupArrival(s.Arrival)
 	if err != nil {
 		return err
@@ -92,31 +82,18 @@ func (s Spec) Validate() error {
 	if err := proc.ValidateSpec(s); err != nil {
 		return err
 	}
-	exclusive := 0
-	if s.Perm != nil {
-		exclusive++
-	}
-	if s.Weights != nil {
-		exclusive++
-	}
-	if s.HotspotFrac > 0 {
-		exclusive++
-	}
-	if exclusive > 1 {
-		return fmt.Errorf("traffic: permutation, weight-matrix and hotspot destinations are mutually exclusive")
+	if s.Perm != nil && s.Weights != nil {
+		return fmt.Errorf("traffic: permutation and weight-matrix destinations are mutually exclusive")
 	}
 	return nil
 }
 
 // ValidateFor runs Validate plus the checks that need the network size:
-// hotspot/permutation destinations must name real nodes and weight rows
-// must be well-formed. NewWorkload and Reset run it, so a workload is
-// always internally consistent with its network.
+// permutation destinations must name real nodes (an out-of-range one
+// would alias another source's route) and weight rows must be
+// well-formed. NewWorkload and Reset run it.
 func (s Spec) ValidateFor(n int) error {
 	if err := s.Validate(); err != nil {
-		return err
-	}
-	if err := checkHotspot(s, n); err != nil {
 		return err
 	}
 	if s.Perm != nil {
@@ -170,9 +147,7 @@ func (s Spec) Silent(src topology.NodeID) bool {
 // these probabilities, so model and simulator describe the same traffic.
 // Every entry is bitwise-identical to the tests' per-pair UnicastProb.
 func (s Spec) UnicastProbRow(n int, src topology.NodeID, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	if s.Perm != nil {
 		if d := s.Perm[src]; d != src {
 			out[d] = 1
@@ -198,19 +173,10 @@ func (s Spec) UnicastProbRow(n int, src topology.NodeID, out []float64) {
 		return
 	}
 	uniform := 1.0 / float64(n-1)
-	for dst := 0; dst < n; dst++ {
-		if topology.NodeID(dst) == src {
-			continue
-		}
-		if s.HotspotFrac == 0 || src == s.HotspotNode {
+	for dst := range out {
+		if topology.NodeID(dst) != src {
 			out[dst] = uniform
-			continue
 		}
-		p := float64((1 - s.HotspotFrac) * uniform)
-		if topology.NodeID(dst) == s.HotspotNode {
-			p += s.HotspotFrac
-		}
-		out[dst] = p
 	}
 }
 
@@ -375,17 +341,6 @@ func (w *Workload) buildCDF(weights [][]float64) {
 // ResetOn: a 256-node matrix, 512 KiB.
 const maxRetainedCDF = 1 << 16
 
-// checkHotspot rejects a hotspot destination outside the network: the
-// route table is indexed src*n+dst, so an out-of-range node would
-// silently alias another source's route; fail fast at construction
-// instead.
-func checkHotspot(spec Spec, n int) error {
-	if spec.HotspotFrac > 0 && (spec.HotspotNode < 0 || int(spec.HotspotNode) >= n) {
-		return fmt.Errorf("traffic: hotspot node %d outside the %d-node network", spec.HotspotNode, n)
-	}
-	return nil
-}
-
 // Interarrival draws the gap until node's next message from the spec's
 // arrival process (exponential under the default "poisson").
 //
@@ -399,8 +354,8 @@ func (w *Workload) Interarrival(node topology.NodeID) float64 {
 
 // Next draws the next message generated at node: a multicast with
 // probability α, otherwise a unicast whose destination comes from the
-// spec's spatial pattern (uniform by default; fixed under a permutation;
-// weighted under a weight matrix; hotspot-skewed under HotspotFrac).
+// spec's spatial pattern: one draw, uniform or under a weight matrix (the
+// form hotspot traffic takes), or none under a permutation.
 //
 //quarc:hotpath
 func (w *Workload) Next(node topology.NodeID) ([]routing.Branch, bool) {
@@ -414,12 +369,7 @@ func (w *Workload) Next(node topology.NodeID) ([]routing.Branch, bool) {
 	if len(w.cdf) > 0 {
 		return w.routes.Unicast(node, w.weightedDest(rng, node)), false
 	}
-	dst := w.uniformDest(rng, node)
-	if w.spec.HotspotFrac > 0 && node != w.spec.HotspotNode &&
-		rng.Float64() < w.spec.HotspotFrac {
-		dst = w.spec.HotspotNode
-	}
-	return w.routes.Unicast(node, dst), false
+	return w.routes.Unicast(node, w.uniformDest(rng, node)), false
 }
 
 //quarc:hotpath

@@ -318,6 +318,8 @@ func TestWorkloadResetOnMatchesFresh(t *testing.T) {
 	for i := range shift {
 		shift[i] = topology.NodeID((i + 3) % 8)
 	}
+	outside := slices.Clone(shift)
+	outside[2] = 20
 	steps := []struct {
 		name string
 		rt   routing.Router
@@ -325,7 +327,7 @@ func TestWorkloadResetOnMatchesFresh(t *testing.T) {
 	}{
 		{"quarc-16 poisson", q16, Spec{Rate: 0.004, MulticastFrac: 0.1, Set: set16}},
 		{"mesh-4x4 weighted bernoulli", mesh, Spec{Rate: 0.004, Weights: weights(16), Arrival: "bernoulli"}},
-		{"quarc-32 hotspot onoff", q32, Spec{Rate: 0.003, HotspotFrac: 0.3, HotspotNode: 31, Arrival: "onoff", BurstLen: 4, DutyCycle: 0.5}},
+		{"quarc-32 hotspot onoff", q32, Spec{Rate: 0.003, Weights: hotspotWeights(32, 31, 0.3), Arrival: "onoff", BurstLen: 4, DutyCycle: 0.5}},
 		{"quarc-8 permutation periodic", q8, Spec{Rate: 0.01, Perm: shift, Arrival: "periodic"}},
 		{"hypercube-8 weighted", cube, Spec{Rate: 0.002, Weights: weights(8)}},
 		{"quarc-16 broadcast", q16, Spec{Rate: 0.004, MulticastFrac: 0.2, Set: q16.BroadcastSet()}},
@@ -347,8 +349,8 @@ func TestWorkloadResetOnMatchesFresh(t *testing.T) {
 		}
 		sameDraws(t, st.name, reused, fresh, 50)
 		// A spec this router rejects fails without touching the workload.
-		if err := reused.ResetOn(q8, Spec{Rate: 0.001, HotspotFrac: 0.5, HotspotNode: 20}, 1); err == nil {
-			t.Fatalf("%s: ResetOn accepted hotspot node 20 on an 8-node network", st.name)
+		if err := reused.ResetOn(q8, Spec{Rate: 0.001, Perm: outside}, 1); err == nil {
+			t.Fatalf("%s: ResetOn accepted a permutation to node 20 on an 8-node network", st.name)
 		}
 		sameDraws(t, st.name+" after a failed ResetOn", reused, fresh, 50)
 	}
@@ -386,23 +388,32 @@ func TestWorkloadResetRebuildsStaleBranchCache(t *testing.T) {
 	}
 }
 
-// TestWorkloadRejectsOutOfRangeHotspot pins the fail-fast behavior the
-// unicast route cache must preserve: an out-of-range hotspot destination
-// is a construction error, never a silently aliased route.
-func TestWorkloadRejectsOutOfRangeHotspot(t *testing.T) {
+// TestWorkloadRejectsOutOfRangePerm pins the fail-fast behavior the
+// unicast route cache must preserve: a permutation destination outside
+// the network is an error on every construction path, never a silently
+// aliased route.
+func TestWorkloadRejectsOutOfRangePerm(t *testing.T) {
 	rt := quarcRouter(t, 16)
-	bad := Spec{Rate: 0.001, HotspotFrac: 0.5, HotspotNode: 20}
-	if _, err := NewWorkload(rt, bad, 1); err == nil {
-		t.Fatal("NewWorkload accepted hotspot node 20 on a 16-node network")
+	perm := make([]topology.NodeID, 16)
+	for i := range perm {
+		perm[i] = topology.NodeID(15 - i)
+	}
+	bad := slices.Clone(perm)
+	bad[4] = 20
+	if _, err := NewWorkload(rt, Spec{Rate: 0.001, Perm: bad}, 1); err == nil {
+		t.Fatal("NewWorkload accepted a permutation to node 20 on a 16-node network")
 	}
 	ok, err := NewWorkload(rt, Spec{Rate: 0.001}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ok.Reset(bad, 2); err == nil {
-		t.Fatal("Reset accepted hotspot node 20 on a 16-node network")
+	if err := ok.Reset(Spec{Rate: 0.001, Perm: bad}, 2); err == nil {
+		t.Fatal("Reset accepted a permutation to node 20 on a 16-node network")
 	}
-	if err := ok.Reset(Spec{Rate: 0.001, HotspotFrac: 0.5, HotspotNode: 15}, 2); err != nil {
-		t.Fatalf("Reset rejected a valid hotspot: %v", err)
+	if err := ok.ResetOn(rt, Spec{Rate: 0.001, Perm: bad}, 2); err == nil {
+		t.Fatal("ResetOn accepted a permutation to node 20 on a 16-node network")
+	}
+	if err := ok.Reset(Spec{Rate: 0.001, Perm: perm}, 2); err != nil {
+		t.Fatalf("Reset rejected a valid permutation: %v", err)
 	}
 }

@@ -77,6 +77,7 @@ var specFuzzSeeds = []string{
 	`{"arrival":"bursty"}`,
 	`{"spatial":"swirl","spatial_frac":-3}`,
 	`{"unknown_field":1}`,
+	`{"hotspot_frac":0.3,"hotspot_node":5}`,
 	`{"n":16} trailing`,
 	`{"wait":"magic","service":"wizard","evaluator":"oracle"}`,
 	`{"replications":-1,"parallelism":-1}`,

@@ -305,8 +305,6 @@ func (s *Scenario) trafficSpec() traffic.Spec {
 		Rate:          s.cfg.Rate,
 		MulticastFrac: s.cfg.Alpha,
 		Set:           s.set,
-		HotspotFrac:   s.cfg.HotspotFrac,
-		HotspotNode:   topology.NodeID(s.cfg.HotspotNode),
 		Arrival:       s.cfg.Arrival,
 		BurstLen:      s.cfg.BurstLen,
 		DutyCycle:     s.cfg.DutyCycle,

@@ -328,6 +328,7 @@ func TestHTTPErrors(t *testing.T) {
 		`{"record":"a","replay":"b"}`,
 		`{"record":"server-side-file"}`,
 		`{"n":16} {"n":8}`,
+		`{"hotspot_frac":0.3,"hotspot_node":5}`, // retired: "spatial":"hotspot" states a hotspot
 	}
 	for _, body := range badBodies {
 		resp, out := post(body)

@@ -50,14 +50,10 @@ type Spec struct {
 	Low       []int  `json:"low,omitempty"`
 
 	// Workload: message length in flits (at least 2), per-node message
-	// generation rate (messages/cycle) and multicast fraction. With
-	// probability HotspotFrac a unicast goes to HotspotNode instead of
-	// its spatial destination.
-	MsgLen      int     `json:"msglen,omitempty"`
-	Rate        float64 `json:"rate,omitempty"`
-	Alpha       float64 `json:"alpha,omitempty"`
-	HotspotFrac float64 `json:"hotspot_frac,omitempty"`
-	HotspotNode int     `json:"hotspot_node,omitempty"`
+	// generation rate (messages/cycle) and multicast fraction.
+	MsgLen int     `json:"msglen,omitempty"`
+	Rate   float64 `json:"rate,omitempty"`
+	Alpha  float64 `json:"alpha,omitempty"`
 
 	// Arrival process: "poisson" (the default), "bernoulli" (per-cycle
 	// coin flips), "periodic" (deterministic spacing, random per-node
@@ -209,12 +205,6 @@ func (sp *Spec) validate() error {
 	if !finite(sp.Alpha) || sp.Alpha < 0 || sp.Alpha > 1 {
 		return fail("alpha %v outside [0, 1]", sp.Alpha)
 	}
-	if !finite(sp.HotspotFrac) || sp.HotspotFrac < 0 || sp.HotspotFrac > 1 {
-		return fail("hotspot_frac %v outside [0, 1]", sp.HotspotFrac)
-	}
-	if sp.HotspotNode < 0 || sp.HotspotNode > maxSpecNodes {
-		return fail("hotspot_node %d outside [0, %d]", sp.HotspotNode, maxSpecNodes)
-	}
 	if !finite(sp.BurstLen) || sp.BurstLen < 0 || sp.BurstLen > 1e9 {
 		return fail("burst_len %v outside [0, 1e9]", sp.BurstLen)
 	}
@@ -365,9 +355,6 @@ func (sp *Spec) Canonicalize() {
 	}
 	if sp.MsgLen == 0 {
 		sp.MsgLen = 32
-	}
-	if sp.HotspotFrac == 0 {
-		sp.HotspotNode = 0
 	}
 	if sp.Arrival != "onoff" {
 		sp.BurstLen, sp.DutyCycle = 0, 0

@@ -429,6 +429,24 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
+// TestParseSpecRefusesRetiredHotspot: the classic hotspot_frac and
+// hotspot_node keys are refused with an error that names the one
+// spelling of a hotspot, alone or together, and case-folded.
+func TestParseSpecRefusesRetiredHotspot(t *testing.T) {
+	for _, doc := range []string{
+		`{"hotspot_frac":0.3,"hotspot_node":5}`,
+		`{"n":16,"hotspot_frac":0.3}`,
+		`{"hotspot_node":5}`,
+		`{"HOTSPOT_FRAC":0.3}`,
+		`{"hotspot_node"}`,
+	} {
+		_, err := ParseSpec([]byte(doc))
+		if !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), `"spatial":"hotspot"`) {
+			t.Errorf("%s: error %v, want ErrInvalidSpec naming \"spatial\":\"hotspot\"", doc, err)
+		}
+	}
+}
+
 // TestSpecScenarioRejectsUnknownNames ensures registry names are
 // resolved (and refused) at compile time with the option sentinels.
 func TestSpecScenarioRejectsUnknownNames(t *testing.T) {

@@ -26,7 +26,7 @@ import (
 var specKeys = [...]string{
 	"topology", "n", "w", "h", "dims", "router",
 	"pattern", "dests", "port", "set_seed", "set_stream", "high", "low",
-	"msglen", "rate", "alpha", "hotspot_frac", "hotspot_node",
+	"msglen", "rate", "alpha",
 	"arrival", "burst_len", "duty_cycle",
 	"spatial", "spatial_frac", "spatial_nodes", "spatial_weights",
 	"damping", "max_iter", "tol", "wait", "service",
@@ -154,7 +154,7 @@ func (d *specDecoder) members(sp *Spec) error {
 		d.space()
 		if !d.next(':') {
 			if foldKey(key) < 0 {
-				return d.fail(start, "unknown field")
+				return d.unknown(key, start)
 			}
 			return d.fail(d.off, "expected ':' after the key")
 		}
@@ -213,10 +213,6 @@ func (d *specDecoder) member(sp *Spec, key []byte, start int) error {
 		return d.real(&sp.Rate)
 	case "alpha":
 		return d.real(&sp.Alpha)
-	case "hotspot_frac":
-		return d.real(&sp.HotspotFrac)
-	case "hotspot_node":
-		return d.integer(&sp.HotspotNode)
 	case "arrival":
 		return d.text(&sp.Arrival)
 	case "burst_len":
@@ -278,6 +274,15 @@ func (d *specDecoder) member(sp *Spec, key []byte, start int) error {
 	}
 	if i := foldKey(key); i >= 0 {
 		return d.member(sp, []byte(specKeys[i]), start)
+	}
+	return d.unknown(key, start)
+}
+
+// unknown rejects key, which names no field. The retired hotspot keys
+// name their one spelling (DESIGN.md §12: refused, not rewritten).
+func (d *specDecoder) unknown(key []byte, start int) error {
+	if k := string(key); strings.EqualFold(k, "hotspot_frac") || strings.EqualFold(k, "hotspot_node") {
+		return d.fail(start, `retired field: state a hotspot as "spatial":"hotspot" with spatial_frac and spatial_nodes`)
 	}
 	return d.fail(start, "unknown field")
 }
@@ -646,8 +651,6 @@ func (sp *Spec) encode(b []byte, start int, key bool) ([]byte, error) {
 	integer(sp.MsgLen)
 	real(sp.Rate)
 	real(sp.Alpha)
-	real(sp.HotspotFrac)
-	integer(sp.HotspotNode)
 	text(sp.Arrival)
 	real(sp.BurstLen)
 	real(sp.DutyCycle)

@@ -300,7 +300,10 @@ func TestSaturationRateFollowsScenario(t *testing.T) {
 		edit(&forked)
 		return forked.ScenarioWith(uniform)
 	}
-	hot, err := fork(func(sp *Spec) { sp.HotspotFrac, sp.HotspotNode = 0.5, 3 })
+	// spatial is structural, so the hotspot scenario is compiled afresh.
+	hotSpec := sp
+	hotSpec.Spatial, hotSpec.SpatialFrac, hotSpec.SpatialNodes = "hotspot", 0.5, []int{3}
+	hot, err := hotSpec.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

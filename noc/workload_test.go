@@ -324,32 +324,6 @@ func TestSpatialBuilderErrors(t *testing.T) {
 	}
 }
 
-// TestHotspotDestsMatchesSingleHotspot pins the generalization: the
-// weight-matrix hotspot with one node describes the same distribution as
-// the classic single-hotspot knobs, so the analytical model produces
-// (numerically) the same prediction for both.
-func TestHotspotDestsMatchesSingleHotspot(t *testing.T) {
-	classic, err := Spec{N: 16, MsgLen: 16, Rate: 0.002, HotspotFrac: 0.3, HotspotNode: 5}.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix, err := Spec{N: 16, MsgLen: 16, Rate: 0.002, Spatial: "hotspot", SpatialFrac: 0.3, SpatialNodes: []int{5}}.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Model{}.Evaluate(classic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Model{}.Evaluate(matrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Unicast-b.Unicast) > 1e-9*math.Abs(a.Unicast) {
-		t.Errorf("model unicast: classic %v != matrix %v", a.Unicast, b.Unicast)
-	}
-}
-
 // TestModelRejectsNonPoisson: the M/G/1 model must refuse arrival
 // processes that break its Poisson assumption rather than silently
 // answering.

@@ -9,7 +9,8 @@
 // The flags fill a declarative Spec. The scenario can instead be loaded
 // from a Spec JSON document — the format the quarcd daemon serves — in
 // which case the scenario-shaping flags must stay unset; both resolve
-// through the same path. A spec that names the model
+// through the same path. -record and -replay name trace files, which are
+// not spec content, so they stay legal beside -spec. A spec that names the model
 // evaluator ("evaluator": "model") is answered by the analytical model,
 // as quarcd answers it:
 //
@@ -71,9 +72,9 @@ func main() {
 		// The spec document is the single source of truth; a scenario
 		// flag alongside it would silently lose to one of the two, so
 		// refuse the combination outright.
-		// -cpuprofile stays legal alongside -spec: it is process-local
-		// (a file on this machine), so it has no spec representation.
-		allowed := map[string]bool{"spec": true, "compare": true, "json": true, "cpuprofile": true}
+		// -cpuprofile, -record and -replay stay legal alongside -spec:
+		// each names a file on this machine, which is not spec content.
+		allowed := map[string]bool{"spec": true, "compare": true, "json": true, "cpuprofile": true, "record": true, "replay": true}
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			if !allowed[f.Name] {
@@ -99,7 +100,6 @@ func main() {
 			Seed: *seed, Warmup: *warmup, Measure: *measure,
 			Detail: *detail, MulticastPriority: *priority,
 			Arrival: *arrival, Spatial: *perm,
-			Record: *record, Replay: *replay,
 		}
 		if *arrival == "onoff" {
 			sp.BurstLen, sp.DutyCycle = *burst, *duty
@@ -124,28 +124,38 @@ func main() {
 			sp.Metrics, sp.MetricsBuckets = true, *metrics
 		}
 	}
-	if sp.Record != "" {
-		// Fail on an unwritable path before the simulation runs.
-		f, err := os.Create(sp.Record)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-	}
 	s, err := sp.Scenario()
 	if err != nil {
 		log.Fatal(err)
 	}
+	var opts []noc.Option
 	if *specPath == "" {
 		// The wire form reads a zero as "use the default"; these flags
 		// mean what they say, so -warmup 0 is a cold start, -seed 0 is
 		// seed 0, and -n 0, -msg 0 or -measure 0 is refused.
-		s, err = s.With(noc.Quarc(*n), noc.MsgLen(*msg), noc.Seed(*seed), noc.Warmup(*warmup), noc.Measure(*measure))
+		opts = []noc.Option{noc.Quarc(*n), noc.MsgLen(*msg), noc.Seed(*seed), noc.Warmup(*warmup), noc.Measure(*measure)}
+	}
+	// The trace files attach as options too, so a conflicting pair
+	// (-record with -replay, or with replications) is refused before any
+	// file is written.
+	var captured *noc.TraceWorkload
+	if *record != "" {
+		if sp.Evaluator == "model" {
+			log.Fatal("-record captures a simulator run, but the spec names the model evaluator")
+		}
+		captured = &noc.TraceWorkload{}
+		opts = append(opts, noc.Record(captured))
+	}
+	if *replay != "" {
+		tw, err := readTrace(*replay)
 		if err != nil {
 			log.Fatal(err)
 		}
+		opts = append(opts, noc.Replay(tw))
 	}
-	captured := s.Recording()
+	if s, err = s.With(opts...); err != nil {
+		log.Fatal(err)
+	}
 
 	stopProfile := func() {}
 	if *cpuProfile != "" {
@@ -167,26 +177,32 @@ func main() {
 	if sp.Evaluator == "model" {
 		ev = noc.Model{}
 	}
+	var recordFile *os.File
+	if captured != nil {
+		// Fail on an unwritable path before the simulation runs, and
+		// leave no file behind if it fails.
+		if recordFile, err = os.Create(*record); err != nil {
+			log.Fatal(err)
+		}
+	}
 	res, err := ev.Evaluate(s)
 	stopProfile()
+	if recordFile != nil {
+		if err == nil {
+			err = captured.WriteBinary(recordFile)
+		}
+		if cerr := recordFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(*record)
+		}
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	if captured != nil {
-		f, err := os.Create(sp.Record)
-		if err != nil {
-			log.Fatal(err)
-		}
-		werr := captured.WriteBinary(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			log.Fatal(werr)
-		}
-		if !*jsonOut {
-			fmt.Printf("recorded:      %d messages to %s\n", captured.Messages(), sp.Record)
-		}
+	if captured != nil && !*jsonOut {
+		fmt.Printf("recorded:      %d messages to %s\n", captured.Messages(), *record)
 	}
 
 	if *jsonOut {
@@ -199,11 +215,11 @@ func main() {
 
 	// The report states what ran: the scenario's Spec, defaults filled in.
 	ran := s.Spec()
-	if sp.Replay != "" {
+	if *replay != "" {
 		// The generative knobs are ignored under replay; print the true
 		// workload provenance instead.
 		fmt.Printf("configuration: N=%d msg=%d flits workload=replay(%s) set={%s}\n",
-			s.Nodes(), ran.MsgLen, sp.Replay, s.SetString())
+			s.Nodes(), ran.MsgLen, *replay, s.SetString())
 	} else {
 		fmt.Printf("configuration: N=%d msg=%d flits rate=%g alpha=%g arrival=%s spatial=%s set={%s}\n",
 			s.Nodes(), ran.MsgLen, ran.Rate, ran.Alpha, ran.Arrival, ran.Spatial, s.SetString())
@@ -251,6 +267,16 @@ func main() {
 		}
 		printModel(ran.Alpha, pred, &res)
 	}
+}
+
+// readTrace reads the trace file a -replay flag names.
+func readTrace(path string) (*noc.TraceWorkload, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return noc.ReadTraceWorkload(f)
 }
 
 // printModel prints a model Result's latencies, the multicast one when

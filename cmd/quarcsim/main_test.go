@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -29,9 +31,10 @@ func buildQuarcsim(t *testing.T) string {
 // same Spec a -spec document decodes into, so each flag set and its
 // document print the same bytes — the Result JSON, the human-readable
 // report (with -compare where the flags have it; -compare is allowed with
-// -spec), and a recording's trace file. A -record report names its own
-// trace file, so only its JSON and trace bytes are compared; the replay
-// case replays the flags' recording.
+// -spec), and a recording's trace file. A trace file is not spec content:
+// the document runs carry -record or -replay beside -spec. A -record
+// report names its own trace file, so only its JSON and trace bytes are
+// compared; the replay case replays the flags' recording.
 func TestFlagsMatchSpec(t *testing.T) {
 	bin := buildQuarcsim(t)
 	dir := t.TempDir()
@@ -57,23 +60,25 @@ func TestFlagsMatchSpec(t *testing.T) {
 		local4 = `"pattern":"localized","dests":4`
 	)
 	for _, c := range []struct {
-		name  string
-		doc   string
-		flags []string
+		name     string
+		doc      string
+		flags    []string
+		docFlags []string // beside -spec
 	}{
-		{"defaults", local4, nil},
-		{"random set", `"pattern":"random","dests":8,"set_seed":1`, []string{"-random", "-dests", "8", "-compare"}},
-		{"onoff transpose", local4 + `,"arrival":"onoff","burst_len":8,"duty_cycle":0.5,"spatial":"transpose"`, []string{"-arrival", "onoff", "-perm", "transpose"}},
-		{"detail trace", local4 + `,"detail":true,"trace_node":3,"trace_limit":60`, []string{"-detail", "-trace", "3"}},
-		{"record", local4 + `,"record":"doc.qwtr"`, []string{"-record", "flags.qwtr"}},
-		{"replay", local4 + `,"replay":"flags.qwtr"`, []string{"-replay", "flags.qwtr"}},
+		{"defaults", local4, nil, nil},
+		{"random set", `"pattern":"random","dests":8,"set_seed":1`, []string{"-random", "-dests", "8", "-compare"}, nil},
+		{"onoff transpose", local4 + `,"arrival":"onoff","burst_len":8,"duty_cycle":0.5,"spatial":"transpose"`, []string{"-arrival", "onoff", "-perm", "transpose"}, nil},
+		{"detail trace", local4 + `,"detail":true,"trace_node":3,"trace_limit":60`, []string{"-detail", "-trace", "3"}, nil},
+		{"record", local4, []string{"-record", "flags.qwtr"}, []string{"-record", "doc.qwtr"}},
+		{"replay", local4, []string{"-replay", "flags.qwtr"}, []string{"-replay", "flags.qwtr"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec := filepath.Join(dir, "flags.spec.json")
 			if err := os.WriteFile(spec, []byte("{"+base+","+c.doc+"}\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			same(t, "-json", run(t, append(slices.Clone(c.flags), "-json")...), run(t, "-spec", spec, "-json"))
+			docArgs := append([]string{"-spec", spec}, c.docFlags...)
+			same(t, "-json", run(t, append(slices.Clone(c.flags), "-json")...), run(t, append(slices.Clone(docArgs), "-json")...))
 			if slices.Contains(c.flags, "-record") {
 				flags, err := os.ReadFile(filepath.Join(dir, "flags.qwtr"))
 				if err != nil {
@@ -86,11 +91,55 @@ func TestFlagsMatchSpec(t *testing.T) {
 				same(t, "the recorded trace", flags, doc)
 				return
 			}
-			docArgs := []string{"-spec", spec}
 			if slices.Contains(c.flags, "-compare") {
 				docArgs = append(docArgs, "-compare")
 			}
 			same(t, "the report", run(t, c.flags...), run(t, docArgs...))
+		})
+	}
+}
+
+// TestRecordLeavesNoFileOnFailure pins that a -record run which records
+// nothing exits 1 and leaves no file at the -record path: beside -replay
+// and with replications (both refused before anything runs), and with a
+// spec that names the model evaluator (refused before the model runs).
+func TestRecordLeavesNoFileOnFailure(t *testing.T) {
+	bin := buildQuarcsim(t)
+	dir := t.TempDir()
+	doc := func(name, spec string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(spec+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const small = `"n":16,"rate":0.002,"warmup":500,"measure":5000`
+	// A trace that -replay reads, so that only the conflict fails.
+	if out, err := exec.Command(bin, "-spec", doc("plain.json", "{"+small+"}"), "-record", filepath.Join(dir, "b.qwtr")).CombinedOutput(); err != nil {
+		t.Fatalf("recording b.qwtr: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		says string // part of the error message
+	}{
+		{"record with replay", []string{"-n", "16", "-replay", filepath.Join(dir, "b.qwtr")}, "cannot both record and replay"},
+		{"record with replications", []string{"-spec", doc("reps.json", "{"+small+`,"replications":3}`)}, "one replication"},
+		{"record with the model evaluator", []string{"-spec", doc("model.json", "{"+small+`,"evaluator":"model"}`)}, "model evaluator"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := filepath.Join(dir, "a.qwtr")
+			out, err := exec.Command(bin, append(c.args, "-record", rec)...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("exit %v, want status 1:\n%s", err, out)
+			}
+			if !strings.Contains(string(out), c.says) {
+				t.Errorf("output %q does not say %q", out, c.says)
+			}
+			if _, err := os.Stat(rec); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("the -record path exists after the failed run (stat: %v)", err)
+			}
 		})
 	}
 }

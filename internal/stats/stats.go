@@ -244,14 +244,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Percentile is shorthand for Quantile(p/100).
 func (h *Histogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
-
-// RelErr returns |a-b| / max(|b|, eps): the relative error of a against
-// reference b, guarded against division by tiny references.
-func RelErr(a, b float64) float64 {
-	const eps = 1e-12
-	den := math.Abs(b)
-	if den < eps {
-		den = eps
-	}
-	return math.Abs(a-b) / den
-}

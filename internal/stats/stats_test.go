@@ -238,18 +238,6 @@ func TestQuantilesEmpty(t *testing.T) {
 	}
 }
 
-func TestRelErr(t *testing.T) {
-	if got := RelErr(11, 10); !almostEq(got, 0.1, 1e-12) {
-		t.Fatalf("RelErr(11,10) = %v, want 0.1", got)
-	}
-	if got := RelErr(1, 0); got <= 1e10 {
-		t.Fatalf("RelErr against zero must be huge, got %v", got)
-	}
-	if got := RelErr(5, 5); got != 0 {
-		t.Fatalf("RelErr of equal values = %v, want 0", got)
-	}
-}
-
 // Property: Running mean always lies within [min, max].
 func TestRunningMeanBounded(t *testing.T) {
 	f := func(xs []float64) bool {

@@ -121,16 +121,6 @@ func (Simulator) Name() string { return "simulator" }
 // results (see replication.go); otherwise it runs the scenario once.
 func (Simulator) Evaluate(s *Scenario) (Result, error) { return simulateReplicated(s, nil) }
 
-// evaluateRep implements replicator: one seeded replication.
-func (Simulator) evaluateRep(s *Scenario, rep int) (Result, error) {
-	return simulate(s, nil, repSeed(s.cfg.Seed, rep))
-}
-
-// forkWorker implements workerForker: each Sweep worker gets its own
-// stateful copy that keeps one wormhole.Network alive across the points
-// it runs, resetting it instead of rebuilding per point.
-func (Simulator) forkWorker() Evaluator { return &pooledSimulator{} }
-
 // NewPooledSimulator returns a stateful Simulator that keeps one
 // wormhole network and workload alive across Evaluate calls and rebinds
 // them in place to each scenario's routed topology, whatever its shape —
@@ -150,11 +140,6 @@ type pooledSimulator struct {
 // Evaluate implements Evaluator, reusing the worker's pooled network.
 func (p *pooledSimulator) Evaluate(s *Scenario) (Result, error) {
 	return simulateReplicated(s, &p.pool)
-}
-
-// evaluateRep implements replicator over the worker's pooled network.
-func (p *pooledSimulator) evaluateRep(s *Scenario, rep int) (Result, error) {
-	return simulate(s, &p.pool, repSeed(s.cfg.Seed, rep))
 }
 
 // networkPool caches one network plus one workload, built on first use

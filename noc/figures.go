@@ -8,8 +8,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"quarc/internal/stats"
 )
 
 // Panel is one paper figure panel: a single latency-vs-generation-rate
@@ -167,8 +165,8 @@ func (r PanelResult) agreement(rateCap float64) agreement {
 			math.IsNaN(sim.Unicast) || math.IsNaN(sim.Multicast) {
 			continue
 		}
-		eu := stats.RelErr(model.Unicast, sim.Unicast)
-		em := stats.RelErr(model.Multicast, sim.Multicast)
+		eu := RelErr(model.Unicast, sim.Unicast)
+		em := RelErr(model.Multicast, sim.Multicast)
 		sumU += eu
 		sumM += em
 		if eu > a.MaxUnicastErr {

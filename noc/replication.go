@@ -8,15 +8,6 @@ import (
 	"quarc/internal/stats"
 )
 
-// replicator is implemented by evaluators whose runs replicate under
-// derived seeds (the Simulator). Sweep and simulateReplicated fan the
-// replications of such evaluators out as individual jobs and aggregate
-// them with aggregateReplications; evaluators without the interface (the
-// deterministic Model) run once per point.
-type replicator interface {
-	evaluateRep(s *Scenario, rep int) (Result, error)
-}
-
 // repSeed derives the seed of replication rep from the scenario seed via
 // a splitmix64 finalizer. Replication 0 uses the scenario seed itself, so
 // a single-replication evaluation is bitwise-identical to the plain

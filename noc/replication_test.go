@@ -158,3 +158,28 @@ func TestSweepWithoutReplicationsUnchanged(t *testing.T) {
 		t.Fatalf("Replications(1) sweep diverged:\n%+v\nvs\n%+v", plain, one)
 	}
 }
+
+// TestSweepForksSharedPooledSimulator hands Sweep one NewPooledSimulator
+// value for all four of its workers: each worker must run its own pooled
+// simulator in its place (run under -race in CI), replicate it and
+// aggregate its replications, so the points equal the stateless
+// Simulator's bit for bit.
+func TestSweepForksSharedPooledSimulator(t *testing.T) {
+	rates := []float64{0.001, 0.002, 0.003, 0.004}
+	sweep := func(ev Evaluator) SweepResult {
+		out, err := Sweep(repScenario(t, 3, 0), SweepOptions{Rates: rates, Workers: 4, Evaluators: []Evaluator{ev}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := sweep(Simulator{})
+	if got := sweep(NewPooledSimulator()); !same(got, want) {
+		t.Fatalf("a shared pooled simulator swept\n%+v\nwant the stateless\n%+v", got, want)
+	}
+	for _, pt := range want.Points {
+		if got := pt.Results[0].Replications; got != 3 {
+			t.Fatalf("rate %g aggregated %d replications, want 3", pt.Rate, got)
+		}
+	}
+}

@@ -8,17 +8,17 @@ import (
 // TestScenarioValidationSentinels pins the build-time rejection of
 // conflicting or nonsensical scenarios: each case must fail with the
 // documented sentinel, not silently misbehave. A case states its scenario
-// as a Spec, or as options where the value is one the wire form reads as
-// the default (a zero window) or an attachment.
+// as a Spec, with options on top where the value is one the wire form
+// reads as the default (a zero window) or an attachment.
 func TestScenarioValidationSentinels(t *testing.T) {
 	cases := []struct {
 		name string
 		sp   Spec
-		opts []Option // when set, NewScenario(opts...) instead of sp
+		opts []Option // when set, applied to sp's scenario with With
 		want error    // nil: the scenario builds
 	}{
 		{"record with replay", Spec{}, []Option{Quarc(16), Record(&TraceWorkload{}), Replay(&TraceWorkload{})}, ErrOptionConflict},
-		{"record with replications", Spec{N: 16, Record: "unused.qwtr", Replications: 3}, nil, ErrOptionConflict},
+		{"record with replications", Spec{N: 16, Replications: 3}, []Option{Record(&TraceWorkload{})}, ErrOptionConflict},
 		// On the wire a zero is the default: one replication.
 		{"replications below one", Spec{N: 16, Replications: 0}, nil, nil},
 		{"negative replications", Spec{N: 16, Replications: -4}, nil, ErrInvalidSpec},
@@ -40,11 +40,9 @@ func TestScenarioValidationSentinels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var err error
-			if tc.opts != nil {
-				_, err = NewScenario(tc.opts...)
-			} else {
-				_, err = tc.sp.Scenario()
+			s, err := tc.sp.Scenario()
+			if err == nil && tc.opts != nil {
+				_, err = s.With(tc.opts...)
 			}
 			switch {
 			case tc.want == nil && err != nil:

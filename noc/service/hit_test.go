@@ -171,7 +171,7 @@ func TestEvaluateRouteIsTheMuxRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Serve(context.Background(), sp); err != nil {
+	if _, _, err := e.Evaluate(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
 	h, ok := NewHandler(e).(*handler)
@@ -224,7 +224,7 @@ func TestEvaluateRouteIsTheMuxRoute(t *testing.T) {
 
 // TestProgrammaticSpecsAreValidated pins that the one validation of the
 // HTTP path (ParseSpec's) is not the only one: a spec that never went
-// through ParseSpec is refused by Serve, Evaluate and Sweep with the error
+// through ParseSpec is refused by Evaluate and Sweep with the error
 // Validate gives it.
 func TestProgrammaticSpecsAreValidated(t *testing.T) {
 	e := New(Config{Workers: 1})
@@ -235,16 +235,12 @@ func TestProgrammaticSpecsAreValidated(t *testing.T) {
 		{Rate: math.NaN()},
 		{Alpha: 2},
 		{Wait: "nope"},
-		{Record: "a", Replay: "b"},
 		{MetricsBuckets: 4},
 		{SpatialWeights: []float64{math.Inf(1)}},
 	} {
 		want := sp.Validate()
 		if want == nil {
 			t.Fatalf("%+v: Validate accepts it", sp)
-		}
-		if _, err := e.Serve(ctx, sp); err == nil || err.Error() != want.Error() {
-			t.Errorf("Serve(%+v) = %v, want %v", sp, err, want)
 		}
 		if _, _, err := e.Evaluate(ctx, sp); err == nil || err.Error() != want.Error() {
 			t.Errorf("Evaluate(%+v) = %v, want %v", sp, err, want)

@@ -59,9 +59,9 @@ type Backend interface {
 	serveParsed(ctx context.Context, sp *noc.Spec) (*entry, Source, error)
 	// Sweep evaluates the spec across a rate grid; see Evaluator.Sweep.
 	Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]noc.Result, error)
-	// Trace serves the response (with its recorded time series) of a
-	// previous evaluation by content address; see Evaluator.Trace.
-	Trace(ctx context.Context, fp uint64) (Response, error)
+	// trace serves the entry (with its recorded time series) of a
+	// previous evaluation by content address; see Evaluator.trace.
+	trace(ctx context.Context, fp uint64) (*entry, Source, error)
 	// Stats snapshots the serving counters.
 	Stats() Stats
 	// Healthz reports current serviceability.
@@ -149,8 +149,7 @@ type errorBody struct {
 func errorCode(err error) string {
 	switch {
 	case errors.Is(err, noc.ErrInvalidSpec), errors.Is(err, noc.ErrInvalidOption),
-		errors.Is(err, noc.ErrOptionConflict), errors.Is(err, ErrTraceSpec),
-		errors.Is(err, noc.ErrModelInapplicable):
+		errors.Is(err, noc.ErrOptionConflict), errors.Is(err, noc.ErrModelInapplicable):
 		return CodeInvalidSpec
 	case errors.Is(err, ErrQueueSaturated):
 		return CodeQueueSaturated
@@ -245,7 +244,7 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 		}
 		ctx, cancel := hc.requestCtx(r)
 		defer cancel()
-		resp, err := b.Trace(ctx, fp)
+		ent, src, err := b.trace(ctx, fp)
 		if err != nil {
 			writeRequestError(w, r, ctx, err)
 			return
@@ -253,7 +252,7 @@ func NewHandlerConfig(b Backend, hc HandlerConfig) http.Handler {
 		// The body is the full Result — the very bytes /v1/evaluate
 		// served for this spec, series included — so offline recorder
 		// output diffs against it bitwise.
-		writeResponse(w, &resp)
+		writeBody(w, ent.fpHeader, src, ent.body)
 	})
 	mux.HandleFunc("GET /dashboard", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -466,16 +465,10 @@ var (
 	}
 )
 
-// writeResponse serves a trace Response: the three headers and the body
-// the Response already carries. The header values are shared, not built
-// per request: the content type and the source are package values, and
-// the fingerprint is its entry's prebuilt one.
-func writeResponse(w http.ResponseWriter, resp *Response) {
-	writeBody(w, resp.fingerprintHeader(), resp.Source, resp.Body)
-}
-
-// writeBody is writeResponse from its parts, which the evaluate route
-// takes straight from its entry.
+// writeBody serves an entry's body with the three headers. The header
+// values are shared, not built per request: the content type and the
+// source are package values, and the fingerprint is the entry's prebuilt
+// one.
 func writeBody(w http.ResponseWriter, fpHeader []string, src Source, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
@@ -483,16 +476,6 @@ func writeBody(w http.ResponseWriter, fpHeader []string, src Source, body []byte
 	h[HeaderSource] = sourceHeader(src)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // a failed write is a gone client; there is nobody left to tell
-}
-
-// fingerprintHeader is the X-Quarc-Fingerprint value: the entry's own,
-// formatted afresh only for a Response without an entry or one whose
-// Fingerprint was changed after it was served.
-func (resp *Response) fingerprintHeader() []string {
-	if resp.ent != nil && resp.ent.fp == resp.Fingerprint {
-		return resp.ent.fpHeader
-	}
-	return []string{hex16(resp.Fingerprint)}
 }
 
 // sourceHeader is the X-Quarc-Source value of src.

@@ -16,7 +16,6 @@ import (
 // specific health states).
 type fakeBackend struct {
 	eval   func(ctx context.Context, sp noc.Spec) (noc.Result, Source, error)
-	trace  func(ctx context.Context, fp uint64) (Response, error)
 	health HealthState
 }
 
@@ -44,11 +43,8 @@ func (f *fakeBackend) Sweep(ctx context.Context, sp noc.Spec, rates []float64) (
 	return out, nil
 }
 
-func (f *fakeBackend) Trace(ctx context.Context, fp uint64) (Response, error) {
-	if f.trace != nil {
-		return f.trace(ctx, fp)
-	}
-	return Response{}, ErrNotFound
+func (f *fakeBackend) trace(ctx context.Context, fp uint64) (*entry, Source, error) {
+	return nil, "", ErrNotFound
 }
 
 func (f *fakeBackend) Stats() Stats         { return Stats{} }

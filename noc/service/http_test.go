@@ -316,28 +316,34 @@ func TestHTTPErrors(t *testing.T) {
 		resp.Body.Close()
 		return resp, string(out)
 	}
-	badBodies := []string{
-		`not json`,
-		`{"unknown_field":1}`,
-		`{"n":1000000000}`,
-		`{"rate":-5}`,
-		`{"topology":"ring","n":16}`,
-		`{"topology":"mesh"}`, // builder rejection (no size) is a client mistake
-		`{"topology":"mesh","w":4,"h":4,"router":"quarc"}`, // a router follows its topology
-		`{"topology":"quarc","n":16,"router":"xy"}`,
-		`{"record":"a","replay":"b"}`,
-		`{"record":"server-side-file"}`,
-		`{"n":16} {"n":8}`,
-		`{"hotspot_frac":0.3,"hotspot_node":5}`, // retired: "spatial":"hotspot" states a hotspot
+	const retiredTrace = "retired field: a trace file is not spec content; pass it to quarcsim as -record or -replay"
+	badBodies := []struct{ body, msg string }{ // msg: a part of the error message, when it is pinned
+		{`not json`, ""},
+		{`{"unknown_field":1}`, ""},
+		{`{"n":1000000000}`, ""},
+		{`{"rate":-5}`, ""},
+		{`{"topology":"ring","n":16}`, ""},
+		{`{"topology":"mesh"}`, ""},                              // builder rejection (no size) is a client mistake
+		{`{"topology":"mesh","w":4,"h":4,"router":"quarc"}`, ""}, // a router follows its topology
+		{`{"topology":"quarc","n":16,"router":"xy"}`, ""},
+		{`{"n":16} {"n":8}`, ""},
+		{`{"hotspot_frac":0.3,"hotspot_node":5}`, "retired field"}, // "spatial":"hotspot" states a hotspot
+		// Trace files are quarcsim's flags, never spec content.
+		{`{"record":"a","replay":"b"}`, retiredTrace},
+		{`{"record":"server-side-file"}`, retiredTrace},
+		{`{"n":16,"REPLAY":"server-side-file"}`, retiredTrace},
 	}
-	for _, body := range badBodies {
-		resp, out := post(body)
+	for _, c := range badBodies {
+		resp, out := post(c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d (%s), want 400", body, resp.StatusCode, out)
+			t.Errorf("body %q: status %d (%s), want 400", c.body, resp.StatusCode, out)
 		}
 		var eb errorBody
 		if err := json.Unmarshal([]byte(out), &eb); err != nil || eb.Error == "" || eb.Code != CodeInvalidSpec {
-			t.Errorf("body %q: error response %q is not {error: ..., code: %q}", body, out, CodeInvalidSpec)
+			t.Errorf("body %q: error response %q is not {error: ..., code: %q}", c.body, out, CodeInvalidSpec)
+		}
+		if !strings.Contains(eb.Error, c.msg) {
+			t.Errorf("body %q: error %q does not say %q", c.body, eb.Error, c.msg)
 		}
 	}
 

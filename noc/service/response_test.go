@@ -278,8 +278,8 @@ func TestOneBodyAllSources(t *testing.T) {
 
 // TestHitsDuringTraceAndEviction runs hits on one key against
 // concurrent evictions of it and /v1/trace scans of the cache (run
-// under -race in CI): every 200 body is the reference, and no Body a
-// caller was handed is ever written to again.
+// under -race in CI): every 200 body is the reference, and no entry body
+// a caller kept is ever written to again.
 func TestHitsDuringTraceAndEviction(t *testing.T) {
 	e := New(Config{Workers: 2, CacheEntries: 2})
 	defer e.Close()
@@ -289,16 +289,23 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Serve(context.Background(), sp)
+	// serve answers sp as the handler does, with the entry whose body
+	// every request for sp is written from.
+	serve := func() (*entry, error) {
+		c := sp
+		ent, _, err := e.serveParsed(context.Background(), &c)
+		return ent, err
+	}
+	first, err := serve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Clone(first.Body)
-	tracePath := fmt.Sprintf("/v1/trace/%016x", first.Fingerprint)
+	want := bytes.Clone(first.body)
+	tracePath := fmt.Sprintf("/v1/trace/%016x", first.fp)
 
 	const rounds = 60
 	var wg sync.WaitGroup
-	held := make([][][]byte, 2) // Bodies kept past their request, re-checked at the end
+	held := make([][][]byte, 2) // bodies kept past their request, re-checked at the end
 	for g := range held {
 		wg.Add(2)
 		go func() { // HTTP hits (or recomputations, after an eviction)
@@ -311,15 +318,15 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 				}
 			}
 		}()
-		go func() { // library hits that keep the shared Body
+		go func() { // entry hits that keep the shared body
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				resp, err := e.Serve(context.Background(), sp)
-				if err != nil || !bytes.Equal(resp.Body, want) {
-					t.Errorf("Serve: err %v, body equal %v", err, err == nil)
+				ent, err := serve()
+				if err != nil || !bytes.Equal(ent.body, want) {
+					t.Errorf("serveParsed: err %v, body equal %v", err, err == nil)
 					return
 				}
-				held[g] = append(held[g], resp.Body)
+				held[g] = append(held[g], ent.body)
 			}
 		}()
 	}
@@ -329,7 +336,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 		other := testSpec()
 		for i := 0; i < rounds; i++ {
 			other.Seed = uint64(1000 + i)
-			if _, err := e.Serve(context.Background(), other); err != nil {
+			if _, _, err := e.Evaluate(context.Background(), other); err != nil {
 				t.Errorf("evicting request: %v", err)
 				return
 			}
@@ -357,7 +364,7 @@ func TestHitsDuringTraceAndEviction(t *testing.T) {
 	for _, bodies := range held {
 		for _, b := range bodies {
 			if !bytes.Equal(b, want) {
-				t.Fatal("a served Body changed after it was handed out")
+				t.Fatal("a served body changed after it was handed out")
 			}
 		}
 	}

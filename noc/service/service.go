@@ -45,10 +45,6 @@ var (
 	// ErrClosed reports an Evaluate/Sweep call against a Close()d
 	// evaluator.
 	ErrClosed = errors.New("service: evaluator is closed")
-	// ErrTraceSpec rejects specs that ask for trace record/replay: both
-	// resolve file paths on the server, which a network-facing service
-	// must not do on a client's behalf.
-	ErrTraceSpec = errors.New("service: trace record/replay specs are not servable")
 	// ErrQueueSaturated reports a submission that timed out while the
 	// job queue was full: the box is overloaded, not broken, so clients
 	// should back off and retry elsewhere.
@@ -163,29 +159,14 @@ type HealthState struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Response is one served evaluation: the Result, the response document
-// it encodes to, the content address of the spec that produced it and
-// how this request obtained it. Body is the exact byte string every
-// request for the same spec is answered with — computed, cached,
-// coalesced, read back from the store or traced — and is shared between
-// them: callers must treat it as read-only.
-type Response struct {
-	Result      noc.Result
-	Body        []byte
-	Fingerprint uint64
-	Source      Source
-
-	// ent is the entry the response was served from, whose prebuilt
-	// header value the handler writes while Fingerprint still names it.
-	ent *entry
-}
-
 // entry is one cached evaluation, immutable once built: the Result, its
 // encoded response document, the fingerprint of its spec and that
 // fingerprint's X-Quarc-Fingerprint value (cap == len, so a handler that
 // appends to it copies it). It is built exactly once, where the Result is
 // born (newEntry), and shared by the LRU, the flight that produced it and
-// every Response served from it.
+// every request served from it: body is the exact byte string every
+// request for the same spec is answered with — computed, cached,
+// coalesced, read back from the store or traced — so it is read-only.
 type entry struct {
 	res      noc.Result
 	body     []byte
@@ -209,10 +190,6 @@ func encodeResult(res noc.Result) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %w", ErrUnencodable, err)
 	}
 	return buf.Bytes(), nil
-}
-
-func (ent *entry) response(src Source) Response {
-	return Response{Result: ent.res, Body: ent.body, Fingerprint: ent.fp, Source: src, ent: ent}
 }
 
 // flight is one in-progress evaluation of the spec whose fingerprint is
@@ -338,25 +315,27 @@ func (e *Evaluator) Healthz() HealthState {
 	return HealthState{Status: StatusOK}
 }
 
-// Serve answers one spec: from the cache when its canonical form was
+// Evaluate answers one spec: from the cache when its canonical form was
 // evaluated before, by joining an identical in-flight evaluation, or by
-// scheduling a fresh evaluation on the worker pool. Response.Source says
-// which; whichever it is, the same spec is answered with the same bytes.
-func (e *Evaluator) Serve(ctx context.Context, sp noc.Spec) (Response, error) {
+// scheduling a fresh evaluation on the worker pool. The Source says
+// which; whichever it is, the same spec is answered with the same Result.
+func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
 	if err := sp.Validate(); err != nil {
-		return Response{}, err
+		return noc.Result{}, "", err
 	}
 	canon := sp.Canonical()
 	ent, src, err := e.serveCanonical(ctx, &canon)
 	if err != nil {
-		return Response{}, err
+		return noc.Result{}, "", err
 	}
-	return ent.response(src), nil
+	return ent.res, src, nil
 }
 
-// serveParsed is Serve for the handler's spec, which ParseSpec's decoder
-// has just validated and which the handler owns: it is canonicalized in
-// place, neither validated again nor copied, and not kept past the call.
+// serveParsed is Evaluate for the handler's spec, which ParseSpec's
+// decoder has just validated and which the handler owns: it is
+// canonicalized in place, neither validated again nor copied, and not
+// kept past the call. It answers with the entry, whose body the handler
+// writes.
 func (e *Evaluator) serveParsed(ctx context.Context, sp *noc.Spec) (*entry, Source, error) {
 	sp.Canonicalize()
 	return e.serveCanonical(ctx, sp)
@@ -365,9 +344,6 @@ func (e *Evaluator) serveParsed(ctx context.Context, sp *noc.Spec) (*entry, Sour
 // serveCanonical answers a validated canonical spec; a miss copies it into
 // its job, so canon is not kept past the call.
 func (e *Evaluator) serveCanonical(ctx context.Context, canon *noc.Spec) (*entry, Source, error) {
-	if canon.Record != "" || canon.Replay != "" {
-		return nil, "", ErrTraceSpec
-	}
 	// The canonical spec's binary key names it in the tables (DESIGN.md
 	// §13, "In-memory keys"). Both lookups go by the key's bytes, on the
 	// stack for any ordinary spec; only a miss pays for the strings the
@@ -454,12 +430,6 @@ func (e *Evaluator) serveCanonical(ctx context.Context, canon *noc.Spec) (*entry
 	return ent, SourceComputed, nil
 }
 
-// Evaluate is Serve for callers that want the Result alone.
-func (e *Evaluator) Evaluate(ctx context.Context, sp noc.Spec) (noc.Result, Source, error) {
-	resp, err := e.Serve(ctx, sp)
-	return resp.Result, resp.Source, err
-}
-
 // Sweep evaluates the spec across a rate grid on the shared pool — one
 // content-addressed job per rate, so repeated and overlapping sweeps
 // deduplicate point-wise. It validates the grid first and returns the
@@ -497,8 +467,8 @@ func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]
 	return results, nil
 }
 
-// Trace serves the observability payload of a previous (or in-flight)
-// evaluation by content address: the response whose spec fingerprint is
+// trace serves the observability payload of a previous (or in-flight)
+// evaluation by content address: the entry whose spec fingerprint is
 // fp, searched through the LRU cache, the in-flight table (a live
 // evaluation resolves the query when it completes) and the durable
 // store. Every cached entry and every flight carries its fingerprint, so
@@ -507,11 +477,11 @@ func (e *Evaluator) Sweep(ctx context.Context, sp noc.Spec, rates []float64) ([]
 // fingerprint is the FNV-1a hash of the canonical spec encoding, the same
 // address noc.Spec.Fingerprint computes, so no side index is needed. A result evaluated without
 // Metrics resolves to ErrNotFound: the daemon never recomputes on a GET.
-func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
+func (e *Evaluator) trace(ctx context.Context, fp uint64) (*entry, Source, error) {
 	e.mu.Lock()
 	if ent, ok := e.results.find(func(ent *entry) bool { return ent.fp == fp }); ok {
 		e.mu.Unlock()
-		return traceResponse(ent, SourceCache)
+		return traced(ent, SourceCache)
 	}
 	var live *flight
 	for _, f := range e.flights {
@@ -524,9 +494,9 @@ func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 	if live != nil {
 		ent, err := e.wait(ctx, live)
 		if err != nil {
-			return Response{}, err
+			return nil, "", err
 		}
-		return traceResponse(ent, SourceCoalesced)
+		return traced(ent, SourceCoalesced)
 	}
 	if e.cfg.Store != nil {
 		for _, key := range e.cfg.Store.Keys() {
@@ -537,22 +507,22 @@ func (e *Evaluator) Trace(ctx context.Context, fp uint64) (Response, error) {
 				e.storeHits.Add(1)
 				ent, err := newEntry(fp, res)
 				if err != nil {
-					return Response{}, err
+					return nil, "", err
 				}
-				return traceResponse(ent, SourceStore)
+				return traced(ent, SourceStore)
 			}
 		}
 	}
-	return Response{}, fmt.Errorf("%w: %016x has not been evaluated here", ErrNotFound, fp)
+	return nil, "", fmt.Errorf("%w: %016x has not been evaluated here", ErrNotFound, fp)
 }
 
-// traceResponse finishes a Trace lookup: a hit without a recorded series
-// is still ErrNotFound, with a hint at the missing spec field.
-func traceResponse(ent *entry, src Source) (Response, error) {
+// traced finishes a trace lookup: a hit without a recorded series is
+// still ErrNotFound, with a hint at the missing spec field.
+func traced(ent *entry, src Source) (*entry, Source, error) {
 	if ent.res.Series == nil {
-		return Response{}, fmt.Errorf("%w: the result has no recorded series (evaluate with \"metrics\": true)", ErrNotFound)
+		return nil, "", fmt.Errorf("%w: the result has no recorded series (evaluate with \"metrics\": true)", ErrNotFound)
 	}
-	return ent.response(src), nil
+	return ent, src, nil
 }
 
 // wait blocks until the flight resolves, the caller's context expires or

@@ -207,12 +207,6 @@ func TestRejections(t *testing.T) {
 	defer e.Close()
 	ctx := context.Background()
 
-	if _, _, err := e.Evaluate(ctx, noc.Spec{Record: "x.trace"}); !errors.Is(err, ErrTraceSpec) {
-		t.Errorf("record spec error = %v, want ErrTraceSpec", err)
-	}
-	if _, _, err := e.Evaluate(ctx, noc.Spec{Replay: "x.trace"}); !errors.Is(err, ErrTraceSpec) {
-		t.Errorf("replay spec error = %v, want ErrTraceSpec", err)
-	}
 	if _, _, err := e.Evaluate(ctx, noc.Spec{N: 1 << 30}); !errors.Is(err, noc.ErrInvalidSpec) {
 		t.Errorf("huge spec error = %v, want ErrInvalidSpec", err)
 	}

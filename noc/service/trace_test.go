@@ -165,7 +165,7 @@ func TestErrorCodes(t *testing.T) {
 	}{
 		{noc.ErrInvalidSpec, CodeInvalidSpec},
 		{fmt.Errorf("wrap: %w", noc.ErrInvalidSpec), CodeInvalidSpec},
-		{ErrTraceSpec, CodeInvalidSpec},
+		{fmt.Errorf("wrap: %w", noc.ErrOptionConflict), CodeInvalidSpec},
 		{ErrQueueSaturated, CodeQueueSaturated},
 		{fmt.Errorf("%w (%v)", ErrQueueSaturated, context.DeadlineExceeded), CodeQueueSaturated},
 		{ErrClosed, CodeDraining},

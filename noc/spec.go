@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 
 	"quarc/internal/core"
@@ -130,13 +129,6 @@ type Spec struct {
 	// same Scenario drives either engine — but it is part of the content
 	// address, since the two engines produce different Results.
 	Evaluator string `json:"evaluator,omitempty"`
-
-	// Record and Replay are trace file paths (the -record/-replay CLI
-	// flags in declarative form). They are CLI-side: Scenario resolves
-	// them against the local filesystem, and noc/service refuses specs
-	// that set either one.
-	Record string `json:"record,omitempty"`
-	Replay string `json:"replay,omitempty"`
 }
 
 // ErrInvalidSpec marks a Spec whose fields are outside the ranges the
@@ -268,9 +260,6 @@ func (sp *Spec) validate() error {
 	case "", "simulator", "model":
 	default:
 		return fail("evaluator %q is not \"simulator\" or \"model\"", sp.Evaluator)
-	}
-	if sp.Record != "" && sp.Replay != "" {
-		return fmt.Errorf("%w: a spec cannot both record and replay a trace", ErrOptionConflict)
 	}
 	return nil
 }
@@ -498,42 +487,20 @@ var (
 )
 
 // materialized is the form a Scenario stores: Canonical, with the
-// execution advice Canonical drops from the content address put back and
-// the trace paths (Scenario resolves them into attachments) removed.
+// execution advice Canonical drops from the content address put back.
 func (sp Spec) materialized() Spec {
 	c := sp.Canonical()
 	c.Parallelism, c.IntraParallelism = sp.Parallelism, sp.IntraParallelism
-	c.Record, c.Replay = "", ""
 	return c
 }
 
-// Scenario compiles the spec into a runnable Scenario. A Replay path is
-// read from the local filesystem; a Record path attaches a capture buffer
-// retrievable with Scenario.Recording after the evaluation (the caller
-// persists it, as quarcsim does).
+// Scenario compiles the spec into a runnable Scenario. A trace to record
+// into or replay from is attached afterwards with Scenario.With.
 func (sp Spec) Scenario() (*Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := config{Spec: sp.materialized()}
-	if sp.Replay != "" {
-		f, err := os.Open(sp.Replay)
-		if err != nil {
-			return nil, fmt.Errorf("noc: opening replay trace: %w", err)
-		}
-		tw, rerr := ReadTraceWorkload(f)
-		if cerr := f.Close(); rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		cfg.replay = tw
-	}
-	if sp.Record != "" {
-		cfg.record = &TraceWorkload{}
-	}
-	return resolve(cfg)
+	return resolve(config{Spec: sp.materialized()})
 }
 
 // ScenarioWith compiles the spec against a pre-built base scenario that
@@ -541,14 +508,10 @@ func (sp Spec) Scenario() (*Scenario, error) {
 // destination set and spatial pattern instead of rebuilding them. The
 // result is bitwise-identical to Scenario (pinned by
 // TestScenarioWithSharesStructure); a structurally different base is an
-// error. Record/Replay specs cannot take this path — they need their own
-// traffic source.
+// error.
 func (sp Spec) ScenarioWith(base *Scenario) (*Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	if sp.Record != "" || sp.Replay != "" {
-		return nil, fmt.Errorf("%w: trace record/replay cannot reuse a base scenario", ErrOptionConflict)
 	}
 	fork := *base
 	fork.cfg.Spec = sp.materialized()
@@ -560,15 +523,9 @@ func (sp Spec) ScenarioWith(base *Scenario) (*Scenario, error) {
 }
 
 // Spec returns the scenario's configuration in declarative, canonical
-// form — the inverse of Spec.Scenario up to canonicalization. Runtime
-// trace attachments (Record/Replay) have no file-path representation and
-// are omitted. One gap remains where the scenario holds what the wire
-// format cannot say: it reads a zero Warmup or Seed as "use the default",
-// so a scenario forked with Warmup(0) or Seed(0) reports the defaults
-// (10000, 1) here.
+// form — the inverse of Spec.Scenario up to canonicalization. The trace
+// attachments (Record, Replay) have no wire form and are omitted. One
+// gap remains where the scenario holds what the wire format cannot say:
+// it reads a zero Warmup or Seed as "use the default", so a scenario
+// forked with Warmup(0) or Seed(0) reports the defaults (10000, 1) here.
 func (s *Scenario) Spec() Spec { return s.cfg.Spec.Canonical() }
-
-// Recording returns the trace capture buffer a spec's Record path (or a
-// Record option) attached to the scenario, nil otherwise. After a
-// Simulator evaluation it holds the run's full workload trace.
-func (s *Scenario) Recording() *TraceWorkload { return s.cfg.record }

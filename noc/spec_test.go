@@ -392,7 +392,6 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"bad evaluator", Spec{Evaluator: "oracle"}},
 		{"huge replications", Spec{Replications: 1 << 20}},
 		{"negative replications", Spec{Replications: -2}},
-		{"record and replay", Spec{Record: "a", Replay: "b"}},
 	}
 	for _, tc := range cases {
 		err := tc.sp.Validate()
@@ -400,8 +399,8 @@ func TestSpecValidateRejects(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
-		if !errors.Is(err, ErrInvalidSpec) && !errors.Is(err, ErrOptionConflict) {
-			t.Errorf("%s: error %v is not ErrInvalidSpec/ErrOptionConflict", tc.name, err)
+		if !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: error %v is not ErrInvalidSpec", tc.name, err)
 		}
 	}
 }
@@ -443,6 +442,26 @@ func TestParseSpecRefusesRetiredHotspot(t *testing.T) {
 		_, err := ParseSpec([]byte(doc))
 		if !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), `"spatial":"hotspot"`) {
 			t.Errorf("%s: error %v, want ErrInvalidSpec naming \"spatial\":\"hotspot\"", doc, err)
+		}
+	}
+}
+
+// TestParseSpecRefusesRetiredTrace: the record and replay keys, which
+// named trace files, are refused, alone or together and case-folded,
+// with an error that names quarcsim's -record and -replay flags.
+func TestParseSpecRefusesRetiredTrace(t *testing.T) {
+	for _, doc := range []string{
+		`{"record":"a.qwtr"}`,
+		`{"n":16,"replay":"b.qwtr"}`,
+		`{"Record":"a.qwtr"}`,
+		`{"REPLAY":"b.qwtr"}`,
+		`{"record":"a.qwtr","replay":"b.qwtr"}`,
+		`{"replay"}`,
+	} {
+		_, err := ParseSpec([]byte(doc))
+		if !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "retired field") ||
+			!strings.Contains(err.Error(), "-record or -replay") {
+			t.Errorf("%s: error %v, want ErrInvalidSpec naming the retired field and -record or -replay", doc, err)
 		}
 	}
 }

@@ -32,7 +32,7 @@ var specKeys = [...]string{
 	"damping", "max_iter", "tol", "wait", "service",
 	"seed", "warmup", "measure", "sat_queue", "drain", "detail", "mc_priority",
 	"trace_node", "trace_limit", "replications", "parallelism", "intra_parallelism",
-	"metrics", "metrics_buckets", "evaluator", "record", "replay",
+	"metrics", "metrics_buckets", "evaluator",
 }
 
 // specNames is the closed vocabulary a spec's names are drawn from
@@ -267,10 +267,6 @@ func (d *specDecoder) member(sp *Spec, key []byte, start int) error {
 		return d.integer(&sp.MetricsBuckets)
 	case "evaluator":
 		return d.text(&sp.Evaluator)
-	case "record":
-		return d.text(&sp.Record)
-	case "replay":
-		return d.text(&sp.Replay)
 	}
 	if i := foldKey(key); i >= 0 {
 		return d.member(sp, []byte(specKeys[i]), start)
@@ -278,11 +274,15 @@ func (d *specDecoder) member(sp *Spec, key []byte, start int) error {
 	return d.unknown(key, start)
 }
 
-// unknown rejects key, which names no field. The retired hotspot keys
-// name their one spelling (DESIGN.md §12: refused, not rewritten).
+// unknown rejects key, which names no field. A retired key names what
+// replaced it (DESIGN.md §12: refused, not rewritten): the hotspot keys
+// their one spelling, the trace paths quarcsim's flags.
 func (d *specDecoder) unknown(key []byte, start int) error {
-	if k := string(key); strings.EqualFold(k, "hotspot_frac") || strings.EqualFold(k, "hotspot_node") {
+	switch k := string(key); {
+	case strings.EqualFold(k, "hotspot_frac"), strings.EqualFold(k, "hotspot_node"):
 		return d.fail(start, `retired field: state a hotspot as "spatial":"hotspot" with spatial_frac and spatial_nodes`)
+	case strings.EqualFold(k, "record"), strings.EqualFold(k, "replay"):
+		return d.fail(start, "retired field: a trace file is not spec content; pass it to quarcsim as -record or -replay")
 	}
 	return d.fail(start, "unknown field")
 }
@@ -678,8 +678,6 @@ func (sp *Spec) encode(b []byte, start int, key bool) ([]byte, error) {
 	flag(sp.Metrics)
 	integer(sp.MetricsBuckets)
 	text(sp.Evaluator)
-	text(sp.Record)
-	text(sp.Replay)
 	return b, err
 }
 

@@ -146,7 +146,7 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	}
 
 	// One job per (point, replication). Replication 0 runs every
-	// evaluator; higher replications run only the replicating ones (the
+	// evaluator; higher replications run only the simulators (the
 	// deterministic Model would just repeat itself).
 	type job struct {
 		point, rep int
@@ -220,11 +220,14 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	for p, rate := range rates {
 		pt := SweepPoint{Rate: rate}
 		for e, ev := range evals {
-			if _, ok := ev.(replicator); ok && reps > 1 {
-				pt.Results = append(pt.Results, aggregateReplications(raw[p][e]))
-			} else {
-				pt.Results = append(pt.Results, raw[p][e][0])
+			res := raw[p][e][0]
+			switch ev.(type) {
+			case Simulator, *pooledSimulator:
+				if reps > 1 {
+					res = aggregateReplications(raw[p][e])
+				}
 			}
+			pt.Results = append(pt.Results, res)
 		}
 		points[p] = pt
 	}
@@ -246,8 +249,8 @@ func runJob(s *Scenario, rate float64, rep int, evals []Evaluator, dst [][]Resul
 		return err
 	}
 	for e, ev := range evals {
-		if r, ok := ev.(replicator); ok {
-			res, err := r.evaluateRep(sp, rep)
+		if p, ok := ev.(*pooledSimulator); ok {
+			res, err := simulate(sp, &p.pool, repSeed(sp.cfg.Seed, rep))
 			if err != nil {
 				return err
 			}
@@ -266,17 +269,12 @@ func runJob(s *Scenario, rate float64, rep int, evals []Evaluator, dst [][]Resul
 	return nil
 }
 
-// workerForker is implemented by evaluators that want a private, stateful
-// instance per Sweep worker (e.g. Simulator, which keeps a reusable
-// network). Stateless evaluators are shared as-is.
-type workerForker interface {
-	forkWorker() Evaluator
-}
-
-// workerEvaluators returns the evaluator list for one worker goroutine,
-// forking the evaluators that carry per-worker state; Model becomes the
-// sweep's model with the worker's own clone of it, since a solve mutates
-// its model.
+// workerEvaluators returns the evaluator list for one worker goroutine.
+// A simulator, pooled or not, becomes the worker's own pooled simulator,
+// which keeps one network alive across the jobs the worker runs and
+// which runJob replicates; Model becomes the sweep's model with the
+// worker's own clone of it, since a solve mutates its model. Any other
+// evaluator is shared as-is.
 func workerEvaluators(evals []Evaluator, model sweepModel) []Evaluator {
 	out := make([]Evaluator, len(evals))
 	for i, ev := range evals {
@@ -286,8 +284,8 @@ func workerEvaluators(evals []Evaluator, model sweepModel) []Evaluator {
 				model.m = model.m.Clone()
 			}
 			out[i] = model
-		case workerForker:
-			out[i] = ev.forkWorker()
+		case Simulator, *pooledSimulator:
+			out[i] = &pooledSimulator{}
 		default:
 			out[i] = ev
 		}

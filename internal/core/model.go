@@ -171,6 +171,9 @@ type Model struct {
 	// non-ejection channels some traffic-carrying route crosses. Every
 	// other channel keeps x̄ = msg and a wait fixed for the whole solve.
 	rows []int32
+	// down holds the rows downstream first (see downstream): the order the
+	// saturation search's predictor sweeps them in.
+	down []int32
 	// active counts the sources that generate traffic: all of them, unless
 	// a permutation self-map silences some. Latency averages divide by it,
 	// matching the simulator's per-message means.
@@ -360,8 +363,50 @@ func NewModel(in Input) (*Model, error) {
 		}
 	}
 	m.rows = rows[:k]
+	m.down = m.downstream()
 	m.load(in.Spec.Rate)
 	return m, nil
+}
+
+// downstream lists the rows so that each follows every row its
+// transitions reach: an iterative DFS postorder over the transitions,
+// from the rows in index order. A cycle, which no deadlock-free routing
+// makes, is cut at the transition that closes it. A sweep in this order
+// reads the services its successors have just computed, so a change
+// propagates to the injection channels in one sweep.
+func (m *Model) downstream() []int32 {
+	const unseen, done = -1, -2
+	n := len(m.rows)
+	order := make([]int32, 0, n)
+	// next[i] is the next transition of row i to visit while the row is on
+	// the stack; stack holds row positions.
+	scratch := make([]int32, 2*n)
+	next, stack := scratch[:n], scratch[n:n]
+	for i := range next {
+		next[i] = unseen
+	}
+	for root := range m.rows {
+		if next[root] != unseen {
+			continue
+		}
+		next[root] = m.channels[m.rows[root]].trLo
+		stack = append(stack, int32(root))
+		for len(stack) > 0 {
+			top := stack[len(stack)-1]
+			if t := next[top]; t < m.channels[m.rows[top]].trHi {
+				next[top]++
+				if j, ok := slices.BinarySearch(m.rows, int32(m.trans[t].to)); ok && next[j] == unseen {
+					next[j] = m.channels[m.rows[j]].trLo
+					stack = append(stack, int32(j))
+				}
+				continue
+			}
+			next[top] = done
+			stack = stack[:len(stack)-1]
+			order = append(order, m.rows[top])
+		}
+	}
+	return order
 }
 
 // Clone returns a copy that solves independently of m, for use on another
@@ -470,21 +515,8 @@ func (m *Model) verdict(rate float64) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("core: invalid rate %v", rate)
 	}
 	m.load(rate)
-	iter, converged, saturated := m.fixedPoint()
-
-	maxRho := 0.0
-	for i := range m.channels {
-		c := &m.channels[i]
-		if rho := c.lambda * c.service; rho > maxRho {
-			maxRho = rho
-		}
-	}
-	if maxRho >= 1 {
-		saturated = true
-	}
-
-	pred := Prediction{Saturated: saturated, MaxRho: maxRho, Iterations: iter, Converged: converged}
-	if saturated {
+	pred := m.settle(m.rows, m.in.Damping, m.in.Tol)
+	if pred.Saturated {
 		pred.UnicastLatency = math.Inf(1)
 		pred.MulticastLatency = math.Inf(1)
 		return pred, nil
@@ -503,26 +535,41 @@ func (m *Model) verdict(rate float64) (Prediction, error) {
 	return pred, nil
 }
 
+// settle runs fixedPoint over the rates load left and returns its verdict,
+// without latencies: saturated also when some channel ends with ρ ≥ 1.
+func (m *Model) settle(order []int32, damping, tol float64) Prediction {
+	iter, converged, saturated := m.fixedPoint(order, damping, tol)
+	maxRho := 0.0
+	for i := range m.channels {
+		c := &m.channels[i]
+		if rho := c.lambda * c.service; rho > maxRho {
+			maxRho = rho
+		}
+	}
+	return Prediction{Saturated: saturated || maxRho >= 1, MaxRho: maxRho, Iterations: iter, Converged: converged}
+}
+
 // fixedPoint runs the service-time fixed point of Eq. 6, with the P-K wait
 // of Eq. 3, from the cold start x̄ = msg on every channel, over the rates
 // load left. It returns the sweeps performed, whether they met the
 // tolerance, and whether some channel's wait went infinite (ρ ≥ 1).
 //
-// The sweep is Gauss–Seidel in channel index order: a channel reads the
-// services its downstream channels already have this sweep, so the rows
-// are visited in index order and every sum keeps its operand order. Only
-// the rows move; the waits of all other channels are computed once.
+// The sweep is Gauss–Seidel over the rows in the order given: a channel
+// reads the services its downstream channels already have this sweep.
+// The solver passes the rows in index order, the order of the loop the
+// kernel replaced, so every read and every sum keeps its operands; the
+// saturation search's predictor passes them downstream first. Only the
+// rows move; the waits of all other channels are computed once.
 //
 //quarc:hotpath
-func (m *Model) fixedPoint() (iter int, converged, saturated bool) {
+func (m *Model) fixedPoint(rows []int32, damping, tol float64) (iter int, converged, saturated bool) {
 	msg := float64(m.in.MsgLen)
 	hop := 1.0
 	if m.in.ServiceFormula == TailRelease {
 		hop = 0
 	}
 	eq3 := m.in.WaitFormula == PaperEq3Literal
-	damping, tol := m.in.Damping, m.in.Tol
-	chans, trans, rows := m.channels, m.trans, m.rows
+	chans, trans := m.channels, m.trans
 
 	// Cold start. A channel off the row list keeps x̄ = msg, so the wait
 	// found here is its wait for the whole solve: constant at an ejection
@@ -743,35 +790,104 @@ func (m *Model) serializedMulticastNode(branches []flow) float64 {
 // is stable, within relative tolerance tol ∈ (0,1). A tol below the float
 // spacing ends the search when lo and hi are adjacent floats.
 func (m *Model) SaturationRate(tol float64) (float64, error) {
+	rate, _, err := m.saturationRate(tol)
+	return rate, err
+}
+
+// searchStats is the work of one saturation search: the row-sweeps of
+// every fixed point it ran (sweeps times rows swept), and whether the
+// solver refused the predicted bracket.
+type searchStats struct {
+	rowSweeps int
+	fellBack  bool
+}
+
+// The predictor's fixed point: undamped, and settled once no service
+// moves by 1e-6 of itself.
+const (
+	predictDamping = 1.0
+	predictTol     = 1e-6
+)
+
+// saturationRate is SaturationRate with its work counted. The bisection's
+// answer is a function of its verdicts alone, so it is found in two
+// passes. The first takes every verdict from the predictor, an undamped
+// fixed point swept downstream first, which settles in a fraction of the
+// solver's sweeps. The solver then confirms the bracket the first pass
+// ended with: lo stable, and hi saturated if the search moved it. Every
+// other probe lies at or below lo (predicted stable) or at or above hi
+// (predicted saturated), and the solver's verdict is monotone in the rate,
+// so two confirmed ends make every predicted verdict the solver's and the
+// answer that of bisecting with the solver throughout. If either end is
+// refused (or fails), the search bisects with the solver from the start,
+// failing where that fails.
+func (m *Model) saturationRate(tol float64) (float64, searchStats, error) {
+	var st searchStats
 	if !(tol > 0 && tol < 1) {
-		return 0, fmt.Errorf("core: saturation tolerance %v out of (0,1)", tol)
+		return 0, st, fmt.Errorf("core: saturation tolerance %v out of (0,1)", tol)
 	}
+	top := 1.0 / float64(m.in.MsgLen) // one message per drain time is far beyond capacity
+	predicted := func(rate float64) (bool, error) {
+		m.load(rate)
+		pred := m.settle(m.down, predictDamping, predictTol)
+		st.rowSweeps += pred.Iterations * len(m.down)
+		return pred.Saturated, nil
+	}
+	solved := func(rate float64) (bool, error) {
+		// Only the verdict matters, and a stable one fails where SolveAt's
+		// latency sums would.
+		pred, err := m.verdict(rate)
+		st.rowSweeps += pred.Iterations * len(m.rows)
+		if err == nil && !pred.Saturated {
+			err = m.missingBranches()
+		}
+		return pred.Saturated, err
+	}
+	lo, hi, _ := bisect(tol, top, predicted)
+	confirmed := true
+	if lo > 0 {
+		saturated, err := solved(lo)
+		confirmed = err == nil && !saturated
+	}
+	if confirmed && hi < top {
+		saturated, err := solved(hi)
+		confirmed = err == nil && saturated
+	}
+	if !confirmed {
+		st.fellBack = true
+		var err error
+		if lo, hi, err = bisect(tol, top, solved); err != nil {
+			return 0, st, err
+		}
+	}
+	if lo == 0 {
+		return 0, st, fmt.Errorf("core: no stable rate found below %v", hi)
+	}
+	return lo, st, nil
+}
+
+// bisect narrows [0, hi] to the bracket [lo, hi] of the stability
+// boundary that the verdicts draw, halving it until it is within relative
+// tolerance tol or lo and hi are adjacent floats. It stops at the first
+// verdict that fails.
+func bisect(tol, hi float64, saturated func(rate float64) (bool, error)) (float64, float64, error) {
 	lo := 0.0
-	hi := 1.0 / float64(m.in.MsgLen) // one message per drain time is far beyond capacity
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2
 		if mid == lo || mid == hi {
 			break // no float lies strictly between lo and hi
 		}
-		// Only the verdict matters, and a stable one fails where SolveAt's
-		// latency sums would.
-		pred, err := m.verdict(mid)
-		if err == nil && !pred.Saturated {
-			err = m.missingBranches()
-		}
+		sat, err := saturated(mid)
 		if err != nil {
-			return 0, err
+			return lo, hi, err
 		}
-		if pred.Saturated {
+		if sat {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	if lo == 0 {
-		return 0, fmt.Errorf("core: no stable rate found below %v", hi)
-	}
-	return lo, nil
+	return lo, hi, nil
 }
 
 // Predict is the one-shot convenience: build the model and solve it.

@@ -213,6 +213,20 @@ var (
 	fuzzSat       []float64
 )
 
+// loadFuzzTopos builds the fuzzers' topologies once, with each one's
+// uniform saturation rate.
+func loadFuzzTopos() {
+	fuzzToposOnce.Do(func() {
+		fuzzTopos = batteryTopos()
+		for _, tp := range fuzzTopos {
+			spec := batterySpatial(tp.rt.Graph().Nodes())["uniform"]
+			spec.MulticastFrac, spec.Set = 0.05, tp.set
+			m := must(NewModel(Input{Router: tp.rt, Spec: spec, MsgLen: 16}))
+			fuzzSat = append(fuzzSat, must(m.SaturationRate(1e-2)))
+		}
+	})
+}
+
 // FuzzSolveAtMatchesReference drives the same comparison over arbitrary
 // rates, damping factors, iteration caps and formulas. The rate is read
 // as a multiple of the topology's uniform saturation rate, so that most
@@ -227,15 +241,7 @@ func FuzzSolveAtMatchesReference(f *testing.F) {
 	f.Add(uint8(5), 0.99, 0.0, -3, true, false)
 	f.Add(uint8(6), math.NaN(), 0.0, 0, false, false)
 	f.Fuzz(func(t *testing.T, topo uint8, frac, damping float64, maxIter int, tail, eq3 bool) {
-		fuzzToposOnce.Do(func() {
-			fuzzTopos = batteryTopos()
-			for _, tp := range fuzzTopos {
-				spec := batterySpatial(tp.rt.Graph().Nodes())["uniform"]
-				spec.MulticastFrac, spec.Set = 0.05, tp.set
-				m := must(NewModel(Input{Router: tp.rt, Spec: spec, MsgLen: 16}))
-				fuzzSat = append(fuzzSat, must(m.SaturationRate(1e-2)))
-			}
-		})
+		loadFuzzTopos()
 		i := int(topo) % len(fuzzTopos)
 		tp := fuzzTopos[i]
 		rate := frac

@@ -118,7 +118,7 @@ func TestResolveMatchesFreshPredict(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							sat, err := m.SaturationRate(1e-2) // itself a dozen solves on m
+							sat, err := m.SaturationRate(1e-2) // itself a dozen fixed points on m
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -355,7 +355,8 @@ func BenchmarkModelResolve(b *testing.B) {
 var satSink float64
 
 // BenchmarkSaturationRate is the bisection every figure panel runs to
-// scale its rate grid: a dozen cold-start solves, mostly near the knee.
+// scale its rate grid: a dozen undamped predictor solves, then two cold
+// solver confirmations at the knee.
 func BenchmarkSaturationRate(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("quarc-%d", n), func(b *testing.B) {

@@ -92,11 +92,42 @@ func (p Panel) regime() string {
 	return "localized"
 }
 
-// PanelResult is a completed figure panel: the panel and the sweep of its
-// scenario, model and simulator at every rate.
+// PanelResult is a completed figure panel: the panel, its multicast set,
+// the saturation rate its grid was scaled to and, at every rate, the
+// model's and the simulator's curves. It keeps only the numbers its
+// writers read, not the sweep's Results.
 type PanelResult struct {
-	panel Panel
-	sweep SweepResult
+	panel   Panel
+	set     string
+	satRate float64
+	points  []panelPoint
+}
+
+// panelPoint is one rate sample of a panel: the model's latencies, verdict
+// and largest utilization, and the simulator's latencies with their 95 %
+// half-widths, verdict and completed messages.
+type panelPoint struct {
+	rate                                                   float64
+	modelUnicast, modelMulticast, modelMaxRho              float64
+	simUnicast, simMulticast, simUnicastCI, simMulticastCI float64
+	simCompleted                                           int64
+	modelSaturated, simSaturated                           bool
+}
+
+// newPanelResult cuts a panel's sweep down to its curves.
+func newPanelResult(p Panel, sw SweepResult) PanelResult {
+	r := PanelResult{panel: p, set: sw.Set, satRate: sw.SatRate, points: make([]panelPoint, len(sw.Points))}
+	for i, pt := range sw.Points {
+		model, sim := curves(pt)
+		r.points[i] = panelPoint{
+			rate:         pt.Rate,
+			modelUnicast: model.Unicast, modelMulticast: model.Multicast, modelMaxRho: model.MaxRho,
+			simUnicast: sim.Unicast, simMulticast: sim.Multicast, simUnicastCI: sim.UnicastCI, simMulticastCI: sim.MulticastCI,
+			simCompleted:   sim.Completed,
+			modelSaturated: model.Saturated, simSaturated: sim.Saturated,
+		}
+	}
+	return r
 }
 
 // Panel returns the configuration the result was produced from.
@@ -104,7 +135,7 @@ func (r PanelResult) Panel() Panel { return r.panel }
 
 // SatRate returns the model saturation rate the panel's rate grid was
 // scaled to.
-func (r PanelResult) SatRate() float64 { return r.sweep.SatRate }
+func (r PanelResult) SatRate() float64 { return r.satRate }
 
 // RunFigurePanels regenerates figure panels: each panel's scenario is
 // swept over its rate grid with a bounded worker pool (workers <= 0
@@ -118,12 +149,12 @@ func RunFigurePanels(panels []Panel, e Effort, workers int) ([]PanelResult, erro
 		if err != nil {
 			return nil, fmt.Errorf("noc: panel %s: %w", p.ID, err)
 		}
-		out[i] = PanelResult{panel: p, sweep: sw}
+		out[i] = newPanelResult(p, sw)
 	}
 	return out, nil
 }
 
-// curves returns a panel point's model and simulator results.
+// curves returns a sweep point's model and simulator results.
 func curves(p SweepPoint) (model, sim Result) {
 	model, _ = p.Get("model")
 	sim, _ = p.Get("simulator")
@@ -154,19 +185,18 @@ func (r PanelResult) agreementFull() agreement { return r.agreement(math.Inf(1))
 // paper claims (and this reproduction confirms) an excellent
 // approximation. Above that the service-time fixed point approaches its
 // divergence and over-predicts.
-func (r PanelResult) agreementCore() agreement { return r.agreement(0.7 * r.sweep.SatRate) }
+func (r PanelResult) agreementCore() agreement { return r.agreement(0.7 * r.satRate) }
 
 func (r PanelResult) agreement(rateCap float64) agreement {
 	var a agreement
 	var sumU, sumM float64
-	for _, pt := range r.sweep.Points {
-		model, sim := curves(pt)
-		if model.Saturated || sim.Saturated || pt.Rate > rateCap ||
-			math.IsNaN(sim.Unicast) || math.IsNaN(sim.Multicast) {
+	for _, pt := range r.points {
+		if pt.modelSaturated || pt.simSaturated || pt.rate > rateCap ||
+			math.IsNaN(pt.simUnicast) || math.IsNaN(pt.simMulticast) {
 			continue
 		}
-		eu := RelErr(model.Unicast, sim.Unicast)
-		em := RelErr(model.Multicast, sim.Multicast)
+		eu := RelErr(pt.modelUnicast, pt.simUnicast)
+		em := RelErr(pt.modelMulticast, pt.simMulticast)
 		sumU += eu
 		sumM += em
 		if eu > a.MaxUnicastErr {
@@ -208,17 +238,16 @@ func (r PanelResult) WriteCSV(w io.Writer) error {
 		return strconv.FormatFloat(x, 'g', 8, 64)
 	}
 	p := r.panel
-	for _, pt := range r.sweep.Points {
-		model, sim := curves(pt)
+	for _, pt := range r.points {
 		row := []string{
 			p.ID, strconv.Itoa(p.N), strconv.Itoa(p.MsgLen), f(p.Alpha), p.regime(),
-			f(pt.Rate),
-			f(model.Unicast), f(model.Multicast),
-			strconv.FormatBool(model.Saturated), f(model.MaxRho),
-			f(sim.Unicast), f(sim.Multicast),
-			f(sim.UnicastCI), f(sim.MulticastCI),
-			strconv.FormatBool(sim.Saturated),
-			strconv.FormatInt(sim.Completed, 10),
+			f(pt.rate),
+			f(pt.modelUnicast), f(pt.modelMulticast),
+			strconv.FormatBool(pt.modelSaturated), f(pt.modelMaxRho),
+			f(pt.simUnicast), f(pt.simMulticast),
+			f(pt.simUnicastCI), f(pt.simMulticastCI),
+			strconv.FormatBool(pt.simSaturated),
+			strconv.FormatInt(pt.simCompleted, 10),
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -241,16 +270,15 @@ func (r PanelResult) AsciiPlot(width, height int) string {
 	}
 	// marks[i] labels latencies(pt)[i].
 	marks := [4]byte{'u', 'U', 'm', 'M'}
-	latencies := func(pt SweepPoint) [4]float64 {
-		model, sim := curves(pt)
-		return [4]float64{sim.Unicast, model.Unicast, sim.Multicast, model.Multicast}
+	latencies := func(pt panelPoint) [4]float64 {
+		return [4]float64{pt.simUnicast, pt.modelUnicast, pt.simMulticast, pt.modelMulticast}
 	}
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	// Axis ranges over finite values only.
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, pt := range r.sweep.Points {
-		minX, maxX = math.Min(minX, pt.Rate), math.Max(maxX, pt.Rate)
+	for _, pt := range r.points {
+		minX, maxX = math.Min(minX, pt.rate), math.Max(maxX, pt.rate)
 		for _, v := range latencies(pt) {
 			if finite(v) {
 				minY, maxY = math.Min(minY, v), math.Max(maxY, v)
@@ -270,12 +298,12 @@ func (r PanelResult) AsciiPlot(width, height int) string {
 	for i := range grid {
 		grid[i] = []byte(strings.Repeat(" ", width))
 	}
-	for _, pt := range r.sweep.Points {
+	for _, pt := range r.points {
 		for i, v := range latencies(pt) {
 			if !finite(v) {
 				continue
 			}
-			col := int((pt.Rate - minX) / (maxX - minX) * float64(width-1))
+			col := int((pt.rate - minX) / (maxX - minX) * float64(width-1))
 			row := height - 1 - int((v-minY)/(maxY-minY)*float64(height-1))
 			if col < 0 || col >= width || row < 0 || row >= height {
 				continue
@@ -298,7 +326,7 @@ func (r PanelResult) AsciiPlot(width, height int) string {
 		b.WriteString("\n")
 	}
 	b.WriteString("+" + strings.Repeat("-", width) + "\n")
-	fmt.Fprintf(&b, " rate %.3g .. %.3g msg/cycle/node (model saturation %.3g)\n", minX, maxX, r.sweep.SatRate)
+	fmt.Fprintf(&b, " rate %.3g .. %.3g msg/cycle/node (model saturation %.3g)\n", minX, maxX, r.satRate)
 	return b.String()
 }
 
@@ -345,25 +373,24 @@ func WriteFiguresJSON(w io.Writer, results []PanelResult) error {
 			MsgLen:  p.MsgLen,
 			Alpha:   p.Alpha,
 			Regime:  p.regime(),
-			Set:     r.sweep.Set,
-			SatRate: r.sweep.SatRate,
+			Set:     r.set,
+			SatRate: r.satRate,
 			Core:    r.agreementCore(),
 			Full:    r.agreementFull(),
 		}
-		for _, pt := range r.sweep.Points {
-			model, sim := curves(pt)
+		for _, pt := range r.points {
 			jr.Points = append(jr.Points, figurePointJSON{
-				Rate:           pt.Rate,
-				ModelUnicast:   jsonNum(model.Unicast),
-				ModelMulticast: jsonNum(model.Multicast),
-				ModelSaturated: model.Saturated,
-				ModelMaxRho:    model.MaxRho,
-				SimUnicast:     jsonNum(sim.Unicast),
-				SimMulticast:   jsonNum(sim.Multicast),
-				SimUnicastCI:   jsonNum(sim.UnicastCI),
-				SimMulticastCI: jsonNum(sim.MulticastCI),
-				SimSaturated:   sim.Saturated,
-				SimMessages:    sim.Completed,
+				Rate:           pt.rate,
+				ModelUnicast:   jsonNum(pt.modelUnicast),
+				ModelMulticast: jsonNum(pt.modelMulticast),
+				ModelSaturated: pt.modelSaturated,
+				ModelMaxRho:    pt.modelMaxRho,
+				SimUnicast:     jsonNum(pt.simUnicast),
+				SimMulticast:   jsonNum(pt.simMulticast),
+				SimUnicastCI:   jsonNum(pt.simUnicastCI),
+				SimMulticastCI: jsonNum(pt.simMulticastCI),
+				SimSaturated:   pt.simSaturated,
+				SimMessages:    pt.simCompleted,
 			})
 		}
 		out = append(out, jr)

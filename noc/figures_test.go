@@ -37,8 +37,9 @@ func TestPanelCatalog(t *testing.T) {
 
 // TestFig6PanelPointFromTheWire resolves one point of each Fig. 6 panel
 // from its canonical JSON document, the form quarcd and quarcsim -spec
-// read, and holds the simulator's Result to the panel sweep's at that
-// rate: the document's set_stream states the panel's destination draw.
+// read, and holds the model's and the simulator's Results there to the
+// panel's curves at that rate: the document's set_stream states the
+// panel's destination draw.
 func TestFig6PanelPointFromTheWire(t *testing.T) {
 	e := Effort{Warmup: 500, Measure: 4000, Seed: 11}
 	for _, p := range Fig6Panels() {
@@ -47,10 +48,9 @@ func TestFig6PanelPointFromTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt := res[0].sweep.Points[1]
-		want, _ := pt.Get("simulator")
+		pt := res[0].points[1]
 		sp := atEffort(p.spec(), e)
-		sp.Rate = pt.Rate
+		sp.Rate = pt.rate
 		doc, err := sp.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -66,15 +66,20 @@ func TestFig6PanelPointFromTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.ID, err)
 		}
-		if got := s.SetString(); got != res[0].sweep.Set {
-			t.Errorf("%s: the document draws {%s}, the panel ran {%s}", p.ID, got, res[0].sweep.Set)
+		if got := s.SetString(); got != res[0].set {
+			t.Errorf("%s: the document draws {%s}, the panel ran {%s}", p.ID, got, res[0].set)
 		}
-		got, err := Simulator{}.Evaluate(s)
+		model, err := Model{}.Evaluate(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !same(got, want) {
-			t.Errorf("%s at rate %v: from the wire\n%+v\nin the panel\n%+v", p.ID, pt.Rate, got, want)
+		sim, err := Simulator{}.Evaluate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromWire := newPanelResult(p, SweepResult{Points: []SweepPoint{{Rate: pt.rate, Results: []Result{model, sim}}}})
+		if got := fromWire.points[0]; !same(got, pt) {
+			t.Errorf("%s at rate %v: from the wire\n%+v\nin the panel\n%+v", p.ID, pt.rate, got, pt)
 		}
 	}
 }
@@ -185,13 +190,11 @@ func TestPanelsTrackSimulator(t *testing.T) {
 // saturated model and a simulator with no samples.
 func nonFinitePanel() PanelResult {
 	nan := math.NaN()
-	return PanelResult{
-		panel: Panel{ID: "x", Figure: "6", N: 16, MsgLen: 16, Random: true},
-		sweep: SweepResult{Points: []SweepPoint{{Rate: 0.5, Results: []Result{
+	return newPanelResult(Panel{ID: "x", Figure: "6", N: 16, MsgLen: 16, Random: true},
+		SweepResult{Points: []SweepPoint{{Rate: 0.5, Results: []Result{
 			{Evaluator: "model", Unicast: math.Inf(1), Multicast: math.Inf(1), Saturated: true},
 			{Evaluator: "simulator", Unicast: nan, Multicast: nan, UnicastCI: nan, MulticastCI: nan, Saturated: true},
-		}}}},
-	}
+		}}}})
 }
 
 func TestAsciiPlotHandlesNoData(t *testing.T) {

@@ -187,11 +187,13 @@ func Sweep(s *Scenario, o SweepOptions) (SweepResult, error) {
 	close(ch)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// Worker 0 starts last: it solves on the sweep's model, which every
+	// other worker's evaluators clone before it may move.
+	for w := workers - 1; w >= 0; w-- {
 		// Each worker gets its own evaluator instances so stateful
 		// evaluators (Simulator's reusable network, Model's solve state)
 		// never race.
-		evs := workerEvaluators(evals, model)
+		evs := workerEvaluators(evals, model, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -269,18 +271,19 @@ func runJob(s *Scenario, rate float64, rep int, evals []Evaluator, dst [][]Resul
 	return nil
 }
 
-// workerEvaluators returns the evaluator list for one worker goroutine.
+// workerEvaluators returns the evaluator list for worker w's goroutine.
 // A simulator, pooled or not, becomes the worker's own pooled simulator,
 // which keeps one network alive across the jobs the worker runs and
-// which runJob replicates; Model becomes the sweep's model with the
-// worker's own clone of it, since a solve mutates its model. Any other
-// evaluator is shared as-is.
-func workerEvaluators(evals []Evaluator, model sweepModel) []Evaluator {
+// which runJob replicates; Model becomes the sweep's model, which worker 0
+// solves on and every other worker on its own clone, since a solve
+// mutates its model (and starts cold, so nothing of the saturation
+// search's solves carries over). Any other evaluator is shared as-is.
+func workerEvaluators(evals []Evaluator, model sweepModel, w int) []Evaluator {
 	out := make([]Evaluator, len(evals))
 	for i, ev := range evals {
 		switch ev := ev.(type) {
 		case Model:
-			if model.m != nil {
+			if model.m != nil && w > 0 {
 				model.m = model.m.Clone()
 			}
 			out[i] = model

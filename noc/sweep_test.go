@@ -58,32 +58,35 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := SweepOptions{Rates: []float64{0.001, 0.002, 0.003, 0.004}}
-	o.Workers = 1
-	seq, err := Sweep(s, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Workers = 4
-	par, err := Sweep(s, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare via JSON so NaN fields (e.g. a CI with too few batches)
-	// compare equal; every finite number must still be bitwise identical.
-	seqJSON, err := json.Marshal(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parJSON, err := json.Marshal(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqJSON, parJSON) {
-		t.Error("sweep results differ between 1 and 4 workers")
-	}
-	if len(seq.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(seq.Points))
+	// On the auto grid, worker 1 solves on the very model the saturation
+	// search ran on, the others on clones of it.
+	for _, o := range []SweepOptions{{Rates: []float64{0.001, 0.002, 0.003, 0.004}}, {Points: 4}} {
+		o.Workers = 1
+		seq, err := Sweep(s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Workers = 4
+		par, err := Sweep(s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Compare via JSON so NaN fields (e.g. a CI with too few batches)
+		// compare equal; every finite number must still be bitwise identical.
+		seqJSON, err := json.Marshal(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parJSON, err := json.Marshal(par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seqJSON, parJSON) {
+			t.Errorf("rates %v, points %d: sweep results differ between 1 and 4 workers", o.Rates, o.Points)
+		}
+		if len(seq.Points) != 4 {
+			t.Fatalf("got %d points, want 4", len(seq.Points))
+		}
 	}
 }
 
